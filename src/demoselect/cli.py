@@ -19,7 +19,7 @@ import logging
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import Example, IndexBundle, build_indexes, load_examples, load_predictions
@@ -36,6 +36,7 @@ from .errors import (
 from .evaluation import aggregate, evaluate_record
 from .fixtures import GrammarConfig, gen_fixture, write_fixture
 from .gateway import (
+    DEFAULT_STOP,
     CompletionRequest,
     EndpointConfig,
     MockOracleConfig,
@@ -46,10 +47,10 @@ from .programs import DialectConfig
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
 from .retrieval import RETRIEVER_VARIANTS, random_scores, tokenize_utterance
 from .selection import (
+    DemonstrationSet,
     cover_ls,
     cover_utt,
     dpp_select,
-    oracle_elements,
     select_random,
     select_top_k,
     training_mode_select,
@@ -110,7 +111,15 @@ def _read_jsonl(path: str | Path) -> list[dict]:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return [json.loads(line) for line in raw.splitlines() if line.strip()]
+    rows = []
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(json.loads(line))
+        except ValueError as exc:
+            raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+    return rows
 
 
 def _load_tests(bundle: IndexBundle, test_path: str | None) -> list[Example]:
@@ -123,10 +132,17 @@ def _load_tests(bundle: IndexBundle, test_path: str | None) -> list[Example]:
     return tests
 
 
+def _demo(bundle: IndexBundle, demo_id: str) -> Example:
+    demo = bundle.corpus.by_id.get(demo_id)
+    if demo is None:
+        raise ConfigError(f"unknown demonstration id {demo_id}")
+    return demo
+
+
 # --- selection stage -------------------------------------------------------
 
 
-def _retriever_scores(bundle, example, cfg: RunConfig, bundles) -> dict[str, float]:
+def _retriever_scores(bundle, example, cfg: RunConfig, beams) -> dict[str, float]:
     if cfg.retriever == "bm25-utterance":
         return bundle.bm25_utterance.scores(tokenize_utterance(example.utterance))
     if cfg.retriever == "random":
@@ -136,23 +152,50 @@ def _retriever_scores(bundle, example, cfg: RunConfig, bundles) -> dict[str, flo
     # bm25-symbols: predicted symbols, or gold symbols in oracle mode
     if cfg.oracle:
         return bundle.bm25_symbols.scores(sorted(set(example.symbol_seq)))
-    bundle_for_id = bundles.get(example.id)
-    symbols = (
-        sorted(c for c in bundle_for_id.ls_union if ls_size(c) == 1)
-        if bundle_for_id
-        else []
-    )
+    pred = beams.get(example.id)
+    symbols = sorted(c for c in pred.ls_union if ls_size(c) == 1) if pred else []
     return bundle.bm25_symbols.scores(symbols)
 
 
-def _select_one(bundle, example, cfg: RunConfig, bundles) -> dict:
+def _selection_row(example_id: str, result: DemonstrationSet) -> dict:
+    return {
+        "id": example_id,
+        "strategy": result.strategy,
+        "k": result.k,
+        "items": [[i, s] for i, s in result.items],
+        "coverage_trace": [[p, e] for p, e in result.coverage_trace],
+        "underfilled": result.underfilled,
+    }
+
+
+def _select_one(bundle, example, cfg: RunConfig, beams) -> dict:
     pool = bundle.pool
-    scores = _retriever_scores(bundle, example, cfg, bundles)
-    if cfg.strategy == "top-k":
+    scores = _retriever_scores(bundle, example, cfg, beams)
+    strategy = cfg.strategy
+    if strategy == "cover-ls":
+        if cfg.oracle:
+            elements = example.ls_set
+        else:
+            pred = beams.get(example.id)
+            elements = pred.ls_union if pred else set()
+        if not elements and cfg.fallback == "cover-utt":
+            strategy = "cover-utt"
+    if strategy == "top-k":
         result = select_top_k(pool, scores, cfg.k)
-    elif cfg.strategy == "random":
+    elif strategy == "random":
         result = select_random(pool, cfg.k, seed=_example_seed(cfg.seed, example.id))
-    elif cfg.strategy == "cover-utt":
+    elif strategy == "dpp":
+        result = dpp_select(scores, bundle.tfidf, cfg.k, cfg.candidate_pool_size)
+    elif strategy == "cover-ls":
+        result = cover_ls(
+            elements,
+            pool,
+            scores,
+            cfg.k,
+            max_ls_size=cfg.max_ls_size,
+            postings=bundle.ls_postings,
+        )
+    else:  # cover-utt, and cover-ls with nothing to cover
         result = cover_utt(
             example.utterance,
             pool,
@@ -161,40 +204,7 @@ def _select_one(bundle, example, cfg: RunConfig, bundles) -> dict:
             idf=bundle.bm25_utterance.idf,
             postings=bundle.token_postings,
         )
-    elif cfg.strategy == "dpp":
-        result = dpp_select(scores, bundle.tfidf, cfg.k, cfg.candidate_pool_size)
-    else:  # cover-ls
-        if cfg.oracle:
-            elements = oracle_elements(example.program, bundle.corpus.dialect)
-        else:
-            pred = bundles.get(example.id)
-            elements = set(pred.ls_union) if pred else set()
-        if not elements and cfg.fallback == "cover-utt":
-            result = cover_utt(
-                example.utterance,
-                pool,
-                scores,
-                cfg.k,
-                idf=bundle.bm25_utterance.idf,
-                postings=bundle.token_postings,
-            )
-        else:
-            result = cover_ls(
-                elements,
-                pool,
-                scores,
-                cfg.k,
-                max_ls_size=cfg.max_ls_size,
-                postings=bundle.ls_postings,
-            )
-    return {
-        "id": example.id,
-        "strategy": result.strategy,
-        "k": result.k,
-        "items": [[i, s] for i, s in result.items],
-        "coverage_trace": [[p, e] for p, e in result.coverage_trace],
-        "underfilled": result.underfilled,
-    }
+    return _selection_row(example.id, result)
 
 
 def _select_train_one(bundle, example, cfg: RunConfig) -> dict:
@@ -206,27 +216,14 @@ def _select_train_one(bundle, example, cfg: RunConfig) -> dict:
         seed=_example_seed(cfg.seed, example.id),
         dialect=bundle.corpus.dialect,
     )
-    return {
-        "id": example.id,
-        "strategy": result.strategy,
-        "k": result.k,
-        "items": [[i, s] for i, s in result.items],
-        "coverage_trace": [[p, e] for p, e in result.coverage_trace],
-        "underfilled": result.underfilled,
-    }
+    return _selection_row(example.id, result)
 
 
-def stage_select(bundle, tests, cfg: RunConfig, bundles) -> list[dict]:
+def stage_select(bundle, tests, cfg: RunConfig, beams) -> list[dict]:
     if cfg.train_mode:
         targets = sorted(bundle.pool.values(), key=lambda e: e.id)
-        worker = lambda ex: _select_train_one(bundle, ex, cfg)  # noqa: E731
-    else:
-        targets = tests
-        worker = lambda ex: _select_one(bundle, ex, cfg, bundles)  # noqa: E731
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool_exec:
-            return list(pool_exec.map(worker, targets))
-    return [worker(ex) for ex in targets]
+        return [_select_train_one(bundle, ex, cfg) for ex in targets]
+    return [_select_one(bundle, ex, cfg, beams) for ex in tests]
 
 
 # --- prompt stage ----------------------------------------------------------
@@ -249,9 +246,7 @@ def stage_prompt(bundle, tests, selections: list[dict], cfg: RunConfig) -> list[
         )
         demos = []
         for demo_id, _ in ordered:
-            demo = bundle.pool.get(demo_id) or bundle.corpus.by_id.get(demo_id)
-            if demo is None:
-                raise ConfigError(f"unknown demonstration id {demo_id}")
+            demo = _demo(bundle, demo_id)
             demos.append((demo.id, demo.utterance, demo.program))
         prompt = format_prompt(
             demos, example.utterance, include_utterances=not cfg.programs_only
@@ -278,8 +273,8 @@ def stage_infer(
     tests,
     prompts: list[dict],
     cfg: RunConfig,
-    endpoint: EndpointConfig | None = None,
-    request_defaults: CompletionRequest | None = None,
+    endpoint: EndpointConfig | None,
+    request_defaults: CompletionRequest,
 ) -> list[dict]:
     by_id = {ex.id: ex for ex in tests}
 
@@ -287,9 +282,7 @@ def stage_infer(
         example = by_id.get(row["id"])
         if example is None:
             raise ConfigError(f"prompt id {row['id']} has no test example")
-        demo_programs = [
-            bundle.corpus.by_id[d].program for d in row["demo_ids"]
-        ]
+        demo_programs = [_demo(bundle, d).program for d in row["demo_ids"]]
         text = mock_complete(
             demo_programs,
             example.program,
@@ -299,19 +292,11 @@ def stage_infer(
         return {"id": row["id"], "prediction": text}
 
     def endpoint_one(row: dict) -> dict:
-        base = request_defaults or CompletionRequest(prompt="")
-        request = CompletionRequest(
-            prompt=row["prompt"],
-            max_tokens=base.max_tokens,
-            temperature=base.temperature,
-            stop=base.stop,
-        )
+        request = replace(request_defaults, prompt=row["prompt"])
         result = complete(request, endpoint)
         return {"id": row["id"], "prediction": result.text.strip()}
 
     worker = mock_one if cfg.mock else endpoint_one
-    if not cfg.mock and endpoint is None:
-        raise ConfigError("no endpoint configured; use --mock or --base-url")
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool_exec:
             return list(pool_exec.map(worker, prompts))
@@ -334,7 +319,7 @@ def stage_eval(
             logger.warning("prediction id %s is not a test example", row["id"])
             continue
         prompt_row = prompt_by_id.get(row["id"], {"demo_ids": []})
-        demo_examples = [bundle.corpus.by_id[d] for d in prompt_row["demo_ids"]]
+        demo_examples = [_demo(bundle, d) for d in prompt_row["demo_ids"]]
         records.append(
             evaluate_record(
                 example_id=example.id,
@@ -350,6 +335,16 @@ def stage_eval(
         )
     report = aggregate(records, by_strategy=False)
     return report, records
+
+
+def _write_eval_outputs(report, records, out, csv=None, per_record=None) -> int:
+    """Write the report and the per-record views; return the exit code."""
+    Path(out).write_text(json.dumps(report, sort_keys=True, indent=2), encoding="utf-8")
+    if csv:
+        _write_csv(csv, records)
+    if per_record:
+        _write_jsonl(per_record, [r.to_dict() for r in records])
+    return EXIT_OK if report.get("accuracy", 0.0) >= 1.0 else EXIT_EVAL_FAILURES
 
 
 def _write_csv(path: str | Path, records) -> None:
@@ -417,7 +412,23 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _run_config_from_args(args, config_file: dict) -> RunConfig:
+def _load_config(args) -> RunConfig:
+    """The run configuration: command-line flags over the ``--config`` file."""
+    config_file = {}
+    if args.config:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise IoError(f"cannot read config file {args.config}: {exc}") from exc
+        try:
+            config_file = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{args.config}:{exc.lineno}: not valid JSON: {exc.msg}"
+            ) from exc
+        if not isinstance(config_file, dict):
+            raise ConfigError(f"{args.config}: not a JSON object")
+
     def pick(name, default):
         value = getattr(args, name, None)
         if value is None:
@@ -444,81 +455,32 @@ def _run_config_from_args(args, config_file: dict) -> RunConfig:
     )
 
 
-def _load_config_file(args) -> dict:
-    if getattr(args, "config", None):
-        return json.loads(Path(args.config).read_text(encoding="utf-8"))
-    return {}
-
-
-def _validate_select_inputs(cfg: RunConfig, args) -> None:
-    needs_predictions = (
+def _load_inputs(args, cfg: RunConfig, with_tests: bool, with_beams: bool = False):
+    """The index, the test examples and the beam file (``--predictions`` of
+    the selection commands) that a command reads."""
+    needs_beams = (
         cfg.strategy == "cover-ls" or cfg.retriever == "bm25-symbols"
     ) and not cfg.oracle and not cfg.train_mode
-    if needs_predictions and not getattr(args, "predictions", None):
+    if with_beams and needs_beams and not args.predictions:
         raise ConfigError(
             f"strategy/retriever {cfg.strategy}/{cfg.retriever} needs --predictions "
             "or --oracle"
         )
-
-
-def cmd_select(args) -> int:
-    cfg = _run_config_from_args(args, _load_config_file(args))
-    _validate_select_inputs(cfg, args)
     bundle = IndexBundle.load(args.index)
-    tests = [] if cfg.train_mode else _load_tests(bundle, args.test)
-    bundles = (
-        load_predictions(args.predictions, bundle.corpus.dialect)
-        if getattr(args, "predictions", None)
-        else {}
-    )
-    if cfg.beam_limit is not None:
-        bundles = _limit_beams(bundles, cfg.beam_limit, bundle.corpus.dialect)
-    known = {ex.id for ex in tests}
-    for example_id in sorted(set(bundles) - known):
-        logger.warning("prediction id %s is not a test example; kept", example_id)
-    selections = stage_select(bundle, tests, cfg, bundles)
-    _write_jsonl(args.out, selections)
-    print(f"selected demonstrations for {len(selections)} examples -> {args.out}")
-    return EXIT_OK
+    tests = _load_tests(bundle, args.test) if with_tests else []
+    beams = {}
+    if with_beams and args.predictions:
+        beams = load_predictions(args.predictions, bundle.corpus.dialect)
+        if cfg.beam_limit is not None:
+            beams = {i: pred.first(cfg.beam_limit) for i, pred in beams.items()}
+        known = {ex.id for ex in tests}
+        for example_id in sorted(set(beams) - known):
+            logger.warning("prediction id %s is not a test example; kept", example_id)
+    return bundle, tests, beams
 
 
-def _limit_beams(bundles, beam_limit, dialect):
-    from .corpus import PredictionBundle
-    from .programs import anonymize, parse_program
-    from .structures import build_structure_graph, count_local_structures
-
-    limited = {}
-    for example_id, bundle in bundles.items():
-        beams = bundle.beams[:beam_limit]
-        union: set[str] = set()
-        for beam in beams:
-            anon = anonymize(parse_program(beam, dialect))
-            union |= set(count_local_structures(build_structure_graph(anon)))
-        limited[example_id] = PredictionBundle(
-            example_id=example_id,
-            beams=beams,
-            repaired=bundle.repaired[:beam_limit],
-            ls_union=union,
-        )
-    return limited
-
-
-def cmd_prompt(args) -> int:
-    cfg = _run_config_from_args(args, _load_config_file(args))
-    bundle = IndexBundle.load(args.index)
-    tests = [] if cfg.train_mode else _load_tests(bundle, args.test)
-    selections = _read_jsonl(args.selections)
-    prompts = stage_prompt(bundle, tests, selections, cfg)
-    _write_jsonl(args.out, prompts)
-    print(f"formatted {len(prompts)} prompts -> {args.out}")
-    return EXIT_OK
-
-
-def cmd_infer(args) -> int:
-    cfg = _run_config_from_args(args, _load_config_file(args))
-    bundle = IndexBundle.load(args.index)
-    tests = _load_tests(bundle, args.test) if cfg.mock else []
-    prompts = _read_jsonl(args.prompts)
+def _endpoint_from_args(args, cfg: RunConfig):
+    """The endpoint (None with ``--mock``) and the request defaults."""
     endpoint = None
     if not cfg.mock:
         endpoint = EndpointConfig(
@@ -531,8 +493,36 @@ def cmd_infer(args) -> int:
         prompt="",
         max_tokens=args.max_tokens,
         temperature=args.temperature,
-        stop=tuple(args.stop) if args.stop else CompletionRequest(prompt="").stop,
+        stop=tuple(args.stop) if args.stop else DEFAULT_STOP,
     )
+    return endpoint, request_defaults
+
+
+def cmd_select(args) -> int:
+    cfg = _load_config(args)
+    bundle, tests, beams = _load_inputs(
+        args, cfg, with_tests=not cfg.train_mode, with_beams=True
+    )
+    selections = stage_select(bundle, tests, cfg, beams)
+    _write_jsonl(args.out, selections)
+    print(f"selected demonstrations for {len(selections)} examples -> {args.out}")
+    return EXIT_OK
+
+
+def cmd_prompt(args) -> int:
+    cfg = _load_config(args)
+    bundle, tests, _ = _load_inputs(args, cfg, with_tests=not cfg.train_mode)
+    prompts = stage_prompt(bundle, tests, _read_jsonl(args.selections), cfg)
+    _write_jsonl(args.out, prompts)
+    print(f"formatted {len(prompts)} prompts -> {args.out}")
+    return EXIT_OK
+
+
+def cmd_infer(args) -> int:
+    cfg = _load_config(args)
+    bundle, tests, _ = _load_inputs(args, cfg, with_tests=cfg.mock)
+    prompts = _read_jsonl(args.prompts)
+    endpoint, request_defaults = _endpoint_from_args(args, cfg)
     predictions = stage_infer(bundle, tests, prompts, cfg, endpoint, request_defaults)
     _write_jsonl(args.out, predictions)
     print(f"inferred {len(predictions)} predictions -> {args.out}")
@@ -540,67 +530,43 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _run_config_from_args(args, _load_config_file(args))
-    bundle = IndexBundle.load(args.index)
-    tests = _load_tests(bundle, args.test)
+    cfg = _load_config(args)
+    bundle, tests, _ = _load_inputs(args, cfg, with_tests=True)
     prompts = _read_jsonl(args.prompts)
     predictions = _read_jsonl(args.predictions)
     report, records = stage_eval(bundle, tests, prompts, predictions, cfg)
-    Path(args.out).write_text(
-        json.dumps(report, sort_keys=True, indent=2), encoding="utf-8"
-    )
-    if args.csv:
-        _write_csv(args.csv, records)
-    if args.per_record:
-        _write_jsonl(args.per_record, [r.to_dict() for r in records])
+    code = _write_eval_outputs(report, records, args.out, args.csv, args.per_record)
     accuracy = report.get("accuracy", 0.0)
     print(f"evaluated {report.get('count', 0)} predictions, accuracy {accuracy:.3f}")
-    return EXIT_OK if accuracy >= 1.0 else EXIT_EVAL_FAILURES
+    return code
 
 
 def cmd_run(args) -> int:
-    cfg = _run_config_from_args(args, _load_config_file(args))
-    _validate_select_inputs(cfg, args)
+    cfg = _load_config(args)
+    bundle, tests, beams = _load_inputs(
+        args, cfg, with_tests=not cfg.train_mode, with_beams=True
+    )
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    bundle = IndexBundle.load(args.index)
-    tests = [] if cfg.train_mode else _load_tests(bundle, args.test)
-    bundles = (
-        load_predictions(args.predictions, bundle.corpus.dialect)
-        if getattr(args, "predictions", None)
-        else {}
-    )
-    if cfg.beam_limit is not None:
-        bundles = _limit_beams(bundles, cfg.beam_limit, bundle.corpus.dialect)
-
-    selections = stage_select(bundle, tests, cfg, bundles)
+    selections = stage_select(bundle, tests, cfg, beams)
     _write_jsonl(workdir / "selections.jsonl", selections)
     prompts = stage_prompt(bundle, tests, selections, cfg)
     _write_jsonl(workdir / "prompts.jsonl", prompts)
     if cfg.train_mode:
         print(f"wrote training prompts -> {workdir / 'prompts.jsonl'}")
         return EXIT_OK
-    endpoint = None
-    if not cfg.mock:
-        endpoint = EndpointConfig(
-            base_url=args.base_url or "",
-            model=args.model or "",
-            max_retries=args.max_retries,
-            timeout=args.timeout,
-        )
-    predictions = stage_infer(bundle, tests, prompts, cfg, endpoint)
+    endpoint, request_defaults = _endpoint_from_args(args, cfg)
+    predictions = stage_infer(bundle, tests, prompts, cfg, endpoint, request_defaults)
     _write_jsonl(workdir / "predictions.jsonl", predictions)
     report, records = stage_eval(bundle, tests, prompts, predictions, cfg)
-    (workdir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2), encoding="utf-8"
+    code = _write_eval_outputs(
+        report, records, workdir / "report.json", per_record=workdir / "records.jsonl"
     )
-    _write_jsonl(workdir / "records.jsonl", [r.to_dict() for r in records])
-    accuracy = report.get("accuracy", 0.0)
     print(
-        f"run complete: accuracy {accuracy:.3f} over {report.get('count', 0)} "
-        f"examples -> {workdir / 'report.json'}"
+        f"run complete: accuracy {report.get('accuracy', 0.0):.3f} over "
+        f"{report.get('count', 0)} examples -> {workdir / 'report.json'}"
     )
-    return EXIT_OK if accuracy >= 1.0 else EXIT_EVAL_FAILURES
+    return code
 
 
 def cmd_gen_fixture(args) -> int:
@@ -627,7 +593,6 @@ def _add_shared_args(parser):
     parser.add_argument("--strategy", choices=STRATEGIES, default=None)
     parser.add_argument("--k", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
 
 
 def _add_pool_args(parser):
@@ -671,6 +636,7 @@ def _add_infer_args(parser):
     parser.add_argument("--stop", action="append", default=None)
     parser.add_argument("--max-retries", dest="max_retries", type=int, default=5)
     parser.add_argument("--timeout", type=float, default=30.0)
+    parser.add_argument("--jobs", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

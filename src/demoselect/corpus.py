@@ -2,8 +2,11 @@
 
 Corpora are JSONL files with ``{"id"?, "utterance", "program", "split"?}``
 lines. Every loaded example caches its anonymized program, template, token
-list, symbol sequence, and local-structure counts so that selection and
-evaluation never re-derive them.
+list, symbol sequence, and local-structure counts, and every loaded beam its
+local-structure set. Selection reads these caches; the mock model
+(:func:`~demoselect.gateway.mock_complete`) and the error labels of
+evaluation (:func:`~demoselect.evaluation.classify_errors`) still re-derive
+structures, symbols and templates from program text.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ from .programs import (
     to_template,
 )
 from .retrieval import Bm25Index, LsTfidfVector, ls_tfidf_vectors, tokenize_utterance
-from .structures import build_structure_graph, count_local_structures, ls_size
+from .structures import (
+    build_structure_graph,
+    count_local_structures,
+    ls_size,
+    program_structures,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -144,11 +152,21 @@ class PredictionBundle:
     example_id: str
     beams: list[str]
     repaired: list[bool]
-    ls_union: set[str] = field(default_factory=set)
+    beam_ls_sets: list[set[str]] = field(default_factory=list)
 
     @property
     def beam_count(self) -> int:
         return len(self.beams)
+
+    @property
+    def ls_union(self) -> set[str]:
+        return set().union(*self.beam_ls_sets)
+
+    def first(self, n: int) -> "PredictionBundle":
+        """The bundle of the first ``n`` kept beams."""
+        return PredictionBundle(
+            self.example_id, self.beams[:n], self.repaired[:n], self.beam_ls_sets[:n]
+        )
 
 
 def load_predictions(
@@ -168,11 +186,14 @@ def load_predictions(
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        example_id = str(record["id"])
-        beams: list[str] = []
-        repaired: list[bool] = []
-        union: set[str] = set()
+        try:
+            record = json.loads(line)
+            example_id = str(record["id"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorpusError(
+                f"{path}:{lineno}: not a JSON object with an id: {exc}"
+            ) from exc
+        bundle = PredictionBundle(example_id=example_id, beams=[], repaired=[])
         for beam in record.get("beams", []):
             result = repair_parentheses(beam, dialect)
             if not result.ok:
@@ -180,14 +201,10 @@ def load_predictions(
                     "dropping unrepairable beam for %s (line %d)", example_id, lineno
                 )
                 continue
-            anon = anonymize(parse_program(result.text, dialect))
-            counts = count_local_structures(build_structure_graph(anon))
-            beams.append(result.text)
-            repaired.append(result.repaired)
-            union |= set(counts)
-        bundles[example_id] = PredictionBundle(
-            example_id=example_id, beams=beams, repaired=repaired, ls_union=union
-        )
+            bundle.beams.append(result.text)
+            bundle.repaired.append(result.repaired)
+            bundle.beam_ls_sets.append(set(program_structures(result.text, dialect)))
+        bundles[example_id] = bundle
     return bundles
 
 

@@ -19,7 +19,7 @@ from .programs import (
     repair_parentheses,
     to_template,
 )
-from .structures import build_structure_graph, enumerate_local_structures, ls_size
+from .structures import ls_size
 
 LABEL_SYNTAX = "syntax"
 LABEL_OVER_COPY = "over-copy"

@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 
 import requests
 
-from .errors import ApiError, ConfigError, TransportError
-from .programs import DEFAULT_DIALECT, DialectConfig, anonymize, parse_program
-from .structures import build_structure_graph, enumerate_local_structures, ls_size
+from .errors import ApiError, ConfigError, ParseError, TransportError
+from .programs import DEFAULT_DIALECT, DialectConfig
+from .structures import ls_size, program_structures
 
 ENV_API_KEY = "DEMOSELECT_API_KEY"
 ENV_BASE_URL = "DEMOSELECT_BASE_URL"
@@ -150,13 +150,9 @@ class MockOracleConfig:
 
 def _ls_canonicals(program: str, dialect: DialectConfig) -> set[str]:
     try:
-        ast = anonymize(parse_program(program, dialect))
-    except Exception:
+        return set(program_structures(program, dialect))
+    except ParseError:
         return set()
-    return {
-        ls.canonical
-        for ls in enumerate_local_structures(build_structure_graph(ast))
-    }
 
 
 def mock_complete(

@@ -23,6 +23,7 @@ from .structures import (
     build_structure_graph,
     enumerate_local_structures,
     ls_size,
+    program_structures,
 )
 
 Q_FLOOR = 1e-6
@@ -286,7 +287,7 @@ def dpp_select(
 
 
 def training_mode_select(
-    gold_program: str | object,
+    gold_program: str,
     pool: Mapping[str, object],
     k: int,
     seed: int | None = None,
@@ -295,14 +296,7 @@ def training_mode_select(
 ) -> DemonstrationSet:
     """Training-time picks: cover the gold program's symbols with uniformly
     random containing examples, avoiding retriever-driven near-copies."""
-    ast = (
-        parse_program(gold_program, dialect)
-        if isinstance(gold_program, str)
-        else gold_program
-    )
-    symbols = enumerate_local_structures(
-        build_structure_graph(anonymize(ast)), max_size=1
-    )
+    symbols = program_structures(gold_program, dialect, max_size=1)
     return cover_ls(
         symbols,
         pool,

@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import EmptyInputError
-from .programs import ProgramAst
+from .programs import (
+    DEFAULT_DIALECT,
+    DialectConfig,
+    ProgramAst,
+    anonymize,
+    parse_program,
+)
 
 PARENT_SEP = " -> "
 SIBLING_SEP = " <-> "
@@ -160,6 +166,15 @@ def count_local_structures(
     for ls in _iter_occurrences(g, max_size):
         counts[ls.canonical] += 1
     return counts
+
+
+def program_structures(
+    text: str, dialect: DialectConfig = DEFAULT_DIALECT, max_size: int | None = None
+) -> Counter:
+    """Local-structure counts of a program's anonymized tree, keyed by
+    canonical form. Raises :class:`ParseError` on unparseable text."""
+    ast = anonymize(parse_program(text, dialect))
+    return count_local_structures(build_structure_graph(ast), max_size)
 
 
 def ls_union(

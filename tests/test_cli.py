@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -217,64 +218,118 @@ def test_run_is_idempotent(workspace, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_equals_stage_composition(workspace, tmp_path):
-    workdir = tmp_path / "chained"
-    main(
-        [
-            "run",
-            "--index",
-            str(workspace["index"]),
-            "--workdir",
-            str(workdir),
-            "--strategy",
-            "top-k",
-            "--k",
-            "4",
-            "--mock",
-            "--seed",
-            "2",
-        ]
+# Per strategy: select/pool flags, prompt flags. "{beams}" stands for a beam file.
+COMPOSITION_CONFIGS = {
+    "top-k": (["--strategy", "top-k"], []),
+    "random": (["--strategy", "random"], []),
+    "cover-utt-budget": (["--strategy", "cover-utt"], ["--budget", "140"]),
+    "dpp": (["--strategy", "dpp"], []),
+    "cover-ls-oracle": (["--strategy", "cover-ls", "--oracle"], []),
+    "cover-ls-predictions": (["--strategy", "cover-ls", "--predictions", "{beams}"], []),
+    "train-mode": (["--strategy", "cover-ls", "--train-mode"], []),
+}
+
+# sha256 of run's outputs per configuration. They pin the outputs byte for
+# byte: a refactor must leave them unchanged, and only an intended change of
+# output may re-record them.
+COMPOSITION_DIGESTS = {
+    "cover-ls-oracle": {
+        "selections.jsonl": "4f297727d2638663d079f6fee1e1f4bb342604718db93f0dbd582d0af5ca4733",
+        "prompts.jsonl": "d07c136cfe9479cd069700625af3dccbd3563077de7c236c8f49fae038842863",
+        "predictions.jsonl": "38695c84e5616a438dbef26d2d9727b204331abe6c450aee261dd817d10f4df1",
+        "report.json": "e2bd310e3afc71f7edd50847e38a5c5e58e4ba150b40c2d52de6b41841c3e976",
+    },
+    "cover-ls-predictions": {
+        "selections.jsonl": "329d99a4fef9fa983a75f009d0a6998da44d69a76e727411bd3c89b42a255192",
+        "prompts.jsonl": "99aca914d4959b09f13dfb3e298c8a0f0f62e6237187788d8b97c45c8c35bc3c",
+        "predictions.jsonl": "1cd88539a6f0dd32aa404205451c893990655e71a1f8e7e741c06fa56565c5f2",
+        "report.json": "fbbc606b3ea44f168954312908ab139e9d9dbd694a346377f9c45b581b799903",
+    },
+    "cover-utt-budget": {
+        "selections.jsonl": "290f5686b32f0cd47d36158f4d76d1e2d690e2939036509efb2855d2371c49fb",
+        "prompts.jsonl": "7ce7c0c1a0a604b75136f0ae9ed6e7f8b33e0801a8c3d6b2fc1fa0841d5a9314",
+        "predictions.jsonl": "a9131717971111e7dece732dece3f578f1f1a5c8b1318902eaa148b5a6a6b180",
+        "report.json": "c13202a176d947618dd4fac12814332a0125e8fc00a1a2695d333c414bb3c7fe",
+    },
+    "dpp": {
+        "selections.jsonl": "9b67ec62cc560a99db8137c3a26324888a2ded19fecd8a5b1ce443749acfc3f3",
+        "prompts.jsonl": "417df49cc52ecebd50a84598a88e771ae0ac4834c34584f585ac1655ecbb8518",
+        "predictions.jsonl": "50e8286a9299d12b8d29444e50dd0e037eeeb50e759c32037ba944786a9e0d78",
+        "report.json": "adc3b3e0d1929ffe9d2df894ccbb9bd583500f4ee272bb3e9479748c0f0112a0",
+    },
+    "random": {
+        "selections.jsonl": "3d530d29ccc5dee2b56193618b4826dcee6e2f087f0d59855d10efcc247f2afc",
+        "prompts.jsonl": "7be2563010d7a00a57a78f915898ada1ae56639a5bf24a2ee52e2af8a8d14d52",
+        "predictions.jsonl": "e04ef032887cf891f560c177694e661ca618c154f43abf4fbd50ca656d571ae7",
+        "report.json": "a68a468b3010eb40bee71167e62f7b861b65054d94509ecd97cb51689f304089",
+    },
+    "top-k": {
+        "selections.jsonl": "8e2497fd3a7c7d3ec98a1e455bfd00fb4ea0edec029119fee06c9313a3859c1f",
+        "prompts.jsonl": "8dd99f78e5928b49df13f8a872e3fcc50934a4a896add2467bbb8068464136d0",
+        "predictions.jsonl": "5f005a3f08dfa1b5678ec70facc39972e053c9127cf6bf9261ab93ff22044542",
+        "report.json": "fb919f69432205c1a59c2ccd7375144c5f4acd07e0cb3204342306addc8f312c",
+    },
+    "train-mode": {
+        "selections.jsonl": "0b8f0eda64e546304892579ca630304cd7b788be9a8b2bcc9e2ce55c3d709279",
+        "prompts.jsonl": "84ccc0fc4d07a40e793091087ccc77ddfeb9d3cb7759930f2cbf51e2807fb704",
+    },
+}
+
+RUN_FILES = ("selections.jsonl", "prompts.jsonl", "predictions.jsonl", "report.json")
+
+
+def _write_beams(workspace, path):
+    """Per test example: its gold program with one paren too many, and a pool program."""
+    tests = _read_jsonl(workspace["fixture"] / "test.jsonl")
+    train = _read_jsonl(workspace["fixture"] / "train.jsonl")
+    path.write_text(
+        "".join(
+            json.dumps(
+                {
+                    "id": row["id"],
+                    "beams": [row["program"] + ")", train[(7 * n) % len(train)]["program"]],
+                }
+            )
+            + "\n"
+            for n, row in enumerate(tests)
+        )
     )
+
+
+@pytest.mark.parametrize("config", sorted(COMPOSITION_CONFIGS))
+def test_run_equals_stage_composition(workspace, tmp_path, config):
+    beams = tmp_path / "beams.jsonl"
+    _write_beams(workspace, beams)
+    select_flags, prompt_flags = COMPOSITION_CONFIGS[config]
+    select_flags = [str(beams) if f == "{beams}" else f for f in select_flags]
+    common = ["--index", str(workspace["index"]), "--k", "4", "--seed", "2"]
+    train_mode = "--train-mode" in select_flags
+    run_dir = tmp_path / "run"
+    codes = [
+        main(["run", *common, *select_flags, *prompt_flags, "--mock", "--workdir", str(run_dir)])
+    ]
+
     staged = tmp_path / "staged"
     staged.mkdir()
-    common = ["--index", str(workspace["index"]), "--strategy", "top-k", "--k", "4", "--seed", "2"]
-    main(["select", *common, "--out", str(staged / "selections.jsonl")])
-    main(
-        [
-            "prompt",
-            *common,
-            "--selections",
-            str(staged / "selections.jsonl"),
-            "--out",
-            str(staged / "prompts.jsonl"),
-        ]
+    sel, prm, pred, report = (str(staged / name) for name in RUN_FILES)
+    codes.append(main(["select", *common, *select_flags, "--out", sel]))
+    codes.append(
+        main(["prompt", *common, *select_flags, *prompt_flags, "--selections", sel, "--out", prm])
     )
-    main(
-        [
-            "infer",
-            *common,
-            "--prompts",
-            str(staged / "prompts.jsonl"),
-            "--out",
-            str(staged / "predictions.jsonl"),
-            "--mock",
-        ]
-    )
-    main(
-        [
-            "eval",
-            *common,
-            "--prompts",
-            str(staged / "prompts.jsonl"),
-            "--predictions",
-            str(staged / "predictions.jsonl"),
-            "--out",
-            str(staged / "report.json"),
-        ]
-    )
-    for name in ("selections.jsonl", "prompts.jsonl", "predictions.jsonl"):
-        assert (workdir / name).read_bytes() == (staged / name).read_bytes()
-    assert (workdir / "report.json").read_bytes() == (staged / "report.json").read_bytes()
+    names = RUN_FILES[:2]
+    if not train_mode:
+        common += select_flags[:2]  # --strategy <name>
+        codes.append(main(["infer", *common, "--mock", "--prompts", prm, "--out", pred]))
+        codes.append(
+            main(["eval", *common, "--prompts", prm, "--predictions", pred, "--out", report])
+        )
+        names = RUN_FILES
+    assert all(code in (0, 1) for code in codes), codes
+    digests = {}
+    for name in names:
+        assert (run_dir / name).read_bytes() == (staged / name).read_bytes(), name
+        digests[name] = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+    assert digests == COMPOSITION_DIGESTS[config]
 
 
 def test_eval_exit_codes_reflect_failures(workspace, tmp_path):
@@ -424,3 +479,110 @@ def test_infer_transport_failure_exits_3(workspace, tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_run_forwards_request_flags(workspace, tmp_path, monkeypatch):
+    sent = []
+
+    class FakeResponse:
+        status_code = 200
+        text = ""
+
+        def json(self):
+            return {"choices": [{"text": "f (a)"}]}
+
+    def fake_post(url, json, headers, timeout):
+        sent.append(json)
+        return FakeResponse()
+
+    monkeypatch.setattr("demoselect.gateway.requests.post", fake_post)
+    flags = ["--base-url", "http://127.0.0.1:9/v1/completions", "--max-tokens", "7",
+             "--temperature", "0.5", "--stop", "END"]
+    index = ["--index", str(workspace["index"])]
+    run_dir = tmp_path / "run"
+    code = main(["run", *index, "--strategy", "top-k", "--k", "2", *flags,
+                 "--workdir", str(run_dir)])
+    assert code in (0, 1)
+    run_payloads, sent[:] = list(sent), []
+    code = main(["infer", *index, *flags, "--prompts", str(run_dir / "prompts.jsonl"),
+                 "--out", str(tmp_path / "predictions.jsonl")])
+    assert code == 0
+    assert len(run_payloads) == 10
+    assert run_payloads == sent
+    for payload in run_payloads:
+        assert (payload["max_tokens"], payload["temperature"], payload["stop"]) == (
+            7,
+            0.5,
+            ["END"],
+        )
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("select", "--predictions"),
+        ("prompt", "--selections"),
+        ("infer", "--prompts"),
+        ("eval", "--predictions"),
+        ("run", "--config"),
+    ],
+)
+def test_malformed_json_input_exits_2(workspace, tmp_path, capsys, command, flag):
+    bad = tmp_path / "truncated.json"
+    bad.write_text('{"id": "x", "items": []}\n{"id": "y", "ite\n')
+    if flag == "--config":
+        bad.write_text('{"strategy": "top-k",\n "k": ')
+    prompts = tmp_path / "prompts.jsonl"
+    prompts.write_text("")
+    argv = {
+        "select": ["select", "--strategy", "cover-ls", "--out", str(tmp_path / "o")],
+        "prompt": ["prompt", "--out", str(tmp_path / "o")],
+        "infer": ["infer", "--mock", "--out", str(tmp_path / "o")],
+        "eval": ["eval", "--prompts", str(prompts), "--out", str(tmp_path / "o")],
+        "run": ["run", "--mock", "--workdir", str(tmp_path / "w")],
+    }[command]
+    argv += ["--index", str(workspace["index"])]
+    if flag == "--config":
+        argv = [flag, str(bad), *argv]
+    else:
+        argv += [flag, str(bad)]
+    code = main(argv)
+    assert code == 2
+    assert f"{bad.name}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_unknown_demo_id_exits_2(workspace, tmp_path, capsys, command):
+    test_id = _read_jsonl(workspace["fixture"] / "test.jsonl")[0]["id"]
+    prompts = tmp_path / "prompts.jsonl"
+    prompts.write_text(
+        json.dumps({"id": test_id, "prompt": "p", "demo_ids": ["no-such-demo"], "truncated": 0})
+        + "\n"
+    )
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps({"id": test_id, "prediction": "f (a)"}) + "\n")
+    argv = ["--index", str(workspace["index"]), "--prompts", str(prompts)]
+    if command == "infer":
+        argv = ["infer", *argv, "--mock", "--out", str(tmp_path / "out.jsonl")]
+    else:
+        argv = ["eval", *argv, "--predictions", str(predictions), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert "no-such-demo" in capsys.readouterr().err
+
+
+def test_beam_limit_drops_later_beams(workspace, tmp_path):
+    test_id = _read_jsonl(workspace["fixture"] / "test.jsonl")[0]["id"]
+    beams = tmp_path / "beams.jsonl"
+    # Only the second beam holds the symbol zz_only_second.
+    beams.write_text(json.dumps({"id": test_id, "beams": ["f (a)", "f (zz_only_second (a))"]}) + "\n")
+
+    def traced(*extra):
+        out = tmp_path / "sel.jsonl"
+        code = main(["select", "--index", str(workspace["index"]), "--strategy", "cover-ls",
+                     "--k", "2", "--predictions", str(beams), "--out", str(out), *extra])
+        assert code == 0
+        row = next(r for r in _read_jsonl(out) if r["id"] == test_id)
+        return [element for element, _ in row["coverage_trace"]]
+
+    assert any("zz_only_second" in element for element in traced())
+    assert not any("zz_only_second" in element for element in traced("--beam-limit", "1"))
