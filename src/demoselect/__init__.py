@@ -71,7 +71,6 @@ from .prompting import (
 from .retrieval import (
     Bm25Index,
     LsTfidfVector,
-    RetrieverConfig,
     cosine,
     ls_tfidf_vectors,
     random_scores,
@@ -92,7 +91,6 @@ from .structures import (
     LocalStructure,
     StructureGraph,
     build_structure_graph,
-    canonical_form,
     count_local_structures,
     enumerate_local_structures,
     ls_size,

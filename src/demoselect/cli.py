@@ -22,17 +22,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .corpus import Example, IndexBundle, build_indexes, load_examples, load_predictions
-from .errors import (
-    ApiError,
-    ConfigError,
-    CorpusError,
-    DemoselectError,
-    GenerationError,
-    IndexVersionError,
-    IoError,
-    TransportError,
+from .corpus import (
+    Corpus,
+    Example,
+    IndexBundle,
+    build_indexes,
+    load_examples,
+    load_predictions,
+    read_text,
 )
+from .errors import ApiError, ConfigError, DemoselectError, IoError, TransportError
 from .evaluation import aggregate, evaluate_record
 from .fixtures import GrammarConfig, gen_fixture, write_fixture
 from .gateway import (
@@ -106,20 +105,21 @@ def _write_jsonl(path: str | Path, records: list[dict]) -> None:
     Path(path).write_text(text + ("\n" if records else ""), encoding="utf-8")
 
 
-def _read_jsonl(path: str | Path) -> list[dict]:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+def _read_jsonl(path: str | Path, keys: tuple[str, ...]) -> list[dict]:
+    """The rows of a stage file: every line JSON, then every row an object
+    holding ``keys``."""
+    numbered = []
+    for lineno, line in enumerate(read_text(path, "stage file").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            numbered.append((lineno, json.loads(line)))
         except ValueError as exc:
             raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-    return rows
+    for lineno, row in numbered:
+        if not isinstance(row, dict) or not all(key in row for key in keys):
+            raise IoError(f"{path}:{lineno}: not an object with keys {', '.join(keys)}")
+    return [row for _, row in numbered]
 
 
 def _load_tests(bundle: IndexBundle, test_path: str | None) -> list[Example]:
@@ -398,8 +398,6 @@ def cmd_index(args) -> int:
         corpus = load_examples(path, dialect)
         examples.extend(corpus.examples)
         failures += len(corpus.failures)
-    from .corpus import Corpus
-
     bundle = build_indexes(Corpus(examples=examples, dialect=dialect))
     bundle.save(args.out)
     stats = bundle.stats()
@@ -417,11 +415,7 @@ def _load_config(args) -> RunConfig:
     config_file = {}
     if args.config:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot read config file {args.config}: {exc}") from exc
-        try:
-            config_file = json.loads(text)
+            config_file = json.loads(read_text(args.config, "config file"))
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{args.config}:{exc.lineno}: not valid JSON: {exc.msg}"
@@ -435,23 +429,29 @@ def _load_config(args) -> RunConfig:
             return config_file.get(name.replace("_", "-"), config_file.get(name, default))
         return value
 
+    def pick_int(name, default):
+        value = pick(name, default)
+        if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+            return value
+        raise ConfigError(f"{args.config}: {name} must be an integer, got {value!r}")
+
     return RunConfig(
         strategy=pick("strategy", "cover-ls"),
-        k=int(pick("k", 24)),
+        k=pick_int("k", 24),
         retriever=pick("retriever", "bm25-utterance"),
-        beam_limit=pick("beam_limit", None),
-        max_ls_size=pick("max_ls_size", None),
-        seed=int(pick("seed", 0)),
-        candidate_pool_size=int(pick("candidate_pool_size", 200)),
+        beam_limit=pick_int("beam_limit", None),
+        max_ls_size=pick_int("max_ls_size", None),
+        seed=pick_int("seed", 0),
+        candidate_pool_size=pick_int("candidate_pool_size", 200),
         oracle=bool(pick("oracle", False)),
         train_mode=bool(pick("train_mode", False)),
         fallback=pick("fallback", "cover-utt"),
         order=pick("order", "ascending-score"),
         programs_only=bool(pick("programs_only", False)),
-        budget=pick("budget", None),
+        budget=pick_int("budget", None),
         mock=bool(pick("mock", False)),
-        mock_threshold=int(pick("mock_threshold", 2)),
-        jobs=int(pick("jobs", 1)),
+        mock_threshold=pick_int("mock_threshold", 2),
+        jobs=pick_int("jobs", 1),
     )
 
 
@@ -512,7 +512,8 @@ def cmd_select(args) -> int:
 def cmd_prompt(args) -> int:
     cfg = _load_config(args)
     bundle, tests, _ = _load_inputs(args, cfg, with_tests=not cfg.train_mode)
-    prompts = stage_prompt(bundle, tests, _read_jsonl(args.selections), cfg)
+    selections = _read_jsonl(args.selections, ("id", "items"))
+    prompts = stage_prompt(bundle, tests, selections, cfg)
     _write_jsonl(args.out, prompts)
     print(f"formatted {len(prompts)} prompts -> {args.out}")
     return EXIT_OK
@@ -521,7 +522,7 @@ def cmd_prompt(args) -> int:
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
     bundle, tests, _ = _load_inputs(args, cfg, with_tests=cfg.mock)
-    prompts = _read_jsonl(args.prompts)
+    prompts = _read_jsonl(args.prompts, ("id", "prompt", "demo_ids"))
     endpoint, request_defaults = _endpoint_from_args(args, cfg)
     predictions = stage_infer(bundle, tests, prompts, cfg, endpoint, request_defaults)
     _write_jsonl(args.out, predictions)
@@ -532,8 +533,8 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     bundle, tests, _ = _load_inputs(args, cfg, with_tests=True)
-    prompts = _read_jsonl(args.prompts)
-    predictions = _read_jsonl(args.predictions)
+    prompts = _read_jsonl(args.prompts, ("id", "demo_ids"))
+    predictions = _read_jsonl(args.predictions, ("id", "prediction"))
     report, records = stage_eval(bundle, tests, prompts, predictions, cfg)
     code = _write_eval_outputs(report, records, args.out, args.csv, args.per_record)
     accuracy = report.get("accuracy", 0.0)
@@ -724,15 +725,6 @@ def main(argv: list[str] | None = None) -> int:
     except (TransportError, ApiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (
-        ConfigError,
-        CorpusError,
-        IoError,
-        IndexVersionError,
-        GenerationError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DemoselectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,11 @@
 """Dataset ingestion, cached structure sets, retrieval indexes, persistence.
 
 Corpora are JSONL files with ``{"id"?, "utterance", "program", "split"?}``
-lines. Every loaded example caches its anonymized program, template, token
-list, symbol sequence, and local-structure counts, and every loaded beam its
+lines. A program is parsed once, when its example is made: the example keeps
+the program's template and local-structure counts, and the index stores
+exactly the fields of :data:`STORED_FIELDS`, so loading an index parses no
+program. The utterance tokens and the symbol sequence (the size-1
+structures) derive from the stored fields. Every loaded beam keeps its
 local-structure set. Selection reads these caches; the mock model
 (:func:`~demoselect.gateway.mock_complete`) and the error labels of
 evaluation (:func:`~demoselect.evaluation.classify_errors`) still re-derive
@@ -24,7 +27,6 @@ from .programs import (
     parse_program,
     render,
     repair_parentheses,
-    to_template,
 )
 from .retrieval import Bm25Index, LsTfidfVector, ls_tfidf_vectors, tokenize_utterance
 from .structures import (
@@ -37,7 +39,16 @@ from .structures import (
 logger = logging.getLogger(__name__)
 
 INDEX_MAGIC = "demoselect-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+STORED_FIELDS = ("id", "utterance", "program", "template", "ls_counts", "split")
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """A UTF-8 file's text; an unreadable or undecodable file is an IoError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
 
 
 @dataclass
@@ -45,16 +56,23 @@ class Example:
     id: str
     utterance: str
     program: str
-    anonymized: str
     template: str
     ls_counts: dict[str, int]
     split: str = "train"
-    utt_tokens: list[str] = field(default_factory=list)
-    symbol_seq: list[str] = field(default_factory=list)
+    utt_tokens: list[str] = field(init=False)
+
+    def __post_init__(self):
+        self.utt_tokens = tokenize_utterance(self.utterance)
 
     @property
     def ls_set(self) -> set[str]:
         return set(self.ls_counts)
+
+    @property
+    def symbol_seq(self) -> list[str]:
+        """The program's symbols: each size-1 structure once per occurrence."""
+        counts = self.ls_counts
+        return [c for c in counts if ls_size(c) == 1 for _ in range(counts[c])]
 
 
 def make_example(
@@ -64,19 +82,14 @@ def make_example(
     split: str = "train",
     dialect: DialectConfig = DEFAULT_DIALECT,
 ) -> Example:
-    ast = parse_program(program, dialect)
-    anon = anonymize(ast)
-    counts = count_local_structures(build_structure_graph(anon))
+    anon = anonymize(parse_program(program, dialect))
     return Example(
         id=example_id,
         utterance=utterance,
         program=program,
-        anonymized=render(anon),
-        template=to_template(ast).text,
-        ls_counts=dict(counts),
+        template=render(anon),
+        ls_counts=dict(count_local_structures(build_structure_graph(anon))),
         split=split,
-        utt_tokens=tokenize_utterance(utterance),
-        symbol_seq=anon.symbol_sequence(),
     )
 
 
@@ -106,11 +119,7 @@ def load_examples(
     Individual bad lines are collected, not fatal; more than 10% bad lines
     raises :class:`CorpusError`.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read corpus file {path}: {exc}") from exc
+    raw = read_text(path, "corpus file")
     examples: list[Example] = []
     failures: list[dict] = []
     seen_ids: set[str] = set()
@@ -177,11 +186,7 @@ def load_predictions(
     Beams get their trailing parentheses repaired; unrepairable beams are
     dropped, possibly leaving an empty bundle (empty structure set).
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read predictions file {path}: {exc}") from exc
+    raw = read_text(path, "predictions file")
     bundles: dict[str, PredictionBundle] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
@@ -193,8 +198,11 @@ def load_predictions(
             raise CorpusError(
                 f"{path}:{lineno}: not a JSON object with an id: {exc}"
             ) from exc
+        beams = record.get("beams", [])
+        if not isinstance(beams, list) or not all(isinstance(b, str) for b in beams):
+            raise CorpusError(f"{path}:{lineno}: beams must be a list of strings")
         bundle = PredictionBundle(example_id=example_id, beams=[], repaired=[])
-        for beam in record.get("beams", []):
+        for beam in beams:
             result = repair_parentheses(beam, dialect)
             if not result.ok:
                 logger.warning(
@@ -265,15 +273,7 @@ class IndexBundle:
             "b": self.b,
             "dialect": self.corpus.dialect.to_dict(),
             "examples": [
-                {
-                    "id": ex.id,
-                    "utterance": ex.utterance,
-                    "program": ex.program,
-                    "anonymized": ex.anonymized,
-                    "template": ex.template,
-                    "ls_counts": ex.ls_counts,
-                    "split": ex.split,
-                }
+                {name: getattr(ex, name) for name in STORED_FIELDS}
                 for ex in self.corpus.examples
             ],
         }
@@ -287,38 +287,26 @@ class IndexBundle:
     @classmethod
     def load(cls, path: str | Path) -> "IndexBundle":
         try:
-            raw = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot read index file {path}: {exc}") from exc
-        try:
-            payload = json.loads(raw)
+            payload = json.loads(read_text(path, "index file"))
         except ValueError as exc:
             raise IoError(f"index file {path} is not valid JSON: {exc}") from exc
-        if payload.get("magic") != INDEX_MAGIC:
+        if not isinstance(payload, dict) or payload.get("magic") != INDEX_MAGIC:
             raise IndexVersionError(f"{path} is not an index file")
         if payload.get("version") != INDEX_VERSION:
             raise IndexVersionError(
-                f"index version {payload.get('version')} unsupported"
+                f"{path}: index version {payload.get('version')} unsupported "
+                f"(expected {INDEX_VERSION}); rebuild it with `demoselect index`"
             )
-        dialect = DialectConfig.from_dict(payload["dialect"])
-        examples = [
-            Example(
-                id=rec["id"],
-                utterance=rec["utterance"],
-                program=rec["program"],
-                anonymized=rec["anonymized"],
-                template=rec["template"],
-                ls_counts=rec["ls_counts"],
-                split=rec["split"],
-                utt_tokens=tokenize_utterance(rec["utterance"]),
-                symbol_seq=anonymize(
-                    parse_program(rec["program"], dialect)
-                ).symbol_sequence(),
-            )
-            for rec in payload["examples"]
-        ]
-        corpus = Corpus(examples=examples, dialect=dialect)
-        return cls(corpus, k1=payload["k1"], b=payload["b"])
+        try:
+            dialect = DialectConfig.from_dict(payload["dialect"])
+            examples = [
+                Example(**{name: rec[name] for name in STORED_FIELDS})
+                for rec in payload["examples"]
+            ]
+            k1, b = payload["k1"], payload["b"]
+        except (KeyError, TypeError) as exc:
+            raise IoError(f"index file {path} has a malformed record: {exc!r}") from exc
+        return cls(Corpus(examples=examples, dialect=dialect), k1=k1, b=b)
 
 
 def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBundle:

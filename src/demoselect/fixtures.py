@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Corpus, Example, make_example
-from .errors import GenerationError
+from .corpus import Corpus, Example, make_example, read_text
+from .errors import ConfigError, GenerationError
 from .programs import DEFAULT_DIALECT, anonymize, parse_program
 from .structures import build_structure_graph, enumerate_local_structures
 
@@ -34,12 +34,15 @@ class GrammarConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "GrammarConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        kwargs = {
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in data.items()
-        }
-        return cls(**kwargs)
+        try:
+            data = json.loads(read_text(path, "grammar file"))
+            kwargs = {
+                key: tuple(value) if isinstance(value, list) else value
+                for key, value in data.items()
+            }
+            return cls(**kwargs)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{path}: not a grammar object: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {

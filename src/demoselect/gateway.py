@@ -139,13 +139,10 @@ class MockOracleConfig:
     """
 
     compose_threshold_size: int = 2
-    failure_mode: str = "copy-best-overlap"
 
     def __post_init__(self):
         if self.compose_threshold_size < 1:
             raise ConfigError("compose_threshold_size must be >= 1")
-        if self.failure_mode != "copy-best-overlap":
-            raise ConfigError(f"unknown failure mode {self.failure_mode!r}")
 
 
 def _ls_canonicals(program: str, dialect: DialectConfig) -> set[str]:

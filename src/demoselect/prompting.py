@@ -23,7 +23,6 @@ class Prompt:
     text: str
     demo_ids: list[str]
     truncated_count: int
-    token_estimate: int
     blocks: list[str] = field(default_factory=list)
     test_block: str = ""
 
@@ -74,7 +73,6 @@ def format_prompt(
         text=text,
         demo_ids=ids,
         truncated_count=0,
-        token_estimate=default_token_counter(text),
         blocks=blocks,
         test_block=test_block,
     )
@@ -108,7 +106,6 @@ def truncate_prompt(
         text=text,
         demo_ids=ids,
         truncated_count=prompt.truncated_count + dropped,
-        token_estimate=count(text),
         blocks=blocks,
         test_block=prompt.test_block,
     )

@@ -11,10 +11,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-from .errors import ConfigError
 
 RETRIEVER_VARIANTS = (
     "bm25-utterance",
@@ -29,22 +26,6 @@ _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 def tokenize_utterance(text: str) -> list[str]:
     """Lower-cased tokens split on any non-alphanumeric character."""
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
-
-
-@dataclass
-class RetrieverConfig:
-    variant: str = "bm25-utterance"
-    k1: float = 1.2
-    b: float = 0.75
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.variant not in RETRIEVER_VARIANTS:
-            raise ConfigError(f"unknown retriever variant {self.variant!r}")
-        if self.k1 < 0:
-            raise ConfigError("k1 must be >= 0")
-        if not 0 <= self.b <= 1:
-            raise ConfigError("b must be in [0, 1]")
 
 
 def lucene_idf(n_docs: int, doc_freq: int) -> float:

@@ -50,11 +50,6 @@ class DemonstrationSet:
         return [i for i, _ in self.items]
 
 
-def _template_text(example) -> str:
-    tmpl = example.template
-    return tmpl.text if hasattr(tmpl, "text") else tmpl
-
-
 def _cover(
     elements: list[CoverageElement],
     pool: Mapping[str, object],
@@ -97,9 +92,8 @@ def _cover(
             chosen.append((best, scores.get(best, 0.0)))
             trace.append((element.payload, best))
             uncovered -= covered_payloads(example)
-            template = _template_text(example)
             for other in [
-                i for i, ex in available.items() if _template_text(ex) == template
+                i for i, ex in available.items() if ex.template == example.template
             ]:
                 del available[other]
             progress = True

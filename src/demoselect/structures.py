@@ -20,7 +20,6 @@ occurrence count available separately).
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -37,15 +36,12 @@ from .programs import (
 PARENT_SEP = " -> "
 SIBLING_SEP = " <-> "
 
-_SEP_RE = re.compile(r" -> | <-> ")
-
 
 @dataclass
 class StructureGraph:
     """Indexed tree plus sibling edges; node 0 is the synthetic root."""
 
     symbols: list[str]
-    depths: list[int]
     parents: list[int | None]
     children: list[list[int]]
     sibling_edges: list[tuple[int, int]] = field(default_factory=list)
@@ -62,27 +58,25 @@ class StructureGraph:
 def build_structure_graph(ast: ProgramAst) -> StructureGraph:
     """Index the tree in pre-order and add consecutive-sibling edges."""
     symbols: list[str] = []
-    depths: list[int] = []
     parents: list[int | None] = []
     children: list[list[int]] = []
 
-    def add(node, parent_idx, depth):
+    def add(node, parent_idx):
         idx = len(symbols)
         symbols.append(node.symbol)
-        depths.append(depth)
         parents.append(parent_idx)
         children.append([])
         if parent_idx is not None:
             children[parent_idx].append(idx)
         for child in node.children:
-            add(child, idx, depth + 1)
+            add(child, idx)
 
-    add(ast.root, None, 0)
+    add(ast.root, None)
     sibling_edges = []
     for kids in children:
         for a, b in zip(kids, kids[1:]):
             sibling_edges.append((a, b))
-    return StructureGraph(symbols, depths, parents, children, sibling_edges)
+    return StructureGraph(symbols, parents, children, sibling_edges)
 
 
 @dataclass(frozen=True, order=True)
@@ -108,12 +102,9 @@ def make_fork_ls(path_symbols: Iterable[str], left: str, right: str) -> LocalStr
 
 
 def ls_size(canonical: str) -> int:
-    """Node count of a structure given only its canonical form."""
-    return len(_SEP_RE.split(canonical))
-
-
-def canonical_form(ls: LocalStructure) -> str:
-    return ls.canonical
+    """Node count of a structure given only its canonical form (symbols
+    contain no spaces, so every separator joins two nodes)."""
+    return 1 + canonical.count(PARENT_SEP) + canonical.count(SIBLING_SEP)
 
 
 def _iter_occurrences(g: StructureGraph, max_size: int | None):

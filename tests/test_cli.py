@@ -551,6 +551,86 @@ def test_malformed_json_input_exits_2(workspace, tmp_path, capsys, command, flag
     assert f"{bad.name}:2" in capsys.readouterr().err
 
 
+# Malformed rows, beams, config values and unreadable files. Each case is
+# (bad file bytes, argv with {bad}, {index}, {empty} and {out} placeholders,
+# text stderr must contain); {bad} of "grammar-missing" is never written.
+ROBUSTNESS_CASES = {
+    "selection-without-items": (
+        b'{"id": "x"}\n',
+        "prompt --index {index} --selections {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "prediction-without-id": (
+        b'{"prediction": "f (a)"}\n',
+        "eval --index {index} --prompts {empty} --predictions {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "prompt-not-an-object": (
+        b'{"id": "x", "prompt": "p", "demo_ids": []}\n[1, 2]\n',
+        "infer --mock --index {index} --prompts {bad} --out {out}",
+        "bad.jsonl:2",
+    ),
+    "beams-string": (
+        b'{"id": "x", "beams": "f (a)"}\n',
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "beams-number": (
+        b'{"id": "x", "beams": 5}\n',
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "beams-list-of-numbers": (
+        b'{"id": "x", "beams": [5]}\n',
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "config-not-utf8": (
+        b"\xff\xfe{",
+        "--config {bad} run --mock --index {index} --workdir {out}",
+        "bad.jsonl",
+    ),
+    "grammar-missing": (
+        None,
+        "gen-fixture --out-dir {out} --grammar {bad}",
+        "bad.jsonl",
+    ),
+    "grammar-not-json": (
+        b'{"entities": ',
+        "gen-fixture --out-dir {out} --grammar {bad}",
+        "bad.jsonl",
+    ),
+    "config-k-not-an-integer": (
+        b'{"k": "abc"}',
+        "--config {bad} run --mock --index {index} --workdir {out}",
+        "k must be an integer",
+    ),
+    "config-budget-string": (
+        b'{"strategy": "top-k", "k": 2, "budget": "960"}',
+        "--config {bad} run --mock --index {index} --workdir {out}",
+        "budget must be an integer",
+    ),
+    "config-max-ls-size-string": (
+        b'{"strategy": "cover-ls", "oracle": true, "k": 2, "max_ls_size": "2"}',
+        "--config {bad} run --mock --index {index} --workdir {out}",
+        "max_ls_size must be an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROBUSTNESS_CASES))
+def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):
+    content, argv, expected = ROBUSTNESS_CASES[case]
+    bad = tmp_path / "bad.jsonl"
+    if content is not None:
+        bad.write_bytes(content)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    paths = {"bad": bad, "index": workspace["index"], "empty": empty, "out": tmp_path / "o"}
+    assert main([arg.format(**paths) for arg in argv.split()]) == 2
+    assert expected in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["infer", "eval"])
 def test_unknown_demo_id_exits_2(workspace, tmp_path, capsys, command):
     test_id = _read_jsonl(workspace["fixture"] / "test.jsonl")[0]["id"]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -26,6 +28,7 @@ from demoselect.structures import (
 from demoselect.programs import anonymize, parse_program
 
 from geo_pool import POOL_ROWS
+from helpers import random_program
 
 TABLE_ROWS = [
     {
@@ -217,6 +220,8 @@ def test_index_round_trip_preserves_rankings(tmp_path):
     reloaded = IndexBundle.load(path)
     for query in (["longest", "river"], ["states", "mississippi"], []):
         assert reloaded.bm25_utterance.rank(query) == bundle.bm25_utterance.rank(query)
+    for query in (["riverid", "string"], ["longest", "river", "all"], ["fewest"], []):
+        assert reloaded.bm25_symbols.rank(query) == bundle.bm25_symbols.rank(query)
     assert reloaded.ls_postings == bundle.ls_postings
     for ex_id, vector in bundle.tfidf.items():
         assert reloaded.tfidf[ex_id].weights == pytest.approx(vector.weights)
@@ -227,14 +232,40 @@ def test_index_version_mismatch_rejected(tmp_path):
     path = tmp_path / "index.json"
     bundle.save(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["version"] = 99
+    assert payload["version"] == 2
+    assert not any("anonymized" in rec for rec in payload["examples"])
+    for version in (1, 99):
+        payload["version"] = version
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(IndexVersionError, match="demoselect index"):
+            IndexBundle.load(path)
+    payload["version"] = 2
+    del payload["examples"][0]["template"]
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(IndexVersionError):
+    with pytest.raises(IoError, match="index.json"):
         IndexBundle.load(path)
     payload["magic"] = "other"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(IndexVersionError):
         IndexBundle.load(path)
+
+
+def test_index_load_parses_no_program(tmp_path, monkeypatch):
+    bundle = build_indexes(_geo_corpus(tmp_path))
+    path = tmp_path / "index.json"
+    bundle.save(path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("IndexBundle.load must not parse programs")
+
+    monkeypatch.setattr("demoselect.corpus.parse_program", forbidden)
+    monkeypatch.setattr("demoselect.corpus.anonymize", forbidden)
+    reloaded = IndexBundle.load(path)
+    for built, loaded in zip(bundle.corpus.examples, reloaded.corpus.examples, strict=True):
+        assert loaded.template == built.template
+        assert loaded.ls_counts == built.ls_counts
+        assert loaded.utt_tokens == built.utt_tokens
+        assert Counter(loaded.symbol_seq) == Counter(built.symbol_seq)
 
 
 def test_index_stats(tmp_path):
@@ -328,3 +359,8 @@ def test_make_example_symbol_sequence():
     example = make_example("x", "how many dogs", 'count (find ("dog"))')
     assert example.symbol_seq == ["count", "find", "string"]
     assert example.utt_tokens == ["how", "many", "dogs"]
+    rng = random.Random(17)
+    for _ in range(60):
+        program = random_program(rng)
+        expected = anonymize(parse_program(program)).symbol_sequence()
+        assert Counter(make_example("r", "u", program).symbol_seq) == Counter(expected)

@@ -7,8 +7,6 @@ import pytest
 
 from demoselect import (
     Bm25Index,
-    ConfigError,
-    RetrieverConfig,
     cosine,
     ls_tfidf_vectors,
     random_scores,
@@ -46,16 +44,6 @@ def test_tokenize_empty():
 
 def test_tokenize_splits_apostrophes():
     assert tokenize_utterance("Jake's supervisor") == ["jake", "s", "supervisor"]
-
-
-def test_retriever_config_validation():
-    RetrieverConfig(variant="bm25-symbols", k1=0.0, b=1.0)
-    with pytest.raises(ConfigError):
-        RetrieverConfig(variant="nope")
-    with pytest.raises(ConfigError):
-        RetrieverConfig(k1=-0.1)
-    with pytest.raises(ConfigError):
-        RetrieverConfig(b=1.5)
 
 
 @pytest.mark.parametrize("query", sorted(HAND_SCORES))

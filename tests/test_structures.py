@@ -113,6 +113,8 @@ def test_max_size_monotone():
         graph = build_structure_graph(
             anonymize(parse_program(random_program(rng)))
         )
+        for ls in enumerate_local_structures(graph):
+            assert ls_size(ls.canonical) == ls.size
         previous = set()
         for depth in range(1, graph.node_count + 1):
             current = {
