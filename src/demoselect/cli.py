@@ -14,6 +14,8 @@ written), 2 usage/config/data errors, 3 transport errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import sys
@@ -30,6 +32,7 @@ from .corpus import (
     load_examples,
     load_predictions,
     read_text,
+    write_text,
 )
 from .errors import ApiError, ConfigError, DemoselectError, IoError, TransportError
 from .evaluation import aggregate, evaluate_record
@@ -44,7 +47,7 @@ from .gateway import (
 )
 from .programs import DialectConfig
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
-from .retrieval import RETRIEVER_VARIANTS, random_scores, tokenize_utterance
+from .retrieval import RETRIEVER_VARIANTS, random_scores
 from .selection import (
     DemonstrationSet,
     cover_ls,
@@ -102,12 +105,12 @@ def _example_seed(seed: int, example_id: str) -> int:
 
 def _write_jsonl(path: str | Path, records: list[dict]) -> None:
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records)
-    Path(path).write_text(text + ("\n" if records else ""), encoding="utf-8")
+    write_text(path, text + ("\n" if records else ""), "stage file")
 
 
-def _read_jsonl(path: str | Path, keys: tuple[str, ...]) -> list[dict]:
+def _read_jsonl(path: str | Path, fields: dict[str, type]) -> list[dict]:
     """The rows of a stage file: every line JSON, then every row an object
-    holding ``keys``."""
+    holding each key of ``fields`` with a value of its type."""
     numbered = []
     for lineno, line in enumerate(read_text(path, "stage file").splitlines(), start=1):
         if not line.strip():
@@ -117,8 +120,11 @@ def _read_jsonl(path: str | Path, keys: tuple[str, ...]) -> list[dict]:
         except ValueError as exc:
             raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
     for lineno, row in numbered:
-        if not isinstance(row, dict) or not all(key in row for key in keys):
-            raise IoError(f"{path}:{lineno}: not an object with keys {', '.join(keys)}")
+        if not isinstance(row, dict) or not all(key in row for key in fields):
+            raise IoError(f"{path}:{lineno}: not an object with keys {', '.join(fields)}")
+        for key, kind in fields.items():
+            if not isinstance(row[key], kind):
+                raise IoError(f"{path}:{lineno}: {key} must be a {kind.__name__}")
     return [row for _, row in numbered]
 
 
@@ -144,13 +150,11 @@ def _demo(bundle: IndexBundle, demo_id: str) -> Example:
 
 def _retriever_scores(bundle, example, cfg: RunConfig, beams) -> dict[str, float]:
     if cfg.retriever == "bm25-utterance":
-        return bundle.bm25_utterance.scores(tokenize_utterance(example.utterance))
+        return bundle.bm25_utterance.scores(example.utt_tokens)
     if cfg.retriever == "random":
         return random_scores(bundle.pool, _example_seed(cfg.seed, example.id))
-    if cfg.retriever == "oracle-bm25-gold-symbols":
-        return bundle.bm25_symbols.scores(sorted(set(example.symbol_seq)))
-    # bm25-symbols: predicted symbols, or gold symbols in oracle mode
-    if cfg.oracle:
+    # the symbol retrievers: gold symbols, or predicted ones for bm25-symbols
+    if cfg.retriever == "oracle-bm25-gold-symbols" or cfg.oracle:
         return bundle.bm25_symbols.scores(sorted(set(example.symbol_seq)))
     pred = beams.get(example.id)
     symbols = sorted(c for c in pred.ls_union if ls_size(c) == 1) if pred else []
@@ -215,6 +219,7 @@ def _select_train_one(bundle, example, cfg: RunConfig) -> dict:
         cfg.k,
         seed=_example_seed(cfg.seed, example.id),
         dialect=bundle.corpus.dialect,
+        postings=bundle.ls_postings,
     )
     return _selection_row(example.id, result)
 
@@ -339,7 +344,7 @@ def stage_eval(
 
 def _write_eval_outputs(report, records, out, csv=None, per_record=None) -> int:
     """Write the report and the per-record views; return the exit code."""
-    Path(out).write_text(json.dumps(report, sort_keys=True, indent=2), encoding="utf-8")
+    write_text(out, json.dumps(report, sort_keys=True, indent=2), "report file")
     if csv:
         _write_csv(csv, records)
     if per_record:
@@ -348,36 +353,35 @@ def _write_eval_outputs(report, records, out, csv=None, per_record=None) -> int:
 
 
 def _write_csv(path: str | Path, records) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(
+        [
+            "id",
+            "exact_match",
+            "symbol_coverage",
+            "ls_coverage",
+            "unique_ls_count",
+            "error_labels",
+            "unobserved_ls",
+            "strategy",
+        ]
+    )
+    for record in records:
+        row = record.to_dict()
         writer.writerow(
             [
-                "id",
-                "exact_match",
-                "symbol_coverage",
-                "ls_coverage",
-                "unique_ls_count",
-                "error_labels",
-                "unobserved_ls",
-                "strategy",
+                row["id"],
+                int(row["exact_match"]),
+                f"{row['symbol_coverage']:.6f}",
+                f"{row['ls_coverage']:.6f}",
+                row["unique_ls_count"],
+                "|".join(row["error_labels"]),
+                int(row["unobserved_ls"]),
+                row["strategy"],
             ]
         )
-        for record in records:
-            row = record.to_dict()
-            writer.writerow(
-                [
-                    row["id"],
-                    int(row["exact_match"]),
-                    f"{row['symbol_coverage']:.6f}",
-                    f"{row['ls_coverage']:.6f}",
-                    row["unique_ls_count"],
-                    "|".join(row["error_labels"]),
-                    int(row["unobserved_ls"]),
-                    row["strategy"],
-                ]
-            )
+    write_text(path, buffer.getvalue(), "CSV file")
 
 
 # --- commands --------------------------------------------------------------
@@ -429,29 +433,31 @@ def _load_config(args) -> RunConfig:
             return config_file.get(name.replace("_", "-"), config_file.get(name, default))
         return value
 
-    def pick_int(name, default):
+    def pick_typed(name, default, kind=int):
+        """A JSON integer or boolean; null only where the default is None."""
         value = pick(name, default)
-        if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        if type(value) is kind or (value is None and default is None):
             return value
-        raise ConfigError(f"{args.config}: {name} must be an integer, got {value!r}")
+        what = "an integer" if kind is int else "true or false"
+        raise ConfigError(f"{args.config}: {name} must be {what}, got {value!r}")
 
     return RunConfig(
         strategy=pick("strategy", "cover-ls"),
-        k=pick_int("k", 24),
+        k=pick_typed("k", 24),
         retriever=pick("retriever", "bm25-utterance"),
-        beam_limit=pick_int("beam_limit", None),
-        max_ls_size=pick_int("max_ls_size", None),
-        seed=pick_int("seed", 0),
-        candidate_pool_size=pick_int("candidate_pool_size", 200),
-        oracle=bool(pick("oracle", False)),
-        train_mode=bool(pick("train_mode", False)),
+        beam_limit=pick_typed("beam_limit", None),
+        max_ls_size=pick_typed("max_ls_size", None),
+        seed=pick_typed("seed", 0),
+        candidate_pool_size=pick_typed("candidate_pool_size", 200),
+        oracle=pick_typed("oracle", False, bool),
+        train_mode=pick_typed("train_mode", False, bool),
         fallback=pick("fallback", "cover-utt"),
         order=pick("order", "ascending-score"),
-        programs_only=bool(pick("programs_only", False)),
-        budget=pick_int("budget", None),
-        mock=bool(pick("mock", False)),
-        mock_threshold=pick_int("mock_threshold", 2),
-        jobs=pick_int("jobs", 1),
+        programs_only=pick_typed("programs_only", False, bool),
+        budget=pick_typed("budget", None),
+        mock=pick_typed("mock", False, bool),
+        mock_threshold=pick_typed("mock_threshold", 2),
+        jobs=pick_typed("jobs", 1),
     )
 
 
@@ -512,7 +518,7 @@ def cmd_select(args) -> int:
 def cmd_prompt(args) -> int:
     cfg = _load_config(args)
     bundle, tests, _ = _load_inputs(args, cfg, with_tests=not cfg.train_mode)
-    selections = _read_jsonl(args.selections, ("id", "items"))
+    selections = _read_jsonl(args.selections, {"id": str, "items": list})
     prompts = stage_prompt(bundle, tests, selections, cfg)
     _write_jsonl(args.out, prompts)
     print(f"formatted {len(prompts)} prompts -> {args.out}")
@@ -522,7 +528,7 @@ def cmd_prompt(args) -> int:
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
     bundle, tests, _ = _load_inputs(args, cfg, with_tests=cfg.mock)
-    prompts = _read_jsonl(args.prompts, ("id", "prompt", "demo_ids"))
+    prompts = _read_jsonl(args.prompts, {"id": str, "prompt": str, "demo_ids": list})
     endpoint, request_defaults = _endpoint_from_args(args, cfg)
     predictions = stage_infer(bundle, tests, prompts, cfg, endpoint, request_defaults)
     _write_jsonl(args.out, predictions)
@@ -533,8 +539,8 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     bundle, tests, _ = _load_inputs(args, cfg, with_tests=True)
-    prompts = _read_jsonl(args.prompts, ("id", "demo_ids"))
-    predictions = _read_jsonl(args.predictions, ("id", "prediction"))
+    prompts = _read_jsonl(args.prompts, {"id": str, "demo_ids": list})
+    predictions = _read_jsonl(args.predictions, {"id": str, "prediction": str})
     report, records = stage_eval(bundle, tests, prompts, predictions, cfg)
     code = _write_eval_outputs(report, records, args.out, args.csv, args.per_record)
     accuracy = report.get("accuracy", 0.0)

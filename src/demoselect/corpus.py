@@ -6,7 +6,8 @@ the program's template and local-structure counts, and the index stores
 exactly the fields of :data:`STORED_FIELDS`, so loading an index parses no
 program. The utterance tokens and the symbol sequence (the size-1
 structures) derive from the stored fields. Every loaded beam keeps its
-local-structure set. Selection reads these caches; the mock model
+local-structure set. Selection reads these caches, and the symbol BM25 and
+the tf-idf vectors are built on first use; the mock model
 (:func:`~demoselect.gateway.mock_complete`) and the error labels of
 evaluation (:func:`~demoselect.evaluation.classify_errors`) still re-derive
 structures, symbols and templates from program text.
@@ -16,7 +17,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CorpusError, IndexVersionError, IoError, ParseError
@@ -28,7 +31,7 @@ from .programs import (
     render,
     repair_parentheses,
 )
-from .retrieval import Bm25Index, LsTfidfVector, ls_tfidf_vectors, tokenize_utterance
+from .retrieval import Bm25Index, ls_tfidf_vectors, term_postings, tokenize_utterance
 from .structures import (
     build_structure_graph,
     count_local_structures,
@@ -49,6 +52,18 @@ def read_text(path: str | Path, what: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str, what: str) -> None:
+    """Write a UTF-8 file whole, through a temporary file beside it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise IoError(f"cannot write {what} {path}: {exc}") from exc
 
 
 @dataclass
@@ -229,31 +244,29 @@ class IndexBundle:
         self.k1 = k1
         self.b = b
         self.pool = {ex.id: ex for ex in corpus.split("train")}
-        self.ls_postings: dict[str, list[str]] = {}
-        self.token_postings: dict[str, list[str]] = {}
-        for ex in sorted(self.pool.values(), key=lambda e: e.id):
-            for canonical in ex.ls_counts:
-                self.ls_postings.setdefault(canonical, []).append(ex.id)
-            for token in set(ex.utt_tokens):
-                self.token_postings.setdefault(token, []).append(ex.id)
+        self.ls_postings = term_postings({i: ex.ls_counts for i, ex in self.pool.items()})
         self.bm25_utterance = Bm25Index(
-            {ex.id: ex.utt_tokens for ex in self.pool.values()}, k1=k1, b=b
+            {i: ex.utt_tokens for i, ex in self.pool.items()}, k1=k1, b=b
         )
-        self.bm25_symbols = Bm25Index(
-            {ex.id: ex.symbol_seq for ex in self.pool.values()}, k1=k1, b=b
-        )
-        self.tfidf: dict[str, LsTfidfVector] = ls_tfidf_vectors(
-            {ex.id: ex.ls_counts for ex in self.pool.values()}
+        self.token_postings = {
+            token: [i for i, _ in postings]
+            for token, postings in self.bm25_utterance.postings.items()
+        }
+
+    @cached_property
+    def bm25_symbols(self) -> Bm25Index:
+        return Bm25Index(
+            {i: ex.symbol_seq for i, ex in self.pool.items()}, k1=self.k1, b=self.b
         )
 
+    @cached_property
+    def tfidf(self):
+        return ls_tfidf_vectors({i: ex.ls_counts for i, ex in self.pool.items()})
+
     def training_ls_union(self, max_size: int | None = None) -> set[str]:
-        union: set[str] = set()
-        for ex in self.pool.values():
-            if max_size is None:
-                union |= ex.ls_set
-            else:
-                union |= {c for c in ex.ls_counts if ls_size(c) <= max_size}
-        return union
+        return {
+            c for c in self.ls_postings if max_size is None or ls_size(c) <= max_size
+        }
 
     def stats(self) -> dict:
         pool = list(self.pool.values())
@@ -277,12 +290,7 @@ class IndexBundle:
                 for ex in self.corpus.examples
             ],
         }
-        try:
-            Path(path).write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8"
-            )
-        except OSError as exc:
-            raise IoError(f"cannot write index file {path}: {exc}") from exc
+        write_text(path, json.dumps(payload, sort_keys=True), "index file")
 
     @classmethod
     def load(cls, path: str | Path) -> "IndexBundle":

@@ -16,8 +16,8 @@ from .programs import (
     anonymize,
     parens_balanced,
     parse_program,
+    render,
     repair_parentheses,
-    to_template,
 )
 from .structures import ls_size
 
@@ -59,10 +59,17 @@ def coverage_metrics(
 def program_symbols(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> set[str]:
     """Anonymized symbol set of a program; falls back to a token scan when
     the text cannot be parsed even after parenthesis repair."""
+    return _symbols_and_template(text, dialect)[0]
+
+
+def _symbols_and_template(text, dialect) -> tuple[set[str], str | None]:
+    """A program's anonymized symbols and template from one parse; an
+    unparseable text has token-scan symbols and no template."""
     parsed = _parse_with_repair(text, dialect)
-    if parsed is not None:
-        return set(anonymize(parsed).symbol_sequence())
-    return _token_scan_symbols(text)
+    if parsed is None:
+        return _token_scan_symbols(text), None
+    anon = anonymize(parsed)
+    return set(anon.symbol_sequence()), render(anon)
 
 
 def _parse_with_repair(text, dialect):
@@ -120,25 +127,18 @@ def classify_errors(
     labels: set[str] = set()
     if not parens_balanced(pred):
         labels.add(LABEL_SYNTAX)
-    parsed = _parse_with_repair(pred, dialect)
-    if parsed is None:
+    pred_symbols, pred_template = _symbols_and_template(pred, dialect)
+    if pred_template is None:
         labels.add(LABEL_SYNTAX)
-    if parsed is not None:
-        pred_symbols = set(anonymize(parsed).symbol_sequence())
-        pred_template = to_template(parsed).text
-        demo_templates = set()
-        for program in demo_programs:
-            demo_ast = _parse_with_repair(program, dialect)
-            if demo_ast is not None:
-                demo_templates.add(to_template(demo_ast).text)
-        if pred_template in demo_templates:
-            labels.add(LABEL_OVER_COPY)
-    else:
-        pred_symbols = _token_scan_symbols(pred)
-    gold_symbols = program_symbols(gold, dialect)
     demo_symbols: set[str] = set()
+    demo_templates: set[str | None] = set()
     for program in demo_programs:
-        demo_symbols |= program_symbols(program, dialect)
+        symbols, template = _symbols_and_template(program, dialect)
+        demo_symbols |= symbols
+        demo_templates.add(template)
+    if pred_template is not None and pred_template in demo_templates:
+        labels.add(LABEL_OVER_COPY)
+    gold_symbols = program_symbols(gold, dialect)
     if pred_symbols - (gold_symbols | demo_symbols):
         labels.add(LABEL_OOV)
     if gold_symbols - pred_symbols:

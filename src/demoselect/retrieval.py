@@ -1,7 +1,8 @@
-"""Lexical retrieval: Okapi BM25 over token documents, tf-idf vectors over
-local structures, and a seeded random scorer.
+"""Lexical retrieval: posting lists, Okapi BM25 over token documents, tf-idf
+vectors over local structures, and a seeded random scorer.
 
-The idf used throughout is the positive Lucene-style variant
+BM25 scores a query term at a time, walking only its terms' postings. The
+idf used throughout is the positive Lucene-style variant
 ``ln((N - n + 0.5) / (n + 0.5) + 1)``.
 """
 
@@ -32,44 +33,46 @@ def lucene_idf(n_docs: int, doc_freq: int) -> float:
     return math.log((n_docs - doc_freq + 0.5) / (doc_freq + 0.5) + 1.0)
 
 
+def term_postings(docs: Mapping[str, Iterable[str]]) -> dict[str, list[str]]:
+    """The ids of the documents holding each term, in id order."""
+    postings: dict[str, list[str]] = {}
+    for doc_id in sorted(docs):
+        for term in dict.fromkeys(docs[doc_id]):
+            postings.setdefault(term, []).append(doc_id)
+    return postings
+
+
 class Bm25Index:
-    """Okapi BM25 over pre-tokenized documents keyed by id."""
+    """Okapi BM25 over pre-tokenized documents keyed by id; ``postings`` maps a
+    term to its ``(doc_id, tf)`` pairs in id order."""
 
     def __init__(self, docs: Mapping[str, list[str]], k1: float = 1.2, b: float = 0.75):
         self.k1 = k1
         self.b = b
         self.doc_ids = sorted(docs)
-        self.doc_tokens = {i: list(docs[i]) for i in self.doc_ids}
-        self.doc_len = {i: len(self.doc_tokens[i]) for i in self.doc_ids}
         self.n_docs = len(self.doc_ids)
-        total = sum(self.doc_len.values())
+        total = sum(len(docs[i]) for i in self.doc_ids)
         self.avgdl = total / self.n_docs if total else 1.0
-        self.term_freqs = {i: Counter(self.doc_tokens[i]) for i in self.doc_ids}
-        df: Counter = Counter()
-        for tf in self.term_freqs.values():
-            for term in tf:
-                df[term] += 1
-        self.df = dict(df)
+        self.norm = {
+            i: k1 * (1 - b + b * len(docs[i]) / self.avgdl) for i in self.doc_ids
+        }
+        self.postings: dict[str, list[tuple[str, int]]] = {}
+        for doc_id in self.doc_ids:
+            for term, freq in Counter(docs[doc_id]).items():
+                self.postings.setdefault(term, []).append((doc_id, freq))
 
     def idf(self, term: str) -> float:
-        return lucene_idf(self.n_docs, self.df.get(term, 0))
+        return lucene_idf(self.n_docs, len(self.postings.get(term, ())))
 
     def scores(self, query: Iterable[str]) -> dict[str, float]:
-        """BM25 score of every document for the query (empty query scores 0)."""
-        query = list(query)
-        out: dict[str, float] = {}
-        for doc_id in self.doc_ids:
-            tf = self.term_freqs[doc_id]
-            norm = self.k1 * (
-                1 - self.b + self.b * self.doc_len[doc_id] / self.avgdl
-            )
-            score = 0.0
-            for term in query:
-                freq = tf.get(term, 0)
-                if not freq:
-                    continue
-                score += self.idf(term) * freq * (self.k1 + 1) / (freq + norm)
-            out[doc_id] = score
+        """BM25 score of every document for the query (empty query scores 0);
+        a repeated query term counts once per occurrence."""
+        out = dict.fromkeys(self.doc_ids, 0.0)
+        for term in query:
+            postings = self.postings.get(term, ())
+            idf = lucene_idf(self.n_docs, len(postings))
+            for doc_id, freq in postings:
+                out[doc_id] += idf * freq * (self.k1 + 1) / (freq + self.norm[doc_id])
         return out
 
     def rank(self, query: Iterable[str]) -> list[tuple[str, float]]:
@@ -83,11 +86,9 @@ class LsTfidfVector:
 
     __slots__ = ("weights",)
 
-    def __init__(self, weights: dict[str, float], normalize: bool = True):
-        if normalize:
-            norm = math.sqrt(sum(w * w for w in weights.values()))
-            weights = {k: w / norm for k, w in weights.items()} if norm else {}
-        self.weights = weights
+    def __init__(self, weights: dict[str, float]):
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        self.weights = {k: w / norm for k, w in weights.items()} if norm else {}
 
     def is_zero(self) -> bool:
         return not self.weights
@@ -104,18 +105,12 @@ def ls_tfidf_vectors(
 ) -> dict[str, LsTfidfVector]:
     """Normalized tf-idf vectors; an example with no structures gets a zero vector."""
     n_docs = len(ls_counts_by_id)
-    df: Counter = Counter()
-    for counts in ls_counts_by_id.values():
-        for canonical in counts:
-            df[canonical] += 1
-    vectors = {}
-    for doc_id, counts in ls_counts_by_id.items():
-        weights = {
-            canonical: tf * lucene_idf(n_docs, df[canonical])
-            for canonical, tf in counts.items()
-        }
-        vectors[doc_id] = LsTfidfVector(weights)
-    return vectors
+    df = Counter(c for counts in ls_counts_by_id.values() for c in counts)
+    idf = {canonical: lucene_idf(n_docs, n) for canonical, n in df.items()}
+    return {
+        doc_id: LsTfidfVector({c: tf * idf[c] for c, tf in counts.items()})
+        for doc_id, counts in ls_counts_by_id.items()
+    }
 
 
 def cosine(u: LsTfidfVector, v: LsTfidfVector) -> float:

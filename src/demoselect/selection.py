@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidKError
 from .programs import DEFAULT_DIALECT, DialectConfig, anonymize, parse_program
-from .retrieval import LsTfidfVector, tokenize_utterance
+from .retrieval import LsTfidfVector, term_postings, tokenize_utterance
 from .structures import (
     LocalStructure,
     build_structure_graph,
@@ -55,47 +55,43 @@ def _cover(
     pool: Mapping[str, object],
     scores: Mapping[str, float],
     k: int,
-    contains: Callable[[object, CoverageElement], bool],
-    covered_payloads: Callable[[object], set],
+    terms: Callable[[object], Iterable[str]],
     strategy: str,
-    pick: str = "retriever-top",
     rng: random.Random | None = None,
     postings: Mapping[str, list[str]] | None = None,
 ) -> DemonstrationSet:
+    """``terms(example)`` lists the payloads an example covers; ``postings``
+    (built from ``terms`` when not given) may name ids outside the pool."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    available = dict(pool)
+    if postings is None:
+        postings = term_postings({i: terms(ex) for i, ex in pool.items()})
     chosen: list[tuple[str, float]] = []
     trace: list[tuple[str, str | None]] = []
+    used_templates: set[str] = set()
     while len(chosen) < k:
         uncovered = {e.payload for e in elements}
         progress = False
         for element in elements:
             if element.payload not in uncovered:
                 continue
-            if postings is not None and element.payload in postings:
-                candidates = [i for i in postings[element.payload] if i in available]
-            elif postings is not None:
-                candidates = []
-            else:
-                candidates = [
-                    i for i in available if contains(available[i], element)
-                ]
+            candidates = [
+                i
+                for i in postings.get(element.payload, ())
+                if i in pool and pool[i].template not in used_templates
+            ]
             if not candidates:
                 trace.append((element.payload, None))
                 continue
-            if pick == "uniform-random":
-                best = (rng or random.Random()).choice(sorted(candidates))
-            else:
+            if rng is None:
                 best = min(candidates, key=lambda i: (-scores.get(i, 0.0), i))
-            example = available[best]
+            else:
+                best = rng.choice(sorted(candidates))
+            example = pool[best]
             chosen.append((best, scores.get(best, 0.0)))
             trace.append((element.payload, best))
-            uncovered -= covered_payloads(example)
-            for other in [
-                i for i, ex in available.items() if ex.template == example.template
-            ]:
-                del available[other]
+            uncovered.difference_update(terms(example))
+            used_templates.add(example.template)
             progress = True
             if len(chosen) == k:
                 break
@@ -143,10 +139,8 @@ def cover_ls(
         pool,
         scores,
         k,
-        contains=lambda ex, el: el.payload in ex.ls_set,
-        covered_payloads=lambda ex: set(ex.ls_set),
+        terms=lambda ex: ex.ls_counts,
         strategy=strategy,
-        pick=pick,
         rng=rng,
         postings=postings,
     )
@@ -161,23 +155,15 @@ def cover_utt(
     postings: Mapping[str, list[str]] | None = None,
 ) -> DemonstrationSet:
     """Same coverage loop over the test utterance's words (rarest first)."""
-    tokens = tokenize_utterance(utterance)
-    seen = set()
-    ordered = []
-    for pos, tok in enumerate(tokens):
-        if tok in seen:
-            continue
-        seen.add(tok)
-        ordered.append((tok, idf(tok) if idf else 0.0, pos))
-    ordered.sort(key=lambda t: (-t[1], t[2]))
-    elems = [CoverageElement(tok, weight) for tok, weight, _ in ordered]
+    tokens = dict.fromkeys(tokenize_utterance(utterance))
+    elems = [CoverageElement(t, idf(t) if idf else 0.0) for t in tokens]
+    elems.sort(key=lambda e: -e.weight)  # stable: equal weights keep utterance order
     return _cover(
         elems,
         pool,
         scores,
         k,
-        contains=lambda ex, el: el.payload in set(ex.utt_tokens),
-        covered_payloads=lambda ex: set(ex.utt_tokens),
+        terms=lambda ex: ex.utt_tokens,
         strategy="cover-utt",
         postings=postings,
     )

@@ -332,6 +332,30 @@ def test_run_equals_stage_composition(workspace, tmp_path, config):
     assert digests == COMPOSITION_DIGESTS[config]
 
 
+def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, monkeypatch):
+    import demoselect.corpus
+
+    build_tfidf = demoselect.corpus.ls_tfidf_vectors
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a structure the strategy does not read")
+
+    monkeypatch.setattr("demoselect.corpus.ls_tfidf_vectors", forbidden)
+    monkeypatch.setattr("demoselect.corpus.Example.symbol_seq", property(forbidden))
+    common = ["run", "--index", str(workspace["index"]), "--k", "4", "--mock"]
+    for flags in (["top-k"], ["cover-ls", "--oracle"], ["cover-utt"]):
+        workdir = tmp_path / flags[0]
+        assert main([*common, "--strategy", *flags, "--workdir", str(workdir)]) in (0, 1)
+
+    built = []
+    monkeypatch.setattr(
+        "demoselect.corpus.ls_tfidf_vectors",
+        lambda counts: built.append(len(counts)) or build_tfidf(counts),
+    )
+    assert main([*common, "--strategy", "dpp", "--workdir", str(tmp_path / "dpp")]) in (0, 1)
+    assert built == [60]
+
+
 def test_eval_exit_codes_reflect_failures(workspace, tmp_path):
     prompts = tmp_path / "prompts.jsonl"
     predictions = tmp_path / "preds.jsonl"
@@ -551,9 +575,10 @@ def test_malformed_json_input_exits_2(workspace, tmp_path, capsys, command, flag
     assert f"{bad.name}:2" in capsys.readouterr().err
 
 
-# Malformed rows, beams, config values and unreadable files. Each case is
-# (bad file bytes, argv with {bad}, {index}, {empty} and {out} placeholders,
-# text stderr must contain); {bad} of "grammar-missing" is never written.
+# Malformed rows, beams, config values, unreadable files and unwritable
+# outputs. Each case is (bad file bytes, argv with {bad}, {index}, {empty},
+# {out} and {nodir} placeholders, text stderr must contain); {bad} is not
+# written when its bytes are None, and the directory {nodir} does not exist.
 ROBUSTNESS_CASES = {
     "selection-without-items": (
         b'{"id": "x"}\n',
@@ -615,6 +640,46 @@ ROBUSTNESS_CASES = {
         "--config {bad} run --mock --index {index} --workdir {out}",
         "max_ls_size must be an integer",
     ),
+    "config-k-null": (
+        b'{"strategy": "top-k", "k": null}',
+        "--config {bad} select --index {index} --out {out}",
+        "k must be an integer",
+    ),
+    "config-oracle-string": (
+        b'{"strategy": "cover-ls", "oracle": "false", "k": 2}',
+        "--config {bad} select --index {index} --out {out}",
+        "oracle must be true or false",
+    ),
+    "config-mock-number": (
+        b'{"strategy": "top-k", "k": 2, "mock": 1}',
+        "--config {bad} run --index {index} --workdir {out}",
+        "mock must be true or false",
+    ),
+    "prediction-id-list": (
+        b'{"id": ["x"], "prediction": "f"}\n',
+        "eval --index {index} --prompts {empty} --predictions {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "selection-items-number": (
+        b'{"id": "test-0000", "items": 5}\n',
+        "prompt --index {index} --selections {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "prompt-demo-ids-string": (
+        b'{"id": "test-0000", "prompt": "p", "demo_ids": "g1"}\n',
+        "infer --mock --index {index} --prompts {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "select-out-unwritable": (
+        None,
+        "select --strategy top-k --index {index} --out {nodir}/sel.jsonl",
+        "no-such-dir/sel.jsonl",
+    ),
+    "eval-out-unwritable": (
+        None,
+        "eval --index {index} --prompts {empty} --predictions {empty} --out {nodir}/r.json",
+        "no-such-dir/r.json",
+    ),
 }
 
 
@@ -626,7 +691,13 @@ def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):
         bad.write_bytes(content)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    paths = {"bad": bad, "index": workspace["index"], "empty": empty, "out": tmp_path / "o"}
+    paths = {
+        "bad": bad,
+        "index": workspace["index"],
+        "empty": empty,
+        "out": tmp_path / "o",
+        "nodir": tmp_path / "no-such-dir",
+    }
     assert main([arg.format(**paths) for arg in argv.split()]) == 2
     assert expected in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 from collections import Counter
 
@@ -19,7 +20,7 @@ from demoselect import (
     unobserved_ls,
     write_fixture,
 )
-from demoselect.corpus import IndexBundle, make_example
+from demoselect.corpus import IndexBundle, make_example, write_text
 from demoselect.structures import (
     build_structure_graph,
     count_local_structures,
@@ -211,6 +212,10 @@ def test_posting_lists_equal_linear_scan(tmp_path):
             ex.id for ex in bundle.pool.values() if token in ex.utt_tokens
         )
         assert ids == scanned
+    union = set().union(*(ex.ls_set for ex in bundle.pool.values()))
+    assert bundle.training_ls_union() == union
+    assert bundle.training_ls_union(4) == {c for c in union if ls_size(c) <= 4}
+    assert bundle.training_ls_union(4) < union
 
 
 def test_index_round_trip_preserves_rankings(tmp_path):
@@ -266,6 +271,21 @@ def test_index_load_parses_no_program(tmp_path, monkeypatch):
         assert loaded.ls_counts == built.ls_counts
         assert loaded.utt_tokens == built.utt_tokens
         assert Counter(loaded.symbol_seq) == Counter(built.symbol_seq)
+
+
+def test_write_text_keeps_previous_file_when_replace_fails(tmp_path, monkeypatch):
+    target = tmp_path / "index.json"
+    write_text(target, "first", "index file")
+    assert target.read_bytes() == b"first"
+
+    def failing_replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(IoError, match="index.json"):
+        write_text(target, "second", "index file")
+    assert target.read_bytes() == b"first"
+    assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
 
 
 def test_index_stats(tmp_path):

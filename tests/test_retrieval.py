@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,10 +10,13 @@ from demoselect import (
     Bm25Index,
     cosine,
     ls_tfidf_vectors,
+    make_example,
     random_scores,
     tokenize_utterance,
 )
 from demoselect.retrieval import lucene_idf
+
+from geo_pool import POOL_ROWS, TEST_UTTERANCE
 
 TOY_DOCS = {"d1": ["a", "b"], "d2": ["a"], "d3": ["c"]}
 
@@ -108,6 +112,49 @@ def test_bm25_ranking_stable_under_corpus_duplication():
             d for d, _ in Bm25Index(doubled).rank(query) if not d.startswith("copy-")
         ]
         assert doubled_order == base_order
+
+
+def _per_document_scores(docs, query, k1=1.2, b=0.75):
+    """BM25 by the textbook formula, one document at a time."""
+    ids = sorted(docs)
+    total = sum(len(docs[i]) for i in ids)
+    avgdl = total / len(ids) if total else 1.0
+    df = Counter(term for i in ids for term in set(docs[i]))
+    out = {}
+    for doc_id in ids:
+        tf = Counter(docs[doc_id])
+        norm = k1 * (1 - b + b * len(docs[doc_id]) / avgdl)
+        score = 0.0
+        for term in query:
+            freq = tf.get(term, 0)
+            if freq:
+                score += lucene_idf(len(ids), df[term]) * freq * (k1 + 1) / (freq + norm)
+        out[doc_id] = score
+    return out
+
+
+def test_bm25_scores_equal_per_document_formula():
+    geo = [make_example(*row) for row in POOL_ROWS]
+    rng = random.Random(12)
+    vocab = list("abcdefghij")
+    random_docs = {
+        f"r{i:02d}": [rng.choice(vocab) for _ in range(rng.randint(0, 9))]
+        for i in range(30)
+    }
+    cases = [
+        ({ex.id: ex.utt_tokens for ex in geo}, tokenize_utterance(TEST_UTTERANCE)),
+        ({ex.id: ex.symbol_seq for ex in geo}, ["river", "state", "river", "answer"]),
+        (random_docs, [rng.choice(vocab) for _ in range(6)]),
+    ]
+    for docs, query in cases:
+        index = Bm25Index(docs)
+        for q in (query, query + query[:2], query + ["zz-unknown"], ["zz-unknown"], []):
+            scores = index.scores(q)
+            assert list(scores) == sorted(docs)
+            assert scores == _per_document_scores(docs, q)
+        for term in set(query) | {"zz-unknown"}:
+            document_frequency = sum(term in doc for doc in docs.values())
+            assert index.idf(term) == lucene_idf(len(docs), document_frequency)
 
 
 def test_idf_positive_and_decreasing():

@@ -158,16 +158,30 @@ def test_cover_ls_never_duplicates_templates():
 
 
 def test_cover_ls_with_postings_matches_scan():
-    case = TRACE_CASES[0]
-    pool = {i: make_example(i, u, p) for i, u, p in case.pool}
-    postings: dict[str, list[str]] = {}
-    for ex_id in sorted(pool):
-        for canonical in pool[ex_id].ls_set:
-            postings.setdefault(canonical, []).append(ex_id)
-    direct = cover_ls(case.elements, pool, case.scores, case.k)
-    indexed = cover_ls(case.elements, pool, case.scores, case.k, postings=postings)
-    assert direct.items == indexed.items
-    assert direct.coverage_trace == indexed.coverage_trace
+    for case in TRACE_CASES:
+        pool = {i: make_example(i, u, p) for i, u, p in case.pool}
+        ls_postings: dict[str, list[str]] = {}
+        token_postings: dict[str, list[str]] = {}
+        for ex_id in sorted(pool):
+            for canonical in pool[ex_id].ls_set:
+                ls_postings.setdefault(canonical, []).append(ex_id)
+            for token in set(pool[ex_id].utt_tokens):
+                token_postings.setdefault(token, []).append(ex_id)
+        options = dict(max_ls_size=case.max_ls_size, pick=case.pick, seed=case.seed)
+        direct = cover_ls(case.elements, pool, case.scores, case.k, **options)
+        indexed = cover_ls(
+            case.elements, pool, case.scores, case.k, postings=ls_postings, **options
+        )
+        assert direct.items == indexed.items
+        assert direct.coverage_trace == indexed.coverage_trace
+
+        utterance = " ".join(u for _, u, _ in reversed(case.pool)) + " unseen"
+        direct = cover_utt(utterance, pool, case.scores, case.k, idf=len)
+        indexed = cover_utt(
+            utterance, pool, case.scores, case.k, idf=len, postings=token_postings
+        )
+        assert direct.items == indexed.items
+        assert direct.coverage_trace == indexed.coverage_trace
 
 
 def test_cover_utt_hand_walk():
