@@ -8,7 +8,8 @@ be inspected and resumed::
     demoselect run --index work/index.json --strategy cover-ls --oracle --k 4 --mock --workdir work/run
 
 Exit codes: 0 success, 1 evaluation found wrong predictions (report still
-written), 2 usage/config/data errors, 3 transport errors.
+written), 2 usage/config/data errors, 3 transport errors, 4 internal errors
+(an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import io
 import json
 import logging
 import sys
+import traceback
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,6 +67,7 @@ EXIT_OK = 0
 EXIT_EVAL_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
+EXIT_INTERNAL = 4
 
 STRATEGIES = ("top-k", "random", "cover-ls", "cover-utt", "dpp")
 
@@ -108,9 +111,30 @@ def _write_jsonl(path: str | Path, records: list[dict]) -> None:
     write_text(path, text + ("\n" if records else ""), "stage file")
 
 
-def _read_jsonl(path: str | Path, fields: dict[str, type]) -> list[dict]:
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_scored_ids(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        and isinstance(pair[1], (int, float))
+        and not isinstance(pair[1], bool)
+        for pair in value
+    )
+
+
+# What a stage-file value must be: a description and its check.
+STRING = ("a string", lambda value: isinstance(value, str))
+STRINGS = ("a list of strings", _is_strings)
+SCORED_IDS = ("a list of [id, score] pairs", _is_scored_ids)
+
+
+def _read_jsonl(path: str | Path, fields: dict[str, tuple]) -> list[dict]:
     """The rows of a stage file: every line JSON, then every row an object
-    holding each key of ``fields`` with a value of its type."""
+    holding each key of ``fields`` with a value its check accepts."""
     numbered = []
     for lineno, line in enumerate(read_text(path, "stage file").splitlines(), start=1):
         if not line.strip():
@@ -122,9 +146,9 @@ def _read_jsonl(path: str | Path, fields: dict[str, type]) -> list[dict]:
     for lineno, row in numbered:
         if not isinstance(row, dict) or not all(key in row for key in fields):
             raise IoError(f"{path}:{lineno}: not an object with keys {', '.join(fields)}")
-        for key, kind in fields.items():
-            if not isinstance(row[key], kind):
-                raise IoError(f"{path}:{lineno}: {key} must be a {kind.__name__}")
+        for key, (description, check) in fields.items():
+            if not check(row[key]):
+                raise IoError(f"{path}:{lineno}: {key} must be {description}")
     return [row for _, row in numbered]
 
 
@@ -518,7 +542,7 @@ def cmd_select(args) -> int:
 def cmd_prompt(args) -> int:
     cfg = _load_config(args)
     bundle, tests, _ = _load_inputs(args, cfg, with_tests=not cfg.train_mode)
-    selections = _read_jsonl(args.selections, {"id": str, "items": list})
+    selections = _read_jsonl(args.selections, {"id": STRING, "items": SCORED_IDS})
     prompts = stage_prompt(bundle, tests, selections, cfg)
     _write_jsonl(args.out, prompts)
     print(f"formatted {len(prompts)} prompts -> {args.out}")
@@ -528,7 +552,9 @@ def cmd_prompt(args) -> int:
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
     bundle, tests, _ = _load_inputs(args, cfg, with_tests=cfg.mock)
-    prompts = _read_jsonl(args.prompts, {"id": str, "prompt": str, "demo_ids": list})
+    prompts = _read_jsonl(
+        args.prompts, {"id": STRING, "prompt": STRING, "demo_ids": STRINGS}
+    )
     endpoint, request_defaults = _endpoint_from_args(args, cfg)
     predictions = stage_infer(bundle, tests, prompts, cfg, endpoint, request_defaults)
     _write_jsonl(args.out, predictions)
@@ -539,8 +565,8 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     bundle, tests, _ = _load_inputs(args, cfg, with_tests=True)
-    prompts = _read_jsonl(args.prompts, {"id": str, "demo_ids": list})
-    predictions = _read_jsonl(args.predictions, {"id": str, "prediction": str})
+    prompts = _read_jsonl(args.prompts, {"id": STRING, "demo_ids": STRINGS})
+    predictions = _read_jsonl(args.predictions, {"id": STRING, "prediction": STRING})
     report, records = stage_eval(bundle, tests, prompts, predictions, cfg)
     code = _write_eval_outputs(report, records, args.out, args.csv, args.per_record)
     accuracy = report.get("accuracy", 0.0)
@@ -554,7 +580,10 @@ def cmd_run(args) -> int:
         args, cfg, with_tests=not cfg.train_mode, with_beams=True
     )
     workdir = Path(args.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
+    try:
+        workdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create work directory {workdir}: {exc}") from exc
     selections = stage_select(bundle, tests, cfg, beams)
     _write_jsonl(workdir / "selections.jsonl", selections)
     prompts = stage_prompt(bundle, tests, selections, cfg)
@@ -734,6 +763,10 @@ def main(argv: list[str] | None = None) -> int:
     except DemoselectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # noqa: BLE001 - never exit 1, the wrong-predictions code
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -670,6 +670,21 @@ ROBUSTNESS_CASES = {
         "infer --mock --index {index} --prompts {bad} --out {out}",
         "bad.jsonl:1",
     ),
+    "selection-items-not-pairs": (
+        b'{"id": "test-0000", "items": [5]}\n',
+        "prompt --index {index} --selections {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "prompt-demo-ids-not-strings": (
+        b'{"id": "test-0000", "prompt": "p", "demo_ids": [["x"]]}\n',
+        "infer --mock --index {index} --prompts {bad} --out {out}",
+        "bad.jsonl:1",
+    ),
+    "run-workdir-under-file": (
+        b"a regular file",
+        "run --strategy top-k --mock --index {index} --workdir {bad}/w",
+        "bad.jsonl/w",
+    ),
     "select-out-unwritable": (
         None,
         "select --strategy top-k --index {index} --out {nodir}/sel.jsonl",
@@ -700,6 +715,18 @@ def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):
     }
     assert main([arg.format(**paths) for arg in argv.split()]) == 2
     assert expected in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_4(workspace, tmp_path, capsys, monkeypatch):
+    def broken_stage(*args, **kwargs):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr("demoselect.cli.stage_select", broken_stage)
+    argv = ["select", "--strategy", "top-k", "--index", str(workspace["index"])]
+    assert main([*argv, "--out", str(tmp_path / "sel.jsonl")]) == 4
+    err = capsys.readouterr().err
+    assert "internal error:" in err
+    assert "RuntimeError: stage broke" in err
 
 
 @pytest.mark.parametrize("command", ["infer", "eval"])

@@ -311,6 +311,65 @@ def test_dpp_greedy_steps_are_exact_argmax():
             assert right <= left + 1e-9
 
 
+def test_dpp_stops_at_kernel_rank():
+    rng = random.Random(5)
+    dims = ["u", "v", "w", "x", "y"]
+    for _ in range(50):
+        directions = [
+            {d: rng.random() for d in rng.sample(dims, rng.randint(1, len(dims)))}
+            for _ in range(3)
+        ]
+        vectors = {f"c{i}": LsTfidfVector(dict(directions[i % 3])) for i in range(8)}
+        scores = {f"c{i}": 0.1 + rng.random() for i in range(8)}
+        phi = np.array([[vectors[i].weights.get(d, 0.0) for d in dims] for i in vectors])
+        result = dpp_select(scores, vectors, k=6)
+        assert len(result.ids) == np.linalg.matrix_rank(phi)
+        assert result.underfilled
+
+
+def _slogdet_greedy(kernel, k):
+    """Reference greedy: one determinant per candidate per step."""
+    selected: list[int] = []
+    gains: list[float] = []
+    while len(selected) < min(k, len(kernel)):
+        base = np.linalg.slogdet(kernel[np.ix_(selected, selected)])[1] if selected else 0.0
+        best_gain, best_row = -np.inf, None
+        for row in range(len(kernel)):
+            if row in selected:
+                continue
+            grown = selected + [row]
+            sign, logdet = np.linalg.slogdet(kernel[np.ix_(grown, grown)])
+            gain = logdet - base if sign > 0 else -np.inf
+            if gain > best_gain + 1e-12:
+                best_gain, best_row = gain, row
+        if best_row is None or not np.isfinite(best_gain):
+            break
+        selected.append(best_row)
+        gains.append(float(best_gain))
+    return selected, gains
+
+
+def test_dpp_matches_determinant_greedy_on_large_instances():
+    rng = random.Random(2018)
+    shared = [f"s{j}" for j in range(40)]
+    for _ in range(30):
+        n = rng.randint(24, 60)
+        k = rng.randint(1, 24)
+        vectors, scores = {}, {}
+        for i in range(n):
+            # an own dimension keeps the kernel full-rank
+            weights = {f"own{i}": 0.2 + rng.random()}
+            weights.update({d: rng.random() for d in rng.sample(shared, rng.randint(1, 12))})
+            vectors[f"c{i:02d}"] = LsTfidfVector(weights)
+            scores[f"c{i:02d}"] = 0.1 + rng.random()
+        result = dpp_select(scores, vectors, k, candidate_pool_size=n)
+        candidates = sorted(scores, key=lambda i: (-scores[i], i))
+        rows, gains = _slogdet_greedy(_oracle_kernel(scores, vectors, candidates), k)
+        assert result.ids == [candidates[r] for r in rows]
+        assert len(result.ids) == k and not result.underfilled
+        assert result.gains == pytest.approx(gains, abs=1e-9)
+
+
 # --- training mode and oracle elements ----------------------------------------
 
 
