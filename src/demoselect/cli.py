@@ -96,6 +96,10 @@ class RunConfig:
             raise ConfigError("k must be >= 1")
         if self.beam_limit is not None and self.beam_limit < 1:
             raise ConfigError("beam limit must be >= 1")
+        if self.max_ls_size is not None and self.max_ls_size < 1:
+            raise ConfigError("max LS size must be >= 1")
+        if self.candidate_pool_size < 1:
+            raise ConfigError("candidate pool size must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.retriever not in RETRIEVER_VARIANTS:
@@ -198,8 +202,9 @@ def _selection_row(example_id: str, result: DemonstrationSet) -> dict:
 
 def _select_one(bundle, example, cfg: RunConfig, beams) -> dict:
     pool = bundle.pool
-    scores = _retriever_scores(bundle, example, cfg, beams)
     strategy = cfg.strategy
+    # random writes 0.0 for every pick, so it reads no retriever score
+    scores = {} if strategy == "random" else _retriever_scores(bundle, example, cfg, beams)
     if strategy == "cover-ls":
         if cfg.oracle:
             elements = example.ls_set

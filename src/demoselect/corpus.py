@@ -6,9 +6,11 @@ the program's template and local-structure counts, and the index stores
 exactly the fields of :data:`STORED_FIELDS`, so loading an index parses no
 program. The utterance tokens and the symbol sequence (the size-1
 structures) derive from the stored fields. Every loaded beam keeps its
-local-structure set. Selection reads these caches, and the symbol BM25 and
-the tf-idf vectors are built on first use; the mock model
-(:func:`~demoselect.gateway.mock_complete`) and the error labels of
+local-structure set. Selection reads these caches. Loading builds only the
+utterance BM25, whose per-posting impacts are computed once there; the
+structure and token posting lists, the symbol BM25 and the tf-idf vectors
+are built on first use, so a strategy pays only for what it reads. The mock
+model (:func:`~demoselect.gateway.mock_complete`) and the error labels of
 evaluation (:func:`~demoselect.evaluation.classify_errors`) still re-derive
 structures, symbols and templates from program text.
 """
@@ -244,13 +246,20 @@ class IndexBundle:
         self.k1 = k1
         self.b = b
         self.pool = {ex.id: ex for ex in corpus.split("train")}
-        self.ls_postings = term_postings({i: ex.ls_counts for i, ex in self.pool.items()})
         self.bm25_utterance = Bm25Index(
             {i: ex.utt_tokens for i, ex in self.pool.items()}, k1=k1, b=b
         )
-        self.token_postings = {
-            token: [i for i, _ in postings]
-            for token, postings in self.bm25_utterance.postings.items()
+
+    @cached_property
+    def ls_postings(self) -> dict[str, list[str]]:
+        return term_postings({i: ex.ls_counts for i, ex in self.pool.items()})
+
+    @cached_property
+    def token_postings(self) -> dict[str, list[str]]:
+        ids = self.bm25_utterance.doc_ids
+        return {
+            token: [ids[row] for row in rows.tolist()]
+            for token, (rows, _) in self.bm25_utterance.impacts.items()
         }
 
     @cached_property
@@ -264,9 +273,8 @@ class IndexBundle:
         return ls_tfidf_vectors({i: ex.ls_counts for i, ex in self.pool.items()})
 
     def training_ls_union(self, max_size: int | None = None) -> set[str]:
-        return {
-            c for c in self.ls_postings if max_size is None or ls_size(c) <= max_size
-        }
+        union = set().union(*(ex.ls_counts for ex in self.pool.values()))
+        return {c for c in union if max_size is None or ls_size(c) <= max_size}
 
     def stats(self) -> dict:
         pool = list(self.pool.values())
@@ -275,7 +283,7 @@ class IndexBundle:
             "train": len(pool),
             "test": len(self.corpus.split("test")),
             "unique_templates": len({ex.template for ex in pool}),
-            "unique_ls": len(self.ls_postings),
+            "unique_ls": len(self.training_ls_union()),
         }
 
     def save(self, path: str | Path) -> None:

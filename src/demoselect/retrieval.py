@@ -1,9 +1,11 @@
 """Lexical retrieval: posting lists, Okapi BM25 over token documents, tf-idf
 vectors over local structures, and a seeded random scorer.
 
-BM25 scores a query term at a time, walking only its terms' postings. The
-idf used throughout is the positive Lucene-style variant
-``ln((N - n + 0.5) / (n + 0.5) + 1)``.
+A BM25 posting's whole contribution, ``idf * tf * (k1 + 1) / (tf + norm)``,
+depends only on the indexed documents, so the index computes it once per
+posting when it is built. A query then adds each of its terms' impact arrays
+into a dense score vector, in query order. The idf used throughout is the
+positive Lucene-style variant ``ln((N - n + 0.5) / (n + 0.5) + 1)``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import random
 import re
 from collections import Counter
 from typing import Iterable, Mapping
+
+import numpy as np
 
 RETRIEVER_VARIANTS = (
     "bm25-utterance",
@@ -43,37 +47,52 @@ def term_postings(docs: Mapping[str, Iterable[str]]) -> dict[str, list[str]]:
 
 
 class Bm25Index:
-    """Okapi BM25 over pre-tokenized documents keyed by id; ``postings`` maps a
-    term to its ``(doc_id, tf)`` pairs in id order."""
+    """Okapi BM25 over pre-tokenized documents keyed by id. ``impacts`` maps a
+    term to ``(rows, contrib)``: the positions in ``doc_ids`` of the documents
+    holding it, ascending, and each one's BM25 contribution for that term."""
 
     def __init__(self, docs: Mapping[str, list[str]], k1: float = 1.2, b: float = 0.75):
         self.k1 = k1
         self.b = b
         self.doc_ids = sorted(docs)
-        self.n_docs = len(self.doc_ids)
-        total = sum(len(docs[i]) for i in self.doc_ids)
-        self.avgdl = total / self.n_docs if total else 1.0
-        self.norm = {
-            i: k1 * (1 - b + b * len(docs[i]) / self.avgdl) for i in self.doc_ids
-        }
-        self.postings: dict[str, list[tuple[str, int]]] = {}
-        for doc_id in self.doc_ids:
-            for term, freq in Counter(docs[doc_id]).items():
-                self.postings.setdefault(term, []).append((doc_id, freq))
+        self.n_docs = n = len(self.doc_ids)
+        lengths = [len(docs[i]) for i in self.doc_ids]
+        total = sum(lengths)
+        avgdl = total / n if total else 1.0
+        # One key per (term, document) pair, ordered by term, then document.
+        vocab: dict[str, int] = {}
+        term_of = [vocab.setdefault(t, len(vocab)) for i in self.doc_ids for t in docs[i]]
+        row_of = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        keys, tf = np.unique(np.array(term_of, dtype=np.int64) * n + row_of, return_counts=True)
+        terms, rows = np.divmod(keys, n)
+        rows = rows.astype(np.intp, copy=False)
+        df = np.bincount(terms, minlength=len(vocab))
+        idf = np.array([lucene_idf(n, d) for d in df.tolist()])
+        norm = np.array([k1 * (1 - b + b * length / avgdl) for length in lengths])
+        # Elementwise IEEE operations in the order of the per-document formula,
+        # so every float equals ``idf * tf * (k1 + 1) / (tf + norm)`` in Python.
+        contrib = idf[terms] * tf * (k1 + 1) / (tf + norm[rows])
+        cuts = np.cumsum(df)[:-1]
+        self.impacts: dict[str, tuple[np.ndarray, np.ndarray]] = dict(
+            zip(vocab, zip(np.split(rows, cuts), np.split(contrib, cuts)))
+        )
 
     def idf(self, term: str) -> float:
-        return lucene_idf(self.n_docs, len(self.postings.get(term, ())))
+        rows, _ = self.impacts.get(term, ((), ()))
+        return lucene_idf(self.n_docs, len(rows))
 
     def scores(self, query: Iterable[str]) -> dict[str, float]:
         """BM25 score of every document for the query (empty query scores 0);
-        a repeated query term counts once per occurrence."""
-        out = dict.fromkeys(self.doc_ids, 0.0)
+        a repeated query term counts once per occurrence. Each document sums
+        its contributions in query order, so the floats equal those of a
+        per-document loop over the query."""
+        out = np.zeros(self.n_docs)
         for term in query:
-            postings = self.postings.get(term, ())
-            idf = lucene_idf(self.n_docs, len(postings))
-            for doc_id, freq in postings:
-                out[doc_id] += idf * freq * (self.k1 + 1) / (freq + self.norm[doc_id])
-        return out
+            impact = self.impacts.get(term)
+            if impact is not None:
+                rows, contrib = impact
+                out[rows] += contrib
+        return dict(zip(self.doc_ids, out.tolist()))
 
     def rank(self, query: Iterable[str]) -> list[tuple[str, float]]:
         """(id, score) pairs in descending score order; ties broken by id."""

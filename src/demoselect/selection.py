@@ -175,11 +175,17 @@ def select_top_k(
     scores: Mapping[str, float],
     k: int,
 ) -> DemonstrationSet:
-    """The k highest-scoring distinct examples; ties broken by id."""
+    """The k highest-scoring distinct examples; ties broken by id. Only the
+    examples scoring at least the k-th best score get sorted."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    ids = sorted(pool, key=lambda i: (-scores.get(i, 0.0), i))
-    items = [(i, scores.get(i, 0.0)) for i in ids[:k]]
+    ids = list(pool)
+    if k < len(ids):
+        values = np.array([scores.get(i, 0.0) for i in ids], dtype=np.float64)
+        kth = np.partition(values, len(ids) - k)[len(ids) - k]
+        ids = [ids[row] for row in np.flatnonzero(values >= kth).tolist()]
+    ranked = sorted(ids, key=lambda i: (-scores.get(i, 0.0), i))
+    items = [(i, scores.get(i, 0.0)) for i in ranked[:k]]
     return DemonstrationSet(
         items=items, k=k, strategy="top-k", underfilled=len(items) < k
     )

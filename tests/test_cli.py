@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -334,18 +335,48 @@ def test_run_equals_stage_composition(workspace, tmp_path, config):
 
 def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, monkeypatch):
     import demoselect.corpus
+    from demoselect.retrieval import Bm25Index
 
     build_tfidf = demoselect.corpus.ls_tfidf_vectors
+    calls = Counter()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("built a structure the strategy does not read")
 
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
     monkeypatch.setattr("demoselect.corpus.ls_tfidf_vectors", forbidden)
     monkeypatch.setattr("demoselect.corpus.Example.symbol_seq", property(forbidden))
+    monkeypatch.setattr(
+        "demoselect.corpus.term_postings",
+        counted("ls_postings", demoselect.corpus.term_postings),
+    )
+    monkeypatch.setattr(Bm25Index, "scores", counted("bm25_scores", Bm25Index.scores))
     common = ["run", "--index", str(workspace["index"]), "--k", "4", "--mock"]
-    for flags in (["top-k"], ["cover-ls", "--oracle"], ["cover-utt"]):
-        workdir = tmp_path / flags[0]
+    built = {}
+    for flags in (
+        ["top-k"],
+        ["random"],
+        ["cover-ls", "--oracle"],
+        ["cover-utt"],
+        ["cover-ls", "--train-mode"],
+    ):
+        calls.clear()
+        workdir = tmp_path / "-".join(flags)
         assert main([*common, "--strategy", *flags, "--workdir", str(workdir)]) in (0, 1)
+        built[" ".join(flags)] = dict(calls)
+    assert built == {
+        "top-k": {"bm25_scores": 10},
+        "random": {},
+        "cover-ls --oracle": {"bm25_scores": 10, "ls_postings": 1},
+        "cover-utt": {"bm25_scores": 10},
+        "cover-ls --train-mode": {"ls_postings": 1},
+    }
 
     built = []
     monkeypatch.setattr(
@@ -684,6 +715,16 @@ ROBUSTNESS_CASES = {
         b"a regular file",
         "run --strategy top-k --mock --index {index} --workdir {bad}/w",
         "bad.jsonl/w",
+    ),
+    "candidate-pool-size-zero": (
+        None,
+        "run --strategy dpp --candidate-pool-size 0 --mock --index {index} --workdir {out}",
+        "candidate pool size must be >= 1",
+    ),
+    "max-ls-size-zero": (
+        None,
+        "run --strategy cover-ls --oracle --max-ls-size 0 --mock --index {index} --workdir {out}",
+        "max LS size must be >= 1",
     ),
     "select-out-unwritable": (
         None,

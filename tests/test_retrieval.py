@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoselect import (
     Bm25Index,
@@ -155,6 +157,32 @@ def test_bm25_scores_equal_per_document_formula():
         for term in set(query) | {"zz-unknown"}:
             document_frequency = sum(term in doc for doc in docs.values())
             assert index.idf(term) == lucene_idf(len(docs), document_frequency)
+
+
+# "" is an empty term; "zz-unknown" occurs in no document.
+VOCAB = ["a", "b", "c", "d", "e", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.dictionaries(
+        st.text("pqrs", min_size=1, max_size=3),
+        st.lists(st.sampled_from(VOCAB), max_size=8),
+        max_size=12,
+    ),
+    query=st.lists(st.sampled_from([*VOCAB, "zz-unknown"]), max_size=8),
+    k1_b=st.sampled_from([(1.2, 0.75), (0.9, 0.4), (2.0, 1.0), (1.5, 0.0)]),
+)
+def test_bm25_scores_equal_per_document_formula_on_random_documents(docs, query, k1_b):
+    k1, b = k1_b
+    index = Bm25Index(docs, k1=k1, b=b)
+    scores = index.scores(query)
+    assert list(scores) == sorted(docs)
+    assert all(type(value) is float for value in scores.values())
+    assert scores == _per_document_scores(docs, query, k1=k1, b=b)
+    for term in set(query):
+        document_frequency = sum(term in doc for doc in docs.values())
+        assert index.idf(term) == lucene_idf(len(docs), document_frequency)
 
 
 def test_idf_positive_and_decreasing():

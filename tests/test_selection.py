@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoselect import (
     InvalidKError,
@@ -59,6 +61,34 @@ def test_top_k_from_bm25_toy_scores():
 def test_top_k_tie_breaks_by_id():
     scores = {"b": 0.5, "a": 0.5, "c": 0.1}
     assert select_top_k(scores, scores, 2).ids == ["a", "b"]
+
+
+# Heavy ties: most scores come from a handful of values.
+TIED_SCORES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.25]),
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.dictionaries(st.text("abcdef", min_size=1, max_size=3), TIED_SCORES, max_size=40),
+    unscored=st.lists(st.text("ghij", min_size=1, max_size=2), max_size=5),
+    k_from=st.sampled_from(["below", "equal", "above"]),
+    data=st.data(),
+)
+def test_top_k_equals_full_sort(scores, unscored, k_from, data):
+    # The pool may hold ids with no score (0.0), and scores may name ids
+    # outside the pool.
+    pool = {i: None for i in [*scores, *unscored] if not i.startswith("f")}
+    if k_from == "below":
+        k = data.draw(st.integers(1, max(1, len(pool) - 1)))
+    else:
+        k = max(1, len(pool) + (k_from == "above") * data.draw(st.integers(1, 5)))
+    expected = sorted(pool, key=lambda i: (-scores.get(i, 0.0), i))[:k]
+    result = select_top_k(pool, scores, k)
+    assert result.items == [(i, scores.get(i, 0.0)) for i in expected]
+    assert result.underfilled == (len(expected) < k)
 
 
 def test_top_k_rejects_nonpositive_k():
