@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     CorpusError,
     DemoselectError,
-    EmptyInputError,
     GenerationError,
     IndexVersionError,
     InvalidKError,
@@ -94,7 +93,6 @@ from .structures import (
     count_local_structures,
     enumerate_local_structures,
     ls_size,
-    ls_union,
 )
 
 __version__ = "0.1.0"

@@ -70,6 +70,8 @@ EXIT_TRANSPORT = 3
 EXIT_INTERNAL = 4
 
 STRATEGIES = ("top-k", "random", "cover-ls", "cover-utt", "dpp")
+FALLBACKS = ("cover-utt", "none")
+ORDERS = ("ascending-score", "shuffled")
 
 
 @dataclass
@@ -104,6 +106,10 @@ class RunConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.retriever not in RETRIEVER_VARIANTS:
             raise ConfigError(f"unknown retriever {self.retriever!r}")
+        if self.fallback not in FALLBACKS:
+            raise ConfigError(f"unknown fallback {self.fallback!r}")
+        if self.order not in ORDERS:
+            raise ConfigError(f"unknown order {self.order!r}")
 
 
 def _example_seed(seed: int, example_id: str) -> int:
@@ -648,13 +654,11 @@ def _add_pool_args(parser):
     parser.add_argument(
         "--train-mode", dest="train_mode", action="store_const", const=True, default=None
     )
-    parser.add_argument("--fallback", choices=("cover-utt", "none"), default=None)
+    parser.add_argument("--fallback", choices=FALLBACKS, default=None)
 
 
 def _add_prompt_args(parser):
-    parser.add_argument(
-        "--order", choices=("ascending-score", "shuffled"), default=None
-    )
+    parser.add_argument("--order", choices=ORDERS, default=None)
     parser.add_argument(
         "--programs-only",
         dest="programs_only",

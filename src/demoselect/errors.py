@@ -15,10 +15,6 @@ class ParseError(DemoselectError):
         super().__init__(message)
 
 
-class EmptyInputError(DemoselectError):
-    """An operation received an empty collection where at least one item is required."""
-
-
 class InvalidKError(DemoselectError):
     """Requested selection size k is not a positive integer."""
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from .corpus import Corpus, Example, make_example, read_text
 from .errors import ConfigError, GenerationError
 from .programs import DEFAULT_DIALECT, anonymize, parse_program
-from .structures import build_structure_graph, enumerate_local_structures
+from .structures import build_structure_graph, count_local_structures, ls_size
 
 SPLITS = ("iid", "template", "held-out-ls")
 
@@ -113,6 +113,7 @@ def _gen_sentence(rng: random.Random, g: GrammarConfig) -> tuple[str, str]:
 class _PoolEntry:
     program: str
     utterance: str
+    template: str  # the anonymized program
     ls_small: set[str]  # structures up to 4 nodes
     ls_edges: set[str]  # structures up to 2 nodes
 
@@ -130,12 +131,10 @@ def _generate_pool(
             continue
         stale = 0
         seen.add(program)
-        graph = build_structure_graph(
-            anonymize(parse_program(program, DEFAULT_DIALECT))
-        )
-        small = {ls.canonical for ls in enumerate_local_structures(graph, 4)}
-        edges = {ls.canonical for ls in enumerate_local_structures(graph, 2)}
-        pool.append(_PoolEntry(program, utterance, small, edges))
+        anon = anonymize(parse_program(program, DEFAULT_DIALECT))
+        small = set(count_local_structures(build_structure_graph(anon), 4))
+        edges = {c for c in small if ls_size(c) <= 2}
+        pool.append(_PoolEntry(program, utterance, anon.source_text, small, edges))
     if len(pool) < target:
         raise GenerationError(
             f"grammar produced only {len(pool)} distinct programs, need {target}"
@@ -205,8 +204,7 @@ def _split_template(
 ) -> tuple[list[_PoolEntry], list[_PoolEntry]]:
     groups: dict[str, list[_PoolEntry]] = {}
     for entry in pool:
-        anon = anonymize(parse_program(entry.program, DEFAULT_DIALECT)).source_text
-        groups.setdefault(anon, []).append(entry)
+        groups.setdefault(entry.template, []).append(entry)
     keys = sorted(groups)
     rng.shuffle(keys)
     test: list[_PoolEntry] = []
@@ -223,16 +221,13 @@ def _split_template(
 def _split_iid(
     pool: list[_PoolEntry], n_train: int, n_test: int, rng: random.Random
 ) -> tuple[list[_PoolEntry], list[_PoolEntry]]:
-    def template_of(entry):
-        return anonymize(parse_program(entry.program, DEFAULT_DIALECT)).source_text
-
     chosen = rng.sample(pool, n_train + n_test)
     train, test = chosen[:n_train], chosen[n_train:]
-    train_templates = {template_of(e) for e in train}
-    if not any(template_of(e) in train_templates for e in test):
+    train_templates = {e.template for e in train}
+    if not any(e.template in train_templates for e in test):
         groups: dict[str, list[_PoolEntry]] = {}
         for entry in pool:
-            groups.setdefault(template_of(entry), []).append(entry)
+            groups.setdefault(entry.template, []).append(entry)
         pairs = [members for members in groups.values() if len(members) >= 2]
         if not pairs:
             raise GenerationError("grammar yields no repeated templates for iid split")

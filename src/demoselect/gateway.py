@@ -48,6 +48,10 @@ class EndpointConfig:
     max_backoff: float = 8.0
 
     def __post_init__(self):
+        if self.max_retries < 0:
+            raise ConfigError("max retries must be >= 0")
+        if not self.timeout > 0:
+            raise ConfigError("timeout must be > 0")
         if not self.base_url:
             self.base_url = os.environ.get(ENV_BASE_URL, "")
         if not self.api_key:

@@ -16,15 +16,9 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import InvalidKError
-from .programs import DEFAULT_DIALECT, DialectConfig, anonymize, parse_program
+from .programs import DEFAULT_DIALECT, DialectConfig
 from .retrieval import LsTfidfVector, term_postings, tokenize_utterance
-from .structures import (
-    LocalStructure,
-    build_structure_graph,
-    enumerate_local_structures,
-    ls_size,
-    program_structures,
-)
+from .structures import ls_size, program_structures
 
 Q_FLOOR = 1e-6
 GAIN_EPS = 1e-12
@@ -108,21 +102,19 @@ def _cover(
 
 
 def _as_elements(
-    elements: Iterable[LocalStructure | str], max_ls_size: int | None
+    elements: Iterable[str], max_ls_size: int | None
 ) -> list[CoverageElement]:
     out = []
-    for ls in elements:
-        canonical = ls.canonical if isinstance(ls, LocalStructure) else ls
-        size = ls.size if isinstance(ls, LocalStructure) else ls_size(canonical)
-        if max_ls_size is not None and size > max_ls_size:
-            continue
-        out.append(CoverageElement(canonical, float(size)))
+    for canonical in elements:
+        size = ls_size(canonical)
+        if max_ls_size is None or size <= max_ls_size:
+            out.append(CoverageElement(canonical, float(size)))
     out.sort(key=lambda e: (-e.weight, e.payload))
     return out
 
 
 def cover_ls(
-    elements: Iterable[LocalStructure | str],
+    elements: Iterable[str],
     pool: Mapping[str, object],
     scores: Mapping[str, float],
     k: int,
@@ -312,7 +304,6 @@ def training_mode_select(
 
 def oracle_elements(
     gold_program: str, dialect: DialectConfig = DEFAULT_DIALECT
-) -> set[LocalStructure]:
+) -> set[str]:
     """Local structures of the anonymized gold program (any size)."""
-    ast = anonymize(parse_program(gold_program, dialect))
-    return enumerate_local_structures(build_structure_graph(ast))
+    return set(program_structures(gold_program, dialect))

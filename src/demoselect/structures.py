@@ -13,18 +13,21 @@ fragment is one of:
 The enumerator below exploits that shape; the test suite checks it against
 a subset-by-subset brute force that only applies the raw rule.
 
-Fragments are identified by their canonical linearization, so two
-occurrences of the same labeled shape count as one structure (with an
-occurrence count available separately).
+A structure is its canonical string: the symbols down a path joined by
+``PARENT_SEP``, with a fork's two leaves joined by ``SIBLING_SEP``. The
+enumerator yields one string per occurrence (a distinct node subset), so two
+occurrences of the same labeled shape are one structure counted twice, and
+every index, posting list and coverage element keys on that string.
+:class:`LocalStructure` pairs a string with its node count; it is only the
+view that :func:`enumerate_local_structures` returns to the acceptance
+criteria and the structure tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .errors import EmptyInputError
 from .programs import (
     DEFAULT_DIALECT,
     DialectConfig,
@@ -79,28 +82,6 @@ def build_structure_graph(ast: ProgramAst) -> StructureGraph:
     return StructureGraph(symbols, parents, children, sibling_edges)
 
 
-@dataclass(frozen=True, order=True)
-class LocalStructure:
-    canonical: str
-    size: int
-    symbols: tuple[str, ...]
-
-
-def make_path_ls(symbols: Iterable[str]) -> LocalStructure:
-    syms = tuple(symbols)
-    return LocalStructure(PARENT_SEP.join(syms), len(syms), syms)
-
-
-def make_pair_ls(left: str, right: str) -> LocalStructure:
-    return LocalStructure(f"{left}{SIBLING_SEP}{right}", 2, (left, right))
-
-
-def make_fork_ls(path_symbols: Iterable[str], left: str, right: str) -> LocalStructure:
-    path = tuple(path_symbols)
-    canonical = PARENT_SEP.join(path) + PARENT_SEP + f"{left}{SIBLING_SEP}{right}"
-    return LocalStructure(canonical, len(path) + 2, path + (left, right))
-
-
 def ls_size(canonical: str) -> int:
     """Node count of a structure given only its canonical form (symbols
     contain no spaces, so every separator joins two nodes)."""
@@ -108,55 +89,61 @@ def ls_size(canonical: str) -> int:
 
 
 def _iter_occurrences(g: StructureGraph, max_size: int | None):
-    """Yield one LocalStructure per distinct node subset realizing it."""
+    """Yield the canonical form of every distinct node subset realizing a
+    structure: each path extends its prefix's form by one symbol, and each
+    fork grows upward from its sibling pair by one parent at a time."""
     limit = g.node_count if max_size is None else max_size
     if limit >= 1:
         # Single symbols; the synthetic root is excluded at this size only.
-        for v in range(1, g.node_count):
-            yield make_path_ls((g.symbols[v],))
+        yield from g.symbols[1:]
     if limit < 2:
         return
 
-    # Downward paths of two or more nodes.
-    def extend(path):
-        v = path[-1]
-        for c in g.children[v]:
-            longer = path + (c,)
-            if len(longer) <= limit:
-                yield longer
-                yield from extend(longer)
-
+    # Downward paths of two or more nodes, each start's paths in pre-order.
     for start in range(g.node_count):
-        for path in extend((start,)):
-            yield make_path_ls(tuple(g.symbols[i] for i in path))
+        head = g.symbols[start] + PARENT_SEP
+        stack = [(head + g.symbols[c], c, 2) for c in reversed(g.children[start])]
+        while stack:
+            canonical, v, size = stack.pop()
+            yield canonical
+            if size < limit:
+                for c in reversed(g.children[v]):
+                    stack.append((canonical + PARENT_SEP + g.symbols[c], c, size + 1))
 
     # Consecutive-sibling leaf pairs, bare or at the bottom of a path.
     for a, b in g.sibling_edges:
-        left, right = g.symbols[a], g.symbols[b]
-        yield make_pair_ls(left, right)
-        chain: list[int] = []
-        node: int | None = g.parents[a]
-        while node is not None and len(chain) + 3 <= limit:
-            chain.insert(0, node)
-            yield make_fork_ls(tuple(g.symbols[i] for i in chain), left, right)
+        canonical = g.symbols[a] + SIBLING_SEP + g.symbols[b]
+        yield canonical
+        node = g.parents[a]
+        size = 3
+        while node is not None and size <= limit:
+            canonical = g.symbols[node] + PARENT_SEP + canonical
+            yield canonical
             node = g.parents[node]
-
-
-def enumerate_local_structures(
-    g: StructureGraph, max_size: int | None = None
-) -> set[LocalStructure]:
-    """All distinct local structures of the graph up to ``max_size`` nodes."""
-    return set(_iter_occurrences(g, max_size))
+            size += 1
 
 
 def count_local_structures(
     g: StructureGraph, max_size: int | None = None
 ) -> Counter:
     """Occurrence counts per canonical form (distinct node subsets)."""
-    counts: Counter = Counter()
-    for ls in _iter_occurrences(g, max_size):
-        counts[ls.canonical] += 1
-    return counts
+    return Counter(_iter_occurrences(g, max_size))
+
+
+@dataclass(frozen=True, order=True)
+class LocalStructure:
+    """A distinct structure with its node count, as the acceptance criteria
+    and the structure tests read it; every other path keys on the string."""
+
+    canonical: str
+    size: int
+
+
+def enumerate_local_structures(
+    g: StructureGraph, max_size: int | None = None
+) -> set[LocalStructure]:
+    """All distinct local structures of the graph up to ``max_size`` nodes."""
+    return {LocalStructure(c, ls_size(c)) for c in count_local_structures(g, max_size)}
 
 
 def program_structures(
@@ -167,14 +154,3 @@ def program_structures(
     ast = anonymize(parse_program(text, dialect))
     return count_local_structures(build_structure_graph(ast), max_size)
 
-
-def ls_union(
-    asts: list[ProgramAst], max_size: int | None = None
-) -> set[LocalStructure]:
-    """Union of local-structure sets over candidate programs."""
-    if not asts:
-        raise EmptyInputError("at least one program is required")
-    out: set[LocalStructure] = set()
-    for ast in asts:
-        out |= enumerate_local_structures(build_structure_graph(ast), max_size)
-    return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 from demoselect import ProgramAst, StructureGraph
 
@@ -13,7 +14,15 @@ NUMBER_VALUES = ("3", "17", "2.5")
 
 
 def brute_force_local_structures(graph: StructureGraph, max_size: int | None = None):
-    """Reference enumeration: test every node subset against the raw rule.
+    """Canonical forms of every rule-valid node subset (see the counts below)."""
+    return set(brute_force_local_structure_counts(graph, max_size))
+
+
+def brute_force_local_structure_counts(
+    graph: StructureGraph, max_size: int | None = None
+) -> Counter:
+    """Reference enumeration: test every node subset against the raw rule,
+    and count the valid subsets per canonical form.
 
     A subset is a structure when it is connected in the augmented graph and,
     for every pair of its nodes, a sibling edge joins them iff both are
@@ -30,7 +39,7 @@ def brute_force_local_structures(graph: StructureGraph, max_size: int | None = N
         neighbors[a].add(b)
         neighbors[b].add(a)
         sib_pairs.add(frozenset((a, b)))
-    found = set()
+    found: Counter = Counter()
     for size in range(1, limit + 1):
         for subset in itertools.combinations(range(n), size):
             nodes = set(subset)
@@ -57,7 +66,7 @@ def brute_force_local_structures(graph: StructureGraph, max_size: int | None = N
                     valid = False
                     break
             if valid:
-                found.add(_serialize_fragment(graph, nodes))
+                found[_serialize_fragment(graph, nodes)] += 1
     return found
 
 

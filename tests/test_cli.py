@@ -61,6 +61,46 @@ def test_gen_fixture_writes_files(workspace):
     assert meta["planted_targets"]
 
 
+# sha256 of `gen-fixture --n-train 60 --n-test 10 --seed 5` per split, and of
+# the index built from the held-out-ls files. Like COMPOSITION_DIGESTS they pin
+# the bytes: the benchmark compares nothing once its generated inputs change.
+FIXTURE_DIGESTS = {
+    "held-out-ls": {
+        "train.jsonl": "f7a721d8641a8ccd53c6079f0af2c3a19bc12d156c944d5d7b2f96c92db74d6b",
+        "test.jsonl": "6f5fa125f37526feb69216942e77fe1ca5bcd7fbc9c357ac4ed512a585650e81",
+        "meta.json": "12fecfddfe8e9d5d88c359947219f4dfc5a8258392bdbaf8440227ad409ae9bd",
+    },
+    "iid": {
+        "train.jsonl": "bb316e009c89f3f271466c14e1ae170a646e229be895ffe751a7789a058c1409",
+        "test.jsonl": "c7895b429243d06fcea397dbf484d655583d204bc621de46e75f984d7225b531",
+        "meta.json": "bfce5eb066bbf990df0c917d859af338200e8a647805eed2e8e0c9f38da5a203",
+    },
+    "template": {
+        "train.jsonl": "8fd8b009b1b3b34b55dead9dca1fbec642e4b813d225a108cb7ccb6f0477c9df",
+        "test.jsonl": "f2f0cae8eee864667e2dbfe9d2012ee8804380047a45533ed59e9a73acbf7f83",
+        "meta.json": "9d59d6c64f847069228c2083f5a963426085d944221f0df5224dd5932397fa91",
+    },
+}
+INDEX_DIGEST = "dda74dc3d0cd96f12a5a0d31f074e27a9ab64fe37a0e0a1fa967678d3f6b5b56"
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_gen_fixture_and_index_bytes_are_pinned(tmp_path):
+    for split, expected in FIXTURE_DIGESTS.items():
+        out = tmp_path / split
+        argv = ["--n-train", "60", "--n-test", "10", "--split", split, "--seed", "5"]
+        assert main(["gen-fixture", "--out-dir", str(out), *argv]) == 0
+        assert {name: _sha256(out / name) for name in expected} == expected, split
+    corpus = tmp_path / "held-out-ls"
+    index = tmp_path / "index.json"
+    argv = ["--corpus", str(corpus / "train.jsonl"), "--corpus", str(corpus / "test.jsonl")]
+    assert main(["index", *argv, "--out", str(index)]) == 0
+    assert _sha256(index) == INDEX_DIGEST
+
+
 def test_index_reports_stats(workspace, capsys):
     out = workspace["root"] / "index2.json"
     code = main(
@@ -725,6 +765,26 @@ ROBUSTNESS_CASES = {
         None,
         "run --strategy cover-ls --oracle --max-ls-size 0 --mock --index {index} --workdir {out}",
         "max LS size must be >= 1",
+    ),
+    "config-fallback-unknown": (
+        b'{"fallback": "cover_utt"}',
+        "--config {bad} run --strategy cover-ls --predictions {empty} --mock --index {index} --workdir {out}",
+        "unknown fallback 'cover_utt'",
+    ),
+    "config-order-unknown": (
+        b'{"order": "random"}',
+        "--config {bad} select --strategy top-k --index {index} --out {out}",
+        "unknown order 'random'",
+    ),
+    "infer-max-retries-negative": (
+        None,
+        "infer --index {index} --prompts {empty} --max-retries -1 --out {out}",
+        "max retries must be >= 0",
+    ),
+    "infer-timeout-negative": (
+        None,
+        "infer --index {index} --prompts {empty} --timeout -1 --out {out}",
+        "timeout must be > 0",
     ),
     "select-out-unwritable": (
         None,

@@ -15,12 +15,9 @@ from demoselect import (
     MockOracleConfig,
     TransportError,
     complete,
-    ls_union,
     mock_complete,
-    anonymize,
-    parse_program,
 )
-from demoselect.structures import ls_size
+from demoselect.structures import ls_size, program_structures
 
 from helpers import random_program
 
@@ -143,6 +140,20 @@ def test_negative_temperature_rejected():
         CompletionRequest(prompt="p", temperature=-0.1)
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [{"max_retries": -1}, {"timeout": 0.0}, {"timeout": -1.0}, {"timeout": float("nan")}],
+)
+def test_endpoint_limits_rejected(limits):
+    with pytest.raises(ConfigError):
+        EndpointConfig(base_url="http://localhost:1", **limits)
+
+
+def test_endpoint_limits_at_bounds_accepted():
+    config = EndpointConfig(base_url="http://localhost:1", max_retries=0, timeout=0.5)
+    assert (config.max_retries, config.timeout) == (0, 0.5)
+
+
 # --- mock oracle -------------------------------------------------------------
 
 GOLD = "f (a (b), c (d))"
@@ -156,20 +167,10 @@ def test_mock_composes_across_two_partial_demos():
     demos = ["f (a (b), c (x))", "g (c (d))"]
     # Verified cover: the union of the demos' structures contains every
     # gold structure of one or two nodes, while neither demo alone does.
-    union = {
-        ls.canonical
-        for ls in ls_union([anonymize(parse_program(p)) for p in demos])
-    }
-    needed = {
-        ls.canonical
-        for ls in ls_union([anonymize(parse_program(GOLD))])
-        if ls.size <= 2
-    }
+    singles = [set(program_structures(p)) for p in demos]
+    union = set().union(*singles)
+    needed = {c for c in program_structures(GOLD) if ls_size(c) <= 2}
     assert needed <= union
-    singles = [
-        {ls.canonical for ls in ls_union([anonymize(parse_program(p))])}
-        for p in demos
-    ]
     assert all(not needed <= s for s in singles)
     assert mock_complete(demos, GOLD) == GOLD
 
@@ -204,16 +205,8 @@ def test_mock_is_monotone_in_demonstrations():
 def test_mock_threshold_one_only_needs_symbols():
     config = MockOracleConfig(compose_threshold_size=1)
     demos = ["f (a, b, c, d)"]  # all gold symbols, none of its edges
-    gold_syms = {
-        ls.canonical
-        for ls in ls_union([anonymize(parse_program(GOLD))])
-        if ls_size(ls.canonical) == 1
-    }
-    demo_syms = {
-        ls.canonical
-        for ls in ls_union([anonymize(parse_program(demos[0]))])
-        if ls_size(ls.canonical) == 1
-    }
+    gold_syms = {c for c in program_structures(GOLD) if ls_size(c) == 1}
+    demo_syms = {c for c in program_structures(demos[0]) if ls_size(c) == 1}
     assert gold_syms <= demo_syms
     assert mock_complete(demos, GOLD, config) == GOLD
     assert mock_complete(demos, GOLD) == demos[0]

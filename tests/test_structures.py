@@ -2,20 +2,25 @@ from __future__ import annotations
 
 import random
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoselect import (
-    EmptyInputError,
     anonymize,
     build_structure_graph,
     count_local_structures,
     enumerate_local_structures,
     ls_size,
-    ls_union,
     parse_program,
 )
+from demoselect.structures import program_structures
 
-from helpers import brute_force_local_structures, node_count, random_program
+from helpers import (
+    brute_force_local_structure_counts,
+    brute_force_local_structures,
+    node_count,
+    random_program,
+)
 
 CALENDAR_PROGRAM = (
     'CreateEvent (AND (has_subject ("Work on Project"), '
@@ -171,26 +176,35 @@ def test_ls_size_helper():
     assert ls_size("<root> -> CreateEvent -> AND -> starts_at -> NextDOW -> string") == 6
 
 
-def test_ls_union_of_single_program():
-    ast = anonymize(parse_program(CALENDAR_PROGRAM))
-    union = ls_union([ast])
-    direct = enumerate_local_structures(build_structure_graph(ast))
-    assert union == direct
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_size=st.sampled_from([None, 1, 2, 3, 4, 5]),
+)
+def test_occurrence_counts_equal_brute_force(seed, max_size):
+    # Counts feed ls_counts, the index file, the symbol BM25 and the DPP
+    # tf-idf: every canonical must count its valid node subsets exactly.
+    graph = build_structure_graph(
+        anonymize(parse_program(random_program(random.Random(seed))))
+    )
+    expected = brute_force_local_structure_counts(graph, max_size)
+    assert count_local_structures(graph, max_size) == expected
 
 
-def test_ls_union_idempotent_for_identical_beams():
-    ast = anonymize(parse_program("f (g)"))
-    assert ls_union([ast, ast]) == ls_union([ast])
+def test_program_structures_of_single_program():
+    graph = calendar_graph()
+    counts = program_structures(CALENDAR_PROGRAM)
+    assert counts == count_local_structures(graph)
+    assert set(counts) == {ls.canonical for ls in enumerate_local_structures(graph)}
 
 
-def test_ls_union_combines_distinct_beams():
-    left = anonymize(parse_program("f (g)"))
-    right = anonymize(parse_program("f (h)"))
-    canonicals = {ls.canonical for ls in ls_union([left, right])}
-    assert "f -> g" in canonicals
-    assert "f -> h" in canonicals
+def test_program_structures_equal_for_identical_beams():
+    # Beams that anonymize to the same tree have the same structures.
+    assert program_structures("f (g)") == program_structures("f (g)")
+    assert program_structures('f (g ("x"), 3)') == program_structures('f (g ("y"), 17)')
 
 
-def test_ls_union_rejects_empty_input():
-    with pytest.raises(EmptyInputError):
-        ls_union([])
+def test_program_structures_of_distinct_beams_combine():
+    union = set(program_structures("f (g)")) | set(program_structures("f (h)"))
+    assert "f -> g" in union
+    assert "f -> h" in union
