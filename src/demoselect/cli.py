@@ -45,7 +45,7 @@ from .gateway import (
     EndpointConfig,
     MockOracleConfig,
     complete,
-    mock_complete,
+    mock_from_structures,
 )
 from .programs import DialectConfig
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
@@ -110,6 +110,10 @@ class RunConfig:
             raise ConfigError(f"unknown fallback {self.fallback!r}")
         if self.order not in ORDERS:
             raise ConfigError(f"unknown order {self.order!r}")
+        if self.mock_threshold < 1:
+            raise ConfigError("mock threshold must be >= 1")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
 
 
 def _example_seed(seed: int, example_id: str) -> int:
@@ -317,17 +321,19 @@ def stage_infer(
     request_defaults: CompletionRequest,
 ) -> list[dict]:
     by_id = {ex.id: ex for ex in tests}
+    mock_config = MockOracleConfig(compose_threshold_size=cfg.mock_threshold)
 
     def mock_one(row: dict) -> dict:
         example = by_id.get(row["id"])
         if example is None:
             raise ConfigError(f"prompt id {row['id']} has no test example")
-        demo_programs = [_demo(bundle, d).program for d in row["demo_ids"]]
-        text = mock_complete(
-            demo_programs,
+        demos = [_demo(bundle, d) for d in row["demo_ids"]]
+        text = mock_from_structures(
+            [demo.ls_counts.keys() for demo in demos],
+            example.ls_counts.keys(),
+            [demo.program for demo in demos],
             example.program,
-            MockOracleConfig(compose_threshold_size=cfg.mock_threshold),
-            bundle.corpus.dialect,
+            mock_config,
         )
         return {"id": row["id"], "prediction": text}
 
@@ -590,6 +596,8 @@ def cmd_run(args) -> int:
     bundle, tests, beams = _load_inputs(
         args, cfg, with_tests=not cfg.train_mode, with_beams=True
     )
+    # bad request flags fail here, before any stage file is written
+    endpoint, request_defaults = _endpoint_from_args(args, cfg)
     workdir = Path(args.workdir)
     try:
         workdir.mkdir(parents=True, exist_ok=True)
@@ -602,7 +610,6 @@ def cmd_run(args) -> int:
     if cfg.train_mode:
         print(f"wrote training prompts -> {workdir / 'prompts.jsonl'}")
         return EXIT_OK
-    endpoint, request_defaults = _endpoint_from_args(args, cfg)
     predictions = stage_infer(bundle, tests, prompts, cfg, endpoint, request_defaults)
     _write_jsonl(workdir / "predictions.jsonl", predictions)
     report, records = stage_eval(bundle, tests, prompts, predictions, cfg)

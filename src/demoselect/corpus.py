@@ -10,9 +10,9 @@ local-structure set. Selection reads these caches. Loading builds only the
 utterance BM25, whose per-posting impacts are computed once there; the
 structure and token posting lists, the symbol BM25 and the tf-idf vectors
 are built on first use, so a strategy pays only for what it reads. The mock
-model (:func:`~demoselect.gateway.mock_complete`) and the error labels of
-evaluation (:func:`~demoselect.evaluation.classify_errors`) still re-derive
-structures, symbols and templates from program text.
+model of the CLI reads the stored structure counts too; only the error
+labels of evaluation (:func:`~demoselect.evaluation.classify_errors`) still
+re-derive structures, symbols and templates from program text.
 """
 
 from __future__ import annotations
@@ -85,11 +85,13 @@ class Example:
     def ls_set(self) -> set[str]:
         return set(self.ls_counts)
 
-    @property
+    @cached_property
     def symbol_seq(self) -> list[str]:
-        """The program's symbols: each size-1 structure once per occurrence."""
+        """The program's symbols: each size-1 structure once per occurrence
+        (a symbol holds no space, and every larger structure holds a
+        separator)."""
         counts = self.ls_counts
-        return [c for c in counts if ls_size(c) == 1 for _ in range(counts[c])]
+        return [c for c in counts if " " not in c for _ in range(counts[c])]
 
 
 def make_example(

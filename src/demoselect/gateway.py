@@ -4,6 +4,11 @@ The wire protocol is a JSON-over-HTTP completion endpoint taking
 ``{model, prompt, max_tokens, temperature, stop}`` and answering
 ``{"choices": [{"text": ...}]}``. Credentials and the base URL come from
 the environment unless set explicitly.
+
+The mock decides on structure sets alone
+(:func:`mock_from_structures`), so a caller holding an index passes the
+examples' cached local-structure counts and no program is parsed;
+:func:`mock_complete` is the same rule over program text.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 import requests
 
@@ -33,6 +38,8 @@ class CompletionRequest:
     stop: tuple[str, ...] = DEFAULT_STOP
 
     def __post_init__(self):
+        if self.max_tokens < 1:
+            raise ConfigError("max tokens must be >= 1")
         if self.temperature < 0:
             raise ConfigError("temperature must be >= 0")
 
@@ -149,6 +156,29 @@ class MockOracleConfig:
             raise ConfigError("compose_threshold_size must be >= 1")
 
 
+def mock_from_structures(
+    demo_structures: Sequence[AbstractSet[str]],
+    gold_structures: AbstractSet[str],
+    demo_programs: Sequence[str],
+    gold_program: str,
+    config: MockOracleConfig | None = None,
+) -> str:
+    """The mock's answer from structure sets (sets or dict key views): the
+    gold program when the demonstrations jointly hold every gold structure
+    of at most ``compose_threshold_size`` nodes, else the demonstration
+    program with the largest overlap with the gold set (first in prompt
+    order on ties); "" without demonstrations."""
+    config = config or MockOracleConfig()
+    if not demo_programs:
+        return ""
+    union: set[str] = set().union(*demo_structures)
+    threshold = config.compose_threshold_size
+    if all(c in union for c in gold_structures if ls_size(c) <= threshold):
+        return gold_program
+    overlaps = [len(structures & gold_structures) for structures in demo_structures]
+    return demo_programs[overlaps.index(max(overlaps))]
+
+
 def _ls_canonicals(program: str, dialect: DialectConfig) -> set[str]:
     try:
         return set(program_structures(program, dialect))
@@ -162,23 +192,12 @@ def mock_complete(
     config: MockOracleConfig | None = None,
     dialect: DialectConfig = DEFAULT_DIALECT,
 ) -> str:
-    """Deterministic completion: the gold program when its small structures
-    are jointly covered by the demonstrations, else a copy of the single
-    most-overlapping demonstration (first in prompt order on ties)."""
-    config = config or MockOracleConfig()
-    if not demo_programs:
-        return ""
-    gold_all = _ls_canonicals(gold_program, dialect)
-    needed = {c for c in gold_all if ls_size(c) <= config.compose_threshold_size}
-    demo_sets = [_ls_canonicals(p, dialect) for p in demo_programs]
-    union: set[str] = set().union(*demo_sets)
-    if needed <= union:
-        return gold_program
-    best_idx = 0
-    best_overlap = -1
-    for idx, demo_set in enumerate(demo_sets):
-        overlap = len(demo_set & gold_all)
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_idx = idx
-    return demo_programs[best_idx]
+    """:func:`mock_from_structures` over program text; a program that does
+    not parse has no structures."""
+    return mock_from_structures(
+        [_ls_canonicals(p, dialect) for p in demo_programs],
+        _ls_canonicals(gold_program, dialect),
+        demo_programs,
+        gold_program,
+        config,
+    )

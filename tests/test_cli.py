@@ -238,6 +238,71 @@ def test_run_mock_produces_report(workspace, tmp_path):
     assert (workdir / "predictions.jsonl").exists()
 
 
+def test_mock_infer_parses_no_program(workspace, tmp_path, monkeypatch):
+    import sys
+
+    import demoselect.cli
+
+    calls = Counter()
+    inside = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += bool(inside)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "demoselect"]
+    for module in modules:
+        for name in ("parse_program", "program_structures"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    stage_infer = demoselect.cli.stage_infer
+
+    def traced_infer(*args, **kwargs):
+        inside.append(True)
+        try:
+            return stage_infer(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr("demoselect.cli.stage_infer", traced_infer)
+    common = ["run", "--index", str(workspace["index"]), "--k", "8", "--mock"]
+    for flags in (["top-k"], ["cover-ls", "--oracle"], ["dpp"]):
+        workdir = tmp_path / "-".join(flags)
+        assert main([*common, "--strategy", *flags, "--workdir", str(workdir)]) in (0, 1)
+        assert len(_read_jsonl(workdir / "predictions.jsonl")) == 10
+    assert sum(calls.values()) == 0, dict(calls)
+
+
+def test_mock_predictions_equal_mock_over_program_text(workspace, tmp_path):
+    from demoselect import MockOracleConfig, mock_complete
+
+    programs = {
+        row["id"]: row["program"]
+        for name in ("train.jsonl", "test.jsonl")
+        for row in _read_jsonl(workspace["fixture"] / name)
+    }
+    outcomes = Counter()
+    for flags in (["top-k"], ["cover-ls", "--oracle"], ["dpp"]):
+        for k in (2, 8):
+            for threshold in (1, 2, 3):
+                workdir = tmp_path / f"{'-'.join(flags)}-{k}-{threshold}"
+                argv = ["run", "--index", str(workspace["index"]), "--strategy", *flags,
+                        "--k", str(k), "--mock", "--mock-threshold", str(threshold)]
+                assert main([*argv, "--workdir", str(workdir)]) in (0, 1)
+                prompts = {r["id"]: r for r in _read_jsonl(workdir / "prompts.jsonl")}
+                config = MockOracleConfig(compose_threshold_size=threshold)
+                for row in _read_jsonl(workdir / "predictions.jsonl"):
+                    demos = [programs[d] for d in prompts[row["id"]]["demo_ids"]]
+                    gold = programs[row["id"]]
+                    assert row["prediction"] == mock_complete(demos, gold, config)
+                    outcomes[row["prediction"] == gold] += 1
+    # both branches of the mock are exercised: composed gold and a copied demo
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def test_run_is_idempotent(workspace, tmp_path):
     args = lambda wd: [  # noqa: E731
         "run",
@@ -786,6 +851,26 @@ ROBUSTNESS_CASES = {
         "infer --index {index} --prompts {empty} --timeout -1 --out {out}",
         "timeout must be > 0",
     ),
+    "run-jobs-negative": (
+        None,
+        "run --strategy top-k --k 2 --mock --jobs -3 --index {index} --workdir {out}",
+        "jobs must be >= 1",
+    ),
+    "infer-jobs-zero": (
+        None,
+        "infer --mock --jobs 0 --index {index} --prompts {empty} --out {out}",
+        "jobs must be >= 1",
+    ),
+    "run-max-tokens-negative": (
+        None,
+        "run --strategy top-k --k 2 --mock --max-tokens -1 --index {index} --workdir {out}",
+        "max tokens must be >= 1",
+    ),
+    "run-mock-threshold-zero": (
+        None,
+        "run --strategy top-k --k 2 --mock --mock-threshold 0 --index {index} --workdir {out}",
+        "mock threshold must be >= 1",
+    ),
     "select-out-unwritable": (
         None,
         "select --strategy top-k --index {index} --out {nodir}/sel.jsonl",
@@ -816,6 +901,17 @@ def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):
     }
     assert main([arg.format(**paths) for arg in argv.split()]) == 2
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--mock-threshold", "0"], ["--jobs", "0"], ["--max-tokens", "0"]]
+)
+def test_bad_infer_flag_fails_before_any_stage_file(workspace, tmp_path, flags):
+    workdir = tmp_path / "run"
+    workdir.mkdir()
+    argv = ["run", "--index", str(workspace["index"]), "--strategy", "top-k", "--k", "2"]
+    assert main([*argv, "--mock", *flags, "--workdir", str(workdir)]) == 2
+    assert list(workdir.iterdir()) == []
 
 
 def test_unexpected_exception_exits_4(workspace, tmp_path, capsys, monkeypatch):

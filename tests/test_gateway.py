@@ -140,6 +140,12 @@ def test_negative_temperature_rejected():
         CompletionRequest(prompt="p", temperature=-0.1)
 
 
+@pytest.mark.parametrize("max_tokens", [0, -1])
+def test_max_tokens_below_one_rejected(max_tokens):
+    with pytest.raises(ConfigError):
+        CompletionRequest(prompt="p", max_tokens=max_tokens)
+
+
 @pytest.mark.parametrize(
     "limits",
     [{"max_retries": -1}, {"timeout": 0.0}, {"timeout": -1.0}, {"timeout": float("nan")}],
