@@ -69,9 +69,8 @@ from .prompting import (
 )
 from .retrieval import (
     Bm25Index,
-    LsTfidfVector,
-    cosine,
     ls_tfidf_vectors,
+    normalized_rows,
     random_scores,
     tokenize_utterance,
 )

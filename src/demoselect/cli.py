@@ -23,7 +23,7 @@ import sys
 import traceback
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .corpus import (
@@ -251,14 +251,13 @@ def _select_one(bundle, example, cfg: RunConfig, beams) -> dict:
 
 
 def _select_train_one(bundle, example, cfg: RunConfig) -> dict:
-    pool = {i: ex for i, ex in bundle.pool.items() if i != example.id}
     result = training_mode_select(
-        example.program,
-        pool,
+        example.ls_counts,
+        bundle.pool,
         cfg.k,
         seed=_example_seed(cfg.seed, example.id),
-        dialect=bundle.corpus.dialect,
         postings=bundle.ls_postings,
+        exclude=example.id,
     )
     return _selection_row(example.id, result)
 
@@ -456,7 +455,8 @@ def cmd_index(args) -> int:
 
 
 def _load_config(args) -> RunConfig:
-    """The run configuration: command-line flags over the ``--config`` file."""
+    """The run configuration: command-line flags over the ``--config`` file,
+    whose keys are :class:`RunConfig` fields spelled with ``_`` or ``-``."""
     config_file = {}
     if args.config:
         try:
@@ -467,39 +467,24 @@ def _load_config(args) -> RunConfig:
             ) from exc
         if not isinstance(config_file, dict):
             raise ConfigError(f"{args.config}: not a JSON object")
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    known = set(defaults) | {name.replace("_", "-") for name in defaults}
+    for key in config_file:
+        if key not in known:
+            raise ConfigError(f"{args.config}: unknown key {key!r}")
 
     def pick(name, default):
+        """A flag, else the file's value, typed like the default (int if None)."""
         value = getattr(args, name, None)
         if value is None:
-            return config_file.get(name.replace("_", "-"), config_file.get(name, default))
-        return value
-
-    def pick_typed(name, default, kind=int):
-        """A JSON integer or boolean; null only where the default is None."""
-        value = pick(name, default)
+            value = config_file.get(name.replace("_", "-"), config_file.get(name, default))
+        kind = int if default is None else type(default)
         if type(value) is kind or (value is None and default is None):
             return value
-        what = "an integer" if kind is int else "true or false"
+        what = {int: "an integer", bool: "true or false", str: "a string"}[kind]
         raise ConfigError(f"{args.config}: {name} must be {what}, got {value!r}")
 
-    return RunConfig(
-        strategy=pick("strategy", "cover-ls"),
-        k=pick_typed("k", 24),
-        retriever=pick("retriever", "bm25-utterance"),
-        beam_limit=pick_typed("beam_limit", None),
-        max_ls_size=pick_typed("max_ls_size", None),
-        seed=pick_typed("seed", 0),
-        candidate_pool_size=pick_typed("candidate_pool_size", 200),
-        oracle=pick_typed("oracle", False, bool),
-        train_mode=pick_typed("train_mode", False, bool),
-        fallback=pick("fallback", "cover-utt"),
-        order=pick("order", "ascending-score"),
-        programs_only=pick_typed("programs_only", False, bool),
-        budget=pick_typed("budget", None),
-        mock=pick_typed("mock", False, bool),
-        mock_threshold=pick_typed("mock_threshold", 2),
-        jobs=pick_typed("jobs", 1),
-    )
+    return RunConfig(**{name: pick(name, default) for name, default in defaults.items()})
 
 
 def _load_inputs(args, cfg: RunConfig, with_tests: bool, with_beams: bool = False):

@@ -8,11 +8,12 @@ program. The utterance tokens and the symbol sequence (the size-1
 structures) derive from the stored fields. Every loaded beam keeps its
 local-structure set. Selection reads these caches. Loading builds only the
 utterance BM25, whose per-posting impacts are computed once there; the
-structure and token posting lists, the symbol BM25 and the tf-idf vectors
-are built on first use, so a strategy pays only for what it reads. The mock
-model of the CLI reads the stored structure counts too; only the error
-labels of evaluation (:func:`~demoselect.evaluation.classify_errors`) still
-re-derive structures, symbols and templates from program text.
+structure and token posting lists, the symbol BM25 and the tf-idf rows
+(arrays, for ``dpp`` only) are built on first use, so a strategy pays only
+for what it reads. The CLI's mock model and training mode read the stored
+structure counts too; only the error labels of evaluation
+(:func:`~demoselect.evaluation.classify_errors`) still re-derive structures,
+symbols and templates from program text.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ def load_predictions(
 ) -> dict[str, PredictionBundle]:
     """Load beam-candidate JSONL ``{"id": ..., "beams": [...]}``.
 
-    Beams get their trailing parentheses repaired; unrepairable beams are
-    dropped, possibly leaving an empty bundle (empty structure set).
+    A beam that does not parse gets its trailing parentheses repaired (a
+    well-formed one is parsed once); unrepairable beams are dropped, possibly
+    leaving an empty bundle (empty structure set).
     """
     raw = read_text(path, "predictions file")
     bundles: dict[str, PredictionBundle] = {}
@@ -222,21 +224,27 @@ def load_predictions(
             raise CorpusError(f"{path}:{lineno}: beams must be a list of strings")
         bundle = PredictionBundle(example_id=example_id, beams=[], repaired=[])
         for beam in beams:
-            result = repair_parentheses(beam, dialect)
-            if not result.ok:
-                logger.warning(
-                    "dropping unrepairable beam for %s (line %d)", example_id, lineno
-                )
-                continue
-            bundle.beams.append(result.text)
-            bundle.repaired.append(result.repaired)
-            bundle.beam_ls_sets.append(set(program_structures(result.text, dialect)))
+            text, repaired = beam, False
+            try:
+                structures = program_structures(text, dialect)
+            except ParseError:
+                result = repair_parentheses(beam, dialect)
+                if not result.ok:
+                    logger.warning(
+                        "dropping unrepairable beam for %s (line %d)", example_id, lineno
+                    )
+                    continue
+                text, repaired = result.text, result.repaired
+                structures = program_structures(text, dialect)
+            bundle.beams.append(text)
+            bundle.repaired.append(repaired)
+            bundle.beam_ls_sets.append(set(structures))
         bundles[example_id] = bundle
     return bundles
 
 
 class IndexBundle:
-    """All retrieval state for a corpus: posting lists, BM25, tf-idf vectors.
+    """All retrieval state for a corpus: posting lists, BM25, tf-idf rows.
 
     Only the training split is indexed as the selection pool; queries come
     from test utterances or predicted symbols. The bundle persists to a

@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Corpus, Example, make_example, read_text
-from .errors import ConfigError, GenerationError
+from .corpus import Corpus, Example, make_example, read_text, write_text
+from .errors import ConfigError, GenerationError, IoError
 from .programs import DEFAULT_DIALECT, anonymize, parse_program
 from .structures import build_structure_graph, count_local_structures, ls_size
 
@@ -277,9 +277,12 @@ def gen_fixture(
 
 
 def write_fixture(fixture: FixtureCorpus, out_dir: str | Path) -> dict[str, Path]:
-    """Write train.jsonl, test.jsonl and meta.json under ``out_dir``."""
+    """Write train.jsonl, test.jsonl and meta.json, each whole, under ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create fixture directory {out}: {exc}") from exc
     paths = {
         "train": out / "train.jsonl",
         "test": out / "test.jsonl",
@@ -298,8 +301,8 @@ def write_fixture(fixture: FixtureCorpus, out_dir: str | Path) -> dict[str, Path
             )
             for ex in fixture.corpus.split(name)
         ]
-        paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text(paths[name], "\n".join(lines) + "\n", "fixture file")
     meta = dict(fixture.meta)
     meta["planted"] = fixture.planted
-    paths["meta"].write_text(json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8")
+    write_text(paths["meta"], json.dumps(meta, sort_keys=True, indent=2), "fixture file")
     return paths

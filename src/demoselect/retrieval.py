@@ -1,5 +1,5 @@
 """Lexical retrieval: posting lists, Okapi BM25 over token documents, tf-idf
-vectors over local structures, and a seeded random scorer.
+rows over local structures, and a seeded random scorer.
 
 A BM25 posting's whole contribution, ``idf * tf * (k1 + 1) / (tf + norm)``,
 depends only on the indexed documents, so the index computes it once per
@@ -14,6 +14,7 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -100,41 +101,41 @@ class Bm25Index:
         return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-class LsTfidfVector:
-    """Sparse, L2-normalized tf-idf vector over local-structure canonicals."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: dict[str, float]):
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        self.weights = {k: w / norm for k, w in weights.items()} if norm else {}
-
-    def is_zero(self) -> bool:
-        return not self.weights
-
-    def dot(self, other: "LsTfidfVector") -> float:
-        a, b = self.weights, other.weights
-        if len(b) < len(a):
-            a, b = b, a
-        return sum(w * b[k] for k, w in a.items() if k in b)
+def normalized_rows(
+    weights_by_id: Mapping[str, Mapping[str, float]]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each id's weight map as an L2-normalized sparse row: the columns of its
+    names, which index the sorted vocabulary of all names, and their weights,
+    both in the map's order. A map whose weights are all zero (or empty)
+    gets two empty arrays. The norm sums the squares one by one in map order,
+    so every weight equals ``w / math.sqrt(sum(w * w for w in map))``."""
+    maps = list(weights_by_id.values())
+    column = {name: j for j, name in enumerate(sorted(set().union(*maps)))}
+    # Python's sequential sum, not numpy's pairwise one, keeps the last bit.
+    norms = [math.sqrt(sum(w * w for w in weights.values())) for weights in maps]
+    kept = [weights if norm else {} for weights, norm in zip(maps, norms)]
+    lengths = [len(weights) for weights in kept]
+    columns = np.fromiter(map(column.__getitem__, chain.from_iterable(kept)), np.intp)
+    values = np.fromiter(chain.from_iterable(w.values() for w in kept), np.float64)
+    values /= np.repeat(norms, lengths)
+    cuts = np.cumsum(lengths)[:-1]
+    return dict(zip(weights_by_id, zip(np.split(columns, cuts), np.split(values, cuts))))
 
 
 def ls_tfidf_vectors(
     ls_counts_by_id: Mapping[str, Mapping[str, int]]
-) -> dict[str, LsTfidfVector]:
-    """Normalized tf-idf vectors; an example with no structures gets a zero vector."""
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Normalized tf-idf rows (see :func:`normalized_rows`) over the local
+    structures; an example with no structures gets empty arrays."""
     n_docs = len(ls_counts_by_id)
-    df = Counter(c for counts in ls_counts_by_id.values() for c in counts)
+    df = Counter(chain.from_iterable(ls_counts_by_id.values()))
     idf = {canonical: lucene_idf(n_docs, n) for canonical, n in df.items()}
-    return {
-        doc_id: LsTfidfVector({c: tf * idf[c] for c, tf in counts.items()})
-        for doc_id, counts in ls_counts_by_id.items()
-    }
-
-
-def cosine(u: LsTfidfVector, v: LsTfidfVector) -> float:
-    """Dot product of normalized vectors; zero vectors yield 0."""
-    return u.dot(v)
+    return normalized_rows(
+        {
+            doc_id: {c: tf * idf[c] for c, tf in counts.items()}
+            for doc_id, counts in ls_counts_by_id.items()
+        }
+    )
 
 
 def random_scores(ids: Iterable[str], seed: int) -> dict[str, float]:

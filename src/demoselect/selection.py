@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidKError
 from .programs import DEFAULT_DIALECT, DialectConfig
-from .retrieval import LsTfidfVector, term_postings, tokenize_utterance
+from .retrieval import term_postings, tokenize_utterance
 from .structures import ls_size, program_structures
 
 Q_FLOOR = 1e-6
@@ -54,9 +54,11 @@ def _cover(
     strategy: str,
     rng: random.Random | None = None,
     postings: Mapping[str, list[str]] | None = None,
+    exclude: str | None = None,
 ) -> DemonstrationSet:
     """``terms(example)`` lists the payloads an example covers; ``postings``
-    (built from ``terms`` when not given) may name ids outside the pool."""
+    (built from ``terms`` when not given) may name ids outside the pool. The
+    pool id ``exclude`` is never picked."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
     if postings is None:
@@ -73,7 +75,7 @@ def _cover(
             candidates = [
                 i
                 for i in postings.get(element.payload, ())
-                if i in pool and pool[i].template not in used_templates
+                if i in pool and i != exclude and pool[i].template not in used_templates
             ]
             if not candidates:
                 trace.append((element.payload, None))
@@ -122,7 +124,6 @@ def cover_ls(
     pick: str = "retriever-top",
     seed: int | None = None,
     postings: Mapping[str, list[str]] | None = None,
-    strategy: str = "cover-ls",
 ) -> DemonstrationSet:
     """Greedy structure-coverage selection over predicted local structures."""
     elems = _as_elements(elements, max_ls_size)
@@ -133,7 +134,7 @@ def cover_ls(
         scores,
         k,
         terms=lambda ex: ex.ls_counts,
-        strategy=strategy,
+        strategy="cover-ls",
         rng=rng,
         postings=postings,
     )
@@ -200,7 +201,7 @@ def select_random(
 
 def dpp_select(
     scores: Mapping[str, float],
-    vectors: Mapping[str, LsTfidfVector],
+    vectors: Mapping[str, tuple[np.ndarray, np.ndarray]],
     k: int,
     candidate_pool_size: int = 200,
 ) -> DemonstrationSet:
@@ -208,8 +209,10 @@ def dpp_select(
 
     The kernel over candidates is ``L = diag(q) @ S @ diag(q)`` where ``q``
     holds retriever scores normalized by the pool maximum (floored at 1e-6)
-    and ``S`` holds cosine similarities of the tf-idf structure vectors.
-    Candidates are the top-scoring examples with nonzero vectors.
+    and ``S`` holds cosine similarities of the tf-idf structure rows
+    (:func:`~demoselect.retrieval.ls_tfidf_vectors`). Candidates are the
+    top-scoring examples with nonempty rows. Their rows are scattered into
+    ``phi`` over the columns they use, in ascending column order.
 
     The greedy step keeps, for every candidate, ``d2[row]``: the Schur
     complement of its diagonal entry given the picks so far, so that its
@@ -225,7 +228,7 @@ def dpp_select(
         raise InvalidKError(f"k must be positive, got {k}")
     ranked = sorted(scores, key=lambda i: (-scores[i], i))
     candidates = [
-        i for i in ranked if i in vectors and not vectors[i].is_zero()
+        i for i in ranked if i in vectors and len(vectors[i][0])
     ][:candidate_pool_size]
     n = len(candidates)
     if n == 0:
@@ -236,14 +239,11 @@ def dpp_select(
         q = np.array([max(scores[i] / max_score, Q_FLOOR) for i in candidates])
     else:
         q = np.full(n, Q_FLOOR)
-    weights = [vectors[i].weights for i in candidates]
-    support = sorted({ls for w in weights for ls in w})
-    coord = {ls: j for j, ls in enumerate(support)}
+    columns, weights = zip(*(vectors[i] for i in candidates))
+    support, coord = np.unique(np.concatenate(columns), return_inverse=True)
     phi = np.zeros((n, len(support)))
-    rows = np.repeat(np.arange(n), [len(w) for w in weights])
-    phi[rows, [coord[ls] for w in weights for ls in w]] = [
-        x for w in weights for x in w.values()
-    ]
+    rows = np.repeat(np.arange(n), [len(c) for c in columns])
+    phi[rows, coord] = np.concatenate(weights)
     kernel = (q[:, None] * q[None, :]) * (phi @ phi.T)
 
     selected: list[int] = []
@@ -279,26 +279,26 @@ def dpp_select(
 
 
 def training_mode_select(
-    gold_program: str,
+    structures: Iterable[str],
     pool: Mapping[str, object],
     k: int,
     seed: int | None = None,
-    dialect: DialectConfig = DEFAULT_DIALECT,
     postings: Mapping[str, list[str]] | None = None,
+    exclude: str | None = None,
 ) -> DemonstrationSet:
-    """Training-time picks: cover the gold program's symbols with uniformly
-    random containing examples, avoiding retriever-driven near-copies."""
-    symbols = program_structures(gold_program, dialect, max_size=1)
-    return cover_ls(
-        symbols,
+    """Training-time picks: cover the gold program's symbols (its size-1
+    ``structures``) with uniformly random containing examples, avoiding
+    retriever-driven near-copies. ``exclude`` is the target's own pool id."""
+    return _cover(
+        _as_elements(structures, max_ls_size=1),
         pool,
-        scores={},
-        k=k,
-        max_ls_size=1,
-        pick="uniform-random",
-        seed=seed,
-        postings=postings,
+        {},
+        k,
+        terms=lambda ex: ex.ls_counts,
         strategy="cover-ls-train",
+        rng=random.Random(seed),
+        postings=postings,
+        exclude=exclude,
     )
 
 

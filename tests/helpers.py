@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
 from demoselect import ProgramAst, StructureGraph
+from demoselect.retrieval import lucene_idf
 
 SYMBOLS = ("f", "g", "h", "scan", "join", "pick", "a", "b", "top")
 STRING_VALUES = ("x", "y town", "omaha")
@@ -119,3 +121,17 @@ def random_program(rng: random.Random, max_nodes: int = 11) -> str:
 
 def node_count(ast: ProgramAst) -> int:
     return sum(1 for _ in ast.iter_nodes())
+
+
+def reference_tfidf(ls_counts_by_id) -> dict[str, dict[str, float]]:
+    """Normalized tf-idf weights by dict arithmetic: ``tf * idf`` per
+    structure, divided by the root of the squares summed in map order; an
+    example whose weights are all zero gets an empty map."""
+    n_docs = len(ls_counts_by_id)
+    df = Counter(c for counts in ls_counts_by_id.values() for c in counts)
+    out = {}
+    for doc_id, counts in ls_counts_by_id.items():
+        weights = {c: tf * lucene_idf(n_docs, df[c]) for c, tf in counts.items()}
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        out[doc_id] = {c: w / norm for c, w in weights.items()} if norm else {}
+    return out

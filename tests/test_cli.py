@@ -615,6 +615,39 @@ def test_config_file_supplies_defaults(workspace, tmp_path):
     assert all(row["strategy"] == "top-k" for row in rows)
 
 
+def test_config_file_reads_both_spellings(workspace, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"strategy": "cover-ls", "oracle": True, "k": 3,
+                                  "max-ls-size": 1, "candidate_pool_size": 9}))
+    out = tmp_path / "sel.jsonl"
+    assert main(["--config", str(config), "select", "--index", str(workspace["index"]),
+                 "--out", str(out)]) == 0
+    for row in _read_jsonl(out):
+        assert all(" " not in element for element, _ in row["coverage_trace"])
+
+
+def test_train_mode_select_parses_no_program(workspace, tmp_path, monkeypatch):
+    import sys
+
+    calls = Counter()
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls["parse_program"] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "demoselect" and hasattr(module, "parse_program"):
+            monkeypatch.setattr(module, "parse_program", counted(module.parse_program))
+    out = tmp_path / "sel.jsonl"
+    argv = ["select", "--index", str(workspace["index"]), "--strategy", "cover-ls"]
+    assert main([*argv, "--train-mode", "--k", "3", "--out", str(out)]) == 0
+    assert len(_read_jsonl(out)) == 60
+    assert calls == {}
+
+
 def test_infer_transport_failure_exits_3(workspace, tmp_path):
     prompts = tmp_path / "prompts.jsonl"
     prompts.write_text(
@@ -870,6 +903,21 @@ ROBUSTNESS_CASES = {
         None,
         "run --strategy top-k --k 2 --mock --mock-threshold 0 --index {index} --workdir {out}",
         "mock threshold must be >= 1",
+    ),
+    "config-unknown-key": (
+        b'{"stratgy": "dpp", "k": 2, "mock": true}',
+        "--config {bad} run --index {index} --workdir {out}",
+        "unknown key 'stratgy'",
+    ),
+    "config-request-key": (
+        b'{"strategy": "top-k", "k": 2, "mock": true, "max_tokens": 0, "timeout": -1}',
+        "--config {bad} run --index {index} --workdir {out}",
+        "unknown key 'max_tokens'",
+    ),
+    "gen-fixture-out-dir-under-file": (
+        b"a regular file",
+        "gen-fixture --n-train 20 --n-test 5 --out-dir {bad}/sub",
+        "bad.jsonl/sub",
     ),
     "select-out-unwritable": (
         None,

@@ -25,6 +25,7 @@ from demoselect.structures import (
     build_structure_graph,
     count_local_structures,
     ls_size,
+    program_structures,
 )
 from demoselect.programs import anonymize, parse_program
 
@@ -178,6 +179,33 @@ def test_load_predictions_union_over_beams(tmp_path):
     assert {"f -> g", "f -> h"} <= bundles["t1"].ls_union
 
 
+def test_load_predictions_parses_a_well_formed_beam_once(tmp_path, monkeypatch):
+    import demoselect.programs
+    import demoselect.structures
+
+    parsed = []
+
+    def counted(function):
+        def wrapper(text, *args, **kwargs):
+            parsed.append(text)
+            return function(text, *args, **kwargs)
+
+        return wrapper
+
+    for module in (demoselect.programs, demoselect.structures):
+        monkeypatch.setattr(module, "parse_program", counted(module.parse_program))
+    path = tmp_path / "preds.jsonl"
+    beams = ["f (g)", "f (g (a)", "f (h))", ")("]
+    path.write_text(json.dumps({"id": "t1", "beams": beams}), encoding="utf-8")
+    bundle = load_predictions(path)["t1"]
+    assert parsed.count("f (g)") == 1
+    assert bundle.beams == ["f (g)", "f (g (a))", "f (h)"]
+    assert bundle.repaired == [False, True, True]
+    assert bundle.beam_ls_sets == [
+        set(program_structures(text)) for text in ("f (g)", "f (g (a))", "f (h)")
+    ]
+
+
 # --- indexes ---------------------------------------------------------------------
 
 
@@ -228,8 +256,12 @@ def test_index_round_trip_preserves_rankings(tmp_path):
     for query in (["riverid", "string"], ["longest", "river", "all"], ["fewest"], []):
         assert reloaded.bm25_symbols.rank(query) == bundle.bm25_symbols.rank(query)
     assert reloaded.ls_postings == bundle.ls_postings
-    for ex_id, vector in bundle.tfidf.items():
-        assert reloaded.tfidf[ex_id].weights == pytest.approx(vector.weights)
+    assert list(reloaded.tfidf) == list(bundle.tfidf)
+    for ex_id, row in bundle.tfidf.items():
+        # the saved structure counts are key-sorted, so the rows' entry order
+        # (and the order their norms sum in) may differ
+        again = reloaded.tfidf[ex_id]
+        assert dict(zip(*again)) == pytest.approx(dict(zip(*row)))
 
 
 def test_index_version_mismatch_rejected(tmp_path):

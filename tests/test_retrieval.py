@@ -4,13 +4,13 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoselect import (
     Bm25Index,
-    cosine,
     ls_tfidf_vectors,
     make_example,
     random_scores,
@@ -19,6 +19,7 @@ from demoselect import (
 from demoselect.retrieval import lucene_idf
 
 from geo_pool import POOL_ROWS, TEST_UTTERANCE
+from helpers import reference_tfidf
 
 TOY_DOCS = {"d1": ["a", "b"], "d2": ["a"], "d3": ["c"]}
 
@@ -211,48 +212,95 @@ def _hand_vector(doc_id):
     return {k: w / norm for k, w in raw.items()}
 
 
+def _named(counts_by_id, row):
+    """A row's weights keyed by structure name."""
+    vocab = sorted({c for counts in counts_by_id.values() for c in counts})
+    columns, weights = row
+    return dict(zip((vocab[c] for c in columns.tolist()), weights.tolist()))
+
+
+def _dot(u, v):
+    """Dot product of two rows of one vocabulary."""
+    width = max(u[0].max(initial=-1), v[0].max(initial=-1)) + 1
+    dense_u, dense_v = np.zeros(width), np.zeros(width)
+    dense_u[u[0]] = u[1]
+    dense_v[v[0]] = v[1]
+    return float(dense_u @ dense_v)
+
+
 def test_tfidf_matches_hand_table():
     vectors = ls_tfidf_vectors(TOY_LS_COUNTS)
     for doc_id in TOY_LS_COUNTS:
         expected = _hand_vector(doc_id)
-        assert set(vectors[doc_id].weights) == set(expected)
+        weights = _named(TOY_LS_COUNTS, vectors[doc_id])
+        assert set(weights) == set(expected)
         for key, value in expected.items():
-            assert vectors[doc_id].weights[key] == pytest.approx(value, abs=1e-12)
+            assert weights[key] == pytest.approx(value, abs=1e-12)
 
 
 def test_tfidf_vectors_are_unit_length():
     vectors = ls_tfidf_vectors(TOY_LS_COUNTS)
-    for vec in vectors.values():
-        assert math.sqrt(sum(w * w for w in vec.weights.values())) == pytest.approx(1.0)
+    for _, weights in vectors.values():
+        assert math.sqrt(sum(w * w for w in weights.tolist())) == pytest.approx(1.0)
 
 
 def test_ubiquitous_structure_gets_minimal_weight():
     vectors = ls_tfidf_vectors(TOY_LS_COUNTS)
-    weights = vectors["e1"].weights
+    weights = _named(TOY_LS_COUNTS, vectors["e1"])
     assert weights["common"] < weights["rare"]
 
 
 def test_identical_multisets_have_cosine_one():
     vectors = ls_tfidf_vectors({"a": {"x": 2, "y": 1}, "b": {"x": 2, "y": 1}})
-    assert cosine(vectors["a"], vectors["b"]) == pytest.approx(1.0)
+    assert _dot(vectors["a"], vectors["b"]) == pytest.approx(1.0)
 
 
 def test_disjoint_supports_have_cosine_zero():
     vectors = ls_tfidf_vectors({"a": {"x": 1}, "b": {"y": 1}})
-    assert cosine(vectors["a"], vectors["b"]) == 0.0
+    assert _dot(vectors["a"], vectors["b"]) == 0.0
 
 
 def test_overlapping_vectors_cosine_hand_value():
     vectors = ls_tfidf_vectors(TOY_LS_COUNTS)
     left, right = _hand_vector("e1"), _hand_vector("e3")
     expected = sum(left[k] * right.get(k, 0.0) for k in left)
-    assert cosine(vectors["e1"], vectors["e3"]) == pytest.approx(expected, abs=1e-12)
+    assert _dot(vectors["e1"], vectors["e3"]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_zero_structure_example_gets_zero_vector():
     vectors = ls_tfidf_vectors({"a": {"x": 1}, "empty": {}})
-    assert vectors["empty"].is_zero()
-    assert cosine(vectors["empty"], vectors["a"]) == 0.0
+    columns, weights = vectors["empty"]
+    assert len(columns) == 0 and len(weights) == 0
+    assert _dot(vectors["empty"], vectors["a"]) == 0.0
+
+
+def test_tfidf_columns_index_the_sorted_vocabulary():
+    vectors = ls_tfidf_vectors({"a": {"y": 1, "x": 2}, "b": {"z": 1, "x": 1}})
+    assert vectors["a"][0].tolist() == [1, 0]
+    assert vectors["b"][0].tolist() == [2, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([f"d{i}" for i in range(8)]),
+        st.dictionaries(
+            st.sampled_from(["f", "g", "f -> g", "g <-> h", "<root> -> f", "h", "x"]),
+            st.integers(min_value=1, max_value=40),
+            max_size=7,
+        ),
+        max_size=8,
+    )
+)
+def test_tfidf_weights_equal_dict_arithmetic(counts_by_id):
+    vectors = ls_tfidf_vectors(counts_by_id)
+    expected = reference_tfidf(counts_by_id)
+    assert list(vectors) == list(expected)
+    for doc_id, row in vectors.items():
+        assert row[0].dtype == np.intp and row[1].dtype == np.float64
+        # exact equality, entry for entry and in map order
+        assert list(_named(counts_by_id, row).items()) == list(expected[doc_id].items())
+        assert (len(row[0]) == 0) == (not counts_by_id[doc_id])
 
 
 def test_random_scores_deterministic():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from demoselect import (
     InvalidKError,
-    LsTfidfVector,
     anonymize,
     build_structure_graph,
     cover_ls,
@@ -18,6 +17,7 @@ from demoselect import (
     dpp_select,
     enumerate_local_structures,
     make_example,
+    normalized_rows,
     oracle_elements,
     parse_program,
     select_random,
@@ -250,12 +250,8 @@ def test_cover_utt_full_containment_single_pick():
 # --- DPP ---------------------------------------------------------------------
 
 
-def unit_vector(**weights):
-    return LsTfidfVector(dict(weights))
-
-
 def test_dpp_duplicate_vectors_underfill():
-    vectors = {"a": unit_vector(u=1.0), "b": unit_vector(u=1.0)}
+    vectors = normalized_rows({"a": {"u": 1.0}, "b": {"u": 1.0}})
     scores = {"a": 0.6, "b": 0.6}
     result = dpp_select(scores, vectors, k=2)
     assert result.ids == ["a"]
@@ -263,11 +259,7 @@ def test_dpp_duplicate_vectors_underfill():
 
 
 def test_dpp_orthogonal_equal_quality_orders_by_id():
-    vectors = {
-        "c1": unit_vector(u=1.0),
-        "c2": unit_vector(v=1.0),
-        "c3": unit_vector(w=1.0),
-    }
+    vectors = normalized_rows({"c1": {"u": 1.0}, "c2": {"v": 1.0}, "c3": {"w": 1.0}})
     scores = {"c1": 0.8, "c2": 0.8, "c3": 0.8}
     result = dpp_select(scores, vectors, k=3)
     assert result.ids == ["c1", "c2", "c3"]
@@ -275,11 +267,7 @@ def test_dpp_orthogonal_equal_quality_orders_by_id():
 
 
 def test_dpp_orthogonal_unequal_quality_gains_decrease():
-    vectors = {
-        "c1": unit_vector(u=1.0),
-        "c2": unit_vector(v=1.0),
-        "c3": unit_vector(w=1.0),
-    }
+    vectors = normalized_rows({"c1": {"u": 1.0}, "c2": {"v": 1.0}, "c3": {"w": 1.0}})
     scores = {"c1": 1.0, "c2": 0.5, "c3": 0.25}
     result = dpp_select(scores, vectors, k=3)
     assert result.ids == ["c1", "c2", "c3"]
@@ -290,24 +278,23 @@ def test_dpp_orthogonal_unequal_quality_gains_decrease():
 def _random_dpp_instance(rng):
     n = rng.randint(2, 8)
     dims = ["u", "v", "w", "x", "y"]
-    vectors = {}
+    weights = {}
     scores = {}
     for i in range(n):
-        weights = {
+        weights[f"c{i}"] = {
             d: rng.random() for d in rng.sample(dims, rng.randint(1, len(dims)))
         }
-        vectors[f"c{i}"] = LsTfidfVector(weights)
         scores[f"c{i}"] = 0.1 + rng.random()
-    return scores, vectors
+    return scores, normalized_rows(weights)
 
 
 def _oracle_kernel(scores, vectors, candidates):
     qmax = max(scores.values())
     q = np.array([max(scores[i] / qmax, 1e-6) for i in candidates])
-    dims = sorted({d for i in candidates for d in vectors[i].weights})
+    dims = sorted({d for i in candidates for d in vectors[i][0].tolist()})
     phi = np.zeros((len(candidates), len(dims)))
     for row, i in enumerate(candidates):
-        for d, w in vectors[i].weights.items():
+        for d, w in zip(*vectors[i]):
             phi[row, dims.index(d)] = w
     return (q[:, None] * q[None, :]) * (phi @ phi.T)
 
@@ -349,9 +336,11 @@ def test_dpp_stops_at_kernel_rank():
             {d: rng.random() for d in rng.sample(dims, rng.randint(1, len(dims)))}
             for _ in range(3)
         ]
-        vectors = {f"c{i}": LsTfidfVector(dict(directions[i % 3])) for i in range(8)}
+        vectors = normalized_rows({f"c{i}": directions[i % 3] for i in range(8)})
         scores = {f"c{i}": 0.1 + rng.random() for i in range(8)}
-        phi = np.array([[vectors[i].weights.get(d, 0.0) for d in dims] for i in vectors])
+        phi = np.zeros((len(vectors), len(dims)))
+        for row, (columns, weights) in enumerate(vectors.values()):
+            phi[row, columns] = weights
         result = dpp_select(scores, vectors, k=6)
         assert len(result.ids) == np.linalg.matrix_rank(phi)
         assert result.underfilled
@@ -385,13 +374,14 @@ def test_dpp_matches_determinant_greedy_on_large_instances():
     for _ in range(30):
         n = rng.randint(24, 60)
         k = rng.randint(1, 24)
-        vectors, scores = {}, {}
+        weights, scores = {}, {}
         for i in range(n):
             # an own dimension keeps the kernel full-rank
-            weights = {f"own{i}": 0.2 + rng.random()}
-            weights.update({d: rng.random() for d in rng.sample(shared, rng.randint(1, 12))})
-            vectors[f"c{i:02d}"] = LsTfidfVector(weights)
+            own = {f"own{i}": 0.2 + rng.random()}
+            own.update({d: rng.random() for d in rng.sample(shared, rng.randint(1, 12))})
+            weights[f"c{i:02d}"] = own
             scores[f"c{i:02d}"] = 0.1 + rng.random()
+        vectors = normalized_rows(weights)
         result = dpp_select(scores, vectors, k, candidate_pool_size=n)
         candidates = sorted(scores, key=lambda i: (-scores[i], i))
         rows, gains = _slogdet_greedy(_oracle_kernel(scores, vectors, candidates), k)
@@ -409,7 +399,7 @@ def test_training_mode_forced_symbol_cover():
         ("e2", "two", "g (b)"),
         ("e3", "three", "h (c)"),
     )
-    result = training_mode_select("a (b)", pool, k=2, seed=3)
+    result = training_mode_select(program_structures("a (b)"), pool, k=2, seed=3)
     assert set(result.ids) == {"e1", "e2"}
     assert all(score == 0.0 for _, score in result.items)
 
@@ -420,10 +410,29 @@ def test_training_mode_seed_reproducible():
         ("e2", "two", "g (a)"),
         ("e3", "three", "h (a)"),
     )
-    first = training_mode_select("top (a)", pool, k=2, seed=11)
-    second = training_mode_select("top (a)", pool, k=2, seed=11)
+    first = training_mode_select(program_structures("top (a)"), pool, k=2, seed=11)
+    second = training_mode_select(program_structures("top (a)"), pool, k=2, seed=11)
     assert first.items == second.items
     assert first.ids[0] in {"e1", "e2", "e3"}
+
+
+def test_training_mode_exclude_equals_pool_without_target():
+    pool = pool_of(
+        ("e1", "one", "f (a, b)"),
+        ("e2", "two", "g (a)"),
+        ("e3", "three", "h (b)"),
+        ("e4", "four", "f (g (a))"),
+        ("e5", "five", "top (h (b), a)"),
+    )
+    for target in pool.values():
+        rest = {i: ex for i, ex in pool.items() if i != target.id}
+        for seed in range(6):
+            excluded = training_mode_select(
+                target.ls_counts, pool, k=3, seed=seed, exclude=target.id
+            )
+            copied = training_mode_select(target.ls_counts, rest, k=3, seed=seed)
+            assert target.id not in excluded.ids
+            assert excluded == copied
 
 
 def test_oracle_elements_matches_enumeration():
