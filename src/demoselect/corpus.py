@@ -1,12 +1,13 @@
 """Dataset ingestion, cached structure sets, retrieval indexes, persistence.
 
 Corpora are JSONL files with ``{"id"?, "utterance", "program", "split"?}``
-lines. A program is parsed once, when its example is made: the example keeps
-the program's template and local-structure counts, and the index stores
-exactly the fields of :data:`STORED_FIELDS`, so loading an index parses no
-program. The utterance tokens and the symbol sequence (the size-1
-structures) derive from the stored fields. Every loaded beam keeps its
-local-structure set. Selection reads these caches. Loading builds only the
+lines. A program is parsed once, when its example is made:
+:func:`~demoselect.structures.analyze` gives its template and local-structure
+counts, and the index stores exactly the fields of :data:`STORED_FIELDS`, so
+loading an index parses no program. The utterance tokens and the symbol
+sequence (the size-1 structures) derive from the stored fields. Every loaded
+beam is parsed once, by :func:`~demoselect.programs.repair_parentheses`, and
+keeps its local-structure set. Selection reads these caches. Loading builds only the
 utterance BM25, whose per-posting impacts are computed once there; the
 structure and token posting lists, the symbol BM25 and the tf-idf rows
 (arrays, for ``dpp`` only) are built on first use, so a strategy pays only
@@ -26,21 +27,9 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import CorpusError, IndexVersionError, IoError, ParseError
-from .programs import (
-    DEFAULT_DIALECT,
-    DialectConfig,
-    anonymize,
-    parse_program,
-    render,
-    repair_parentheses,
-)
+from .programs import DEFAULT_DIALECT, DialectConfig, parse_program, repair_parentheses
 from .retrieval import Bm25Index, ls_tfidf_vectors, term_postings, tokenize_utterance
-from .structures import (
-    build_structure_graph,
-    count_local_structures,
-    ls_size,
-    program_structures,
-)
+from .structures import analyze, ls_size
 
 logger = logging.getLogger(__name__)
 
@@ -102,13 +91,15 @@ def make_example(
     split: str = "train",
     dialect: DialectConfig = DEFAULT_DIALECT,
 ) -> Example:
-    anon = anonymize(parse_program(program, dialect))
+    template, counts = analyze(parse_program(program, dialect))
     return Example(
         id=example_id,
         utterance=utterance,
         program=program,
-        template=render(anon),
-        ls_counts=dict(count_local_structures(build_structure_graph(anon))),
+        template=template,
+        # key-sorted, as a saved index stores them, so that a built and a
+        # reloaded example hold the same map (tf-idf norms sum in its order)
+        ls_counts=dict(sorted(counts.items())),
         split=split,
     )
 
@@ -136,29 +127,33 @@ def load_examples(
 ) -> Corpus:
     """Load and preprocess a JSONL corpus.
 
-    Individual bad lines are collected, not fatal; more than 10% bad lines
-    raises :class:`CorpusError`.
+    Individual bad lines (not a JSON object, a missing or non-string
+    ``utterance``/``program``/``split``, a duplicate id, a program that does
+    not parse) are collected, not fatal; more than 10% bad lines raises
+    :class:`CorpusError` naming the file and the first bad line.
     """
     raw = read_text(path, "corpus file")
     examples: list[Example] = []
     failures: list[dict] = []
     seen_ids: set[str] = set()
-    lines = [ln for ln in raw.splitlines() if ln.strip()]
-    for lineno, line in enumerate(lines, start=1):
+    lines = [(n, ln) for n, ln in enumerate(raw.splitlines(), start=1) if ln.strip()]
+    for lineno, line in lines:
         try:
             record = json.loads(line)
-            utterance = record["utterance"]
-            program = record["program"]
+            if not isinstance(record, dict):
+                raise ValueError("not a JSON object")
+            fields = {
+                "utterance": record["utterance"],
+                "program": record["program"],
+                "split": record.get("split", default_split),
+            }
+            for name, value in fields.items():
+                if not isinstance(value, str):
+                    raise ValueError(f"{name} must be a string, got {value!r}")
             example_id = str(record.get("id") or f"ex{lineno:05d}")
             if example_id in seen_ids:
                 raise ValueError(f"duplicate example id {example_id!r}")
-            example = make_example(
-                example_id,
-                utterance,
-                program,
-                split=record.get("split", default_split),
-                dialect=dialect,
-            )
+            example = make_example(example_id, **fields, dialect=dialect)
         except (ValueError, KeyError, ParseError) as exc:
             failures.append({"line": lineno, "error": str(exc)})
             continue
@@ -167,8 +162,10 @@ def load_examples(
     if not lines:
         logger.warning("corpus file %s is empty", path)
     if lines and len(failures) > 0.1 * len(lines):
+        first = failures[0]
         raise CorpusError(
-            f"{len(failures)} of {len(lines)} corpus lines failed to load",
+            f"{path}:{first['line']}: {first['error']} ({len(failures)} of "
+            f"{len(lines)} corpus lines failed to load)",
             failures=failures,
         )
     return Corpus(examples=examples, dialect=dialect, failures=failures)
@@ -203,9 +200,9 @@ def load_predictions(
 ) -> dict[str, PredictionBundle]:
     """Load beam-candidate JSONL ``{"id": ..., "beams": [...]}``.
 
-    A beam that does not parse gets its trailing parentheses repaired (a
-    well-formed one is parsed once); unrepairable beams are dropped, possibly
-    leaving an empty bundle (empty structure set).
+    Each beam is parsed once; one that does not parse gets its trailing
+    parentheses repaired. Unrepairable beams are dropped, possibly leaving an
+    empty bundle (empty structure set).
     """
     raw = read_text(path, "predictions file")
     bundles: dict[str, PredictionBundle] = {}
@@ -224,21 +221,15 @@ def load_predictions(
             raise CorpusError(f"{path}:{lineno}: beams must be a list of strings")
         bundle = PredictionBundle(example_id=example_id, beams=[], repaired=[])
         for beam in beams:
-            text, repaired = beam, False
-            try:
-                structures = program_structures(text, dialect)
-            except ParseError:
-                result = repair_parentheses(beam, dialect)
-                if not result.ok:
-                    logger.warning(
-                        "dropping unrepairable beam for %s (line %d)", example_id, lineno
-                    )
-                    continue
-                text, repaired = result.text, result.repaired
-                structures = program_structures(text, dialect)
-            bundle.beams.append(text)
-            bundle.repaired.append(repaired)
-            bundle.beam_ls_sets.append(set(structures))
+            result = repair_parentheses(beam, dialect)
+            if result.ast is None:
+                logger.warning(
+                    "dropping unrepairable beam for %s (line %d)", example_id, lineno
+                )
+                continue
+            bundle.beams.append(result.text)
+            bundle.repaired.append(result.repaired)
+            bundle.beam_ls_sets.append(set(analyze(result.ast)[1]))
         bundles[example_id] = bundle
     return bundles
 

@@ -1,32 +1,29 @@
-"""Prediction scoring: exact match, coverage, error labels, aggregation."""
+"""Prediction scoring: exact match, coverage, error labels, aggregation.
+
+Error labels parse each text once, through
+:func:`~demoselect.programs.repair_parentheses`, and read its template and
+symbols from :func:`~demoselect.structures.analyze`.
+"""
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError
 from .programs import (
     DEFAULT_DIALECT,
     DialectConfig,
-    NUMBER_CONST,
-    STRING_CONST,
-    anonymize,
     parens_balanced,
-    parse_program,
-    render,
     repair_parentheses,
+    scan_symbols,
 )
-from .structures import ls_size
+from .structures import analyze, ls_size
 
 LABEL_SYNTAX = "syntax"
 LABEL_OVER_COPY = "over-copy"
 LABEL_OOV = "oov-hallucination"
 LABEL_MISSING = "missing-symbols"
-
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\Z")
 
 
 def normalize_whitespace(text: str) -> str:
@@ -63,48 +60,13 @@ def program_symbols(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> set[
 
 
 def _symbols_and_template(text, dialect) -> tuple[set[str], str | None]:
-    """A program's anonymized symbols and template from one parse; an
-    unparseable text has token-scan symbols and no template."""
-    parsed = _parse_with_repair(text, dialect)
-    if parsed is None:
-        return _token_scan_symbols(text), None
-    anon = anonymize(parsed)
-    return set(anon.symbol_sequence()), render(anon)
-
-
-def _parse_with_repair(text, dialect):
-    try:
-        return parse_program(text, dialect)
-    except ParseError:
-        pass
-    repair = repair_parentheses(text, dialect)
-    if repair.ok:
-        try:
-            return parse_program(repair.text, dialect)
-        except ParseError:
-            return None
-    return None
-
-
-def _token_scan_symbols(text: str) -> set[str]:
-    symbols: set[str] = set()
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "\"'":
-            j = text.find(ch, i + 1)
-            symbols.add(STRING_CONST)
-            i = n if j < 0 else j + 1
-        elif ch.isspace() or ch in "(),":
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "(),\"'":
-                j += 1
-            token = text[i:j]
-            symbols.add(NUMBER_CONST if _NUMBER_RE.match(token) else token)
-            i = j
-    return symbols
+    """A program's anonymized symbols and template from one parse, after
+    repair; unrepairable text has token-scan symbols and no template."""
+    ast = repair_parentheses(text, dialect).ast
+    if ast is None:
+        return scan_symbols(text), None
+    template, symbols = analyze(ast, max_size=1)
+    return set(symbols), template
 
 
 def classify_errors(

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .corpus import Corpus, Example, make_example, read_text, write_text
 from .errors import ConfigError, GenerationError, IoError
-from .programs import DEFAULT_DIALECT, anonymize, parse_program
-from .structures import build_structure_graph, count_local_structures, ls_size
+from .programs import DEFAULT_DIALECT, parse_program
+from .structures import analyze, ls_size
 
 SPLITS = ("iid", "template", "held-out-ls")
 
@@ -131,10 +131,10 @@ def _generate_pool(
             continue
         stale = 0
         seen.add(program)
-        anon = anonymize(parse_program(program, DEFAULT_DIALECT))
-        small = set(count_local_structures(build_structure_graph(anon), 4))
+        template, counts = analyze(parse_program(program, DEFAULT_DIALECT), 4)
+        small = set(counts)
         edges = {c for c in small if ls_size(c) <= 2}
-        pool.append(_PoolEntry(program, utterance, anon.source_text, small, edges))
+        pool.append(_PoolEntry(program, utterance, template, small, edges))
     if len(pool) < target:
         raise GenerationError(
             f"grammar produced only {len(pool)} distinct programs, need {target}"

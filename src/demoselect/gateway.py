@@ -3,7 +3,7 @@
 The wire protocol is a JSON-over-HTTP completion endpoint taking
 ``{model, prompt, max_tokens, temperature, stop}`` and answering
 ``{"choices": [{"text": ...}]}``. Credentials and the base URL come from
-the environment unless set explicitly.
+the environment unless set explicitly; the base URL must be http(s).
 
 The mock decides on structure sets alone
 (:func:`mock_from_structures`), so a caller holding an index passes the
@@ -13,10 +13,12 @@ examples' cached local-structure counts and no program is parsed;
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Sequence
+from urllib.parse import urlsplit
 
 import requests
 
@@ -40,8 +42,8 @@ class CompletionRequest:
     def __post_init__(self):
         if self.max_tokens < 1:
             raise ConfigError("max tokens must be >= 1")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
 @dataclass
@@ -63,6 +65,19 @@ class EndpointConfig:
             self.base_url = os.environ.get(ENV_BASE_URL, "")
         if not self.api_key:
             self.api_key = os.environ.get(ENV_API_KEY, "")
+        if self.base_url and not _is_http_url(self.base_url):
+            raise ConfigError(
+                f"base URL {self.base_url!r} must be an http(s) URL with a host"
+            )
+
+
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises on a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 @dataclass

@@ -12,6 +12,10 @@ nest the right term as the single argument of the left one.
 
 The parsed tree always has a synthetic ``<root>`` node above the program's
 top symbol so that the top symbol participates in edges like any other.
+
+Possibly malformed text enters through :func:`repair_parentheses`, which
+returns the tree it parsed; text beyond repair still has the symbols of
+:func:`scan_symbols`, which reads the parser's own tokenizer.
 """
 
 from __future__ import annotations
@@ -123,6 +127,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("atom", text[i:j], i))
             i = j
     return tokens
+
+
+def scan_symbols(text: str) -> set[str]:
+    """Anonymized symbols of text that need not parse: every atom
+    (``number`` for a numeral) and ``string`` for every quoted segment; an
+    unterminated quote reads as one string to the end of the text."""
+    try:
+        tokens, symbols = _tokenize(text), set()
+    except ParseError as exc:
+        tokens, symbols = _tokenize(text[: exc.position]), {STRING_CONST}
+    for kind, token, _ in tokens:
+        if kind == "string":
+            symbols.add(STRING_CONST)
+        elif kind == "atom":
+            symbols.add(NUMBER_CONST if _NUMBER_RE.match(token) else token)
+    return symbols
 
 
 def paren_balance(text: str) -> tuple[int, int, int | None]:
@@ -284,14 +304,12 @@ def anonymize(ast: ProgramAst) -> ProgramAst:
             return AstNode(NUMBER_CONST)
         return AstNode(node.symbol, node.kind, [walk(c) for c in node.children])
 
-    root = AstNode(ROOT_SYMBOL, FUNCTION, [walk(ast.top)])
-    out = ProgramAst(root=root, source_text="")
-    out.source_text = render(out)
-    return out
+    top = walk(ast.top)
+    return ProgramAst(AstNode(ROOT_SYMBOL, FUNCTION, [top]), _render_node(top))
 
 
 def to_template(ast: ProgramAst) -> Template:
-    return Template(render(anonymize(ast)))
+    return Template(anonymize(ast).source_text)
 
 
 # --- repair --------------------------------------------------------------
@@ -301,6 +319,7 @@ def to_template(ast: ProgramAst) -> Template:
 class RepairResult:
     text: str
     status: str  # "balanced" | "repaired" | "unrepairable"
+    ast: ProgramAst | None = field(compare=False, repr=False)  # None if unrepairable
 
     @property
     def ok(self) -> bool:
@@ -314,31 +333,23 @@ class RepairResult:
 def repair_parentheses(
     text: str, dialect: DialectConfig = DEFAULT_DIALECT
 ) -> RepairResult:
-    """Best-effort fix for close-paren imbalance at the end of a program.
+    """Parse text, fixing close-paren imbalance at its end first.
 
-    Missing closers are appended; surplus trailing closers are stripped. If
-    the adjusted text still does not parse, the input is returned unchanged
-    and flagged unrepairable.
+    Missing closers are appended; surplus trailing closers are stripped;
+    well-formed text is "balanced". The result holds the tree of the text it
+    returns; text that still does not parse comes back unchanged,
+    "unrepairable", with no tree.
     """
     opens, closes, _ = paren_balance(text)
-    candidate: str | None
-    if opens >= closes:
-        candidate = text + ")" * (opens - closes)
-    else:
-        candidate = text
-        for _ in range(closes - opens):
-            candidate = candidate.rstrip()
-            if not candidate.endswith(")"):
-                candidate = None
-                break
-            candidate = candidate[:-1]
-    if candidate is not None:
-        try:
-            parse_program(candidate, dialect)
-        except ParseError:
-            candidate = None
-    if candidate is None:
-        return RepairResult(text=text, status="unrepairable")
-    return RepairResult(
-        text=candidate, status="balanced" if candidate == text else "repaired"
-    )
+    candidate = text + ")" * (opens - closes)
+    for _ in range(closes - opens):
+        candidate = candidate.rstrip()
+        if not candidate.endswith(")"):
+            return RepairResult(text=text, status="unrepairable", ast=None)
+        candidate = candidate[:-1]
+    try:
+        ast = parse_program(candidate, dialect)
+    except ParseError:
+        return RepairResult(text=text, status="unrepairable", ast=None)
+    status = "balanced" if candidate == text else "repaired"
+    return RepairResult(text=candidate, status=status, ast=ast)

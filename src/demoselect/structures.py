@@ -146,11 +146,18 @@ def enumerate_local_structures(
     return {LocalStructure(c, ls_size(c)) for c in count_local_structures(g, max_size)}
 
 
+def analyze(ast: ProgramAst, max_size: int | None = None) -> tuple[str, Counter]:
+    """A program's template (its anonymized text) and the local-structure
+    counts of its anonymized tree up to ``max_size`` nodes, keyed by
+    canonical form; the size-1 structures are the anonymized symbols. This
+    is the one anonymize → graph → structures chain."""
+    anon = anonymize(ast)
+    return anon.source_text, count_local_structures(build_structure_graph(anon), max_size)
+
+
 def program_structures(
     text: str, dialect: DialectConfig = DEFAULT_DIALECT, max_size: int | None = None
 ) -> Counter:
     """Local-structure counts of a program's anonymized tree, keyed by
     canonical form. Raises :class:`ParseError` on unparseable text."""
-    ast = anonymize(parse_program(text, dialect))
-    return count_local_structures(build_structure_graph(ast), max_size)
-
+    return analyze(parse_program(text, dialect), max_size)[1]

@@ -5,9 +5,21 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+import sys
 from collections import Counter
 
-from demoselect import ProgramAst, StructureGraph
+from hypothesis import strategies as st
+
+from demoselect import (
+    ParseError,
+    ProgramAst,
+    StructureGraph,
+    anonymize,
+    parse_program,
+    render,
+    repair_parentheses,
+)
 from demoselect.retrieval import lucene_idf
 
 SYMBOLS = ("f", "g", "h", "scan", "join", "pick", "a", "b", "top")
@@ -135,3 +147,79 @@ def reference_tfidf(ls_counts_by_id) -> dict[str, dict[str, float]]:
         norm = math.sqrt(sum(w * w for w in weights.values()))
         out[doc_id] = {c: w / norm for c, w in weights.items()} if norm else {}
     return out
+
+
+def random_texts():
+    """Program-like text, well-formed or not: random programs, their
+    prefixes, programs with surplus closers, and free text over the
+    notation's characters (quotes, numerals and separators included)."""
+    programs = st.integers(0, 2**32 - 1).map(lambda seed: random_program(random.Random(seed)))
+    return st.one_of(
+        programs,
+        st.tuples(programs, st.integers(0, 80)).map(lambda p: p[0][: p[1]]),
+        programs.map(lambda text: text + "))"),
+        st.text(alphabet="fgab (),\"'3.-e5 ", max_size=30),
+    )
+
+
+def count_parses(monkeypatch) -> Counter:
+    """Count ``parse_program`` calls per text, wherever the package calls it."""
+    parsed: Counter = Counter()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "demoselect" and hasattr(module, "parse_program"):
+            original = module.parse_program
+
+            def counted(text, *args, _original=original, **kwargs):
+                parsed[text] += 1
+                return _original(text, *args, **kwargs)
+
+            monkeypatch.setattr(module, "parse_program", counted)
+    return parsed
+
+
+# --- reference copies of the first evaluation front end ------------------------
+#
+# Evaluation once parsed a prediction, re-parsed its repaired text when that
+# failed, and scanned unparseable text with a tokenizer of its own. The
+# copies below keep that behaviour so the one front end can be checked
+# against it.
+
+_REFERENCE_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\Z")
+
+
+def reference_token_scan_symbols(text: str) -> set[str]:
+    symbols: set[str] = set()
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in "\"'":
+            j = text.find(ch, i + 1)
+            symbols.add("string")
+            i = n if j < 0 else j + 1
+        elif ch.isspace() or ch in "(),":
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "(),\"'":
+                j += 1
+            token = text[i:j]
+            symbols.add("number" if _REFERENCE_NUMBER_RE.match(token) else token)
+            i = j
+    return symbols
+
+
+def reference_symbols_and_template(text, dialect) -> tuple[set[str], str | None]:
+    try:
+        parsed = parse_program(text, dialect)
+    except ParseError:
+        parsed = None
+        repair = repair_parentheses(text, dialect)
+        if repair.ok:
+            try:
+                parsed = parse_program(repair.text, dialect)
+            except ParseError:
+                parsed = None
+    if parsed is None:
+        return reference_token_scan_symbols(text), None
+    anon = anonymize(parsed)
+    return set(anon.symbol_sequence()), render(anon)

@@ -929,6 +929,41 @@ ROBUSTNESS_CASES = {
         "eval --index {index} --prompts {empty} --predictions {empty} --out {nodir}/r.json",
         "no-such-dir/r.json",
     ),
+    "corpus-row-not-an-object": (
+        b'{"utterance": "u", "program": "f (a)"}\n[1, 2]\n',
+        "index --corpus {bad} --out {out}",
+        "bad.jsonl:2: not a JSON object",
+    ),
+    "corpus-utterance-number": (
+        b'{"utterance": "u", "program": "f (a)"}\n{"utterance": 5, "program": "f (a)"}\n',
+        "index --corpus {bad} --out {out}",
+        "bad.jsonl:2: utterance must be a string",
+    ),
+    "corpus-program-number": (
+        b'{"utterance": "u", "program": "f (a)"}\n{"utterance": "u", "program": 7}\n',
+        "index --corpus {bad} --out {out}",
+        "bad.jsonl:2: program must be a string",
+    ),
+    "corpus-split-number": (
+        b'{"utterance": "u", "program": "f (a)"}\n{"utterance": "v", "program": "f (b)", "split": 5}\n',
+        "index --corpus {bad} --out {out}",
+        "bad.jsonl:2: split must be a string",
+    ),
+    "run-temperature-nan": (
+        None,
+        "run --strategy top-k --k 2 --mock --temperature nan --index {index} --workdir {out}",
+        "temperature must be finite and >= 0",
+    ),
+    "infer-base-url-without-scheme": (
+        None,
+        "infer --index {index} --prompts {empty} --base-url localhost:8000/v1 --out {out}",
+        "must be an http(s) URL with a host",
+    ),
+    "run-base-url-without-host": (
+        None,
+        "run --strategy top-k --k 2 --base-url http:// --index {index} --workdir {out}",
+        "must be an http(s) URL with a host",
+    ),
 }
 
 
@@ -952,13 +987,20 @@ def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--mock-threshold", "0"], ["--jobs", "0"], ["--max-tokens", "0"]]
+    "flags",
+    [
+        ["--mock", "--mock-threshold", "0"],
+        ["--mock", "--jobs", "0"],
+        ["--mock", "--max-tokens", "0"],
+        ["--mock", "--temperature", "inf"],
+        ["--base-url", "ftp://x/y"],
+    ],
 )
 def test_bad_infer_flag_fails_before_any_stage_file(workspace, tmp_path, flags):
     workdir = tmp_path / "run"
     workdir.mkdir()
     argv = ["run", "--index", str(workspace["index"]), "--strategy", "top-k", "--k", "2"]
-    assert main([*argv, "--mock", *flags, "--workdir", str(workdir)]) == 2
+    assert main([*argv, *flags, "--workdir", str(workdir)]) == 2
     assert list(workdir.iterdir()) == []
 
 

@@ -5,6 +5,7 @@ import os
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from demoselect import (
@@ -30,7 +31,7 @@ from demoselect.structures import (
 from demoselect.programs import anonymize, parse_program
 
 from geo_pool import POOL_ROWS
-from helpers import random_program
+from helpers import count_parses, random_program
 
 TABLE_ROWS = [
     {
@@ -110,6 +111,25 @@ def test_load_fails_when_too_many_bad_lines(tmp_path):
     with pytest.raises(CorpusError) as err:
         load_examples(path)
     assert len(err.value.failures) == 2
+
+
+def test_load_records_malformed_rows_as_failures(tmp_path):
+    good = [json.dumps({"utterance": f"u{i}", "program": "f (a)", "id": f"e{i}"}) for i in range(40)]
+    bad = [
+        "[1, 2]",
+        json.dumps({"utterance": 5, "program": "f (a)", "id": "b1"}),
+        json.dumps({"utterance": "u", "program": 7, "id": "b2"}),
+        json.dumps({"utterance": "u", "program": "f (a)", "id": "b3", "split": 5}),
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(good + bad) + "\n", encoding="utf-8")
+    corpus = load_examples(path)
+    assert len(corpus) == 40
+    assert [f["line"] for f in corpus.failures] == [41, 42, 43, 44]
+    # a blank line is skipped but counted: the message names the file's line
+    path.write_text("\n".join(good[:2] + ["", bad[2]]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"corpus.jsonl:4: program must be a string"):
+        load_examples(path)
 
 
 def test_load_missing_file_raises_io_error(tmp_path):
@@ -206,6 +226,15 @@ def test_load_predictions_parses_a_well_formed_beam_once(tmp_path, monkeypatch):
     ]
 
 
+def test_load_predictions_parses_a_repaired_beam_once(tmp_path, monkeypatch):
+    parsed = count_parses(monkeypatch)
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps({"id": "t1", "beams": ["f (g (a)", "f (h))"]}), encoding="utf-8")
+    bundle = load_predictions(path)["t1"]
+    assert bundle.beams == ["f (g (a))", "f (h)"]
+    assert parsed == {"f (g (a))": 1, "f (h)": 1}
+
+
 # --- indexes ---------------------------------------------------------------------
 
 
@@ -256,12 +285,23 @@ def test_index_round_trip_preserves_rankings(tmp_path):
     for query in (["riverid", "string"], ["longest", "river", "all"], ["fewest"], []):
         assert reloaded.bm25_symbols.rank(query) == bundle.bm25_symbols.rank(query)
     assert reloaded.ls_postings == bundle.ls_postings
-    assert list(reloaded.tfidf) == list(bundle.tfidf)
-    for ex_id, row in bundle.tfidf.items():
-        # the saved structure counts are key-sorted, so the rows' entry order
-        # (and the order their norms sum in) may differ
-        again = reloaded.tfidf[ex_id]
-        assert dict(zip(*again)) == pytest.approx(dict(zip(*row)))
+    _assert_rows_equal(reloaded.tfidf, bundle.tfidf)
+
+
+def _assert_rows_equal(rows, expected):
+    assert list(rows) == list(expected)
+    for ex_id, (columns, weights) in expected.items():
+        assert np.array_equal(rows[ex_id][0], columns)
+        assert np.array_equal(rows[ex_id][1], weights)
+
+
+def test_built_and_reloaded_tfidf_rows_are_equal(tmp_path):
+    # A built example keeps its structure counts in the key-sorted order the
+    # index stores, so the tf-idf norms sum in one order either way.
+    bundle = build_indexes(gen_fixture(n_train=60, n_test=10, seed=5).corpus)
+    path = tmp_path / "index.json"
+    bundle.save(path)
+    _assert_rows_equal(IndexBundle.load(path).tfidf, bundle.tfidf)
 
 
 def test_index_version_mismatch_rejected(tmp_path):
@@ -296,7 +336,7 @@ def test_index_load_parses_no_program(tmp_path, monkeypatch):
         raise AssertionError("IndexBundle.load must not parse programs")
 
     monkeypatch.setattr("demoselect.corpus.parse_program", forbidden)
-    monkeypatch.setattr("demoselect.corpus.anonymize", forbidden)
+    monkeypatch.setattr("demoselect.corpus.analyze", forbidden)
     reloaded = IndexBundle.load(path)
     for built, loaded in zip(bundle.corpus.examples, reloaded.corpus.examples, strict=True):
         assert loaded.template == built.template

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoselect import (
+    DialectConfig,
     EvalRecord,
     aggregate,
     anonymize,
@@ -18,9 +21,13 @@ from demoselect.evaluation import (
     LABEL_OOV,
     LABEL_OVER_COPY,
     LABEL_SYNTAX,
+    _symbols_and_template,
     program_symbols,
 )
+from demoselect.programs import DEFAULT_DIALECT
 from demoselect.structures import build_structure_graph, enumerate_local_structures
+
+from helpers import count_parses, random_texts, reference_symbols_and_template
 
 
 def ls_set_of(program: str) -> set[str]:
@@ -172,6 +179,24 @@ def test_over_copy_and_oov_cannot_cooccur():
 
 def test_program_symbols_token_scan_handles_values():
     assert program_symbols('f (3, "a town", g') == {"f", "number", "string", "g"}
+
+
+VALUE_PARENTS = DialectConfig(name="vp", value_parents=frozenset({"g", "scan"}))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=random_texts(), dialect=st.sampled_from([DEFAULT_DIALECT, VALUE_PARENTS]))
+def test_symbols_and_template_equal_the_reference(text, dialect):
+    assert _symbols_and_template(text, dialect) == reference_symbols_and_template(
+        text, dialect
+    )
+
+
+def test_classify_errors_parses_a_repaired_prediction_once(monkeypatch):
+    parsed = count_parses(monkeypatch)
+    labels = classify_errors("f (g (a)", "f (g (b))", [])
+    assert labels == {LABEL_SYNTAX, LABEL_OOV, LABEL_MISSING}
+    assert parsed == {"f (g (a))": 1, "f (g (b))": 1}
 
 
 # --- unobserved structures -----------------------------------------------------

@@ -140,6 +140,28 @@ def test_negative_temperature_rejected():
         CompletionRequest(prompt="p", temperature=-0.1)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_temperature_rejected(temperature):
+    with pytest.raises(ConfigError, match="finite"):
+        CompletionRequest(prompt="p", temperature=temperature)
+
+
+@pytest.mark.parametrize(
+    "base_url",
+    ["localhost:8000/v1/completions", "ftp://x/y", "http://", "http://h:port/v1", "http://[::1"],
+)
+@pytest.mark.parametrize("from_env", [False, True])
+def test_malformed_base_url_rejected_before_any_request(monkeypatch, base_url, from_env):
+    def never(*args, **kwargs):
+        raise AssertionError("a malformed base URL must not be requested or retried")
+
+    monkeypatch.setattr("requests.post", never)
+    monkeypatch.setenv("DEMOSELECT_BASE_URL", base_url if from_env else "")
+    with pytest.raises(ConfigError, match="http"):
+        config = EndpointConfig(base_url="" if from_env else base_url)
+        complete(CompletionRequest(prompt="p"), config, sleeper=never)
+
+
 @pytest.mark.parametrize("max_tokens", [0, -1])
 def test_max_tokens_below_one_rejected(max_tokens):
     with pytest.raises(ConfigError):

@@ -4,6 +4,8 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoselect import (
     DialectConfig,
@@ -14,9 +16,9 @@ from demoselect import (
     repair_parentheses,
     to_template,
 )
-from demoselect.programs import ROOT_SYMBOL, VALUE_NUMBER, VALUE_STRING
+from demoselect.programs import ROOT_SYMBOL, VALUE_NUMBER, VALUE_STRING, scan_symbols
 
-from helpers import random_program
+from helpers import random_program, random_texts, reference_token_scan_symbols
 
 CALENDAR_PROGRAM = (
     'CreateEvent (AND (has_subject ("Work on Project"), '
@@ -165,12 +167,19 @@ def test_template_stable_under_literal_replacement():
         checked += 1
 
 
-def test_round_trip_parse_render_parse():
-    rng = random.Random(7)
-    for _ in range(300):
-        ast = parse_program(random_program(rng))
-        again = parse_program(render(ast))
-        assert again.root == ast.root
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS)
+def test_round_trip_parse_render_parse(seed):
+    # random_program writes canonical text, so rendering its tree gives it back
+    text = random_program(random.Random(seed))
+    ast = parse_program(text)
+    assert render(ast) == text
+    assert parse_program(render(ast)).root == ast.root
+    template = to_template(ast).text
+    assert to_template(parse_program(template)).text == template
 
 
 def test_repair_appends_missing_close():
@@ -211,3 +220,32 @@ def test_repaired_output_always_parses():
         result = repair_parentheses(text)
         if result.ok:
             parse_program(result.text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, change=st.integers(-3, 3))
+def test_repair_restores_trailing_closers(seed, change):
+    text = random_program(random.Random(seed))
+    change = max(change, len(text.rstrip(")")) - len(text))
+    broken = text[: len(text) + change] if change < 0 else text + ")" * change
+    result = repair_parentheses(broken)
+    assert result.text == text
+    assert result.status == ("balanced" if change == 0 else "repaired")
+    assert render(result.ast) == text
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=random_texts())
+def test_repair_has_a_tree_exactly_when_repairable(text):
+    result = repair_parentheses(text)
+    assert (result.ast is None) == (result.status == "unrepairable")
+    if result.ast is not None:
+        assert result.ast.source_text == result.text
+        assert result.ast.root == parse_program(result.text).root
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=random_texts())
+def test_scan_symbols_equals_the_reference_scan(text):
+    assert scan_symbols(text) == reference_token_scan_symbols(text)
+
