@@ -3,18 +3,27 @@
 Corpora are JSONL files with ``{"id"?, "utterance", "program", "split"?}``
 lines. A program is parsed once, when its example is made:
 :func:`~demoselect.structures.analyze` gives its template and local-structure
-counts, and the index stores exactly the fields of :data:`STORED_FIELDS`, so
-loading an index parses no program. The utterance tokens and the symbol
-sequence (the size-1 structures) derive from the stored fields. Every loaded
-beam is parsed once, by :func:`~demoselect.programs.repair_parentheses`, and
-keeps its local-structure set. Selection reads these caches. Loading builds only the
-utterance BM25, whose per-posting impacts are computed once there; the
-structure and token posting lists, the symbol BM25 and the tf-idf rows
-(arrays, for ``dpp`` only) are built on first use, so a strategy pays only
-for what it reads. The CLI's mock model and training mode read the stored
-structure counts too; only the error labels of evaluation
-(:func:`~demoselect.evaluation.classify_errors`) still re-derive structures,
-symbols and templates from program text.
+counts. Every loaded beam is parsed once, by
+:func:`~demoselect.programs.repair_parentheses`, and keeps its
+local-structure set.
+
+:func:`build_indexes` computes, once, the arrays of :data:`ARRAY_DTYPES`:
+every example's structure counts as CSR rows over the sorted structure
+vocabulary, and the pool's utterance BM25 impacts and tf-idf rows. An index
+file stores these arrays beside a JSON header that holds the fields of
+:data:`RECORD_FIELDS`, so loading one parses no program, tokenizes no
+utterance and decodes no structure-count map. A bundle, built or loaded,
+serves its retrieval state from the arrays: the utterance BM25 and the
+tf-idf rows (``dpp`` only) are views of them, and the structure postings
+(``cover-ls``) and the training structure union derive from them on first
+use. The token postings come from the BM25 impacts, and the symbol BM25
+from the size-1 structures of every pool example, both on first use. A
+loaded example's structure counts are a :class:`StructureCounts` view that
+builds its dict on first access, and its utterance tokens are computed on
+first access too, so a command pays only for the examples it reads. The
+CLI's mock model and training mode read the stored structure counts; only
+the error labels of evaluation (:func:`~demoselect.evaluation.classify_errors`)
+still re-derive structures, symbols and templates from program text.
 """
 
 from __future__ import annotations
@@ -22,20 +31,54 @@ from __future__ import annotations
 import json
 import logging
 import os
+import zipfile
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
+from typing import BinaryIO, Callable
+
+import numpy as np
 
 from .errors import CorpusError, IndexVersionError, IoError, ParseError
 from .programs import DEFAULT_DIALECT, DialectConfig, parse_program, repair_parentheses
-from .retrieval import Bm25Index, ls_tfidf_vectors, term_postings, tokenize_utterance
+from .retrieval import (
+    Bm25Index,
+    column_postings,
+    ls_tfidf_arrays,
+    row_slices,
+    tokenize_utterance,
+)
 from .structures import analyze, ls_size
 
 logger = logging.getLogger(__name__)
 
+SPLITS = ("train", "test")
 INDEX_MAGIC = "demoselect-index"
-INDEX_VERSION = 2
-STORED_FIELDS = ("id", "utterance", "program", "template", "ls_counts", "split")
+INDEX_VERSION = 3
+RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
+# The arrays of an index file, in three groups of rows stored back to back
+# (see retrieval.row_slices), each group with its offsets:
+# - ls: every example's structure counts, in corpus order; the columns index
+#   the sorted structure vocabulary;
+# - bm25: the pool's utterance BM25 postings, term by term (see Bm25Index);
+# - tfidf: the pool's tf-idf rows, in corpus order; the columns index the
+#   sorted vocabulary of the pool's structures.
+ARRAY_DTYPES = {
+    "ls_offsets": np.dtype(np.int64),
+    "ls_columns": np.dtype(np.int32),
+    "ls_counts": np.dtype(np.int32),
+    "bm25_offsets": np.dtype(np.int64),
+    "bm25_rows": np.dtype(np.int64),
+    "bm25_contrib": np.dtype(np.float64),
+    "tfidf_offsets": np.dtype(np.int64),
+    "tfidf_columns": np.dtype(np.int32),
+    "tfidf_weights": np.dtype(np.float64),
+}
+_ZIP_MAGIC = b"PK\x03\x04"
+_REBUILD = "rebuild it with `demoselect index`"
 
 
 def read_text(path: str | Path, what: str) -> str:
@@ -46,16 +89,67 @@ def read_text(path: str | Path, what: str) -> str:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def write_text(path: str | Path, text: str, what: str) -> None:
-    """Write a UTF-8 file whole, through a temporary file beside it."""
+def write_file(path: str | Path, write: Callable[[BinaryIO], object], what: str) -> None:
+    """Write a file whole: ``write`` fills a temporary file beside it, which
+    then replaces it."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="")
+        with open(tmp, "wb") as handle:
+            write(handle)
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise IoError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str, what: str) -> None:
+    """Write a UTF-8 file whole, through a temporary file beside it."""
+    data = text.encode("utf-8")
+    write_file(path, lambda handle: handle.write(data), what)
+
+
+class StructureCounts(Mapping):
+    """A loaded example's structure counts: a read-only mapping over its
+    slice of an index's ``ls`` arrays, which builds its dict on first
+    access."""
+
+    def __init__(self, vocab: list[str], columns: np.ndarray, counts: np.ndarray):
+        self._vocab = vocab
+        self._columns = columns
+        self._counts = counts
+
+    def _build(self) -> dict[str, int]:
+        names = map(self._vocab.__getitem__, self._columns.tolist())
+        return dict(zip(names, self._counts.tolist()))
+
+    @cached_property
+    def _dict(self) -> dict[str, int]:
+        return self._build()
+
+    def __getitem__(self, name: str) -> int:
+        return self._dict[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._dict
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._dict)
+
+    def keys(self):
+        return self._dict.keys()
+
+    def values(self):
+        return self._dict.values()
+
+    def items(self):
+        return self._dict.items()
+
+    def __repr__(self) -> str:
+        return f"StructureCounts({self._dict!r})"
 
 
 @dataclass
@@ -64,12 +158,12 @@ class Example:
     utterance: str
     program: str
     template: str
-    ls_counts: dict[str, int]
+    ls_counts: Mapping[str, int]
     split: str = "train"
-    utt_tokens: list[str] = field(init=False)
 
-    def __post_init__(self):
-        self.utt_tokens = tokenize_utterance(self.utterance)
+    @cached_property
+    def utt_tokens(self) -> list[str]:
+        return tokenize_utterance(self.utterance)
 
     @property
     def ls_set(self) -> set[str]:
@@ -128,9 +222,12 @@ def load_examples(
     """Load and preprocess a JSONL corpus.
 
     Individual bad lines (not a JSON object, a missing or non-string
-    ``utterance``/``program``/``split``, a duplicate id, a program that does
-    not parse) are collected, not fatal; more than 10% bad lines raises
-    :class:`CorpusError` naming the file and the first bad line.
+    ``utterance``/``program``/``split``, a split other than ``train`` and
+    ``test``, an ``id`` that is not a non-empty string, a duplicate id, a
+    program that does not parse) are collected, not fatal; more than 10% bad
+    lines raises :class:`CorpusError` naming the file and the first bad
+    line. Only a line without an ``id`` gets one generated from its line
+    number.
     """
     raw = read_text(path, "corpus file")
     examples: list[Example] = []
@@ -150,7 +247,11 @@ def load_examples(
             for name, value in fields.items():
                 if not isinstance(value, str):
                     raise ValueError(f"{name} must be a string, got {value!r}")
-            example_id = str(record.get("id") or f"ex{lineno:05d}")
+            if fields["split"] not in SPLITS:
+                raise ValueError(f"split must be 'train' or 'test', got {fields['split']!r}")
+            example_id = record.get("id", f"ex{lineno:05d}")
+            if not isinstance(example_id, str) or not example_id:
+                raise ValueError(f"id must be a non-empty string, got {example_id!r}")
             if example_id in seen_ids:
                 raise ValueError(f"duplicate example id {example_id!r}")
             example = make_example(example_id, **fields, dialect=dialect)
@@ -179,10 +280,6 @@ class PredictionBundle:
     beams: list[str]
     repaired: list[bool]
     beam_ls_sets: list[set[str]] = field(default_factory=list)
-
-    @property
-    def beam_count(self) -> int:
-        return len(self.beams)
 
     @property
     def ls_union(self) -> set[str]:
@@ -235,25 +332,59 @@ def load_predictions(
 
 
 class IndexBundle:
-    """All retrieval state for a corpus: posting lists, BM25, tf-idf rows.
+    """All retrieval state for a corpus, served from the arrays of
+    :data:`ARRAY_DTYPES` that :func:`build_indexes` computes or
+    :meth:`load` reads: a built and a loaded bundle of one corpus hold the
+    same arrays and serve the same state.
 
     Only the training split is indexed as the selection pool; queries come
-    from test utterances or predicted symbols. The bundle persists to a
-    versioned JSON file and is rebuilt deterministically on load.
+    from test utterances or predicted symbols. ``vocab`` is the sorted
+    structure vocabulary and ``bm25_terms`` the utterance BM25's terms.
     """
 
-    def __init__(self, corpus: Corpus, k1: float = 1.2, b: float = 0.75):
+    def __init__(
+        self,
+        corpus: Corpus,
+        vocab: list[str],
+        bm25_terms: list[str],
+        arrays: dict[str, np.ndarray],
+        k1: float = 1.2,
+        b: float = 0.75,
+    ):
         self.corpus = corpus
+        self.vocab = vocab
+        self.arrays = arrays
         self.k1 = k1
         self.b = b
         self.pool = {ex.id: ex for ex in corpus.split("train")}
-        self.bm25_utterance = Bm25Index(
-            {i: ex.utt_tokens for i, ex in self.pool.items()}, k1=k1, b=b
+        self._pool_rows = np.array(
+            [row for row, ex in enumerate(corpus.examples) if ex.split == "train"], np.int64
         )
+        self.bm25_utterance = Bm25Index.from_arrays(
+            sorted(self.pool),
+            bm25_terms,
+            *(arrays[name] for name in ("bm25_offsets", "bm25_rows", "bm25_contrib")),
+            k1=k1,
+            b=b,
+        )
+
+    def _structure_columns(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The structure columns of the ``ls`` rows ``rows``, row after row,
+        and for each the position in ``rows`` of its row."""
+        offsets = self.arrays["ls_offsets"]
+        starts = offsets[rows]
+        lengths = offsets[rows + 1] - starts
+        owner = np.repeat(np.arange(len(rows)), lengths)
+        skip = np.cumsum(lengths) - lengths - starts
+        return self.arrays["ls_columns"][np.arange(len(owner)) - skip[owner]], owner
 
     @cached_property
     def ls_postings(self) -> dict[str, list[str]]:
-        return term_postings({i: ex.ls_counts for i, ex in self.pool.items()})
+        """The ids of the pool examples holding each structure, in id order."""
+        by_id = sorted(zip(self.pool, self._pool_rows.tolist()))
+        ids = np.array([i for i, _ in by_id], dtype=object)
+        columns, owner = self._structure_columns(np.array([r for _, r in by_id], np.int64))
+        return column_postings(ids[owner], columns, self.vocab)
 
     @cached_property
     def token_postings(self) -> dict[str, list[str]]:
@@ -270,61 +401,195 @@ class IndexBundle:
         )
 
     @cached_property
-    def tfidf(self):
-        return ls_tfidf_vectors({i: ex.ls_counts for i, ex in self.pool.items()})
+    def tfidf(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        arrays = self.arrays
+        return row_slices(
+            self.pool, arrays["tfidf_offsets"], arrays["tfidf_columns"], arrays["tfidf_weights"]
+        )
+
+    @cached_property
+    def _pool_structures(self) -> list[str]:
+        """The structures held by some pool example, sorted."""
+        present = np.zeros(len(self.vocab), bool)
+        present[self._structure_columns(self._pool_rows)[0]] = True
+        return [self.vocab[c] for c in np.flatnonzero(present).tolist()]
 
     def training_ls_union(self, max_size: int | None = None) -> set[str]:
-        union = set().union(*(ex.ls_counts for ex in self.pool.values()))
-        return {c for c in union if max_size is None or ls_size(c) <= max_size}
+        return {
+            c for c in self._pool_structures if max_size is None or ls_size(c) <= max_size
+        }
 
     def stats(self) -> dict:
-        pool = list(self.pool.values())
         return {
             "examples": len(self.corpus),
-            "train": len(pool),
+            "train": len(self.pool),
             "test": len(self.corpus.split("test")),
-            "unique_templates": len({ex.template for ex in pool}),
-            "unique_ls": len(self.training_ls_union()),
+            "unique_templates": len({ex.template for ex in self.pool.values()}),
+            "unique_ls": len(self._pool_structures),
         }
 
     def save(self, path: str | Path) -> None:
-        payload = {
+        """Write the index as one ``.npz`` archive at exactly ``path``: a
+        UTF-8 JSON ``header`` array, then the arrays of :data:`ARRAY_DTYPES`."""
+        examples = self.corpus.examples
+        header = {
             "magic": INDEX_MAGIC,
             "version": INDEX_VERSION,
             "k1": self.k1,
             "b": self.b,
             "dialect": self.corpus.dialect.to_dict(),
-            "examples": [
-                {name: getattr(ex, name) for name in STORED_FIELDS}
-                for ex in self.corpus.examples
-            ],
+            "examples": {name: [getattr(ex, name) for ex in examples] for name in RECORD_FIELDS},
+            "vocab": self.vocab,
+            "bm25_terms": self.bm25_utterance.terms,
         }
-        write_text(path, json.dumps(payload, sort_keys=True), "index file")
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        arrays = {"header": np.frombuffer(text, np.uint8), **self.arrays}
+        # a file handle, not a path: given a path, numpy would append ".npz"
+        write_file(path, lambda handle: np.savez(handle, **arrays), "index file")
 
     @classmethod
     def load(cls, path: str | Path) -> "IndexBundle":
+        """Read an index file; nothing in it is unpickled. An older or a
+        foreign file raises :class:`IndexVersionError`, any other bad file
+        :class:`IoError`."""
+        header, arrays = _read_index(path)
         try:
-            payload = json.loads(read_text(path, "index file"))
-        except ValueError as exc:
-            raise IoError(f"index file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("magic") != INDEX_MAGIC:
-            raise IndexVersionError(f"{path} is not an index file")
-        if payload.get("version") != INDEX_VERSION:
-            raise IndexVersionError(
-                f"{path}: index version {payload.get('version')} unsupported "
-                f"(expected {INDEX_VERSION}); rebuild it with `demoselect index`"
+            records = [header["examples"][name] for name in RECORD_FIELDS]
+            vocab, terms = header["vocab"], header["bm25_terms"]
+            k1, b = header["k1"], header["b"]
+            dialect = DialectConfig.from_dict(header["dialect"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise IoError(f"index file {path} has a malformed header: {exc!r}") from exc
+        _check_layout(path, records, vocab, terms, (k1, b), arrays)
+        offsets = arrays["ls_offsets"].tolist()
+        columns, counts = arrays["ls_columns"], arrays["ls_counts"]
+        # RECORD_FIELDS lists Example's fields in order, ls_counts left out
+        examples = [
+            Example(*fields, StructureCounts(vocab, columns[s:e], counts[s:e]), split)
+            for *fields, split, s, e in zip(*records, offsets, offsets[1:])
+        ]
+        return cls(Corpus(examples=examples, dialect=dialect), vocab, terms, arrays, k1=k1, b=b)
+
+
+def _check_version(path: str | Path, header: object) -> None:
+    if not isinstance(header, dict) or header.get("magic") != INDEX_MAGIC:
+        raise IndexVersionError(f"{path} is not an index file; {_REBUILD}")
+    if header.get("version") != INDEX_VERSION:
+        raise IndexVersionError(
+            f"{path}: index version {header.get('version')} unsupported "
+            f"(expected {INDEX_VERSION}); {_REBUILD}"
+        )
+
+
+def _decoded_json(data: bytes) -> object:
+    """The JSON value ``data`` holds, or None."""
+    try:
+        return json.loads(data)
+    except ValueError:
+        return None
+
+
+def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """An index file's header, with its magic and version checked, and its
+    arrays, each checked to be a 1-D array of its :data:`ARRAY_DTYPES`
+    dtype. An index of version 1 or 2 was one JSON object."""
+    try:
+        with open(path, "rb") as handle:
+            if handle.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+                handle.seek(0)
+                _check_version(path, _decoded_json(handle.read()))
+                raise IndexVersionError(f"{path} is not an index file; {_REBUILD}")
+            handle.seek(0)
+            with np.load(handle, allow_pickle=False) as stored:
+                return _checked_arrays(path, stored)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise IoError(f"cannot read index file {path}: {exc}") from exc
+
+
+def _checked_arrays(path, stored) -> tuple[dict, dict[str, np.ndarray]]:
+    raw = stored["header"] if "header" in stored.files else np.empty(0)
+    header = _decoded_json(raw.tobytes()) if raw.dtype == np.uint8 else None
+    _check_version(path, header)
+    arrays = {}
+    for name, dtype in ARRAY_DTYPES.items():
+        if name not in stored.files:
+            raise IoError(f"index file {path} has no array {name}")
+        arrays[name] = array = stored[name]
+        if array.dtype != dtype or array.ndim != 1:
+            raise IoError(
+                f"index file {path}: array {name} is {array.dtype} with shape "
+                f"{array.shape}, expected a 1-D {dtype} array"
             )
-        try:
-            dialect = DialectConfig.from_dict(payload["dialect"])
-            examples = [
-                Example(**{name: rec[name] for name in STORED_FIELDS})
-                for rec in payload["examples"]
-            ]
-            k1, b = payload["k1"], payload["b"]
-        except (KeyError, TypeError) as exc:
-            raise IoError(f"index file {path} has a malformed record: {exc!r}") from exc
-        return cls(Corpus(examples=examples, dialect=dialect), k1=k1, b=b)
+    return header, arrays
+
+
+def _fits(offsets: np.ndarray, n_rows: int, *entries: np.ndarray) -> bool:
+    """Whether ``offsets`` cut ``n_rows`` rows out of the ``entries`` arrays."""
+    return (
+        len(offsets) == n_rows + 1
+        and offsets[0] == 0
+        and all(len(a) == offsets[-1] for a in entries)
+        and not np.any(offsets[1:] < offsets[:-1])
+    )
+
+
+def _indexes(values: np.ndarray, size: int) -> bool:
+    """Whether every value indexes a sequence of ``size`` items."""
+    return not len(values) or (values.min() >= 0 and values.max() < size)
+
+
+def _check_layout(path, records, vocab, terms, params, arrays) -> None:
+    """Raise IoError unless a loaded header and its arrays fit together."""
+    ids, splits = records[0], records[-1]
+    strings = [*records, vocab, terms]
+    if not (
+        all(isinstance(s, list) and set(map(type, s)) <= {str} for s in strings)
+        and all(len(column) == len(ids) for column in records)
+        and all(type(p) in (int, float) for p in params)
+    ):
+        raise IoError(f"index file {path} has a malformed header")
+    if len(set(ids)) != len(ids):
+        raise IoError(f"index file {path} holds an example id twice")
+    pool_size = splits.count("train")
+    layout = (
+        # group, its index and value arrays, its rows, the size its indexes address
+        ("ls", "columns", "counts", len(ids), len(vocab)),
+        ("bm25", "rows", "contrib", len(terms), pool_size),
+        ("tfidf", "columns", "weights", pool_size, len(vocab)),
+    )
+    for group, index, value, n_rows, size in layout:
+        index, value = arrays[f"{group}_{index}"], arrays[f"{group}_{value}"]
+        if not (_fits(arrays[f"{group}_offsets"], n_rows, index, value) and _indexes(index, size)):
+            raise IoError(
+                f"index file {path}: the {group} arrays do not fit "
+                f"{n_rows} rows over {size} columns"
+            )
 
 
 def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBundle:
-    return IndexBundle(corpus, k1=k1, b=b)
+    """Index ``corpus``: compute, once, the arrays that its bundle serves
+    from and that a saved index stores (see :data:`ARRAY_DTYPES`)."""
+    twice = [i for i, n in Counter(ex.id for ex in corpus.examples).items() if n > 1]
+    if twice:
+        raise CorpusError(f"example id {twice[0]!r} occurs twice in the indexed corpus")
+    maps = [ex.ls_counts for ex in corpus.examples]
+    vocab = sorted(set().union(*maps))
+    column = {name: j for j, name in enumerate(vocab)}
+    pool = [ex for ex in corpus.examples if ex.split == "train"]
+    bm25 = Bm25Index({ex.id: ex.utt_tokens for ex in pool}, k1=k1, b=b)
+    tfidf_offsets, tfidf_columns, tfidf_weights = ls_tfidf_arrays(
+        {ex.id: ex.ls_counts for ex in pool}
+    )
+    arrays = {
+        "ls_offsets": np.cumsum([0, *map(len, maps)]),
+        "ls_columns": np.fromiter(map(column.__getitem__, chain.from_iterable(maps)), np.int32),
+        "ls_counts": np.fromiter(chain.from_iterable(m.values() for m in maps), np.int32),
+        "bm25_offsets": bm25.offsets,
+        "bm25_rows": bm25.rows,
+        "bm25_contrib": bm25.contrib,
+        "tfidf_offsets": tfidf_offsets,
+        "tfidf_columns": tfidf_columns,
+        "tfidf_weights": tfidf_weights,
+    }
+    arrays = {name: np.asarray(arrays[name], dtype) for name, dtype in ARRAY_DTYPES.items()}
+    return IndexBundle(corpus, vocab, bm25.terms, arrays, k1=k1, b=b)

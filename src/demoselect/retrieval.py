@@ -47,22 +47,34 @@ def term_postings(docs: Mapping[str, Iterable[str]]) -> dict[str, list[str]]:
     return postings
 
 
+def column_postings(
+    holders: np.ndarray, columns: np.ndarray, names: list[str]
+) -> dict[str, list[str]]:
+    """Posting lists of the entries ``(holders[e], columns[e])``: the name of
+    each column present, with the holders of its entries in entry order."""
+    order = np.argsort(columns, kind="stable")
+    ids = holders[order].tolist()
+    present, starts = np.unique(columns[order], return_index=True)
+    bounds = [*starts.tolist(), len(ids)]
+    return {names[c]: ids[s:e] for c, s, e in zip(present.tolist(), bounds, bounds[1:])}
+
+
 class Bm25Index:
-    """Okapi BM25 over pre-tokenized documents keyed by id. ``impacts`` maps a
-    term to ``(rows, contrib)``: the positions in ``doc_ids`` of the documents
-    holding it, ascending, and each one's BM25 contribution for that term."""
+    """Okapi BM25 over pre-tokenized documents keyed by id. Its postings are
+    stored term by term: ``terms[t]``'s are ``rows[offsets[t]:offsets[t + 1]]``,
+    ascending positions in ``doc_ids``, each with its BM25 contribution for
+    that term in ``contrib``. ``impacts`` maps a term to its ``(rows,
+    contrib)`` slices."""
 
     def __init__(self, docs: Mapping[str, list[str]], k1: float = 1.2, b: float = 0.75):
-        self.k1 = k1
-        self.b = b
-        self.doc_ids = sorted(docs)
-        self.n_docs = n = len(self.doc_ids)
-        lengths = [len(docs[i]) for i in self.doc_ids]
+        doc_ids = sorted(docs)
+        n = len(doc_ids)
+        lengths = [len(docs[i]) for i in doc_ids]
         total = sum(lengths)
         avgdl = total / n if total else 1.0
         # One key per (term, document) pair, ordered by term, then document.
         vocab: dict[str, int] = {}
-        term_of = [vocab.setdefault(t, len(vocab)) for i in self.doc_ids for t in docs[i]]
+        term_of = [vocab.setdefault(t, len(vocab)) for i in doc_ids for t in docs[i]]
         row_of = np.repeat(np.arange(n, dtype=np.int64), lengths)
         keys, tf = np.unique(np.array(term_of, dtype=np.int64) * n + row_of, return_counts=True)
         terms, rows = np.divmod(keys, n)
@@ -73,9 +85,37 @@ class Bm25Index:
         # Elementwise IEEE operations in the order of the per-document formula,
         # so every float equals ``idf * tf * (k1 + 1) / (tf + norm)`` in Python.
         contrib = idf[terms] * tf * (k1 + 1) / (tf + norm[rows])
-        cuts = np.cumsum(df)[:-1]
-        self.impacts: dict[str, tuple[np.ndarray, np.ndarray]] = dict(
-            zip(vocab, zip(np.split(rows, cuts), np.split(contrib, cuts)))
+        offsets = np.concatenate(([0], np.cumsum(df)))
+        self._attach(doc_ids, list(vocab), offsets, rows, contrib, k1, b)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        doc_ids: list[str],
+        terms: list[str],
+        offsets: np.ndarray,
+        rows: np.ndarray,
+        contrib: np.ndarray,
+        k1: float,
+        b: float,
+    ) -> "Bm25Index":
+        """The index whose postings are these arrays, as an index built over
+        documents with the sorted ids ``doc_ids`` stores them."""
+        index = cls.__new__(cls)
+        index._attach(doc_ids, terms, offsets, rows, contrib, k1, b)
+        return index
+
+    def _attach(self, doc_ids, terms, offsets, rows, contrib, k1, b) -> None:
+        self.k1 = k1
+        self.b = b
+        self.doc_ids = doc_ids
+        self.n_docs = len(doc_ids)
+        self.terms = terms
+        self.offsets = offsets
+        self.rows = rows
+        self.contrib = contrib
+        self.impacts: dict[str, tuple[np.ndarray, np.ndarray]] = row_slices(
+            terms, offsets, rows, contrib
         )
 
     def idf(self, term: str) -> float:
@@ -101,14 +141,25 @@ class Bm25Index:
         return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def normalized_rows(
+def row_slices(
+    keys: Iterable, offsets: np.ndarray, *arrays: np.ndarray
+) -> dict[object, tuple[np.ndarray, ...]]:
+    """Rows stored back to back: the i-th key's row is the slice
+    ``[offsets[i]:offsets[i + 1]]`` of each array (a view)."""
+    bounds = offsets.tolist()
+    return {key: tuple(a[s:e] for a in arrays) for key, s, e in zip(keys, bounds, bounds[1:])}
+
+
+def normalized_arrays(
     weights_by_id: Mapping[str, Mapping[str, float]]
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each id's weight map as an L2-normalized sparse row: the columns of its
-    names, which index the sorted vocabulary of all names, and their weights,
-    both in the map's order. A map whose weights are all zero (or empty)
-    gets two empty arrays. The norm sums the squares one by one in map order,
-    so every weight equals ``w / math.sqrt(sum(w * w for w in map))``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each id's weight map as an L2-normalized sparse row, the rows stored
+    back to back (see :func:`row_slices`): ``(offsets, columns, weights)``.
+    A row holds the columns of its map's names, which index the sorted
+    vocabulary of all names, and their weights, both in the map's order. A
+    map whose weights are all zero (or empty) gets an empty row. The norm
+    sums the squares one by one in map order, so every weight equals
+    ``w / math.sqrt(sum(w * w for w in map))``."""
     maps = list(weights_by_id.values())
     column = {name: j for j, name in enumerate(sorted(set().union(*maps)))}
     # Python's sequential sum, not numpy's pairwise one, keeps the last bit.
@@ -118,24 +169,38 @@ def normalized_rows(
     columns = np.fromiter(map(column.__getitem__, chain.from_iterable(kept)), np.intp)
     values = np.fromiter(chain.from_iterable(w.values() for w in kept), np.float64)
     values /= np.repeat(norms, lengths)
-    cuts = np.cumsum(lengths)[:-1]
-    return dict(zip(weights_by_id, zip(np.split(columns, cuts), np.split(values, cuts))))
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), columns, values
 
 
-def ls_tfidf_vectors(
-    ls_counts_by_id: Mapping[str, Mapping[str, int]]
+def normalized_rows(
+    weights_by_id: Mapping[str, Mapping[str, float]]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Normalized tf-idf rows (see :func:`normalized_rows`) over the local
-    structures; an example with no structures gets empty arrays."""
+    """:func:`normalized_arrays` as one ``(columns, weights)`` row per id."""
+    return row_slices(weights_by_id, *normalized_arrays(weights_by_id))
+
+
+def ls_tfidf_arrays(
+    ls_counts_by_id: Mapping[str, Mapping[str, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized tf-idf rows over the local structures, back to back (see
+    :func:`normalized_arrays`); an example with no structures gets an empty
+    row."""
     n_docs = len(ls_counts_by_id)
     df = Counter(chain.from_iterable(ls_counts_by_id.values()))
     idf = {canonical: lucene_idf(n_docs, n) for canonical, n in df.items()}
-    return normalized_rows(
+    return normalized_arrays(
         {
             doc_id: {c: tf * idf[c] for c, tf in counts.items()}
             for doc_id, counts in ls_counts_by_id.items()
         }
     )
+
+
+def ls_tfidf_vectors(
+    ls_counts_by_id: Mapping[str, Mapping[str, int]]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """:func:`ls_tfidf_arrays` as one ``(columns, weights)`` row per id."""
+    return row_slices(ls_counts_by_id, *ls_tfidf_arrays(ls_counts_by_id))
 
 
 def random_scores(ids: Iterable[str], seed: int) -> dict[str, float]:

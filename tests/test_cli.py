@@ -81,7 +81,7 @@ FIXTURE_DIGESTS = {
         "meta.json": "9d59d6c64f847069228c2083f5a963426085d944221f0df5224dd5932397fa91",
     },
 }
-INDEX_DIGEST = "dda74dc3d0cd96f12a5a0d31f074e27a9ab64fe37a0e0a1fa967678d3f6b5b56"
+INDEX_DIGEST = "aa2bb0ffa06b160120684a92fd62995f39a9ec750f4875ab2f02802f0459c486"
 
 
 def _sha256(path):
@@ -99,6 +99,10 @@ def test_gen_fixture_and_index_bytes_are_pinned(tmp_path):
     argv = ["--corpus", str(corpus / "train.jsonl"), "--corpus", str(corpus / "test.jsonl")]
     assert main(["index", *argv, "--out", str(index)]) == 0
     assert _sha256(index) == INDEX_DIGEST
+    # written at exactly --out, with no temporary file left beside it
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "held-out-ls", "iid", "index.json", "template"
+    ]
 
 
 def test_index_reports_stats(workspace, capsys):
@@ -442,7 +446,6 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
     import demoselect.corpus
     from demoselect.retrieval import Bm25Index
 
-    build_tfidf = demoselect.corpus.ls_tfidf_vectors
     calls = Counter()
 
     def forbidden(*args, **kwargs):
@@ -455,11 +458,18 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
 
         return wrapper
 
-    monkeypatch.setattr("demoselect.corpus.ls_tfidf_vectors", forbidden)
+    # a loaded index serves its tf-idf rows as stored: none is computed
+    monkeypatch.setattr("demoselect.corpus.ls_tfidf_arrays", forbidden)
     monkeypatch.setattr("demoselect.corpus.Example.symbol_seq", property(forbidden))
     monkeypatch.setattr(
-        "demoselect.corpus.term_postings",
-        counted("ls_postings", demoselect.corpus.term_postings),
+        "demoselect.corpus.column_postings",
+        counted("ls_postings", demoselect.corpus.column_postings),
+    )
+    tfidf_rows = []
+    row_slices = demoselect.corpus.row_slices
+    monkeypatch.setattr(
+        "demoselect.corpus.row_slices",
+        lambda *args: tfidf_rows.append(len(args[0])) or row_slices(*args),
     )
     monkeypatch.setattr(Bm25Index, "scores", counted("bm25_scores", Bm25Index.scores))
     common = ["run", "--index", str(workspace["index"]), "--k", "4", "--mock"]
@@ -470,6 +480,7 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
         ["cover-ls", "--oracle"],
         ["cover-utt"],
         ["cover-ls", "--train-mode"],
+        ["dpp"],
     ):
         calls.clear()
         workdir = tmp_path / "-".join(flags)
@@ -481,15 +492,27 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
         "cover-ls --oracle": {"bm25_scores": 10, "ls_postings": 1},
         "cover-utt": {"bm25_scores": 10},
         "cover-ls --train-mode": {"ls_postings": 1},
+        "dpp": {"bm25_scores": 10},
     }
+    assert tfidf_rows == [60]  # dpp's rows, one per pool example
+
+
+def test_run_builds_structure_dicts_only_for_the_examples_it_reads(
+    workspace, tmp_path, monkeypatch
+):
+    from demoselect.corpus import StructureCounts
 
     built = []
-    monkeypatch.setattr(
-        "demoselect.corpus.ls_tfidf_vectors",
-        lambda counts: built.append(len(counts)) or build_tfidf(counts),
-    )
-    assert main([*common, "--strategy", "dpp", "--workdir", str(tmp_path / "dpp")]) in (0, 1)
-    assert built == [60]
+    build = StructureCounts._build
+    monkeypatch.setattr(StructureCounts, "_build", lambda self: built.append(1) or build(self))
+    workdir = tmp_path / "run"
+    argv = ["run", "--index", str(workspace["index"]), "--strategy", "top-k", "--k", "4"]
+    assert main([*argv, "--mock", "--workdir", str(workdir)]) in (0, 1)
+    prompts = _read_jsonl(workdir / "prompts.jsonl")
+    demos = {demo_id for row in prompts for demo_id in row["demo_ids"]}
+    # the mock and eval read the indexed test examples and their demos, once each
+    assert len(prompts) == 10 and len(demos) < 40
+    assert len(built) == len(demos) + len(prompts)
 
 
 def test_eval_exit_codes_reflect_failures(workspace, tmp_path):
@@ -948,6 +971,26 @@ ROBUSTNESS_CASES = {
         b'{"utterance": "u", "program": "f (a)"}\n{"utterance": "v", "program": "f (b)", "split": 5}\n',
         "index --corpus {bad} --out {out}",
         "bad.jsonl:2: split must be a string",
+    ),
+    "corpus-split-dev": (
+        b'{"utterance": "u", "program": "f (a)"}\n{"utterance": "v", "program": "f (b)", "split": "dev"}\n',
+        "index --corpus {bad} --out {out}",
+        "bad.jsonl:2: split must be 'train' or 'test', got 'dev'",
+    ),
+    "corpus-id-number": (
+        b'{"id": 0, "utterance": "u", "program": "f (a)"}\n{"id": "ex00001", "utterance": "v", "program": "f (b)"}\n',
+        "index --corpus {bad} --out {out}",
+        "bad.jsonl:1: id must be a non-empty string, got 0",
+    ),
+    "corpus-id-list": (
+        b'{"utterance": "u", "program": "f (a)"}\n{"id": ["x"], "utterance": "v", "program": "f (b)"}\n',
+        "index --corpus {bad} --out {out}",
+        "bad.jsonl:2: id must be a non-empty string, got ['x']",
+    ),
+    "index-ids-repeated-across-corpora": (
+        b'{"utterance": "u", "program": "f (a)"}\n',
+        "index --corpus {bad} --corpus {bad} --out {out}",
+        "example id 'ex00001' occurs twice in the indexed corpus",
     ),
     "run-temperature-nan": (
         None,

@@ -2,15 +2,22 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from demoselect import (
+    Corpus,
     CorpusError,
     DialectConfig,
+    Example,
     GenerationError,
     IndexVersionError,
     IoError,
@@ -21,7 +28,15 @@ from demoselect import (
     unobserved_ls,
     write_fixture,
 )
-from demoselect.corpus import IndexBundle, make_example, write_text
+from demoselect.cli import main
+from demoselect.corpus import (
+    RECORD_FIELDS,
+    IndexBundle,
+    StructureCounts,
+    make_example,
+    write_text,
+)
+from demoselect.retrieval import ls_tfidf_vectors, term_postings
 from demoselect.structures import (
     build_structure_graph,
     count_local_structures,
@@ -166,7 +181,7 @@ def test_load_predictions_single_beam(tmp_path):
     path = tmp_path / "preds.jsonl"
     path.write_text(json.dumps({"id": "t1", "beams": ["f (a)"]}), encoding="utf-8")
     bundles = load_predictions(path)
-    assert bundles["t1"].beam_count == 1
+    assert len(bundles["t1"].beams) == 1
     assert "f -> a" in bundles["t1"].ls_union
     assert bundles["t1"].repaired == [False]
 
@@ -304,27 +319,180 @@ def test_built_and_reloaded_tfidf_rows_are_equal(tmp_path):
     _assert_rows_equal(IndexBundle.load(path).tfidf, bundle.tfidf)
 
 
+def _index_parts(path):
+    """An index file's JSON header and its arrays."""
+    with np.load(path, allow_pickle=False) as stored:
+        arrays = {name: stored[name] for name in stored.files}
+    return json.loads(arrays.pop("header").tobytes()), arrays
+
+
+def _write_index(path, header, arrays):
+    text = json.dumps(header).encode("utf-8")
+    _savez(path, header=np.frombuffer(text, np.uint8), **arrays)
+
+
 def test_index_version_mismatch_rejected(tmp_path):
     bundle = build_indexes(_geo_corpus(tmp_path))
     path = tmp_path / "index.json"
     bundle.save(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["version"] == 2
-    assert not any("anonymized" in rec for rec in payload["examples"])
-    for version in (1, 99):
-        payload["version"] = version
-        path.write_text(json.dumps(payload), encoding="utf-8")
+    header, arrays = _index_parts(path)
+    assert header["version"] == 3
+    assert set(header["examples"]) == set(RECORD_FIELDS)
+    for version in (1, 2, 99):
+        _write_index(path, {**header, "version": version}, arrays)
         with pytest.raises(IndexVersionError, match="demoselect index"):
             IndexBundle.load(path)
-    payload["version"] = 2
-    del payload["examples"][0]["template"]
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    del header["examples"]["template"]
+    _write_index(path, header, arrays)
     with pytest.raises(IoError, match="index.json"):
         IndexBundle.load(path)
-    payload["magic"] = "other"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    _write_index(path, {**header, "magic": "other"}, arrays)
     with pytest.raises(IndexVersionError):
         IndexBundle.load(path)
+
+
+def _savez(path, **arrays):
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def _rewrite(change):
+    """A case that rewrites the index through ``change(header, arrays)``."""
+
+    def mutate(path):
+        header, arrays = _index_parts(path)
+        change(header, arrays)
+        _write_index(path, header, arrays)
+
+    return mutate
+
+
+def _set(name, value):
+    return lambda header, arrays: arrays.__setitem__(name, value(arrays[name]))
+
+
+def _bump_last(offsets):
+    return np.concatenate((offsets[:-1], offsets[-1:] + 1))
+
+
+def _drop_one_record(header, arrays):
+    for column in header["examples"].values():
+        column.pop()
+
+
+def _repeat_first_id(header, arrays):
+    ids = header["examples"]["id"]
+    ids[1] = ids[0]
+
+
+# How a saved index gets damaged, and the error (class, message pattern)
+# that loading it must raise; every message names the file.
+BAD_INDEX_CASES = {
+    "version-2-json": (
+        lambda path: path.write_text(
+            json.dumps({"magic": "demoselect-index", "version": 2, "examples": []})
+        ),
+        IndexVersionError,
+        r"index version 2 unsupported \(expected 3\); rebuild it with `demoselect index`",
+    ),
+    "text": (
+        lambda path: path.write_text("id,utterance\n1,hello\n"),
+        IndexVersionError,
+        "is not an index file; rebuild it",
+    ),
+    "garbage": (
+        lambda path: path.write_bytes(bytes(range(256))),
+        IndexVersionError,
+        "not an index",
+    ),
+    "empty": (lambda path: path.write_bytes(b""), IndexVersionError, "not an index"),
+    "foreign-npz": (
+        lambda path: _savez(path, weights=np.zeros(3)),
+        IndexVersionError,
+        "not an index",
+    ),
+    "header-not-json": (
+        lambda path: _savez(path, header=np.frombuffer(b"{no", np.uint8)),
+        IndexVersionError,
+        "not an index",
+    ),
+    "truncated": (
+        lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+        IoError,
+        "cannot read index file",
+    ),
+    "missing-array": (
+        _rewrite(lambda header, arrays: arrays.pop("tfidf_weights")),
+        IoError,
+        "has no array tfidf_weights",
+    ),
+    "wrong-dtype": (
+        _rewrite(_set("ls_counts", lambda a: a.astype(np.int64))),
+        IoError,
+        "array ls_counts is int64 .* expected a 1-D int32 array",
+    ),
+    "two-dimensional": (
+        _rewrite(_set("bm25_contrib", lambda a: a.reshape(1, -1))),
+        IoError,
+        "array bm25_contrib",
+    ),
+    "pickled-object-array": (
+        _rewrite(_set("ls_columns", lambda a: a.astype(object))),
+        IoError,
+        "cannot read index file",
+    ),
+    "offsets-past-the-entries": (
+        _rewrite(_set("ls_offsets", _bump_last)),
+        IoError,
+        "the ls arrays do not fit 70 rows over",
+    ),
+    "offsets-decreasing": (
+        _rewrite(_set("tfidf_offsets", lambda a: np.concatenate((a[:1], a[2:3], a[1:2], a[3:])))),
+        IoError,
+        "the tfidf arrays do not fit 60 rows",
+    ),
+    "bm25-row-outside-the-pool": (
+        _rewrite(_set("bm25_rows", lambda a: np.where(a == a.max(), 60, a))),
+        IoError,
+        "the bm25 arrays do not fit .* over 60 columns",
+    ),
+    "column-outside-the-vocabulary": (
+        _rewrite(_set("ls_columns", lambda a: -a)),
+        IoError,
+        "the ls arrays do not fit",
+    ),
+    "record-count-not-offsets": (
+        _rewrite(_drop_one_record),
+        IoError,
+        "the ls arrays do not fit 69 rows over",
+    ),
+    "id-twice": (_rewrite(_repeat_first_id), IoError, "holds an example id twice"),
+    "utterance-not-a-string": (
+        _rewrite(lambda header, arrays: header["examples"]["utterance"].__setitem__(0, 5)),
+        IoError,
+        "malformed header",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INDEX_CASES))
+def test_bad_index_file_exits_2_naming_it(tmp_path, capsys, monkeypatch, case):
+    damage, error, message = BAD_INDEX_CASES[case]
+    path = tmp_path / "index.json"
+    build_indexes(gen_fixture(n_train=60, n_test=10, seed=5).corpus).save(path)
+    damage(path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an index file was unpickled")
+
+    monkeypatch.setattr(pickle, "load", forbidden)
+    monkeypatch.setattr(pickle, "loads", forbidden)
+    with pytest.raises(error, match=message) as raised:
+        IndexBundle.load(path)
+    assert str(path) in str(raised.value)
+    argv = ["select", "--strategy", "top-k", "--index", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert f"error: {raised.value}" in capsys.readouterr().err
 
 
 def test_index_load_parses_no_program(tmp_path, monkeypatch):
@@ -343,6 +511,141 @@ def test_index_load_parses_no_program(tmp_path, monkeypatch):
         assert loaded.ls_counts == built.ls_counts
         assert loaded.utt_tokens == built.utt_tokens
         assert Counter(loaded.symbol_seq) == Counter(built.symbol_seq)
+
+
+def _assert_same_index(loaded, built, queries):
+    """A loaded bundle serves exactly what the built one serves."""
+    for ex, ref in zip(loaded.corpus.examples, built.corpus.examples, strict=True):
+        assert [getattr(ex, f) for f in RECORD_FIELDS] == [getattr(ref, f) for f in RECORD_FIELDS]
+        assert list(ex.ls_counts.items()) == list(ref.ls_counts.items())
+    assert loaded.bm25_utterance.doc_ids == built.bm25_utterance.doc_ids
+    for query in queries:
+        scores = loaded.bm25_utterance.scores(query)
+        expected = built.bm25_utterance.scores(query)
+        assert list(scores) == list(expected)
+        # bit for bit, not merely equal
+        bits = np.array(list(scores.values())).tobytes()
+        assert bits == np.array(list(expected.values())).tobytes()
+    assert loaded.ls_postings == built.ls_postings
+    assert loaded.token_postings == built.token_postings
+    assert loaded.training_ls_union(4) == built.training_ls_union(4)
+    assert loaded.stats() == built.stats()
+    _assert_rows_equal(loaded.tfidf, built.tfidf)
+
+
+def _assert_index_matches_its_maps(bundle):
+    """The array-derived state equals what the dict-based functions compute
+    from the examples' own structure counts and tokens."""
+    pool = bundle.pool
+    assert bundle.ls_postings == term_postings({i: ex.ls_counts for i, ex in pool.items()})
+    assert bundle.token_postings == term_postings({i: ex.utt_tokens for i, ex in pool.items()})
+    union = set().union(*(ex.ls_counts for ex in pool.values()))
+    assert bundle.training_ls_union() == union
+    assert bundle.training_ls_union(4) == {c for c in union if ls_size(c) <= 4}
+    _assert_rows_equal(bundle.tfidf, ls_tfidf_vectors({i: ex.ls_counts for i, ex in pool.items()}))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    split=st.sampled_from(["held-out-ls", "template", "iid"]),
+    seed=st.integers(0, 10_000),
+    n_train=st.integers(8, 60),
+    n_test=st.integers(1, 12),
+    data=st.data(),
+)
+def test_saved_index_round_trips(split, seed, n_train, n_test, data):
+    try:
+        corpus = gen_fixture(n_train=n_train, n_test=n_test, split=split, seed=seed).corpus
+    except GenerationError:
+        reject()
+    built = build_indexes(corpus)
+    _assert_index_matches_its_maps(built)
+    words = sorted({t for ex in corpus.examples for t in ex.utt_tokens}) + ["unseen"]
+    queries = data.draw(st.lists(st.lists(st.sampled_from(words), max_size=8), max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp, "index.json"), Path(tmp, "again.json")
+        built.save(path)
+        loaded = IndexBundle.load(path)
+        _assert_same_index(loaded, built, [[], *queries])
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["again.json", "index.json"]
+
+
+def _hand_corpus(*rows):
+    return Corpus(examples=[Example(*row) for row in rows])
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        _hand_corpus(),
+        # no train rows: an empty pool
+        _hand_corpus(("t1", "what is x", "f (x)", "f (x)", {"f": 1, "x": 1}, "test")),
+        # a pool example without structures, beside one with them
+        _hand_corpus(
+            ("e1", "nothing here", "", "", {}, "train"),
+            ("e2", "pick a", "f (a)", "f (a)", {"a": 1, "f": 1, "f -> a": 1}, "train"),
+            ("t1", "pick b", "f (b)", "f (b)", {"b": 1, "f": 1}, "test"),
+        ),
+    ],
+    ids=["empty-corpus", "no-train-rows", "pool-example-without-structures"],
+)
+def test_index_edge_cases_round_trip(tmp_path, corpus):
+    built = build_indexes(corpus)
+    _assert_index_matches_its_maps(built)
+    path = tmp_path / "index.json"
+    built.save(path)
+    loaded = IndexBundle.load(path)
+    _assert_same_index(loaded, built, [[], ["pick", "a"], ["nothing"]])
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    if "e1" in built.pool:
+        assert dict(loaded.pool["e1"].ls_counts) == {}
+        assert [len(part) for part in loaded.tfidf["e1"]] == [0, 0]
+        assert loaded.stats()["unique_ls"] == 3
+    assert loaded.stats()["train"] == len(built.pool)
+
+
+def test_index_load_builds_no_structure_dict(tmp_path, monkeypatch):
+    path = tmp_path / "index.json"
+    build_indexes(_geo_corpus(tmp_path)).save(path)
+    built = []
+    build = StructureCounts._build
+    monkeypatch.setattr(StructureCounts, "_build", lambda self: built.append(1) or build(self))
+    reloaded = IndexBundle.load(path)
+    # everything the bundle serves comes from its arrays
+    reloaded.bm25_utterance.scores(["longest", "river"])
+    reloaded.ls_postings, reloaded.token_postings, reloaded.tfidf, reloaded.stats()
+    assert built == []
+    g1 = reloaded.pool["g1"]
+    assert g1.ls_counts["riverid"] == 1 and "riverid" in g1.ls_set
+    assert list(g1.ls_counts) == sorted(g1.ls_counts)
+    assert built == [1]  # once, on first access
+    assert [ex.id for ex in reloaded.corpus.examples if "utt_tokens" in vars(ex)] == []
+
+
+def test_load_rejects_unknown_split_and_non_string_ids(tmp_path):
+    good = [{"utterance": f"u{i}", "program": "f (a)", "id": f"e{i}"} for i in range(60)]
+    bad = [
+        {"utterance": "u", "program": "f (a)", "id": "b1", "split": "dev"},
+        {"utterance": "u", "program": "f (a)", "id": 0},
+        {"utterance": "u", "program": "f (a)", "id": ["x"]},
+        {"utterance": "u", "program": "f (a)", "id": ""},
+        {"utterance": "u", "program": "f (a)", "id": None},
+        # the generated id a numeric id used to become, now free for this row
+        {"utterance": "explicit", "program": "f (b)", "id": "ex00062"},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    _write_jsonl(path, good + bad)
+    corpus = load_examples(path)
+    assert [f["line"] for f in corpus.failures] == [61, 62, 63, 64, 65]
+    assert corpus.failures[0]["error"] == "split must be 'train' or 'test', got 'dev'"
+    assert corpus.failures[1]["error"] == "id must be a non-empty string, got 0"
+    assert corpus.failures[2]["error"] == "id must be a non-empty string, got ['x']"
+    assert corpus.by_id["ex00062"].utterance == "explicit"
+    assert len(corpus) == 61
+    assert {ex.split for ex in corpus.examples} == {"train"}
 
 
 def test_write_text_keeps_previous_file_when_replace_fails(tmp_path, monkeypatch):
