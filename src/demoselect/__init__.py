@@ -75,7 +75,6 @@ from .retrieval import (
     tokenize_utterance,
 )
 from .selection import (
-    CoverageElement,
     DemonstrationSet,
     cover_ls,
     cover_utt,

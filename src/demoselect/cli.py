@@ -49,7 +49,7 @@ from .gateway import (
 )
 from .programs import DialectConfig
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
-from .retrieval import RETRIEVER_VARIANTS, random_scores
+from .retrieval import RETRIEVER_VARIANTS, Scores, random_scores
 from .selection import (
     DemonstrationSet,
     cover_ls,
@@ -186,17 +186,18 @@ def _demo(bundle: IndexBundle, demo_id: str) -> Example:
 # --- selection stage -------------------------------------------------------
 
 
-def _retriever_scores(bundle, example, cfg: RunConfig, beams) -> dict[str, float]:
+def _retriever_scores(bundle, example, cfg: RunConfig, beams) -> Scores:
     if cfg.retriever == "bm25-utterance":
         return bundle.bm25_utterance.scores(example.utt_tokens)
     if cfg.retriever == "random":
         return random_scores(bundle.pool, _example_seed(cfg.seed, example.id))
     # the symbol retrievers: gold symbols, or predicted ones for bm25-symbols
     if cfg.retriever == "oracle-bm25-gold-symbols" or cfg.oracle:
-        return bundle.bm25_symbols.scores(sorted(set(example.symbol_seq)))
-    pred = beams.get(example.id)
-    symbols = sorted(c for c in pred.ls_union if ls_size(c) == 1) if pred else []
-    return bundle.bm25_symbols.scores(symbols)
+        structures = example.ls_counts
+    else:
+        pred = beams.get(example.id)
+        structures = pred.ls_union if pred else ()
+    return bundle.bm25_symbols.scores(sorted(c for c in structures if ls_size(c) == 1))
 
 
 def _selection_row(example_id: str, result: DemonstrationSet) -> dict:
@@ -264,8 +265,7 @@ def _select_train_one(bundle, example, cfg: RunConfig) -> dict:
 
 def stage_select(bundle, tests, cfg: RunConfig, beams) -> list[dict]:
     if cfg.train_mode:
-        targets = sorted(bundle.pool.values(), key=lambda e: e.id)
-        return [_select_train_one(bundle, ex, cfg) for ex in targets]
+        return [_select_train_one(bundle, ex, cfg) for ex in bundle.pool.values()]
     return [_select_one(bundle, ex, cfg, beams) for ex in tests]
 
 
@@ -273,9 +273,7 @@ def stage_select(bundle, tests, cfg: RunConfig, beams) -> list[dict]:
 
 
 def stage_prompt(bundle, tests, selections: list[dict], cfg: RunConfig) -> list[dict]:
-    by_id = {ex.id: ex for ex in tests}
-    if cfg.train_mode:
-        by_id = dict(bundle.pool)
+    by_id = bundle.pool if cfg.train_mode else {ex.id: ex for ex in tests}
     out = []
     for record in selections:
         example = by_id.get(record["id"])

@@ -13,12 +13,13 @@ vocabulary, and the pool's utterance BM25 impacts and tf-idf rows. An index
 file stores these arrays beside a JSON header that holds the fields of
 :data:`RECORD_FIELDS`, so loading one parses no program, tokenizes no
 utterance and decodes no structure-count map. A bundle, built or loaded,
-serves its retrieval state from the arrays: the utterance BM25 and the
-tf-idf rows (``dpp`` only) are views of them, and the structure postings
-(``cover-ls``) and the training structure union derive from them on first
-use. The token postings come from the BM25 impacts, and the symbol BM25
-from the size-1 structures of every pool example, both on first use. A
-loaded example's structure counts are a :class:`StructureCounts` view that
+serves its retrieval state from the arrays, aligned with its pool's rows
+(the pool's ids, sorted; see :class:`~demoselect.selection.Pool`): the
+utterance BM25 and the tf-idf rows (``dpp`` only) are views of them, and
+the structure postings (``cover-ls``), the symbol BM25 and the training
+structure union derive from the pool's structure columns on first use. The
+token postings are the BM25 impact rows. A loaded example's structure
+counts are a :class:`StructureCounts` view over the shared arrays that
 builds its dict on first access, and its utterance tokens are computed on
 first access too, so a command pays only for the examples it reads. The
 CLI's mock model and training mode read the stored structure counts; only
@@ -46,11 +47,14 @@ from .errors import CorpusError, IndexVersionError, IoError, ParseError
 from .programs import DEFAULT_DIALECT, DialectConfig, parse_program, repair_parentheses
 from .retrieval import (
     Bm25Index,
+    RowPostings,
+    SparseRows,
     column_postings,
     ls_tfidf_arrays,
-    row_slices,
+    ragged_take,
     tokenize_utterance,
 )
+from .selection import Pool
 from .structures import analyze, ls_size
 
 logger = logging.getLogger(__name__)
@@ -111,17 +115,22 @@ def write_text(path: str | Path, text: str, what: str) -> None:
 
 class StructureCounts(Mapping):
     """A loaded example's structure counts: a read-only mapping over its
-    slice of an index's ``ls`` arrays, which builds its dict on first
-    access."""
+    slice ``[start:end]`` of an index's ``ls`` arrays, which builds its dict
+    on first access."""
 
-    def __init__(self, vocab: list[str], columns: np.ndarray, counts: np.ndarray):
+    def __init__(
+        self, vocab: list[str], columns: np.ndarray, counts: np.ndarray, start: int, end: int
+    ):
         self._vocab = vocab
         self._columns = columns
         self._counts = counts
+        self._start = start
+        self._end = end
 
     def _build(self) -> dict[str, int]:
-        names = map(self._vocab.__getitem__, self._columns.tolist())
-        return dict(zip(names, self._counts.tolist()))
+        start, end = self._start, self._end
+        names = map(self._vocab.__getitem__, self._columns[start:end].tolist())
+        return dict(zip(names, self._counts[start:end].tolist()))
 
     @cached_property
     def _dict(self) -> dict[str, int]:
@@ -308,11 +317,17 @@ def load_predictions(
             continue
         try:
             record = json.loads(line)
-            example_id = str(record["id"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        if not isinstance(record, dict) or "id" not in record:
+            raise CorpusError(f"{path}:{lineno}: not a JSON object with an id")
+        example_id = record["id"]
+        if not isinstance(example_id, str) or not example_id:
             raise CorpusError(
-                f"{path}:{lineno}: not a JSON object with an id: {exc}"
-            ) from exc
+                f"{path}:{lineno}: id must be a non-empty string, got {example_id!r}"
+            )
+        if example_id in bundles:
+            raise CorpusError(f"{path}:{lineno}: id {example_id!r} occurs twice")
         beams = record.get("beams", [])
         if not isinstance(beams, list) or not all(isinstance(b, str) for b in beams):
             raise CorpusError(f"{path}:{lineno}: beams must be a list of strings")
@@ -337,9 +352,11 @@ class IndexBundle:
     :meth:`load` reads: a built and a loaded bundle of one corpus hold the
     same arrays and serve the same state.
 
-    Only the training split is indexed as the selection pool; queries come
-    from test utterances or predicted symbols. ``vocab`` is the sorted
-    structure vocabulary and ``bm25_terms`` the utterance BM25's terms.
+    Only the training split is indexed as the selection pool, a
+    :class:`~demoselect.selection.Pool` in id order; queries come from test
+    utterances or predicted symbols. Scores, posting lists and tf-idf rows
+    are aligned with the pool's rows. ``vocab`` is the sorted structure
+    vocabulary and ``bm25_terms`` the utterance BM25's terms.
     """
 
     def __init__(
@@ -356,62 +373,87 @@ class IndexBundle:
         self.arrays = arrays
         self.k1 = k1
         self.b = b
-        self.pool = {ex.id: ex for ex in corpus.split("train")}
-        self._pool_rows = np.array(
-            [row for row, ex in enumerate(corpus.examples) if ex.split == "train"], np.int64
-        )
+        # the pool rows: the training examples in id order, with their ls rows
+        examples = corpus.examples
+        train = sorted((ex.id, r) for r, ex in enumerate(examples) if ex.split == "train")
+        self._pool_rows = np.array([r for _, r in train], np.int64)
+        self.pool = Pool([i for i, _ in train], [examples[r] for _, r in train])
         self.bm25_utterance = Bm25Index.from_arrays(
-            sorted(self.pool),
+            self.pool.ids,
             bm25_terms,
             *(arrays[name] for name in ("bm25_offsets", "bm25_rows", "bm25_contrib")),
             k1=k1,
             b=b,
         )
 
-    def _structure_columns(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The structure columns of the ``ls`` rows ``rows``, row after row,
-        and for each the position in ``rows`` of its row."""
+    def _pool_entries(self, *names: str) -> tuple[np.ndarray, ...]:
+        """The ``ls`` entries of the pool, pool row after pool row: for
+        each, its pool row and its value in each array ``ls_<name>``."""
         offsets = self.arrays["ls_offsets"]
-        starts = offsets[rows]
-        lengths = offsets[rows + 1] - starts
-        owner = np.repeat(np.arange(len(rows)), lengths)
-        skip = np.cumsum(lengths) - lengths - starts
-        return self.arrays["ls_columns"][np.arange(len(owner)) - skip[owner]], owner
+        starts = offsets[self._pool_rows]
+        lengths = offsets[self._pool_rows + 1] - starts
+        return ragged_take(starts, lengths, *(self.arrays[f"ls_{name}"] for name in names))
 
     @cached_property
-    def ls_postings(self) -> dict[str, list[str]]:
-        """The ids of the pool examples holding each structure, in id order."""
-        by_id = sorted(zip(self.pool, self._pool_rows.tolist()))
-        ids = np.array([i for i, _ in by_id], dtype=object)
-        columns, owner = self._structure_columns(np.array([r for _, r in by_id], np.int64))
-        return column_postings(ids[owner], columns, self.vocab)
+    def ls_postings(self) -> RowPostings:
+        """The pool rows holding each structure, ascending."""
+        owner, columns = self._pool_entries("columns")
+        return column_postings(self.pool.ids, owner, columns, self.vocab)
 
     @cached_property
-    def token_postings(self) -> dict[str, list[str]]:
-        ids = self.bm25_utterance.doc_ids
-        return {
-            token: [ids[row] for row in rows.tolist()]
-            for token, (rows, _) in self.bm25_utterance.impacts.items()
-        }
+    def token_postings(self) -> RowPostings:
+        """The pool rows holding each utterance token: the BM25 impact rows."""
+        impacts = self.bm25_utterance.impacts
+        return RowPostings(self.pool.ids, {token: rows for token, (rows, _) in impacts.items()})
 
     @cached_property
     def bm25_symbols(self) -> Bm25Index:
-        return Bm25Index(
-            {i: ex.symbol_seq for i, ex in self.pool.items()}, k1=self.k1, b=self.b
+        """BM25 over the pool's symbols: its size-1 structures (those holding
+        no space), each as often as the example holds it."""
+        owner, columns, counts = self._pool_entries("columns", "counts")
+        symbol = np.array([" " not in name for name in self.vocab], bool)
+        keep = symbol[columns]
+        owner, columns, counts = owner[keep], columns[keep], counts[keep]
+        present, term_of = np.unique(columns, return_inverse=True)
+        order = np.argsort(term_of, kind="stable")  # by term, rows stay ascending
+        return Bm25Index.from_postings(
+            self.pool.ids,
+            [self.vocab[c] for c in present.tolist()],
+            term_of[order],
+            owner[order],
+            counts[order],
+            k1=self.k1,
+            b=self.b,
         )
 
     @cached_property
-    def tfidf(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        arrays = self.arrays
-        return row_slices(
-            self.pool, arrays["tfidf_offsets"], arrays["tfidf_columns"], arrays["tfidf_weights"]
+    def _in_pool(self) -> np.ndarray:
+        """Whether each example, in corpus order, is in the pool."""
+        in_pool = np.zeros(len(self.corpus), bool)
+        in_pool[self._pool_rows] = True
+        return in_pool
+
+    @cached_property
+    def tfidf(self) -> SparseRows:
+        """The pool's tf-idf rows, by pool row; the file stores them in
+        corpus order."""
+        rows = (np.cumsum(self._in_pool) - 1)[self._pool_rows]
+        offsets = self.arrays["tfidf_offsets"]
+        starts = offsets[rows]
+        return SparseRows(
+            self.pool.ids,
+            starts,
+            offsets[rows + 1] - starts,
+            self.arrays["tfidf_columns"],
+            self.arrays["tfidf_weights"],
         )
 
     @cached_property
     def _pool_structures(self) -> list[str]:
         """The structures held by some pool example, sorted."""
+        entries = np.repeat(self._in_pool, np.diff(self.arrays["ls_offsets"]))
         present = np.zeros(len(self.vocab), bool)
-        present[self._structure_columns(self._pool_rows)[0]] = True
+        present[self.arrays["ls_columns"][entries]] = True
         return [self.vocab[c] for c in np.flatnonzero(present).tolist()]
 
     def training_ls_union(self, max_size: int | None = None) -> set[str]:
@@ -465,7 +507,7 @@ class IndexBundle:
         columns, counts = arrays["ls_columns"], arrays["ls_counts"]
         # RECORD_FIELDS lists Example's fields in order, ls_counts left out
         examples = [
-            Example(*fields, StructureCounts(vocab, columns[s:e], counts[s:e]), split)
+            Example(*fields, StructureCounts(vocab, columns, counts, s, e), split)
             for *fields, split, s, e in zip(*records, offsets, offsets[1:])
         ]
         return cls(Corpus(examples=examples, dialect=dialect), vocab, terms, arrays, k1=k1, b=b)

@@ -6,6 +6,11 @@ depends only on the indexed documents, so the index computes it once per
 posting when it is built. A query then adds each of its terms' impact arrays
 into a dense score vector, in query order. The idf used throughout is the
 positive Lucene-style variant ``ln((N - n + 0.5) / (n + 0.5) + 1)``.
+
+Documents are rows: row ``r`` is the ``r``-th of the sorted document ids.
+Scores (:class:`Scores`), posting lists (:class:`RowPostings`) and sparse
+rows (:class:`SparseRows`) are arrays aligned with those rows, each served
+as a read-only mapping by id that builds no per-document dict.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterable, Mapping
+from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -47,16 +54,120 @@ def term_postings(docs: Mapping[str, Iterable[str]]) -> dict[str, list[str]]:
     return postings
 
 
+def row_of(ids: list[str], key: object) -> int:
+    """The row of ``key`` in the sorted ``ids``; a KeyError if it is absent."""
+    try:
+        row = bisect_left(ids, key)
+    except TypeError:
+        raise KeyError(key) from None
+    if row == len(ids) or ids[row] != key:
+        raise KeyError(key)
+    return row
+
+
+class Scores(Mapping):
+    """Scores of sorted ids: ``array[r]`` is the score of ``ids[r]``. A
+    read-only mapping from id to float over the two; looking an id up
+    bisects ``ids``."""
+
+    def __init__(self, ids: list[str], array: np.ndarray):
+        array.flags.writeable = False
+        self.ids = ids
+        self.array = array
+
+    def __getitem__(self, key: str) -> float:
+        return float(self.array[row_of(self.ids, key)])
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def values(self) -> list[float]:
+        return self.array.tolist()
+
+    def items(self) -> list[tuple[str, float]]:
+        return list(zip(self.ids, self.array.tolist()))
+
+
+class RowPostings(dict):
+    """Posting lists as row arrays: a term maps to the rows of the
+    documents holding it, ascending, and row ``r`` is the document
+    ``ids[r]``."""
+
+    def __init__(self, ids: list[str], lists: Mapping[str, np.ndarray]):
+        super().__init__(lists)
+        self.ids = ids
+
+
 def column_postings(
-    holders: np.ndarray, columns: np.ndarray, names: list[str]
-) -> dict[str, list[str]]:
-    """Posting lists of the entries ``(holders[e], columns[e])``: the name of
-    each column present, with the holders of its entries in entry order."""
-    order = np.argsort(columns, kind="stable")
-    ids = holders[order].tolist()
-    present, starts = np.unique(columns[order], return_index=True)
-    bounds = [*starts.tolist(), len(ids)]
-    return {names[c]: ids[s:e] for c, s, e in zip(present.tolist(), bounds, bounds[1:])}
+    ids: list[str], rows: np.ndarray, columns: np.ndarray, names: list[str]
+) -> RowPostings:
+    """Posting lists of the entries ``(rows[e], columns[e])``, which come in
+    ascending row order: the name of each column present, with the rows of
+    its entries. One stable counting sort by column (a radix sort while the
+    columns fit in 16 bits) orders them."""
+    keys = columns.astype(np.uint16) if len(names) <= 1 << 16 else columns
+    holders = rows[np.argsort(keys, kind="stable")]
+    sizes = np.bincount(columns, minlength=len(names)).tolist()
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return RowPostings(
+        ids, {names[c]: holders[bounds[c]:bounds[c + 1]] for c, n in enumerate(sizes) if n}
+    )
+
+
+def ragged_take(
+    starts: np.ndarray, lengths: np.ndarray, *arrays: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The slices ``[starts[i]:starts[i] + lengths[i]]`` of each array, back
+    to back, after the position ``i`` that each of their entries comes from."""
+    owner = np.repeat(np.arange(len(starts)), lengths)
+    skip = np.cumsum(lengths) - lengths - starts
+    index = np.arange(len(owner)) - skip[owner]
+    return (owner, *(a[index] for a in arrays))
+
+
+class SparseRows(Mapping):
+    """Sparse rows of sorted ids: the row of ``ids[r]`` is the slice
+    ``[starts[r]:starts[r] + lengths[r]]`` of ``columns`` and ``weights``. A
+    read-only mapping from id to its ``(columns, weights)`` row."""
+
+    def __init__(self, ids, starts, lengths, columns, weights):
+        self.ids = ids
+        self.starts = starts
+        self.lengths = lengths
+        self.columns = columns
+        self.weights = weights
+
+    @classmethod
+    def from_rows(cls, ids: list[str], rows: list[tuple[np.ndarray, np.ndarray]]) -> "SparseRows":
+        lengths = np.array([len(columns) for columns, _ in rows], np.int64)
+        columns = np.concatenate([np.empty(0, np.intp), *(c for c, _ in rows)])
+        weights = np.concatenate([np.empty(0), *(w for _, w in rows)])
+        return cls(ids, np.cumsum(lengths) - lengths, lengths, columns, weights)
+
+    @cached_property
+    def nonempty(self) -> np.ndarray:
+        return self.lengths > 0
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lengths of ``rows``, and their columns and weights back to back."""
+        lengths = self.lengths[rows]
+        _, columns, weights = ragged_take(self.starts[rows], lengths, self.columns, self.weights)
+        return lengths, columns, weights
+
+    def __getitem__(self, key: str) -> tuple[np.ndarray, np.ndarray]:
+        row = row_of(self.ids, key)
+        start = int(self.starts[row])
+        end = start + int(self.lengths[row])
+        return self.columns[start:end], self.weights[start:end]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 class Bm25Index:
@@ -69,24 +180,47 @@ class Bm25Index:
     def __init__(self, docs: Mapping[str, list[str]], k1: float = 1.2, b: float = 0.75):
         doc_ids = sorted(docs)
         n = len(doc_ids)
-        lengths = [len(docs[i]) for i in doc_ids]
-        total = sum(lengths)
-        avgdl = total / n if total else 1.0
-        # One key per (term, document) pair, ordered by term, then document.
+        # One key per (term, document) pair, ordered by term, then document;
+        # terms are numbered in the order they first occur.
         vocab: dict[str, int] = {}
         term_of = [vocab.setdefault(t, len(vocab)) for i in doc_ids for t in docs[i]]
-        row_of = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        keys, tf = np.unique(np.array(term_of, dtype=np.int64) * n + row_of, return_counts=True)
+        doc_of = np.repeat(np.arange(n, dtype=np.int64), [len(docs[i]) for i in doc_ids])
+        keys, tf = np.unique(np.array(term_of, dtype=np.int64) * n + doc_of, return_counts=True)
         terms, rows = np.divmod(keys, n)
-        rows = rows.astype(np.intp, copy=False)
-        df = np.bincount(terms, minlength=len(vocab))
+        self._index(doc_ids, list(vocab), terms, rows.astype(np.intp), tf, k1, b)
+
+    @classmethod
+    def from_postings(
+        cls,
+        doc_ids: list[str],
+        terms: list[str],
+        term_of: np.ndarray,
+        rows: np.ndarray,
+        tf: np.ndarray,
+        k1: float = 1.2,
+        b: float = 0.75,
+    ) -> "Bm25Index":
+        """The index over documents with the sorted ids ``doc_ids`` where the
+        document at row ``rows[e]`` holds the term ``terms[term_of[e]]``
+        ``tf[e]`` times: one posting per (term, document) pair, ordered by
+        term, then row."""
+        index = cls.__new__(cls)
+        index._index(doc_ids, terms, term_of, rows, tf, k1, b)
+        return index
+
+    def _index(self, doc_ids, terms, term_of, rows, tf, k1, b) -> None:
+        n = len(doc_ids)
+        lengths = np.bincount(rows, weights=tf, minlength=n).astype(np.int64).tolist()
+        total = sum(lengths)
+        avgdl = total / n if total else 1.0
+        df = np.bincount(term_of, minlength=len(terms))
         idf = np.array([lucene_idf(n, d) for d in df.tolist()])
         norm = np.array([k1 * (1 - b + b * length / avgdl) for length in lengths])
         # Elementwise IEEE operations in the order of the per-document formula,
         # so every float equals ``idf * tf * (k1 + 1) / (tf + norm)`` in Python.
-        contrib = idf[terms] * tf * (k1 + 1) / (tf + norm[rows])
+        contrib = idf[term_of] * tf * (k1 + 1) / (tf + norm[rows])
         offsets = np.concatenate(([0], np.cumsum(df)))
-        self._attach(doc_ids, list(vocab), offsets, rows, contrib, k1, b)
+        self._attach(doc_ids, terms, offsets, rows, contrib, k1, b)
 
     @classmethod
     def from_arrays(
@@ -122,18 +256,18 @@ class Bm25Index:
         rows, _ = self.impacts.get(term, ((), ()))
         return lucene_idf(self.n_docs, len(rows))
 
-    def scores(self, query: Iterable[str]) -> dict[str, float]:
-        """BM25 score of every document for the query (empty query scores 0);
-        a repeated query term counts once per occurrence. Each document sums
-        its contributions in query order, so the floats equal those of a
-        per-document loop over the query."""
+    def scores(self, query: Iterable[str]) -> Scores:
+        """BM25 score of every document for the query (empty query scores 0),
+        aligned with ``doc_ids``; a repeated query term counts once per
+        occurrence. Each document sums its contributions in query order, so
+        the floats equal those of a per-document loop over the query."""
         out = np.zeros(self.n_docs)
         for term in query:
             impact = self.impacts.get(term)
             if impact is not None:
                 rows, contrib = impact
                 out[rows] += contrib
-        return dict(zip(self.doc_ids, out.tolist()))
+        return Scores(self.doc_ids, out)
 
     def rank(self, query: Iterable[str]) -> list[tuple[str, float]]:
         """(id, score) pairs in descending score order; ties broken by id."""
@@ -203,7 +337,8 @@ def ls_tfidf_vectors(
     return row_slices(ls_counts_by_id, *ls_tfidf_arrays(ls_counts_by_id))
 
 
-def random_scores(ids: Iterable[str], seed: int) -> dict[str, float]:
-    """Seed-deterministic pseudo-random score per id."""
+def random_scores(ids: Iterable[str], seed: int) -> Scores:
+    """Seed-deterministic pseudo-random score per id, drawn in id order."""
     rng = random.Random(seed)
-    return {i: rng.random() for i in sorted(ids)}
+    ids = sorted(ids)
+    return Scores(ids, np.array([rng.random() for _ in ids], dtype=np.float64))

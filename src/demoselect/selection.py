@@ -1,34 +1,52 @@
 """Demonstration selection strategies.
 
-All strategies return a :class:`DemonstrationSet`. The coverage strategies
-walk a sorted element list (largest structure first, or rarest token first),
-greedily picking the retriever-best pool example containing each uncovered
-element, dropping covered elements and same-template pool examples after
-every pick, and restarting the walk until ``k`` examples are chosen.
+All strategies return a :class:`DemonstrationSet`, and all rank pool
+examples by one retriever score with ties broken by id. They work on pool
+rows: a :class:`Pool` holds its examples in id order, so row ``r`` is the
+``r``-th smallest id, and scores, posting lists and picks are arrays over
+rows. The ``(-score, id)`` order is then the stable order of ``-scores``:
+top-k and DPP sort the survivors of a partition stably, and the coverage
+strategies pick, among an element's candidate rows (ascending), the first
+of the highest score. An ``(id, score)`` pair is built only for a pick.
+Each selector's entry turns a plain mapping or list
+pool, a dict of scores (an id without one scores 0.0) and posting lists of
+ids (those outside the pool are dropped) into this row form; the bundle's
+own pool, scores, postings and tf-idf rows are already in it and pass
+through unchanged.
+
+The coverage strategies walk a sorted element list (largest structure
+first, or rarest token first), greedily picking the retriever-best pool
+example containing each uncovered element, dropping covered elements and
+same-template pool examples after every pick, and restarting the walk until
+``k`` examples are chosen.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import InvalidKError
 from .programs import DEFAULT_DIALECT, DialectConfig
-from .retrieval import term_postings, tokenize_utterance
+from .retrieval import (
+    RowPostings,
+    Scores,
+    SparseRows,
+    row_of,
+    term_postings,
+    tokenize_utterance,
+)
 from .structures import ls_size, program_structures
 
 Q_FLOOR = 1e-6
 GAIN_EPS = 1e-12
 RANK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CoverageElement:
-    payload: str
-    weight: float
+_NO_ROWS = np.empty(0, np.intp)
 
 
 @dataclass
@@ -45,57 +63,150 @@ class DemonstrationSet:
         return [i for i, _ in self.items]
 
 
+class Pool(Mapping):
+    """The selection pool: a read-only mapping from id to example over rows
+    in id order, ``examples[r]`` being the example of ``ids[r]``; the caller
+    sorts the ids."""
+
+    def __init__(self, ids: list[str], examples: list):
+        self.ids = ids
+        self.examples = examples
+
+    @cached_property
+    def template_codes(self) -> np.ndarray:
+        """One code per row, equal for rows of equal template."""
+        codes: dict[str, int] = {}
+        templates = (codes.setdefault(ex.template, len(codes)) for ex in self.examples)
+        return np.fromiter(templates, np.intp, len(self.examples))
+
+    def __getitem__(self, key: str):
+        return self.examples[row_of(self.ids, key)]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def values(self) -> list:
+        return self.examples
+
+
+def _as_pool(pool: Mapping[str, object] | Iterable[str]) -> Pool:
+    if isinstance(pool, Pool):
+        return pool
+    if not isinstance(pool, Mapping):
+        pool = dict.fromkeys(pool)
+    pairs = sorted(pool.items(), key=itemgetter(0))
+    return Pool([i for i, _ in pairs], [example for _, example in pairs])
+
+
+def _aligned(ids: list[str], other: list[str]) -> bool:
+    return ids is other or ids == other
+
+
+def _score_rows(scores: Mapping[str, float], ids: list[str]) -> np.ndarray:
+    """The scores of the rows ``ids``, an id without a score scoring 0.0."""
+    if isinstance(scores, Scores) and _aligned(scores.ids, ids):
+        return scores.array
+    if not scores:
+        return np.zeros(len(ids))
+    return np.array([scores.get(i, 0.0) for i in ids], dtype=np.float64)
+
+
+def _posting_rows(
+    postings: Mapping[str, Iterable] | None,
+    pool: Pool,
+    payloads: Iterable[str],
+    terms: Callable[[object], Iterable[str]],
+) -> dict[str, np.ndarray]:
+    """Each payload's candidate rows, ascending. ``postings`` of pool rows
+    serve as they are; ``postings`` of ids (or of another pool's rows) keep
+    the ids in the pool; without postings, ``terms(example)`` lists the
+    payloads an example holds."""
+    if isinstance(postings, RowPostings) and _aligned(postings.ids, pool.ids):
+        return {p: postings.get(p, _NO_ROWS) for p in payloads}
+    if postings is None:
+        postings = term_postings({i: terms(ex) for i, ex in pool.items()})
+    owners = postings.ids if isinstance(postings, RowPostings) else None
+    out = {}
+    for payload in payloads:
+        held = postings.get(payload, ())
+        if owners is not None:
+            held = [owners[r] for r in held]
+        out[payload] = np.sort(np.array([row_of(pool.ids, i) for i in held if i in pool], np.intp))
+    return out
+
+
+def _best_rows(values: np.ndarray, k: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """The (at most) ``k`` of ``rows`` (ascending; all rows by default) with
+    the highest values, best first, ties in row order: the partition's k-th
+    value bounds the survivors, and only they are sorted, stably."""
+    if rows is None:
+        rows = np.arange(len(values))
+    if k < len(rows):
+        part = values[rows]
+        kth = np.partition(part, len(rows) - k)[len(rows) - k]
+        rows = rows[part >= kth]
+    return rows[np.argsort(-values[rows], kind="stable")][:k]
+
+
 def _cover(
-    elements: list[CoverageElement],
+    walk: list[str],
     pool: Mapping[str, object],
     scores: Mapping[str, float],
     k: int,
     terms: Callable[[object], Iterable[str]],
     strategy: str,
     rng: random.Random | None = None,
-    postings: Mapping[str, list[str]] | None = None,
+    postings: Mapping[str, Iterable] | None = None,
     exclude: str | None = None,
 ) -> DemonstrationSet:
-    """``terms(example)`` lists the payloads an example covers; ``postings``
-    (built from ``terms`` when not given) may name ids outside the pool. The
-    pool id ``exclude`` is never picked."""
+    """Cover the payloads of ``walk``, in its order; ``terms(example)``
+    lists the payloads an example covers. The pool id ``exclude`` is never
+    picked. With ``rng`` the pick among an element's candidates is uniform,
+    else the retriever-best."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    if postings is None:
-        postings = term_postings({i: terms(ex) for i, ex in pool.items()})
-    chosen: list[tuple[str, float]] = []
+    pool = _as_pool(pool)
+    values = _score_rows(scores, pool.ids)
+    candidates = _posting_rows(postings, pool, walk, terms)
+    templates = pool.template_codes
+    # a row is blocked once its template is used, and the excluded row always
+    blocked = np.zeros(len(templates), bool)
+    if exclude is not None and exclude in pool:
+        blocked[row_of(pool.ids, exclude)] = True
+    chosen: list[int] = []
     trace: list[tuple[str, str | None]] = []
-    used_templates: set[str] = set()
     while len(chosen) < k:
-        uncovered = {e.payload for e in elements}
+        uncovered = set(walk)
         progress = False
-        for element in elements:
-            if element.payload not in uncovered:
+        for payload in walk:
+            if payload not in uncovered:
                 continue
-            candidates = [
-                i
-                for i in postings.get(element.payload, ())
-                if i in pool and i != exclude and pool[i].template not in used_templates
-            ]
-            if not candidates:
-                trace.append((element.payload, None))
+            # blocked rows stay blocked: keep only the open candidates
+            rows = candidates[payload]
+            if len(rows):
+                rows = candidates[payload] = rows[~blocked[rows]]
+            if not len(rows):
+                trace.append((payload, None))
                 continue
             if rng is None:
-                best = min(candidates, key=lambda i: (-scores.get(i, 0.0), i))
+                # the first of the highest scores: rows ascend in id order
+                best = int(rows[np.argmax(values[rows])])
             else:
-                best = rng.choice(sorted(candidates))
-            example = pool[best]
-            chosen.append((best, scores.get(best, 0.0)))
-            trace.append((element.payload, best))
-            uncovered.difference_update(terms(example))
-            used_templates.add(example.template)
+                best = rng.choice(rows.tolist())
+            chosen.append(best)
+            trace.append((payload, pool.ids[best]))
+            uncovered.difference_update(terms(pool.examples[best]))
+            blocked |= templates == templates[best]
             progress = True
             if len(chosen) == k:
                 break
         if not progress:
             break
     return DemonstrationSet(
-        items=chosen,
+        items=[(pool.ids[r], float(values[r])) for r in chosen],
         k=k,
         strategy=strategy,
         coverage_trace=trace,
@@ -103,16 +214,11 @@ def _cover(
     )
 
 
-def _as_elements(
-    elements: Iterable[str], max_ls_size: int | None
-) -> list[CoverageElement]:
-    out = []
-    for canonical in elements:
-        size = ls_size(canonical)
-        if max_ls_size is None or size <= max_ls_size:
-            out.append(CoverageElement(canonical, float(size)))
-    out.sort(key=lambda e: (-e.weight, e.payload))
-    return out
+def _structure_walk(elements: Iterable[str], max_ls_size: int | None) -> list[str]:
+    """The structures of at most ``max_ls_size`` nodes, largest first, ties
+    in string order."""
+    sized = [(-ls_size(c), c) for c in elements]
+    return [c for size, c in sorted(sized) if max_ls_size is None or -size <= max_ls_size]
 
 
 def cover_ls(
@@ -123,13 +229,12 @@ def cover_ls(
     max_ls_size: int | None = None,
     pick: str = "retriever-top",
     seed: int | None = None,
-    postings: Mapping[str, list[str]] | None = None,
+    postings: Mapping[str, Iterable] | None = None,
 ) -> DemonstrationSet:
     """Greedy structure-coverage selection over predicted local structures."""
-    elems = _as_elements(elements, max_ls_size)
     rng = random.Random(seed) if pick == "uniform-random" else None
     return _cover(
-        elems,
+        _structure_walk(elements, max_ls_size),
         pool,
         scores,
         k,
@@ -146,14 +251,14 @@ def cover_utt(
     scores: Mapping[str, float],
     k: int,
     idf: Callable[[str], float] | None = None,
-    postings: Mapping[str, list[str]] | None = None,
+    postings: Mapping[str, Iterable] | None = None,
 ) -> DemonstrationSet:
     """Same coverage loop over the test utterance's words (rarest first)."""
-    tokens = dict.fromkeys(tokenize_utterance(utterance))
-    elems = [CoverageElement(t, idf(t) if idf else 0.0) for t in tokens]
-    elems.sort(key=lambda e: -e.weight)  # stable: equal weights keep utterance order
+    words = list(dict.fromkeys(tokenize_utterance(utterance)))
+    if idf is not None:
+        words.sort(key=lambda t: -idf(t))  # stable: equal weights keep utterance order
     return _cover(
-        elems,
+        words,
         pool,
         scores,
         k,
@@ -168,17 +273,13 @@ def select_top_k(
     scores: Mapping[str, float],
     k: int,
 ) -> DemonstrationSet:
-    """The k highest-scoring distinct examples; ties broken by id. Only the
-    examples scoring at least the k-th best score get sorted."""
+    """The k highest-scoring distinct examples; ties broken by id."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    ids = list(pool)
-    if k < len(ids):
-        values = np.array([scores.get(i, 0.0) for i in ids], dtype=np.float64)
-        kth = np.partition(values, len(ids) - k)[len(ids) - k]
-        ids = [ids[row] for row in np.flatnonzero(values >= kth).tolist()]
-    ranked = sorted(ids, key=lambda i: (-scores.get(i, 0.0), i))
-    items = [(i, scores.get(i, 0.0)) for i in ranked[:k]]
+    pool = _as_pool(pool)
+    values = _score_rows(scores, pool.ids)
+    rows = _best_rows(values, k)
+    items = list(zip(map(pool.ids.__getitem__, rows.tolist()), values[rows].tolist()))
     return DemonstrationSet(
         items=items, k=k, strategy="top-k", underfilled=len(items) < k
     )
@@ -190,13 +291,27 @@ def select_random(
     """Uniform sample without replacement, reproducible per seed."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    ids = sorted(pool)
+    ids = _as_pool(pool).ids
     rng = random.Random(seed)
     take = min(k, len(ids))
     items = [(i, 0.0) for i in rng.sample(ids, take)]
     return DemonstrationSet(
         items=items, k=k, strategy="random", underfilled=len(items) < k
     )
+
+
+def _dpp_rows(
+    scores: Mapping[str, float], vectors: Mapping[str, tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, SparseRows]:
+    """The scores and the tf-idf rows of the scored ids, in id order; an id
+    without a row gets an empty one."""
+    if isinstance(vectors, SparseRows) and isinstance(scores, Scores):
+        if _aligned(scores.ids, vectors.ids):
+            return scores.array, vectors
+    ids = sorted(scores)
+    empty = (_NO_ROWS, np.empty(0))
+    rows = SparseRows.from_rows(ids, [vectors.get(i, empty) for i in ids])
+    return np.array([scores[i] for i in ids], dtype=np.float64), rows
 
 
 def dpp_select(
@@ -208,11 +323,12 @@ def dpp_select(
     """Greedy log-det maximization of the quality/similarity kernel.
 
     The kernel over candidates is ``L = diag(q) @ S @ diag(q)`` where ``q``
-    holds retriever scores normalized by the pool maximum (floored at 1e-6)
+    holds retriever scores normalized by the maximum score (floored at 1e-6)
     and ``S`` holds cosine similarities of the tf-idf structure rows
     (:func:`~demoselect.retrieval.ls_tfidf_vectors`). Candidates are the
-    top-scoring examples with nonempty rows. Their rows are scattered into
-    ``phi`` over the columns they use, in ascending column order.
+    ``candidate_pool_size`` top-scoring ids with nonempty rows. Their rows
+    are scattered into ``phi`` over the columns they use, in ascending
+    column order.
 
     The greedy step keeps, for every candidate, ``d2[row]``: the Schur
     complement of its diagonal entry given the picks so far, so that its
@@ -226,24 +342,21 @@ def dpp_select(
     """
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    ranked = sorted(scores, key=lambda i: (-scores[i], i))
-    candidates = [
-        i for i in ranked if i in vectors and len(vectors[i][0])
-    ][:candidate_pool_size]
+    values, tfidf = _dpp_rows(scores, vectors)
+    candidates = _best_rows(values, candidate_pool_size, np.flatnonzero(tfidf.nonempty))
     n = len(candidates)
     if n == 0:
         return DemonstrationSet(items=[], k=k, strategy="dpp", underfilled=True)
 
-    max_score = max(scores.values())
+    max_score = values.max()
     if max_score > 0:
-        q = np.array([max(scores[i] / max_score, Q_FLOOR) for i in candidates])
+        q = np.maximum(values[candidates] / max_score, Q_FLOOR)
     else:
         q = np.full(n, Q_FLOOR)
-    columns, weights = zip(*(vectors[i] for i in candidates))
-    support, coord = np.unique(np.concatenate(columns), return_inverse=True)
+    lengths, columns, weights = tfidf.take(candidates)
+    support, coord = np.unique(columns, return_inverse=True)
     phi = np.zeros((n, len(support)))
-    rows = np.repeat(np.arange(n), [len(c) for c in columns])
-    phi[rows, coord] = np.concatenate(weights)
+    phi[np.repeat(np.arange(n), lengths), coord] = weights
     kernel = (q[:, None] * q[None, :]) * (phi @ phi.T)
 
     selected: list[int] = []
@@ -268,7 +381,8 @@ def dpp_select(
         d2[best_row] = 0.0  # a picked row has no complement left
         selected.append(best_row)
         gains.append(best_gain)
-    items = [(candidates[r], scores[candidates[r]]) for r in selected]
+    picks = candidates[selected]
+    items = list(zip(map(tfidf.ids.__getitem__, picks.tolist()), values[picks].tolist()))
     return DemonstrationSet(
         items=items,
         k=k,
@@ -283,14 +397,14 @@ def training_mode_select(
     pool: Mapping[str, object],
     k: int,
     seed: int | None = None,
-    postings: Mapping[str, list[str]] | None = None,
+    postings: Mapping[str, Iterable] | None = None,
     exclude: str | None = None,
 ) -> DemonstrationSet:
     """Training-time picks: cover the gold program's symbols (its size-1
     ``structures``) with uniformly random containing examples, avoiding
     retriever-driven near-copies. ``exclude`` is the target's own pool id."""
     return _cover(
-        _as_elements(structures, max_ls_size=1),
+        _structure_walk(structures, max_ls_size=1),
         pool,
         {},
         k,

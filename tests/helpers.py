@@ -9,6 +9,8 @@ import re
 import sys
 from collections import Counter
 
+import numpy as np
+
 from hypothesis import strategies as st
 
 from demoselect import (
@@ -20,7 +22,8 @@ from demoselect import (
     render,
     repair_parentheses,
 )
-from demoselect.retrieval import lucene_idf
+from demoselect.retrieval import lucene_idf, term_postings, tokenize_utterance
+from demoselect.structures import ls_size
 
 SYMBOLS = ("f", "g", "h", "scan", "join", "pick", "a", "b", "top")
 STRING_VALUES = ("x", "y town", "omaha")
@@ -223,3 +226,119 @@ def reference_symbols_and_template(text, dialect) -> tuple[set[str], str | None]
         return reference_token_scan_symbols(text), None
     anon = anonymize(parsed)
     return set(anon.symbol_sequence()), render(anon)
+
+
+# --- reference copies of the dict-based selectors -------------------------------
+#
+# The selectors once ranked ids held in dicts: scores looked up per id,
+# candidates filtered into lists per element, and every score key sorted by
+# ``(-score, id)``. The copies below keep that behaviour so the selectors,
+# which work on pool rows, can be checked against it. Each returns
+# ``(items, coverage_trace, underfilled)``, DPP also its gains.
+
+
+def reference_cover(elements, pool, scores, k, terms, rng=None, postings=None, exclude=None):
+    """The coverage loop over ``elements``, payloads in walk order."""
+    if postings is None:
+        postings = term_postings({i: terms(ex) for i, ex in pool.items()})
+    chosen, trace, used_templates = [], [], set()
+    while len(chosen) < k:
+        uncovered = set(elements)
+        progress = False
+        for payload in elements:
+            if payload not in uncovered:
+                continue
+            candidates = [
+                i
+                for i in postings.get(payload, ())
+                if i in pool and i != exclude and pool[i].template not in used_templates
+            ]
+            if not candidates:
+                trace.append((payload, None))
+                continue
+            if rng is None:
+                best = min(candidates, key=lambda i: (-scores.get(i, 0.0), i))
+            else:
+                best = rng.choice(sorted(candidates))
+            chosen.append((best, scores.get(best, 0.0)))
+            trace.append((payload, best))
+            uncovered.difference_update(terms(pool[best]))
+            used_templates.add(pool[best].template)
+            progress = True
+            if len(chosen) == k:
+                break
+        if not progress:
+            break
+    return chosen, trace, len(chosen) < k
+
+
+def reference_cover_ls(elements, pool, scores, k, max_ls_size=None, pick="retriever-top",
+                       seed=None, postings=None):
+    kept = [c for c in elements if max_ls_size is None or ls_size(c) <= max_ls_size]
+    walk = sorted(kept, key=lambda c: (-ls_size(c), c))
+    rng = random.Random(seed) if pick == "uniform-random" else None
+    return reference_cover(walk, pool, scores, k, lambda ex: ex.ls_counts, rng, postings)
+
+
+def reference_cover_utt(utterance, pool, scores, k, idf=None, postings=None):
+    tokens = list(dict.fromkeys(tokenize_utterance(utterance)))
+    walk = sorted(tokens, key=lambda t: -(idf(t) if idf else 0.0))
+    return reference_cover(walk, pool, scores, k, lambda ex: ex.utt_tokens, None, postings)
+
+
+def reference_training_mode(structures, pool, k, seed=None, postings=None, exclude=None):
+    walk = sorted(c for c in structures if ls_size(c) == 1)
+    return reference_cover(
+        walk, pool, {}, k, lambda ex: ex.ls_counts, random.Random(seed), postings, exclude
+    )
+
+
+def reference_top_k(pool, scores, k):
+    ranked = sorted(dict.fromkeys(pool), key=lambda i: (-scores.get(i, 0.0), i))
+    items = [(i, scores.get(i, 0.0)) for i in ranked[:k]]
+    return items, [], len(items) < k
+
+
+def reference_dpp(scores, vectors, k, candidate_pool_size=200):
+    """DPP greedy selection over the candidates of the dict-based filter."""
+    ranked = sorted(scores, key=lambda i: (-scores[i], i))
+    candidates = [i for i in ranked if i in vectors and len(vectors[i][0])][
+        :candidate_pool_size
+    ]
+    n = len(candidates)
+    if n == 0:
+        return [], [], True, []
+    max_score = max(scores.values())
+    if max_score > 0:
+        q = np.array([max(scores[i] / max_score, 1e-6) for i in candidates])
+    else:
+        q = np.full(n, 1e-6)
+    columns, weights = zip(*(vectors[i] for i in candidates))
+    support, coord = np.unique(np.concatenate(columns), return_inverse=True)
+    phi = np.zeros((n, len(support)))
+    rows = np.repeat(np.arange(n), [len(c) for c in columns])
+    phi[rows, coord] = np.concatenate(weights)
+    kernel = (q[:, None] * q[None, :]) * (phi @ phi.T)
+    selected, gains = [], []
+    d2 = kernel.diagonal().copy()
+    floor = 1e-9 * kernel.diagonal()
+    factor = np.zeros((min(k, n), n))
+    while len(selected) < min(k, n):
+        eligible = d2 > floor
+        row_gains = np.full(n, -np.inf)
+        row_gains[eligible] = np.log(d2[eligible])
+        best_gain, best_row = -np.inf, None
+        for row, gain in enumerate(row_gains.tolist()):
+            if gain > best_gain + 1e-12:
+                best_gain, best_row = gain, row
+        if best_row is None or not np.isfinite(best_gain):
+            break
+        t = len(selected)
+        residual = kernel[best_row] - factor[:t, best_row] @ factor[:t]
+        factor[t] = residual / np.sqrt(d2[best_row])
+        d2 -= factor[t] ** 2
+        d2[best_row] = 0.0
+        selected.append(best_row)
+        gains.append(best_gain)
+    items = [(candidates[r], scores[candidates[r]]) for r in selected]
+    return items, [], len(items) < k, gains

@@ -461,15 +461,19 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
     # a loaded index serves its tf-idf rows as stored: none is computed
     monkeypatch.setattr("demoselect.corpus.ls_tfidf_arrays", forbidden)
     monkeypatch.setattr("demoselect.corpus.Example.symbol_seq", property(forbidden))
+    # the posting lists of pool rows, built from the structure columns
     monkeypatch.setattr(
         "demoselect.corpus.column_postings",
         counted("ls_postings", demoselect.corpus.column_postings),
     )
-    tfidf_rows = []
-    row_slices = demoselect.corpus.row_slices
     monkeypatch.setattr(
-        "demoselect.corpus.row_slices",
-        lambda *args: tfidf_rows.append(len(args[0])) or row_slices(*args),
+        Bm25Index, "from_postings", counted("bm25_symbols", Bm25Index.from_postings)
+    )
+    tfidf_rows = []
+    sparse_rows = demoselect.corpus.SparseRows
+    monkeypatch.setattr(
+        "demoselect.corpus.SparseRows",
+        lambda ids, *args: tfidf_rows.append(len(ids)) or sparse_rows(ids, *args),
     )
     monkeypatch.setattr(Bm25Index, "scores", counted("bm25_scores", Bm25Index.scores))
     common = ["run", "--index", str(workspace["index"]), "--k", "4", "--mock"]
@@ -481,6 +485,7 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
         ["cover-utt"],
         ["cover-ls", "--train-mode"],
         ["dpp"],
+        ["top-k", "--retriever", "bm25-symbols", "--oracle"],
     ):
         calls.clear()
         workdir = tmp_path / "-".join(flags)
@@ -493,6 +498,7 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
         "cover-utt": {"bm25_scores": 10},
         "cover-ls --train-mode": {"ls_postings": 1},
         "dpp": {"bm25_scores": 10},
+        "top-k --retriever bm25-symbols --oracle": {"bm25_symbols": 1, "bm25_scores": 10},
     }
     assert tfidf_rows == [60]  # dpp's rows, one per pool example
 
@@ -796,6 +802,31 @@ ROBUSTNESS_CASES = {
         b'{"id": "x", "beams": 5}\n',
         "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
         "bad.jsonl:1",
+    ),
+    "beams-id-missing": (
+        b'{"beams": ["f (a)"]}\n',
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+        "bad.jsonl:1: not a JSON object with an id",
+    ),
+    "beams-id-number": (
+        b'{"id": "x", "beams": []}\n{"id": 0, "beams": ["f (a)"]}\n',
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+        "bad.jsonl:2: id must be a non-empty string, got 0",
+    ),
+    "beams-id-null": (
+        b'{"id": null, "beams": ["f (a)"]}\n',
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+        "bad.jsonl:1: id must be a non-empty string, got None",
+    ),
+    "beams-id-empty": (
+        b'{"id": "", "beams": ["f (a)"]}\n',
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+        "bad.jsonl:1: id must be a non-empty string, got ''",
+    ),
+    "beams-id-repeated": (
+        b'{"id": "x", "beams": ["f (a)"]}\n\n{"id": "x", "beams": ["g (b)"]}\n',
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+        "bad.jsonl:3: id 'x' occurs twice",
     ),
     "beams-list-of-numbers": (
         b'{"id": "x", "beams": [5]}\n',

@@ -36,7 +36,7 @@ from demoselect.corpus import (
     make_example,
     write_text,
 )
-from demoselect.retrieval import ls_tfidf_vectors, term_postings
+from demoselect.retrieval import Bm25Index, ls_tfidf_vectors, term_postings
 from demoselect.structures import (
     build_structure_graph,
     count_local_structures,
@@ -263,23 +263,36 @@ def _geo_corpus(tmp_path):
     return load_examples(path)
 
 
+def _posting_ids(bundle, postings):
+    """Posting lists of pool rows as the pool's ids at those rows; every
+    list's rows ascend, so its ids are in id order."""
+    assert postings.ids is bundle.pool.ids
+    out = {}
+    for term, rows in postings.items():
+        assert rows.dtype.kind == "i" and np.all(np.diff(rows) > 0)
+        out[term] = [bundle.pool.ids[r] for r in rows.tolist()]
+    return out
+
+
 def test_posting_lists_match_hand_enumeration(tmp_path):
     bundle = build_indexes(_geo_corpus(tmp_path))
+    ls_postings = _posting_ids(bundle, bundle.ls_postings)
+    token_postings = _posting_ids(bundle, bundle.token_postings)
     # riverid appears in g1, g2, g3 and g6; fewest only in g7.
-    assert bundle.ls_postings["riverid"] == ["g1", "g2", "g3", "g6"]
-    assert bundle.ls_postings["fewest"] == ["g7"]
-    assert bundle.token_postings["texas"] == ["g8"]
-    assert bundle.token_postings["mississippi"] == ["g1", "g6"]
+    assert ls_postings["riverid"] == ["g1", "g2", "g3", "g6"]
+    assert ls_postings["fewest"] == ["g7"]
+    assert token_postings["texas"] == ["g8"]
+    assert token_postings["mississippi"] == ["g1", "g6"]
 
 
 def test_posting_lists_equal_linear_scan(tmp_path):
     bundle = build_indexes(_geo_corpus(tmp_path))
-    for canonical, ids in bundle.ls_postings.items():
+    for canonical, ids in _posting_ids(bundle, bundle.ls_postings).items():
         scanned = sorted(
             ex.id for ex in bundle.pool.values() if canonical in ex.ls_set
         )
         assert ids == scanned
-    for token, ids in bundle.token_postings.items():
+    for token, ids in _posting_ids(bundle, bundle.token_postings).items():
         scanned = sorted(
             ex.id for ex in bundle.pool.values() if token in ex.utt_tokens
         )
@@ -299,7 +312,9 @@ def test_index_round_trip_preserves_rankings(tmp_path):
         assert reloaded.bm25_utterance.rank(query) == bundle.bm25_utterance.rank(query)
     for query in (["riverid", "string"], ["longest", "river", "all"], ["fewest"], []):
         assert reloaded.bm25_symbols.rank(query) == bundle.bm25_symbols.rank(query)
-    assert reloaded.ls_postings == bundle.ls_postings
+    assert _posting_ids(reloaded, reloaded.ls_postings) == _posting_ids(
+        bundle, bundle.ls_postings
+    )
     _assert_rows_equal(reloaded.tfidf, bundle.tfidf)
 
 
@@ -526,8 +541,9 @@ def _assert_same_index(loaded, built, queries):
         # bit for bit, not merely equal
         bits = np.array(list(scores.values())).tobytes()
         assert bits == np.array(list(expected.values())).tobytes()
-    assert loaded.ls_postings == built.ls_postings
-    assert loaded.token_postings == built.token_postings
+    for name in ("ls_postings", "token_postings"):
+        postings = _posting_ids(loaded, getattr(loaded, name))
+        assert postings == _posting_ids(built, getattr(built, name))
     assert loaded.training_ls_union(4) == built.training_ls_union(4)
     assert loaded.stats() == built.stats()
     _assert_rows_equal(loaded.tfidf, built.tfidf)
@@ -537,12 +553,26 @@ def _assert_index_matches_its_maps(bundle):
     """The array-derived state equals what the dict-based functions compute
     from the examples' own structure counts and tokens."""
     pool = bundle.pool
-    assert bundle.ls_postings == term_postings({i: ex.ls_counts for i, ex in pool.items()})
-    assert bundle.token_postings == term_postings({i: ex.utt_tokens for i, ex in pool.items()})
+    assert _posting_ids(bundle, bundle.ls_postings) == term_postings(
+        {i: ex.ls_counts for i, ex in pool.items()}
+    )
+    assert _posting_ids(bundle, bundle.token_postings) == term_postings(
+        {i: ex.utt_tokens for i, ex in pool.items()}
+    )
     union = set().union(*(ex.ls_counts for ex in pool.values()))
     assert bundle.training_ls_union() == union
     assert bundle.training_ls_union(4) == {c for c in union if ls_size(c) <= 4}
     _assert_rows_equal(bundle.tfidf, ls_tfidf_vectors({i: ex.ls_counts for i, ex in pool.items()}))
+    # the symbol BM25 built from the structure columns scores bit for bit as
+    # the BM25 over every example's symbol sequence
+    symbols = Bm25Index({i: ex.symbol_seq for i, ex in pool.items()}, k1=bundle.k1, b=bundle.b)
+    assert bundle.bm25_symbols.doc_ids == symbols.doc_ids
+    names = sorted({c for ex in pool.values() for c in ex.symbol_seq})
+    for query in ([], names, [*names[:3], *names[:2], "zz-unknown"]):
+        scores = bundle.bm25_symbols.scores(query).array
+        assert scores.tobytes() == symbols.scores(query).array.tobytes()
+    for name in [*names, "zz-unknown"]:
+        assert bundle.bm25_symbols.idf(name) == symbols.idf(name)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -567,6 +597,7 @@ def test_saved_index_round_trips(split, seed, n_train, n_test, data):
         built.save(path)
         loaded = IndexBundle.load(path)
         _assert_same_index(loaded, built, [[], *queries])
+        _assert_index_matches_its_maps(loaded)
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["again.json", "index.json"]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoselect import (
+    Example,
     InvalidKError,
     anonymize,
     build_structure_graph,
@@ -24,8 +25,17 @@ from demoselect import (
     select_top_k,
     training_mode_select,
 )
+from demoselect.retrieval import RowPostings, Scores, SparseRows, term_postings
+from demoselect.selection import Pool
 from demoselect.structures import program_structures
 
+from helpers import (
+    reference_cover_ls,
+    reference_cover_utt,
+    reference_dpp,
+    reference_top_k,
+    reference_training_mode,
+)
 from trace_cases import TRACE_CASES, assert_case
 
 CALENDAR_PROGRAM = (
@@ -89,6 +99,161 @@ def test_top_k_equals_full_sort(scores, unscored, k_from, data):
     result = select_top_k(pool, scores, k)
     assert result.items == [(i, scores.get(i, 0.0)) for i in expected]
     assert result.underfilled == (len(expected) < k)
+    # the same pool and scores as rows, which pass the entry unconverted
+    rows = _pool_rows(pool)
+    assert select_top_k(rows, _score_rows(rows, scores), k) == result
+
+
+def _pool_rows(pool):
+    """A dict pool as the rows of a :class:`Pool`."""
+    ids = sorted(pool)
+    return Pool(ids, [pool[i] for i in ids])
+
+
+def _score_rows(rows, scores):
+    """Dict scores as :class:`Scores` aligned with a pool's rows."""
+    return Scores(rows.ids, np.array([scores.get(i, 0.0) for i in rows.ids], dtype=np.float64))
+
+
+def _row_postings(rows, postings):
+    """Posting lists of ids as the ascending rows of the pool's ids."""
+    return RowPostings(
+        rows.ids,
+        {t: np.array(sorted(rows.ids.index(i) for i in ids if i in rows), np.intp)
+         for t, ids in postings.items()},
+    )
+
+
+# Heavy ties, signed zeros and negative scores.
+SCORE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]),
+    st.floats(min_value=-5, max_value=5, allow_nan=False),
+)
+STRUCTURES = ["a", "b", "c", "d", "a -> b", "b -> c", "a <-> b", "a -> b -> c", "c -> d <-> a"]
+WORDS = ["red", "dog", "big", "cat", "runs"]
+OUTSIDE = ["zz", "zy"]  # ids outside every drawn pool
+
+
+@st.composite
+def selection_instances(draw):
+    """A pool with shared templates, scores of some pool ids and of ids
+    outside it, and id postings of the pool's structures and words that may
+    name ids outside the pool."""
+    ids = draw(st.lists(st.text("abcdef", min_size=1, max_size=2), unique=True, max_size=12))
+    pool = {
+        i: Example(
+            i,
+            " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=4))),
+            "p",
+            draw(st.sampled_from(["t0", "t1", "t2", "t3"])),
+            dict.fromkeys(draw(st.lists(st.sampled_from(STRUCTURES), unique=True, max_size=5)), 1),
+        )
+        for i in ids
+    }
+    scored = draw(st.lists(st.sampled_from(ids + OUTSIDE), unique=True))
+    scores = {i: draw(SCORE_VALUES) for i in scored}
+    postings = {}
+    for field in ("ls", "utt"):
+        terms = (lambda ex: ex.ls_counts) if field == "ls" else (lambda ex: ex.utt_tokens)
+        lists = term_postings({i: terms(ex) for i, ex in pool.items()})
+        for term in draw(st.lists(st.sampled_from([*STRUCTURES, *WORDS]), unique=True)):
+            lists[term] = sorted([*lists.get(term, []), draw(st.sampled_from(OUTSIDE))])
+        postings[field] = lists
+    k = draw(st.integers(1, len(pool) + 3))
+    return pool, scores, postings, k
+
+
+def _as_tuple(result):
+    # repr tells -0.0 from 0.0
+    return repr(result.items), result.coverage_trace, result.underfilled
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    instance=selection_instances(),
+    elements=st.lists(st.sampled_from([*STRUCTURES, "e -> f"]), max_size=8),
+    max_ls_size=st.sampled_from([None, 1, 2]),
+    pick=st.sampled_from(["retriever-top", "uniform-random"]),
+    seed=st.integers(0, 2**16),
+    form=st.sampled_from(["none", "ids", "rows"]),
+    data=st.data(),
+)
+def test_cover_equals_dict_reference(instance, elements, max_ls_size, pick, seed, form, data):
+    pool, scores, postings, k = instance
+    utterance = " ".join(data.draw(st.lists(st.sampled_from([*WORDS, "unseen"]), max_size=6)))
+    exclude = data.draw(st.sampled_from([None, *OUTSIDE, *pool]))
+    args = (pool, scores)
+    ls_postings, utt_postings = postings["ls"], postings["utt"]
+    if form == "none":
+        ls_postings = utt_postings = None
+    elif form == "rows":
+        rows = _pool_rows(pool)
+        args = (rows, _score_rows(rows, scores))
+        ls_postings = _row_postings(rows, ls_postings)
+        utt_postings = _row_postings(rows, utt_postings)
+    options = dict(max_ls_size=max_ls_size, pick=pick, seed=seed)
+    expected = reference_cover_ls(
+        elements, pool, scores, k, **options, postings=postings["ls"]
+    )
+    assert _as_tuple(cover_ls(elements, *args, k, **options, postings=ls_postings)) == (
+        repr(expected[0]), *expected[1:]
+    )
+    idf = lambda t: len(t) % 3  # noqa: E731 - ties between words of equal length
+    expected = reference_cover_utt(utterance, pool, scores, k, idf=idf, postings=postings["utt"])
+    result = cover_utt(utterance, *args, k, idf=idf, postings=utt_postings)
+    assert _as_tuple(result) == (repr(expected[0]), *expected[1:])
+    target = data.draw(st.sampled_from(STRUCTURES)), data.draw(st.sampled_from(STRUCTURES))
+    structures = dict.fromkeys(target, 1)
+    expected = reference_training_mode(
+        structures, pool, k, seed=seed, postings=postings["ls"], exclude=exclude
+    )
+    result = training_mode_select(
+        structures, args[0], k, seed=seed, postings=ls_postings, exclude=exclude
+    )
+    assert _as_tuple(result) == (repr(expected[0]), *expected[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=selection_instances(), k_from=st.sampled_from(["below", "above"]), data=st.data())
+def test_top_k_equals_dict_reference(instance, k_from, data):
+    pool, scores, _, k = instance
+    if k_from == "below":
+        k = max(1, min(k, len(pool) - 1))
+    expected = reference_top_k(pool, scores, k)
+    for args in ((pool, scores), (list(pool), scores)):
+        assert _as_tuple(select_top_k(*args, k)) == (repr(expected[0]), *expected[1:])
+    rows = _pool_rows(pool)
+    result = select_top_k(rows, _score_rows(rows, scores), k)
+    assert _as_tuple(result) == (repr(expected[0]), *expected[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.dictionaries(st.text("abcdef", min_size=1, max_size=2), SCORE_VALUES, max_size=14),
+    unscored=st.lists(st.text("gh", min_size=1, max_size=2), max_size=3),
+    k=st.integers(1, 8),
+    candidate_pool_size=st.integers(1, 16),
+    data=st.data(),
+)
+def test_dpp_equals_dict_reference(scores, unscored, k, candidate_pool_size, data):
+    # Rows for some scored ids (some of them empty) and for ids never scored.
+    dims = ["u", "v", "w", "x"]
+    weights = {}
+    for i in [*scores, *unscored]:
+        if i in unscored or data.draw(st.booleans()):
+            used = data.draw(st.lists(st.sampled_from(dims), unique=True))
+            weights[i] = {d: data.draw(st.floats(0.1, 1.0)) for d in used}
+    vectors = normalized_rows(weights)
+    expected = reference_dpp(scores, vectors, k, candidate_pool_size)
+    result = dpp_select(scores, vectors, k, candidate_pool_size)
+    assert (*_as_tuple(result), result.gains) == (repr(expected[0]), *expected[1:])
+    # the same scores and rows aligned with the scored ids pass unconverted
+    ids = sorted(scores)
+    empty = (np.empty(0, np.intp), np.empty(0))
+    rows = SparseRows.from_rows(ids, [vectors.get(i, empty) for i in ids])
+    row_scores = Scores(ids, np.array([scores[i] for i in ids], dtype=np.float64))
+    result = dpp_select(row_scores, rows, k, candidate_pool_size)
+    assert (*_as_tuple(result), result.gains) == (repr(expected[0]), *expected[1:])
 
 
 def test_top_k_rejects_nonpositive_k():
