@@ -7,17 +7,18 @@ counts. Every loaded beam is parsed once, by
 :func:`~demoselect.programs.repair_parentheses`, and keeps its
 local-structure set.
 
-:func:`build_indexes` computes, once, the arrays of :data:`ARRAY_DTYPES`:
-every example's structure counts as CSR rows over the sorted structure
-vocabulary, and the pool's utterance BM25 impacts and tf-idf rows. An index
-file stores these arrays beside a JSON header that holds the fields of
-:data:`RECORD_FIELDS`, so loading one parses no program, tokenizes no
-utterance and decodes no structure-count map. A bundle, built or loaded,
-serves its retrieval state from the arrays, aligned with its pool's rows
-(the pool's ids, sorted; see :class:`~demoselect.selection.Pool`): the
-utterance BM25 and the tf-idf rows (``dpp`` only) are views of them, and
-the structure postings (``cover-ls``), the symbol BM25 and the training
-structure union derive from the pool's structure columns on first use. The
+:func:`build_indexes` orders the corpus pool first, its training examples in
+id order, so that example ``r`` of the pool is pool row ``r`` (see
+:class:`~demoselect.selection.Pool`) in every array. It computes, once, the
+arrays of :data:`ARRAY_DTYPES`: every example's structure counts as CSR rows
+over the sorted structure vocabulary, and the pool's utterance BM25 impacts
+and tf-idf rows. An index file stores these arrays beside a JSON header that
+holds the fields of :data:`RECORD_FIELDS`, so loading one parses no program,
+tokenizes no utterance and decodes no structure-count map. A bundle, built
+or loaded, serves its retrieval state from the arrays: the utterance BM25
+and the tf-idf rows (``dpp`` only) are views of them, and the structure
+postings (``cover-ls``), the symbol BM25 and the training structure union
+derive from the pool's structure columns on first use. The
 token postings are the BM25 impact rows. A loaded example's structure
 counts are a :class:`StructureCounts` view over the shared arrays that
 builds its dict on first access, and its utterance tokens are computed on
@@ -32,12 +33,14 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 import zipfile
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter, lt
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -51,7 +54,6 @@ from .retrieval import (
     SparseRows,
     column_postings,
     ls_tfidf_arrays,
-    ragged_take,
     tokenize_utterance,
 )
 from .selection import Pool
@@ -61,15 +63,17 @@ logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "test")
 INDEX_MAGIC = "demoselect-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
-# The arrays of an index file, in three groups of rows stored back to back
-# (see retrieval.row_slices), each group with its offsets:
-# - ls: every example's structure counts, in corpus order; the columns index
-#   the sorted structure vocabulary;
+# An index file lists its examples pool first: the training examples in id
+# order, then the others in the order they were indexed. Record r and every
+# group's row r then all mean pool row r. The arrays, in three groups of rows
+# stored back to back (see retrieval.row_slices), each group with its offsets:
+# - ls: every example's structure counts, by record; the columns index the
+#   sorted structure vocabulary;
 # - bm25: the pool's utterance BM25 postings, term by term (see Bm25Index);
-# - tfidf: the pool's tf-idf rows, in corpus order; the columns index the
-#   sorted vocabulary of the pool's structures.
+# - tfidf: the pool's tf-idf rows, by pool row; the columns index the sorted
+#   vocabulary of the pool's structures.
 ARRAY_DTYPES = {
     "ls_offsets": np.dtype(np.int64),
     "ls_columns": np.dtype(np.int32),
@@ -353,7 +357,8 @@ class IndexBundle:
     same arrays and serve the same state.
 
     Only the training split is indexed as the selection pool, a
-    :class:`~demoselect.selection.Pool` in id order; queries come from test
+    :class:`~demoselect.selection.Pool` in id order: the corpus's first
+    examples, as :func:`build_indexes` orders them. Queries come from test
     utterances or predicted symbols. Scores, posting lists and tf-idf rows
     are aligned with the pool's rows. ``vocab`` is the sorted structure
     vocabulary and ``bm25_terms`` the utterance BM25's terms.
@@ -373,11 +378,9 @@ class IndexBundle:
         self.arrays = arrays
         self.k1 = k1
         self.b = b
-        # the pool rows: the training examples in id order, with their ls rows
-        examples = corpus.examples
-        train = sorted((ex.id, r) for r, ex in enumerate(examples) if ex.split == "train")
-        self._pool_rows = np.array([r for _, r in train], np.int64)
-        self.pool = Pool([i for i, _ in train], [examples[r] for _, r in train])
+        # the pool: the first examples, the training ones in id order
+        examples = corpus.examples[: sum(ex.split == "train" for ex in corpus.examples)]
+        self.pool = Pool([ex.id for ex in examples], examples)
         self.bm25_utterance = Bm25Index.from_arrays(
             self.pool.ids,
             bm25_terms,
@@ -387,12 +390,11 @@ class IndexBundle:
         )
 
     def _pool_entries(self, *names: str) -> tuple[np.ndarray, ...]:
-        """The ``ls`` entries of the pool, pool row after pool row: for
+        """The ``ls`` entries of the pool, the first ones of the arrays: for
         each, its pool row and its value in each array ``ls_<name>``."""
-        offsets = self.arrays["ls_offsets"]
-        starts = offsets[self._pool_rows]
-        lengths = offsets[self._pool_rows + 1] - starts
-        return ragged_take(starts, lengths, *(self.arrays[f"ls_{name}"] for name in names))
+        offsets = self.arrays["ls_offsets"][: len(self.pool) + 1]
+        owner = np.repeat(np.arange(len(self.pool)), np.diff(offsets))
+        return (owner, *(self.arrays[f"ls_{name}"][: len(owner)] for name in names))
 
     @cached_property
     def ls_postings(self) -> RowPostings:
@@ -427,33 +429,16 @@ class IndexBundle:
         )
 
     @cached_property
-    def _in_pool(self) -> np.ndarray:
-        """Whether each example, in corpus order, is in the pool."""
-        in_pool = np.zeros(len(self.corpus), bool)
-        in_pool[self._pool_rows] = True
-        return in_pool
-
-    @cached_property
     def tfidf(self) -> SparseRows:
-        """The pool's tf-idf rows, by pool row; the file stores them in
-        corpus order."""
-        rows = (np.cumsum(self._in_pool) - 1)[self._pool_rows]
-        offsets = self.arrays["tfidf_offsets"]
-        starts = offsets[rows]
-        return SparseRows(
-            self.pool.ids,
-            starts,
-            offsets[rows + 1] - starts,
-            self.arrays["tfidf_columns"],
-            self.arrays["tfidf_weights"],
-        )
+        """The pool's tf-idf rows, by pool row."""
+        names = ("tfidf_offsets", "tfidf_columns", "tfidf_weights")
+        return SparseRows(self.pool.ids, *(self.arrays[name] for name in names))
 
     @cached_property
     def _pool_structures(self) -> list[str]:
         """The structures held by some pool example, sorted."""
-        entries = np.repeat(self._in_pool, np.diff(self.arrays["ls_offsets"]))
-        present = np.zeros(len(self.vocab), bool)
-        present[self.arrays["ls_columns"][entries]] = True
+        _, columns = self._pool_entries("columns")
+        present = np.bincount(columns, minlength=len(self.vocab))
         return [self.vocab[c] for c in np.flatnonzero(present).tolist()]
 
     def training_ls_union(self, max_size: int | None = None) -> set[str]:
@@ -580,6 +565,11 @@ def _indexes(values: np.ndarray, size: int) -> bool:
     return not len(values) or (values.min() >= 0 and values.max() < size)
 
 
+def _ascending(values: list) -> bool:
+    """Whether ``values`` ascend strictly."""
+    return all(map(lt, values, values[1:]))
+
+
 def _check_layout(path, records, vocab, terms, params, arrays) -> None:
     """Raise IoError unless a loaded header and its arrays fit together."""
     ids, splits = records[0], records[-1]
@@ -590,9 +580,19 @@ def _check_layout(path, records, vocab, terms, params, arrays) -> None:
         and all(type(p) in (int, float) for p in params)
     ):
         raise IoError(f"index file {path} has a malformed header")
-    if len(set(ids)) != len(ids):
-        raise IoError(f"index file {path} holds an example id twice")
     pool_size = splits.count("train")
+    pool_ids, (k1, b) = ids[:pool_size], params
+    for bad, what in (
+        (len(set(ids)) != len(ids), "holds an example id twice"),
+        ("train" in splits[pool_size:], "does not list its training examples first"),
+        (not _ascending(pool_ids), "does not list its training examples in id order"),
+        (not _ascending(vocab), "has a structure vocabulary out of order"),
+        (len(set(terms)) != len(terms), "lists a BM25 term twice"),
+        (not 0 <= k1 <= sys.float_info.max, f"has the BM25 k1 {k1}, out of range"),
+        (not 0 <= b <= 1, f"has the BM25 b {b}, out of range"),
+    ):
+        if bad:
+            raise IoError(f"index file {path} {what}")
     layout = (
         # group, its index and value arrays, its rows, the size its indexes address
         ("ls", "columns", "counts", len(ids), len(vocab)),
@@ -609,15 +609,17 @@ def _check_layout(path, records, vocab, terms, params, arrays) -> None:
 
 
 def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBundle:
-    """Index ``corpus``: compute, once, the arrays that its bundle serves
-    from and that a saved index stores (see :data:`ARRAY_DTYPES`)."""
+    """Index ``corpus``, pool first: its training examples in id order, then
+    the others in their order. Compute, once, the arrays that the bundle
+    serves from and that a saved index stores (see :data:`ARRAY_DTYPES`)."""
     twice = [i for i, n in Counter(ex.id for ex in corpus.examples).items() if n > 1]
     if twice:
         raise CorpusError(f"example id {twice[0]!r} occurs twice in the indexed corpus")
+    pool = sorted((ex for ex in corpus.examples if ex.split == "train"), key=attrgetter("id"))
+    corpus = replace(corpus, examples=pool + [ex for ex in corpus.examples if ex.split != "train"])
     maps = [ex.ls_counts for ex in corpus.examples]
     vocab = sorted(set().union(*maps))
     column = {name: j for j, name in enumerate(vocab)}
-    pool = [ex for ex in corpus.examples if ex.split == "train"]
     bm25 = Bm25Index({ex.id: ex.utt_tokens for ex in pool}, k1=k1, b=b)
     tfidf_offsets, tfidf_columns, tfidf_weights = ls_tfidf_arrays(
         {ex.id: ex.ls_counts for ex in pool}

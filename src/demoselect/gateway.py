@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Callable, Sequence
 from urllib.parse import urlsplit
 

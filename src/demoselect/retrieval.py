@@ -10,7 +10,9 @@ positive Lucene-style variant ``ln((N - n + 0.5) / (n + 0.5) + 1)``.
 Documents are rows: row ``r`` is the ``r``-th of the sorted document ids.
 Scores (:class:`Scores`), posting lists (:class:`RowPostings`) and sparse
 rows (:class:`SparseRows`) are arrays aligned with those rows, each served
-as a read-only mapping by id that builds no per-document dict.
+as a read-only mapping by id that builds no per-document dict. Sparse rows,
+like every group of rows in an index file, are stored back to back with
+their offsets (see :func:`row_slices`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -117,50 +118,37 @@ def column_postings(
     )
 
 
-def ragged_take(
-    starts: np.ndarray, lengths: np.ndarray, *arrays: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The slices ``[starts[i]:starts[i] + lengths[i]]`` of each array, back
-    to back, after the position ``i`` that each of their entries comes from."""
-    owner = np.repeat(np.arange(len(starts)), lengths)
-    skip = np.cumsum(lengths) - lengths - starts
-    index = np.arange(len(owner)) - skip[owner]
-    return (owner, *(a[index] for a in arrays))
-
-
 class SparseRows(Mapping):
-    """Sparse rows of sorted ids: the row of ``ids[r]`` is the slice
-    ``[starts[r]:starts[r] + lengths[r]]`` of ``columns`` and ``weights``. A
+    """Sparse rows of sorted ids, stored back to back (see
+    :func:`row_slices`): the row of ``ids[r]`` is the slice
+    ``[offsets[r]:offsets[r + 1]]`` of ``columns`` and ``weights``. A
     read-only mapping from id to its ``(columns, weights)`` row."""
 
-    def __init__(self, ids, starts, lengths, columns, weights):
+    def __init__(self, ids, offsets, columns, weights):
         self.ids = ids
-        self.starts = starts
-        self.lengths = lengths
+        self.offsets = offsets
         self.columns = columns
         self.weights = weights
 
     @classmethod
     def from_rows(cls, ids: list[str], rows: list[tuple[np.ndarray, np.ndarray]]) -> "SparseRows":
-        lengths = np.array([len(columns) for columns, _ in rows], np.int64)
+        offsets = np.cumsum([0, *(len(columns) for columns, _ in rows)])
         columns = np.concatenate([np.empty(0, np.intp), *(c for c, _ in rows)])
         weights = np.concatenate([np.empty(0), *(w for _, w in rows)])
-        return cls(ids, np.cumsum(lengths) - lengths, lengths, columns, weights)
-
-    @cached_property
-    def nonempty(self) -> np.ndarray:
-        return self.lengths > 0
+        return cls(ids, offsets, columns, weights)
 
     def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The lengths of ``rows``, and their columns and weights back to back."""
-        lengths = self.lengths[rows]
-        _, columns, weights = ragged_take(self.starts[rows], lengths, self.columns, self.weights)
-        return lengths, columns, weights
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        # row i's entries, from starts[i] on, follow those of the rows before it
+        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        index = np.arange(len(shift)) + shift
+        return lengths, self.columns[index], self.weights[index]
 
     def __getitem__(self, key: str) -> tuple[np.ndarray, np.ndarray]:
         row = row_of(self.ids, key)
-        start = int(self.starts[row])
-        end = start + int(self.lengths[row])
+        start, end = self.offsets[row:row + 2].tolist()
         return self.columns[start:end], self.weights[start:end]
 
     def __iter__(self):

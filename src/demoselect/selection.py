@@ -343,7 +343,8 @@ def dpp_select(
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
     values, tfidf = _dpp_rows(scores, vectors)
-    candidates = _best_rows(values, candidate_pool_size, np.flatnonzero(tfidf.nonempty))
+    nonempty = np.flatnonzero(np.diff(tfidf.offsets))
+    candidates = _best_rows(values, candidate_pool_size, nonempty)
     n = len(candidates)
     if n == 0:
         return DemonstrationSet(items=[], k=k, strategy="dpp", underfilled=True)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from demoselect import (
     parse_program,
     render,
     repair_parentheses,
+    to_template,
 )
 from demoselect.retrieval import lucene_idf, term_postings, tokenize_utterance
 from demoselect.structures import ls_size
@@ -342,3 +345,62 @@ def reference_dpp(scores, vectors, k, candidate_pool_size=200):
         gains.append(best_gain)
     items = [(candidates[r], scores[candidates[r]]) for r in selected]
     return items, [], len(items) < k, gains
+
+
+# --- the benchmark's output invariants ------------------------------------------
+#
+# The benchmark checks every `run --mock` it times (perfbench/checks.py). The
+# tests do not import the benchmark, so the checks are restated here.
+
+COVER_STRATEGIES = ("cover-ls", "cover-utt", "cover-ls-train")
+
+
+def _stage_rows(path: Path, ids: list[str], failures: list[str]) -> dict[str, dict]:
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    if [row["id"] for row in rows] != ids:
+        failures.append(f"{path.name}: not one row per target, in the targets' order")
+    return {row["id"]: row for row in rows}
+
+
+def run_failures(
+    workdir: Path, targets: dict[str, str], k: int, pool: dict[str, str], train_mode: bool
+) -> list[str]:
+    """How the outputs of one ``run --mock`` in ``workdir`` break the
+    benchmark's invariants, for the target examples ``targets`` (id to gold
+    program, in the order run reads them) and the pool ``pool`` (id to
+    program). Training mode writes selections and prompts only."""
+    failures: list[str] = []
+    ids = list(targets)
+    selections = _stage_rows(workdir / "selections.jsonl", ids, failures)
+    prompts = _stage_rows(workdir / "prompts.jsonl", ids, failures)
+    predictions = {} if train_mode else _stage_rows(workdir / "predictions.jsonl", ids, failures)
+    matches = 0
+    for i in ids:
+        selection, prompt = selections[i], prompts[i]
+        picks = [pick for pick, _ in selection["items"]]
+        demos = prompt["demo_ids"]
+        checks = {
+            "at most k distinct pool ids": len(set(picks)) == len(picks) <= k,
+            "picks from the pool": set(picks) <= set(pool),
+            "underfilled exactly when short": selection["underfilled"] == (len(picks) < k),
+            "no two cover picks share a template": selection["strategy"] not in COVER_STRATEGIES
+            or len({to_template(parse_program(pool[p])).text for p in picks}) == len(picks),
+            "prompt demos come from the selection": set(demos) <= set(picks),
+            "every pick is a demo or truncated": len(demos) + prompt["truncated"] == len(picks),
+        }
+        if train_mode:
+            checks["the target is no demo of itself"] = i not in picks
+            checks["the prompt's target is the gold program"] = prompt["target"] == targets[i]
+        else:
+            prediction = predictions[i]["prediction"]
+            # the mock answers "" to a prompt without demonstrations
+            checks["the mock predicts the gold or a demo"] = prediction == targets[i] or (
+                prediction in [pool[d] for d in demos] if demos else prediction == ""
+            )
+            matches += " ".join(prediction.split()) == " ".join(targets[i].split())
+        failures += [f"{i}: {name}" for name, ok in checks.items() if not ok]
+    if not train_mode:
+        report = json.loads((workdir / "report.json").read_text(encoding="utf-8"))
+        if report.get("count") != len(ids) or report.get("accuracy") != matches / len(ids):
+            failures.append("report.json: count or accuracy not those of the predictions")
+    return failures

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from demoselect.cli import main
+from demoselect.corpus import IndexBundle
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ FIXTURE_DIGESTS = {
         "meta.json": "9d59d6c64f847069228c2083f5a963426085d944221f0df5224dd5932397fa91",
     },
 }
-INDEX_DIGEST = "aa2bb0ffa06b160120684a92fd62995f39a9ec750f4875ab2f02802f0459c486"
+INDEX_DIGEST = "068ae2e455171ae7a747192fb3f069ae8620b8711efff427d5243d9989736186"
 
 
 def _sha256(path):
@@ -103,6 +104,40 @@ def test_gen_fixture_and_index_bytes_are_pinned(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "held-out-ls", "iid", "index.json", "template"
     ]
+
+
+def test_index_lists_the_pool_first_and_run_keeps_the_test_order(tmp_path):
+    # train and test lines interleaved, the ids in neither order
+    rows = [
+        ("t-9", "test", "pick b", "f (b)"),
+        ("p-5", "train", "pick a", "f (a)"),
+        ("t-1", "test", "join a and b", "g (a, b)"),
+        ("p-2", "train", "join b and a", "g (b, a)"),
+        ("p-8", "train", "scan b", "h (b)"),
+        ("t-4", "test", "scan a", "h (a)"),
+        ("p-0", "train", "top a", "top (a)"),
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps({"id": i, "split": split, "utterance": u, "program": program}) + "\n"
+            for i, split, u, program in rows
+        )
+    )
+    index, again = tmp_path / "index.json", tmp_path / "again.json"
+    assert main(["index", "--corpus", str(corpus), "--out", str(index)]) == 0
+    bundle = IndexBundle.load(index)
+    assert [ex.id for ex in bundle.corpus.examples] == [
+        "p-0", "p-2", "p-5", "p-8", "t-9", "t-1", "t-4"
+    ]
+    bundle.save(again)
+    assert again.read_bytes() == index.read_bytes()
+    for strategy in ("top-k", "cover-utt", "dpp"):
+        workdir = tmp_path / strategy
+        argv = ["run", "--index", str(index), "--strategy", strategy, "--k", "2", "--mock"]
+        assert main([*argv, "--workdir", str(workdir)]) in (0, 1)
+        for name in ("selections.jsonl", "prompts.jsonl", "predictions.jsonl"):
+            assert [row["id"] for row in _read_jsonl(workdir / name)] == ["t-9", "t-1", "t-4"]
 
 
 def test_index_reports_stats(workspace, capsys):

@@ -351,9 +351,9 @@ def test_index_version_mismatch_rejected(tmp_path):
     path = tmp_path / "index.json"
     bundle.save(path)
     header, arrays = _index_parts(path)
-    assert header["version"] == 3
+    assert header["version"] == 4
     assert set(header["examples"]) == set(RECORD_FIELDS)
-    for version in (1, 2, 99):
+    for version in (1, 2, 3, 99):
         _write_index(path, {**header, "version": version}, arrays)
         with pytest.raises(IndexVersionError, match="demoselect index"):
             IndexBundle.load(path)
@@ -395,9 +395,31 @@ def _drop_one_record(header, arrays):
         column.pop()
 
 
-def _repeat_first_id(header, arrays):
-    ids = header["examples"]["id"]
-    ids[1] = ids[0]
+def _at(header, keys):
+    """The header list at ``keys``."""
+    for key in keys:
+        header = header[key]
+    return header
+
+
+def _repeat_first(*keys):
+    """A change that makes entry 1 of the header list at ``keys`` repeat entry 0."""
+
+    def change(header, arrays):
+        values = _at(header, keys)
+        values[1] = values[0]
+
+    return change
+
+
+def _swap(i, j, *keys):
+    """A change that swaps entries ``i`` and ``j`` of the header list at ``keys``."""
+
+    def change(header, arrays):
+        values = _at(header, keys)
+        values[i], values[j] = values[j], values[i]
+
+    return change
 
 
 # How a saved index gets damaged, and the error (class, message pattern)
@@ -408,7 +430,7 @@ BAD_INDEX_CASES = {
             json.dumps({"magic": "demoselect-index", "version": 2, "examples": []})
         ),
         IndexVersionError,
-        r"index version 2 unsupported \(expected 3\); rebuild it with `demoselect index`",
+        r"index version 2 unsupported \(expected 4\); rebuild it with `demoselect index`",
     ),
     "text": (
         lambda path: path.write_text("id,utterance\n1,hello\n"),
@@ -481,7 +503,29 @@ BAD_INDEX_CASES = {
         IoError,
         "the ls arrays do not fit 69 rows over",
     ),
-    "id-twice": (_rewrite(_repeat_first_id), IoError, "holds an example id twice"),
+    "id-twice": (_rewrite(_repeat_first("examples", "id")), IoError, "holds an example id twice"),
+    "pool-not-first": (
+        # the first training record and the last test record trade splits
+        _rewrite(_swap(0, -1, "examples", "split")),
+        IoError,
+        "does not list its training examples first",
+    ),
+    "pool-ids-out-of-order": (
+        _rewrite(_swap(0, 1, "examples", "id")),
+        IoError,
+        "does not list its training examples in id order",
+    ),
+    "vocab-out-of-order": (
+        _rewrite(_swap(0, 1, "vocab")),
+        IoError,
+        "has a structure vocabulary out of order",
+    ),
+    "bm25-term-twice": (_rewrite(_repeat_first("bm25_terms")), IoError, "lists a BM25 term twice"),
+    "k1-nan": (
+        _rewrite(lambda header, arrays: header.__setitem__("k1", float("nan"))),
+        IoError,
+        "has the BM25 k1 nan, out of range",
+    ),
     "utterance-not-a-string": (
         _rewrite(lambda header, arrays: header["examples"]["utterance"].__setitem__(0, 5)),
         IoError,
