@@ -148,7 +148,8 @@ SCORED_IDS = ("a list of [id, score] pairs", _is_scored_ids)
 
 def _read_jsonl(path: str | Path, fields: dict[str, tuple]) -> list[dict]:
     """The rows of a stage file: every line JSON, then every row an object
-    holding each key of ``fields`` with a value its check accepts."""
+    holding each key of ``fields`` with a value its check accepts, and no
+    two rows with the same ``id``."""
     numbered = []
     for lineno, line in enumerate(read_text(path, "stage file").splitlines(), start=1):
         if not line.strip():
@@ -157,12 +158,16 @@ def _read_jsonl(path: str | Path, fields: dict[str, tuple]) -> list[dict]:
             numbered.append((lineno, json.loads(line)))
         except ValueError as exc:
             raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+    seen: dict[str, int] = {}
     for lineno, row in numbered:
         if not isinstance(row, dict) or not all(key in row for key in fields):
             raise IoError(f"{path}:{lineno}: not an object with keys {', '.join(fields)}")
         for key, (description, check) in fields.items():
             if not check(row[key]):
                 raise IoError(f"{path}:{lineno}: {key} must be {description}")
+        first = seen.setdefault(row["id"], lineno)
+        if first != lineno:
+            raise IoError(f"{path}:{lineno}: id {row['id']!r} repeats line {first}")
     return [row for _, row in numbered]
 
 
@@ -487,11 +492,12 @@ def _load_config(args) -> RunConfig:
 
 def _load_inputs(args, cfg: RunConfig, with_tests: bool, with_beams: bool = False):
     """The index, the test examples and the beam file (``--predictions`` of
-    the selection commands) that a command reads."""
-    needs_beams = (
+    the selection commands) that a command reads; the beam file only when
+    the strategy or retriever reads beams."""
+    needs_beams = with_beams and (
         cfg.strategy == "cover-ls" or cfg.retriever == "bm25-symbols"
     ) and not cfg.oracle and not cfg.train_mode
-    if with_beams and needs_beams and not args.predictions:
+    if needs_beams and not args.predictions:
         raise ConfigError(
             f"strategy/retriever {cfg.strategy}/{cfg.retriever} needs --predictions "
             "or --oracle"
@@ -499,7 +505,7 @@ def _load_inputs(args, cfg: RunConfig, with_tests: bool, with_beams: bool = Fals
     bundle = IndexBundle.load(args.index)
     tests = _load_tests(bundle, args.test) if with_tests else []
     beams = {}
-    if with_beams and args.predictions:
+    if needs_beams:
         beams = load_predictions(args.predictions, bundle.corpus.dialect)
         if cfg.beam_limit is not None:
             beams = {i: pred.first(cfg.beam_limit) for i, pred in beams.items()}

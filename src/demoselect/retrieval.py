@@ -12,7 +12,9 @@ Scores (:class:`Scores`), posting lists (:class:`RowPostings`) and sparse
 rows (:class:`SparseRows`) are arrays aligned with those rows, each served
 as a read-only mapping by id that builds no per-document dict. Sparse rows,
 like every group of rows in an index file, are stored back to back with
-their offsets (see :func:`row_slices`).
+their offsets (see :func:`row_slices`). These three are the only form the
+selectors of :mod:`demoselect.selection` take: their ``ids`` must be the
+selection pool's ids, or the selector raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -129,13 +131,6 @@ class SparseRows(Mapping):
         self.offsets = offsets
         self.columns = columns
         self.weights = weights
-
-    @classmethod
-    def from_rows(cls, ids: list[str], rows: list[tuple[np.ndarray, np.ndarray]]) -> "SparseRows":
-        offsets = np.cumsum([0, *(len(columns) for columns, _ in rows)])
-        columns = np.concatenate([np.empty(0, np.intp), *(c for c, _ in rows)])
-        weights = np.concatenate([np.empty(0), *(w for _, w in rows)])
-        return cls(ids, offsets, columns, weights)
 
     def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The lengths of ``rows``, and their columns and weights back to back."""

@@ -8,11 +8,14 @@ rows. The ``(-score, id)`` order is then the stable order of ``-scores``:
 top-k and DPP sort the survivors of a partition stably, and the coverage
 strategies pick, among an element's candidate rows (ascending), the first
 of the highest score. An ``(id, score)`` pair is built only for a pick.
-Each selector's entry turns a plain mapping or list
-pool, a dict of scores (an id without one scores 0.0) and posting lists of
-ids (those outside the pool are dropped) into this row form; the bundle's
-own pool, scores, postings and tf-idf rows are already in it and pass
-through unchanged.
+
+Selectors take only this row form: the bundle's ``pool``, the
+:class:`~demoselect.retrieval.Scores` of its retrievers, its
+:class:`~demoselect.retrieval.RowPostings` and its tf-idf
+:class:`~demoselect.retrieval.SparseRows`. A hand-made pool is
+``Pool(sorted_ids, examples)``, with scores and postings over the same
+ids; the coverage strategies require ``postings``. Rows over other ids
+raise ``ValueError``.
 
 The coverage strategies walk a sorted element list (largest structure
 first, or rarest token first), greedily picking the retriever-best pool
@@ -27,7 +30,6 @@ import random
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .retrieval import (
     Scores,
     SparseRows,
     row_of,
-    term_postings,
     tokenize_utterance,
 )
 from .structures import ls_size, program_structures
@@ -92,50 +93,13 @@ class Pool(Mapping):
         return self.examples
 
 
-def _as_pool(pool: Mapping[str, object] | Iterable[str]) -> Pool:
-    if isinstance(pool, Pool):
-        return pool
-    if not isinstance(pool, Mapping):
-        pool = dict.fromkeys(pool)
-    pairs = sorted(pool.items(), key=itemgetter(0))
-    return Pool([i for i, _ in pairs], [example for _, example in pairs])
-
-
-def _aligned(ids: list[str], other: list[str]) -> bool:
-    return ids is other or ids == other
-
-
-def _score_rows(scores: Mapping[str, float], ids: list[str]) -> np.ndarray:
-    """The scores of the rows ``ids``, an id without a score scoring 0.0."""
-    if isinstance(scores, Scores) and _aligned(scores.ids, ids):
-        return scores.array
-    if not scores:
-        return np.zeros(len(ids))
-    return np.array([scores.get(i, 0.0) for i in ids], dtype=np.float64)
-
-
-def _posting_rows(
-    postings: Mapping[str, Iterable] | None,
-    pool: Pool,
-    payloads: Iterable[str],
-    terms: Callable[[object], Iterable[str]],
-) -> dict[str, np.ndarray]:
-    """Each payload's candidate rows, ascending. ``postings`` of pool rows
-    serve as they are; ``postings`` of ids (or of another pool's rows) keep
-    the ids in the pool; without postings, ``terms(example)`` lists the
-    payloads an example holds."""
-    if isinstance(postings, RowPostings) and _aligned(postings.ids, pool.ids):
-        return {p: postings.get(p, _NO_ROWS) for p in payloads}
-    if postings is None:
-        postings = term_postings({i: terms(ex) for i, ex in pool.items()})
-    owners = postings.ids if isinstance(postings, RowPostings) else None
-    out = {}
-    for payload in payloads:
-        held = postings.get(payload, ())
-        if owners is not None:
-            held = [owners[r] for r in held]
-        out[payload] = np.sort(np.array([row_of(pool.ids, i) for i in held if i in pool], np.intp))
-    return out
+def _check_aligned(ids: list[str], *rows) -> None:
+    """Raise ``ValueError`` unless each of ``rows`` is over the pool rows
+    ``ids``: the same list, or an equal one."""
+    for row in rows:
+        other = getattr(row, "ids", None)
+        if not (other is ids or other == ids):
+            raise ValueError(f"{type(row).__name__} is not aligned with the pool's rows")
 
 
 def _best_rows(values: np.ndarray, k: int, rows: np.ndarray | None = None) -> np.ndarray:
@@ -153,24 +117,23 @@ def _best_rows(values: np.ndarray, k: int, rows: np.ndarray | None = None) -> np
 
 def _cover(
     walk: list[str],
-    pool: Mapping[str, object],
-    scores: Mapping[str, float],
+    pool: Pool,
+    values: np.ndarray,
     k: int,
     terms: Callable[[object], Iterable[str]],
     strategy: str,
+    postings: RowPostings,
     rng: random.Random | None = None,
-    postings: Mapping[str, Iterable] | None = None,
     exclude: str | None = None,
 ) -> DemonstrationSet:
-    """Cover the payloads of ``walk``, in its order; ``terms(example)``
-    lists the payloads an example covers. The pool id ``exclude`` is never
-    picked. With ``rng`` the pick among an element's candidates is uniform,
-    else the retriever-best."""
+    """Cover the payloads of ``walk``, in its order: ``values[r]`` scores
+    row ``r``, ``postings`` lists the rows holding each payload and
+    ``terms(example)`` the payloads an example covers. The pool id
+    ``exclude`` is never picked. With ``rng`` the pick among an element's
+    candidates is uniform, else the retriever-best."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    pool = _as_pool(pool)
-    values = _score_rows(scores, pool.ids)
-    candidates = _posting_rows(postings, pool, walk, terms)
+    candidates = {payload: postings.get(payload, _NO_ROWS) for payload in walk}
     templates = pool.template_codes
     # a row is blocked once its template is used, and the excluded row always
     blocked = np.zeros(len(templates), bool)
@@ -223,44 +186,50 @@ def _structure_walk(elements: Iterable[str], max_ls_size: int | None) -> list[st
 
 def cover_ls(
     elements: Iterable[str],
-    pool: Mapping[str, object],
-    scores: Mapping[str, float],
+    pool: Pool,
+    scores: Scores,
     k: int,
     max_ls_size: int | None = None,
     pick: str = "retriever-top",
     seed: int | None = None,
-    postings: Mapping[str, Iterable] | None = None,
+    *,
+    postings: RowPostings,
 ) -> DemonstrationSet:
-    """Greedy structure-coverage selection over predicted local structures."""
+    """Greedy structure-coverage selection over predicted local structures;
+    ``postings`` lists the pool rows holding each structure."""
+    _check_aligned(pool.ids, scores, postings)
     rng = random.Random(seed) if pick == "uniform-random" else None
     return _cover(
         _structure_walk(elements, max_ls_size),
         pool,
-        scores,
+        scores.array,
         k,
         terms=lambda ex: ex.ls_counts,
         strategy="cover-ls",
-        rng=rng,
         postings=postings,
+        rng=rng,
     )
 
 
 def cover_utt(
     utterance: str,
-    pool: Mapping[str, object],
-    scores: Mapping[str, float],
+    pool: Pool,
+    scores: Scores,
     k: int,
     idf: Callable[[str], float] | None = None,
-    postings: Mapping[str, Iterable] | None = None,
+    *,
+    postings: RowPostings,
 ) -> DemonstrationSet:
-    """Same coverage loop over the test utterance's words (rarest first)."""
+    """Same coverage loop over the test utterance's words (rarest first);
+    ``postings`` lists the pool rows holding each word."""
+    _check_aligned(pool.ids, scores, postings)
     words = list(dict.fromkeys(tokenize_utterance(utterance)))
     if idf is not None:
         words.sort(key=lambda t: -idf(t))  # stable: equal weights keep utterance order
     return _cover(
         words,
         pool,
-        scores,
+        scores.array,
         k,
         terms=lambda ex: ex.utt_tokens,
         strategy="cover-utt",
@@ -268,16 +237,12 @@ def cover_utt(
     )
 
 
-def select_top_k(
-    pool: Mapping[str, object] | Iterable[str],
-    scores: Mapping[str, float],
-    k: int,
-) -> DemonstrationSet:
+def select_top_k(pool: Pool, scores: Scores, k: int) -> DemonstrationSet:
     """The k highest-scoring distinct examples; ties broken by id."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    pool = _as_pool(pool)
-    values = _score_rows(scores, pool.ids)
+    _check_aligned(pool.ids, scores)
+    values = scores.array
     rows = _best_rows(values, k)
     items = list(zip(map(pool.ids.__getitem__, rows.tolist()), values[rows].tolist()))
     return DemonstrationSet(
@@ -285,38 +250,21 @@ def select_top_k(
     )
 
 
-def select_random(
-    pool: Mapping[str, object] | Iterable[str], k: int, seed: int | None = None
-) -> DemonstrationSet:
+def select_random(pool: Pool, k: int, seed: int | None = None) -> DemonstrationSet:
     """Uniform sample without replacement, reproducible per seed."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    ids = _as_pool(pool).ids
     rng = random.Random(seed)
-    take = min(k, len(ids))
-    items = [(i, 0.0) for i in rng.sample(ids, take)]
+    take = min(k, len(pool.ids))
+    items = [(i, 0.0) for i in rng.sample(pool.ids, take)]
     return DemonstrationSet(
         items=items, k=k, strategy="random", underfilled=len(items) < k
     )
 
 
-def _dpp_rows(
-    scores: Mapping[str, float], vectors: Mapping[str, tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, SparseRows]:
-    """The scores and the tf-idf rows of the scored ids, in id order; an id
-    without a row gets an empty one."""
-    if isinstance(vectors, SparseRows) and isinstance(scores, Scores):
-        if _aligned(scores.ids, vectors.ids):
-            return scores.array, vectors
-    ids = sorted(scores)
-    empty = (_NO_ROWS, np.empty(0))
-    rows = SparseRows.from_rows(ids, [vectors.get(i, empty) for i in ids])
-    return np.array([scores[i] for i in ids], dtype=np.float64), rows
-
-
 def dpp_select(
-    scores: Mapping[str, float],
-    vectors: Mapping[str, tuple[np.ndarray, np.ndarray]],
+    scores: Scores,
+    vectors: SparseRows,
     k: int,
     candidate_pool_size: int = 200,
 ) -> DemonstrationSet:
@@ -342,8 +290,9 @@ def dpp_select(
     """
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    values, tfidf = _dpp_rows(scores, vectors)
-    nonempty = np.flatnonzero(np.diff(tfidf.offsets))
+    _check_aligned(scores.ids, vectors)
+    values = scores.array
+    nonempty = np.flatnonzero(np.diff(vectors.offsets))
     candidates = _best_rows(values, candidate_pool_size, nonempty)
     n = len(candidates)
     if n == 0:
@@ -354,7 +303,7 @@ def dpp_select(
         q = np.maximum(values[candidates] / max_score, Q_FLOOR)
     else:
         q = np.full(n, Q_FLOOR)
-    lengths, columns, weights = tfidf.take(candidates)
+    lengths, columns, weights = vectors.take(candidates)
     support, coord = np.unique(columns, return_inverse=True)
     phi = np.zeros((n, len(support)))
     phi[np.repeat(np.arange(n), lengths), coord] = weights
@@ -383,7 +332,7 @@ def dpp_select(
         selected.append(best_row)
         gains.append(best_gain)
     picks = candidates[selected]
-    items = list(zip(map(tfidf.ids.__getitem__, picks.tolist()), values[picks].tolist()))
+    items = list(zip(map(scores.ids.__getitem__, picks.tolist()), values[picks].tolist()))
     return DemonstrationSet(
         items=items,
         k=k,
@@ -395,24 +344,26 @@ def dpp_select(
 
 def training_mode_select(
     structures: Iterable[str],
-    pool: Mapping[str, object],
+    pool: Pool,
     k: int,
     seed: int | None = None,
-    postings: Mapping[str, Iterable] | None = None,
+    *,
+    postings: RowPostings,
     exclude: str | None = None,
 ) -> DemonstrationSet:
     """Training-time picks: cover the gold program's symbols (its size-1
     ``structures``) with uniformly random containing examples, avoiding
     retriever-driven near-copies. ``exclude`` is the target's own pool id."""
+    _check_aligned(pool.ids, postings)
     return _cover(
         _structure_walk(structures, max_ls_size=1),
         pool,
-        {},
+        np.zeros(len(pool.ids)),
         k,
         terms=lambda ex: ex.ls_counts,
         strategy="cover-ls-train",
-        rng=random.Random(seed),
         postings=postings,
+        rng=random.Random(seed),
         exclude=exclude,
     )
 

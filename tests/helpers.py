@@ -9,6 +9,7 @@ import random
 import re
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,17 @@ from demoselect import (
     repair_parentheses,
     to_template,
 )
-from demoselect.retrieval import lucene_idf, term_postings, tokenize_utterance
+from demoselect.retrieval import (
+    RowPostings,
+    Scores,
+    SparseRows,
+    lucene_idf,
+    normalized_arrays,
+    row_of,
+    term_postings,
+    tokenize_utterance,
+)
+from demoselect.selection import Pool
 from demoselect.structures import ls_size
 
 SYMBOLS = ("f", "g", "h", "scan", "join", "pick", "a", "b", "top")
@@ -229,6 +240,54 @@ def reference_symbols_and_template(text, dialect) -> tuple[set[str], str | None]
         return reference_token_scan_symbols(text), None
     anon = anonymize(parsed)
     return set(anon.symbol_sequence()), render(anon)
+
+
+# --- dict pools, scores and postings as pool rows --------------------------------
+#
+# The selectors take only pool rows. Tests that state a case as a dict pool,
+# dict scores, posting lists of ids or tf-idf weight maps build the row
+# objects here, the one conversion the test suite has.
+
+
+def pool_rows(pool) -> Pool:
+    """A dict pool, or a list of ids (their examples ``None``), as a
+    :class:`Pool` sorted by id."""
+    if not isinstance(pool, Mapping):
+        pool = dict.fromkeys(pool)
+    ids = sorted(pool)
+    return Pool(ids, [pool[i] for i in ids])
+
+
+def score_rows(rows: Pool, scores) -> Scores:
+    """Dict scores as :class:`Scores` over the pool's ids: an id without a
+    score scores 0.0, and scores of ids outside the pool are dropped."""
+    return Scores(rows.ids, np.array([scores.get(i, 0.0) for i in rows.ids], dtype=np.float64))
+
+
+def row_postings(rows: Pool, postings) -> RowPostings:
+    """Posting lists of ids as the ascending rows of their ids in the pool;
+    ids outside the pool are dropped."""
+    return RowPostings(
+        rows.ids,
+        {t: np.array(sorted(row_of(rows.ids, i) for i in ids if i in rows), np.intp)
+         for t, ids in postings.items()},
+    )
+
+
+def pool_postings(rows: Pool, field: str) -> RowPostings:
+    """The pool's posting lists of the payloads ``getattr(example, field)``
+    (``ls_counts`` or ``utt_tokens``), as :func:`term_postings` lists them."""
+    return row_postings(rows, term_postings({i: getattr(ex, field) for i, ex in rows.items()}))
+
+
+def dpp_rows(scores, weights) -> tuple[Scores, SparseRows]:
+    """Dict scores and tf-idf weight maps as :class:`Scores` and normalized
+    :class:`SparseRows` over the scored ids; a scored id without a map gets
+    an empty row."""
+    ids = sorted(scores)
+    values = np.array([scores[i] for i in ids], dtype=np.float64)
+    rows = normalized_arrays({i: weights.get(i, {}) for i in ids})
+    return Scores(ids, values), SparseRows(ids, *rows)
 
 
 # --- reference copies of the dict-based selectors -------------------------------

@@ -216,9 +216,9 @@ def test_criterion_4_dpp_greedy_exactness():
     with criterion(4, "greedy kernel selection is stepwise-exact on 200 instances"):
         rng = random.Random(1234)
         for _ in range(200):
-            scores, vectors = _random_dpp_instance(rng)
+            scores, vectors, rows = _random_dpp_instance(rng)
             k = rng.randint(1, 3)
-            result = dpp_select(scores, vectors, k, candidate_pool_size=8)
+            result = dpp_select(*rows, k, candidate_pool_size=8)
             candidates = sorted(scores, key=lambda i: (-scores[i], i))
             kernel = _oracle_kernel(scores, vectors, candidates)
             index_of = {c: i for i, c in enumerate(candidates)}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from collections import Counter
 from pathlib import Path
 
@@ -249,6 +250,32 @@ def test_select_cover_ls_from_predictions_file(workspace, tmp_path):
     assert code == 0
     rows = _read_jsonl(out)
     assert all(row["coverage_trace"] for row in rows)
+
+
+def test_train_mode_reads_no_beam_file(workspace, tmp_path, caplog, monkeypatch):
+    # training mode reads no beams, so it neither repairs the beam file's
+    # programs nor matches its ids against the (absent) test examples
+    import demoselect.corpus
+
+    tests = _read_jsonl(workspace["fixture"] / "test.jsonl")
+    beams = tmp_path / "beams.jsonl"
+    beams.write_text(
+        "".join(json.dumps({"id": row["id"], "beams": [row["program"] + ")"]}) + "\n" for row in tests)
+    )
+    repairs = Counter()
+    original = demoselect.corpus.repair_parentheses
+
+    def counted(text, *args):
+        repairs[text] += 1
+        return original(text, *args)
+
+    monkeypatch.setattr(demoselect.corpus, "repair_parentheses", counted)
+    argv = ["run", "--index", str(workspace["index"]), "--strategy", "cover-ls", "--k", "4"]
+    argv += ["--train-mode", "--mock", "--predictions", str(beams)]
+    with caplog.at_level(logging.WARNING):
+        assert main([*argv, "--workdir", str(tmp_path / "run")]) == 0
+    assert sum(repairs.values()) == 0
+    assert not [r for r in caplog.records if "is not a test example" in r.getMessage()]
 
 
 def test_run_mock_produces_report(workspace, tmp_path):
@@ -822,6 +849,23 @@ ROBUSTNESS_CASES = {
         b'{"prediction": "f (a)"}\n',
         "eval --index {index} --prompts {empty} --predictions {bad} --out {out}",
         "bad.jsonl:1",
+    ),
+    "prediction-id-repeated": (
+        b'{"id": "test-0000", "prediction": "f"}\n\n{"id": "test-0000", "prediction": "g"}\n',
+        "eval --index {index} --prompts {empty} --predictions {bad} --out {out}",
+        "bad.jsonl:3: id 'test-0000' repeats line 1",
+    ),
+    "selection-id-repeated": (
+        b'{"id": "test-0000", "items": []}\n{"id": "test-0000", "items": []}\n',
+        "prompt --index {index} --selections {bad} --out {out}",
+        "bad.jsonl:2: id 'test-0000' repeats line 1",
+    ),
+    "prompt-id-repeated": (
+        b'{"id": "test-0000", "prompt": "p", "demo_ids": []}\n'
+        b'{"id": "test-0001", "prompt": "p", "demo_ids": []}\n'
+        b'{"id": "test-0000", "prompt": "q", "demo_ids": []}\n',
+        "infer --mock --index {index} --prompts {bad} --out {out}",
+        "bad.jsonl:3: id 'test-0000' repeats line 1",
     ),
     "prompt-not-an-object": (
         b'{"id": "x", "prompt": "p", "demo_ids": []}\n[1, 2]\n',

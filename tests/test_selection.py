@@ -25,16 +25,20 @@ from demoselect import (
     select_top_k,
     training_mode_select,
 )
-from demoselect.retrieval import RowPostings, Scores, SparseRows, term_postings
-from demoselect.selection import Pool
+from demoselect.retrieval import term_postings
 from demoselect.structures import program_structures
 
 from helpers import (
+    dpp_rows,
+    pool_postings,
+    pool_rows,
     reference_cover_ls,
     reference_cover_utt,
     reference_dpp,
     reference_top_k,
     reference_training_mode,
+    row_postings,
+    score_rows,
 )
 from trace_cases import TRACE_CASES, assert_case
 
@@ -48,29 +52,56 @@ def pool_of(*rows):
     return {r[0]: make_example(*r) for r in rows}
 
 
+# The selectors over a dict pool and dict scores, in the row form they take.
+
+
+def _top_k(pool, scores, k):
+    rows = pool_rows(pool)
+    return select_top_k(rows, score_rows(rows, scores), k)
+
+
+def _cover_ls(elements, pool, scores, k, **options):
+    rows = pool_rows(pool)
+    postings = pool_postings(rows, "ls_counts")
+    return cover_ls(elements, rows, score_rows(rows, scores), k, **options, postings=postings)
+
+
+def _cover_utt(utterance, pool, scores, k, **options):
+    rows = pool_rows(pool)
+    postings = pool_postings(rows, "utt_tokens")
+    return cover_utt(utterance, rows, score_rows(rows, scores), k, **options, postings=postings)
+
+
+def _training_mode(structures, pool, k, **options):
+    rows = pool_rows(pool)
+    return training_mode_select(
+        structures, rows, k, **options, postings=pool_postings(rows, "ls_counts")
+    )
+
+
 # --- top-k -------------------------------------------------------------------
 
 
 def test_top_k_is_argmax_at_one():
     scores = {"a": 0.2, "b": 0.9, "c": 0.5}
-    assert select_top_k(scores, scores, 1).ids == ["b"]
+    assert _top_k(scores, scores, 1).ids == ["b"]
 
 
 def test_top_k_whole_pool_when_k_large():
     scores = {"a": 0.2, "b": 0.9}
-    result = select_top_k(scores, scores, 10)
+    result = _top_k(scores, scores, 10)
     assert set(result.ids) == {"a", "b"}
     assert result.underfilled
 
 
 def test_top_k_from_bm25_toy_scores():
     scores = {"d1": 0.39019169220400696, "d2": 0.523548346501579, "d3": 0.0}
-    assert select_top_k(scores, scores, 2).ids == ["d2", "d1"]
+    assert _top_k(scores, scores, 2).ids == ["d2", "d1"]
 
 
 def test_top_k_tie_breaks_by_id():
     scores = {"b": 0.5, "a": 0.5, "c": 0.1}
-    assert select_top_k(scores, scores, 2).ids == ["a", "b"]
+    assert _top_k(scores, scores, 2).ids == ["a", "b"]
 
 
 # Heavy ties: most scores come from a handful of values.
@@ -96,32 +127,9 @@ def test_top_k_equals_full_sort(scores, unscored, k_from, data):
     else:
         k = max(1, len(pool) + (k_from == "above") * data.draw(st.integers(1, 5)))
     expected = sorted(pool, key=lambda i: (-scores.get(i, 0.0), i))[:k]
-    result = select_top_k(pool, scores, k)
+    result = _top_k(pool, scores, k)
     assert result.items == [(i, scores.get(i, 0.0)) for i in expected]
     assert result.underfilled == (len(expected) < k)
-    # the same pool and scores as rows, which pass the entry unconverted
-    rows = _pool_rows(pool)
-    assert select_top_k(rows, _score_rows(rows, scores), k) == result
-
-
-def _pool_rows(pool):
-    """A dict pool as the rows of a :class:`Pool`."""
-    ids = sorted(pool)
-    return Pool(ids, [pool[i] for i in ids])
-
-
-def _score_rows(rows, scores):
-    """Dict scores as :class:`Scores` aligned with a pool's rows."""
-    return Scores(rows.ids, np.array([scores.get(i, 0.0) for i in rows.ids], dtype=np.float64))
-
-
-def _row_postings(rows, postings):
-    """Posting lists of ids as the ascending rows of the pool's ids."""
-    return RowPostings(
-        rows.ids,
-        {t: np.array(sorted(rows.ids.index(i) for i in ids if i in rows), np.intp)
-         for t, ids in postings.items()},
-    )
 
 
 # Heavy ties, signed zeros and negative scores.
@@ -175,22 +183,16 @@ def _as_tuple(result):
     max_ls_size=st.sampled_from([None, 1, 2]),
     pick=st.sampled_from(["retriever-top", "uniform-random"]),
     seed=st.integers(0, 2**16),
-    form=st.sampled_from(["none", "ids", "rows"]),
     data=st.data(),
 )
-def test_cover_equals_dict_reference(instance, elements, max_ls_size, pick, seed, form, data):
+def test_cover_equals_dict_reference(instance, elements, max_ls_size, pick, seed, data):
     pool, scores, postings, k = instance
     utterance = " ".join(data.draw(st.lists(st.sampled_from([*WORDS, "unseen"]), max_size=6)))
     exclude = data.draw(st.sampled_from([None, *OUTSIDE, *pool]))
-    args = (pool, scores)
-    ls_postings, utt_postings = postings["ls"], postings["utt"]
-    if form == "none":
-        ls_postings = utt_postings = None
-    elif form == "rows":
-        rows = _pool_rows(pool)
-        args = (rows, _score_rows(rows, scores))
-        ls_postings = _row_postings(rows, ls_postings)
-        utt_postings = _row_postings(rows, utt_postings)
+    rows = pool_rows(pool)
+    args = (rows, score_rows(rows, scores))
+    ls_postings = row_postings(rows, postings["ls"])
+    utt_postings = row_postings(rows, postings["utt"])
     options = dict(max_ls_size=max_ls_size, pick=pick, seed=seed)
     expected = reference_cover_ls(
         elements, pool, scores, k, **options, postings=postings["ls"]
@@ -220,10 +222,7 @@ def test_top_k_equals_dict_reference(instance, k_from, data):
     if k_from == "below":
         k = max(1, min(k, len(pool) - 1))
     expected = reference_top_k(pool, scores, k)
-    for args in ((pool, scores), (list(pool), scores)):
-        assert _as_tuple(select_top_k(*args, k)) == (repr(expected[0]), *expected[1:])
-    rows = _pool_rows(pool)
-    result = select_top_k(rows, _score_rows(rows, scores), k)
+    result = _top_k(pool, scores, k)
     assert _as_tuple(result) == (repr(expected[0]), *expected[1:])
 
 
@@ -243,47 +242,70 @@ def test_dpp_equals_dict_reference(scores, unscored, k, candidate_pool_size, dat
         if i in unscored or data.draw(st.booleans()):
             used = data.draw(st.lists(st.sampled_from(dims), unique=True))
             weights[i] = {d: data.draw(st.floats(0.1, 1.0)) for d in used}
-    vectors = normalized_rows(weights)
-    expected = reference_dpp(scores, vectors, k, candidate_pool_size)
-    result = dpp_select(scores, vectors, k, candidate_pool_size)
-    assert (*_as_tuple(result), result.gains) == (repr(expected[0]), *expected[1:])
-    # the same scores and rows aligned with the scored ids pass unconverted
-    ids = sorted(scores)
-    empty = (np.empty(0, np.intp), np.empty(0))
-    rows = SparseRows.from_rows(ids, [vectors.get(i, empty) for i in ids])
-    row_scores = Scores(ids, np.array([scores[i] for i in ids], dtype=np.float64))
-    result = dpp_select(row_scores, rows, k, candidate_pool_size)
+    expected = reference_dpp(scores, normalized_rows(weights), k, candidate_pool_size)
+    result = dpp_select(*dpp_rows(scores, weights), k, candidate_pool_size)
     assert (*_as_tuple(result), result.gains) == (repr(expected[0]), *expected[1:])
 
 
 def test_top_k_rejects_nonpositive_k():
     with pytest.raises(InvalidKError):
-        select_top_k({"a": 1.0}, {"a": 1.0}, 0)
+        _top_k({"a": 1.0}, {"a": 1.0}, 0)
+
+
+@pytest.mark.parametrize("other_ids", [["a", "c"], ["a", "b", "c"], ["b"]], ids="".join)
+def test_selectors_reject_rows_of_another_pool(other_ids):
+    examples = pool_of(("a", "red dog", "f (a)"), ("b", "big cat", "g (b)"), ("c", "dog", "h"))
+    rows = pool_rows({i: examples[i] for i in ["a", "b"]})
+    other = pool_rows({i: examples[i] for i in other_ids})
+    scores = score_rows(rows, {"a": 0.5})
+    ls, utt = pool_postings(rows, "ls_counts"), pool_postings(rows, "utt_tokens")
+    bad_scores = score_rows(other, {"a": 0.5})
+    bad_ls, bad_utt = pool_postings(other, "ls_counts"), pool_postings(other, "utt_tokens")
+    weights = {"a": {"u": 1.0}, "b": {"v": 1.0}, "c": {"u": 1.0}}
+    tfidf = dpp_rows(dict.fromkeys(rows.ids, 1.0), weights)[1]
+    bad_tfidf = dpp_rows(dict.fromkeys(other_ids, 1.0), weights)[1]
+    elements = oracle_elements("f (a)")
+    calls = {
+        "top-k scores": lambda: select_top_k(rows, bad_scores, 1),
+        "cover-ls scores": lambda: cover_ls(elements, rows, bad_scores, 1, postings=ls),
+        "cover-ls postings": lambda: cover_ls(elements, rows, scores, 1, postings=bad_ls),
+        "cover-utt scores": lambda: cover_utt("red dog", rows, bad_scores, 1, postings=utt),
+        "cover-utt postings": lambda: cover_utt("red dog", rows, scores, 1, postings=bad_utt),
+        "training postings": lambda: training_mode_select(elements, rows, 1, postings=bad_ls),
+        "dpp rows": lambda: dpp_select(scores, bad_tfidf, 1),
+        "dpp scores": lambda: dpp_select(bad_scores, tfidf, 1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="not aligned with the pool's rows"):
+            call()
+    # an equal id list is aligned: it need not be the same list
+    assert select_top_k(rows, score_rows(pool_rows(rows), {"a": 0.5}), 1).ids == ["a"]
+    assert dpp_select(scores, tfidf, 1).ids == ["a"]
 
 
 # --- random ------------------------------------------------------------------
 
 
 def test_random_full_pool_is_permutation():
-    result = select_random(["a", "b", "c"], 3, seed=1)
+    result = select_random(pool_rows(["a", "b", "c"]), 3, seed=1)
     assert sorted(result.ids) == ["a", "b", "c"]
     assert not result.underfilled
 
 
 def test_random_is_seed_deterministic():
-    first = select_random(["a", "b", "c", "d"], 2, seed=9)
-    second = select_random(["d", "c", "b", "a"], 2, seed=9)
+    first = select_random(pool_rows(["a", "b", "c", "d"]), 2, seed=9)
+    second = select_random(pool_rows(["d", "c", "b", "a"]), 2, seed=9)
     assert first.items == second.items
 
 
 def test_random_overdraw_underfills():
-    result = select_random(["a", "b"], 5, seed=0)
+    result = select_random(pool_rows(["a", "b"]), 5, seed=0)
     assert sorted(result.ids) == ["a", "b"]
     assert result.underfilled
 
 
 def test_random_single_draws_are_roughly_uniform():
-    pool = ["a", "b", "c", "d"]
+    pool = pool_rows(["a", "b", "c", "d"])
     counts = {i: 0 for i in pool}
     for draw in range(10_000):
         counts[select_random(pool, 1, seed=draw).ids[0]] += 1
@@ -306,7 +328,7 @@ def test_cover_ls_self_cover_picks_matching_example():
         ("e2", "count cats", "count (find (cat))"),
     )
     elements = oracle_elements(CALENDAR_PROGRAM)
-    result = cover_ls(elements, pool, {"e1": 0.1, "e2": 0.9}, k=1)
+    result = _cover_ls(elements, pool, {"e1": 0.1, "e2": 0.9}, k=1)
     assert result.ids == ["e1"]
 
 
@@ -319,8 +341,8 @@ def test_cover_ls_beats_top_k_when_no_single_example_covers():
     predicted = {"state -> next_to_2", "most -> state -> loc_1"}
     scores = {"d1": 0.9, "d3": 0.8, "d2": 0.1}
 
-    covered = cover_ls(predicted, pool, scores, k=2)
-    top = select_top_k(pool, scores, 2)
+    covered = _cover_ls(predicted, pool, scores, k=2)
+    top = _top_k(pool, scores, 2)
 
     assert set(top.ids) == {"d1", "d3"}
     assert pool["d1"].template == pool["d3"].template
@@ -339,7 +361,7 @@ def test_cover_ls_beats_top_k_when_no_single_example_covers():
 def test_cover_ls_never_duplicates_templates():
     for case in TRACE_CASES:
         pool = {i: make_example(i, u, p) for i, u, p in case.pool}
-        result = cover_ls(
+        result = _cover_ls(
             case.elements,
             pool,
             case.scores,
@@ -353,8 +375,11 @@ def test_cover_ls_never_duplicates_templates():
 
 
 def test_cover_ls_with_postings_matches_scan():
+    # hand-built posting lists select as the term_postings scan of the pool
     for case in TRACE_CASES:
         pool = {i: make_example(i, u, p) for i, u, p in case.pool}
+        rows = pool_rows(pool)
+        scores = score_rows(rows, case.scores)
         ls_postings: dict[str, list[str]] = {}
         token_postings: dict[str, list[str]] = {}
         for ex_id in sorted(pool):
@@ -363,17 +388,17 @@ def test_cover_ls_with_postings_matches_scan():
             for token in set(pool[ex_id].utt_tokens):
                 token_postings.setdefault(token, []).append(ex_id)
         options = dict(max_ls_size=case.max_ls_size, pick=case.pick, seed=case.seed)
-        direct = cover_ls(case.elements, pool, case.scores, case.k, **options)
+        direct = _cover_ls(case.elements, pool, case.scores, case.k, **options)
         indexed = cover_ls(
-            case.elements, pool, case.scores, case.k, postings=ls_postings, **options
+            case.elements, rows, scores, case.k, postings=row_postings(rows, ls_postings), **options
         )
         assert direct.items == indexed.items
         assert direct.coverage_trace == indexed.coverage_trace
 
         utterance = " ".join(u for _, u, _ in reversed(case.pool)) + " unseen"
-        direct = cover_utt(utterance, pool, case.scores, case.k, idf=len)
+        direct = _cover_utt(utterance, pool, case.scores, case.k, idf=len)
         indexed = cover_utt(
-            utterance, pool, case.scores, case.k, idf=len, postings=token_postings
+            utterance, rows, scores, case.k, idf=len, postings=row_postings(rows, token_postings)
         )
         assert direct.items == indexed.items
         assert direct.coverage_trace == indexed.coverage_trace
@@ -389,7 +414,7 @@ def test_cover_utt_hand_walk():
     )
     scores = {"u1": 0.9, "u2": 0.8, "u3": 0.7, "u4": 0.1, "u5": 0.95}
     idf = {"big": 2.0, "red": 3.0, "dog": 1.0, "runs": 0.5, "fast": 0.5}
-    result = cover_utt(
+    result = _cover_utt(
         "big red dog runs fast", pool, scores, k=3, idf=lambda t: idf.get(t, 0.0)
     )
     assert result.items == [("u5", 0.95), ("u2", 0.8), ("u1", 0.9)]
@@ -398,7 +423,7 @@ def test_cover_utt_hand_walk():
 
 def test_cover_utt_skips_unknown_word():
     pool = pool_of(("u1", "red dog", "p1"))
-    result = cover_utt("purple dog", pool, {"u1": 0.5}, k=1)
+    result = _cover_utt("purple dog", pool, {"u1": 0.5}, k=1)
     assert result.coverage_trace[0] == ("purple", None)
     assert result.ids == ["u1"]
 
@@ -408,7 +433,7 @@ def test_cover_utt_full_containment_single_pick():
         ("u1", "the big red dog", "p1"),
         ("u2", "a cat", "p2"),
     )
-    result = cover_utt("big red dog", pool, {"u1": 0.4, "u2": 0.9}, k=1)
+    result = _cover_utt("big red dog", pool, {"u1": 0.4, "u2": 0.9}, k=1)
     assert result.ids == ["u1"]
 
 
@@ -416,25 +441,25 @@ def test_cover_utt_full_containment_single_pick():
 
 
 def test_dpp_duplicate_vectors_underfill():
-    vectors = normalized_rows({"a": {"u": 1.0}, "b": {"u": 1.0}})
+    weights = {"a": {"u": 1.0}, "b": {"u": 1.0}}
     scores = {"a": 0.6, "b": 0.6}
-    result = dpp_select(scores, vectors, k=2)
+    result = dpp_select(*dpp_rows(scores, weights), k=2)
     assert result.ids == ["a"]
     assert result.underfilled
 
 
 def test_dpp_orthogonal_equal_quality_orders_by_id():
-    vectors = normalized_rows({"c1": {"u": 1.0}, "c2": {"v": 1.0}, "c3": {"w": 1.0}})
+    weights = {"c1": {"u": 1.0}, "c2": {"v": 1.0}, "c3": {"w": 1.0}}
     scores = {"c1": 0.8, "c2": 0.8, "c3": 0.8}
-    result = dpp_select(scores, vectors, k=3)
+    result = dpp_select(*dpp_rows(scores, weights), k=3)
     assert result.ids == ["c1", "c2", "c3"]
     assert sum(result.gains) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dpp_orthogonal_unequal_quality_gains_decrease():
-    vectors = normalized_rows({"c1": {"u": 1.0}, "c2": {"v": 1.0}, "c3": {"w": 1.0}})
+    weights = {"c1": {"u": 1.0}, "c2": {"v": 1.0}, "c3": {"w": 1.0}}
     scores = {"c1": 1.0, "c2": 0.5, "c3": 0.25}
-    result = dpp_select(scores, vectors, k=3)
+    result = dpp_select(*dpp_rows(scores, weights), k=3)
     assert result.ids == ["c1", "c2", "c3"]
     expected = [0.0, math.log(0.25), math.log(0.0625)]
     assert result.gains == pytest.approx(expected, abs=1e-9)
@@ -450,7 +475,7 @@ def _random_dpp_instance(rng):
             d: rng.random() for d in rng.sample(dims, rng.randint(1, len(dims)))
         }
         scores[f"c{i}"] = 0.1 + rng.random()
-    return scores, normalized_rows(weights)
+    return scores, normalized_rows(weights), dpp_rows(scores, weights)
 
 
 def _oracle_kernel(scores, vectors, candidates):
@@ -467,9 +492,9 @@ def _oracle_kernel(scores, vectors, candidates):
 def test_dpp_greedy_steps_are_exact_argmax():
     rng = random.Random(77)
     for _ in range(40):
-        scores, vectors = _random_dpp_instance(rng)
+        scores, vectors, rows = _random_dpp_instance(rng)
         k = rng.randint(1, 3)
-        result = dpp_select(scores, vectors, k, candidate_pool_size=8)
+        result = dpp_select(*rows, k, candidate_pool_size=8)
         candidates = sorted(scores, key=lambda i: (-scores[i], i))
         kernel = _oracle_kernel(scores, vectors, candidates)
         index_of = {c: i for i, c in enumerate(candidates)}
@@ -501,12 +526,13 @@ def test_dpp_stops_at_kernel_rank():
             {d: rng.random() for d in rng.sample(dims, rng.randint(1, len(dims)))}
             for _ in range(3)
         ]
-        vectors = normalized_rows({f"c{i}": directions[i % 3] for i in range(8)})
+        maps = {f"c{i}": directions[i % 3] for i in range(8)}
+        vectors = normalized_rows(maps)
         scores = {f"c{i}": 0.1 + rng.random() for i in range(8)}
         phi = np.zeros((len(vectors), len(dims)))
         for row, (columns, weights) in enumerate(vectors.values()):
             phi[row, columns] = weights
-        result = dpp_select(scores, vectors, k=6)
+        result = dpp_select(*dpp_rows(scores, maps), k=6)
         assert len(result.ids) == np.linalg.matrix_rank(phi)
         assert result.underfilled
 
@@ -547,7 +573,7 @@ def test_dpp_matches_determinant_greedy_on_large_instances():
             weights[f"c{i:02d}"] = own
             scores[f"c{i:02d}"] = 0.1 + rng.random()
         vectors = normalized_rows(weights)
-        result = dpp_select(scores, vectors, k, candidate_pool_size=n)
+        result = dpp_select(*dpp_rows(scores, weights), k, candidate_pool_size=n)
         candidates = sorted(scores, key=lambda i: (-scores[i], i))
         rows, gains = _slogdet_greedy(_oracle_kernel(scores, vectors, candidates), k)
         assert result.ids == [candidates[r] for r in rows]
@@ -564,7 +590,7 @@ def test_training_mode_forced_symbol_cover():
         ("e2", "two", "g (b)"),
         ("e3", "three", "h (c)"),
     )
-    result = training_mode_select(program_structures("a (b)"), pool, k=2, seed=3)
+    result = _training_mode(program_structures("a (b)"), pool, k=2, seed=3)
     assert set(result.ids) == {"e1", "e2"}
     assert all(score == 0.0 for _, score in result.items)
 
@@ -575,8 +601,8 @@ def test_training_mode_seed_reproducible():
         ("e2", "two", "g (a)"),
         ("e3", "three", "h (a)"),
     )
-    first = training_mode_select(program_structures("top (a)"), pool, k=2, seed=11)
-    second = training_mode_select(program_structures("top (a)"), pool, k=2, seed=11)
+    first = _training_mode(program_structures("top (a)"), pool, k=2, seed=11)
+    second = _training_mode(program_structures("top (a)"), pool, k=2, seed=11)
     assert first.items == second.items
     assert first.ids[0] in {"e1", "e2", "e3"}
 
@@ -592,10 +618,10 @@ def test_training_mode_exclude_equals_pool_without_target():
     for target in pool.values():
         rest = {i: ex for i, ex in pool.items() if i != target.id}
         for seed in range(6):
-            excluded = training_mode_select(
+            excluded = _training_mode(
                 target.ls_counts, pool, k=3, seed=seed, exclude=target.id
             )
-            copied = training_mode_select(target.ls_counts, rest, k=3, seed=seed)
+            copied = _training_mode(target.ls_counts, rest, k=3, seed=seed)
             assert target.id not in excluded.ids
             assert excluded == copied
 

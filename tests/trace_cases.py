@@ -10,9 +10,11 @@ same-template pool entries, restart the element walk until k picks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from demoselect import DemonstrationSet, cover_ls, make_example
+
+from helpers import pool_postings, pool_rows, score_rows
 
 
 @dataclass
@@ -166,18 +168,19 @@ TRACE_CASES = [
 
 
 def run_case(case: TraceCase) -> DemonstrationSet:
-    pool = {
+    pool = pool_rows({
         ex_id: make_example(ex_id, utt, prog)
         for ex_id, utt, prog in case.pool
-    }
+    })
     return cover_ls(
         case.elements,
         pool,
-        case.scores,
+        score_rows(pool, case.scores),
         case.k,
         max_ls_size=case.max_ls_size,
         pick=case.pick,
         seed=case.seed,
+        postings=pool_postings(pool, "ls_counts"),
     )
 
 
