@@ -195,7 +195,7 @@ def _retriever_scores(bundle, example, cfg: RunConfig, beams) -> Scores:
     if cfg.retriever == "bm25-utterance":
         return bundle.bm25_utterance.scores(example.utt_tokens)
     if cfg.retriever == "random":
-        return random_scores(bundle.pool, _example_seed(cfg.seed, example.id))
+        return random_scores(bundle.pool.ids, _example_seed(cfg.seed, example.id))
     # the symbol retrievers: gold symbols, or predicted ones for bm25-symbols
     if cfg.retriever == "oracle-bm25-gold-symbols" or cfg.oracle:
         structures = example.ls_counts

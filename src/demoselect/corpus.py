@@ -7,22 +7,31 @@ counts. Every loaded beam is parsed once, by
 :func:`~demoselect.programs.repair_parentheses`, and keeps its
 local-structure set.
 
+A corpus holds its examples as an :class:`ExampleTable`: the record columns
+of :data:`RECORD_FIELDS`, and each example built the first time it is read
+and kept from then on. The pool's ids, ``Corpus.by_id`` (an id → row map),
+``Corpus.split``, the pool's template codes and the index's statistics and
+header read the columns, not the examples.
+
 :func:`build_indexes` orders the corpus pool first, its training examples in
 id order, so that example ``r`` of the pool is pool row ``r`` (see
 :class:`~demoselect.selection.Pool`) in every array. It computes, once, the
 arrays of :data:`ARRAY_DTYPES`: every example's structure counts as CSR rows
 over the sorted structure vocabulary, and the pool's utterance BM25 impacts
 and tf-idf rows. An index file stores these arrays beside a JSON header that
-holds the fields of :data:`RECORD_FIELDS`, so loading one parses no program,
-tokenizes no utterance and decodes no structure-count map. A bundle, built
-or loaded, serves its retrieval state from the arrays: the utterance BM25
-and the tf-idf rows (``dpp`` only) are views of them, and the structure
-postings (``cover-ls``), the symbol BM25 and the training structure union
-derive from the pool's structure columns on first use. The
-token postings are the BM25 impact rows. A loaded example's structure
-counts are a :class:`StructureCounts` view over the shared arrays that
-builds its dict on first access, and its utterance tokens are computed on
-first access too, so a command pays only for the examples it reads. The
+holds the record columns, so loading one parses no program, tokenizes no
+utterance, decodes no structure-count map and builds no example. Loading
+reads the file in one pass: every array member's CRC-32 is checked against
+the archive's directory, its ``.npy`` header parsed without unpickling, and
+its data read into an aligned array of its own. A bundle, built or
+loaded, serves its retrieval state from the arrays: the utterance BM25 and
+the tf-idf rows (``dpp`` only) are views of them, and the structure postings
+(``cover-ls``), the symbol BM25 and the training structure union derive from
+the pool's structure columns on first use. The token postings are the BM25
+impact rows. A loaded example is built when a command first reads it; its
+structure counts are a :class:`StructureCounts` view over the shared arrays
+that builds its dict on first access, and its utterance tokens are computed
+on first access too, so a command pays only for the examples it reads. The
 CLI's mock model and training mode read the stored structure counts; only
 the error labels of evaluation (:func:`~demoselect.evaluation.classify_errors`)
 still re-derive structures, symbols and templates from program text.
@@ -32,11 +41,15 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
+import struct
 import sys
+import tokenize
 import zipfile
+import zlib
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
@@ -86,6 +99,13 @@ ARRAY_DTYPES = {
     "tfidf_weights": np.dtype(np.float64),
 }
 _ZIP_MAGIC = b"PK\x03\x04"
+# a zip member's local header: 30 bytes, the signature first and, at byte 26,
+# the lengths of the file name and the extra field between it and the data
+_LOCAL_HEADER = struct.Struct("<26xHH")
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 _REBUILD = "rebuild it with `demoselect index`"
 
 
@@ -211,20 +231,96 @@ def make_example(
     )
 
 
+class ExampleTable(Sequence):
+    """A corpus's examples: ``records``, the columns of :data:`RECORD_FIELDS`
+    (``records[name][r]`` is field ``name`` of example ``r``), and the
+    examples, each built the first time it is read and kept, so that every
+    read of row ``r`` returns the same object. :meth:`of` makes the table of
+    examples already built; a loaded index's table builds example ``r`` from
+    its records and ``structures(r)``, its structure counts."""
+
+    def __init__(
+        self,
+        records: dict[str, list],
+        structures: Callable[[int], Mapping[str, int]] | None = None,
+        examples: Iterable[Example] = (),
+    ):
+        self.records = records
+        self._structures = structures
+        self._built = dict(enumerate(examples))
+
+    @classmethod
+    def of(cls, examples: Iterable[Example]) -> "ExampleTable":
+        examples = list(examples)
+        records = {name: [getattr(ex, name) for ex in examples] for name in RECORD_FIELDS}
+        return cls(records, examples=examples)
+
+    def __getitem__(self, r):
+        # a negative row counts from the end, and a slice is a list
+        row = range(len(self))[r]
+        if isinstance(row, range):
+            return [self[i] for i in row]
+        example = self._built.get(row)
+        if example is None:
+            fields = {name: column[row] for name, column in self.records.items()}
+            # setdefault: threads that build one row at once keep the first
+            example = self._built.setdefault(
+                row, Example(**fields, ls_counts=self._structures(row))
+            )
+        return example
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __len__(self) -> int:
+        return len(self.records["id"])
+
+
+class ExamplesById(Mapping):
+    """A read-only id → example view of an :class:`ExampleTable`, over an
+    id → row map; an example is built only when it is read."""
+
+    def __init__(self, examples: ExampleTable):
+        self._examples = examples
+        self._rows = dict(zip(examples.records["id"], range(len(examples))))
+
+    def __getitem__(self, key: str) -> Example:
+        return self._examples[self._rows[key]]
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 @dataclass
 class Corpus:
-    examples: list[Example]
+    """Examples, held as an :class:`ExampleTable` whatever sequence of
+    examples made the corpus."""
+
+    examples: Sequence[Example]
     dialect: DialectConfig = DEFAULT_DIALECT
     failures: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
-        self.by_id = {ex.id: ex for ex in self.examples}
+        if not isinstance(self.examples, ExampleTable):
+            self.examples = ExampleTable.of(self.examples)
+
+    @cached_property
+    def by_id(self) -> ExamplesById:
+        """The examples by id, each built only when it is read."""
+        return ExamplesById(self.examples)
 
     def __len__(self) -> int:
         return len(self.examples)
 
     def split(self, name: str) -> list[Example]:
-        return [ex for ex in self.examples if ex.split == name]
+        splits = self.examples.records["split"]
+        return [self.examples[r] for r, split in enumerate(splits) if split == name]
 
 
 def load_examples(
@@ -379,8 +475,9 @@ class IndexBundle:
         self.k1 = k1
         self.b = b
         # the pool: the first examples, the training ones in id order
-        examples = corpus.examples[: sum(ex.split == "train" for ex in corpus.examples)]
-        self.pool = Pool([ex.id for ex in examples], examples)
+        records = corpus.examples.records
+        size = records["split"].count("train")
+        self.pool = Pool(records["id"][:size], corpus.examples, records["template"][:size])
         self.bm25_utterance = Bm25Index.from_arrays(
             self.pool.ids,
             bm25_terms,
@@ -447,25 +544,25 @@ class IndexBundle:
         }
 
     def stats(self) -> dict:
+        records = self.corpus.examples.records
         return {
             "examples": len(self.corpus),
             "train": len(self.pool),
-            "test": len(self.corpus.split("test")),
-            "unique_templates": len({ex.template for ex in self.pool.values()}),
+            "test": records["split"].count("test"),
+            "unique_templates": len(set(records["template"][: len(self.pool)])),
             "unique_ls": len(self._pool_structures),
         }
 
     def save(self, path: str | Path) -> None:
         """Write the index as one ``.npz`` archive at exactly ``path``: a
         UTF-8 JSON ``header`` array, then the arrays of :data:`ARRAY_DTYPES`."""
-        examples = self.corpus.examples
         header = {
             "magic": INDEX_MAGIC,
             "version": INDEX_VERSION,
             "k1": self.k1,
             "b": self.b,
             "dialect": self.corpus.dialect.to_dict(),
-            "examples": {name: [getattr(ex, name) for ex in examples] for name in RECORD_FIELDS},
+            "examples": self.corpus.examples.records,
             "vocab": self.vocab,
             "bm25_terms": self.bm25_utterance.terms,
         }
@@ -476,9 +573,10 @@ class IndexBundle:
 
     @classmethod
     def load(cls, path: str | Path) -> "IndexBundle":
-        """Read an index file; nothing in it is unpickled. An older or a
-        foreign file raises :class:`IndexVersionError`, any other bad file
-        :class:`IoError`."""
+        """Read an index file in one pass, checking every array member's
+        CRC-32; nothing in it is unpickled. An older or a foreign file raises
+        :class:`IndexVersionError`, any other bad file :class:`IoError`. No
+        example is built: each is built when it is first read."""
         header, arrays = _read_index(path)
         try:
             records = [header["examples"][name] for name in RECORD_FIELDS]
@@ -488,13 +586,13 @@ class IndexBundle:
         except (KeyError, TypeError, AttributeError) as exc:
             raise IoError(f"index file {path} has a malformed header: {exc!r}") from exc
         _check_layout(path, records, vocab, terms, (k1, b), arrays)
-        offsets = arrays["ls_offsets"].tolist()
+        offsets = arrays["ls_offsets"]
         columns, counts = arrays["ls_columns"], arrays["ls_counts"]
-        # RECORD_FIELDS lists Example's fields in order, ls_counts left out
-        examples = [
-            Example(*fields, StructureCounts(vocab, columns, counts, s, e), split)
-            for *fields, split, s, e in zip(*records, offsets, offsets[1:])
-        ]
+
+        def structures(r: int) -> StructureCounts:
+            return StructureCounts(vocab, columns, counts, int(offsets[r]), int(offsets[r + 1]))
+
+        examples = ExampleTable(dict(zip(RECORD_FIELDS, records)), structures)
         return cls(Corpus(examples=examples, dialect=dialect), vocab, terms, arrays, k1=k1, b=b)
 
 
@@ -526,20 +624,79 @@ def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
                 handle.seek(0)
                 _check_version(path, _decoded_json(handle.read()))
                 raise IndexVersionError(f"{path} is not an index file; {_REBUILD}")
-            handle.seek(0)
-            with np.load(handle, allow_pickle=False) as stored:
-                return _checked_arrays(path, stored)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            stored = _npz_arrays(handle, {"header", *ARRAY_DTYPES})
+        return _checked_arrays(path, stored)
+    # zipfile raises NotImplementedError for a directory entry that needs a
+    # later zip version
+    except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
         raise IoError(f"cannot read index file {path}: {exc}") from exc
 
 
+def _npz_arrays(handle: BinaryIO, names: set[str]) -> dict[str, np.ndarray]:
+    """The arrays ``names`` of the ``.npz`` archive open in ``handle``, by
+    member name without ``.npy``; a bad member raises ValueError. A member
+    must be stored uncompressed, behind a local header, within the file,
+    with the CRC-32 of the archive's directory, and with a ``.npy`` header
+    (version 1.0 or 2.0) that describes its data exactly and no Python
+    objects; nothing is unpickled.
+
+    A member's data is read straight into an aligned, writable array of its
+    own. Five of an index's members start at unaligned offsets, so views of
+    one buffer holding the file would be unaligned, and copying the arrays
+    out of such a buffer costs a second allocation of the file's size."""
+    size = handle.seek(0, os.SEEK_END)
+    with zipfile.ZipFile(handle) as archive:
+        members = archive.infolist()
+    arrays = {}
+    for info in members:
+        name = info.filename.removesuffix(".npy")
+        if name not in names:
+            continue
+        member = f"member {info.filename}"
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(f"{member} is compressed")
+        handle.seek(info.header_offset)
+        local = handle.read(_LOCAL_HEADER.size)
+        if len(local) < _LOCAL_HEADER.size or not local.startswith(_ZIP_MAGIC):
+            raise ValueError(f"{member} has no local header")
+        name_size, extra_size = _LOCAL_HEADER.unpack(local)
+        start = info.header_offset + len(local) + name_size + extra_size
+        end = start + info.compress_size
+        if end > size:
+            raise ValueError(f"{member} runs past the end of the file")
+        handle.seek(start)
+        version = np.lib.format.read_magic(handle)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"{member} has the unsupported .npy version {version}")
+        try:
+            shape, fortran_order, dtype = _NPY_HEADERS[version](handle)
+        except tokenize.TokenError as exc:  # numpy's retry of a header that fails to parse
+            raise ValueError(f"{member} has a malformed .npy header") from exc
+        if dtype.hasobject:
+            raise ValueError(f"{member} holds Python objects")
+        header_size, count = handle.tell() - start, math.prod(shape)
+        if start + header_size + count * dtype.itemsize != end:
+            raise ValueError(f"{member} does not hold a {dtype} array of shape {shape}")
+        handle.seek(start)
+        crc = zlib.crc32(handle.read(header_size))
+        array = np.empty(count, dtype)
+        data = array.view(np.uint8)
+        handle.readinto(data)
+        if zlib.crc32(data, crc) != info.CRC:
+            raise ValueError(f"{member} fails its CRC-32 check")
+        if array.shape != shape:  # a 1-D array stays the one allocated, not a view
+            array = array.reshape(shape, order="F" if fortran_order else "C")
+        arrays[name] = array
+    return arrays
+
+
 def _checked_arrays(path, stored) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = stored["header"] if "header" in stored.files else np.empty(0)
+    raw = stored["header"] if "header" in stored else np.empty(0)
     header = _decoded_json(raw.tobytes()) if raw.dtype == np.uint8 else None
     _check_version(path, header)
     arrays = {}
     for name, dtype in ARRAY_DTYPES.items():
-        if name not in stored.files:
+        if name not in stored:
             raise IoError(f"index file {path} has no array {name}")
         arrays[name] = array = stored[name]
         if array.dtype != dtype or array.ndim != 1:

@@ -321,7 +321,12 @@ def ls_tfidf_vectors(
 
 
 def random_scores(ids: Iterable[str], seed: int) -> Scores:
-    """Seed-deterministic pseudo-random score per id, drawn in id order."""
+    """Seed-deterministic pseudo-random score per id, drawn in id order.
+    A list of ids already in order, such as a pool's, is kept as the
+    scores' ids, so that they align with the pool by identity."""
     rng = random.Random(seed)
-    ids = sorted(ids)
+    ordered = sorted(ids)
+    # timsort confirms a sorted list in one pass, faster than comparing
+    # neighbours in Python
+    ids = ids if ordered == ids else ordered
     return Scores(ids, np.array([rng.random() for _ in ids], dtype=np.float64))

@@ -27,7 +27,7 @@ same-template pool examples after every pick, and restarting the walk until
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,18 +67,25 @@ class DemonstrationSet:
 class Pool(Mapping):
     """The selection pool: a read-only mapping from id to example over rows
     in id order, ``examples[r]`` being the example of ``ids[r]``; the caller
-    sorts the ids."""
+    sorts the ids. ``examples`` may run on past the pool's rows, as an
+    index's corpus does, and is read only at the rows a caller reads. Given
+    ``templates``, each row's template, :attr:`template_codes` reads no
+    example."""
 
-    def __init__(self, ids: list[str], examples: list):
+    def __init__(self, ids: list[str], examples: Sequence, templates: list[str] | None = None):
         self.ids = ids
         self.examples = examples
+        self._templates = templates
 
     @cached_property
     def template_codes(self) -> np.ndarray:
         """One code per row, equal for rows of equal template."""
+        templates = self._templates
+        if templates is None:
+            templates = [ex.template for ex in self.values()]
         codes: dict[str, int] = {}
-        templates = (codes.setdefault(ex.template, len(codes)) for ex in self.examples)
-        return np.fromiter(templates, np.intp, len(self.examples))
+        rows = (codes.setdefault(template, len(codes)) for template in templates)
+        return np.fromiter(rows, np.intp, len(self.ids))
 
     def __getitem__(self, key: str):
         return self.examples[row_of(self.ids, key)]
@@ -90,7 +97,7 @@ class Pool(Mapping):
         return len(self.ids)
 
     def values(self) -> list:
-        return self.examples
+        return self.examples[: len(self.ids)]
 
 
 def _check_aligned(ids: list[str], *rows) -> None:
@@ -304,9 +311,13 @@ def dpp_select(
     else:
         q = np.full(n, Q_FLOOR)
     lengths, columns, weights = vectors.take(candidates)
-    support, coord = np.unique(columns, return_inverse=True)
-    phi = np.zeros((n, len(support)))
-    phi[np.repeat(np.arange(n), lengths), coord] = weights
+    # phi's columns: the columns the candidates use, ascending, found
+    # without a sort
+    used = np.zeros(columns.max() + 1, bool)
+    used[columns] = True
+    coord = np.cumsum(used) - 1
+    phi = np.zeros((n, coord[-1] + 1))
+    phi[np.repeat(np.arange(n), lengths), coord[columns]] = weights
     kernel = (q[:, None] * q[None, :]) * (phi @ phi.T)
 
     selected: list[int] = []

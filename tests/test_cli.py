@@ -583,6 +583,52 @@ def test_run_builds_structure_dicts_only_for_the_examples_it_reads(
     assert len(built) == len(demos) + len(prompts)
 
 
+def test_commands_build_only_the_examples_they_read(workspace, tmp_path, monkeypatch):
+    from demoselect.corpus import Example
+
+    built = []
+    init = Example.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.id)
+
+    monkeypatch.setattr(Example, "__init__", counted)
+    index = workspace["index"]
+    bundle = IndexBundle.load(index)
+    pool = bundle.pool
+    pool.ids, pool.template_codes, bundle.training_ls_union()
+    assert built == []
+    first = pool.ids[0]
+    assert bundle.corpus.by_id[first] is pool[first] is pool.examples[0]
+    assert built == [first]
+
+    tests = {row["id"] for row in _read_jsonl(workspace["fixture"] / "test.jsonl")}
+    common = ["--index", str(index), "--k", "4"]
+    built.clear()
+    out = tmp_path / "selections.jsonl"
+    assert main(["select", *common, "--strategy", "top-k", "--out", str(out)]) == 0
+    # the indexed test examples, once each, and no pool example
+    assert sorted(built) == sorted(tests)
+    for flags in (["top-k"], ["cover-ls", "--oracle"]):
+        built.clear()
+        workdir = tmp_path / "-".join(flags)
+        argv = ["run", *common, "--strategy", *flags, "--mock", "--workdir", str(workdir)]
+        assert main(argv) in (0, 1)
+        selections = _read_jsonl(workdir / "selections.jsonl")
+        demos = {demo_id for row in selections for demo_id, _ in row["items"]}
+        # each test example and each demonstration written, once
+        assert sorted(built) == sorted([*tests, *demos])
+
+    # a loaded index saves its own bytes, whatever examples it has built
+    for read in (0, 5):
+        reloaded = IndexBundle.load(index)
+        list(map(reloaded.corpus.examples.__getitem__, range(read)))
+        again = tmp_path / f"again-{read}.json"
+        reloaded.save(again)
+        assert again.read_bytes() == Path(index).read_bytes()
+
+
 def test_eval_exit_codes_reflect_failures(workspace, tmp_path):
     prompts = tmp_path / "prompts.jsonl"
     predictions = tmp_path / "preds.jsonl"

@@ -4,7 +4,9 @@ import json
 import os
 import pickle
 import random
+import struct
 import tempfile
+import zipfile
 from collections import Counter
 from pathlib import Path
 
@@ -371,6 +373,40 @@ def _savez(path, **arrays):
         np.savez(handle, **arrays)
 
 
+def _flip_a_data_byte(path):
+    """Flip the last byte of the ``ls_counts`` member, in its array data."""
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("ls_counts.npy")
+    # the local header: 30 bytes, the last four the name and extra lengths
+    name_size, extra_size = struct.unpack_from("<HH", data, info.header_offset + 26)
+    data[info.header_offset + 30 + name_size + extra_size + info.compress_size - 1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _zip_version_99(path):
+    """Mark the first directory entry as needing zip version 9.9."""
+    data = bytearray(path.read_bytes())
+    data[data.index(b"PK\x01\x02") + 6] = 99
+    path.write_bytes(bytes(data))
+
+
+def _unbalance_npy_header(path):
+    """Leave the shape tuple of the ``ls_counts`` member's header unclosed."""
+    data = path.read_bytes()
+    member = data.index(b"ls_counts.npy")
+    shape_end = data.index(b"), }", data.index(b"'shape': (", member))
+    path.write_bytes(data[:shape_end] + b" " + data[shape_end + 1 :])
+
+
+def _compress(path):
+    """Write the same header and arrays with ``np.savez_compressed``."""
+    with np.load(path) as stored:
+        arrays = {name: stored[name] for name in stored.files}
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+
+
 def _rewrite(change):
     """A case that rewrites the index through ``change(header, arrays)``."""
 
@@ -526,6 +562,10 @@ BAD_INDEX_CASES = {
         IoError,
         "has the BM25 k1 nan, out of range",
     ),
+    "member-crc-mismatch": (_flip_a_data_byte, IoError, "cannot read index file"),
+    "archive-compressed": (_compress, IoError, "cannot read index file"),
+    "zip-version-unsupported": (_zip_version_99, IoError, "cannot read index file"),
+    "npy-header-unbalanced": (_unbalance_npy_header, IoError, "cannot read index file"),
     "utterance-not-a-string": (
         _rewrite(lambda header, arrays: header["examples"]["utterance"].__setitem__(0, 5)),
         IoError,
@@ -573,7 +613,10 @@ def test_index_load_parses_no_program(tmp_path, monkeypatch):
 
 
 def _assert_same_index(loaded, built, queries):
-    """A loaded bundle serves exactly what the built one serves."""
+    """A loaded bundle serves exactly what the built one serves, from
+    arrays that are aligned, C-contiguous and their own."""
+    for array in loaded.arrays.values():
+        assert array.flags.aligned and array.flags.c_contiguous and array.flags.owndata
     for ex, ref in zip(loaded.corpus.examples, built.corpus.examples, strict=True):
         assert [getattr(ex, f) for f in RECORD_FIELDS] == [getattr(ref, f) for f in RECORD_FIELDS]
         assert list(ex.ls_counts.items()) == list(ref.ls_counts.items())

@@ -19,7 +19,7 @@ from demoselect import (
 from demoselect.retrieval import lucene_idf
 
 from geo_pool import POOL_ROWS, TEST_UTTERANCE
-from helpers import reference_tfidf
+from helpers import pool_rows, reference_tfidf
 
 TOY_DOCS = {"d1": ["a", "b"], "d2": ["a"], "d3": ["c"]}
 
@@ -309,3 +309,13 @@ def test_random_scores_deterministic():
     second = random_scores(["c", "a", "b"], seed=5)
     assert first == second
     assert random_scores(["a", "b", "c"], seed=6) != first
+
+
+def test_random_scores_keep_the_pools_id_list():
+    pool = pool_rows([row[0] for row in POOL_ROWS])
+    scores = random_scores(pool.ids, seed=5)
+    assert scores.ids is pool.ids
+    # the draw is unchanged: one number per id, in id order
+    rng = random.Random(5)
+    assert scores.array.tolist() == [rng.random() for _ in pool.ids]
+    assert scores == random_scores(reversed(pool.ids), seed=5)
