@@ -18,12 +18,11 @@ id order, so that example ``r`` of the pool is pool row ``r`` (see
 :class:`~demoselect.selection.Pool`) in every array. It computes, once, the
 arrays of :data:`ARRAY_DTYPES`: every example's structure counts as CSR rows
 over the sorted structure vocabulary, and the pool's utterance BM25 impacts
-and tf-idf rows. An index file stores these arrays beside a JSON header that
-holds the record columns, so loading one parses no program, tokenizes no
+and tf-idf rows. An index file stores these arrays after a JSON header line
+that holds the record columns, so loading one parses no program, tokenizes no
 utterance, decodes no structure-count map and builds no example. Loading
-reads the file in one pass: every array member's CRC-32 is checked against
-the archive's directory, its ``.npy`` header parsed without unpickling, and
-its data read into an aligned array of its own. A bundle, built or
+reads the file in one pass: each array's data is read into an aligned array
+of its own and checked against its CRC-32. A bundle, built or
 loaded, serves its retrieval state from the arrays: the utterance BM25 and
 the tf-idf rows (``dpp`` only) are views of them, and the structure postings
 (``cover-ls``), the symbol BM25 and the training structure union derive from
@@ -41,12 +40,8 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
-import struct
 import sys
-import tokenize
-import zipfile
 import zlib
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
@@ -76,36 +71,31 @@ logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "test")
 INDEX_MAGIC = "demoselect-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
 # An index file lists its examples pool first: the training examples in id
 # order, then the others in the order they were indexed. Record r and every
-# group's row r then all mean pool row r. The arrays, in three groups of rows
-# stored back to back (see retrieval.row_slices), each group with its offsets:
+# group's row r then all mean pool row r. The arrays, each 1-D and of its
+# dtype here, little-endian on any machine (a file stores no dtype or shape),
+# in three groups of rows stored back to back (see retrieval.row_slices), each
+# group with its offsets:
 # - ls: every example's structure counts, by record; the columns index the
 #   sorted structure vocabulary;
 # - bm25: the pool's utterance BM25 postings, term by term (see Bm25Index);
 # - tfidf: the pool's tf-idf rows, by pool row; the columns index the sorted
 #   vocabulary of the pool's structures.
 ARRAY_DTYPES = {
-    "ls_offsets": np.dtype(np.int64),
-    "ls_columns": np.dtype(np.int32),
-    "ls_counts": np.dtype(np.int32),
-    "bm25_offsets": np.dtype(np.int64),
-    "bm25_rows": np.dtype(np.int64),
-    "bm25_contrib": np.dtype(np.float64),
-    "tfidf_offsets": np.dtype(np.int64),
-    "tfidf_columns": np.dtype(np.int32),
-    "tfidf_weights": np.dtype(np.float64),
+    "ls_offsets": np.dtype("<i8"),
+    "ls_columns": np.dtype("<i4"),
+    "ls_counts": np.dtype("<i4"),
+    "bm25_offsets": np.dtype("<i8"),
+    "bm25_rows": np.dtype("<i8"),
+    "bm25_contrib": np.dtype("<f8"),
+    "tfidf_offsets": np.dtype("<i8"),
+    "tfidf_columns": np.dtype("<i4"),
+    "tfidf_weights": np.dtype("<f8"),
 }
-_ZIP_MAGIC = b"PK\x03\x04"
-# a zip member's local header: 30 bytes, the signature first and, at byte 26,
-# the lengths of the file name and the extra field between it and the data
-_LOCAL_HEADER = struct.Struct("<26xHH")
-_NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
+_ALIGN = 64
 _REBUILD = "rebuild it with `demoselect index`"
 
 
@@ -554,8 +544,8 @@ class IndexBundle:
         }
 
     def save(self, path: str | Path) -> None:
-        """Write the index as one ``.npz`` archive at exactly ``path``: a
-        UTF-8 JSON ``header`` array, then the arrays of :data:`ARRAY_DTYPES`."""
+        """Write the index at exactly ``path``: one UTF-8 JSON header line,
+        then the arrays of :data:`ARRAY_DTYPES` (see :func:`_write_index`)."""
         header = {
             "magic": INDEX_MAGIC,
             "version": INDEX_VERSION,
@@ -566,14 +556,11 @@ class IndexBundle:
             "vocab": self.vocab,
             "bm25_terms": self.bm25_utterance.terms,
         }
-        text = json.dumps(header, sort_keys=True).encode("utf-8")
-        arrays = {"header": np.frombuffer(text, np.uint8), **self.arrays}
-        # a file handle, not a path: given a path, numpy would append ".npz"
-        write_file(path, lambda handle: np.savez(handle, **arrays), "index file")
+        write_file(path, lambda handle: _write_index(handle, header, self.arrays), "index file")
 
     @classmethod
     def load(cls, path: str | Path) -> "IndexBundle":
-        """Read an index file in one pass, checking every array member's
+        """Read an index file in one pass, checking every array's place and
         CRC-32; nothing in it is unpickled. An older or a foreign file raises
         :class:`IndexVersionError`, any other bad file :class:`IoError`. No
         example is built: each is built when it is first read."""
@@ -614,97 +601,59 @@ def _decoded_json(data: bytes) -> object:
         return None
 
 
+def _aligned(size: int) -> int:
+    """``size`` rounded up to a multiple of :data:`_ALIGN`."""
+    return -(-size // _ALIGN) * _ALIGN
+
+
+def _write_index(handle: BinaryIO, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write an index file: ``header`` as one JSON line, with each array's
+    place ``[offset, count, crc32]`` under ``"arrays"``; zero padding up to
+    the data start; then the arrays of :data:`ARRAY_DTYPES`, each at its
+    offset from the data start. Both are multiples of :data:`_ALIGN`."""
+    places, offset = {}, 0
+    for name in ARRAY_DTYPES:
+        array = arrays[name]
+        places[name] = [offset, len(array), zlib.crc32(array)]
+        offset = _aligned(offset + array.nbytes)
+    line = json.dumps({**header, "arrays": places}, sort_keys=True).encode("utf-8") + b"\n"
+    handle.write(line.ljust(_aligned(len(line)), b"\0"))
+    for name in ARRAY_DTYPES:
+        handle.write(arrays[name])
+        handle.write(bytes(_aligned(arrays[name].nbytes) - arrays[name].nbytes))
+
+
 def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """An index file's header, with its magic and version checked, and its
-    arrays, each checked to be a 1-D array of its :data:`ARRAY_DTYPES`
-    dtype. An index of version 1 or 2 was one JSON object."""
+    arrays (see :func:`_write_index`), each read into an aligned array of
+    its own and checked against its CRC-32. An index of version 1 or 2 was
+    one JSON object, and one of version 3 or 4 a ``.npz`` archive."""
     try:
         with open(path, "rb") as handle:
-            if handle.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-                handle.seek(0)
-                _check_version(path, _decoded_json(handle.read()))
-                raise IndexVersionError(f"{path} is not an index file; {_REBUILD}")
-            stored = _npz_arrays(handle, {"header", *ARRAY_DTYPES})
-        return _checked_arrays(path, stored)
-    # zipfile raises NotImplementedError for a directory entry that needs a
-    # later zip version
-    except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as exc:
+            header = _decoded_json(handle.readline())
+            _check_version(path, header)
+            start, size = _aligned(handle.tell()), handle.seek(0, os.SEEK_END)
+            places = header.get("arrays")
+            arrays = {}
+            for name, dtype in ARRAY_DTYPES.items():
+                place = places.get(name) if isinstance(places, dict) else None
+                if not (
+                    isinstance(place, list)
+                    and len(place) == 3
+                    and all(type(v) is int and v >= 0 for v in place)
+                ):
+                    raise IoError(f"index file {path} has no array {name}: its place is {place!r}")
+                offset, count, crc = place
+                if start + offset + count * dtype.itemsize > size:
+                    raise IoError(f"cannot read index file {path}: array {name} runs past the end")
+                handle.seek(start + offset)
+                arrays[name] = array = np.empty(count, dtype)
+                handle.readinto(array)
+                if zlib.crc32(array) != crc:
+                    raise IoError(f"cannot read index file {path}: array {name} fails its CRC-32")
+        return header, arrays
+    except OSError as exc:
         raise IoError(f"cannot read index file {path}: {exc}") from exc
-
-
-def _npz_arrays(handle: BinaryIO, names: set[str]) -> dict[str, np.ndarray]:
-    """The arrays ``names`` of the ``.npz`` archive open in ``handle``, by
-    member name without ``.npy``; a bad member raises ValueError. A member
-    must be stored uncompressed, behind a local header, within the file,
-    with the CRC-32 of the archive's directory, and with a ``.npy`` header
-    (version 1.0 or 2.0) that describes its data exactly and no Python
-    objects; nothing is unpickled.
-
-    A member's data is read straight into an aligned, writable array of its
-    own. Five of an index's members start at unaligned offsets, so views of
-    one buffer holding the file would be unaligned, and copying the arrays
-    out of such a buffer costs a second allocation of the file's size."""
-    size = handle.seek(0, os.SEEK_END)
-    with zipfile.ZipFile(handle) as archive:
-        members = archive.infolist()
-    arrays = {}
-    for info in members:
-        name = info.filename.removesuffix(".npy")
-        if name not in names:
-            continue
-        member = f"member {info.filename}"
-        if info.compress_type != zipfile.ZIP_STORED:
-            raise ValueError(f"{member} is compressed")
-        handle.seek(info.header_offset)
-        local = handle.read(_LOCAL_HEADER.size)
-        if len(local) < _LOCAL_HEADER.size or not local.startswith(_ZIP_MAGIC):
-            raise ValueError(f"{member} has no local header")
-        name_size, extra_size = _LOCAL_HEADER.unpack(local)
-        start = info.header_offset + len(local) + name_size + extra_size
-        end = start + info.compress_size
-        if end > size:
-            raise ValueError(f"{member} runs past the end of the file")
-        handle.seek(start)
-        version = np.lib.format.read_magic(handle)
-        if version not in _NPY_HEADERS:
-            raise ValueError(f"{member} has the unsupported .npy version {version}")
-        try:
-            shape, fortran_order, dtype = _NPY_HEADERS[version](handle)
-        except tokenize.TokenError as exc:  # numpy's retry of a header that fails to parse
-            raise ValueError(f"{member} has a malformed .npy header") from exc
-        if dtype.hasobject:
-            raise ValueError(f"{member} holds Python objects")
-        header_size, count = handle.tell() - start, math.prod(shape)
-        if start + header_size + count * dtype.itemsize != end:
-            raise ValueError(f"{member} does not hold a {dtype} array of shape {shape}")
-        handle.seek(start)
-        crc = zlib.crc32(handle.read(header_size))
-        array = np.empty(count, dtype)
-        data = array.view(np.uint8)
-        handle.readinto(data)
-        if zlib.crc32(data, crc) != info.CRC:
-            raise ValueError(f"{member} fails its CRC-32 check")
-        if array.shape != shape:  # a 1-D array stays the one allocated, not a view
-            array = array.reshape(shape, order="F" if fortran_order else "C")
-        arrays[name] = array
-    return arrays
-
-
-def _checked_arrays(path, stored) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = stored["header"] if "header" in stored else np.empty(0)
-    header = _decoded_json(raw.tobytes()) if raw.dtype == np.uint8 else None
-    _check_version(path, header)
-    arrays = {}
-    for name, dtype in ARRAY_DTYPES.items():
-        if name not in stored:
-            raise IoError(f"index file {path} has no array {name}")
-        arrays[name] = array = stored[name]
-        if array.dtype != dtype or array.ndim != 1:
-            raise IoError(
-                f"index file {path}: array {name} is {array.dtype} with shape "
-                f"{array.shape}, expected a 1-D {dtype} array"
-            )
-    return header, arrays
 
 
 def _fits(offsets: np.ndarray, n_rows: int, *entries: np.ndarray) -> bool:
@@ -792,5 +741,5 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
         "tfidf_columns": tfidf_columns,
         "tfidf_weights": tfidf_weights,
     }
-    arrays = {name: np.asarray(arrays[name], dtype) for name, dtype in ARRAY_DTYPES.items()}
+    arrays = {name: np.ascontiguousarray(a, ARRAY_DTYPES[name]) for name, a in arrays.items()}
     return IndexBundle(corpus, vocab, bm25.terms, arrays, k1=k1, b=b)

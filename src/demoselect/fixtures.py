@@ -246,6 +246,8 @@ def gen_fixture(
     """Deterministically generate a synthetic train/test corpus."""
     if split not in SPLITS:
         raise GenerationError(f"unknown split {split!r}")
+    if n_train < 1 or n_test < 0:
+        raise GenerationError(f"need n_train >= 1 and n_test >= 0, got {n_train} and {n_test}")
     g = grammar or GrammarConfig()
     rng = random.Random(seed)
     pool = _generate_pool(g, (n_train + n_test) * 4, rng)

@@ -53,10 +53,12 @@ class DialectConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DialectConfig":
-        return cls(
-            name=data.get("name", "default"),
-            value_parents=frozenset(data.get("value_parents", ())),
-        )
+        """The dialect :meth:`to_dict` gave; raises TypeError unless ``name``
+        is a string and ``value_parents`` a list of strings."""
+        name, parents = data["name"], data["value_parents"]
+        if not (isinstance(parents, list) and all(isinstance(p, str) for p in [name, *parents])):
+            raise TypeError(f"malformed dialect {data!r}")
+        return cls(name=name, value_parents=frozenset(parents))
 
 
 DEFAULT_DIALECT = DialectConfig()

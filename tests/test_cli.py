@@ -83,7 +83,7 @@ FIXTURE_DIGESTS = {
         "meta.json": "9d59d6c64f847069228c2083f5a963426085d944221f0df5224dd5932397fa91",
     },
 }
-INDEX_DIGEST = "068ae2e455171ae7a747192fb3f069ae8620b8711efff427d5243d9989736186"
+INDEX_DIGEST = "c4a78d330d0cab5fece7e5756e7ec115027cc5e76a5c83e67e627451c2a10e54"
 
 
 def _sha256(path):
@@ -1097,6 +1097,21 @@ ROBUSTNESS_CASES = {
         b"a regular file",
         "gen-fixture --n-train 20 --n-test 5 --out-dir {bad}/sub",
         "bad.jsonl/sub",
+    ),
+    "gen-fixture-n-test-negative": (
+        None,
+        "gen-fixture --n-test -3 --split iid --out-dir {out}",
+        "need n_train >= 1 and n_test >= 0, got 200 and -3",
+    ),
+    "gen-fixture-n-train-negative": (
+        None,
+        "gen-fixture --n-train -5 --split template --out-dir {out}",
+        "need n_train >= 1 and n_test >= 0, got -5 and 50",
+    ),
+    "gen-fixture-n-train-zero": (
+        None,
+        "gen-fixture --n-train 0 --n-test 5 --out-dir {out}",
+        "got 0 and 5",
     ),
     "select-out-unwritable": (
         None,

@@ -4,9 +4,8 @@ import json
 import os
 import pickle
 import random
-import struct
 import tempfile
-import zipfile
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from demoselect import (
 )
 from demoselect.cli import main
 from demoselect.corpus import (
+    ARRAY_DTYPES,
     RECORD_FIELDS,
     IndexBundle,
     StructureCounts,
@@ -336,26 +336,57 @@ def test_built_and_reloaded_tfidf_rows_are_equal(tmp_path):
     _assert_rows_equal(IndexBundle.load(path).tfidf, bundle.tfidf)
 
 
+def _aligned(size):
+    return -(-size // 64) * 64
+
+
 def _index_parts(path):
-    """An index file's JSON header and its arrays."""
-    with np.load(path, allow_pickle=False) as stored:
-        arrays = {name: stored[name] for name in stored.files}
-    return json.loads(arrays.pop("header").tobytes()), arrays
+    """An index file's JSON header, its arrays, and the offset of its data."""
+    data = path.read_bytes()
+    line = data[: data.index(b"\n") + 1]
+    header, start = json.loads(line), _aligned(len(line))
+    arrays = {
+        name: np.frombuffer(data, ARRAY_DTYPES[name], count, start + offset).copy()
+        for name, (offset, count, _) in header["arrays"].items()
+    }
+    return header, arrays, start
 
 
-def _write_index(path, header, arrays):
-    text = json.dumps(header).encode("utf-8")
-    _savez(path, header=np.frombuffer(text, np.uint8), **arrays)
+def _write_index(path, header, arrays, **places):
+    """Write a version-5 index of ``header`` and ``arrays``; ``places`` maps
+    an array to the place to list for it instead of the one it is written at."""
+    written, data = {}, b""
+    for name, array in arrays.items():
+        written[name] = [len(data), len(array), zlib.crc32(array.tobytes())]
+        data += array.tobytes().ljust(_aligned(array.nbytes), b"\0")
+    line = json.dumps({**header, "arrays": {**written, **places}}).encode("utf-8") + b"\n"
+    path.write_bytes(line.ljust(_aligned(len(line)), b"\0") + data)
+
+
+def test_index_file_is_a_header_line_then_aligned_arrays(tmp_path):
+    bundle = build_indexes(gen_fixture(n_train=60, n_test=10, seed=5).corpus)
+    path, again = tmp_path / "index.json", tmp_path / "again.json"
+    bundle.save(path)
+    header, arrays, start = _index_parts(path)
+    data = path.read_bytes()
+    assert start % 64 == 0 and not data[data.index(b"\n") + 1 : start].strip(b"\0")
+    assert sorted(header["arrays"]) == sorted(ARRAY_DTYPES)
+    for name, (offset, count, crc) in header["arrays"].items():
+        assert offset % 64 == 0
+        assert np.array_equal(arrays[name], bundle.arrays[name]) and count == len(arrays[name])
+        assert zlib.crc32(data[start + offset :][: arrays[name].nbytes]) == crc
+    IndexBundle.load(path).save(again)
+    assert again.read_bytes() == data
 
 
 def test_index_version_mismatch_rejected(tmp_path):
     bundle = build_indexes(_geo_corpus(tmp_path))
     path = tmp_path / "index.json"
     bundle.save(path)
-    header, arrays = _index_parts(path)
-    assert header["version"] == 4
+    header, arrays, _ = _index_parts(path)
+    assert header["version"] == 5
     assert set(header["examples"]) == set(RECORD_FIELDS)
-    for version in (1, 2, 3, 99):
+    for version in (1, 2, 3, 4, 99):
         _write_index(path, {**header, "version": version}, arrays)
         with pytest.raises(IndexVersionError, match="demoselect index"):
             IndexBundle.load(path)
@@ -369,49 +400,48 @@ def test_index_version_mismatch_rejected(tmp_path):
 
 
 def _savez(path, **arrays):
+    """Write a ``.npz`` archive, as index versions 3 and 4 were."""
     with open(path, "wb") as handle:
         np.savez(handle, **arrays)
 
 
+def _version_4_npz(path):
+    """The index as a version-4 ``.npz``: a JSON ``header`` array beside the
+    arrays."""
+    header, arrays, _ = _index_parts(path)
+    del header["arrays"]
+    text = json.dumps({**header, "version": 4}).encode("utf-8")
+    _savez(path, header=np.frombuffer(text, np.uint8), **arrays)
+
+
 def _flip_a_data_byte(path):
-    """Flip the last byte of the ``ls_counts`` member, in its array data."""
+    """Flip the last byte of the ``ls_counts`` array."""
+    header, arrays, start = _index_parts(path)
     data = bytearray(path.read_bytes())
-    with zipfile.ZipFile(path) as archive:
-        info = archive.getinfo("ls_counts.npy")
-    # the local header: 30 bytes, the last four the name and extra lengths
-    name_size, extra_size = struct.unpack_from("<HH", data, info.header_offset + 26)
-    data[info.header_offset + 30 + name_size + extra_size + info.compress_size - 1] ^= 0xFF
+    data[start + header["arrays"]["ls_counts"][0] + arrays["ls_counts"].nbytes - 1] ^= 0xFF
     path.write_bytes(bytes(data))
 
 
-def _zip_version_99(path):
-    """Mark the first directory entry as needing zip version 9.9."""
-    data = bytearray(path.read_bytes())
-    data[data.index(b"PK\x01\x02") + 6] = 99
-    path.write_bytes(bytes(data))
+def _not_json(path):
+    """Replace the header line's opening brace."""
+    path.write_bytes(b"[" + path.read_bytes()[1:])
 
 
-def _unbalance_npy_header(path):
-    """Leave the shape tuple of the ``ls_counts`` member's header unclosed."""
-    data = path.read_bytes()
-    member = data.index(b"ls_counts.npy")
-    shape_end = data.index(b"), }", data.index(b"'shape': (", member))
-    path.write_bytes(data[:shape_end] + b" " + data[shape_end + 1 :])
+def _place(name, change):
+    """A case that lists ``change(place)`` as the place of array ``name``."""
 
+    def mutate(path):
+        header, arrays, _ = _index_parts(path)
+        _write_index(path, header, arrays, **{name: change(header["arrays"][name])})
 
-def _compress(path):
-    """Write the same header and arrays with ``np.savez_compressed``."""
-    with np.load(path) as stored:
-        arrays = {name: stored[name] for name in stored.files}
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
+    return mutate
 
 
 def _rewrite(change):
     """A case that rewrites the index through ``change(header, arrays)``."""
 
     def mutate(path):
-        header, arrays = _index_parts(path)
+        header, arrays, _ = _index_parts(path)
         change(header, arrays)
         _write_index(path, header, arrays)
 
@@ -466,7 +496,7 @@ BAD_INDEX_CASES = {
             json.dumps({"magic": "demoselect-index", "version": 2, "examples": []})
         ),
         IndexVersionError,
-        r"index version 2 unsupported \(expected 4\); rebuild it with `demoselect index`",
+        r"index version 2 unsupported \(expected 5\); rebuild it with `demoselect index`",
     ),
     "text": (
         lambda path: path.write_text("id,utterance\n1,hello\n"),
@@ -499,20 +529,31 @@ BAD_INDEX_CASES = {
         IoError,
         "has no array tfidf_weights",
     ),
-    "wrong-dtype": (
-        _rewrite(_set("ls_counts", lambda a: a.astype(np.int64))),
-        IoError,
-        "array ls_counts is int64 .* expected a 1-D int32 array",
+    "header-line-not-json": (_not_json, IndexVersionError, "not an index"),
+    "version-4-npz": (
+        _version_4_npz,
+        IndexVersionError,
+        "is not an index file; rebuild it with `demoselect index`",
     ),
-    "two-dimensional": (
-        _rewrite(_set("bm25_contrib", lambda a: a.reshape(1, -1))),
+    "array-place-not-ints": (
+        _place("ls_counts", lambda place: [place[0], True, place[2]]),
         IoError,
-        "array bm25_contrib",
+        r"has no array ls_counts: its place is \[\d+, True, \d+\]",
     ),
-    "pickled-object-array": (
-        _rewrite(_set("ls_columns", lambda a: a.astype(object))),
+    "array-offset-negative": (
+        _place("bm25_rows", lambda place: [-64, *place[1:]]),
         IoError,
-        "cannot read index file",
+        r"has no array bm25_rows: its place is \[-64, ",
+    ),
+    "array-past-the-end": (
+        _place("tfidf_weights", lambda place: [place[0], place[1] + 1000, place[2]]),
+        IoError,
+        "cannot read index file .*: array tfidf_weights runs past the end",
+    ),
+    "array-crc-mismatch": (
+        _place("bm25_contrib", lambda place: [*place[:2], place[2] ^ 1]),
+        IoError,
+        "cannot read index file .*: array bm25_contrib fails its CRC-32",
     ),
     "offsets-past-the-entries": (
         _rewrite(_set("ls_offsets", _bump_last)),
@@ -562,12 +603,23 @@ BAD_INDEX_CASES = {
         IoError,
         "has the BM25 k1 nan, out of range",
     ),
-    "member-crc-mismatch": (_flip_a_data_byte, IoError, "cannot read index file"),
-    "archive-compressed": (_compress, IoError, "cannot read index file"),
-    "zip-version-unsupported": (_zip_version_99, IoError, "cannot read index file"),
-    "npy-header-unbalanced": (_unbalance_npy_header, IoError, "cannot read index file"),
+    "member-crc-mismatch": (
+        _flip_a_data_byte,
+        IoError,
+        "cannot read index file .*: array ls_counts fails its CRC-32",
+    ),
     "utterance-not-a-string": (
         _rewrite(lambda header, arrays: header["examples"]["utterance"].__setitem__(0, 5)),
+        IoError,
+        "malformed header",
+    ),
+    "dialect-parents-a-string": (
+        _rewrite(lambda header, _: header["dialect"].update(value_parents="LIKE")),
+        IoError,
+        "malformed header",
+    ),
+    "dialect-not-strings": (
+        _rewrite(lambda header, _: header.update(dialect={"name": 7, "value_parents": [1, 2]})),
         IoError,
         "malformed header",
     ),

@@ -92,3 +92,50 @@ def test_module_imports_no_unused_name(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_private_name(module):
     assert unread_private_names((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+ARCHIVE_MODULES = {"pickle", "zipfile"}
+
+
+def archive_io(source: str) -> list[str]:
+    """What a module uses of the means to unpickle or to read and write
+    archives: imports of ``pickle`` and ``zipfile``, and numpy's ``load`` and
+    ``savez*``, imported or read as attributes of ``np`` or ``numpy``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in ARCHIVE_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] in ARCHIVE_MODULES:
+                found.append(node.module)
+            elif node.module == "numpy":
+                found += [f"numpy.{a.name}" for a in node.names if _numpy_archive(a.name)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy") and _numpy_archive(node.attr):
+                found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def _numpy_archive(name: str) -> bool:
+    return name == "load" or name.startswith("savez")
+
+
+def test_archive_io_finds_unpickling_and_archives():
+    source = (
+        "import json, pickle\n"
+        "import numpy as np\n"
+        "from zipfile import ZipFile\n"
+        "from numpy import savez_compressed, zeros\n"
+        "np.savez(f, a=np.zeros(3))\n"
+        "data = np.load(f)\n"
+        "json.load(f)\n"
+        "np.loadtxt(f)\n"
+    )
+    assert archive_io(source) == [
+        "pickle", "zipfile", "numpy.savez_compressed", "np.savez", "np.load"
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_module_never_unpickles_or_reads_archives(module):
+    assert archive_io((PACKAGE / module).read_text(encoding="utf-8")) == []
