@@ -174,7 +174,10 @@ def _read_jsonl(path: str | Path, fields: dict[str, tuple]) -> list[dict]:
 def _load_tests(bundle: IndexBundle, test_path: str | None) -> list[Example]:
     if test_path:
         corpus = load_examples(test_path, bundle.corpus.dialect, default_split="test")
-        return list(corpus.examples)
+        tests = list(corpus.examples)
+        if not tests:
+            raise ConfigError(f"no test examples in {test_path}")
+        return tests
     tests = bundle.corpus.split("test")
     if not tests:
         raise ConfigError("no test examples: pass --test or index a test split")

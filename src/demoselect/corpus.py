@@ -27,13 +27,13 @@ loaded, serves its retrieval state from the arrays: the utterance BM25 and
 the tf-idf rows (``dpp`` only) are views of them, and the structure postings
 (``cover-ls``), the symbol BM25 and the training structure union derive from
 the pool's structure columns on first use. The token postings are the BM25
-impact rows. A loaded example is built when a command first reads it; its
-structure counts are a :class:`StructureCounts` view over the shared arrays
-that builds its dict on first access, and its utterance tokens are computed
-on first access too, so a command pays only for the examples it reads. The
-CLI's mock model and training mode read the stored structure counts; only
-the error labels of evaluation (:func:`~demoselect.evaluation.classify_errors`)
-still re-derive structures, symbols and templates from program text.
+impact rows. A loaded example is built when a command first reads it, with
+its structure-count dict decoded from its slice of the ``ls`` arrays; its
+utterance tokens wait until they are first read, so a command pays only for
+the examples it reads. The CLI's mock model and training mode read the
+stored structure counts; only the error labels of evaluation
+(:func:`~demoselect.evaluation.classify_errors`) still re-derive structures,
+symbols and templates from program text.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .retrieval import (
     tokenize_utterance,
 )
 from .selection import Pool
-from .structures import analyze, ls_size
+from .structures import analyze
 
 logger = logging.getLogger(__name__)
 
@@ -127,61 +127,13 @@ def write_text(path: str | Path, text: str, what: str) -> None:
     write_file(path, lambda handle: handle.write(data), what)
 
 
-class StructureCounts(Mapping):
-    """A loaded example's structure counts: a read-only mapping over its
-    slice ``[start:end]`` of an index's ``ls`` arrays, which builds its dict
-    on first access."""
-
-    def __init__(
-        self, vocab: list[str], columns: np.ndarray, counts: np.ndarray, start: int, end: int
-    ):
-        self._vocab = vocab
-        self._columns = columns
-        self._counts = counts
-        self._start = start
-        self._end = end
-
-    def _build(self) -> dict[str, int]:
-        start, end = self._start, self._end
-        names = map(self._vocab.__getitem__, self._columns[start:end].tolist())
-        return dict(zip(names, self._counts[start:end].tolist()))
-
-    @cached_property
-    def _dict(self) -> dict[str, int]:
-        return self._build()
-
-    def __getitem__(self, name: str) -> int:
-        return self._dict[name]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._dict
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self) -> int:
-        return len(self._dict)
-
-    def keys(self):
-        return self._dict.keys()
-
-    def values(self):
-        return self._dict.values()
-
-    def items(self):
-        return self._dict.items()
-
-    def __repr__(self) -> str:
-        return f"StructureCounts({self._dict!r})"
-
-
 @dataclass
 class Example:
     id: str
     utterance: str
     program: str
     template: str
-    ls_counts: Mapping[str, int]
+    ls_counts: dict[str, int]
     split: str = "train"
 
     @cached_property
@@ -232,7 +184,7 @@ class ExampleTable(Sequence):
     def __init__(
         self,
         records: dict[str, list],
-        structures: Callable[[int], Mapping[str, int]] | None = None,
+        structures: Callable[[int], dict[str, int]] | None = None,
         examples: Iterable[Example] = (),
     ):
         self.records = records
@@ -528,10 +480,8 @@ class IndexBundle:
         present = np.bincount(columns, minlength=len(self.vocab))
         return [self.vocab[c] for c in np.flatnonzero(present).tolist()]
 
-    def training_ls_union(self, max_size: int | None = None) -> set[str]:
-        return {
-            c for c in self._pool_structures if max_size is None or ls_size(c) <= max_size
-        }
+    def training_ls_union(self) -> set[str]:
+        return set(self._pool_structures)
 
     def stats(self) -> dict:
         records = self.corpus.examples.records
@@ -576,8 +526,10 @@ class IndexBundle:
         offsets = arrays["ls_offsets"]
         columns, counts = arrays["ls_columns"], arrays["ls_counts"]
 
-        def structures(r: int) -> StructureCounts:
-            return StructureCounts(vocab, columns, counts, int(offsets[r]), int(offsets[r + 1]))
+        def structures(r: int) -> dict[str, int]:
+            start, end = int(offsets[r]), int(offsets[r + 1])
+            names = map(vocab.__getitem__, columns[start:end].tolist())
+            return dict(zip(names, counts[start:end].tolist()))
 
         examples = ExampleTable(dict(zip(RECORD_FIELDS, records)), structures)
         return cls(Corpus(examples=examples, dialect=dialect), vocab, terms, arrays, k1=k1, b=b)

@@ -32,6 +32,21 @@ class GrammarConfig:
     max_filters: int = 2
     logic_rate: float = 0.25
 
+    def __post_init__(self):
+        kinds = {"entities": str, "attributes": str, "attr_types": str, "numbers": int}
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and all(type(v) is kind for v in value)):
+                noun = "integers" if kind is int else "strings"
+                raise ConfigError(f"{name} must be a list of {noun}, got {value!r}")
+            # a noun phrase may go unfiltered, but every other choice needs a value
+            if not value and name != "attributes":
+                raise ConfigError(f"{name} must not be empty")
+        if not (type(self.max_filters) is int and self.max_filters >= 0):
+            raise ConfigError(f"max_filters must be an integer >= 0, got {self.max_filters!r}")
+        if not (type(self.logic_rate) in (int, float) and 0 <= self.logic_rate <= 1):
+            raise ConfigError(f"logic_rate must be a number in [0, 1], got {self.logic_rate!r}")
+
     @classmethod
     def from_json(cls, path: str | Path) -> "GrammarConfig":
         try:
@@ -41,7 +56,7 @@ class GrammarConfig:
                 for key, value in data.items()
             }
             return cls(**kwargs)
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (ValueError, TypeError, AttributeError, ConfigError) as exc:
             raise ConfigError(f"{path}: not a grammar object: {exc}") from exc
 
     def to_dict(self) -> dict:

@@ -44,6 +44,8 @@ class CompletionRequest:
             raise ConfigError("max tokens must be >= 1")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if "" in self.stop:
+            raise ConfigError("a stop string must not be empty")
 
 
 @dataclass

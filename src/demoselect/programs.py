@@ -70,9 +70,6 @@ class AstNode:
     kind: str = FUNCTION
     children: list["AstNode"] = field(default_factory=list)
 
-    def is_value(self) -> bool:
-        return self.kind in (VALUE_STRING, VALUE_NUMBER)
-
 
 @dataclass
 class ProgramAst:

@@ -565,24 +565,6 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
     assert tfidf_rows == [60]  # dpp's rows, one per pool example
 
 
-def test_run_builds_structure_dicts_only_for_the_examples_it_reads(
-    workspace, tmp_path, monkeypatch
-):
-    from demoselect.corpus import StructureCounts
-
-    built = []
-    build = StructureCounts._build
-    monkeypatch.setattr(StructureCounts, "_build", lambda self: built.append(1) or build(self))
-    workdir = tmp_path / "run"
-    argv = ["run", "--index", str(workspace["index"]), "--strategy", "top-k", "--k", "4"]
-    assert main([*argv, "--mock", "--workdir", str(workdir)]) in (0, 1)
-    prompts = _read_jsonl(workdir / "prompts.jsonl")
-    demos = {demo_id for row in prompts for demo_id in row["demo_ids"]}
-    # the mock and eval read the indexed test examples and their demos, once each
-    assert len(prompts) == 10 and len(demos) < 40
-    assert len(built) == len(demos) + len(prompts)
-
-
 def test_commands_build_only_the_examples_they_read(workspace, tmp_path, monkeypatch):
     from demoselect.corpus import Example
 
@@ -973,6 +955,21 @@ ROBUSTNESS_CASES = {
         "gen-fixture --out-dir {out} --grammar {bad}",
         "bad.jsonl",
     ),
+    "grammar-field-wrong-type": (
+        b'{"max_filters": "x"}',
+        "gen-fixture --out-dir {out} --grammar {bad}",
+        "bad.jsonl: not a grammar object: max_filters must be an integer >= 0, got 'x'",
+    ),
+    "grammar-entities-empty": (
+        b'{"entities": []}',
+        "gen-fixture --out-dir {out} --grammar {bad}",
+        "bad.jsonl: not a grammar object: entities must not be empty",
+    ),
+    "test-file-empty": (
+        b"",
+        "run --strategy top-k --k 2 --mock --test {bad} --index {index} --workdir {out}",
+        "no test examples in",
+    ),
     "config-k-not-an-integer": (
         b'{"k": "abc"}',
         "--config {bad} run --mock --index {index} --workdir {out}",
@@ -1208,6 +1205,7 @@ def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):
         ["--mock", "--max-tokens", "0"],
         ["--mock", "--temperature", "inf"],
         ["--base-url", "ftp://x/y"],
+        ["--mock", "--stop", ""],
     ],
 )
 def test_bad_infer_flag_fails_before_any_stage_file(workspace, tmp_path, flags):

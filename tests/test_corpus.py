@@ -34,7 +34,6 @@ from demoselect.corpus import (
     ARRAY_DTYPES,
     RECORD_FIELDS,
     IndexBundle,
-    StructureCounts,
     make_example,
     write_text,
 )
@@ -301,8 +300,6 @@ def test_posting_lists_equal_linear_scan(tmp_path):
         assert ids == scanned
     union = set().union(*(ex.ls_set for ex in bundle.pool.values()))
     assert bundle.training_ls_union() == union
-    assert bundle.training_ls_union(4) == {c for c in union if ls_size(c) <= 4}
-    assert bundle.training_ls_union(4) < union
 
 
 def test_index_round_trip_preserves_rankings(tmp_path):
@@ -683,7 +680,7 @@ def _assert_same_index(loaded, built, queries):
     for name in ("ls_postings", "token_postings"):
         postings = _posting_ids(loaded, getattr(loaded, name))
         assert postings == _posting_ids(built, getattr(built, name))
-    assert loaded.training_ls_union(4) == built.training_ls_union(4)
+    assert loaded.training_ls_union() == built.training_ls_union()
     assert loaded.stats() == built.stats()
     _assert_rows_equal(loaded.tfidf, built.tfidf)
 
@@ -700,7 +697,6 @@ def _assert_index_matches_its_maps(bundle):
     )
     union = set().union(*(ex.ls_counts for ex in pool.values()))
     assert bundle.training_ls_union() == union
-    assert bundle.training_ls_union(4) == {c for c in union if ls_size(c) <= 4}
     _assert_rows_equal(bundle.tfidf, ls_tfidf_vectors({i: ex.ls_counts for i, ex in pool.items()}))
     # the symbol BM25 built from the structure columns scores bit for bit as
     # the BM25 over every example's symbol sequence
@@ -781,8 +777,13 @@ def test_index_load_builds_no_structure_dict(tmp_path, monkeypatch):
     path = tmp_path / "index.json"
     build_indexes(_geo_corpus(tmp_path)).save(path)
     built = []
-    build = StructureCounts._build
-    monkeypatch.setattr(StructureCounts, "_build", lambda self: built.append(1) or build(self))
+    init = Example.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.id)
+
+    monkeypatch.setattr(Example, "__init__", counted)
     reloaded = IndexBundle.load(path)
     # everything the bundle serves comes from its arrays
     reloaded.bm25_utterance.scores(["longest", "river"])
@@ -791,7 +792,7 @@ def test_index_load_builds_no_structure_dict(tmp_path, monkeypatch):
     g1 = reloaded.pool["g1"]
     assert g1.ls_counts["riverid"] == 1 and "riverid" in g1.ls_set
     assert list(g1.ls_counts) == sorted(g1.ls_counts)
-    assert built == [1]  # once, on first access
+    assert built == ["g1"]  # once, on first read, with its structure dict
     assert [ex.id for ex in reloaded.corpus.examples if "utt_tokens" in vars(ex)] == []
 
 
@@ -871,7 +872,7 @@ def test_fixture_held_out_structures_absent_from_training():
 def test_fixture_bookkeeping_matches_unobserved_metric():
     fixture = gen_fixture(n_train=80, n_test=20, split="held-out-ls", seed=7)
     bundle = build_indexes(fixture.corpus)
-    union = bundle.training_ls_union(max_size=4)
+    union = bundle.training_ls_union()
     flagged = [
         unobserved_ls(ex.ls_set, union) for ex in fixture.corpus.split("test")
     ]

@@ -139,3 +139,73 @@ def test_archive_io_finds_unpickling_and_archives():
 @pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
 def test_module_never_unpickles_or_reads_archives(module):
     assert archive_io((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+ROOT = PACKAGE.parents[1]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unread_public_names(module_source: str, read: set[str]) -> list[str]:
+    """The public names a module defines and no name in ``read`` reads: its
+    top-level functions and classes and the methods of its top-level
+    classes, not ``_private`` and not dunder."""
+    defined = []
+    for node in ast.parse(module_source).body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            defined.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            defined += [item.name for item in node.body if isinstance(item, FUNCTIONS)]
+    return [name for name in defined if not name.startswith("_") and name not in read]
+
+
+def read_names(source: str) -> set[str]:
+    """The names a source reads: as a name, an attribute, an imported name
+    or a call's keyword."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif isinstance(node, ast.keyword) and node.arg:
+            read.add(node.arg)
+    return read
+
+
+def test_unread_public_names_finds_only_dead_ones():
+    module = (
+        "def used(): pass\n"
+        "def imported(): pass\n"
+        "def passed(): pass\n"
+        "def dead(): pass\n"
+        "def _private(): pass\n"
+        "class Kept:\n"
+        "    def __len__(self): return 0\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    def unread(self): return used()\n"
+        "class Dead:\n"
+        "    def unread(self): pass\n"
+    )
+    reader = (
+        "from mod import imported\n"
+        "dead = Kept().size\n"
+        "f(passed=1)\n"
+    )
+    read = read_names(module) | read_names(reader)
+    assert unread_public_names(module, read) == ["dead", "unread", "Dead", "unread"]
+
+
+@pytest.fixture(scope="module")
+def read_anywhere() -> set[str]:
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    paths += (ROOT / "perfbench").glob("*.py")
+    return set().union(*(read_names(path.read_text(encoding="utf-8")) for path in paths))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_defines_no_unread_public_name(module, read_anywhere):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert unread_public_names(source, read_anywhere) == []
