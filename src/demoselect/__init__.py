@@ -35,6 +35,8 @@ from .evaluation import (
     aggregate,
     classify_errors,
     coverage_metrics,
+    error_labels,
+    evaluate_example,
     evaluate_record,
     exact_match,
     unobserved_ls,

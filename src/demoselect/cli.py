@@ -37,7 +37,7 @@ from .corpus import (
     write_text,
 )
 from .errors import ApiError, ConfigError, DemoselectError, IoError, TransportError
-from .evaluation import aggregate, evaluate_record
+from .evaluation import aggregate, evaluate_example
 from .fixtures import GrammarConfig, gen_fixture, write_fixture
 from .gateway import (
     DEFAULT_STOP,
@@ -361,7 +361,7 @@ def stage_eval(
     bundle, tests, prompts: list[dict], predictions: list[dict], cfg: RunConfig
 ) -> tuple[dict, list]:
     by_id = {ex.id: ex for ex in tests}
-    prompt_by_id = {row["id"]: row for row in prompts}
+    demo_ids = {row["id"]: row["demo_ids"] for row in prompts}
     training_union = bundle.training_ls_union()
     records = []
     for row in predictions:
@@ -369,19 +369,15 @@ def stage_eval(
         if example is None:
             logger.warning("prediction id %s is not a test example", row["id"])
             continue
-        prompt_row = prompt_by_id.get(row["id"], {"demo_ids": []})
-        demo_examples = [_demo(bundle, d) for d in prompt_row["demo_ids"]]
+        demos = [_demo(bundle, d) for d in demo_ids.get(row["id"], [])]
         records.append(
-            evaluate_record(
-                example_id=example.id,
-                pred=row["prediction"],
-                gold=example.program,
-                demo_programs=[d.program for d in demo_examples],
-                demo_ls_sets=[d.ls_set for d in demo_examples],
-                gold_ls_set=example.ls_set,
-                training_ls_union=training_union,
-                dialect=bundle.corpus.dialect,
-                strategy=cfg.strategy,
+            evaluate_example(
+                example,
+                row["prediction"],
+                demos,
+                training_union,
+                bundle.corpus.dialect,
+                cfg.strategy,
             )
         )
     report = aggregate(records, by_strategy=False)
@@ -634,135 +630,129 @@ def cmd_gen_fixture(args) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+# a flag that sets its option to True, and leaves it None (not given) otherwise
+SWITCH = {"action": "store_const", "const": True}
+
+
+def _add_index_args(parser):
+    parser.add_argument("--corpus", action="append", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--dialect", default="default")
+    parser.add_argument("--value-parents", default="")
+
+
+def _add_fixture_args(parser):
+    parser.add_argument("--out-dir", required=True)
+    parser.add_argument("--n-train", type=int, default=200)
+    parser.add_argument("--n-test", type=int, default=50)
+    parser.add_argument("--split", choices=("iid", "template", "held-out-ls"),
+                        default="held-out-ls")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--grammar")
+
+
+def _stage_files(*required):
+    """The adder of a stage command's ``--index``, ``--test`` and the file
+    flags ``required``."""
+
+    def add(parser):
+        parser.add_argument("--index", required=True)
+        parser.add_argument("--test")
+        for name in required:
+            parser.add_argument(f"--{name}", required=True)
+
+    return add
+
+
+def _add_report_args(parser):
+    parser.add_argument("--csv")
+    parser.add_argument("--per-record")
+
 
 def _add_shared_args(parser):
-    parser.add_argument("--strategy", choices=STRATEGIES, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--strategy", choices=STRATEGIES)
+    parser.add_argument("--k", type=int)
+    parser.add_argument("--seed", type=int)
 
 
 def _add_pool_args(parser):
-    parser.add_argument("--retriever", default=None)
-    parser.add_argument("--predictions", default=None)
-    parser.add_argument("--oracle", action="store_const", const=True, default=None)
-    parser.add_argument("--max-ls-size", dest="max_ls_size", type=int, default=None)
-    parser.add_argument("--beam-limit", dest="beam_limit", type=int, default=None)
-    parser.add_argument(
-        "--candidate-pool-size", dest="candidate_pool_size", type=int, default=None
-    )
-    parser.add_argument(
-        "--train-mode", dest="train_mode", action="store_const", const=True, default=None
-    )
-    parser.add_argument("--fallback", choices=FALLBACKS, default=None)
+    parser.add_argument("--retriever")
+    parser.add_argument("--predictions")
+    parser.add_argument("--oracle", **SWITCH)
+    parser.add_argument("--max-ls-size", type=int)
+    parser.add_argument("--beam-limit", type=int)
+    parser.add_argument("--candidate-pool-size", type=int)
+    parser.add_argument("--train-mode", **SWITCH)
+    parser.add_argument("--fallback", choices=FALLBACKS)
 
 
 def _add_prompt_args(parser):
-    parser.add_argument("--order", choices=ORDERS, default=None)
-    parser.add_argument(
-        "--programs-only",
-        dest="programs_only",
-        action="store_const",
-        const=True,
-        default=None,
-    )
-    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--order", choices=ORDERS)
+    parser.add_argument("--programs-only", **SWITCH)
+    parser.add_argument("--budget", type=int)
 
 
 def _add_infer_args(parser):
-    parser.add_argument("--mock", action="store_const", const=True, default=None)
-    parser.add_argument(
-        "--mock-threshold", dest="mock_threshold", type=int, default=None
-    )
-    parser.add_argument("--base-url", dest="base_url", default=None)
-    parser.add_argument("--model", default=None)
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int, default=256)
+    parser.add_argument("--mock", **SWITCH)
+    parser.add_argument("--mock-threshold", type=int)
+    parser.add_argument("--base-url")
+    parser.add_argument("--model")
+    parser.add_argument("--max-tokens", type=int, default=256)
     parser.add_argument("--temperature", type=float, default=0.0)
-    parser.add_argument("--stop", action="append", default=None)
-    parser.add_argument("--max-retries", dest="max_retries", type=int, default=5)
+    parser.add_argument("--stop", action="append")
+    parser.add_argument("--max-retries", type=int, default=5)
     parser.add_argument("--timeout", type=float, default=30.0)
-    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument("--jobs", type=int)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, command, its argument adders in the order of its help text)
+COMMANDS = {
+    "index": ("preprocess corpora and build retrieval indexes", cmd_index, [_add_index_args]),
+    "gen-fixture": ("generate a synthetic corpus", cmd_gen_fixture, [_add_fixture_args]),
+    "select": ("choose demonstrations per test example", cmd_select,
+               [_stage_files("out"), _add_shared_args, _add_pool_args]),
+    "prompt": ("render prompts from selections", cmd_prompt,
+               [_stage_files("selections", "out"), _add_shared_args, _add_pool_args,
+                _add_prompt_args]),
+    "infer": ("complete prompts via endpoint or mock", cmd_infer,
+              [_stage_files("prompts", "out"), _add_shared_args, _add_infer_args]),
+    "eval": ("score predictions and write a report", cmd_eval,
+             [_stage_files("prompts", "predictions", "out"), _add_report_args, _add_shared_args]),
+    "run": ("select, prompt, infer and eval in one go", cmd_run,
+            [_stage_files("workdir"), _add_shared_args, _add_pool_args, _add_prompt_args,
+             _add_infer_args]),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``argv`` (default ``sys.argv[1:]``). Only the command it
+    names, after an optional ``--config X`` or ``--config=X``, gets its
+    arguments; every command does when it names none (for help, no command
+    or an unknown one)."""
     parser = argparse.ArgumentParser(
         prog="demoselect",
         description="Select diverse demonstrations for in-context semantic parsing.",
     )
-    parser.add_argument("--config", default=None, help="JSON config file of defaults")
+    parser.add_argument("--config", help="JSON config file of defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("index", help="preprocess corpora and build retrieval indexes")
-    p.add_argument("--corpus", action="append", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dialect", default="default")
-    p.add_argument("--value-parents", dest="value_parents", default="")
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("gen-fixture", help="generate a synthetic corpus")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--n-train", dest="n_train", type=int, default=200)
-    p.add_argument("--n-test", dest="n_test", type=int, default=50)
-    p.add_argument("--split", choices=("iid", "template", "held-out-ls"),
-                   default="held-out-ls")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grammar", default=None)
-    p.set_defaults(func=cmd_gen_fixture)
-
-    p = sub.add_parser("select", help="choose demonstrations per test example")
-    p.add_argument("--index", required=True)
-    p.add_argument("--test", default=None)
-    p.add_argument("--out", required=True)
-    _add_shared_args(p)
-    _add_pool_args(p)
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("prompt", help="render prompts from selections")
-    p.add_argument("--index", required=True)
-    p.add_argument("--test", default=None)
-    p.add_argument("--selections", required=True)
-    p.add_argument("--out", required=True)
-    _add_shared_args(p)
-    _add_pool_args(p)
-    _add_prompt_args(p)
-    p.set_defaults(func=cmd_prompt)
-
-    p = sub.add_parser("infer", help="complete prompts via endpoint or mock")
-    p.add_argument("--index", required=True)
-    p.add_argument("--test", default=None)
-    p.add_argument("--prompts", required=True)
-    p.add_argument("--out", required=True)
-    _add_shared_args(p)
-    _add_infer_args(p)
-    p.set_defaults(func=cmd_infer)
-
-    p = sub.add_parser("eval", help="score predictions and write a report")
-    p.add_argument("--index", required=True)
-    p.add_argument("--test", default=None)
-    p.add_argument("--prompts", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--per-record", dest="per_record", default=None)
-    _add_shared_args(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("run", help="select, prompt, infer and eval in one go")
-    p.add_argument("--index", required=True)
-    p.add_argument("--test", default=None)
-    p.add_argument("--workdir", required=True)
-    _add_shared_args(p)
-    _add_pool_args(p)
-    _add_prompt_args(p)
-    _add_infer_args(p)
-    p.set_defaults(func=cmd_run)
-
+    rest = sys.argv[1:] if argv is None else argv
+    if rest[:1] == ["--config"]:
+        rest = rest[2:]
+    elif rest and rest[0].startswith("--config="):
+        rest = rest[1:]
+    named = rest[0] if rest and rest[0] in COMMANDS else None
+    for name, (help_text, command, adders) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            for add in adders:
+                add(p)
+            p.set_defaults(func=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (TransportError, ApiError) as exc:

@@ -30,10 +30,11 @@ the pool's structure columns on first use. The token postings are the BM25
 impact rows. A loaded example is built when a command first reads it, with
 its structure-count dict decoded from its slice of the ``ls`` arrays; its
 utterance tokens wait until they are first read, so a command pays only for
-the examples it reads. The CLI's mock model and training mode read the
-stored structure counts; only the error labels of evaluation
-(:func:`~demoselect.evaluation.classify_errors`) still re-derive structures,
-symbols and templates from program text.
+the examples it reads. The CLI's mock model, training mode and evaluation
+read the stored structure counts, and evaluation's error labels
+(:func:`~demoselect.evaluation.evaluate_example`) read the gold's and the
+demonstrations' symbols and templates from the examples, so that ``run``
+parses only its ``--test`` rows, its beams and its wrong predictions.
 """
 
 from __future__ import annotations
@@ -476,8 +477,8 @@ class IndexBundle:
     @cached_property
     def _pool_structures(self) -> list[str]:
         """The structures held by some pool example, sorted."""
-        _, columns = self._pool_entries("columns")
-        present = np.bincount(columns, minlength=len(self.vocab))
+        end = self.arrays["ls_offsets"][len(self.pool)]
+        present = np.bincount(self.arrays["ls_columns"][:end], minlength=len(self.vocab))
         return [self.vocab[c] for c in np.flatnonzero(present).tolist()]
 
     def training_ls_union(self) -> set[str]:

@@ -1,15 +1,20 @@
 """Prediction scoring: exact match, coverage, error labels, aggregation.
 
-Error labels parse each text once, through
-:func:`~demoselect.programs.repair_parentheses`, and read its template and
-symbols from :func:`~demoselect.structures.analyze`.
+The error-label rule (:func:`error_labels`) takes the gold's and the
+demonstrations' symbols and templates, and parses only the prediction, once,
+through :func:`~demoselect.programs.repair_parentheses`, reading its template
+and symbols from :func:`~demoselect.structures.analyze`. A caller holding
+examples scores a prediction with :func:`evaluate_example`, which reads them
+from each example's template and cached structure counts, so no gold or
+demonstration program is parsed; :func:`evaluate_record` and
+:func:`classify_errors` are the same rule over program text.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from .programs import (
     DEFAULT_DIALECT,
@@ -19,6 +24,9 @@ from .programs import (
     scan_symbols,
 )
 from .structures import analyze, ls_size
+
+if TYPE_CHECKING:
+    from .corpus import Example
 
 LABEL_SYNTAX = "syntax"
 LABEL_OVER_COPY = "over-copy"
@@ -35,6 +43,12 @@ def exact_match(pred: str, gold: str) -> bool:
     return normalize_whitespace(pred) == normalize_whitespace(gold)
 
 
+def _symbols(structures: Iterable[str]) -> set[str]:
+    """The symbols among structures: the size-1 ones, which hold no space
+    (symbols contain none, and every separator does)."""
+    return {c for c in structures if " " not in c}
+
+
 def coverage_metrics(
     demo_ls_sets: Sequence[Iterable[str]], gold_ls_set: Iterable[str]
 ) -> tuple[float, float, int]:
@@ -45,9 +59,9 @@ def coverage_metrics(
     """
     union: set[str] = set()
     for ls_set in demo_ls_sets:
-        union |= set(ls_set)
+        union.update(ls_set)
     gold = set(gold_ls_set)
-    gold_symbols = {c for c in gold if ls_size(c) == 1}
+    gold_symbols = _symbols(gold)
     symbol_cov = len(gold_symbols & union) / len(gold_symbols) if gold_symbols else 0.0
     ls_cov = len(gold & union) / len(gold) if gold else 0.0
     return symbol_cov, ls_cov, len(union)
@@ -69,13 +83,15 @@ def _symbols_and_template(text, dialect) -> tuple[set[str], str | None]:
     return set(symbols), template
 
 
-def classify_errors(
+def error_labels(
     pred: str,
-    gold: str,
-    demo_programs: Sequence[str],
+    gold_symbols: AbstractSet[str],
+    demo_symbols: AbstractSet[str],
+    demo_templates: AbstractSet[str | None],
     dialect: DialectConfig = DEFAULT_DIALECT,
 ) -> set[str]:
-    """Label a wrong prediction; labels may co-occur.
+    """Label a wrong prediction from the gold's symbols and the
+    demonstrations' symbols (their union) and templates; labels may co-occur.
 
     * syntax: unbalanced parentheses (or text unparseable even after repair).
     * over-copy: the prediction's template equals some demonstration's.
@@ -84,7 +100,7 @@ def classify_errors(
 
     Template and symbol tests run on the repaired form when the raw text
     does not parse; if even that fails, symbol tests use a plain token scan
-    and the template test is skipped.
+    and the template test is skipped. Only ``pred`` is parsed.
     """
     labels: set[str] = set()
     if not parens_balanced(pred):
@@ -92,20 +108,33 @@ def classify_errors(
     pred_symbols, pred_template = _symbols_and_template(pred, dialect)
     if pred_template is None:
         labels.add(LABEL_SYNTAX)
+    elif pred_template in demo_templates:
+        labels.add(LABEL_OVER_COPY)
+    if not pred_symbols <= gold_symbols | demo_symbols:
+        labels.add(LABEL_OOV)
+    if not gold_symbols <= pred_symbols:
+        labels.add(LABEL_MISSING)
+    return labels
+
+
+def classify_errors(
+    pred: str,
+    gold: str,
+    demo_programs: Sequence[str],
+    dialect: DialectConfig = DEFAULT_DIALECT,
+) -> set[str]:
+    """:func:`error_labels` over program text: the gold's and each
+    demonstration's symbols and template come from parsing it, after repair
+    (see :func:`program_symbols`)."""
     demo_symbols: set[str] = set()
     demo_templates: set[str | None] = set()
     for program in demo_programs:
         symbols, template = _symbols_and_template(program, dialect)
         demo_symbols |= symbols
         demo_templates.add(template)
-    if pred_template is not None and pred_template in demo_templates:
-        labels.add(LABEL_OVER_COPY)
-    gold_symbols = program_symbols(gold, dialect)
-    if pred_symbols - (gold_symbols | demo_symbols):
-        labels.add(LABEL_OOV)
-    if gold_symbols - pred_symbols:
-        labels.add(LABEL_MISSING)
-    return labels
+    return error_labels(
+        pred, program_symbols(gold, dialect), demo_symbols, demo_templates, dialect
+    )
 
 
 def unobserved_ls(
@@ -141,6 +170,28 @@ class EvalRecord:
         }
 
 
+def _record(
+    example_id: str,
+    matched: bool,
+    labels: set[str],
+    demo_ls_sets: Sequence[Iterable[str]],
+    gold_ls_set: Iterable[str],
+    training_ls_union: set[str],
+    strategy: str,
+) -> EvalRecord:
+    symbol_cov, ls_cov, unique = coverage_metrics(demo_ls_sets, gold_ls_set)
+    return EvalRecord(
+        example_id=example_id,
+        exact_match=matched,
+        symbol_coverage=symbol_cov,
+        ls_coverage=ls_cov,
+        unique_ls_count=unique,
+        error_labels=labels,
+        unobserved_ls=unobserved_ls(gold_ls_set, training_ls_union),
+        strategy=strategy,
+    )
+
+
 def evaluate_record(
     example_id: str,
     pred: str,
@@ -154,17 +205,39 @@ def evaluate_record(
 ) -> EvalRecord:
     """Score one prediction; error labels only exist for wrong predictions."""
     matched = exact_match(pred, gold)
-    symbol_cov, ls_cov, unique = coverage_metrics(demo_ls_sets, gold_ls_set)
     labels = set() if matched else classify_errors(pred, gold, demo_programs, dialect)
-    return EvalRecord(
-        example_id=example_id,
-        exact_match=matched,
-        symbol_coverage=symbol_cov,
-        ls_coverage=ls_cov,
-        unique_ls_count=unique,
-        error_labels=labels,
-        unobserved_ls=unobserved_ls(gold_ls_set, training_ls_union),
-        strategy=strategy,
+    return _record(
+        example_id, matched, labels, demo_ls_sets, gold_ls_set, training_ls_union, strategy
+    )
+
+
+def evaluate_example(
+    example: Example,
+    pred: str,
+    demos: Sequence[Example],
+    training_ls_union: set[str],
+    dialect: DialectConfig = DEFAULT_DIALECT,
+    strategy: str = "",
+) -> EvalRecord:
+    """:func:`evaluate_record` for a gold example and its demonstration
+    examples: symbols, templates and structure sets come from the examples,
+    and only a wrong prediction is parsed."""
+    matched = exact_match(pred, example.program)
+    labels = set()
+    if not matched:
+        demo_symbols = set().union(*(_symbols(demo.ls_counts) for demo in demos))
+        demo_templates = {demo.template for demo in demos}
+        labels = error_labels(
+            pred, _symbols(example.ls_counts), demo_symbols, demo_templates, dialect
+        )
+    return _record(
+        example.id,
+        matched,
+        labels,
+        [demo.ls_counts.keys() for demo in demos],
+        example.ls_counts.keys(),
+        training_ls_union,
+        strategy,
     )
 
 

@@ -16,11 +16,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus, Example, make_example, read_text, write_text
-from .errors import ConfigError, GenerationError, IoError
+from .errors import ConfigError, GenerationError, IoError, ParseError
 from .programs import DEFAULT_DIALECT, parse_program
 from .structures import analyze, ls_size
 
 SPLITS = ("iid", "template", "held-out-ls")
+
+
+def _is_atom(word: str) -> bool:
+    """True when ``word`` parses as one program symbol with no arguments."""
+    try:
+        top = parse_program(word).top
+    except ParseError:
+        return False
+    return top.symbol == word and not top.children
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,9 @@ class GrammarConfig:
             # a noun phrase may go unfiltered, but every other choice needs a value
             if not value and name != "attributes":
                 raise ConfigError(f"{name} must not be empty")
+            for word in value if kind is str else ():
+                if not _is_atom(word):
+                    raise ConfigError(f"{name} word {word!r} is not one program atom")
         if not (type(self.max_filters) is int and self.max_filters >= 0):
             raise ConfigError(f"max_filters must be an integer >= 0, got {self.max_filters!r}")
         if not (type(self.logic_rate) in (int, float) and 0 <= self.logic_rate <= 1):

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from demoselect.cli import main
+from demoselect.cli import build_parser, main
 from demoselect.corpus import IndexBundle
+
+from helpers import count_parses
 
 
 @pytest.fixture(scope="module")
@@ -611,6 +613,24 @@ def test_commands_build_only_the_examples_they_read(workspace, tmp_path, monkeyp
         assert again.read_bytes() == Path(index).read_bytes()
 
 
+def test_run_parses_only_test_programs_and_wrong_predictions(workspace, tmp_path, monkeypatch):
+    from demoselect import exact_match
+
+    tests = workspace["fixture"] / "test.jsonl"
+    golds = {row["id"]: row["program"] for row in _read_jsonl(tests)}
+    parsed = count_parses(monkeypatch)
+    workdir = tmp_path / "run"
+    argv = ["run", "--index", str(workspace["index"]), "--test", str(tests),
+            "--strategy", "top-k", "--k", "2", "--mock", "--workdir", str(workdir)]
+    assert main(argv) == 1
+    predictions = _read_jsonl(workdir / "predictions.jsonl")
+    wrong = [r["prediction"] for r in predictions if not exact_match(r["prediction"], golds[r["id"]])]
+    assert wrong
+    # each --test program when its row is loaded, each wrong prediction when
+    # it is labelled, and no demonstration or pool program
+    assert parsed == Counter(golds.values()) + Counter(wrong)
+
+
 def test_eval_exit_codes_reflect_failures(workspace, tmp_path):
     prompts = tmp_path / "prompts.jsonl"
     predictions = tmp_path / "preds.jsonl"
@@ -965,6 +985,16 @@ ROBUSTNESS_CASES = {
         "gen-fixture --out-dir {out} --grammar {bad}",
         "bad.jsonl: not a grammar object: entities must not be empty",
     ),
+    "grammar-word-empty": (
+        b'{"entities": [""]}',
+        "gen-fixture --n-train 20 --n-test 5 --out-dir {out} --grammar {bad}",
+        "bad.jsonl: not a grammar object: entities word '' is not one program atom",
+    ),
+    "grammar-word-paren": (
+        b'{"entities": ["x)"]}',
+        "gen-fixture --n-train 20 --n-test 5 --out-dir {out} --grammar {bad}",
+        "bad.jsonl: not a grammar object: entities word 'x)' is not one program atom",
+    ),
     "test-file-empty": (
         b"",
         "run --strategy top-k --k 2 --mock --test {bad} --index {index} --workdir {out}",
@@ -1176,6 +1206,42 @@ ROBUSTNESS_CASES = {
         "must be an http(s) URL with a host",
     ),
 }
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+COMMANDS = ("index", "gen-fixture", "select", "prompt", "infer", "eval", "run")
+
+
+@pytest.mark.parametrize("argv", [[], *[[c] for c in COMMANDS], ["--config", "c.json", "run"]])
+def test_help_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    name = argv[-1] if argv else "demoselect"
+    # the golden files are Python 3.11's; 3.10's argparse heads the options
+    # "optional arguments:"
+    out = capsys.readouterr().out.replace("optional arguments:", "options:")
+    assert out == (GOLDEN_DIR / f"help_{name}.txt").read_text(encoding="utf-8")
+
+
+def test_parser_adds_arguments_to_the_named_command_only(capsys):
+    argv = ["index", "--corpus", "c.jsonl", "--out", "i.json"]
+    assert build_parser(argv).parse_args(argv).corpus == ["c.jsonl"]
+    for named in (["--config", "x", "eval"], ["--config=x", "eval"]):
+        with pytest.raises(SystemExit):
+            build_parser(named).parse_args(argv)
+        assert "unrecognized arguments: --corpus c.jsonl --out i.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["--config=c.json", "ru"]])
+def test_unknown_command_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    choices = ", ".join(repr(c) for c in COMMANDS)
+    expected = f"error: argument command: invalid choice: {argv[-1]!r} (choose from {choices})"
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", sorted(ROBUSTNESS_CASES))

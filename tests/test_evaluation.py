@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,11 @@ from demoselect import (
     anonymize,
     classify_errors,
     coverage_metrics,
+    error_labels,
+    evaluate_example,
     evaluate_record,
     exact_match,
+    make_example,
     parse_program,
     unobserved_ls,
 )
@@ -27,7 +32,8 @@ from demoselect.evaluation import (
 from demoselect.programs import DEFAULT_DIALECT
 from demoselect.structures import build_structure_graph, enumerate_local_structures
 
-from helpers import count_parses, random_texts, reference_symbols_and_template
+from geo_pool import POOL_ROWS
+from helpers import count_parses, random_program, random_texts, reference_symbols_and_template
 
 
 def ls_set_of(program: str) -> set[str]:
@@ -197,6 +203,64 @@ def test_classify_errors_parses_a_repaired_prediction_once(monkeypatch):
     labels = classify_errors("f (g (a)", "f (g (b))", [])
     assert labels == {LABEL_SYNTAX, LABEL_OOV, LABEL_MISSING}
     assert parsed == {"f (g (a))": 1, "f (g (b))": 1}
+
+
+# Well-formed programs for gold and demonstration examples: random ones and
+# the geography pool's.
+PROGRAMS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_program(random.Random(seed))),
+    st.sampled_from([row[2] for row in POOL_ROWS]),
+)
+
+
+def _symbols(example) -> set[str]:
+    return {c for c in example.ls_counts if " " not in c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gold=PROGRAMS,
+    demo_programs=st.lists(PROGRAMS, max_size=4),
+    dialect=st.sampled_from([DEFAULT_DIALECT, VALUE_PARENTS]),
+    data=st.data(),
+)
+def test_structure_form_equals_text_form(gold, demo_programs, dialect, data):
+    # a prediction that is balanced, repairable or unrepairable, or a copy
+    # of the gold or of a demonstration
+    pred = data.draw(st.one_of(random_texts(), st.sampled_from([gold, *demo_programs])))
+    example = make_example("gold", "u", gold, dialect=dialect)
+    demos = [make_example(f"d{i}", "u", p, dialect=dialect) for i, p in enumerate(demo_programs)]
+    labels = error_labels(
+        pred,
+        _symbols(example),
+        set().union(*map(_symbols, demos)),
+        {demo.template for demo in demos},
+        dialect,
+    )
+    assert labels == classify_errors(pred, gold, demo_programs, dialect)
+    training = set().union(*(demo.ls_counts for demo in demos[1:]))
+    record = evaluate_example(example, pred, demos, training, dialect, "s")
+    assert record == evaluate_record(
+        "gold",
+        pred,
+        gold,
+        demo_programs,
+        [demo.ls_set for demo in demos],
+        example.ls_set,
+        training,
+        dialect,
+        "s",
+    )
+
+
+def test_evaluate_example_parses_only_a_wrong_prediction(monkeypatch):
+    example = make_example("gold", "u", "f (g (b))")
+    demos = [make_example("d", "u", "f (g (a))")]
+    parsed = count_parses(monkeypatch)
+    assert evaluate_example(example, "f  (g (b))", demos, set()).exact_match
+    record = evaluate_example(example, "f (g (a)", demos, set())
+    assert record.error_labels == {LABEL_SYNTAX, LABEL_OVER_COPY, LABEL_MISSING}
+    assert parsed == {"f (g (a))": 1}
 
 
 # --- unobserved structures -----------------------------------------------------
