@@ -1,4 +1,4 @@
-"""Command-line pipeline.
+"""The command line: flags, files and exit codes around :mod:`.pipeline`.
 
 Stages hand off through JSONL files so that runs around a slow endpoint can
 be inspected and resumed::
@@ -21,9 +21,7 @@ import json
 import logging
 import sys
 import traceback
-import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .corpus import (
@@ -37,29 +35,23 @@ from .corpus import (
     write_text,
 )
 from .errors import ApiError, ConfigError, DemoselectError, IoError, TransportError
-from .evaluation import aggregate, evaluate_example
 from .fixtures import GrammarConfig, gen_fixture, write_fixture
-from .gateway import (
-    DEFAULT_STOP,
-    CompletionRequest,
-    EndpointConfig,
-    MockOracleConfig,
-    complete,
-    mock_from_structures,
+from .gateway import DEFAULT_STOP, CompletionRequest, EndpointConfig
+from .pipeline import (
+    FALLBACKS,
+    ORDERS,
+    PREDICTION_ROW,
+    PROMPT_DEMOS_ROW,
+    PROMPT_ROW,
+    SELECTION_ROW,
+    STRATEGIES,
+    RunConfig,
+    stage_eval,
+    stage_infer,
+    stage_prompt,
+    stage_select,
 )
 from .programs import DialectConfig
-from .prompting import format_prompt, order_demonstrations, truncate_prompt
-from .retrieval import RETRIEVER_VARIANTS, Scores, random_scores
-from .selection import (
-    DemonstrationSet,
-    cover_ls,
-    cover_utt,
-    dpp_select,
-    select_random,
-    select_top_k,
-    training_mode_select,
-)
-from .structures import ls_size
 
 logger = logging.getLogger(__name__)
 
@@ -69,87 +61,16 @@ EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 EXIT_INTERNAL = 4
 
-STRATEGIES = ("top-k", "random", "cover-ls", "cover-utt", "dpp")
-FALLBACKS = ("cover-utt", "none")
-ORDERS = ("ascending-score", "shuffled")
-
-
-@dataclass
-class RunConfig:
-    strategy: str = "cover-ls"
-    k: int = 24
-    retriever: str = "bm25-utterance"
-    beam_limit: int | None = None
-    max_ls_size: int | None = None
-    seed: int = 0
-    candidate_pool_size: int = 200
-    oracle: bool = False
-    train_mode: bool = False
-    fallback: str = "cover-utt"
-    order: str = "ascending-score"
-    programs_only: bool = False
-    budget: int | None = None
-    mock: bool = False
-    mock_threshold: int = 2
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.beam_limit is not None and self.beam_limit < 1:
-            raise ConfigError("beam limit must be >= 1")
-        if self.max_ls_size is not None and self.max_ls_size < 1:
-            raise ConfigError("max LS size must be >= 1")
-        if self.candidate_pool_size < 1:
-            raise ConfigError("candidate pool size must be >= 1")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.retriever not in RETRIEVER_VARIANTS:
-            raise ConfigError(f"unknown retriever {self.retriever!r}")
-        if self.fallback not in FALLBACKS:
-            raise ConfigError(f"unknown fallback {self.fallback!r}")
-        if self.order not in ORDERS:
-            raise ConfigError(f"unknown order {self.order!r}")
-        if self.mock_threshold < 1:
-            raise ConfigError("mock threshold must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-
-
-def _example_seed(seed: int, example_id: str) -> int:
-    return zlib.crc32(f"{seed}:{example_id}".encode("utf-8"))
-
 
 def _write_jsonl(path: str | Path, records: list[dict]) -> None:
     text = "\n".join(json.dumps(r, sort_keys=True) for r in records)
     write_text(path, text + ("\n" if records else ""), "stage file")
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _is_scored_ids(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(pair, list)
-        and len(pair) == 2
-        and isinstance(pair[0], str)
-        and isinstance(pair[1], (int, float))
-        and not isinstance(pair[1], bool)
-        for pair in value
-    )
-
-
-# What a stage-file value must be: a description and its check.
-STRING = ("a string", lambda value: isinstance(value, str))
-STRINGS = ("a list of strings", _is_strings)
-SCORED_IDS = ("a list of [id, score] pairs", _is_scored_ids)
-
-
 def _read_jsonl(path: str | Path, fields: dict[str, tuple]) -> list[dict]:
     """The rows of a stage file: every line JSON, then every row an object
-    holding each key of ``fields`` with a value its check accepts, and no
-    two rows with the same ``id``."""
+    holding each key of ``fields`` (a row format of :mod:`.pipeline`) with a
+    value its check accepts, and no two rows with the same ``id``."""
     numbered = []
     for lineno, line in enumerate(read_text(path, "stage file").splitlines(), start=1):
         if not line.strip():
@@ -182,206 +103,6 @@ def _load_tests(bundle: IndexBundle, test_path: str | None) -> list[Example]:
     if not tests:
         raise ConfigError("no test examples: pass --test or index a test split")
     return tests
-
-
-def _demo(bundle: IndexBundle, demo_id: str) -> Example:
-    demo = bundle.corpus.by_id.get(demo_id)
-    if demo is None:
-        raise ConfigError(f"unknown demonstration id {demo_id}")
-    return demo
-
-
-# --- selection stage -------------------------------------------------------
-
-
-def _retriever_scores(bundle, example, cfg: RunConfig, beams) -> Scores:
-    if cfg.retriever == "bm25-utterance":
-        return bundle.bm25_utterance.scores(example.utt_tokens)
-    if cfg.retriever == "random":
-        return random_scores(bundle.pool.ids, _example_seed(cfg.seed, example.id))
-    # the symbol retrievers: gold symbols, or predicted ones for bm25-symbols
-    if cfg.retriever == "oracle-bm25-gold-symbols" or cfg.oracle:
-        structures = example.ls_counts
-    else:
-        pred = beams.get(example.id)
-        structures = pred.ls_union if pred else ()
-    return bundle.bm25_symbols.scores(sorted(c for c in structures if ls_size(c) == 1))
-
-
-def _selection_row(example_id: str, result: DemonstrationSet) -> dict:
-    return {
-        "id": example_id,
-        "strategy": result.strategy,
-        "k": result.k,
-        "items": [[i, s] for i, s in result.items],
-        "coverage_trace": [[p, e] for p, e in result.coverage_trace],
-        "underfilled": result.underfilled,
-    }
-
-
-def _select_one(bundle, example, cfg: RunConfig, beams) -> dict:
-    pool = bundle.pool
-    strategy = cfg.strategy
-    # random writes 0.0 for every pick, so it reads no retriever score
-    scores = {} if strategy == "random" else _retriever_scores(bundle, example, cfg, beams)
-    if strategy == "cover-ls":
-        if cfg.oracle:
-            elements = example.ls_set
-        else:
-            pred = beams.get(example.id)
-            elements = pred.ls_union if pred else set()
-        if not elements and cfg.fallback == "cover-utt":
-            strategy = "cover-utt"
-    if strategy == "top-k":
-        result = select_top_k(pool, scores, cfg.k)
-    elif strategy == "random":
-        result = select_random(pool, cfg.k, seed=_example_seed(cfg.seed, example.id))
-    elif strategy == "dpp":
-        result = dpp_select(scores, bundle.tfidf, cfg.k, cfg.candidate_pool_size)
-    elif strategy == "cover-ls":
-        result = cover_ls(
-            elements,
-            pool,
-            scores,
-            cfg.k,
-            max_ls_size=cfg.max_ls_size,
-            postings=bundle.ls_postings,
-        )
-    else:  # cover-utt, and cover-ls with nothing to cover
-        result = cover_utt(
-            example.utterance,
-            pool,
-            scores,
-            cfg.k,
-            idf=bundle.bm25_utterance.idf,
-            postings=bundle.token_postings,
-        )
-    return _selection_row(example.id, result)
-
-
-def _select_train_one(bundle, example, cfg: RunConfig) -> dict:
-    result = training_mode_select(
-        example.ls_counts,
-        bundle.pool,
-        cfg.k,
-        seed=_example_seed(cfg.seed, example.id),
-        postings=bundle.ls_postings,
-        exclude=example.id,
-    )
-    return _selection_row(example.id, result)
-
-
-def stage_select(bundle, tests, cfg: RunConfig, beams) -> list[dict]:
-    if cfg.train_mode:
-        return [_select_train_one(bundle, ex, cfg) for ex in bundle.pool.values()]
-    return [_select_one(bundle, ex, cfg, beams) for ex in tests]
-
-
-# --- prompt stage ----------------------------------------------------------
-
-
-def stage_prompt(bundle, tests, selections: list[dict], cfg: RunConfig) -> list[dict]:
-    by_id = bundle.pool if cfg.train_mode else {ex.id: ex for ex in tests}
-    out = []
-    for record in selections:
-        example = by_id.get(record["id"])
-        if example is None:
-            raise ConfigError(f"selection id {record['id']} not among targets")
-        mode = "shuffled" if cfg.train_mode or cfg.order == "shuffled" else cfg.order
-        ordered = order_demonstrations(
-            [(i, s) for i, s in record["items"]],
-            mode=mode,
-            seed=_example_seed(cfg.seed, example.id),
-        )
-        demos = []
-        for demo_id, _ in ordered:
-            demo = _demo(bundle, demo_id)
-            demos.append((demo.id, demo.utterance, demo.program))
-        prompt = format_prompt(
-            demos, example.utterance, include_utterances=not cfg.programs_only
-        )
-        if cfg.budget is not None:
-            prompt = truncate_prompt(prompt, cfg.budget)
-        row = {
-            "id": example.id,
-            "prompt": prompt.text,
-            "demo_ids": prompt.demo_ids,
-            "truncated": prompt.truncated_count,
-        }
-        if cfg.train_mode:
-            row["target"] = example.program
-        out.append(row)
-    return out
-
-
-# --- inference stage -------------------------------------------------------
-
-
-def stage_infer(
-    bundle,
-    tests,
-    prompts: list[dict],
-    cfg: RunConfig,
-    endpoint: EndpointConfig | None,
-    request_defaults: CompletionRequest,
-) -> list[dict]:
-    by_id = {ex.id: ex for ex in tests}
-    mock_config = MockOracleConfig(compose_threshold_size=cfg.mock_threshold)
-
-    def mock_one(row: dict) -> dict:
-        example = by_id.get(row["id"])
-        if example is None:
-            raise ConfigError(f"prompt id {row['id']} has no test example")
-        demos = [_demo(bundle, d) for d in row["demo_ids"]]
-        text = mock_from_structures(
-            [demo.ls_counts.keys() for demo in demos],
-            example.ls_counts.keys(),
-            [demo.program for demo in demos],
-            example.program,
-            mock_config,
-        )
-        return {"id": row["id"], "prediction": text}
-
-    def endpoint_one(row: dict) -> dict:
-        request = replace(request_defaults, prompt=row["prompt"])
-        result = complete(request, endpoint)
-        return {"id": row["id"], "prediction": result.text.strip()}
-
-    worker = mock_one if cfg.mock else endpoint_one
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool_exec:
-            return list(pool_exec.map(worker, prompts))
-    return [worker(row) for row in prompts]
-
-
-# --- eval stage ------------------------------------------------------------
-
-
-def stage_eval(
-    bundle, tests, prompts: list[dict], predictions: list[dict], cfg: RunConfig
-) -> tuple[dict, list]:
-    by_id = {ex.id: ex for ex in tests}
-    demo_ids = {row["id"]: row["demo_ids"] for row in prompts}
-    training_union = bundle.training_ls_union()
-    records = []
-    for row in predictions:
-        example = by_id.get(row["id"])
-        if example is None:
-            logger.warning("prediction id %s is not a test example", row["id"])
-            continue
-        demos = [_demo(bundle, d) for d in demo_ids.get(row["id"], [])]
-        records.append(
-            evaluate_example(
-                example,
-                row["prediction"],
-                demos,
-                training_union,
-                bundle.corpus.dialect,
-                cfg.strategy,
-            )
-        )
-    report = aggregate(records, by_strategy=False)
-    return report, records
 
 
 def _write_eval_outputs(report, records, out, csv=None, per_record=None) -> int:
@@ -489,29 +210,30 @@ def _load_config(args) -> RunConfig:
     return RunConfig(**{name: pick(name, default) for name, default in defaults.items()})
 
 
-def _load_inputs(args, cfg: RunConfig, with_tests: bool, with_beams: bool = False):
-    """The index, the test examples and the beam file (``--predictions`` of
-    the selection commands) that a command reads; the beam file only when
-    the strategy or retriever reads beams."""
-    needs_beams = with_beams and (
-        cfg.strategy == "cover-ls" or cfg.retriever == "bm25-symbols"
-    ) and not cfg.oracle and not cfg.train_mode
+def _load_inputs(args, cfg: RunConfig):
+    """The index, the targets and the beams of the command's stages. The
+    targets are the pool in training mode, else the test examples, which
+    ``infer`` reads only for the mock. The beams are ``--predictions`` of a
+    command that selects, when its configuration reads beams."""
+    needs_beams = args.command in ("select", "run") and cfg.reads_beams
     if needs_beams and not args.predictions:
         raise ConfigError(
             f"strategy/retriever {cfg.strategy}/{cfg.retriever} needs --predictions "
             "or --oracle"
         )
     bundle = IndexBundle.load(args.index)
-    tests = _load_tests(bundle, args.test) if with_tests else []
+    if cfg.train_mode:
+        targets = bundle.pool
+    elif args.command == "infer" and not cfg.mock:
+        targets = {}
+    else:
+        targets = {ex.id: ex for ex in _load_tests(bundle, args.test)}
     beams = {}
     if needs_beams:
         beams = load_predictions(args.predictions, bundle.corpus.dialect)
-        if cfg.beam_limit is not None:
-            beams = {i: pred.first(cfg.beam_limit) for i, pred in beams.items()}
-        known = {ex.id for ex in tests}
-        for example_id in sorted(set(beams) - known):
+        for example_id in sorted(set(beams) - set(targets)):
             logger.warning("prediction id %s is not a test example; kept", example_id)
-    return bundle, tests, beams
+    return bundle, targets, beams
 
 
 def _endpoint_from_args(args, cfg: RunConfig):
@@ -535,10 +257,8 @@ def _endpoint_from_args(args, cfg: RunConfig):
 
 def cmd_select(args) -> int:
     cfg = _load_config(args)
-    bundle, tests, beams = _load_inputs(
-        args, cfg, with_tests=not cfg.train_mode, with_beams=True
-    )
-    selections = stage_select(bundle, tests, cfg, beams)
+    bundle, targets, beams = _load_inputs(args, cfg)
+    selections = stage_select(bundle, targets, cfg, beams)
     _write_jsonl(args.out, selections)
     print(f"selected demonstrations for {len(selections)} examples -> {args.out}")
     return EXIT_OK
@@ -546,9 +266,9 @@ def cmd_select(args) -> int:
 
 def cmd_prompt(args) -> int:
     cfg = _load_config(args)
-    bundle, tests, _ = _load_inputs(args, cfg, with_tests=not cfg.train_mode)
-    selections = _read_jsonl(args.selections, {"id": STRING, "items": SCORED_IDS})
-    prompts = stage_prompt(bundle, tests, selections, cfg)
+    bundle, targets, _ = _load_inputs(args, cfg)
+    selections = _read_jsonl(args.selections, SELECTION_ROW)
+    prompts = stage_prompt(bundle, targets, selections, cfg)
     _write_jsonl(args.out, prompts)
     print(f"formatted {len(prompts)} prompts -> {args.out}")
     return EXIT_OK
@@ -556,12 +276,10 @@ def cmd_prompt(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
-    bundle, tests, _ = _load_inputs(args, cfg, with_tests=cfg.mock)
-    prompts = _read_jsonl(
-        args.prompts, {"id": STRING, "prompt": STRING, "demo_ids": STRINGS}
-    )
+    bundle, targets, _ = _load_inputs(args, cfg)
+    prompts = _read_jsonl(args.prompts, PROMPT_ROW)
     endpoint, request_defaults = _endpoint_from_args(args, cfg)
-    predictions = stage_infer(bundle, tests, prompts, cfg, endpoint, request_defaults)
+    predictions = stage_infer(bundle, targets, prompts, cfg, endpoint, request_defaults)
     _write_jsonl(args.out, predictions)
     print(f"inferred {len(predictions)} predictions -> {args.out}")
     return EXIT_OK
@@ -569,10 +287,13 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    bundle, tests, _ = _load_inputs(args, cfg, with_tests=True)
-    prompts = _read_jsonl(args.prompts, {"id": STRING, "demo_ids": STRINGS})
-    predictions = _read_jsonl(args.predictions, {"id": STRING, "prediction": STRING})
-    report, records = stage_eval(bundle, tests, prompts, predictions, cfg)
+    bundle, targets, _ = _load_inputs(args, cfg)
+    prompts = _read_jsonl(args.prompts, PROMPT_DEMOS_ROW)
+    predictions = _read_jsonl(args.predictions, PREDICTION_ROW)
+    try:
+        report, records = stage_eval(bundle, targets, prompts, predictions, cfg)
+    except ConfigError as exc:  # an id that the prompts file cannot resolve
+        raise ConfigError(f"{args.prompts}: {exc}") from exc
     code = _write_eval_outputs(report, records, args.out, args.csv, args.per_record)
     accuracy = report.get("accuracy", 0.0)
     print(f"evaluated {report.get('count', 0)} predictions, accuracy {accuracy:.3f}")
@@ -581,9 +302,7 @@ def cmd_eval(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    bundle, tests, beams = _load_inputs(
-        args, cfg, with_tests=not cfg.train_mode, with_beams=True
-    )
+    bundle, targets, beams = _load_inputs(args, cfg)
     # bad request flags fail here, before any stage file is written
     endpoint, request_defaults = _endpoint_from_args(args, cfg)
     workdir = Path(args.workdir)
@@ -591,16 +310,16 @@ def cmd_run(args) -> int:
         workdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create work directory {workdir}: {exc}") from exc
-    selections = stage_select(bundle, tests, cfg, beams)
+    selections = stage_select(bundle, targets, cfg, beams)
     _write_jsonl(workdir / "selections.jsonl", selections)
-    prompts = stage_prompt(bundle, tests, selections, cfg)
+    prompts = stage_prompt(bundle, targets, selections, cfg)
     _write_jsonl(workdir / "prompts.jsonl", prompts)
     if cfg.train_mode:
         print(f"wrote training prompts -> {workdir / 'prompts.jsonl'}")
         return EXIT_OK
-    predictions = stage_infer(bundle, tests, prompts, cfg, endpoint, request_defaults)
+    predictions = stage_infer(bundle, targets, prompts, cfg, endpoint, request_defaults)
     _write_jsonl(workdir / "predictions.jsonl", predictions)
-    report, records = stage_eval(bundle, tests, prompts, predictions, cfg)
+    report, records = stage_eval(bundle, targets, prompts, predictions, cfg)
     code = _write_eval_outputs(
         report, records, workdir / "report.json", per_record=workdir / "records.jsonl"
     )

@@ -30,8 +30,8 @@ the pool's structure columns on first use. The token postings are the BM25
 impact rows. A loaded example is built when a command first reads it, with
 its structure-count dict decoded from its slice of the ``ls`` arrays; its
 utterance tokens wait until they are first read, so a command pays only for
-the examples it reads. The CLI's mock model, training mode and evaluation
-read the stored structure counts, and evaluation's error labels
+the examples it reads. The pipeline's mock model, training mode and
+evaluation read the stored structure counts, and evaluation's error labels
 (:func:`~demoselect.evaluation.evaluate_example`) read the gold's and the
 demonstrations' symbols and templates from the examples, so that ``run``
 parses only its ``--test`` rows, its beams and its wrong predictions.
@@ -336,12 +336,6 @@ class PredictionBundle:
     @property
     def ls_union(self) -> set[str]:
         return set().union(*self.beam_ls_sets)
-
-    def first(self, n: int) -> "PredictionBundle":
-        """The bundle of the first ``n`` kept beams."""
-        return PredictionBundle(
-            self.example_id, self.beams[:n], self.repaired[:n], self.beam_ls_sets[:n]
-        )
 
 
 def load_predictions(

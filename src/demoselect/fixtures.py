@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .corpus import Corpus, Example, make_example, read_text, write_text
 from .errors import ConfigError, GenerationError, IoError, ParseError
 from .programs import DEFAULT_DIALECT, parse_program
-from .structures import analyze, ls_size
 
 SPLITS = ("iid", "template", "held-out-ls")
 
@@ -72,14 +71,7 @@ class GrammarConfig:
             raise ConfigError(f"{path}: not a grammar object: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "entities": list(self.entities),
-            "attributes": list(self.attributes),
-            "attr_types": list(self.attr_types),
-            "numbers": list(self.numbers),
-            "max_filters": self.max_filters,
-            "logic_rate": self.logic_rate,
-        }
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(self).items()}
 
 
 @dataclass
@@ -138,9 +130,7 @@ def _gen_sentence(rng: random.Random, g: GrammarConfig) -> tuple[str, str]:
 
 @dataclass
 class _PoolEntry:
-    program: str
-    utterance: str
-    template: str  # the anonymized program
+    example: Example  # its id and split are set when the corpus is built
     ls_small: set[str]  # structures up to 4 nodes
     ls_edges: set[str]  # structures up to 2 nodes
 
@@ -158,10 +148,10 @@ def _generate_pool(
             continue
         stale = 0
         seen.add(program)
-        template, counts = analyze(parse_program(program, DEFAULT_DIALECT), 4)
-        small = set(counts)
-        edges = {c for c in small if ls_size(c) <= 2}
-        pool.append(_PoolEntry(program, utterance, template, small, edges))
+        example = make_example("", utterance, program)
+        # n nodes make n - 1 separators of two spaces each; symbols hold none
+        small = {c for c in example.ls_counts if c.count(" ") <= 6}
+        pool.append(_PoolEntry(example, small, {c for c in small if c.count(" ") <= 2}))
     if len(pool) < target:
         raise GenerationError(
             f"grammar produced only {len(pool)} distinct programs, need {target}"
@@ -172,15 +162,11 @@ def _generate_pool(
 def _build_corpus(
     train: list[_PoolEntry], test: list[_PoolEntry]
 ) -> Corpus:
-    examples: list[Example] = []
-    for i, entry in enumerate(train):
-        examples.append(
-            make_example(f"train-{i:04d}", entry.utterance, entry.program, "train")
-        )
-    for i, entry in enumerate(test):
-        examples.append(
-            make_example(f"test-{i:04d}", entry.utterance, entry.program, "test")
-        )
+    examples = [
+        replace(entry.example, id=f"{split}-{i:04d}", split=split)
+        for split, entries in (("train", train), ("test", test))
+        for i, entry in enumerate(entries)
+    ]
     return Corpus(examples=examples, dialect=DEFAULT_DIALECT)
 
 
@@ -231,7 +217,7 @@ def _split_template(
 ) -> tuple[list[_PoolEntry], list[_PoolEntry]]:
     groups: dict[str, list[_PoolEntry]] = {}
     for entry in pool:
-        groups.setdefault(entry.template, []).append(entry)
+        groups.setdefault(entry.example.template, []).append(entry)
     keys = sorted(groups)
     rng.shuffle(keys)
     test: list[_PoolEntry] = []
@@ -250,15 +236,15 @@ def _split_iid(
 ) -> tuple[list[_PoolEntry], list[_PoolEntry]]:
     chosen = rng.sample(pool, n_train + n_test)
     train, test = chosen[:n_train], chosen[n_train:]
-    train_templates = {e.template for e in train}
-    if not any(e.template in train_templates for e in test):
+    train_templates = {e.example.template for e in train}
+    if not any(e.example.template in train_templates for e in test):
         groups: dict[str, list[_PoolEntry]] = {}
         for entry in pool:
-            groups.setdefault(entry.template, []).append(entry)
+            groups.setdefault(entry.example.template, []).append(entry)
         pairs = [members for members in groups.values() if len(members) >= 2]
         if not pairs:
             raise GenerationError("grammar yields no repeated templates for iid split")
-        members = rng.choice(sorted(pairs, key=lambda m: m[0].program))
+        members = rng.choice(sorted(pairs, key=lambda m: m[0].example.program))
         train[0], test[0] = members[0], members[1]
     return train, test
 

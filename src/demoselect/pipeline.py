@@ -1,0 +1,300 @@
+"""The run's stages: select demonstrations, render prompts, complete them,
+and score the completions.
+
+``demoselect run`` and the four stage commands call these functions, and a
+library caller can call them with a loaded
+:class:`~demoselect.corpus.IndexBundle`. ``targets`` maps the id of each
+example a run serves to that example: the test examples, or the pool in
+training mode. Each stage is a loop over one per-example function and
+returns the rows of its stage file. The row formats are defined here,
+beside the code that builds them, with the checks a row read back from a
+file must pass (``SELECTION_ROW`` and the others below).
+"""
+
+from __future__ import annotations
+
+import logging
+import zlib
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+
+from .errors import ConfigError
+from .evaluation import aggregate, evaluate_example
+from .gateway import MockOracleConfig, complete, mock_from_structures
+from .prompting import format_prompt, order_demonstrations, truncate_prompt
+from .retrieval import RETRIEVER_VARIANTS, random_scores
+from .selection import (
+    cover_ls,
+    cover_utt,
+    dpp_select,
+    select_random,
+    select_top_k,
+    training_mode_select,
+)
+from .structures import ls_size
+
+logger = logging.getLogger(__name__)
+
+STRATEGIES = ("top-k", "random", "cover-ls", "cover-utt", "dpp")
+FALLBACKS = ("cover-utt", "none")
+ORDERS = ("ascending-score", "shuffled")
+
+
+@dataclass
+class RunConfig:
+    strategy: str = "cover-ls"
+    k: int = 24
+    retriever: str = "bm25-utterance"
+    beam_limit: int | None = None
+    max_ls_size: int | None = None
+    seed: int = 0
+    candidate_pool_size: int = 200
+    oracle: bool = False
+    train_mode: bool = False
+    fallback: str = "cover-utt"
+    order: str = "ascending-score"
+    programs_only: bool = False
+    budget: int | None = None
+    mock: bool = False
+    mock_threshold: int = 2
+    jobs: int = 1
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
+        if self.beam_limit is not None and self.beam_limit < 1:
+            raise ConfigError("beam limit must be >= 1")
+        if self.max_ls_size is not None and self.max_ls_size < 1:
+            raise ConfigError("max LS size must be >= 1")
+        if self.candidate_pool_size < 1:
+            raise ConfigError("candidate pool size must be >= 1")
+        if self.budget is not None and self.budget < 1:
+            raise ConfigError("budget must be >= 1")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        if self.retriever not in RETRIEVER_VARIANTS:
+            raise ConfigError(f"unknown retriever {self.retriever!r}")
+        if self.fallback not in FALLBACKS:
+            raise ConfigError(f"unknown fallback {self.fallback!r}")
+        if self.order not in ORDERS:
+            raise ConfigError(f"unknown order {self.order!r}")
+        if self.mock_threshold < 1:
+            raise ConfigError("mock threshold must be >= 1")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
+
+    @property
+    def reads_beams(self) -> bool:
+        """Whether selection reads the targets' beams: their structures stand
+        in for the gold ones unless ``oracle`` or ``train_mode``."""
+        reader = self.strategy == "cover-ls" or self.retriever == "bm25-symbols"
+        return reader and not self.oracle and not self.train_mode
+
+
+def _example_seed(seed: int, example_id: str) -> int:
+    return zlib.crc32(f"{seed}:{example_id}".encode("utf-8"))
+
+
+def _demo(bundle, demo_id: str):
+    demo = bundle.corpus.by_id.get(demo_id)
+    if demo is None:
+        raise ConfigError(f"unknown demonstration id {demo_id}")
+    return demo
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_scored_ids(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        and isinstance(pair[1], (int, float))
+        and not isinstance(pair[1], bool)
+        for pair in value
+    )
+
+
+# What a stage-file value must be: a description and its check.
+STRING = ("a string", lambda value: isinstance(value, str))
+STRINGS = ("a list of strings", _is_strings)
+SCORED_IDS = ("a list of [id, score] pairs", _is_scored_ids)
+
+# The keys of a stage-file row that the next stage reads, with their checks.
+# A row holds more keys (a prompt row's "truncated"); eval reads no prompt text.
+SELECTION_ROW = {"id": STRING, "items": SCORED_IDS}
+PROMPT_ROW = {"id": STRING, "prompt": STRING, "demo_ids": STRINGS}
+PROMPT_DEMOS_ROW = {"id": STRING, "demo_ids": STRINGS}
+PREDICTION_ROW = {"id": STRING, "prediction": STRING}
+
+
+# --- selection stage -------------------------------------------------------
+
+
+def _choose(bundle, example, cfg: RunConfig, beams):
+    pool, seed = bundle.pool, _example_seed(cfg.seed, example.id)
+    if cfg.train_mode:
+        return training_mode_select(
+            example.ls_counts, pool, cfg.k, seed=seed, postings=bundle.ls_postings,
+            exclude=example.id,
+        )
+    # the structures to cover: the gold ones with oracle, else those of the
+    # example's first beam_limit beams
+    if cfg.oracle:
+        structures = example.ls_counts
+    else:
+        pred = beams.get(example.id)
+        structures = set().union(*pred.beam_ls_sets[: cfg.beam_limit]) if pred else set()
+    strategy = cfg.strategy
+    if strategy == "cover-ls" and not structures and cfg.fallback == "cover-utt":
+        strategy = "cover-utt"
+    if strategy == "random":  # writes 0.0 for every pick: reads no retriever score
+        return select_random(pool, cfg.k, seed=seed)
+    if cfg.retriever == "bm25-utterance":
+        scores = bundle.bm25_utterance.scores(example.utt_tokens)
+    elif cfg.retriever == "random":
+        scores = random_scores(pool.ids, seed)
+    else:  # the symbol retrievers, over the gold symbols or the beams'
+        gold = cfg.retriever == "oracle-bm25-gold-symbols"
+        symbols = (c for c in (example.ls_counts if gold else structures) if ls_size(c) == 1)
+        scores = bundle.bm25_symbols.scores(sorted(symbols))
+    if strategy == "top-k":
+        return select_top_k(pool, scores, cfg.k)
+    if strategy == "dpp":
+        return dpp_select(scores, bundle.tfidf, cfg.k, cfg.candidate_pool_size)
+    if strategy == "cover-ls":
+        return cover_ls(
+            structures, pool, scores, cfg.k, max_ls_size=cfg.max_ls_size,
+            postings=bundle.ls_postings,
+        )
+    # cover-utt, and cover-ls with nothing to cover
+    return cover_utt(
+        example.utterance, pool, scores, cfg.k, idf=bundle.bm25_utterance.idf,
+        postings=bundle.token_postings,
+    )
+
+
+def _select_one(bundle, example, cfg: RunConfig, beams) -> dict:
+    result = _choose(bundle, example, cfg, beams)
+    return {
+        "id": example.id,
+        "strategy": result.strategy,
+        "k": result.k,
+        "items": [[i, s] for i, s in result.items],
+        "coverage_trace": [[p, e] for p, e in result.coverage_trace],
+        "underfilled": result.underfilled,
+    }
+
+
+def stage_select(bundle, targets, cfg: RunConfig, beams) -> list[dict]:
+    """One selection row per target; ``beams`` maps a target's id to its
+    :class:`~demoselect.corpus.PredictionBundle` when ``cfg.reads_beams``."""
+    return [_select_one(bundle, example, cfg, beams) for example in targets.values()]
+
+
+# --- prompt stage ----------------------------------------------------------
+
+
+def _prompt_one(bundle, example, items, cfg: RunConfig) -> dict:
+    ordered = order_demonstrations(
+        [(i, s) for i, s in items],
+        mode="shuffled" if cfg.train_mode else cfg.order,
+        seed=_example_seed(cfg.seed, example.id),
+    )
+    demos = []
+    for demo_id, _ in ordered:
+        demo = _demo(bundle, demo_id)
+        demos.append((demo.id, demo.utterance, demo.program))
+    prompt = format_prompt(demos, example.utterance, include_utterances=not cfg.programs_only)
+    if cfg.budget is not None:
+        prompt = truncate_prompt(prompt, cfg.budget)
+    row = {
+        "id": example.id,
+        "prompt": prompt.text,
+        "demo_ids": prompt.demo_ids,
+        "truncated": prompt.truncated_count,
+    }
+    if cfg.train_mode:
+        row["target"] = example.program
+    return row
+
+
+def stage_prompt(bundle, targets, selections: list[dict], cfg: RunConfig) -> list[dict]:
+    """One prompt row per selection row."""
+    out = []
+    for record in selections:
+        example = targets.get(record["id"])
+        if example is None:
+            raise ConfigError(f"selection id {record['id']} not among targets")
+        out.append(_prompt_one(bundle, example, record["items"], cfg))
+    return out
+
+
+# --- inference stage -------------------------------------------------------
+
+
+def stage_infer(
+    bundle, targets, prompts: list[dict], cfg: RunConfig, endpoint=None, request_defaults=None
+) -> list[dict]:
+    """One prediction row per prompt row: the mock's, or the endpoint's
+    completion of ``request_defaults`` with the row's prompt."""
+    mock_config = MockOracleConfig(compose_threshold_size=cfg.mock_threshold)
+
+    def mock_one(row: dict) -> dict:
+        example = targets.get(row["id"])
+        if example is None:
+            raise ConfigError(f"prompt id {row['id']} has no test example")
+        demos = [_demo(bundle, d) for d in row["demo_ids"]]
+        text = mock_from_structures(
+            [demo.ls_counts.keys() for demo in demos],
+            example.ls_counts.keys(),
+            [demo.program for demo in demos],
+            example.program,
+            mock_config,
+        )
+        return {"id": row["id"], "prediction": text}
+
+    def endpoint_one(row: dict) -> dict:
+        request = replace(request_defaults, prompt=row["prompt"])
+        result = complete(request, endpoint)
+        return {"id": row["id"], "prediction": result.text.strip()}
+
+    worker = mock_one if cfg.mock else endpoint_one
+    if cfg.jobs > 1:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool_exec:
+            return list(pool_exec.map(worker, prompts))
+    return [worker(row) for row in prompts]
+
+
+# --- eval stage ------------------------------------------------------------
+
+
+def stage_eval(
+    bundle, targets, prompts: list[dict], predictions: list[dict], cfg: RunConfig
+) -> tuple[dict, list]:
+    """The report and the per-prediction records; each prediction is scored
+    against the demonstrations of its prompt row."""
+    demo_ids = {row["id"]: row["demo_ids"] for row in prompts}
+    training_union = bundle.training_ls_union()
+    records = []
+    for row in predictions:
+        example = targets.get(row["id"])
+        if example is None:
+            logger.warning("prediction id %s is not a test example", row["id"])
+            continue
+        if row["id"] not in demo_ids:
+            raise ConfigError(f"prediction id {row['id']} has no prompt row")
+        demos = [_demo(bundle, d) for d in demo_ids[row["id"]]]
+        records.append(
+            evaluate_example(
+                example,
+                row["prediction"],
+                demos,
+                training_union,
+                bundle.corpus.dialect,
+                cfg.strategy,
+            )
+        )
+    return aggregate(records, by_strategy=False), records

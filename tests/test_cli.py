@@ -1010,6 +1010,11 @@ ROBUSTNESS_CASES = {
         "--config {bad} run --mock --index {index} --workdir {out}",
         "budget must be an integer",
     ),
+    "config-budget-zero": (
+        b'{"strategy": "top-k", "k": 2, "budget": 0}',
+        "--config {bad} run --mock --index {index} --workdir {out}",
+        "budget must be >= 1",
+    ),
     "config-max-ls-size-string": (
         b'{"strategy": "cover-ls", "oracle": true, "k": 2, "max_ls_size": "2"}',
         "--config {bad} run --mock --index {index} --workdir {out}",
@@ -1272,6 +1277,8 @@ def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):
         ["--mock", "--temperature", "inf"],
         ["--base-url", "ftp://x/y"],
         ["--mock", "--stop", ""],
+        ["--mock", "--budget", "0"],
+        ["--mock", "--budget", "-3"],
     ],
 )
 def test_bad_infer_flag_fails_before_any_stage_file(workspace, tmp_path, flags):
@@ -1311,6 +1318,22 @@ def test_unknown_demo_id_exits_2(workspace, tmp_path, capsys, command):
         argv = ["eval", *argv, "--predictions", str(predictions), "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     assert "no-such-demo" in capsys.readouterr().err
+
+
+def test_eval_prediction_without_prompt_row_exits_2(workspace, tmp_path, capsys):
+    workdir = tmp_path / "run"
+    argv = ["run", "--index", str(workspace["index"]), "--strategy", "top-k", "--k", "2"]
+    assert main([*argv, "--mock", "--workdir", str(workdir)]) in (0, 1)
+    rows = (workdir / "prompts.jsonl").read_text().splitlines()
+    prompts = tmp_path / "prompts.jsonl"
+    prompts.write_text("\n".join(rows[:3]) + "\n")
+    missing = _read_jsonl(workdir / "predictions.jsonl")[3]["id"]
+    argv = ["eval", "--index", str(workspace["index"]), "--prompts", str(prompts),
+            "--predictions", str(workdir / "predictions.jsonl"), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{prompts}: prediction id {missing} has no prompt row" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_beam_limit_drops_later_beams(workspace, tmp_path):

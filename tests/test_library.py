@@ -1,11 +1,13 @@
 """The library calls that the README and the benchmark's traced replay make.
 
-The README's "Library use" snippet and the benchmark's replay of
+The README's "Library use" snippets and the benchmark's replay of
 ``demoselect run`` call the selectors with the index bundle's own objects:
 scores read as a mapping, ``bundle.pool``, ``bundle.ls_postings``,
 ``bundle.token_postings`` and ``bundle.tfidf``. These tests make the same
 calls on the geography pool, so a change of those signatures fails here,
 and check that they select what the CLI writes to ``selections.jsonl``.
+The pipeline's four stages, called from Python on a loaded index, must
+give what ``run`` writes, byte for byte.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from demoselect import (
     tokenize_utterance,
 )
 from demoselect.cli import main
+from demoselect.pipeline import RunConfig, stage_eval, stage_infer, stage_prompt, stage_select
 
 from geo_pool import POOL_ROWS, TEST_GOLD, TEST_UTTERANCE
 
@@ -64,9 +67,9 @@ def geo_index(tmp_path):
     return {"dir": tmp_path, "index": index, "beams": beams}
 
 
-def _readme_snippet() -> str:
+def _readme_snippet(n: int = 0) -> str:
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    return section.split("```python\n")[n + 1].split("```", 1)[0]
 
 
 def test_readme_library_snippet_runs_on_the_geo_pool(geo_index, monkeypatch):
@@ -146,3 +149,57 @@ def test_library_replay_equals_cli_selections(geo_index, flags):
     assert len(written) == len(TEST_ROWS)
     assert replayed == written
     assert all(row["items"] for row in written)
+
+
+# Per configuration: run's flags, and the RunConfig of the same run.
+PIPELINE_CONFIGS = {
+    "top-k": (["--strategy", "top-k"], {"strategy": "top-k"}),
+    "cover-ls-oracle": (
+        ["--strategy", "cover-ls", "--oracle"], {"strategy": "cover-ls", "oracle": True}
+    ),
+    "dpp": (["--strategy", "dpp"], {"strategy": "dpp"}),
+    "train-mode": (
+        ["--strategy", "cover-ls", "--train-mode"], {"strategy": "cover-ls", "train_mode": True}
+    ),
+}
+
+
+def _jsonl(rows) -> bytes:
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("config", sorted(PIPELINE_CONFIGS))
+def test_pipeline_stages_write_what_run_writes(geo_index, config):
+    flags, options = PIPELINE_CONFIGS[config]
+    run_dir = geo_index["dir"] / "run"
+    argv = ["run", "--index", str(geo_index["index"]), "--k", str(K), "--seed", "3", *flags]
+    assert main([*argv, "--mock", "--workdir", str(run_dir)]) in (0, 1)
+
+    bundle = IndexBundle.load(geo_index["index"])
+    cfg = RunConfig(k=K, seed=3, mock=True, **options)
+    tests = {example.id: example for example in bundle.corpus.split("test")}
+    targets = bundle.pool if cfg.train_mode else tests
+    selections = stage_select(bundle, targets, cfg, {})
+    prompts = stage_prompt(bundle, targets, selections, cfg)
+    files = {"selections.jsonl": _jsonl(selections), "prompts.jsonl": _jsonl(prompts)}
+    if not cfg.train_mode:
+        predictions = stage_infer(bundle, targets, prompts, cfg)
+        report, _ = stage_eval(bundle, targets, prompts, predictions, cfg)
+        files["predictions.jsonl"] = _jsonl(predictions)
+        files["report.json"] = json.dumps(report, sort_keys=True, indent=2).encode("utf-8")
+    assert len(selections) == len(targets) > 0
+    for name, data in files.items():
+        assert (run_dir / name).read_bytes() == data, name
+    written = {path.name for path in run_dir.iterdir()} - {"records.jsonl"}
+    assert written == set(files)
+
+
+def test_readme_pipeline_snippet_reports_what_run_reports(geo_index, monkeypatch):
+    monkeypatch.chdir(geo_index["dir"])
+    namespace = {}
+    exec(_readme_snippet(2), namespace)  # noqa: S102 - the README's own code
+    argv = ["run", "--index", "index.json", "--strategy", "cover-ls", "--oracle", "--k", "4"]
+    assert main([*argv, "--mock", "--workdir", "run"]) in (0, 1)
+    report = json.loads((geo_index["dir"] / "run" / "report.json").read_text(encoding="utf-8"))
+    assert namespace["report"] == report
+    assert report["count"] == len(TEST_ROWS)

@@ -209,3 +209,66 @@ def read_anywhere() -> set[str]:
 def test_module_defines_no_unread_public_name(module, read_anywhere):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unread_public_names(source, read_anywhere) == []
+
+
+# The run's stage logic lives in pipeline.py; the CLI keeps flags, files and
+# exit codes, and reaches these modules only through the pipeline.
+STAGE_LOGIC_MODULES = {"selection", "retrieval", "prompting", "structures", "evaluation"}
+
+
+def package_imports(source: str, exported: dict[str, str]) -> list[str]:
+    """The package modules a source imports from: ``from .m import x``,
+    ``from demoselect.m import x``, ``import demoselect.m`` and ``from .
+    import m`` each give ``m``, and a name imported from the package itself
+    gives the module that ``exported`` (name → module) says it comes from."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name.split(".")[1] for a in node.names if a.name.startswith("demoselect.")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "demoselect":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.append(module.split(".")[0])
+            else:
+                found += [exported.get(a.name, a.name) for a in node.names]
+    return found
+
+
+def package_exports() -> dict[str, str]:
+    """Each name ``__init__.py`` re-exports, mapped to its module."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+
+
+def test_package_imports_finds_every_form():
+    source = (
+        "import json\n"
+        "import demoselect.selection\n"
+        "from .retrieval import Scores\n"
+        "from demoselect.prompting import format_prompt\n"
+        "from . import structures\n"
+        "from demoselect import cover_ls, IndexBundle\n"
+        "def f():\n"
+        "    from .corpus import load_examples\n"
+    )
+    exported = {"cover_ls": "selection", "IndexBundle": "corpus"}
+    assert package_imports(source, exported) == [
+        "selection", "retrieval", "prompting", "structures", "selection", "corpus", "corpus"
+    ]
+    assert package_exports()["cover_ls"] == "selection"
+
+
+def test_cli_imports_no_stage_logic_module():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    imported = set(package_imports(source, package_exports()))
+    assert "pipeline" in imported
+    assert imported & STAGE_LOGIC_MODULES == set()
