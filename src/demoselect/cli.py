@@ -21,6 +21,7 @@ import json
 import logging
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,7 +35,14 @@ from .corpus import (
     read_text,
     write_text,
 )
-from .errors import ApiError, ConfigError, DemoselectError, IoError, TransportError
+from .errors import (
+    ApiError,
+    ConfigError,
+    DemoselectError,
+    IoError,
+    TransportError,
+    UnknownIdError,
+)
 from .fixtures import GrammarConfig, gen_fixture, write_fixture
 from .gateway import DEFAULT_STOP, CompletionRequest, EndpointConfig
 from .pipeline import (
@@ -255,6 +263,16 @@ def _endpoint_from_args(args, cfg: RunConfig):
     return endpoint, request_defaults
 
 
+@contextmanager
+def _naming(path):
+    """Name ``path``, the stage file whose rows the stage reads, in an
+    :class:`UnknownIdError` it raises."""
+    try:
+        yield
+    except UnknownIdError as exc:
+        raise UnknownIdError(f"{path}: {exc}") from exc
+
+
 def cmd_select(args) -> int:
     cfg = _load_config(args)
     bundle, targets, beams = _load_inputs(args, cfg)
@@ -268,7 +286,8 @@ def cmd_prompt(args) -> int:
     cfg = _load_config(args)
     bundle, targets, _ = _load_inputs(args, cfg)
     selections = _read_jsonl(args.selections, SELECTION_ROW)
-    prompts = stage_prompt(bundle, targets, selections, cfg)
+    with _naming(args.selections):
+        prompts = stage_prompt(bundle, targets, selections, cfg)
     _write_jsonl(args.out, prompts)
     print(f"formatted {len(prompts)} prompts -> {args.out}")
     return EXIT_OK
@@ -279,7 +298,8 @@ def cmd_infer(args) -> int:
     bundle, targets, _ = _load_inputs(args, cfg)
     prompts = _read_jsonl(args.prompts, PROMPT_ROW)
     endpoint, request_defaults = _endpoint_from_args(args, cfg)
-    predictions = stage_infer(bundle, targets, prompts, cfg, endpoint, request_defaults)
+    with _naming(args.prompts):
+        predictions = stage_infer(bundle, targets, prompts, cfg, endpoint, request_defaults)
     _write_jsonl(args.out, predictions)
     print(f"inferred {len(predictions)} predictions -> {args.out}")
     return EXIT_OK
@@ -290,10 +310,8 @@ def cmd_eval(args) -> int:
     bundle, targets, _ = _load_inputs(args, cfg)
     prompts = _read_jsonl(args.prompts, PROMPT_DEMOS_ROW)
     predictions = _read_jsonl(args.predictions, PREDICTION_ROW)
-    try:
+    with _naming(args.prompts):
         report, records = stage_eval(bundle, targets, prompts, predictions, cfg)
-    except ConfigError as exc:  # an id that the prompts file cannot resolve
-        raise ConfigError(f"{args.prompts}: {exc}") from exc
     code = _write_eval_outputs(report, records, args.out, args.csv, args.per_record)
     accuracy = report.get("accuracy", 0.0)
     print(f"evaluated {report.get('count', 0)} predictions, accuracy {accuracy:.3f}")

@@ -9,32 +9,36 @@ local-structure set.
 
 A corpus holds its examples as an :class:`ExampleTable`: the record columns
 of :data:`RECORD_FIELDS`, and each example built the first time it is read
-and kept from then on. The pool's ids, ``Corpus.by_id`` (an id → row map),
-``Corpus.split``, the pool's template codes and the index's statistics and
-header read the columns, not the examples.
+and kept from then on. The pool's ids, ``Corpus.by_id`` (an id → row map) and
+``Corpus.split`` read the columns, not the examples.
 
 :func:`build_indexes` orders the corpus pool first, its training examples in
 id order, so that example ``r`` of the pool is pool row ``r`` (see
 :class:`~demoselect.selection.Pool`) in every array. It computes, once, the
-arrays of :data:`ARRAY_DTYPES`: every example's structure counts as CSR rows
-over the sorted structure vocabulary, and the pool's utterance BM25 impacts
-and tf-idf rows. An index file stores these arrays after a JSON header line
-that holds the record columns, so loading one parses no program, tokenizes no
-utterance, decodes no structure-count map and builds no example. Loading
-reads the file in one pass: each array's data is read into an aligned array
-of its own and checked against its CRC-32. A bundle, built or
-loaded, serves its retrieval state from the arrays: the utterance BM25 and
-the tf-idf rows (``dpp`` only) are views of them, and the structure postings
-(``cover-ls``), the symbol BM25 and the training structure union derive from
-the pool's structure columns on first use. The token postings are the BM25
-impact rows. A loaded example is built when a command first reads it, with
-its structure-count dict decoded from its slice of the ``ls`` arrays; its
-utterance tokens wait until they are first read, so a command pays only for
-the examples it reads. The pipeline's mock model, training mode and
-evaluation read the stored structure counts, and evaluation's error labels
-(:func:`~demoselect.evaluation.evaluate_example`) read the gold's and the
-demonstrations' symbols and templates from the examples, so that ``run``
-parses only its ``--test`` rows, its beams and its wrong predictions.
+arrays of :data:`ARRAY_DTYPES`: the record columns (each text column as UTF-8
+bytes plus offsets, the templates and splits as codes), every example's
+structure counts as CSR rows over the sorted structure vocabulary, and the
+pool's utterance BM25 impacts and tf-idf rows. An index file stores these
+arrays after a short JSON header line. Loading reads the file's data with one
+read into one aligned buffer, takes each array as a view of it and checks it
+against its CRC-32. It decodes the example ids and no other text, parses no
+program, tokenizes no utterance, decodes no structure-count map and builds no
+example: a loaded corpus's other columns decode a row's text when it is read.
+
+A bundle, built or loaded, serves its retrieval state from the arrays: the
+pool's template codes and the statistics read the code arrays, the utterance
+BM25 and the tf-idf rows (``dpp`` only) are views of the arrays, and the
+structure postings (``cover-ls``), the symbol BM25 and the training structure
+union derive from the pool's structure columns on first use. The token
+postings are the BM25 impact rows. A loaded example is built when a command
+first reads it, with its texts decoded and its structure-count dict decoded
+from its slice of the ``ls`` arrays; its utterance tokens wait until they are
+first read, so a command pays only for the examples it reads. The pipeline's
+mock model, training mode and evaluation read the stored structure counts,
+and evaluation's error labels (:func:`~demoselect.evaluation.evaluate_example`)
+read the gold's and the demonstrations' symbols and templates from the
+examples, so that ``run`` parses only its ``--test`` rows, its beams and its
+wrong predictions.
 """
 
 from __future__ import annotations
@@ -72,20 +76,36 @@ logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "test")
 INDEX_MAGIC = "demoselect-index"
-INDEX_VERSION = 5
+INDEX_VERSION = 6
 RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
 # An index file lists its examples pool first: the training examples in id
 # order, then the others in the order they were indexed. Record r and every
 # group's row r then all mean pool row r. The arrays, each 1-D and of its
 # dtype here, little-endian on any machine (a file stores no dtype or shape),
-# in three groups of rows stored back to back (see retrieval.row_slices), each
-# group with its offsets:
+# in groups of rows stored back to back (see retrieval.row_slices), each group
+# with its offsets:
+# - id, utterance, program: one UTF-8 text per record, its bytes in
+#   <name>_bytes (Apache Arrow's string layout);
+# - template: the distinct templates, one UTF-8 text each, in the order the
+#   records first hold them; template_codes gives each record's row of them;
+# - split_codes: each record's split, its index in SPLITS;
 # - ls: every example's structure counts, by record; the columns index the
 #   sorted structure vocabulary;
 # - bm25: the pool's utterance BM25 postings, term by term (see Bm25Index);
 # - tfidf: the pool's tf-idf rows, by pool row; the columns index the sorted
 #   vocabulary of the pool's structures.
+TEXT_FIELDS = ("id", "utterance", "program", "template")
 ARRAY_DTYPES = {
+    "id_offsets": np.dtype("<i8"),
+    "id_bytes": np.dtype("u1"),
+    "utterance_offsets": np.dtype("<i8"),
+    "utterance_bytes": np.dtype("u1"),
+    "program_offsets": np.dtype("<i8"),
+    "program_bytes": np.dtype("u1"),
+    "template_offsets": np.dtype("<i8"),
+    "template_bytes": np.dtype("u1"),
+    "template_codes": np.dtype("<i4"),
+    "split_codes": np.dtype("u1"),
     "ls_offsets": np.dtype("<i8"),
     "ls_columns": np.dtype("<i4"),
     "ls_counts": np.dtype("<i4"),
@@ -96,6 +116,7 @@ ARRAY_DTYPES = {
     "tfidf_columns": np.dtype("<i4"),
     "tfidf_weights": np.dtype("<f8"),
 }
+_TRAIN = SPLITS.index("train")  # the split code of a training record
 _ALIGN = 64
 _REBUILD = "rebuild it with `demoselect index`"
 
@@ -174,17 +195,51 @@ def make_example(
     )
 
 
+class _TextColumn(Sequence):
+    """UTF-8 texts stored back to back: text ``r`` is the bytes
+    ``data[offsets[r]:offsets[r + 1]]``, decoded each time it is read."""
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+        self._data = memoryview(data)
+        self._offsets = offsets
+
+    def __getitem__(self, r) -> str:
+        r = range(len(self))[r]
+        return str(self._data[self._offsets[r] : self._offsets[r + 1]], "utf-8")
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+
+class _CodedColumn(Sequence):
+    """Row ``r`` is ``names[codes[r]]``."""
+
+    def __init__(self, names: Sequence[str], codes: np.ndarray):
+        self._names = names
+        self._codes = codes
+
+    def __getitem__(self, r) -> str:
+        return self._names[self._codes[r]]
+
+    def __iter__(self):
+        return map(self._names.__getitem__, self._codes.tolist())
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+
 class ExampleTable(Sequence):
     """A corpus's examples: ``records``, the columns of :data:`RECORD_FIELDS`
     (``records[name][r]`` is field ``name`` of example ``r``), and the
     examples, each built the first time it is read and kept, so that every
     read of row ``r`` returns the same object. :meth:`of` makes the table of
     examples already built; a loaded index's table builds example ``r`` from
-    its records and ``structures(r)``, its structure counts."""
+    its records, which decode a row's texts when it is read, and
+    ``structures(r)``, its structure counts."""
 
     def __init__(
         self,
-        records: dict[str, list],
+        records: dict[str, Sequence],
         structures: Callable[[int], dict[str, int]] | None = None,
         examples: Iterable[Example] = (),
     ):
@@ -266,6 +321,15 @@ class Corpus:
         return [self.examples[r] for r, split in enumerate(splits) if split == name]
 
 
+def _is_utf8_text(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8: it holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def load_examples(
     path: str | Path,
     dialect: DialectConfig = DEFAULT_DIALECT,
@@ -275,7 +339,8 @@ def load_examples(
 
     Individual bad lines (not a JSON object, a missing or non-string
     ``utterance``/``program``/``split``, a split other than ``train`` and
-    ``test``, an ``id`` that is not a non-empty string, a duplicate id, a
+    ``test``, an ``id`` that is not a non-empty string, a field holding a
+    lone surrogate, which no UTF-8 index can store, a duplicate id, a
     program that does not parse) are collected, not fatal; more than 10% bad
     lines raises :class:`CorpusError` naming the file and the first bad
     line. Only a line without an ``id`` gets one generated from its line
@@ -304,6 +369,9 @@ def load_examples(
             example_id = record.get("id", f"ex{lineno:05d}")
             if not isinstance(example_id, str) or not example_id:
                 raise ValueError(f"id must be a non-empty string, got {example_id!r}")
+            for name, value in (("id", example_id), *fields.items()):
+                if not _is_utf8_text(value):
+                    raise ValueError(f"{name} holds a lone surrogate, not UTF-8 text: {value!r}")
             if example_id in seen_ids:
                 raise ValueError(f"duplicate example id {example_id!r}")
             example = make_example(example_id, **fields, dialect=dialect)
@@ -412,9 +480,9 @@ class IndexBundle:
         self.k1 = k1
         self.b = b
         # the pool: the first examples, the training ones in id order
-        records = corpus.examples.records
-        size = records["split"].count("train")
-        self.pool = Pool(records["id"][:size], corpus.examples, records["template"][:size])
+        size = int(np.count_nonzero(arrays["split_codes"] == _TRAIN))
+        ids = corpus.examples.records["id"][:size]
+        self.pool = Pool(ids, corpus.examples, arrays["template_codes"][:size])
         self.bm25_utterance = Bm25Index.from_arrays(
             self.pool.ids,
             bm25_terms,
@@ -479,12 +547,11 @@ class IndexBundle:
         return set(self._pool_structures)
 
     def stats(self) -> dict:
-        records = self.corpus.examples.records
         return {
             "examples": len(self.corpus),
             "train": len(self.pool),
-            "test": records["split"].count("test"),
-            "unique_templates": len(set(records["template"][: len(self.pool)])),
+            "test": len(self.corpus) - len(self.pool),  # every record is train or test
+            "unique_templates": len(np.unique(self.pool.template_codes)),
             "unique_ls": len(self._pool_structures),
         }
 
@@ -497,7 +564,6 @@ class IndexBundle:
             "k1": self.k1,
             "b": self.b,
             "dialect": self.corpus.dialect.to_dict(),
-            "examples": self.corpus.examples.records,
             "vocab": self.vocab,
             "bm25_terms": self.bm25_utterance.terms,
         }
@@ -507,17 +573,17 @@ class IndexBundle:
     def load(cls, path: str | Path) -> "IndexBundle":
         """Read an index file in one pass, checking every array's place and
         CRC-32; nothing in it is unpickled. An older or a foreign file raises
-        :class:`IndexVersionError`, any other bad file :class:`IoError`. No
-        example is built: each is built when it is first read."""
+        :class:`IndexVersionError`, any other bad file :class:`IoError`. Only
+        the example ids are decoded, and no example is built: each is built,
+        its texts decoded, when it is first read."""
         header, arrays = _read_index(path)
         try:
-            records = [header["examples"][name] for name in RECORD_FIELDS]
             vocab, terms = header["vocab"], header["bm25_terms"]
             k1, b = header["k1"], header["b"]
             dialect = DialectConfig.from_dict(header["dialect"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise IoError(f"index file {path} has a malformed header: {exc!r}") from exc
-        _check_layout(path, records, vocab, terms, (k1, b), arrays)
+        ids = _check_layout(path, vocab, terms, (k1, b), arrays)
         offsets = arrays["ls_offsets"]
         columns, counts = arrays["ls_columns"], arrays["ls_counts"]
 
@@ -526,7 +592,17 @@ class IndexBundle:
             names = map(vocab.__getitem__, columns[start:end].tolist())
             return dict(zip(names, counts[start:end].tolist()))
 
-        examples = ExampleTable(dict(zip(RECORD_FIELDS, records)), structures)
+        def texts(name: str) -> _TextColumn:
+            return _TextColumn(arrays[f"{name}_bytes"], arrays[f"{name}_offsets"])
+
+        records = {
+            "id": ids,
+            "utterance": texts("utterance"),
+            "program": texts("program"),
+            "template": _CodedColumn(texts("template"), arrays["template_codes"]),
+            "split": _CodedColumn(SPLITS, arrays["split_codes"]),
+        }
+        examples = ExampleTable(records, structures)
         return cls(Corpus(examples=examples, dialect=dialect), vocab, terms, arrays, k1=k1, b=b)
 
 
@@ -572,35 +648,48 @@ def _write_index(handle: BinaryIO, header: dict, arrays: dict[str, np.ndarray]) 
 
 def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """An index file's header, with its magic and version checked, and its
-    arrays (see :func:`_write_index`), each read into an aligned array of
-    its own and checked against its CRC-32. An index of version 1 or 2 was
-    one JSON object, and one of version 3 or 4 a ``.npz`` archive."""
+    arrays (see :func:`_write_index`): the data is read at once into one
+    aligned, read-only buffer, and each array is a view of it, checked
+    against its CRC-32. An index of version 1 or 2 was one JSON object, one
+    of version 3 or 4 a ``.npz`` archive, and one of version 5 held its
+    records in its header."""
     try:
         with open(path, "rb") as handle:
             header = _decoded_json(handle.readline())
             _check_version(path, header)
             start, size = _aligned(handle.tell()), handle.seek(0, os.SEEK_END)
-            places = header.get("arrays")
-            arrays = {}
-            for name, dtype in ARRAY_DTYPES.items():
-                place = places.get(name) if isinstance(places, dict) else None
-                if not (
-                    isinstance(place, list)
-                    and len(place) == 3
-                    and all(type(v) is int and v >= 0 for v in place)
-                ):
-                    raise IoError(f"index file {path} has no array {name}: its place is {place!r}")
-                offset, count, crc = place
-                if start + offset + count * dtype.itemsize > size:
-                    raise IoError(f"cannot read index file {path}: array {name} runs past the end")
-                handle.seek(start + offset)
-                arrays[name] = array = np.empty(count, dtype)
-                handle.readinto(array)
-                if zlib.crc32(array) != crc:
-                    raise IoError(f"cannot read index file {path}: array {name} fails its CRC-32")
-        return header, arrays
+            handle.seek(start)
+            data = _aligned_buffer(max(size - start, 0))
+            data = data[: handle.readinto(data)]
     except OSError as exc:
         raise IoError(f"cannot read index file {path}: {exc}") from exc
+    data.flags.writeable = False
+    places = header.get("arrays")
+    arrays = {}
+    for name, dtype in ARRAY_DTYPES.items():
+        place = places.get(name) if isinstance(places, dict) else None
+        if not (
+            isinstance(place, list)
+            and len(place) == 3
+            and all(type(v) is int and v >= 0 for v in place)
+        ):
+            raise IoError(f"index file {path} has no array {name}: its place is {place!r}")
+        offset, count, crc = place
+        end = offset + count * dtype.itemsize
+        if end > len(data):
+            raise IoError(f"cannot read index file {path}: array {name} runs past the end")
+        arrays[name] = array = data[offset:end].view(dtype)
+        if zlib.crc32(array) != crc:
+            raise IoError(f"cannot read index file {path}: array {name} fails its CRC-32")
+    return header, arrays
+
+
+def _aligned_buffer(size: int) -> np.ndarray:
+    """An uninitialized byte array of ``size`` whose data starts at a
+    multiple of :data:`_ALIGN`."""
+    raw = np.empty(size + _ALIGN, np.uint8)
+    skip = -raw.ctypes.data % _ALIGN
+    return raw[skip : skip + size]
 
 
 def _fits(offsets: np.ndarray, n_rows: int, *entries: np.ndarray) -> bool:
@@ -623,21 +712,54 @@ def _ascending(values: list) -> bool:
     return all(map(lt, values, values[1:]))
 
 
-def _check_layout(path, records, vocab, terms, params, arrays) -> None:
-    """Raise IoError unless a loaded header and its arrays fit together."""
-    ids, splits = records[0], records[-1]
-    strings = [*records, vocab, terms]
+def _is_text(data: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether ``data`` is UTF-8 and ``offsets``, which fit it, cut it between
+    characters: no row starts at a continuation byte (``0b10xxxxxx``)."""
+    try:
+        str(data, "utf-8")
+    except UnicodeDecodeError:
+        return False
+    starts = offsets[:-1]
+    return not np.any(data[starts[starts < len(data)]] >> 6 == 2)
+
+
+def _decoded_rows(data: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """Every text of a text column (see :class:`_TextColumn`), decoded."""
+    cuts = offsets.tolist()
+    text = str(data, "utf-8")
+    if len(text) != len(data):  # multi-byte characters: cut the bytes, not the text
+        text = data.tobytes()
+        return [text[s:e].decode("utf-8") for s, e in zip(cuts, cuts[1:])]
+    return [text[s:e] for s, e in zip(cuts, cuts[1:])]
+
+
+def _check_layout(path, vocab, terms, params, arrays) -> list[str]:
+    """Raise IoError unless a loaded header and its arrays fit together;
+    return the example ids."""
     if not (
-        all(isinstance(s, list) and set(map(type, s)) <= {str} for s in strings)
-        and all(len(column) == len(ids) for column in records)
+        all(isinstance(s, list) and set(map(type, s)) <= {str} for s in (vocab, terms))
         and all(type(p) in (int, float) for p in params)
     ):
         raise IoError(f"index file {path} has a malformed header")
-    pool_size = splits.count("train")
+    n_records = max(len(arrays["id_offsets"]) - 1, 0)
+    n_templates = max(len(arrays["template_offsets"]) - 1, 0)
+    for name in TEXT_FIELDS:
+        offsets, data = arrays[f"{name}_offsets"], arrays[f"{name}_bytes"]
+        n_rows = n_templates if name == "template" else n_records
+        if not _fits(offsets, n_rows, data):
+            raise IoError(f"index file {path}: the {name} arrays do not fit {n_rows} texts")
+        if not _is_text(data, offsets):
+            raise IoError(f"index file {path} has a malformed {name} column: not UTF-8 texts")
+    for name, size in (("template_codes", n_templates), ("split_codes", len(SPLITS))):
+        if not (len(arrays[name]) == n_records and _indexes(arrays[name], size)):
+            raise IoError(f"index file {path}: {name} does not hold {n_records} codes below {size}")
+    ids = _decoded_rows(arrays["id_bytes"], arrays["id_offsets"])
+    splits = arrays["split_codes"]
+    pool_size = int(np.count_nonzero(splits == _TRAIN))
     pool_ids, (k1, b) = ids[:pool_size], params
     for bad, what in (
         (len(set(ids)) != len(ids), "holds an example id twice"),
-        ("train" in splits[pool_size:], "does not list its training examples first"),
+        (np.any(splits[:pool_size] != _TRAIN), "does not list its training examples first"),
         (not _ascending(pool_ids), "does not list its training examples in id order"),
         (not _ascending(vocab), "has a structure vocabulary out of order"),
         (len(set(terms)) != len(terms), "lists a BM25 term twice"),
@@ -648,7 +770,7 @@ def _check_layout(path, records, vocab, terms, params, arrays) -> None:
             raise IoError(f"index file {path} {what}")
     layout = (
         # group, its index and value arrays, its rows, the size its indexes address
-        ("ls", "columns", "counts", len(ids), len(vocab)),
+        ("ls", "columns", "counts", n_records, len(vocab)),
         ("bm25", "rows", "contrib", len(terms), pool_size),
         ("tfidf", "columns", "weights", pool_size, len(vocab)),
     )
@@ -659,6 +781,17 @@ def _check_layout(path, records, vocab, terms, params, arrays) -> None:
                 f"index file {path}: the {group} arrays do not fit "
                 f"{n_rows} rows over {size} columns"
             )
+    return ids
+
+
+def _text_arrays(name: str, texts: Iterable[str]) -> dict[str, np.ndarray]:
+    """The arrays ``<name>_offsets`` and ``<name>_bytes`` of a text column
+    (see :class:`_TextColumn`) holding ``texts``."""
+    encoded = [text.encode("utf-8") for text in texts]
+    return {
+        f"{name}_offsets": np.cumsum([0, *map(len, encoded)]),
+        f"{name}_bytes": np.frombuffer(b"".join(encoded), np.uint8),
+    }
 
 
 def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBundle:
@@ -668,8 +801,23 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
     twice = [i for i, n in Counter(ex.id for ex in corpus.examples).items() if n > 1]
     if twice:
         raise CorpusError(f"example id {twice[0]!r} occurs twice in the indexed corpus")
+    other = [ex.split for ex in corpus.examples if ex.split not in SPLITS]
+    if other:
+        raise CorpusError(f"split {other[0]!r} is not one of {', '.join(SPLITS)}")
     pool = sorted((ex for ex in corpus.examples if ex.split == "train"), key=attrgetter("id"))
     corpus = replace(corpus, examples=pool + [ex for ex in corpus.examples if ex.split != "train"])
+    records = corpus.examples.records
+    # the distinct templates, in the order the records first hold them
+    template_code = {t: j for j, t in enumerate(dict.fromkeys(records["template"]))}
+    try:
+        texts = {
+            **_text_arrays("id", records["id"]),
+            **_text_arrays("utterance", records["utterance"]),
+            **_text_arrays("program", records["program"]),
+            **_text_arrays("template", template_code),
+        }
+    except UnicodeEncodeError as exc:
+        raise CorpusError(f"an example holds a lone surrogate, not UTF-8 text: {exc}") from exc
     maps = [ex.ls_counts for ex in corpus.examples]
     vocab = sorted(set().union(*maps))
     column = {name: j for j, name in enumerate(vocab)}
@@ -678,6 +826,9 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
         {ex.id: ex.ls_counts for ex in pool}
     )
     arrays = {
+        **texts,
+        "template_codes": np.fromiter(map(template_code.__getitem__, records["template"]), np.int32),
+        "split_codes": np.fromiter(map(SPLITS.index, records["split"]), np.uint8),
         "ls_offsets": np.cumsum([0, *map(len, maps)]),
         "ls_columns": np.fromiter(map(column.__getitem__, chain.from_iterable(maps)), np.int32),
         "ls_counts": np.fromiter(chain.from_iterable(m.values() for m in maps), np.int32),

@@ -27,6 +27,10 @@ class ConfigError(DemoselectError):
     """Inconsistent or unsupported configuration."""
 
 
+class UnknownIdError(ConfigError):
+    """A stage row names an example id that the stage cannot resolve."""
+
+
 class CorpusError(DemoselectError):
     """Corpus-level failure, e.g. too many unparseable examples."""
 

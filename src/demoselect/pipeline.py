@@ -18,7 +18,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, UnknownIdError
 from .evaluation import aggregate, evaluate_example
 from .gateway import MockOracleConfig, complete, mock_from_structures
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
@@ -98,7 +98,7 @@ def _example_seed(seed: int, example_id: str) -> int:
 def _demo(bundle, demo_id: str):
     demo = bundle.corpus.by_id.get(demo_id)
     if demo is None:
-        raise ConfigError(f"unknown demonstration id {demo_id}")
+        raise UnknownIdError(f"unknown demonstration id {demo_id}")
     return demo
 
 
@@ -227,7 +227,7 @@ def stage_prompt(bundle, targets, selections: list[dict], cfg: RunConfig) -> lis
     for record in selections:
         example = targets.get(record["id"])
         if example is None:
-            raise ConfigError(f"selection id {record['id']} not among targets")
+            raise UnknownIdError(f"selection id {record['id']} not among targets")
         out.append(_prompt_one(bundle, example, record["items"], cfg))
     return out
 
@@ -245,7 +245,7 @@ def stage_infer(
     def mock_one(row: dict) -> dict:
         example = targets.get(row["id"])
         if example is None:
-            raise ConfigError(f"prompt id {row['id']} has no test example")
+            raise UnknownIdError(f"prompt id {row['id']} has no test example")
         demos = [_demo(bundle, d) for d in row["demo_ids"]]
         text = mock_from_structures(
             [demo.ls_counts.keys() for demo in demos],
@@ -285,7 +285,7 @@ def stage_eval(
             logger.warning("prediction id %s is not a test example", row["id"])
             continue
         if row["id"] not in demo_ids:
-            raise ConfigError(f"prediction id {row['id']} has no prompt row")
+            raise UnknownIdError(f"prediction id {row['id']} has no prompt row")
         demos = [_demo(bundle, d) for d in demo_ids[row["id"]]]
         records.append(
             evaluate_example(

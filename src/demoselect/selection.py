@@ -69,20 +69,21 @@ class Pool(Mapping):
     in id order, ``examples[r]`` being the example of ``ids[r]``; the caller
     sorts the ids. ``examples`` may run on past the pool's rows, as an
     index's corpus does, and is read only at the rows a caller reads. Given
-    ``templates``, each row's template, :attr:`template_codes` reads no
-    example."""
+    ``template_codes``, as an index stores them, :attr:`template_codes`
+    reads no example."""
 
-    def __init__(self, ids: list[str], examples: Sequence, templates: list[str] | None = None):
+    def __init__(
+        self, ids: list[str], examples: Sequence, template_codes: np.ndarray | None = None
+    ):
         self.ids = ids
         self.examples = examples
-        self._templates = templates
+        if template_codes is not None:  # the cached property's value
+            self.template_codes = template_codes
 
     @cached_property
     def template_codes(self) -> np.ndarray:
         """One code per row, equal for rows of equal template."""
-        templates = self._templates
-        if templates is None:
-            templates = [ex.template for ex in self.values()]
+        templates = [ex.template for ex in self.values()]
         codes: dict[str, int] = {}
         rows = (codes.setdefault(template, len(codes)) for template in templates)
         return np.fromiter(rows, np.intp, len(self.ids))

@@ -85,7 +85,7 @@ FIXTURE_DIGESTS = {
         "meta.json": "9d59d6c64f847069228c2083f5a963426085d944221f0df5224dd5932397fa91",
     },
 }
-INDEX_DIGEST = "c4a78d330d0cab5fece7e5756e7ec115027cc5e76a5c83e67e627451c2a10e54"
+INDEX_DIGEST = "dc78319415e868b6610343cac135a44913786a4db834b6bd6133507b800cddd6"
 
 
 def _sha256(path):
@@ -1318,6 +1318,36 @@ def test_unknown_demo_id_exits_2(workspace, tmp_path, capsys, command):
         argv = ["eval", *argv, "--predictions", str(predictions), "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     assert "no-such-demo" in capsys.readouterr().err
+
+
+UNRESOLVED_ID_CASES = {
+    # command, its flag for the rows file, a row naming the id, the message
+    "prompt-selection-not-a-target": (
+        "prompt", "--selections", {"id": "no-such-test", "items": []},
+        "selection id no-such-test not among targets",
+    ),
+    "prompt-unknown-demonstration": (
+        "prompt", "--selections", {"id": "TEST", "items": [["no-such-demo", 1.0]]},
+        "unknown demonstration id no-such-demo",
+    ),
+    "infer-prompt-not-a-test": (
+        "infer", "--prompts", {"id": "no-such-test", "prompt": "p", "demo_ids": []},
+        "prompt id no-such-test has no test example",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRESOLVED_ID_CASES))
+def test_unresolved_id_exits_2_naming_its_file(workspace, tmp_path, capsys, case):
+    command, flag, row, message = UNRESOLVED_ID_CASES[case]
+    test_id = _read_jsonl(workspace["fixture"] / "test.jsonl")[0]["id"]
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps({**row, "id": row["id"].replace("TEST", test_id)}) + "\n")
+    out = tmp_path / "out.jsonl"
+    argv = [command, "--index", str(workspace["index"]), flag, str(rows), "--out", str(out)]
+    assert main([*argv, *(["--mock"] if command == "infer" else [])]) == 2
+    assert f"error: {rows}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_prediction_without_prompt_row_exits_2(workspace, tmp_path, capsys):

@@ -32,6 +32,7 @@ from demoselect import (
 from demoselect.cli import main
 from demoselect.corpus import (
     ARRAY_DTYPES,
+    INDEX_VERSION,
     RECORD_FIELDS,
     IndexBundle,
     make_example,
@@ -350,8 +351,8 @@ def _index_parts(path):
 
 
 def _write_index(path, header, arrays, **places):
-    """Write a version-5 index of ``header`` and ``arrays``; ``places`` maps
-    an array to the place to list for it instead of the one it is written at."""
+    """Write an index of ``header`` and ``arrays``; ``places`` maps an array
+    to the place to list for it instead of the one it is written at."""
     written, data = {}, b""
     for name, array in arrays.items():
         written[name] = [len(data), len(array), zlib.crc32(array.tobytes())]
@@ -381,13 +382,13 @@ def test_index_version_mismatch_rejected(tmp_path):
     path = tmp_path / "index.json"
     bundle.save(path)
     header, arrays, _ = _index_parts(path)
-    assert header["version"] == 5
-    assert set(header["examples"]) == set(RECORD_FIELDS)
-    for version in (1, 2, 3, 4, 99):
+    assert header["version"] == INDEX_VERSION == 6
+    assert "examples" not in header
+    for version in (1, 2, 3, 4, 5, 99):
         _write_index(path, {**header, "version": version}, arrays)
         with pytest.raises(IndexVersionError, match="demoselect index"):
             IndexBundle.load(path)
-    del header["examples"]["template"]
+    del arrays["template_bytes"]
     _write_index(path, header, arrays)
     with pytest.raises(IoError, match="index.json"):
         IndexBundle.load(path)
@@ -446,40 +447,69 @@ def _rewrite(change):
 
 
 def _set(name, value):
-    return lambda header, arrays: arrays.__setitem__(name, value(arrays[name]))
+    """A change that replaces array ``name`` with ``value(array)``, of its dtype."""
+
+    def change(header, arrays):
+        arrays[name] = np.asarray(value(arrays[name]), ARRAY_DTYPES[name])
+
+    return change
 
 
 def _bump_last(offsets):
     return np.concatenate((offsets[:-1], offsets[-1:] + 1))
 
 
+def _texts(arrays, name):
+    """The texts of the text column ``name``."""
+    data, cuts = arrays[f"{name}_bytes"].tobytes(), arrays[f"{name}_offsets"].tolist()
+    return [data[s:e].decode("utf-8") for s, e in zip(cuts, cuts[1:])]
+
+
+def _set_texts(arrays, name, texts):
+    encoded = [text.encode("utf-8") for text in texts]
+    arrays[f"{name}_offsets"] = np.cumsum([0, *map(len, encoded)], dtype=np.int64)
+    arrays[f"{name}_bytes"] = np.frombuffer(b"".join(encoded), np.uint8)
+
+
+def _in_texts(name, change):
+    """A change that applies ``change`` to the list of texts of column ``name``."""
+
+    def edit(header, arrays):
+        texts = _texts(arrays, name)
+        change(texts)
+        _set_texts(arrays, name, texts)
+
+    return edit
+
+
+def _in_header(key, change):
+    """A change that applies ``change`` to the header list at ``key``."""
+    return lambda header, arrays: change(header[key])
+
+
 def _drop_one_record(header, arrays):
-    for column in header["examples"].values():
-        column.pop()
+    for name in ("id", "utterance", "program"):
+        _in_texts(name, list.pop)(header, arrays)
+    for name in ("template_codes", "split_codes"):
+        arrays[name] = arrays[name][:-1]
 
 
-def _at(header, keys):
-    """The header list at ``keys``."""
-    for key in keys:
-        header = header[key]
-    return header
+def _cut_inside_a_character(header, arrays):
+    """Start utterance 1 with an ``é`` and cut it after the character's first byte."""
+    texts = _texts(arrays, "utterance")
+    texts[1] = "é" + texts[1]
+    _set_texts(arrays, "utterance", texts)
+    arrays["utterance_offsets"][1] += 1
 
 
-def _repeat_first(*keys):
-    """A change that makes entry 1 of the header list at ``keys`` repeat entry 0."""
-
-    def change(header, arrays):
-        values = _at(header, keys)
-        values[1] = values[0]
-
-    return change
+def _repeat_first(values):
+    values[1] = values[0]
 
 
-def _swap(i, j, *keys):
-    """A change that swaps entries ``i`` and ``j`` of the header list at ``keys``."""
+def _swap(i, j):
+    """A change that swaps entries ``i`` and ``j`` of a list or an array."""
 
-    def change(header, arrays):
-        values = _at(header, keys)
+    def change(values):
         values[i], values[j] = values[j], values[i]
 
     return change
@@ -493,7 +523,7 @@ BAD_INDEX_CASES = {
             json.dumps({"magic": "demoselect-index", "version": 2, "examples": []})
         ),
         IndexVersionError,
-        r"index version 2 unsupported \(expected 5\); rebuild it with `demoselect index`",
+        rf"index version 2 unsupported \(expected {INDEX_VERSION}\); rebuild it with `demoselect index`",
     ),
     "text": (
         lambda path: path.write_text("id,utterance\n1,hello\n"),
@@ -577,24 +607,28 @@ BAD_INDEX_CASES = {
         IoError,
         "the ls arrays do not fit 69 rows over",
     ),
-    "id-twice": (_rewrite(_repeat_first("examples", "id")), IoError, "holds an example id twice"),
+    "id-twice": (_rewrite(_in_texts("id", _repeat_first)), IoError, "holds an example id twice"),
     "pool-not-first": (
         # the first training record and the last test record trade splits
-        _rewrite(_swap(0, -1, "examples", "split")),
+        _rewrite(lambda header, arrays: _swap(0, -1)(arrays["split_codes"])),
         IoError,
         "does not list its training examples first",
     ),
     "pool-ids-out-of-order": (
-        _rewrite(_swap(0, 1, "examples", "id")),
+        _rewrite(_in_texts("id", _swap(0, 1))),
         IoError,
         "does not list its training examples in id order",
     ),
     "vocab-out-of-order": (
-        _rewrite(_swap(0, 1, "vocab")),
+        _rewrite(_in_header("vocab", _swap(0, 1))),
         IoError,
         "has a structure vocabulary out of order",
     ),
-    "bm25-term-twice": (_rewrite(_repeat_first("bm25_terms")), IoError, "lists a BM25 term twice"),
+    "bm25-term-twice": (
+        _rewrite(_in_header("bm25_terms", _repeat_first)),
+        IoError,
+        "lists a BM25 term twice",
+    ),
     "k1-nan": (
         _rewrite(lambda header, arrays: header.__setitem__("k1", float("nan"))),
         IoError,
@@ -606,9 +640,35 @@ BAD_INDEX_CASES = {
         "cannot read index file .*: array ls_counts fails its CRC-32",
     ),
     "utterance-not-a-string": (
-        _rewrite(lambda header, arrays: header["examples"]["utterance"].__setitem__(0, 5)),
+        # 0xFF is no byte of any UTF-8 text
+        _rewrite(_set("utterance_bytes", lambda a: [0xFF, *a[1:]])),
         IoError,
-        "malformed header",
+        "has a malformed utterance column: not UTF-8",
+    ),
+    "text-cut-inside-a-character": (
+        _rewrite(_cut_inside_a_character),
+        IoError,
+        "has a malformed utterance column: not UTF-8",
+    ),
+    "text-offsets-past-the-bytes": (
+        _rewrite(_set("program_offsets", _bump_last)),
+        IoError,
+        "the program arrays do not fit 70 texts",
+    ),
+    "template-offsets-decreasing": (
+        _rewrite(_set("template_offsets", lambda a: np.concatenate((a[:1], a[2:3], a[1:2], a[3:])))),
+        IoError,
+        "the template arrays do not fit",
+    ),
+    "template-code-out-of-range": (
+        _rewrite(_set("template_codes", lambda a: a + 1)),
+        IoError,
+        "template_codes does not hold 70 codes below",
+    ),
+    "split-code-out-of-range": (
+        _rewrite(_set("split_codes", lambda a: [*a[:-1], 2])),
+        IoError,
+        "split_codes does not hold 70 codes below 2",
     ),
     "dialect-parents-a-string": (
         _rewrite(lambda header, _: header["dialect"].update(value_parents="LIKE")),
@@ -663,9 +723,12 @@ def test_index_load_parses_no_program(tmp_path, monkeypatch):
 
 def _assert_same_index(loaded, built, queries):
     """A loaded bundle serves exactly what the built one serves, from
-    arrays that are aligned, C-contiguous and their own."""
-    for array in loaded.arrays.values():
-        assert array.flags.aligned and array.flags.c_contiguous and array.flags.owndata
+    read-only, C-contiguous arrays that each start at a multiple of 64 bytes."""
+    assert list(loaded.arrays) == list(built.arrays) == list(ARRAY_DTYPES)
+    for name, array in loaded.arrays.items():
+        assert array.dtype == ARRAY_DTYPES[name] and np.array_equal(array, built.arrays[name])
+        assert array.flags.c_contiguous and not array.flags.writeable
+        assert array.ctypes.data % 64 == 0
     for ex, ref in zip(loaded.corpus.examples, built.corpus.examples, strict=True):
         assert [getattr(ex, f) for f in RECORD_FIELDS] == [getattr(ref, f) for f in RECORD_FIELDS]
         assert list(ex.ls_counts.items()) == list(ref.ls_counts.items())
@@ -754,8 +817,19 @@ def _hand_corpus(*rows):
             ("e2", "pick a", "f (a)", "f (a)", {"a": 1, "f": 1, "f -> a": 1}, "train"),
             ("t1", "pick b", "f (b)", "f (b)", {"b": 1, "f": 1}, "test"),
         ),
+        # texts whose byte offsets are not their character offsets, and ids
+        # that JSON would escape
+        Corpus(
+            examples=[
+                make_example('q"uote', "où est 日本 🎉 ?", 'größe (stadt ("日本 🎉"))'),
+                make_example("back\\slash", "pick a", "f (a)"),
+                make_example("new\nline", "café ?", 'größe (fluss ("é"))'),
+                make_example("é-id", "🎉🎉", 'f ("🎉")'),
+                make_example("t-日本", "pick 日本", 'größe (stadt ("日本"))', "test"),
+            ]
+        ),
     ],
-    ids=["empty-corpus", "no-train-rows", "pool-example-without-structures"],
+    ids=["empty-corpus", "no-train-rows", "pool-example-without-structures", "multi-byte-texts"],
 )
 def test_index_edge_cases_round_trip(tmp_path, corpus):
     built = build_indexes(corpus)
@@ -766,6 +840,10 @@ def test_index_edge_cases_round_trip(tmp_path, corpus):
     _assert_same_index(loaded, built, [[], ["pick", "a"], ["nothing"]])
     loaded.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    for ex in corpus.examples:
+        assert [getattr(loaded.corpus.by_id[ex.id], f) for f in RECORD_FIELDS] == [
+            getattr(ex, f) for f in RECORD_FIELDS
+        ]
     if "e1" in built.pool:
         assert dict(loaded.pool["e1"].ls_counts) == {}
         assert [len(part) for part in loaded.tfidf["e1"]] == [0, 0]
@@ -817,6 +895,36 @@ def test_load_rejects_unknown_split_and_non_string_ids(tmp_path):
     assert corpus.by_id["ex00062"].utterance == "explicit"
     assert len(corpus) == 61
     assert {ex.split for ex in corpus.examples} == {"train"}
+
+
+def test_index_takes_only_utf8_texts_and_known_splits(tmp_path):
+    # a lone surrogate survives JSON but no UTF-8 text column
+    good = [{"utterance": f"u{i}", "program": "f (a)", "id": f"e{i}"} for i in range(20)]
+    bad = [
+        {"utterance": "u\ud800", "program": "f (a)", "id": "s1"},
+        {"utterance": "u", "program": "f (a)", "id": "s\udfff"},
+    ]
+    path = tmp_path / "corpus.jsonl"
+    _write_jsonl(path, good + bad)
+    corpus = load_examples(path)
+    assert [f["line"] for f in corpus.failures] == [21, 22]
+    assert corpus.failures[0]["error"].startswith("utterance holds a lone surrogate")
+    assert corpus.failures[1]["error"].startswith("id holds a lone surrogate")
+    build_indexes(corpus).save(tmp_path / "index.json")
+    surrogate = Example("s1", "u\ud800", "f (a)", "f (a)", {"a": 1, "f": 1})
+    with pytest.raises(CorpusError, match="lone surrogate"):
+        build_indexes(Corpus(examples=[surrogate]))
+    dev = Example("d1", "u", "f (a)", "f (a)", {"a": 1, "f": 1}, "dev")
+    with pytest.raises(CorpusError, match="split 'dev' is not one of train, test"):
+        build_indexes(Corpus(examples=[dev]))
+
+
+def test_readme_describes_the_index_format():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("An index file is written")
+    section = readme[start : readme.index("\n## ", start)]
+    assert f"Version {INDEX_VERSION} is" in section
+    assert [name for name in ARRAY_DTYPES if f"`{name}`" not in section] == []
 
 
 def test_write_text_keeps_previous_file_when_replace_fails(tmp_path, monkeypatch):
