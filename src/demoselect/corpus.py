@@ -85,7 +85,8 @@ RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
 # in groups of rows stored back to back (see retrieval.row_slices), each group
 # with its offsets:
 # - id, utterance, program: one UTF-8 text per record, its bytes in
-#   <name>_bytes (Apache Arrow's string layout);
+#   <name>_bytes (Apache Arrow's string layout); a lone surrogate, which JSON
+#   can hold, is stored as its three bytes (see _UTF8_ERRORS);
 # - template: the distinct templates, one UTF-8 text each, in the order the
 #   records first hold them; template_codes gives each record's row of them;
 # - split_codes: each record's split, its index in SPLITS;
@@ -117,6 +118,9 @@ ARRAY_DTYPES = {
     "tfidf_weights": np.dtype("<f8"),
 }
 _TRAIN = SPLITS.index("train")  # the split code of a training record
+# encode and decode a text column's lone surrogates (JSON's "\ud800") as
+# three bytes each, so that every corpus string round-trips through an index
+_UTF8_ERRORS = "surrogatepass"
 _ALIGN = 64
 _REBUILD = "rebuild it with `demoselect index`"
 
@@ -205,7 +209,7 @@ class _TextColumn(Sequence):
 
     def __getitem__(self, r) -> str:
         r = range(len(self))[r]
-        return str(self._data[self._offsets[r] : self._offsets[r + 1]], "utf-8")
+        return str(self._data[self._offsets[r] : self._offsets[r + 1]], "utf-8", _UTF8_ERRORS)
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -321,15 +325,6 @@ class Corpus:
         return [self.examples[r] for r, split in enumerate(splits) if split == name]
 
 
-def _is_utf8_text(text: str) -> bool:
-    """Whether ``text`` encodes as UTF-8: it holds no lone surrogate."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def load_examples(
     path: str | Path,
     dialect: DialectConfig = DEFAULT_DIALECT,
@@ -339,8 +334,7 @@ def load_examples(
 
     Individual bad lines (not a JSON object, a missing or non-string
     ``utterance``/``program``/``split``, a split other than ``train`` and
-    ``test``, an ``id`` that is not a non-empty string, a field holding a
-    lone surrogate, which no UTF-8 index can store, a duplicate id, a
+    ``test``, an ``id`` that is not a non-empty string, a duplicate id, a
     program that does not parse) are collected, not fatal; more than 10% bad
     lines raises :class:`CorpusError` naming the file and the first bad
     line. Only a line without an ``id`` gets one generated from its line
@@ -369,9 +363,6 @@ def load_examples(
             example_id = record.get("id", f"ex{lineno:05d}")
             if not isinstance(example_id, str) or not example_id:
                 raise ValueError(f"id must be a non-empty string, got {example_id!r}")
-            for name, value in (("id", example_id), *fields.items()):
-                if not _is_utf8_text(value):
-                    raise ValueError(f"{name} holds a lone surrogate, not UTF-8 text: {value!r}")
             if example_id in seen_ids:
                 raise ValueError(f"duplicate example id {example_id!r}")
             example = make_example(example_id, **fields, dialect=dialect)
@@ -713,24 +704,15 @@ def _ascending(values: list) -> bool:
 
 
 def _is_text(data: np.ndarray, offsets: np.ndarray) -> bool:
-    """Whether ``data`` is UTF-8 and ``offsets``, which fit it, cut it between
+    """Whether ``data`` is UTF-8 (its lone surrogates passing, see
+    ``_UTF8_ERRORS``) and ``offsets``, which fit it, cut it between
     characters: no row starts at a continuation byte (``0b10xxxxxx``)."""
     try:
-        str(data, "utf-8")
+        str(data, "utf-8", _UTF8_ERRORS)
     except UnicodeDecodeError:
         return False
     starts = offsets[:-1]
     return not np.any(data[starts[starts < len(data)]] >> 6 == 2)
-
-
-def _decoded_rows(data: np.ndarray, offsets: np.ndarray) -> list[str]:
-    """Every text of a text column (see :class:`_TextColumn`), decoded."""
-    cuts = offsets.tolist()
-    text = str(data, "utf-8")
-    if len(text) != len(data):  # multi-byte characters: cut the bytes, not the text
-        text = data.tobytes()
-        return [text[s:e].decode("utf-8") for s, e in zip(cuts, cuts[1:])]
-    return [text[s:e] for s, e in zip(cuts, cuts[1:])]
 
 
 def _check_layout(path, vocab, terms, params, arrays) -> list[str]:
@@ -753,7 +735,8 @@ def _check_layout(path, vocab, terms, params, arrays) -> list[str]:
     for name, size in (("template_codes", n_templates), ("split_codes", len(SPLITS))):
         if not (len(arrays[name]) == n_records and _indexes(arrays[name], size)):
             raise IoError(f"index file {path}: {name} does not hold {n_records} codes below {size}")
-    ids = _decoded_rows(arrays["id_bytes"], arrays["id_offsets"])
+    raw, cuts = arrays["id_bytes"].tobytes(), arrays["id_offsets"].tolist()
+    ids = [raw[s:e].decode("utf-8", _UTF8_ERRORS) for s, e in zip(cuts, cuts[1:])]
     splits = arrays["split_codes"]
     pool_size = int(np.count_nonzero(splits == _TRAIN))
     pool_ids, (k1, b) = ids[:pool_size], params
@@ -787,7 +770,7 @@ def _check_layout(path, vocab, terms, params, arrays) -> list[str]:
 def _text_arrays(name: str, texts: Iterable[str]) -> dict[str, np.ndarray]:
     """The arrays ``<name>_offsets`` and ``<name>_bytes`` of a text column
     (see :class:`_TextColumn`) holding ``texts``."""
-    encoded = [text.encode("utf-8") for text in texts]
+    encoded = [text.encode("utf-8", _UTF8_ERRORS) for text in texts]
     return {
         f"{name}_offsets": np.cumsum([0, *map(len, encoded)]),
         f"{name}_bytes": np.frombuffer(b"".join(encoded), np.uint8),
@@ -809,15 +792,12 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
     records = corpus.examples.records
     # the distinct templates, in the order the records first hold them
     template_code = {t: j for j, t in enumerate(dict.fromkeys(records["template"]))}
-    try:
-        texts = {
-            **_text_arrays("id", records["id"]),
-            **_text_arrays("utterance", records["utterance"]),
-            **_text_arrays("program", records["program"]),
-            **_text_arrays("template", template_code),
-        }
-    except UnicodeEncodeError as exc:
-        raise CorpusError(f"an example holds a lone surrogate, not UTF-8 text: {exc}") from exc
+    texts = {
+        **_text_arrays("id", records["id"]),
+        **_text_arrays("utterance", records["utterance"]),
+        **_text_arrays("program", records["program"]),
+        **_text_arrays("template", template_code),
+    }
     maps = [ex.ls_counts for ex in corpus.examples]
     vocab = sorted(set().union(*maps))
     column = {name: j for j, name in enumerate(vocab)}

@@ -817,12 +817,13 @@ def _hand_corpus(*rows):
             ("e2", "pick a", "f (a)", "f (a)", {"a": 1, "f": 1, "f -> a": 1}, "train"),
             ("t1", "pick b", "f (b)", "f (b)", {"b": 1, "f": 1}, "test"),
         ),
-        # texts whose byte offsets are not their character offsets, and ids
-        # that JSON would escape
+        # texts whose byte offsets are not their character offsets, ids that
+        # JSON would escape, and lone surrogates, which JSON can hold
         Corpus(
             examples=[
                 make_example('q"uote', "où est 日本 🎉 ?", 'größe (stadt ("日本 🎉"))'),
                 make_example("back\\slash", "pick a", "f (a)"),
+                make_example("lone-\udfff", "half \ud800 a pair", 'g\ud83c ("\ud83c")'),
                 make_example("new\nline", "café ?", 'größe (fluss ("é"))'),
                 make_example("é-id", "🎉🎉", 'f ("🎉")'),
                 make_example("t-日本", "pick 日本", 'größe (stadt ("日本"))', "test"),
@@ -897,23 +898,7 @@ def test_load_rejects_unknown_split_and_non_string_ids(tmp_path):
     assert {ex.split for ex in corpus.examples} == {"train"}
 
 
-def test_index_takes_only_utf8_texts_and_known_splits(tmp_path):
-    # a lone surrogate survives JSON but no UTF-8 text column
-    good = [{"utterance": f"u{i}", "program": "f (a)", "id": f"e{i}"} for i in range(20)]
-    bad = [
-        {"utterance": "u\ud800", "program": "f (a)", "id": "s1"},
-        {"utterance": "u", "program": "f (a)", "id": "s\udfff"},
-    ]
-    path = tmp_path / "corpus.jsonl"
-    _write_jsonl(path, good + bad)
-    corpus = load_examples(path)
-    assert [f["line"] for f in corpus.failures] == [21, 22]
-    assert corpus.failures[0]["error"].startswith("utterance holds a lone surrogate")
-    assert corpus.failures[1]["error"].startswith("id holds a lone surrogate")
-    build_indexes(corpus).save(tmp_path / "index.json")
-    surrogate = Example("s1", "u\ud800", "f (a)", "f (a)", {"a": 1, "f": 1})
-    with pytest.raises(CorpusError, match="lone surrogate"):
-        build_indexes(Corpus(examples=[surrogate]))
+def test_index_takes_only_known_splits():
     dev = Example("d1", "u", "f (a)", "f (a)", {"a": 1, "f": 1}, "dev")
     with pytest.raises(CorpusError, match="split 'dev' is not one of train, test"):
         build_indexes(Corpus(examples=[dev]))
