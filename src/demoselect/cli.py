@@ -44,7 +44,7 @@ from .errors import (
     UnknownIdError,
 )
 from .fixtures import GrammarConfig, gen_fixture, write_fixture
-from .gateway import DEFAULT_STOP, CompletionRequest, EndpointConfig
+from .gateway import DEFAULT_STOP, ENV_BASE_URL, CompletionRequest, EndpointConfig
 from .pipeline import (
     FALLBACKS,
     ORDERS,
@@ -254,6 +254,11 @@ def _endpoint_from_args(args, cfg: RunConfig):
             max_retries=args.max_retries,
             timeout=args.timeout,
         )
+        # run in training mode stops at its prompts and sends no request
+        if not endpoint.base_url and not (cfg.train_mode and args.command == "run"):
+            raise ConfigError(
+                f"no endpoint base URL: pass --base-url, set {ENV_BASE_URL} or pass --mock"
+            )
     request_defaults = CompletionRequest(
         prompt="",
         max_tokens=args.max_tokens,

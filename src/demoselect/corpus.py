@@ -18,12 +18,14 @@ id order, so that example ``r`` of the pool is pool row ``r`` (see
 arrays of :data:`ARRAY_DTYPES`: the record columns (each text column as UTF-8
 bytes plus offsets, the templates and splits as codes), every example's
 structure counts as CSR rows over the sorted structure vocabulary, and the
-pool's utterance BM25 impacts and tf-idf rows. An index file stores these
-arrays after a short JSON header line. Loading reads the file's data with one
-read into one aligned buffer, takes each array as a view of it and checks it
-against its CRC-32. It decodes the example ids and no other text, parses no
-program, tokenizes no utterance, decodes no structure-count map and builds no
-example: a loaded corpus's other columns decode a row's text when it is read.
+pool's utterance BM25 impacts and tf-idf weights, one per ``ls`` entry of the
+pool's rows, whose offsets and columns the tf-idf rows share. An index file
+stores these arrays after a short JSON header line. Loading reads the file's
+data with one read into one aligned buffer, takes each array as a view of it
+and checks it against its CRC-32. It decodes the example ids and no other
+text, parses no program, tokenizes no utterance, decodes no structure-count
+map and builds no example: a loaded corpus's other columns decode a row's text
+when it is read.
 
 A bundle, built or loaded, serves its retrieval state from the arrays: the
 pool's template codes and the statistics read the code arrays, the utterance
@@ -70,13 +72,13 @@ from .retrieval import (
     tokenize_utterance,
 )
 from .selection import Pool
-from .structures import analyze
+from .structures import analyze, is_symbol
 
 logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "test")
 INDEX_MAGIC = "demoselect-index"
-INDEX_VERSION = 6
+INDEX_VERSION = 7
 RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
 # An index file lists its examples pool first: the training examples in id
 # order, then the others in the order they were indexed. Record r and every
@@ -93,8 +95,8 @@ RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
 # - ls: every example's structure counts, by record; the columns index the
 #   sorted structure vocabulary;
 # - bm25: the pool's utterance BM25 postings, term by term (see Bm25Index);
-# - tfidf: the pool's tf-idf rows, by pool row; the columns index the sorted
-#   vocabulary of the pool's structures.
+# - tfidf_weights: the pool's tf-idf rows, one weight per ls entry of the
+#   pool's records (which come first), read with their ls offsets and columns.
 TEXT_FIELDS = ("id", "utterance", "program", "template")
 ARRAY_DTYPES = {
     "id_offsets": np.dtype("<i8"),
@@ -113,8 +115,6 @@ ARRAY_DTYPES = {
     "bm25_offsets": np.dtype("<i8"),
     "bm25_rows": np.dtype("<i8"),
     "bm25_contrib": np.dtype("<f8"),
-    "tfidf_offsets": np.dtype("<i8"),
-    "tfidf_columns": np.dtype("<i4"),
     "tfidf_weights": np.dtype("<f8"),
 }
 _TRAIN = SPLITS.index("train")  # the split code of a training record
@@ -172,11 +172,9 @@ class Example:
 
     @cached_property
     def symbol_seq(self) -> list[str]:
-        """The program's symbols: each size-1 structure once per occurrence
-        (a symbol holds no space, and every larger structure holds a
-        separator)."""
+        """The program's symbols, each once per occurrence."""
         counts = self.ls_counts
-        return [c for c in counts if " " not in c for _ in range(counts[c])]
+        return [c for c in counts if is_symbol(c) for _ in range(counts[c])]
 
 
 def make_example(
@@ -503,10 +501,9 @@ class IndexBundle:
 
     @cached_property
     def bm25_symbols(self) -> Bm25Index:
-        """BM25 over the pool's symbols: its size-1 structures (those holding
-        no space), each as often as the example holds it."""
+        """BM25 over the pool's symbols, each as often as the example holds it."""
         owner, columns, counts = self._pool_entries("columns", "counts")
-        symbol = np.array([" " not in name for name in self.vocab], bool)
+        symbol = np.fromiter(map(is_symbol, self.vocab), bool, len(self.vocab))
         keep = symbol[columns]
         owner, columns, counts = owner[keep], columns[keep], counts[keep]
         present, term_of = np.unique(columns, return_inverse=True)
@@ -523,9 +520,11 @@ class IndexBundle:
 
     @cached_property
     def tfidf(self) -> SparseRows:
-        """The pool's tf-idf rows, by pool row."""
-        names = ("tfidf_offsets", "tfidf_columns", "tfidf_weights")
-        return SparseRows(self.pool.ids, *(self.arrays[name] for name in names))
+        """The pool's tf-idf rows, by pool row: its ``ls`` rows, weighted."""
+        arrays, end = self.arrays, len(self.pool) + 1
+        return SparseRows(
+            self.pool.ids, arrays["ls_offsets"][:end], arrays["ls_columns"], arrays["tfidf_weights"]
+        )
 
     @cached_property
     def _pool_structures(self) -> list[str]:
@@ -755,7 +754,6 @@ def _check_layout(path, vocab, terms, params, arrays) -> list[str]:
         # group, its index and value arrays, its rows, the size its indexes address
         ("ls", "columns", "counts", n_records, len(vocab)),
         ("bm25", "rows", "contrib", len(terms), pool_size),
-        ("tfidf", "columns", "weights", pool_size, len(vocab)),
     )
     for group, index, value, n_rows, size in layout:
         index, value = arrays[f"{group}_{index}"], arrays[f"{group}_{value}"]
@@ -764,6 +762,8 @@ def _check_layout(path, vocab, terms, params, arrays) -> list[str]:
                 f"index file {path}: the {group} arrays do not fit "
                 f"{n_rows} rows over {size} columns"
             )
+    if len(arrays["tfidf_weights"]) != arrays["ls_offsets"][pool_size]:  # ls fits, checked above
+        raise IoError(f"index file {path}: tfidf_weights does not hold a weight per pool ls entry")
     return ids
 
 
@@ -802,9 +802,6 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
     vocab = sorted(set().union(*maps))
     column = {name: j for j, name in enumerate(vocab)}
     bm25 = Bm25Index({ex.id: ex.utt_tokens for ex in pool}, k1=k1, b=b)
-    tfidf_offsets, tfidf_columns, tfidf_weights = ls_tfidf_arrays(
-        {ex.id: ex.ls_counts for ex in pool}
-    )
     arrays = {
         **texts,
         "template_codes": np.fromiter(map(template_code.__getitem__, records["template"]), np.int32),
@@ -815,9 +812,7 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
         "bm25_offsets": bm25.offsets,
         "bm25_rows": bm25.rows,
         "bm25_contrib": bm25.contrib,
-        "tfidf_offsets": tfidf_offsets,
-        "tfidf_columns": tfidf_columns,
-        "tfidf_weights": tfidf_weights,
+        "tfidf_weights": ls_tfidf_arrays({ex.id: ex.ls_counts for ex in pool})[2],
     }
     arrays = {name: np.ascontiguousarray(a, ARRAY_DTYPES[name]) for name, a in arrays.items()}
     return IndexBundle(corpus, vocab, bm25.terms, arrays, k1=k1, b=b)

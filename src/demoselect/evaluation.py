@@ -23,7 +23,7 @@ from .programs import (
     repair_parentheses,
     scan_symbols,
 )
-from .structures import analyze, ls_size
+from .structures import analyze, is_symbol, ls_size
 
 if TYPE_CHECKING:
     from .corpus import Example
@@ -43,12 +43,6 @@ def exact_match(pred: str, gold: str) -> bool:
     return normalize_whitespace(pred) == normalize_whitespace(gold)
 
 
-def _symbols(structures: Iterable[str]) -> set[str]:
-    """The symbols among structures: the size-1 ones, which hold no space
-    (symbols contain none, and every separator does)."""
-    return {c for c in structures if " " not in c}
-
-
 def coverage_metrics(
     demo_ls_sets: Sequence[Iterable[str]], gold_ls_set: Iterable[str]
 ) -> tuple[float, float, int]:
@@ -61,7 +55,7 @@ def coverage_metrics(
     for ls_set in demo_ls_sets:
         union.update(ls_set)
     gold = set(gold_ls_set)
-    gold_symbols = _symbols(gold)
+    gold_symbols = set(filter(is_symbol, gold))
     symbol_cov = len(gold_symbols & union) / len(gold_symbols) if gold_symbols else 0.0
     ls_cov = len(gold & union) / len(gold) if gold else 0.0
     return symbol_cov, ls_cov, len(union)
@@ -225,10 +219,10 @@ def evaluate_example(
     matched = exact_match(pred, example.program)
     labels = set()
     if not matched:
-        demo_symbols = set().union(*(_symbols(demo.ls_counts) for demo in demos))
+        demo_symbols = set().union(*(filter(is_symbol, demo.ls_counts) for demo in demos))
         demo_templates = {demo.template for demo in demos}
         labels = error_labels(
-            pred, _symbols(example.ls_counts), demo_symbols, demo_templates, dialect
+            pred, set(filter(is_symbol, example.ls_counts)), demo_symbols, demo_templates, dialect
         )
     return _record(
         example.id,

@@ -31,7 +31,7 @@ from .selection import (
     select_top_k,
     training_mode_select,
 )
-from .structures import ls_size
+from .structures import is_symbol
 
 logger = logging.getLogger(__name__)
 
@@ -158,7 +158,7 @@ def _choose(bundle, example, cfg: RunConfig, beams):
         scores = random_scores(pool.ids, seed)
     else:  # the symbol retrievers, over the gold symbols or the beams'
         gold = cfg.retriever == "oracle-bm25-gold-symbols"
-        symbols = (c for c in (example.ls_counts if gold else structures) if ls_size(c) == 1)
+        symbols = (c for c in (example.ls_counts if gold else structures) if is_symbol(c))
         scores = bundle.bm25_symbols.scores(sorted(symbols))
     if strategy == "top-k":
         return select_top_k(pool, scores, cfg.k)

@@ -88,6 +88,11 @@ def ls_size(canonical: str) -> int:
     return 1 + canonical.count(PARENT_SEP) + canonical.count(SIBLING_SEP)
 
 
+def is_symbol(canonical: str) -> bool:
+    """Whether a structure is one symbol: symbols hold no space, separators do."""
+    return " " not in canonical
+
+
 def _iter_occurrences(g: StructureGraph, max_size: int | None):
     """Yield the canonical form of every distinct node subset realizing a
     structure: each path extends its prefix's form by one symbol, and each

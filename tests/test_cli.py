@@ -85,7 +85,7 @@ FIXTURE_DIGESTS = {
         "meta.json": "9d59d6c64f847069228c2083f5a963426085d944221f0df5224dd5932397fa91",
     },
 }
-INDEX_DIGEST = "dc78319415e868b6610343cac135a44913786a4db834b6bd6133507b800cddd6"
+INDEX_DIGEST = "84ca1c253366a30694b8bea9c126cdba62e9cfb748cd53be4aea8b4f46173a54"
 
 
 def _sha256(path):
@@ -1287,6 +1287,19 @@ def test_bad_infer_flag_fails_before_any_stage_file(workspace, tmp_path, flags):
     argv = ["run", "--index", str(workspace["index"]), "--strategy", "top-k", "--k", "2"]
     assert main([*argv, *flags, "--workdir", str(workdir)]) == 2
     assert list(workdir.iterdir()) == []
+
+
+def test_run_without_an_endpoint_fails_before_any_stage_file(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("DEMOSELECT_BASE_URL", raising=False)
+    workdir = tmp_path / "run"
+    argv = ["run", "--index", str(workspace["index"]), "--strategy", "top-k", "--k", "2"]
+    assert main([*argv, "--workdir", str(workdir)]) == 2
+    err = capsys.readouterr().err
+    assert "error: no endpoint base URL" in err
+    assert all(name in err for name in ("--base-url", "DEMOSELECT_BASE_URL", "--mock"))
+    assert not workdir.exists() or list(workdir.iterdir()) == []
 
 
 def test_unexpected_exception_exits_4(workspace, tmp_path, capsys, monkeypatch):

@@ -38,7 +38,8 @@ from demoselect.corpus import (
     make_example,
     write_text,
 )
-from demoselect.retrieval import Bm25Index, ls_tfidf_vectors, term_postings
+from demoselect.retrieval import Bm25Index, SparseRows, ls_tfidf_vectors, term_postings
+from demoselect.selection import dpp_select
 from demoselect.structures import (
     build_structure_graph,
     count_local_structures,
@@ -377,14 +378,59 @@ def test_index_file_is_a_header_line_then_aligned_arrays(tmp_path):
     assert again.read_bytes() == data
 
 
+@pytest.mark.parametrize("split", ["train", "all"], ids=["train-only", "with-test-split"])
+def test_index_stores_no_array_twice(tmp_path, split):
+    corpus = gen_fixture(n_train=60, n_test=10, seed=5).corpus
+    if split == "train":
+        corpus = Corpus(examples=corpus.split("train"))
+    path = tmp_path / "index.json"
+    build_indexes(corpus).save(path)
+    _, arrays, _ = _index_parts(path)
+    first = {}
+    for name, array in arrays.items():
+        key = (array.dtype.str, len(array), array.tobytes())
+        assert key not in first, f"{name} holds the bytes of {first.get(key)}"
+        first[key] = name
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_dpp_over_the_index_rows_equals_dpp_over_pool_vocabulary_rows(tmp_path, seed):
+    # held-out-ls test examples hold structures that no pool example holds,
+    # so the index's vocabulary numbers the pool's structures differently
+    # from the pool's own vocabulary
+    corpus = gen_fixture(n_train=120, n_test=20, split="held-out-ls", seed=seed).corpus
+    built = build_indexes(corpus)
+    path = tmp_path / "index.json"
+    built.save(path)
+    pool = built.pool
+    rows = ls_tfidf_vectors({i: ex.ls_counts for i, ex in pool.items()})
+    lengths = [len(columns) for columns, _ in rows.values()]
+    reference = SparseRows(
+        pool.ids,
+        np.cumsum([0, *lengths]),
+        np.concatenate([columns for columns, _ in rows.values()]),
+        np.concatenate([weights for _, weights in rows.values()]),
+    )
+    assert len(built.vocab) > len(built.training_ls_union())
+    assert not np.array_equal(built.tfidf.columns[: len(reference.columns)], reference.columns)
+    for bundle in (built, IndexBundle.load(path)):
+        for ex in bundle.corpus.split("test"):
+            scores = bundle.bm25_utterance.scores(ex.utt_tokens)
+            for k in (8, 24):
+                got = dpp_select(scores, bundle.tfidf, k, 60)
+                expected = dpp_select(scores, reference, k, 60)
+                assert got.items == expected.items and got.underfilled == expected.underfilled
+                assert np.array(got.gains).tobytes() == np.array(expected.gains).tobytes()
+
+
 def test_index_version_mismatch_rejected(tmp_path):
     bundle = build_indexes(_geo_corpus(tmp_path))
     path = tmp_path / "index.json"
     bundle.save(path)
     header, arrays, _ = _index_parts(path)
-    assert header["version"] == INDEX_VERSION == 6
+    assert header["version"] == INDEX_VERSION == 7
     assert "examples" not in header
-    for version in (1, 2, 3, 4, 5, 99):
+    for version in (1, 2, 3, 4, 5, 6, 99):
         _write_index(path, {**header, "version": version}, arrays)
         with pytest.raises(IndexVersionError, match="demoselect index"):
             IndexBundle.load(path)
@@ -588,9 +634,20 @@ BAD_INDEX_CASES = {
         "the ls arrays do not fit 70 rows over",
     ),
     "offsets-decreasing": (
-        _rewrite(_set("tfidf_offsets", lambda a: np.concatenate((a[:1], a[2:3], a[1:2], a[3:])))),
+        _rewrite(_set("ls_offsets", lambda a: np.concatenate((a[:1], a[2:3], a[1:2], a[3:])))),
         IoError,
-        "the tfidf arrays do not fit 60 rows",
+        "the ls arrays do not fit 70 rows",
+    ),
+    "offsets-cut-short": (
+        # too short to hold the pool's end, which the tf-idf check reads
+        _rewrite(_set("ls_offsets", lambda a: a[:5])),
+        IoError,
+        "the ls arrays do not fit 70 rows",
+    ),
+    "tfidf-weights-not-one-per-pool-entry": (
+        _rewrite(_set("tfidf_weights", lambda a: a[:-1])),
+        IoError,
+        "tfidf_weights does not hold a weight per pool ls entry",
     ),
     "bm25-row-outside-the-pool": (
         _rewrite(_set("bm25_rows", lambda a: np.where(a == a.max(), 60, a))),
@@ -760,7 +817,17 @@ def _assert_index_matches_its_maps(bundle):
     )
     union = set().union(*(ex.ls_counts for ex in pool.values()))
     assert bundle.training_ls_union() == union
-    _assert_rows_equal(bundle.tfidf, ls_tfidf_vectors({i: ex.ls_counts for i, ex in pool.items()}))
+    # the tf-idf rows, over the whole structure vocabulary, name the same
+    # structures with the same weights bit for bit as the rows over the
+    # pool's own vocabulary
+    expected = ls_tfidf_vectors({i: ex.ls_counts for i, ex in pool.items()})
+    pool_vocab = sorted(union)
+    assert list(bundle.tfidf) == list(expected)
+    for ex_id, (columns, weights) in expected.items():
+        got_columns, got_weights = bundle.tfidf[ex_id]
+        names = [bundle.vocab[c] for c in got_columns.tolist()]
+        assert names == [pool_vocab[c] for c in columns.tolist()]
+        assert got_weights.tobytes() == weights.tobytes()
     # the symbol BM25 built from the structure columns scores bit for bit as
     # the BM25 over every example's symbol sequence
     symbols = Bm25Index({i: ex.symbol_seq for i, ex in pool.items()}, k1=bundle.k1, b=bundle.b)
