@@ -1,7 +1,7 @@
 """The command line: flags, files and exit codes around :mod:`.pipeline`.
 
 Stages hand off through JSONL files so that runs around a slow endpoint can
-be inspected and resumed::
+be inspected and resumed; :mod:`.corpus` reads and writes every JSONL file::
 
     demoselect gen-fixture --out-dir work/fixture --split held-out-ls
     demoselect index --corpus work/fixture/train.jsonl --corpus work/fixture/test.jsonl --out work/index.json
@@ -32,7 +32,9 @@ from .corpus import (
     build_indexes,
     load_examples,
     load_predictions,
+    read_rows,
     read_text,
+    write_rows,
     write_text,
 )
 from .errors import (
@@ -51,6 +53,7 @@ from .pipeline import (
     PREDICTION_ROW,
     PROMPT_DEMOS_ROW,
     PROMPT_ROW,
+    RECORD_COLUMNS,
     SELECTION_ROW,
     STRATEGIES,
     RunConfig,
@@ -70,36 +73,6 @@ EXIT_TRANSPORT = 3
 EXIT_INTERNAL = 4
 
 
-def _write_jsonl(path: str | Path, records: list[dict]) -> None:
-    text = "\n".join(json.dumps(r, sort_keys=True) for r in records)
-    write_text(path, text + ("\n" if records else ""), "stage file")
-
-
-def _read_jsonl(path: str | Path, fields: dict[str, tuple]) -> list[dict]:
-    """The rows of a stage file: every line JSON, then every row an object
-    holding each key of ``fields`` (a row format of :mod:`.pipeline`) with a
-    value its check accepts, and no two rows with the same ``id``."""
-    numbered = []
-    for lineno, line in enumerate(read_text(path, "stage file").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            numbered.append((lineno, json.loads(line)))
-        except ValueError as exc:
-            raise IoError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-    seen: dict[str, int] = {}
-    for lineno, row in numbered:
-        if not isinstance(row, dict) or not all(key in row for key in fields):
-            raise IoError(f"{path}:{lineno}: not an object with keys {', '.join(fields)}")
-        for key, (description, check) in fields.items():
-            if not check(row[key]):
-                raise IoError(f"{path}:{lineno}: {key} must be {description}")
-        first = seen.setdefault(row["id"], lineno)
-        if first != lineno:
-            raise IoError(f"{path}:{lineno}: id {row['id']!r} repeats line {first}")
-    return [row for _, row in numbered]
-
-
 def _load_tests(bundle: IndexBundle, test_path: str | None) -> list[Example]:
     if test_path:
         corpus = load_examples(test_path, bundle.corpus.dialect, default_split="test")
@@ -116,42 +89,23 @@ def _load_tests(bundle: IndexBundle, test_path: str | None) -> list[Example]:
 def _write_eval_outputs(report, records, out, csv=None, per_record=None) -> int:
     """Write the report and the per-record views; return the exit code."""
     write_text(out, json.dumps(report, sort_keys=True, indent=2), "report file")
+    rows = [record.to_dict() for record in records]
     if csv:
-        _write_csv(csv, records)
+        _write_csv(csv, rows)
     if per_record:
-        _write_jsonl(per_record, [r.to_dict() for r in records])
+        write_rows(per_record, rows, "per-record file")
     return EXIT_OK if report.get("accuracy", 0.0) >= 1.0 else EXIT_EVAL_FAILURES
 
 
-def _write_csv(path: str | Path, records) -> None:
+# a per-record value's CSV cell: a flag as 0/1, a float to six places, labels joined by |
+_CSV_CELL = {bool: int, float: "{:.6f}".format, list: "|".join}
+
+
+def _write_csv(path: str | Path, rows: list[dict]) -> None:
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        [
-            "id",
-            "exact_match",
-            "symbol_coverage",
-            "ls_coverage",
-            "unique_ls_count",
-            "error_labels",
-            "unobserved_ls",
-            "strategy",
-        ]
-    )
-    for record in records:
-        row = record.to_dict()
-        writer.writerow(
-            [
-                row["id"],
-                int(row["exact_match"]),
-                f"{row['symbol_coverage']:.6f}",
-                f"{row['ls_coverage']:.6f}",
-                row["unique_ls_count"],
-                "|".join(row["error_labels"]),
-                int(row["unobserved_ls"]),
-                row["strategy"],
-            ]
-        )
+    writer = csv.DictWriter(buffer, RECORD_COLUMNS)
+    writer.writeheader()
+    writer.writerows({k: _CSV_CELL.get(type(v), str)(v) for k, v in row.items()} for row in rows)
     write_text(path, buffer.getvalue(), "CSV file")
 
 
@@ -282,7 +236,7 @@ def cmd_select(args) -> int:
     cfg = _load_config(args)
     bundle, targets, beams = _load_inputs(args, cfg)
     selections = stage_select(bundle, targets, cfg, beams)
-    _write_jsonl(args.out, selections)
+    write_rows(args.out, selections, "stage file")
     print(f"selected demonstrations for {len(selections)} examples -> {args.out}")
     return EXIT_OK
 
@@ -290,10 +244,10 @@ def cmd_select(args) -> int:
 def cmd_prompt(args) -> int:
     cfg = _load_config(args)
     bundle, targets, _ = _load_inputs(args, cfg)
-    selections = _read_jsonl(args.selections, SELECTION_ROW)
+    selections = read_rows(args.selections, SELECTION_ROW, "stage file")
     with _naming(args.selections):
         prompts = stage_prompt(bundle, targets, selections, cfg)
-    _write_jsonl(args.out, prompts)
+    write_rows(args.out, prompts, "stage file")
     print(f"formatted {len(prompts)} prompts -> {args.out}")
     return EXIT_OK
 
@@ -301,11 +255,11 @@ def cmd_prompt(args) -> int:
 def cmd_infer(args) -> int:
     cfg = _load_config(args)
     bundle, targets, _ = _load_inputs(args, cfg)
-    prompts = _read_jsonl(args.prompts, PROMPT_ROW)
+    prompts = read_rows(args.prompts, PROMPT_ROW, "stage file")
     endpoint, request_defaults = _endpoint_from_args(args, cfg)
     with _naming(args.prompts):
         predictions = stage_infer(bundle, targets, prompts, cfg, endpoint, request_defaults)
-    _write_jsonl(args.out, predictions)
+    write_rows(args.out, predictions, "stage file")
     print(f"inferred {len(predictions)} predictions -> {args.out}")
     return EXIT_OK
 
@@ -313,8 +267,8 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     bundle, targets, _ = _load_inputs(args, cfg)
-    prompts = _read_jsonl(args.prompts, PROMPT_DEMOS_ROW)
-    predictions = _read_jsonl(args.predictions, PREDICTION_ROW)
+    prompts = read_rows(args.prompts, PROMPT_DEMOS_ROW, "stage file")
+    predictions = read_rows(args.predictions, PREDICTION_ROW, "stage file")
     with _naming(args.prompts):
         report, records = stage_eval(bundle, targets, prompts, predictions, cfg)
     code = _write_eval_outputs(report, records, args.out, args.csv, args.per_record)
@@ -334,14 +288,14 @@ def cmd_run(args) -> int:
     except OSError as exc:
         raise IoError(f"cannot create work directory {workdir}: {exc}") from exc
     selections = stage_select(bundle, targets, cfg, beams)
-    _write_jsonl(workdir / "selections.jsonl", selections)
+    write_rows(workdir / "selections.jsonl", selections, "stage file")
     prompts = stage_prompt(bundle, targets, selections, cfg)
-    _write_jsonl(workdir / "prompts.jsonl", prompts)
+    write_rows(workdir / "prompts.jsonl", prompts, "stage file")
     if cfg.train_mode:
         print(f"wrote training prompts -> {workdir / 'prompts.jsonl'}")
         return EXIT_OK
     predictions = stage_infer(bundle, targets, prompts, cfg, endpoint, request_defaults)
-    _write_jsonl(workdir / "predictions.jsonl", predictions)
+    write_rows(workdir / "predictions.jsonl", predictions, "stage file")
     report, records = stage_eval(bundle, targets, prompts, predictions, cfg)
     code = _write_eval_outputs(
         report, records, workdir / "report.json", per_record=workdir / "records.jsonl"

@@ -1,7 +1,10 @@
 """Dataset ingestion, cached structure sets, retrieval indexes, persistence.
 
-Corpora are JSONL files with ``{"id"?, "utterance", "program", "split"?}``
-lines. A program is parsed once, when its example is made:
+Every JSONL file goes through one row layer: :func:`read_rows` and the
+lenient :func:`load_examples` check each row with :func:`check_row`, and
+:func:`write_rows` writes them. Corpora are JSONL files with
+``{"id"?, "utterance", "program", "split"?}`` lines (:data:`CORPUS_ROW`).
+A program is parsed once, when its example is made:
 :func:`~demoselect.structures.analyze` gives its template and local-structure
 counts. Every loaded beam is parsed once, by
 :func:`~demoselect.programs.repair_parentheses`, and keeps its
@@ -151,6 +154,76 @@ def write_text(path: str | Path, text: str, what: str) -> None:
     """Write a UTF-8 file whole, through a temporary file beside it."""
     data = text.encode("utf-8")
     write_file(path, lambda handle: handle.write(data), what)
+
+
+# --- JSONL rows --------------------------------------------------------------
+
+# What a row's value must be: a description and its check.
+STRING = ("a string", lambda value: isinstance(value, str))
+ID = ("a non-empty string", lambda value: isinstance(value, str) and value != "")
+STRINGS = (
+    "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
+)
+SPLIT = (" or ".join(map(repr, SPLITS)), lambda value: value in SPLITS)
+
+# The keys of a corpus line, its id and split filled in when it has none, and
+# of a beam file's row.
+CORPUS_ROW = {"id": ID, "utterance": STRING, "program": STRING, "split": SPLIT}
+BEAMS_ROW = {"id": ID, "beams": STRINGS}
+
+
+def write_rows(path: str | Path, rows: list[dict], what: str) -> None:
+    """Write ``rows`` whole as JSONL, one key-sorted JSON object a line."""
+    text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    write_text(path, text, what)
+
+
+def check_row(row: object, fields: dict[str, tuple]) -> None:
+    """Raise ValueError, naming the first defect, unless ``row`` is an object
+    holding each key of ``fields`` with a value its check accepts."""
+    if not isinstance(row, dict):
+        raise ValueError("not a JSON object")
+    for key, (description, check) in fields.items():
+        if key not in row:
+            raise ValueError(f"{key} is missing")
+        if not check(row[key]):
+            raise ValueError(f"{key} must be {description}, got {row[key]!r}")
+
+
+def _check_new_id(seen: dict[str, int], example_id: str, lineno: int) -> None:
+    """Note ``example_id``'s line in ``seen``; raise ValueError if it holds one."""
+    first = seen.setdefault(example_id, lineno)
+    if first != lineno:
+        raise ValueError(f"id {example_id!r} repeats line {first}")
+
+
+def _json_lines(path: str | Path, what: str) -> list[tuple[int, str]]:
+    """The numbered lines of a UTF-8 file that are not blank."""
+    lines = enumerate(read_text(path, what).splitlines(), start=1)
+    return [(lineno, line) for lineno, line in lines if line.strip()]
+
+
+def _decoded_row(line: str) -> object:
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+
+
+def read_rows(path: str | Path, fields: dict[str, tuple], what: str) -> list[dict]:
+    """The rows of a JSONL file: every line JSON, then every row passing
+    :func:`check_row` with ``fields``, which hold an ``"id"``, and no two
+    rows of one id. The first bad line is an :class:`IoError` naming it."""
+    numbered, seen = [], {}
+    try:
+        for lineno, line in _json_lines(path, what):
+            numbered.append((lineno, _decoded_row(line)))
+        for lineno, row in numbered:
+            check_row(row, fields)
+            _check_new_id(seen, row["id"], lineno)
+    except ValueError as exc:
+        raise IoError(f"{path}:{lineno}: {exc}") from exc
+    return [row for _, row in numbered]
 
 
 @dataclass
@@ -330,44 +403,30 @@ def load_examples(
 ) -> Corpus:
     """Load and preprocess a JSONL corpus.
 
-    Individual bad lines (not a JSON object, a missing or non-string
-    ``utterance``/``program``/``split``, a split other than ``train`` and
-    ``test``, an ``id`` that is not a non-empty string, a duplicate id, a
-    program that does not parse) are collected, not fatal; more than 10% bad
-    lines raises :class:`CorpusError` naming the file and the first bad
-    line. Only a line without an ``id`` gets one generated from its line
-    number.
+    A line without an ``id`` gets one from its line number, and a line
+    without a ``split`` gets ``default_split``. Individual bad lines (not
+    JSON, failing :func:`check_row` with :data:`CORPUS_ROW`, repeating an
+    earlier line's id, or holding a program that does not parse) are
+    collected, not fatal; more than 10% bad lines raises
+    :class:`CorpusError` naming the file and the first bad line.
     """
-    raw = read_text(path, "corpus file")
+    lines = _json_lines(path, "corpus file")
     examples: list[Example] = []
     failures: list[dict] = []
-    seen_ids: set[str] = set()
-    lines = [(n, ln) for n, ln in enumerate(raw.splitlines(), start=1) if ln.strip()]
+    seen: dict[str, int] = {}
     for lineno, line in lines:
         try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("not a JSON object")
-            fields = {
-                "utterance": record["utterance"],
-                "program": record["program"],
-                "split": record.get("split", default_split),
-            }
-            for name, value in fields.items():
-                if not isinstance(value, str):
-                    raise ValueError(f"{name} must be a string, got {value!r}")
-            if fields["split"] not in SPLITS:
-                raise ValueError(f"split must be 'train' or 'test', got {fields['split']!r}")
-            example_id = record.get("id", f"ex{lineno:05d}")
-            if not isinstance(example_id, str) or not example_id:
-                raise ValueError(f"id must be a non-empty string, got {example_id!r}")
-            if example_id in seen_ids:
-                raise ValueError(f"duplicate example id {example_id!r}")
-            example = make_example(example_id, **fields, dialect=dialect)
-        except (ValueError, KeyError, ParseError) as exc:
+            row = _decoded_row(line)
+            if isinstance(row, dict):
+                row = {"id": f"ex{lineno:05d}", "split": default_split, **row}
+            check_row(row, CORPUS_ROW)
+            _check_new_id(seen, row["id"], lineno)
+            example = make_example(
+                row["id"], row["utterance"], row["program"], row["split"], dialect
+            )
+        except (ValueError, ParseError) as exc:
             failures.append({"line": lineno, "error": str(exc)})
             continue
-        seen_ids.add(example_id)
         examples.append(example)
     if not lines:
         logger.warning("corpus file %s is empty", path)
@@ -398,45 +457,24 @@ class PredictionBundle:
 def load_predictions(
     path: str | Path, dialect: DialectConfig = DEFAULT_DIALECT
 ) -> dict[str, PredictionBundle]:
-    """Load beam-candidate JSONL ``{"id": ..., "beams": [...]}``.
+    """Load beam-candidate JSONL, its rows read with :data:`BEAMS_ROW`.
 
     Each beam is parsed once; one that does not parse gets its trailing
     parentheses repaired. Unrepairable beams are dropped, possibly leaving an
     empty bundle (empty structure set).
     """
-    raw = read_text(path, "predictions file")
     bundles: dict[str, PredictionBundle] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise CorpusError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-        if not isinstance(record, dict) or "id" not in record:
-            raise CorpusError(f"{path}:{lineno}: not a JSON object with an id")
-        example_id = record["id"]
-        if not isinstance(example_id, str) or not example_id:
-            raise CorpusError(
-                f"{path}:{lineno}: id must be a non-empty string, got {example_id!r}"
-            )
-        if example_id in bundles:
-            raise CorpusError(f"{path}:{lineno}: id {example_id!r} occurs twice")
-        beams = record.get("beams", [])
-        if not isinstance(beams, list) or not all(isinstance(b, str) for b in beams):
-            raise CorpusError(f"{path}:{lineno}: beams must be a list of strings")
-        bundle = PredictionBundle(example_id=example_id, beams=[], repaired=[])
-        for beam in beams:
+    for row in read_rows(path, BEAMS_ROW, "predictions file"):
+        example_id = row["id"]
+        bundle = bundles[example_id] = PredictionBundle(example_id, beams=[], repaired=[])
+        for beam in row["beams"]:
             result = repair_parentheses(beam, dialect)
             if result.ast is None:
-                logger.warning(
-                    "dropping unrepairable beam for %s (line %d)", example_id, lineno
-                )
+                logger.warning("dropping unrepairable beam for %s in %s", example_id, path)
                 continue
             bundle.beams.append(result.text)
             bundle.repaired.append(result.repaired)
             bundle.beam_ls_sets.append(set(analyze(result.ast)[1]))
-        bundles[example_id] = bundle
     return bundles
 
 
@@ -799,6 +837,11 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
         **_text_arrays("template", template_code),
     }
     maps = [ex.ls_counts for ex in corpus.examples]
+    counts = np.fromiter(chain.from_iterable(m.values() for m in maps), np.int32)
+    if np.any(counts < 1):  # its tf-idf row would hold fewer weights than entries
+        ex, name = next((ex, c) for ex in corpus.examples for c, n in ex.ls_counts.items() if n < 1)
+        count = ex.ls_counts[name]
+        raise CorpusError(f"example {ex.id!r} counts structure {name!r} {count!r} times, not >= 1")
     vocab = sorted(set().union(*maps))
     column = {name: j for j, name in enumerate(vocab)}
     bm25 = Bm25Index({ex.id: ex.utt_tokens for ex in pool}, k1=k1, b=b)
@@ -808,7 +851,7 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
         "split_codes": np.fromiter(map(SPLITS.index, records["split"]), np.uint8),
         "ls_offsets": np.cumsum([0, *map(len, maps)]),
         "ls_columns": np.fromiter(map(column.__getitem__, chain.from_iterable(maps)), np.int32),
-        "ls_counts": np.fromiter(chain.from_iterable(m.values() for m in maps), np.int32),
+        "ls_counts": counts,
         "bm25_offsets": bm25.offsets,
         "bm25_rows": bm25.rows,
         "bm25_contrib": bm25.contrib,

@@ -15,11 +15,13 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .corpus import Corpus, Example, make_example, read_text, write_text
+from .corpus import Corpus, Example, make_example, read_text, write_rows, write_text
 from .errors import ConfigError, GenerationError, IoError, ParseError
 from .programs import DEFAULT_DIALECT, parse_program
+from .structures import ls_size
 
 SPLITS = ("iid", "template", "held-out-ls")
+_PLANT_COUNT = 3  # how many structures a held-out-ls split plants in its test programs
 
 
 def _is_atom(word: str) -> bool:
@@ -149,9 +151,8 @@ def _generate_pool(
         stale = 0
         seen.add(program)
         example = make_example("", utterance, program)
-        # n nodes make n - 1 separators of two spaces each; symbols hold none
-        small = {c for c in example.ls_counts if c.count(" ") <= 6}
-        pool.append(_PoolEntry(example, small, {c for c in small if c.count(" ") <= 2}))
+        small = {c for c in example.ls_counts if ls_size(c) <= 4}
+        pool.append(_PoolEntry(example, small, {c for c in small if ls_size(c) <= 2}))
     if len(pool) < target:
         raise GenerationError(
             f"grammar produced only {len(pool)} distinct programs, need {target}"
@@ -171,11 +172,7 @@ def _build_corpus(
 
 
 def _split_held_out_ls(
-    pool: list[_PoolEntry],
-    n_train: int,
-    n_test: int,
-    rng: random.Random,
-    plant_count: int = 3,
+    pool: list[_PoolEntry], n_train: int, n_test: int, rng: random.Random
 ) -> tuple[list[_PoolEntry], list[_PoolEntry], list[str], dict[int, list[str]]]:
     containment: Counter = Counter()
     for entry in pool:
@@ -188,7 +185,7 @@ def _split_held_out_ls(
     if not eligible:
         raise GenerationError("no plantable structures in the generated pool")
     for _ in range(80):
-        planted = rng.sample(eligible, min(plant_count, len(eligible)))
+        planted = rng.sample(eligible, min(_PLANT_COUNT, len(eligible)))
         containing = [e for e in pool if any(p in e.ls_small for p in planted)]
         clean = [e for e in pool if not any(p in e.ls_small for p in planted)]
         if len(clean) < n_train or len(containing) < n_test:
@@ -212,12 +209,17 @@ def _split_held_out_ls(
     )
 
 
-def _split_template(
-    pool: list[_PoolEntry], n_train: int, n_test: int, rng: random.Random
-) -> tuple[list[_PoolEntry], list[_PoolEntry]]:
+def _by_template(pool: list[_PoolEntry]) -> dict[str, list[_PoolEntry]]:
     groups: dict[str, list[_PoolEntry]] = {}
     for entry in pool:
         groups.setdefault(entry.example.template, []).append(entry)
+    return groups
+
+
+def _split_template(
+    pool: list[_PoolEntry], n_train: int, n_test: int, rng: random.Random
+) -> tuple[list[_PoolEntry], list[_PoolEntry]]:
+    groups = _by_template(pool)
     keys = sorted(groups)
     rng.shuffle(keys)
     test: list[_PoolEntry] = []
@@ -238,10 +240,7 @@ def _split_iid(
     train, test = chosen[:n_train], chosen[n_train:]
     train_templates = {e.example.template for e in train}
     if not any(e.example.template in train_templates for e in test):
-        groups: dict[str, list[_PoolEntry]] = {}
-        for entry in pool:
-            groups.setdefault(entry.example.template, []).append(entry)
-        pairs = [members for members in groups.values() if len(members) >= 2]
+        pairs = [members for members in _by_template(pool).values() if len(members) >= 2]
         if not pairs:
             raise GenerationError("grammar yields no repeated templates for iid split")
         members = rng.choice(sorted(pairs, key=lambda m: m[0].example.program))
@@ -304,19 +303,11 @@ def write_fixture(fixture: FixtureCorpus, out_dir: str | Path) -> dict[str, Path
         "meta": out / "meta.json",
     }
     for name in ("train", "test"):
-        lines = [
-            json.dumps(
-                {
-                    "id": ex.id,
-                    "utterance": ex.utterance,
-                    "program": ex.program,
-                    "split": ex.split,
-                },
-                sort_keys=True,
-            )
+        rows = [
+            {"id": ex.id, "utterance": ex.utterance, "program": ex.program, "split": ex.split}
             for ex in fixture.corpus.split(name)
         ]
-        write_text(paths[name], "\n".join(lines) + "\n", "fixture file")
+        write_rows(paths[name], rows, "fixture file")
     meta = dict(fixture.meta)
     meta["planted"] = fixture.planted
     write_text(paths["meta"], json.dumps(meta, sort_keys=True, indent=2), "fixture file")

@@ -7,8 +7,9 @@ library caller can call them with a loaded
 example a run serves to that example: the test examples, or the pool in
 training mode. Each stage is a loop over one per-example function and
 returns the rows of its stage file. The row formats are defined here,
-beside the code that builds them, with the checks a row read back from a
-file must pass (``SELECTION_ROW`` and the others below).
+beside the code that builds them, as the keys and value kinds a row read
+back from a file must hold (``SELECTION_ROW`` and the others below), which
+:func:`~demoselect.corpus.read_rows` checks as it checks every JSONL file.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
+from .corpus import ID, STRING, STRINGS
 from .errors import ConfigError, UnknownIdError
-from .evaluation import aggregate, evaluate_example
+from .evaluation import EvalRecord, aggregate, evaluate_example
 from .gateway import MockOracleConfig, complete, mock_from_structures
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
 from .retrieval import RETRIEVER_VARIANTS, random_scores
@@ -102,10 +104,6 @@ def _demo(bundle, demo_id: str):
     return demo
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def _is_scored_ids(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(pair, list)
@@ -117,17 +115,17 @@ def _is_scored_ids(value) -> bool:
     )
 
 
-# What a stage-file value must be: a description and its check.
-STRING = ("a string", lambda value: isinstance(value, str))
-STRINGS = ("a list of strings", _is_strings)
 SCORED_IDS = ("a list of [id, score] pairs", _is_scored_ids)
 
-# The keys of a stage-file row that the next stage reads, with their checks.
-# A row holds more keys (a prompt row's "truncated"); eval reads no prompt text.
-SELECTION_ROW = {"id": STRING, "items": SCORED_IDS}
-PROMPT_ROW = {"id": STRING, "prompt": STRING, "demo_ids": STRINGS}
-PROMPT_DEMOS_ROW = {"id": STRING, "demo_ids": STRINGS}
-PREDICTION_ROW = {"id": STRING, "prediction": STRING}
+# The keys of a stage-file row that the next stage reads, with the values
+# they must hold (see corpus.check_row). A row holds more keys (a prompt row's
+# "truncated"); eval reads no prompt text.
+SELECTION_ROW = {"id": ID, "items": SCORED_IDS}
+PROMPT_ROW = {"id": ID, "prompt": STRING, "demo_ids": STRINGS}
+PROMPT_DEMOS_ROW = {"id": ID, "demo_ids": STRINGS}
+PREDICTION_ROW = {"id": ID, "prediction": STRING}
+# The columns of a per-record row (the --per-record and --csv files).
+RECORD_COLUMNS = tuple(EvalRecord("", False, 0.0, 0.0, 0).to_dict())
 
 
 # --- selection stage -------------------------------------------------------

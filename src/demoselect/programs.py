@@ -33,6 +33,11 @@ FUNCTION = "function"
 VALUE_STRING = "value-string"
 VALUE_NUMBER = "value-number"
 
+# The most levels below its synthetic root that a program tree may have, by
+# parentheses or juxtaposition: recursive tree walks stay inside Python's stack.
+MAX_DEPTH = 256
+_TOO_DEEP = f"program nests deeper than {MAX_DEPTH} levels"
+
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\Z")
 _QUOTES = "\"'"
 
@@ -176,7 +181,8 @@ def parens_balanced(text: str) -> bool:
 
 
 def parse_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramAst:
-    """Parse program text into a tree rooted at the synthetic root marker."""
+    """Parse program text into a tree rooted at the synthetic root marker; a
+    tree deeper than :data:`MAX_DEPTH` is a :class:`ParseError`."""
     if not text or not text.strip():
         raise ParseError("empty program text", position=0)
     opens, closes, violation = paren_balance(text)
@@ -187,7 +193,7 @@ def parse_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> Progra
             f"missing {opens - closes} closing parenthesis(es)", position=len(text)
         )
     tokens = _tokenize(text)
-    node, pos = _parse_expr(tokens, 0, dialect, text)
+    node, pos = _parse_expr(tokens, 0, dialect, text, 1)
     if pos != len(tokens):
         raise ParseError(
             f"unexpected trailing token {tokens[pos][1]!r}", position=tokens[pos][2]
@@ -196,8 +202,8 @@ def parse_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> Progra
     return ProgramAst(root=root, source_text=text)
 
 
-def _parse_expr(tokens, pos, dialect, text):
-    node, pos = _parse_term(tokens, pos, dialect, text)
+def _parse_expr(tokens, pos, dialect, text, depth):
+    node, pos = _parse_term(tokens, pos, dialect, text, depth)
     # Juxtaposition: a bare symbol directly followed by another term takes it
     # as its single argument (`name= LIKE (...)` nests LIKE under name=).
     if (
@@ -206,15 +212,17 @@ def _parse_expr(tokens, pos, dialect, text):
         and node.kind == FUNCTION
         and not node.children
     ):
-        child, pos = _parse_expr(tokens, pos, dialect, text)
+        child, pos = _parse_expr(tokens, pos, dialect, text, depth + 1)
         node.children.append(child)
     return node, pos
 
 
-def _parse_term(tokens, pos, dialect, text):
+def _parse_term(tokens, pos, dialect, text, depth):
     if pos >= len(tokens):
         raise ParseError("unexpected end of input", position=len(text))
     ttype, tok, tpos = tokens[pos]
+    if depth > MAX_DEPTH:  # the top symbol is at depth 1
+        raise ParseError(_TOO_DEEP, position=tpos)
     if ttype == "string":
         return AstNode(tok, VALUE_STRING), pos + 1
     if ttype != "atom":
@@ -225,14 +233,16 @@ def _parse_term(tokens, pos, dialect, text):
     node = AstNode(tok)
     if pos < len(tokens) and tokens[pos][0] == "(":
         if tok in dialect.value_parents:
+            if depth == MAX_DEPTH:  # its value would be one level deeper
+                raise ParseError(_TOO_DEEP, position=tokens[pos][2])
             child, pos = _parse_value_span(tokens, pos)
             node.children.append(child)
         else:
-            pos = _parse_args(tokens, pos, dialect, text, node)
+            pos = _parse_args(tokens, pos, dialect, text, node, depth + 1)
     return node, pos
 
 
-def _parse_args(tokens, pos, dialect, text, node):
+def _parse_args(tokens, pos, dialect, text, node, depth):
     pos += 1  # consume "("
     while True:
         if pos >= len(tokens):
@@ -240,7 +250,7 @@ def _parse_args(tokens, pos, dialect, text, node):
         ttype, tok, tpos = tokens[pos]
         if ttype in (",", ")"):
             raise ParseError("empty argument slot", position=tpos)
-        child, pos = _parse_expr(tokens, pos, dialect, text)
+        child, pos = _parse_expr(tokens, pos, dialect, text, depth)
         node.children.append(child)
         if pos >= len(tokens):
             raise ParseError("missing closing parenthesis", position=len(text))

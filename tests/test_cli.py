@@ -10,6 +10,7 @@ import pytest
 
 from demoselect.cli import build_parser, main
 from demoselect.corpus import IndexBundle
+from demoselect.programs import MAX_DEPTH
 
 from helpers import count_parses
 
@@ -690,6 +691,88 @@ def test_eval_exit_codes_reflect_failures(workspace, tmp_path):
     assert len(_read_jsonl(tmp_path / "records.jsonl")) == len(tests)
 
 
+# sha256 of the --csv file of an eval of `run --strategy cover-ls --oracle --k 3
+# --mock` over the workspace index: six exact matches and four predictions
+# with one or two error labels.
+CSV_DIGEST = "14b434b9711172c3b7014095e63366fd447c98196c82110ba58c2f0fcd01a815"
+CSV_HEADER = (
+    b"id,exact_match,symbol_coverage,ls_coverage,unique_ls_count,error_labels,"
+    b"unobserved_ls,strategy\r\n"
+)
+
+
+def test_eval_csv_bytes_are_pinned(workspace, tmp_path):
+    workdir = tmp_path / "w"
+    argv = ["--index", str(workspace["index"]), "--strategy", "cover-ls"]
+    run = ["run", *argv, "--oracle", "--k", "3", "--mock", "--workdir", str(workdir)]
+    assert main(run) == 1
+    stage_files = [workdir / "prompts.jsonl", workdir / "predictions.jsonl"]
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    for name, (prompts, predictions) in (("all", stage_files), ("none", [empty, empty])):
+        files = ["--prompts", str(prompts), "--predictions", str(predictions)]
+        report = ["--out", str(tmp_path / f"{name}.json"), "--csv", str(tmp_path / f"{name}.csv")]
+        assert main(["eval", *argv, *files, *report]) == 1
+    assert _sha256(tmp_path / "all.csv") == CSV_DIGEST
+    assert (tmp_path / "all.csv").read_bytes().startswith(CSV_HEADER)
+    # an eval with no records writes the header line alone
+    assert (tmp_path / "none.csv").read_bytes() == CSV_HEADER
+
+
+def _nested(depth: int) -> str:
+    """A program ``depth`` levels deep by parentheses."""
+    return "f (" * (depth - 1) + "a" + ")" * (depth - 1)
+
+
+def _chain(depth: int) -> str:
+    """A program ``depth`` levels deep by juxtaposition."""
+    return " ".join(["f"] * (depth - 1) + ["a"])
+
+
+@pytest.mark.parametrize("shape", [_nested, _chain])
+@pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+def test_eval_scores_a_deep_prediction(workspace, tmp_path, shape, depth):
+    # eval parses a wrong prediction and walks its tree: the deepest call
+    # path; past the bound the prediction does not parse, even repaired
+    tests = _read_jsonl(workspace["fixture"] / "test.jsonl")
+    prompts, predictions = tmp_path / "prompts.jsonl", tmp_path / "predictions.jsonl"
+    prompts.write_text("".join(json.dumps({"id": r["id"], "demo_ids": []}) + "\n" for r in tests))
+    predictions.write_text(json.dumps({"id": tests[0]["id"], "prediction": shape(depth)}) + "\n")
+    records = tmp_path / "records.jsonl"
+    argv = ["--prompts", str(prompts), "--predictions", str(predictions)]
+    argv += ["--out", str(tmp_path / "r.json"), "--per-record", str(records)]
+    assert main(["eval", "--index", str(workspace["index"]), *argv]) == 1
+    [record] = _read_jsonl(records)
+    assert ("syntax" in record["error_labels"]) == (depth > MAX_DEPTH)
+
+
+# The programs that overflowed Python's stack before parsing was bounded.
+TOO_DEEP = {"nested": _nested(1200), "chain": _chain(600)}
+
+
+@pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+def test_a_too_deep_program_is_a_bad_line_not_a_crash(workspace, tmp_path, capsys, shape):
+    program = TOO_DEEP[shape]
+    rows = [{"utterance": f"u{i}", "program": f"f (a{i})"} for i in range(10)]
+    rows.append({"utterance": "u", "program": program})
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "index")]) == 0
+    assert "warning: 1 corpus lines skipped" in capsys.readouterr().out
+    # a --test row of it fails its command
+    test = tmp_path / "test.jsonl"
+    test.write_text(json.dumps({"utterance": "u", "program": program}) + "\n")
+    run = ["run", "--index", str(workspace["index"]), "--strategy", "top-k", "--k", "2", "--mock"]
+    assert main([*run, "--test", str(test), "--workdir", str(tmp_path / "w")]) == 2
+    assert f"{test}:1: program nests deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
+    # a beam of it is dropped
+    test_id = _read_jsonl(workspace["fixture"] / "test.jsonl")[0]["id"]
+    beams = tmp_path / "beams.jsonl"
+    beams.write_text(json.dumps({"id": test_id, "beams": [program, "f (a)"]}) + "\n")
+    select = ["select", "--index", str(workspace["index"]), "--strategy", "cover-ls"]
+    assert main([*select, "--predictions", str(beams), "--out", str(tmp_path / "s.jsonl")]) == 0
+
+
 def test_train_mode_emits_shuffled_training_prompts(workspace, tmp_path):
     workdir = tmp_path / "train-run"
     code = main(
@@ -933,7 +1016,7 @@ ROBUSTNESS_CASES = {
     "beams-id-missing": (
         b'{"beams": ["f (a)"]}\n',
         "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
-        "bad.jsonl:1: not a JSON object with an id",
+        "bad.jsonl:1: id is missing",
     ),
     "beams-id-number": (
         b'{"id": "x", "beams": []}\n{"id": 0, "beams": ["f (a)"]}\n',
@@ -953,7 +1036,7 @@ ROBUSTNESS_CASES = {
     "beams-id-repeated": (
         b'{"id": "x", "beams": ["f (a)"]}\n\n{"id": "x", "beams": ["g (b)"]}\n',
         "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
-        "bad.jsonl:3: id 'x' occurs twice",
+        "bad.jsonl:3: id 'x' repeats line 1",
     ),
     "beams-list-of-numbers": (
         b'{"id": "x", "beams": [5]}\n',
@@ -1173,7 +1256,7 @@ ROBUSTNESS_CASES = {
     "corpus-split-number": (
         b'{"utterance": "u", "program": "f (a)"}\n{"utterance": "v", "program": "f (b)", "split": 5}\n',
         "index --corpus {bad} --out {out}",
-        "bad.jsonl:2: split must be a string",
+        "bad.jsonl:2: split must be 'train' or 'test', got 5",
     ),
     "corpus-split-dev": (
         b'{"utterance": "u", "program": "f (a)"}\n{"utterance": "v", "program": "f (b)", "split": "dev"}\n',
@@ -1211,6 +1294,54 @@ ROBUSTNESS_CASES = {
         "must be an http(s) URL with a host",
     ),
 }
+
+
+# One valid row of each kind of JSONL file, and the command reading a file of
+# them as {bad}: a corpus, a beam file and a stage file.
+ROW_FILES = {
+    "corpus": (
+        {"id": "x", "utterance": "u", "program": "f (a)"},
+        "index --corpus {bad} --out {out}",
+    ),
+    "beams": (
+        {"id": "x", "beams": ["f (a)"]},
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+    ),
+    "stage": (
+        {"id": "x", "prediction": "f (a)"},
+        "eval --index {index} --prompts {empty} --predictions {bad} --out {out}",
+    ),
+}
+# Each defect, from a valid row and its key after the id: the file's rows and
+# the text stderr must contain.
+ROW_DEFECTS = {
+    "not-an-object": lambda row, key: ([[1, 2]], "bad.jsonl:1: not a JSON object"),
+    "key-missing": lambda row, key: (
+        [{k: v for k, v in row.items() if k != key}],
+        f"bad.jsonl:1: {key} is missing",
+    ),
+    "id-wrong-type": lambda row, key: (
+        [{**row, "id": 5}],
+        "bad.jsonl:1: id must be a non-empty string, got 5",
+    ),
+    "id-repeated": lambda row, key: ([row, row], "bad.jsonl:2: id 'x' repeats line 1"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(ROW_DEFECTS))
+@pytest.mark.parametrize("kind", sorted(ROW_FILES))
+def test_a_row_defect_gets_one_message_in_every_jsonl_file(
+    workspace, tmp_path, capsys, kind, defect
+):
+    row, argv = ROW_FILES[kind]
+    rows, expected = ROW_DEFECTS[defect](row, list(row)[1])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    paths = {"bad": bad, "index": workspace["index"], "empty": empty, "out": tmp_path / "o"}
+    assert main([arg.format(**paths) for arg in argv.split()]) == 2
+    assert expected in capsys.readouterr().err
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

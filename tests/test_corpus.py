@@ -46,7 +46,7 @@ from demoselect.structures import (
     ls_size,
     program_structures,
 )
-from demoselect.programs import anonymize, parse_program
+from demoselect.programs import MAX_DEPTH, anonymize, parse_program
 
 from geo_pool import POOL_ROWS
 from helpers import count_parses, random_program
@@ -166,6 +166,22 @@ def test_duplicate_ids_recorded_as_failures(tmp_path):
         load_examples(path)
 
 
+def test_index_rejects_a_structure_count_below_one():
+    # a zero count once gave example a the weight of b's structure and b an
+    # empty tf-idf row, and the saved file was refused at load
+    a = Example("a", "u", "f (a)", "f (a)", {"x": 0}, "train")
+    b = Example("b", "v", "g (b)", "g (b)", {"y": 1}, "train")
+    with pytest.raises(CorpusError, match="example 'a' counts structure 'x' 0 times"):
+        build_indexes(Corpus(examples=[a, b]))
+
+
+def test_load_names_a_missing_key(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    _write_jsonl(path, [{"program": "f (a)"}])
+    with pytest.raises(CorpusError, match=r"corpus.jsonl:1: utterance is missing \(1 of 1"):
+        load_examples(path)
+
+
 def test_cached_structures_match_fresh_enumeration(tmp_path):
     path = tmp_path / "corpus.jsonl"
     _write_jsonl(path, TABLE_ROWS[1:])
@@ -206,6 +222,25 @@ def test_load_predictions_drops_unrepairable_beams(tmp_path):
     bundles = load_predictions(path)
     assert bundles["t1"].beams == []
     assert bundles["t1"].ls_union == set()
+
+
+def test_load_predictions_drops_a_too_deep_beam(tmp_path, caplog):
+    path = tmp_path / "preds.jsonl"
+    deep = "f (" * MAX_DEPTH + "a" + ")" * MAX_DEPTH
+    path.write_text(json.dumps({"id": "t1", "beams": [deep, "f (a)"]}), encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        bundles = load_predictions(path)
+    assert bundles["t1"].beams == ["f (a)"]
+    assert f"dropping unrepairable beam for t1 in {path}" in caplog.text
+
+
+def test_load_predictions_needs_beams(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps({"id": "t1", "beams": []}) + "\n" + json.dumps({"id": "t2"}))
+    with pytest.raises(IoError, match=r"preds.jsonl:2: beams is missing"):
+        load_predictions(path)
+    path.write_text(json.dumps({"id": "t1", "beams": []}))
+    assert load_predictions(path)["t1"].beam_ls_sets == []
 
 
 def test_load_predictions_union_over_beams(tmp_path):

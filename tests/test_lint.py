@@ -272,3 +272,35 @@ def test_cli_imports_no_stage_logic_module():
     imported = set(package_imports(source, package_exports()))
     assert "pipeline" in imported
     assert imported & STAGE_LOGIC_MODULES == set()
+
+
+def attributes_read(source: str) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
+def test_only_the_row_layer_reads_lines():
+    # one JSONL row layer: corpus.py's read_rows and load_examples
+    sources = {m: (PACKAGE / m).read_text(encoding="utf-8") for m in MODULES}
+    assert [m for m, source in sources.items() if "splitlines" in attributes_read(source)] == [
+        "corpus.py"
+    ]
+
+
+def row_tables(source: str) -> dict[str, list]:
+    """The top-level ``<NAME>_ROW = {...}`` tables of a module, with their
+    keys."""
+    tables = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id.endswith("_ROW"):
+                    tables[target.id] = [ast.literal_eval(key) for key in node.value.keys]
+    return tables
+
+
+@pytest.mark.parametrize("module", ["corpus.py", "pipeline.py"])
+def test_every_row_table_has_an_id(module):
+    # read_rows reads each row's id to refuse a repeated one
+    tables = row_tables((PACKAGE / module).read_text(encoding="utf-8"))
+    assert tables
+    assert [name for name, keys in tables.items() if "id" not in keys] == []

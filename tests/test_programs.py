@@ -16,7 +16,14 @@ from demoselect import (
     repair_parentheses,
     to_template,
 )
-from demoselect.programs import ROOT_SYMBOL, VALUE_NUMBER, VALUE_STRING, scan_symbols
+from demoselect.programs import (
+    MAX_DEPTH,
+    ROOT_SYMBOL,
+    VALUE_NUMBER,
+    VALUE_STRING,
+    scan_symbols,
+)
+from demoselect.structures import analyze
 
 from helpers import random_program, random_texts, reference_token_scan_symbols
 
@@ -249,3 +256,37 @@ def test_repair_has_a_tree_exactly_when_repairable(text):
 def test_scan_symbols_equals_the_reference_scan(text):
     assert scan_symbols(text) == reference_token_scan_symbols(text)
 
+
+
+def _depth(node) -> int:
+    """The levels of a tree below ``node``, counting ``node``."""
+    levels, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        levels = max(levels, level)
+        stack.extend((child, level + 1) for child in node.children)
+    return levels
+
+
+# A program n levels deep: by parentheses, by juxtaposition, and with its
+# deepest level an unquoted value span.
+DEEP_SHAPES = {
+    "nested": lambda n: "f (" * (n - 1) + "a" + ")" * (n - 1),
+    "chain": lambda n: " ".join(["f"] * (n - 1) + ["a"]),
+    "value-span": lambda n: "f (" * (n - 2) + "LIKE (David Lax)" + ")" * (n - 2),
+}
+LIKE = DialectConfig(value_parents=frozenset({"LIKE"}))
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_parse_refuses_a_tree_past_the_depth_bound(shape):
+    assert MAX_DEPTH >= 256
+    ast = parse_program(DEEP_SHAPES[shape](MAX_DEPTH), LIKE)
+    assert _depth(ast.top) == MAX_DEPTH
+    # anonymizing and graphing walk the tree recursively, and stay inside the stack
+    assert analyze(ast, max_size=2)[1]
+    for depth in (MAX_DEPTH + 1, 4 * MAX_DEPTH):
+        text = DEEP_SHAPES[shape](depth)
+        with pytest.raises(ParseError, match=f"program nests deeper than {MAX_DEPTH} levels"):
+            parse_program(text, LIKE)
+        assert repair_parentheses(text, LIKE).status == "unrepairable"
