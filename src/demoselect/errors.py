@@ -56,7 +56,7 @@ class TransportError(DemoselectError):
 
 
 class ApiError(DemoselectError):
-    """Non-success HTTP response from the completion endpoint."""
+    """Non-success or malformed HTTP response from the completion endpoint."""
 
     def __init__(self, status: int, body: str = ""):
         self.status = status

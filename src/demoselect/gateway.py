@@ -4,6 +4,9 @@ The wire protocol is a JSON-over-HTTP completion endpoint taking
 ``{model, prompt, max_tokens, temperature, stop}`` and answering
 ``{"choices": [{"text": ...}]}``. Credentials and the base URL come from
 the environment unless set explicitly; the base URL must be http(s).
+Only :func:`complete` imports ``requests``, so a command that sends no
+request (any but ``infer`` or ``run`` without ``--mock``) never loads an
+HTTP stack.
 
 The mock decides on structure sets alone
 (:func:`mock_from_structures`), so a caller holding an index passes the
@@ -15,12 +18,12 @@ from __future__ import annotations
 
 import math
 import os
+import re
+import threading
 import time
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Sequence
 from urllib.parse import urlsplit
-
-import requests
 
 from .errors import ApiError, ConfigError, ParseError, TransportError
 from .programs import DEFAULT_DIALECT, DialectConfig
@@ -61,8 +64,12 @@ class EndpointConfig:
     def __post_init__(self):
         if self.max_retries < 0:
             raise ConfigError("max retries must be >= 0")
-        if not self.timeout > 0:
-            raise ConfigError("timeout must be > 0")
+        # a longer socket timeout overflows the platform's clock at the first request
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(
+                f"timeout must be > 0 and at most {threading.TIMEOUT_MAX} seconds,"
+                f" got {self.timeout}"
+            )
         if not self.base_url:
             self.base_url = os.environ.get(ENV_BASE_URL, "")
         if not self.api_key:
@@ -97,13 +104,25 @@ def _apply_stop(text: str, stops: Sequence[str]) -> str:
     return text[:cut]
 
 
+def _backoff(config: EndpointConfig, attempt: int, retry_after: str | None) -> float:
+    """Seconds to wait after failed attempt ``attempt``: a delta-seconds
+    ``Retry-After`` when the reply had one, else ``backoff_base * 2**attempt``;
+    never more than ``max_backoff``. The exponent stops at 1023, the largest
+    a float holds, so no attempt count overflows."""
+    if retry_after is not None and re.fullmatch(r"[0-9]+", retry_after.strip()):
+        return min(int(retry_after), config.max_backoff)
+    return min(config.backoff_base * 2 ** min(attempt, 1023), config.max_backoff)
+
+
 def complete(
     request: CompletionRequest,
     config: EndpointConfig,
     sleeper: Callable[[float], None] = time.sleep,
 ) -> CompletionResult:
     """Send one completion request, retrying rate limits and network errors
-    with exponential backoff."""
+    with exponential backoff (or a 429's ``Retry-After``)."""
+    import requests  # here, so that only a process sending a request loads it
+
     if not config.base_url:
         raise ConfigError("no endpoint base URL configured")
     payload = {
@@ -121,6 +140,7 @@ def complete(
     last_network_error: Exception | None = None
     rate_limited = False
     for attempt in range(config.max_retries + 1):
+        retry_after = None
         try:
             response = requests.post(
                 config.base_url, json=payload, headers=headers, timeout=config.timeout
@@ -131,12 +151,15 @@ def complete(
             last_network_error = None
             if response.status_code == 429:
                 rate_limited = True
+                retry_after = response.headers.get("Retry-After")
             elif response.status_code >= 300:
                 raise ApiError(response.status_code, response.text)
             else:
                 try:
                     text = response.json()["choices"][0]["text"]
-                except (ValueError, KeyError, IndexError) as exc:
+                    if not isinstance(text, str):
+                        raise TypeError(f"text is {text!r}, not a string")
+                except (ValueError, KeyError, IndexError, TypeError) as exc:
                     raise ApiError(
                         response.status_code, f"malformed response: {exc}"
                     ) from exc
@@ -144,7 +167,7 @@ def complete(
                     text=_apply_stop(text, request.stop), retries=attempt
                 )
         if attempt < config.max_retries:
-            sleeper(min(config.backoff_base * 2**attempt, config.max_backoff))
+            sleeper(_backoff(config, attempt, retry_after))
     if last_network_error is not None:
         raise TransportError(
             f"request failed after {config.max_retries} retries: {last_network_error}"

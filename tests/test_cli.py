@@ -3,6 +3,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -896,6 +899,46 @@ def test_infer_transport_failure_exits_3(workspace, tmp_path):
     assert code == 3
 
 
+# Every command that sends no request, in one interpreter; prints the exit
+# codes and which HTTP modules ended up loaded.
+NO_REQUEST_COMMANDS = """
+import json, sys
+from demoselect.cli import main
+
+d = sys.argv[1]
+fixture, index, run = f"{d}/fixture", f"{d}/index.json", f"{d}/run"
+sel, prm, pred, report = (f"{d}/{name}" for name in ("s.jsonl", "p.jsonl", "o.jsonl", "r.json"))
+common = ["--index", index, "--strategy", "top-k", "--k", "2"]
+codes = [
+    main(["gen-fixture", "--out-dir", fixture, "--n-train", "30", "--n-test", "4"]),
+    main(["index", "--corpus", f"{fixture}/train.jsonl", "--corpus", f"{fixture}/test.jsonl",
+          "--out", index]),
+    main(["select", *common, "--out", sel]),
+    main(["prompt", *common, "--selections", sel, "--out", prm]),
+    main(["infer", *common, "--mock", "--prompts", prm, "--out", pred]),
+    main(["eval", *common, "--prompts", prm, "--predictions", pred, "--out", report]),
+    main(["run", *common, "--mock", "--workdir", run]),
+]
+print(json.dumps([codes, sorted({"requests", "urllib3"} & set(sys.modules))]))
+"""
+
+
+def test_commands_without_a_request_load_no_http_stack(tmp_path):
+    """Only a request imports requests; certifi is not checked, as a
+    site-packages .pth file may import it at interpreter start-up."""
+    import demoselect
+
+    src = str(Path(demoselect.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_REQUEST_COMMANDS, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert all(code in (0, 1) for code in codes), (codes, done.stderr)
+    assert loaded == []
+
+
 def test_run_forwards_request_flags(workspace, tmp_path, monkeypatch):
     sent = []
 
@@ -910,7 +953,7 @@ def test_run_forwards_request_flags(workspace, tmp_path, monkeypatch):
         sent.append(json)
         return FakeResponse()
 
-    monkeypatch.setattr("demoselect.gateway.requests.post", fake_post)
+    monkeypatch.setattr("requests.post", fake_post)
     flags = ["--base-url", "http://127.0.0.1:9/v1/completions", "--max-tokens", "7",
              "--temperature", "0.5", "--stop", "END"]
     index = ["--index", str(workspace["index"])]
@@ -1410,6 +1453,8 @@ def test_malformed_input_exits_2_naming_it(workspace, tmp_path, capsys, case):
         ["--mock", "--stop", ""],
         ["--mock", "--budget", "0"],
         ["--mock", "--budget", "-3"],
+        ["--base-url", "http://127.0.0.1:9/v1", "--timeout", "inf"],
+        ["--base-url", "http://127.0.0.1:9/v1", "--timeout", "1e10"],
     ],
 )
 def test_bad_infer_flag_fails_before_any_stage_file(workspace, tmp_path, flags):

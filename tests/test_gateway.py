@@ -26,11 +26,14 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         self.server.requests.append(json.loads(self.rfile.read(length)))
-        status, body = self.server.script.pop(0)
+        # a script entry is (status, body) or (status, body, extra headers)
+        status, body, *headers = self.server.script.pop(0)
         payload = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -90,6 +93,56 @@ def test_complete_retries_rate_limits_with_backoff(stub_server):
     assert result.text == "done"
     assert result.retries == 2
     assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "retry_after,delay",
+    [("3", 3), ("100", 8.0), ("soon", 0.5), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5)],
+)
+def test_rate_limit_waits_retry_after_seconds(stub_server, retry_after, delay):
+    """A delta-seconds Retry-After sets the wait, capped at max_backoff; any
+    other value keeps the exponential delay."""
+    stub_server.script.extend(
+        [(429, "slow down", {"Retry-After": retry_after}), (200, _ok_body("done"))]
+    )
+    sleeps: list[float] = []
+    result = complete(
+        CompletionRequest(prompt="p"),
+        _config(stub_server, backoff_base=0.5, max_backoff=8.0),
+        sleeper=sleeps.append,
+    )
+    assert (result.text, result.retries, sleeps) == ("done", 1, [delay])
+
+
+def test_backoff_stops_growing_without_overflow(monkeypatch):
+    class RateLimited:
+        status_code = 429
+        headers: dict = {}
+
+    monkeypatch.setattr("requests.post", lambda *args, **kwargs: RateLimited())
+    sleeps: list[float] = []
+    config = EndpointConfig(
+        base_url="http://127.0.0.1:9/v1", max_retries=2001, backoff_base=0.5, max_backoff=8.0
+    )
+    with pytest.raises(ApiError) as err:
+        complete(CompletionRequest(prompt="p"), config, sleeper=sleeps.append)
+    assert err.value.status == 429
+    assert sleeps[:5] == [0.5, 1.0, 2.0, 4.0, 8.0]
+    assert len(sleeps) == 2001 and sleeps[2000] == 8.0
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["[]", '"x"', '{"choices": null}', '{"choices": [{"text": 5}]}',
+     '{"choices": [{"text": null}]}'],
+)
+def test_complete_rejects_a_reply_of_the_wrong_shape(stub_server, body):
+    stub_server.script.append((200, body))
+    sleeps: list[float] = []
+    with pytest.raises(ApiError, match="malformed response") as err:
+        complete(CompletionRequest(prompt="p"), _config(stub_server), sleeper=sleeps.append)
+    assert err.value.status == 200
+    assert (len(stub_server.requests), sleeps) == (1, [])
 
 
 def test_complete_stops_at_stop_sequence(stub_server):
@@ -170,7 +223,8 @@ def test_max_tokens_below_one_rejected(max_tokens):
 
 @pytest.mark.parametrize(
     "limits",
-    [{"max_retries": -1}, {"timeout": 0.0}, {"timeout": -1.0}, {"timeout": float("nan")}],
+    [{"max_retries": -1}, {"timeout": 0.0}, {"timeout": -1.0}, {"timeout": float("nan")},
+     {"timeout": float("inf")}, {"timeout": 1e10}],
 )
 def test_endpoint_limits_rejected(limits):
     with pytest.raises(ConfigError):
@@ -180,6 +234,14 @@ def test_endpoint_limits_rejected(limits):
 def test_endpoint_limits_at_bounds_accepted():
     config = EndpointConfig(base_url="http://localhost:1", max_retries=0, timeout=0.5)
     assert (config.max_retries, config.timeout) == (0, 0.5)
+
+
+def test_longest_timeout_completes(stub_server):
+    """threading.TIMEOUT_MAX, the largest timeout accepted, still reaches the
+    endpoint; one more second would overflow the socket's clock."""
+    stub_server.script.append((200, _ok_body("ok")))
+    config = _config(stub_server, timeout=threading.TIMEOUT_MAX)
+    assert complete(CompletionRequest(prompt="p"), config).text == "ok"
 
 
 # --- mock oracle -------------------------------------------------------------
