@@ -112,15 +112,8 @@ def _write_csv(path: str | Path, rows: list[dict]) -> None:
 # --- commands --------------------------------------------------------------
 
 
-def _dialect_from_args(args) -> DialectConfig:
-    value_parents = frozenset(
-        s for s in (args.value_parents or "").split(",") if s
-    )
-    return DialectConfig(name=args.dialect, value_parents=value_parents)
-
-
 def cmd_index(args) -> int:
-    dialect = _dialect_from_args(args)
+    dialect = DialectConfig(frozenset(s for s in args.value_parents.split(",") if s))
     examples = []
     failures = 0
     for path in args.corpus:
@@ -150,6 +143,8 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(
                 f"{args.config}:{exc.lineno}: not valid JSON: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # such as an integer past the digit limit
+            raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
         if not isinstance(config_file, dict):
             raise ConfigError(f"{args.config}: not a JSON object")
     defaults = {f.name: f.default for f in fields(RunConfig)}
@@ -333,7 +328,6 @@ SWITCH = {"action": "store_const", "const": True}
 def _add_index_args(parser):
     parser.add_argument("--corpus", action="append", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--dialect", default="default")
     parser.add_argument("--value-parents", default="")
 
 

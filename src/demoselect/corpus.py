@@ -51,7 +51,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import sys
 import zlib
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
@@ -81,7 +80,7 @@ logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "test")
 INDEX_MAGIC = "demoselect-index"
-INDEX_VERSION = 7
+INDEX_VERSION = 8
 RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
 # An index file lists its examples pool first: the training examples in id
 # order, then the others in the order they were indexed. Record r and every
@@ -498,14 +497,10 @@ class IndexBundle:
         vocab: list[str],
         bm25_terms: list[str],
         arrays: dict[str, np.ndarray],
-        k1: float = 1.2,
-        b: float = 0.75,
     ):
         self.corpus = corpus
         self.vocab = vocab
         self.arrays = arrays
-        self.k1 = k1
-        self.b = b
         # the pool: the first examples, the training ones in id order
         size = int(np.count_nonzero(arrays["split_codes"] == _TRAIN))
         ids = corpus.examples.records["id"][:size]
@@ -514,8 +509,6 @@ class IndexBundle:
             self.pool.ids,
             bm25_terms,
             *(arrays[name] for name in ("bm25_offsets", "bm25_rows", "bm25_contrib")),
-            k1=k1,
-            b=b,
         )
 
     def _pool_entries(self, *names: str) -> tuple[np.ndarray, ...]:
@@ -552,8 +545,6 @@ class IndexBundle:
             term_of[order],
             owner[order],
             counts[order],
-            k1=self.k1,
-            b=self.b,
         )
 
     @cached_property
@@ -589,8 +580,6 @@ class IndexBundle:
         header = {
             "magic": INDEX_MAGIC,
             "version": INDEX_VERSION,
-            "k1": self.k1,
-            "b": self.b,
             "dialect": self.corpus.dialect.to_dict(),
             "vocab": self.vocab,
             "bm25_terms": self.bm25_utterance.terms,
@@ -607,11 +596,10 @@ class IndexBundle:
         header, arrays = _read_index(path)
         try:
             vocab, terms = header["vocab"], header["bm25_terms"]
-            k1, b = header["k1"], header["b"]
             dialect = DialectConfig.from_dict(header["dialect"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise IoError(f"index file {path} has a malformed header: {exc!r}") from exc
-        ids = _check_layout(path, vocab, terms, (k1, b), arrays)
+        ids = _check_layout(path, vocab, terms, arrays)
         offsets = arrays["ls_offsets"]
         columns, counts = arrays["ls_columns"], arrays["ls_counts"]
 
@@ -631,7 +619,7 @@ class IndexBundle:
             "split": _CodedColumn(SPLITS, arrays["split_codes"]),
         }
         examples = ExampleTable(records, structures)
-        return cls(Corpus(examples=examples, dialect=dialect), vocab, terms, arrays, k1=k1, b=b)
+        return cls(Corpus(examples=examples, dialect=dialect), vocab, terms, arrays)
 
 
 def _check_version(path: str | Path, header: object) -> None:
@@ -752,13 +740,10 @@ def _is_text(data: np.ndarray, offsets: np.ndarray) -> bool:
     return not np.any(data[starts[starts < len(data)]] >> 6 == 2)
 
 
-def _check_layout(path, vocab, terms, params, arrays) -> list[str]:
+def _check_layout(path, vocab, terms, arrays) -> list[str]:
     """Raise IoError unless a loaded header and its arrays fit together;
     return the example ids."""
-    if not (
-        all(isinstance(s, list) and set(map(type, s)) <= {str} for s in (vocab, terms))
-        and all(type(p) in (int, float) for p in params)
-    ):
+    if not all(isinstance(s, list) and set(map(type, s)) <= {str} for s in (vocab, terms)):
         raise IoError(f"index file {path} has a malformed header")
     n_records = max(len(arrays["id_offsets"]) - 1, 0)
     n_templates = max(len(arrays["template_offsets"]) - 1, 0)
@@ -776,15 +761,13 @@ def _check_layout(path, vocab, terms, params, arrays) -> list[str]:
     ids = [raw[s:e].decode("utf-8", _UTF8_ERRORS) for s, e in zip(cuts, cuts[1:])]
     splits = arrays["split_codes"]
     pool_size = int(np.count_nonzero(splits == _TRAIN))
-    pool_ids, (k1, b) = ids[:pool_size], params
+    pool_ids = ids[:pool_size]
     for bad, what in (
         (len(set(ids)) != len(ids), "holds an example id twice"),
         (np.any(splits[:pool_size] != _TRAIN), "does not list its training examples first"),
         (not _ascending(pool_ids), "does not list its training examples in id order"),
         (not _ascending(vocab), "has a structure vocabulary out of order"),
         (len(set(terms)) != len(terms), "lists a BM25 term twice"),
-        (not 0 <= k1 <= sys.float_info.max, f"has the BM25 k1 {k1}, out of range"),
-        (not 0 <= b <= 1, f"has the BM25 b {b}, out of range"),
     ):
         if bad:
             raise IoError(f"index file {path} {what}")
@@ -815,7 +798,7 @@ def _text_arrays(name: str, texts: Iterable[str]) -> dict[str, np.ndarray]:
     }
 
 
-def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBundle:
+def build_indexes(corpus: Corpus) -> IndexBundle:
     """Index ``corpus``, pool first: its training examples in id order, then
     the others in their order. Compute, once, the arrays that the bundle
     serves from and that a saved index stores (see :data:`ARRAY_DTYPES`)."""
@@ -844,7 +827,7 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
         raise CorpusError(f"example {ex.id!r} counts structure {name!r} {count!r} times, not >= 1")
     vocab = sorted(set().union(*maps))
     column = {name: j for j, name in enumerate(vocab)}
-    bm25 = Bm25Index({ex.id: ex.utt_tokens for ex in pool}, k1=k1, b=b)
+    bm25 = Bm25Index({ex.id: ex.utt_tokens for ex in pool})
     arrays = {
         **texts,
         "template_codes": np.fromiter(map(template_code.__getitem__, records["template"]), np.int32),
@@ -858,4 +841,4 @@ def build_indexes(corpus: Corpus, k1: float = 1.2, b: float = 0.75) -> IndexBund
         "tfidf_weights": ls_tfidf_arrays({ex.id: ex.ls_counts for ex in pool})[2],
     }
     arrays = {name: np.ascontiguousarray(a, ARRAY_DTYPES[name]) for name, a in arrays.items()}
-    return IndexBundle(corpus, vocab, bm25.terms, arrays, k1=k1, b=b)
+    return IndexBundle(corpus, vocab, bm25.terms, arrays)

@@ -32,6 +32,8 @@ LABEL_SYNTAX = "syntax"
 LABEL_OVER_COPY = "over-copy"
 LABEL_OOV = "oov-hallucination"
 LABEL_MISSING = "missing-symbols"
+# the largest structures (in nodes) whose absence from training unobserved_ls counts
+UNOBSERVED_MAX_SIZE = 4
 
 
 def normalize_whitespace(text: str) -> str:
@@ -131,12 +133,11 @@ def classify_errors(
     )
 
 
-def unobserved_ls(
-    gold_ls_set: Iterable[str], training_ls_union: set[str], max_size: int = 4
-) -> bool:
-    """True when the gold program has a small structure never seen in training."""
+def unobserved_ls(gold_ls_set: Iterable[str], training_ls_union: set[str]) -> bool:
+    """True when the gold program has a small structure (of at most
+    :data:`UNOBSERVED_MAX_SIZE` nodes) never seen in training."""
     return any(
-        c not in training_ls_union for c in gold_ls_set if ls_size(c) <= max_size
+        c not in training_ls_union for c in gold_ls_set if ls_size(c) <= UNOBSERVED_MAX_SIZE
     )
 
 

@@ -33,6 +33,9 @@ ENV_API_KEY = "DEMOSELECT_API_KEY"
 ENV_BASE_URL = "DEMOSELECT_BASE_URL"
 
 DEFAULT_STOP = ("\n", "source:")
+# seconds to wait after failed attempt n: BACKOFF_BASE * 2**n, at most MAX_BACKOFF
+BACKOFF_BASE = 0.5
+MAX_BACKOFF = 8.0
 
 
 @dataclass
@@ -58,8 +61,6 @@ class EndpointConfig:
     model: str = ""
     timeout: float = 30.0
     max_retries: int = 5
-    backoff_base: float = 0.5
-    max_backoff: float = 8.0
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -104,14 +105,15 @@ def _apply_stop(text: str, stops: Sequence[str]) -> str:
     return text[:cut]
 
 
-def _backoff(config: EndpointConfig, attempt: int, retry_after: str | None) -> float:
+def _backoff(attempt: int, retry_after: str | None) -> float:
     """Seconds to wait after failed attempt ``attempt``: a delta-seconds
-    ``Retry-After`` when the reply had one, else ``backoff_base * 2**attempt``;
-    never more than ``max_backoff``. The exponent stops at 1023, the largest
-    a float holds, so no attempt count overflows."""
+    ``Retry-After`` when the reply had one, else ``BACKOFF_BASE * 2**attempt``;
+    never more than ``MAX_BACKOFF``. The exponent stops at 1023, the largest
+    a float holds, so no attempt count overflows. The header's digits are read
+    as a float, which has no digit limit (an int of over 4300 digits has)."""
     if retry_after is not None and re.fullmatch(r"[0-9]+", retry_after.strip()):
-        return min(int(retry_after), config.max_backoff)
-    return min(config.backoff_base * 2 ** min(attempt, 1023), config.max_backoff)
+        return min(float(retry_after), MAX_BACKOFF)
+    return min(BACKOFF_BASE * 2 ** min(attempt, 1023), MAX_BACKOFF)
 
 
 def complete(
@@ -167,7 +169,7 @@ def complete(
                     text=_apply_stop(text, request.stop), retries=attempt
                 )
         if attempt < config.max_retries:
-            sleeper(_backoff(config, attempt, retry_after))
+            sleeper(_backoff(attempt, retry_after))
     if last_network_error is not None:
         raise TransportError(
             f"request failed after {config.max_retries} retries: {last_network_error}"

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .corpus import ID, STRING, STRINGS
-from .errors import ConfigError, UnknownIdError
+from .errors import BudgetTooSmallError, ConfigError, UnknownIdError
 from .evaluation import EvalRecord, aggregate, evaluate_example
 from .gateway import MockOracleConfig, complete, mock_from_structures
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
@@ -88,9 +88,10 @@ class RunConfig:
     @property
     def reads_beams(self) -> bool:
         """Whether selection reads the targets' beams: their structures stand
-        in for the gold ones unless ``oracle`` or ``train_mode``."""
+        in for the gold ones unless ``oracle`` or ``train_mode``, and
+        ``random`` reads neither structures nor scores."""
         reader = self.strategy == "cover-ls" or self.retriever == "bm25-symbols"
-        return reader and not self.oracle and not self.train_mode
+        return reader and self.strategy != "random" and not self.oracle and not self.train_mode
 
 
 def _example_seed(seed: int, example_id: str) -> int:
@@ -207,7 +208,10 @@ def _prompt_one(bundle, example, items, cfg: RunConfig) -> dict:
         demos.append((demo.id, demo.utterance, demo.program))
     prompt = format_prompt(demos, example.utterance, include_utterances=not cfg.programs_only)
     if cfg.budget is not None:
-        prompt = truncate_prompt(prompt, cfg.budget)
+        try:
+            prompt = truncate_prompt(prompt, cfg.budget)
+        except BudgetTooSmallError as exc:
+            raise BudgetTooSmallError(f"example {example.id}: {exc}") from exc
     row = {
         "id": example.id,
         "prompt": prompt.text,

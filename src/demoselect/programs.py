@@ -50,20 +50,19 @@ class DialectConfig:
     unquoted string value (e.g. person names under ``LIKE``).
     """
 
-    name: str = "default"
     value_parents: frozenset[str] = frozenset()
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "value_parents": sorted(self.value_parents)}
+        return {"value_parents": sorted(self.value_parents)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DialectConfig":
-        """The dialect :meth:`to_dict` gave; raises TypeError unless ``name``
-        is a string and ``value_parents`` a list of strings."""
-        name, parents = data["name"], data["value_parents"]
-        if not (isinstance(parents, list) and all(isinstance(p, str) for p in [name, *parents])):
+        """The dialect :meth:`to_dict` gave; raises TypeError unless
+        ``value_parents`` is a list of strings."""
+        parents = data["value_parents"]
+        if not (isinstance(parents, list) and all(isinstance(p, str) for p in parents)):
             raise TypeError(f"malformed dialect {data!r}")
-        return cls(name=name, value_parents=frozenset(parents))
+        return cls(value_parents=frozenset(parents))
 
 
 DEFAULT_DIALECT = DialectConfig()

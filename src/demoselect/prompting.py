@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import BudgetTooSmallError, ConfigError
 from .selection import DemonstrationSet
@@ -78,18 +78,14 @@ def format_prompt(
     )
 
 
-def truncate_prompt(
-    prompt: Prompt,
-    budget: int,
-    counter: Callable[[str], int] | None = None,
-) -> Prompt:
-    """Drop whole demonstrations from the front until the prompt fits.
+def truncate_prompt(prompt: Prompt, budget: int) -> Prompt:
+    """Drop whole demonstrations from the front until the prompt fits
+    ``budget`` tokens, as :func:`default_token_counter` counts them.
 
     Front blocks are the lowest-scoring ones under ascending ordering. The
     test block is never dropped; a budget it cannot fit is an error.
     """
-    count = counter or default_token_counter
-    if count(prompt.test_block) > budget:
+    if default_token_counter(prompt.test_block) > budget:
         raise BudgetTooSmallError(
             f"budget {budget} cannot fit the test block alone"
         )
@@ -97,7 +93,7 @@ def truncate_prompt(
     ids = list(prompt.demo_ids)
     dropped = 0
     text = "\n".join(blocks + [prompt.test_block])
-    while count(text) > budget and blocks:
+    while default_token_counter(text) > budget and blocks:
         blocks.pop(0)
         ids.pop(0)
         dropped += 1

@@ -1,7 +1,7 @@
 """Lexical retrieval: posting lists, Okapi BM25 over token documents, tf-idf
 rows over local structures, and a seeded random scorer.
 
-A BM25 posting's whole contribution, ``idf * tf * (k1 + 1) / (tf + norm)``,
+A BM25 posting's whole contribution, ``idf * tf * (K1 + 1) / (tf + norm)``,
 depends only on the indexed documents, so the index computes it once per
 posting when it is built. A query then adds each of its terms' impact arrays
 into a dense score vector, in query order. The idf used throughout is the
@@ -35,6 +35,12 @@ RETRIEVER_VARIANTS = (
     "random",
     "oracle-bm25-gold-symbols",
 )
+
+# Okapi BM25's textbook parameters (Robertson & Zaragoza 2009). An index file
+# stores impacts computed with them, so changing either needs a new
+# corpus.INDEX_VERSION.
+K1 = 1.2
+B = 0.75
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -160,7 +166,7 @@ class Bm25Index:
     that term in ``contrib``. ``impacts`` maps a term to its ``(rows,
     contrib)`` slices."""
 
-    def __init__(self, docs: Mapping[str, list[str]], k1: float = 1.2, b: float = 0.75):
+    def __init__(self, docs: Mapping[str, list[str]]):
         doc_ids = sorted(docs)
         n = len(doc_ids)
         # One key per (term, document) pair, ordered by term, then document;
@@ -170,7 +176,7 @@ class Bm25Index:
         doc_of = np.repeat(np.arange(n, dtype=np.int64), [len(docs[i]) for i in doc_ids])
         keys, tf = np.unique(np.array(term_of, dtype=np.int64) * n + doc_of, return_counts=True)
         terms, rows = np.divmod(keys, n)
-        self._index(doc_ids, list(vocab), terms, rows.astype(np.intp), tf, k1, b)
+        self._index(doc_ids, list(vocab), terms, rows.astype(np.intp), tf)
 
     @classmethod
     def from_postings(
@@ -180,30 +186,28 @@ class Bm25Index:
         term_of: np.ndarray,
         rows: np.ndarray,
         tf: np.ndarray,
-        k1: float = 1.2,
-        b: float = 0.75,
     ) -> "Bm25Index":
         """The index over documents with the sorted ids ``doc_ids`` where the
         document at row ``rows[e]`` holds the term ``terms[term_of[e]]``
         ``tf[e]`` times: one posting per (term, document) pair, ordered by
         term, then row."""
         index = cls.__new__(cls)
-        index._index(doc_ids, terms, term_of, rows, tf, k1, b)
+        index._index(doc_ids, terms, term_of, rows, tf)
         return index
 
-    def _index(self, doc_ids, terms, term_of, rows, tf, k1, b) -> None:
+    def _index(self, doc_ids, terms, term_of, rows, tf) -> None:
         n = len(doc_ids)
         lengths = np.bincount(rows, weights=tf, minlength=n).astype(np.int64).tolist()
         total = sum(lengths)
         avgdl = total / n if total else 1.0
         df = np.bincount(term_of, minlength=len(terms))
         idf = np.array([lucene_idf(n, d) for d in df.tolist()])
-        norm = np.array([k1 * (1 - b + b * length / avgdl) for length in lengths])
+        norm = np.array([K1 * (1 - B + B * length / avgdl) for length in lengths])
         # Elementwise IEEE operations in the order of the per-document formula,
-        # so every float equals ``idf * tf * (k1 + 1) / (tf + norm)`` in Python.
-        contrib = idf[term_of] * tf * (k1 + 1) / (tf + norm[rows])
+        # so every float equals ``idf * tf * (K1 + 1) / (tf + norm)`` in Python.
+        contrib = idf[term_of] * tf * (K1 + 1) / (tf + norm[rows])
         offsets = np.concatenate(([0], np.cumsum(df)))
-        self._attach(doc_ids, terms, offsets, rows, contrib, k1, b)
+        self._attach(doc_ids, terms, offsets, rows, contrib)
 
     @classmethod
     def from_arrays(
@@ -213,18 +217,14 @@ class Bm25Index:
         offsets: np.ndarray,
         rows: np.ndarray,
         contrib: np.ndarray,
-        k1: float,
-        b: float,
     ) -> "Bm25Index":
         """The index whose postings are these arrays, as an index built over
         documents with the sorted ids ``doc_ids`` stores them."""
         index = cls.__new__(cls)
-        index._attach(doc_ids, terms, offsets, rows, contrib, k1, b)
+        index._attach(doc_ids, terms, offsets, rows, contrib)
         return index
 
-    def _attach(self, doc_ids, terms, offsets, rows, contrib, k1, b) -> None:
-        self.k1 = k1
-        self.b = b
+    def _attach(self, doc_ids, terms, offsets, rows, contrib) -> None:
         self.doc_ids = doc_ids
         self.n_docs = len(doc_ids)
         self.terms = terms

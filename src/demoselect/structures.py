@@ -160,9 +160,7 @@ def analyze(ast: ProgramAst, max_size: int | None = None) -> tuple[str, Counter]
     return anon.source_text, count_local_structures(build_structure_graph(anon), max_size)
 
 
-def program_structures(
-    text: str, dialect: DialectConfig = DEFAULT_DIALECT, max_size: int | None = None
-) -> Counter:
+def program_structures(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> Counter:
     """Local-structure counts of a program's anonymized tree, keyed by
     canonical form. Raises :class:`ParseError` on unparseable text."""
-    return analyze(parse_program(text, dialect), max_size)[1]
+    return analyze(parse_program(text, dialect))[1]

@@ -286,7 +286,7 @@ def test_criterion_8_error_classifier_suite():
 
 def test_criterion_9_bm25_hand_computation():
     with criterion(9, "BM25 scores match the documented hand computation"):
-        index = Bm25Index(TOY_DOCS, k1=1.2, b=0.75)
+        index = Bm25Index(TOY_DOCS)
         for query, expected_scores in HAND_SCORES.items():
             scores = index.scores(list(query))
             ranked = index.rank(list(query))

@@ -89,7 +89,7 @@ FIXTURE_DIGESTS = {
         "meta.json": "9d59d6c64f847069228c2083f5a963426085d944221f0df5224dd5932397fa91",
     },
 }
-INDEX_DIGEST = "84ca1c253366a30694b8bea9c126cdba62e9cfb748cd53be4aea8b4f46173a54"
+INDEX_DIGEST = "823b8d22a70a2c310b09baa8a9e4629f3b4134155f71d02d438befc6d1753994"
 
 
 def _sha256(path):
@@ -394,6 +394,24 @@ def test_run_is_idempotent(workspace, tmp_path):
     main(args(tmp_path / "b"))
     for name in ("selections.jsonl", "prompts.jsonl", "predictions.jsonl", "report.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_run_with_jobs_writes_what_one_job_writes(workspace, tmp_path):
+    """The mock's worker threads build examples through the shared table."""
+    argv = ["run", "--index", str(workspace["index"]), "--strategy", "cover-ls", "--oracle",
+            "--k", "4", "--mock"]
+    for jobs in ("1", "3"):
+        assert main([*argv, "--jobs", jobs, "--workdir", str(tmp_path / jobs)]) in (0, 1)
+    for name in ("selections.jsonl", "prompts.jsonl", "predictions.jsonl", "report.json"):
+        assert (tmp_path / "3" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
+
+
+def test_random_strategy_needs_no_beams_with_the_symbol_retriever(workspace, tmp_path):
+    argv = ["select", "--index", str(workspace["index"]), "--strategy", "random", "--k", "4"]
+    plain, symbols = tmp_path / "plain.jsonl", tmp_path / "symbols.jsonl"
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert main([*argv, "--retriever", "bm25-symbols", "--out", str(symbols)]) == 0
+    assert symbols.read_bytes() == plain.read_bytes()
 
 
 # Per strategy: select/pool flags, prompt flags. "{beams}" stands for a beam file.
@@ -1140,6 +1158,21 @@ ROBUSTNESS_CASES = {
         b'{"strategy": "top-k", "k": 2, "budget": 0}',
         "--config {bad} run --mock --index {index} --workdir {out}",
         "budget must be >= 1",
+    ),
+    "config-integer-past-digit-limit": (
+        b'{"k": ' + b"9" * 5000 + b"}",
+        "--config {bad} select --strategy top-k --index {index} --out {out}",
+        "bad.jsonl: not valid JSON: Exceeds the limit (4300 digits)",
+    ),
+    "run-budget-below-the-test-block": (
+        None,
+        "run --strategy top-k --k 2 --mock --budget 3 --index {index} --workdir {out}",
+        "example test-0000: budget 3 cannot fit the test block alone",
+    ),
+    "prompt-budget-below-the-test-block": (
+        b'{"id": "test-0001", "items": []}\n',
+        "prompt --budget 3 --index {index} --selections {bad} --out {out}",
+        "example test-0001: budget 3 cannot fit the test block alone",
     ),
     "config-max-ls-size-string": (
         b'{"strategy": "cover-ls", "oracle": true, "k": 2, "max_ls_size": "2"}',

@@ -80,7 +80,7 @@ def _write_jsonl(path, rows):
 def test_load_mixed_dataset_rows(tmp_path):
     path = tmp_path / "corpus.jsonl"
     _write_jsonl(path, TABLE_ROWS)
-    dialect = DialectConfig(name="mixed", value_parents=frozenset({"LIKE"}))
+    dialect = DialectConfig(value_parents=frozenset({"LIKE"}))
     corpus = load_examples(path, dialect)
     assert len(corpus) == 3
     assert not corpus.failures
@@ -463,9 +463,9 @@ def test_index_version_mismatch_rejected(tmp_path):
     path = tmp_path / "index.json"
     bundle.save(path)
     header, arrays, _ = _index_parts(path)
-    assert header["version"] == INDEX_VERSION == 7
+    assert header["version"] == INDEX_VERSION == 8
     assert "examples" not in header
-    for version in (1, 2, 3, 4, 5, 6, 99):
+    for version in (1, 2, 3, 4, 5, 6, 7, 99):
         _write_index(path, {**header, "version": version}, arrays)
         with pytest.raises(IndexVersionError, match="demoselect index"):
             IndexBundle.load(path)
@@ -721,11 +721,6 @@ BAD_INDEX_CASES = {
         IoError,
         "lists a BM25 term twice",
     ),
-    "k1-nan": (
-        _rewrite(lambda header, arrays: header.__setitem__("k1", float("nan"))),
-        IoError,
-        "has the BM25 k1 nan, out of range",
-    ),
     "member-crc-mismatch": (
         _flip_a_data_byte,
         IoError,
@@ -865,7 +860,7 @@ def _assert_index_matches_its_maps(bundle):
         assert got_weights.tobytes() == weights.tobytes()
     # the symbol BM25 built from the structure columns scores bit for bit as
     # the BM25 over every example's symbol sequence
-    symbols = Bm25Index({i: ex.symbol_seq for i, ex in pool.items()}, k1=bundle.k1, b=bundle.b)
+    symbols = Bm25Index({i: ex.symbol_seq for i, ex in pool.items()})
     assert bundle.bm25_symbols.doc_ids == symbols.doc_ids
     names = sorted({c for ex in pool.values() for c in ex.symbol_seq})
     for query in ([], names, [*names[:3], *names[:2], "zz-unknown"]):

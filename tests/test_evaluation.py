@@ -187,7 +187,7 @@ def test_program_symbols_token_scan_handles_values():
     assert program_symbols('f (3, "a town", g') == {"f", "number", "string", "g"}
 
 
-VALUE_PARENTS = DialectConfig(name="vp", value_parents=frozenset({"g", "scan"}))
+VALUE_PARENTS = DialectConfig(value_parents=frozenset({"g", "scan"}))
 
 
 @settings(max_examples=500, deadline=None)
@@ -281,7 +281,7 @@ def test_unobserved_ignores_large_structures():
     gold = "f (g (h (i (j))))"
     gold_set = ls_set_of(gold)
     small = {c for c in gold_set if len(c.split(" -> ")) <= 4}
-    assert not unobserved_ls(gold_set, training_ls_union=small, max_size=4)
+    assert not unobserved_ls(gold_set, training_ls_union=small)
 
 
 def test_unobserved_monotone_in_training_growth():

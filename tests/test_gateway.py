@@ -87,7 +87,7 @@ def test_complete_retries_rate_limits_with_backoff(stub_server):
     sleeps: list[float] = []
     result = complete(
         CompletionRequest(prompt="p"),
-        _config(stub_server, backoff_base=0.5),
+        _config(stub_server),
         sleeper=sleeps.append,
     )
     assert result.text == "done"
@@ -97,10 +97,16 @@ def test_complete_retries_rate_limits_with_backoff(stub_server):
 
 @pytest.mark.parametrize(
     "retry_after,delay",
-    [("3", 3), ("100", 8.0), ("soon", 0.5), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5)],
+    [
+        ("3", 3),
+        ("100", 8.0),
+        ("9" * 5000, 8.0),
+        ("soon", 0.5),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5),
+    ],
 )
 def test_rate_limit_waits_retry_after_seconds(stub_server, retry_after, delay):
-    """A delta-seconds Retry-After sets the wait, capped at max_backoff; any
+    """A delta-seconds Retry-After sets the wait, capped at MAX_BACKOFF; any
     other value keeps the exponential delay."""
     stub_server.script.extend(
         [(429, "slow down", {"Retry-After": retry_after}), (200, _ok_body("done"))]
@@ -108,7 +114,7 @@ def test_rate_limit_waits_retry_after_seconds(stub_server, retry_after, delay):
     sleeps: list[float] = []
     result = complete(
         CompletionRequest(prompt="p"),
-        _config(stub_server, backoff_base=0.5, max_backoff=8.0),
+        _config(stub_server),
         sleeper=sleeps.append,
     )
     assert (result.text, result.retries, sleeps) == ("done", 1, [delay])
@@ -122,7 +128,7 @@ def test_backoff_stops_growing_without_overflow(monkeypatch):
     monkeypatch.setattr("requests.post", lambda *args, **kwargs: RateLimited())
     sleeps: list[float] = []
     config = EndpointConfig(
-        base_url="http://127.0.0.1:9/v1", max_retries=2001, backoff_base=0.5, max_backoff=8.0
+        base_url="http://127.0.0.1:9/v1", max_retries=2001
     )
     with pytest.raises(ApiError) as err:
         complete(CompletionRequest(prompt="p"), config, sleeper=sleeps.append)

@@ -88,7 +88,7 @@ def test_juxtaposition_nests_right_term():
 
 
 def test_value_parent_dialect_reads_whole_span():
-    dialect = DialectConfig(name="calendar", value_parents=frozenset({"LIKE"}))
+    dialect = DialectConfig(value_parents=frozenset({"LIKE"}))
     ast = parse_program(
         "CreateEvent (with_attendee (name= LIKE (David Lax)))", dialect
     )

@@ -55,7 +55,7 @@ def test_tokenize_splits_apostrophes():
 
 @pytest.mark.parametrize("query", sorted(HAND_SCORES))
 def test_bm25_matches_hand_computation(query):
-    index = Bm25Index(TOY_DOCS, k1=1.2, b=0.75)
+    index = Bm25Index(TOY_DOCS)
     scores = index.scores(list(query))
     for doc_id, expected in HAND_SCORES[query].items():
         assert scores[doc_id] == pytest.approx(expected, abs=1e-9)
@@ -172,15 +172,13 @@ VOCAB = ["a", "b", "c", "d", "e", ""]
         max_size=12,
     ),
     query=st.lists(st.sampled_from([*VOCAB, "zz-unknown"]), max_size=8),
-    k1_b=st.sampled_from([(1.2, 0.75), (0.9, 0.4), (2.0, 1.0), (1.5, 0.0)]),
 )
-def test_bm25_scores_equal_per_document_formula_on_random_documents(docs, query, k1_b):
-    k1, b = k1_b
-    index = Bm25Index(docs, k1=k1, b=b)
+def test_bm25_scores_equal_per_document_formula_on_random_documents(docs, query):
+    index = Bm25Index(docs)
     scores = index.scores(query)
     assert list(scores) == sorted(docs)
     assert all(type(value) is float for value in scores.values())
-    assert scores == _per_document_scores(docs, query, k1=k1, b=b)
+    assert scores == _per_document_scores(docs, query)
     for term in set(query):
         document_frequency = sum(term in doc for doc in docs.values())
         assert index.idf(term) == lucene_idf(len(docs), document_frequency)
