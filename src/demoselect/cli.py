@@ -1,7 +1,7 @@
 """The command line: flags, files and exit codes around :mod:`.pipeline`.
 
 Stages hand off through JSONL files so that runs around a slow endpoint can
-be inspected and resumed; :mod:`.corpus` reads and writes every JSONL file::
+be inspected and resumed; :mod:`.corpus` reads and writes every JSON(L) file::
 
     demoselect gen-fixture --out-dir work/fixture --split held-out-ls
     demoselect index --corpus work/fixture/train.jsonl --corpus work/fixture/test.jsonl --out work/index.json
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import logging
 import sys
 import traceback
@@ -32,8 +31,9 @@ from .corpus import (
     build_indexes,
     load_examples,
     load_predictions,
+    read_json,
     read_rows,
-    read_text,
+    write_json,
     write_rows,
     write_text,
 )
@@ -88,7 +88,7 @@ def _load_tests(bundle: IndexBundle, test_path: str | None) -> list[Example]:
 
 def _write_eval_outputs(report, records, out, csv=None, per_record=None) -> int:
     """Write the report and the per-record views; return the exit code."""
-    write_text(out, json.dumps(report, sort_keys=True, indent=2), "report file")
+    write_json(out, report, "report file")
     rows = [record.to_dict() for record in records]
     if csv:
         _write_csv(csv, rows)
@@ -135,18 +135,7 @@ def cmd_index(args) -> int:
 def _load_config(args) -> RunConfig:
     """The run configuration: command-line flags over the ``--config`` file,
     whose keys are :class:`RunConfig` fields spelled with ``_`` or ``-``."""
-    config_file = {}
-    if args.config:
-        try:
-            config_file = json.loads(read_text(args.config, "config file"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{args.config}:{exc.lineno}: not valid JSON: {exc.msg}"
-            ) from exc
-        except ValueError as exc:  # such as an integer past the digit limit
-            raise ConfigError(f"{args.config}: not valid JSON: {exc}") from exc
-        if not isinstance(config_file, dict):
-            raise ConfigError(f"{args.config}: not a JSON object")
+    config_file = read_json(args.config, "config file") if args.config else {}
     defaults = {f.name: f.default for f in fields(RunConfig)}
     known = set(defaults) | {name.replace("_", "-") for name in defaults}
     for key in config_file:

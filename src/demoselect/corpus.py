@@ -1,8 +1,9 @@
 """Dataset ingestion, cached structure sets, retrieval indexes, persistence.
 
-Every JSONL file goes through one row layer: :func:`read_rows` and the
-lenient :func:`load_examples` check each row with :func:`check_row`, and
-:func:`write_rows` writes them. Corpora are JSONL files with
+Every JSON value is decoded by :func:`decode_json`. :func:`read_json` and
+:func:`write_json` read and write whole JSON files; :func:`read_rows`, the
+lenient :func:`load_examples` (each row checked by :func:`check_row`) and
+:func:`write_rows` the JSONL files. Corpora are JSONL files with
 ``{"id"?, "utterance", "program", "split"?}`` lines (:data:`CORPUS_ROW`).
 A program is parsed once, when its example is made:
 :func:`~demoselect.structures.analyze` gives its template and local-structure
@@ -150,12 +151,39 @@ def write_file(path: str | Path, write: Callable[[BinaryIO], object], what: str)
 
 
 def write_text(path: str | Path, text: str, what: str) -> None:
-    """Write a UTF-8 file whole, through a temporary file beside it."""
-    data = text.encode("utf-8")
+    """Write ``text`` whole as UTF-8, each lone surrogate as its ``\\udXXX`` escape."""
+    data = text.encode("utf-8", "backslashreplace")
     write_file(path, lambda handle: handle.write(data), what)
 
 
-# --- JSONL rows --------------------------------------------------------------
+# --- JSON values and JSONL rows ----------------------------------------------
+
+
+def decode_json(text: str | bytes) -> object:
+    """The JSON value ``text`` holds, else ValueError ``not valid JSON: …`` caused by the
+    parser's ValueError or RecursionError (RFC 8259 §9 lets a parser limit nesting)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object a UTF-8 file holds, else an IoError naming the file (and line)."""
+    try:
+        value = decode_json(read_text(path, what))
+        check_row(value, {})
+    except ValueError as exc:
+        cause = exc.__cause__
+        line = f":{cause.lineno}" if isinstance(cause, json.JSONDecodeError) else ""
+        raise IoError(f"{path}{line}: {exc}") from exc
+    return value
+
+
+def write_json(path: str | Path, value: object, what: str) -> None:
+    """Write ``value`` whole as key-sorted JSON indented by two spaces."""
+    write_text(path, json.dumps(value, sort_keys=True, indent=2), what)
+
 
 # What a row's value must be: a description and its check.
 STRING = ("a string", lambda value: isinstance(value, str))
@@ -202,13 +230,6 @@ def _json_lines(path: str | Path, what: str) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in lines if line.strip()]
 
 
-def _decoded_row(line: str) -> object:
-    try:
-        return json.loads(line)
-    except ValueError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-
-
 def read_rows(path: str | Path, fields: dict[str, tuple], what: str) -> list[dict]:
     """The rows of a JSONL file: every line JSON, then every row passing
     :func:`check_row` with ``fields``, which hold an ``"id"``, and no two
@@ -216,7 +237,7 @@ def read_rows(path: str | Path, fields: dict[str, tuple], what: str) -> list[dic
     numbered, seen = [], {}
     try:
         for lineno, line in _json_lines(path, what):
-            numbered.append((lineno, _decoded_row(line)))
+            numbered.append((lineno, decode_json(line)))
         for lineno, row in numbered:
             check_row(row, fields)
             _check_new_id(seen, row["id"], lineno)
@@ -415,7 +436,7 @@ def load_examples(
     seen: dict[str, int] = {}
     for lineno, line in lines:
         try:
-            row = _decoded_row(line)
+            row = decode_json(line)
             if isinstance(row, dict):
                 row = {"id": f"ex{lineno:05d}", "split": default_split, **row}
             check_row(row, CORPUS_ROW)
@@ -632,14 +653,6 @@ def _check_version(path: str | Path, header: object) -> None:
         )
 
 
-def _decoded_json(data: bytes) -> object:
-    """The JSON value ``data`` holds, or None."""
-    try:
-        return json.loads(data)
-    except ValueError:
-        return None
-
-
 def _aligned(size: int) -> int:
     """``size`` rounded up to a multiple of :data:`_ALIGN`."""
     return -(-size // _ALIGN) * _ALIGN
@@ -671,7 +684,10 @@ def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     records in its header."""
     try:
         with open(path, "rb") as handle:
-            header = _decoded_json(handle.readline())
+            try:
+                header = decode_json(handle.readline())
+            except ValueError:
+                header = None  # not an index file
             _check_version(path, header)
             start, size = _aligned(handle.tell()), handle.seek(0, os.SEEK_END)
             handle.seek(start)

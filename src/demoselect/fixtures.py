@@ -9,13 +9,12 @@ selection strategies are measured against.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-from .corpus import Corpus, Example, make_example, read_text, write_rows, write_text
+from .corpus import Corpus, Example, make_example, read_json, write_json, write_rows
 from .errors import ConfigError, GenerationError, IoError, ParseError
 from .programs import DEFAULT_DIALECT, parse_program
 from .structures import ls_size
@@ -62,14 +61,10 @@ class GrammarConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "GrammarConfig":
+        data = read_json(path, "grammar file")
         try:
-            data = json.loads(read_text(path, "grammar file"))
-            kwargs = {
-                key: tuple(value) if isinstance(value, list) else value
-                for key, value in data.items()
-            }
-            return cls(**kwargs)
-        except (ValueError, TypeError, AttributeError, ConfigError) as exc:
+            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+        except (TypeError, ConfigError) as exc:
             raise ConfigError(f"{path}: not a grammar object: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -308,7 +303,5 @@ def write_fixture(fixture: FixtureCorpus, out_dir: str | Path) -> dict[str, Path
             for ex in fixture.corpus.split(name)
         ]
         write_rows(paths[name], rows, "fixture file")
-    meta = dict(fixture.meta)
-    meta["planted"] = fixture.planted
-    write_text(paths["meta"], json.dumps(meta, sort_keys=True, indent=2), "fixture file")
+    write_json(paths["meta"], {**fixture.meta, "planted": fixture.planted}, "fixture file")
     return paths

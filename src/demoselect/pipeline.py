@@ -95,7 +95,8 @@ class RunConfig:
 
 
 def _example_seed(seed: int, example_id: str) -> int:
-    return zlib.crc32(f"{seed}:{example_id}".encode("utf-8"))
+    # an id may hold a lone surrogate, which the index keeps the same way
+    return zlib.crc32(f"{seed}:{example_id}".encode("utf-8", "surrogatepass"))
 
 
 def _demo(bundle, demo_id: str):

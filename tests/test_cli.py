@@ -740,6 +740,28 @@ def test_eval_csv_bytes_are_pinned(workspace, tmp_path):
     assert (tmp_path / "none.csv").read_bytes() == CSV_HEADER
 
 
+def test_a_lone_surrogate_id_runs_every_seeded_strategy(workspace, tmp_path):
+    # JSON may spell a lone surrogate, and the index keeps such ids
+    test = tmp_path / "test.jsonl"
+    test.write_text(
+        '{"id": "t\\ud800x", "utterance": "how many dog are there", '
+        '"program": "count (find (dog))"}\n'
+    )
+    inputs = ["--index", str(workspace["index"]), "--test", str(test)]
+    for strategy in ("top-k", "random", "cover-utt", "cover-ls --oracle --order shuffled"):
+        workdir = tmp_path / strategy.split()[0]
+        flags = ["--strategy", *strategy.split(), "--k", "2", "--mock", "--workdir", str(workdir)]
+        assert main(["run", *inputs, *flags]) in (0, 1)
+    files = ["--prompts", str(workdir / "prompts.jsonl")]
+    files += ["--predictions", str(workdir / "predictions.jsonl")]
+    report = ["--out", str(tmp_path / "report.json"), "--csv", str(tmp_path / "records.csv")]
+    assert main(["eval", *inputs, *files, *report]) in (0, 1)
+    # the CSV is UTF-8 and spells the id as records.jsonl does
+    rows = (tmp_path / "records.csv").read_bytes().decode("utf-8").splitlines()
+    assert rows[1].startswith("t\\ud800x,")
+    assert _read_jsonl(workdir / "records.jsonl")[0]["id"] == "t\ud800x"
+
+
 def _nested(depth: int) -> str:
     """A program ``depth`` levels deep by parentheses."""
     return "f (" * (depth - 1) + "a" + ")" * (depth - 1)
@@ -1027,6 +1049,10 @@ def test_malformed_json_input_exits_2(workspace, tmp_path, capsys, command, flag
     assert f"{bad.name}:2" in capsys.readouterr().err
 
 
+# a JSON value nested deeper than the parser's recursion limit
+DEEP_JSON = b"[" * 100_000
+DEEP_JSON_ERROR = "not valid JSON: maximum recursion depth exceeded"
+
 # Malformed rows, beams, config values, unreadable files and unwritable
 # outputs. Each case is (bad file bytes, argv with {bad}, {index}, {empty},
 # {out} and {nodir} placeholders, text stderr must contain); {bad} is not
@@ -1163,6 +1189,31 @@ ROBUSTNESS_CASES = {
         b'{"k": ' + b"9" * 5000 + b"}",
         "--config {bad} select --strategy top-k --index {index} --out {out}",
         "bad.jsonl: not valid JSON: Exceeds the limit (4300 digits)",
+    ),
+    "config-nested-too-deep": (
+        DEEP_JSON,
+        "--config {bad} select --strategy top-k --index {index} --out {out}",
+        f"bad.jsonl: {DEEP_JSON_ERROR}",
+    ),
+    "grammar-nested-too-deep": (
+        b'{"entities": ' + DEEP_JSON,
+        "gen-fixture --out-dir {out} --grammar {bad}",
+        f"bad.jsonl: {DEEP_JSON_ERROR}",
+    ),
+    "corpus-line-nested-too-deep": (
+        b'{"utterance": "a", "program": ' + DEEP_JSON + b"\n",
+        "index --corpus {bad} --out {out}",
+        f"bad.jsonl:1: {DEEP_JSON_ERROR}",
+    ),
+    "beams-nested-too-deep": (
+        b'{"id": "x", "beams": ["f (a)"]}\n{"id": "y", "beams": ' + DEEP_JSON + b"\n",
+        "select --strategy cover-ls --index {index} --predictions {bad} --out {out}",
+        f"bad.jsonl:2: {DEEP_JSON_ERROR}",
+    ),
+    "selection-nested-too-deep": (
+        b'{"id": "test-0000", "items": ' + DEEP_JSON + b"\n",
+        "prompt --index {index} --selections {bad} --out {out}",
+        f"bad.jsonl:1: {DEEP_JSON_ERROR}",
     ),
     "run-budget-below-the-test-block": (
         None,

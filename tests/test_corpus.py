@@ -506,6 +506,12 @@ def _not_json(path):
     path.write_bytes(b"[" + path.read_bytes()[1:])
 
 
+def _too_deep(path):
+    """Replace the header line by one nested past the parser's recursion limit."""
+    data = path.read_bytes()
+    path.write_bytes(b"[" * 100_000 + data[data.index(b"\n"):])
+
+
 def _place(name, change):
     """A case that lists ``change(place)`` as the place of array ``name``."""
 
@@ -638,6 +644,7 @@ BAD_INDEX_CASES = {
         "has no array tfidf_weights",
     ),
     "header-line-not-json": (_not_json, IndexVersionError, "not an index"),
+    "header-line-nested-too-deep": (_too_deep, IndexVersionError, "is not an index file"),
     "version-4-npz": (
         _version_4_npz,
         IndexVersionError,

@@ -141,6 +141,35 @@ def test_module_never_unpickles_or_reads_archives(module):
     assert archive_io((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
+def json_imports(source: str) -> list[str]:
+    """The modules of the ``json`` package that a module's source imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found.append(node.module)
+    return found
+
+
+def test_json_imports_finds_every_spelling():
+    source = (
+        "import os, json\n"
+        "import json.decoder as decoder\n"
+        "from json import loads\n"
+        "from . import corpus\n"
+        "from .jsonl import rows\n"
+    )
+    assert json_imports(source) == ["json", "json.decoder", "json"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_only_corpus_imports_json(module):
+    # one decoder, so a JSON input nested too deep fails the same way wherever it arrives
+    expected = ["json"] if module == "corpus.py" else []
+    assert json_imports((PACKAGE / module).read_text(encoding="utf-8")) == expected
+
+
 ROOT = PACKAGE.parents[1]
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
