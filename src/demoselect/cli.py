@@ -114,10 +114,9 @@ def _write_csv(path: str | Path, rows: list[dict]) -> None:
 
 def cmd_index(args) -> int:
     dialect = DialectConfig(frozenset(s for s in args.value_parents.split(",") if s))
-    examples = []
-    failures = 0
+    examples, loaded, failures = [], {}, 0
     for path in args.corpus:
-        corpus = load_examples(path, dialect)
+        corpus = load_examples(path, dialect, loaded=loaded)
         examples.extend(corpus.examples)
         failures += len(corpus.failures)
     bundle = build_indexes(Corpus(examples=examples, dialect=dialect))
@@ -255,6 +254,8 @@ def cmd_eval(args) -> int:
     predictions = read_rows(args.predictions, PREDICTION_ROW, "stage file")
     with _naming(args.prompts):
         report, records = stage_eval(bundle, targets, prompts, predictions, cfg)
+    if not records:
+        raise ConfigError(f"{args.predictions}: no prediction of a test example to score")
     code = _write_eval_outputs(report, records, args.out, args.csv, args.per_record)
     accuracy = report.get("accuracy", 0.0)
     print(f"evaluated {report.get('count', 0)} predictions, accuracy {accuracy:.3f}")

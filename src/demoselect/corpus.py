@@ -35,7 +35,9 @@ A bundle, built or loaded, serves its retrieval state from the arrays: the
 pool's template codes and the statistics read the code arrays, the utterance
 BM25 and the tf-idf rows (``dpp`` only) are views of the arrays, and the
 structure postings (``cover-ls``), the symbol BM25 and the training structure
-union derive from the pool's structure columns on first use. The token
+union derive on first use from one grouping of the pool's ``ls`` entries by
+structure: each structure's document frequency, and the entries sorted by
+structure, which only the postings and the symbol BM25 read. The token
 postings are the BM25 impact rows. A loaded example is built when a command
 first reads it, with its texts decoded and its structure-count dict decoded
 from its slice of the ``ls`` arrays; its utterance tokens wait until they are
@@ -57,7 +59,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, compress
 from operator import attrgetter, lt
 from pathlib import Path
 from typing import BinaryIO, Callable
@@ -70,7 +72,6 @@ from .retrieval import (
     Bm25Index,
     RowPostings,
     SparseRows,
-    column_postings,
     ls_tfidf_arrays,
     tokenize_utterance,
 )
@@ -420,6 +421,7 @@ def load_examples(
     path: str | Path,
     dialect: DialectConfig = DEFAULT_DIALECT,
     default_split: str = "train",
+    loaded: dict[str, str] | None = None,
 ) -> Corpus:
     """Load and preprocess a JSONL corpus.
 
@@ -429,6 +431,8 @@ def load_examples(
     earlier line's id, or holding a program that does not parse) are
     collected, not fatal; more than 10% bad lines raises
     :class:`CorpusError` naming the file and the first bad line.
+    ``loaded`` maps ids loaded from other files to their ``file:line``: a
+    repeat of one raises :class:`CorpusError` naming both; new ids join it.
     """
     lines = _json_lines(path, "corpus file")
     examples: list[Example] = []
@@ -447,6 +451,13 @@ def load_examples(
         except (ValueError, ParseError) as exc:
             failures.append({"line": lineno, "error": str(exc)})
             continue
+        if loaded is not None:
+            if example.id in loaded:
+                raise CorpusError(
+                    f"example id {example.id!r} occurs twice in the indexed corpus: "
+                    f"at {loaded[example.id]} and at {path}:{lineno}"
+                )
+            loaded[example.id] = f"{path}:{lineno}"
         examples.append(example)
     if not lines:
         logger.warning("corpus file %s is empty", path)
@@ -532,18 +543,29 @@ class IndexBundle:
             *(arrays[name] for name in ("bm25_offsets", "bm25_rows", "bm25_contrib")),
         )
 
-    def _pool_entries(self, *names: str) -> tuple[np.ndarray, ...]:
-        """The ``ls`` entries of the pool, the first ones of the arrays: for
-        each, its pool row and its value in each array ``ls_<name>``."""
+    @cached_property
+    def _ls_df(self) -> np.ndarray:
+        """How many pool examples hold each structure: its group's size."""
+        end = self.arrays["ls_offsets"][len(self.pool)]
+        return np.bincount(self.arrays["ls_columns"][:end], minlength=len(self.vocab))
+
+    @cached_property
+    def _ls_grouped(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pool's ``ls`` entries (the first ones) grouped by structure,
+        as postings by term: their indexes and pool rows, by column, then row,
+        from one stable counting sort (a radix sort on 16-bit keys if they fit)."""
         offsets = self.arrays["ls_offsets"][: len(self.pool) + 1]
-        owner = np.repeat(np.arange(len(self.pool)), np.diff(offsets))
-        return (owner, *(self.arrays[f"ls_{name}"][: len(owner)] for name in names))
+        columns = self.arrays["ls_columns"][: offsets[-1]]
+        keys = columns.astype(np.uint16) if len(self.vocab) <= 1 << 16 else columns
+        order = np.argsort(keys, kind="stable")
+        return order, np.repeat(np.arange(len(self.pool)), np.diff(offsets))[order]
 
     @cached_property
     def ls_postings(self) -> RowPostings:
         """The pool rows holding each structure, ascending."""
-        owner, columns = self._pool_entries("columns")
-        return column_postings(self.pool.ids, owner, columns, self.vocab)
+        rows, df = self._ls_grouped[1], self._ls_df.tolist()
+        groups = zip(self.vocab, accumulate(df), df)
+        return RowPostings(self.pool.ids, {name: rows[end - n:end] for name, end, n in groups if n})
 
     @cached_property
     def token_postings(self) -> RowPostings:
@@ -554,18 +576,16 @@ class IndexBundle:
     @cached_property
     def bm25_symbols(self) -> Bm25Index:
         """BM25 over the pool's symbols, each as often as the example holds it."""
-        owner, columns, counts = self._pool_entries("columns", "counts")
+        (order, rows), df = self._ls_grouped, self._ls_df
         symbol = np.fromiter(map(is_symbol, self.vocab), bool, len(self.vocab))
-        keep = symbol[columns]
-        owner, columns, counts = owner[keep], columns[keep], counts[keep]
-        present, term_of = np.unique(columns, return_inverse=True)
-        order = np.argsort(term_of, kind="stable")  # by term, rows stay ascending
+        present = np.flatnonzero(symbol & (df > 0))
+        keep = np.repeat(symbol, df)  # the symbols' groups
         return Bm25Index.from_postings(
             self.pool.ids,
             [self.vocab[c] for c in present.tolist()],
-            term_of[order],
-            owner[order],
-            counts[order],
+            np.repeat(np.arange(len(present)), df[present]),
+            rows[keep],
+            self.arrays["ls_counts"][order[keep]],
         )
 
     @cached_property
@@ -576,15 +596,9 @@ class IndexBundle:
             self.pool.ids, arrays["ls_offsets"][:end], arrays["ls_columns"], arrays["tfidf_weights"]
         )
 
-    @cached_property
-    def _pool_structures(self) -> list[str]:
-        """The structures held by some pool example, sorted."""
-        end = self.arrays["ls_offsets"][len(self.pool)]
-        present = np.bincount(self.arrays["ls_columns"][:end], minlength=len(self.vocab))
-        return [self.vocab[c] for c in np.flatnonzero(present).tolist()]
-
     def training_ls_union(self) -> set[str]:
-        return set(self._pool_structures)
+        """The structures held by some pool example."""
+        return set(compress(self.vocab, self._ls_df.tolist()))
 
     def stats(self) -> dict:
         return {
@@ -592,7 +606,7 @@ class IndexBundle:
             "train": len(self.pool),
             "test": len(self.corpus) - len(self.pool),  # every record is train or test
             "unique_templates": len(np.unique(self.pool.template_codes)),
-            "unique_ls": len(self._pool_structures),
+            "unique_ls": int(np.count_nonzero(self._ls_df)),
         }
 
     def save(self, path: str | Path) -> None:

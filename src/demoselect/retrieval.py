@@ -110,22 +110,6 @@ class RowPostings(dict):
         self.ids = ids
 
 
-def column_postings(
-    ids: list[str], rows: np.ndarray, columns: np.ndarray, names: list[str]
-) -> RowPostings:
-    """Posting lists of the entries ``(rows[e], columns[e])``, which come in
-    ascending row order: the name of each column present, with the rows of
-    its entries. One stable counting sort by column (a radix sort while the
-    columns fit in 16 bits) orders them."""
-    keys = columns.astype(np.uint16) if len(names) <= 1 << 16 else columns
-    holders = rows[np.argsort(keys, kind="stable")]
-    sizes = np.bincount(columns, minlength=len(names)).tolist()
-    bounds = np.cumsum([0, *sizes]).tolist()
-    return RowPostings(
-        ids, {names[c]: holders[bounds[c]:bounds[c + 1]] for c, n in enumerate(sizes) if n}
-    )
-
-
 class SparseRows(Mapping):
     """Sparse rows of sorted ids, stored back to back (see
     :func:`row_slices`): the row of ``ids[r]`` is the slice

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,22 @@ def test_index_tolerates_corrupt_line(workspace, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 0
     assert "1 corpus lines skipped" in captured.out
+
+
+def test_index_names_both_lines_of_an_id_repeated_across_corpora(tmp_path, capsys):
+    # each file's id-less second line gets the id ex00002
+    first, second = tmp_path / "n1.jsonl", tmp_path / "n2.jsonl"
+    first.write_text('\n{"utterance": "u", "program": "f (a)"}\n')
+    second.write_text(
+        '{"id": "y", "utterance": "v", "program": "f (b)"}\n{"utterance": "w", "program": "g"}\n'
+    )
+    out = tmp_path / "i.json"
+    assert main(["index", "--corpus", str(first), "--corpus", str(second), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: example id 'ex00002' occurs twice in the indexed corpus: "
+        f"at {first}:2 and at {second}:2\n"
+    )
+    assert not out.exists()
 
 
 def test_select_top_k_emits_k_ids(workspace, tmp_path):
@@ -547,11 +564,11 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
     # a loaded index serves its tf-idf rows as stored: none is computed
     monkeypatch.setattr("demoselect.corpus.ls_tfidf_arrays", forbidden)
     monkeypatch.setattr("demoselect.corpus.Example.symbol_seq", property(forbidden))
-    # the posting lists of pool rows, built from the structure columns
-    monkeypatch.setattr(
-        "demoselect.corpus.column_postings",
-        counted("ls_postings", demoselect.corpus.column_postings),
-    )
+    # the grouping of the pool's structure entries, and the views built from it
+    for name, attribute in (("ls_grouping", "_ls_grouped"), ("ls_postings", "ls_postings")):
+        view = cached_property(counted(name, getattr(IndexBundle, attribute).func))
+        view.__set_name__(IndexBundle, attribute)
+        monkeypatch.setattr(IndexBundle, attribute, view)
     monkeypatch.setattr(
         Bm25Index, "from_postings", counted("bm25_symbols", Bm25Index.from_postings)
     )
@@ -580,11 +597,13 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
     assert built == {
         "top-k": {"bm25_scores": 10},
         "random": {},
-        "cover-ls --oracle": {"bm25_scores": 10, "ls_postings": 1},
+        "cover-ls --oracle": {"bm25_scores": 10, "ls_grouping": 1, "ls_postings": 1},
         "cover-utt": {"bm25_scores": 10},
-        "cover-ls --train-mode": {"ls_postings": 1},
+        "cover-ls --train-mode": {"ls_grouping": 1, "ls_postings": 1},
         "dpp": {"bm25_scores": 10},
-        "top-k --retriever bm25-symbols --oracle": {"bm25_symbols": 1, "bm25_scores": 10},
+        "top-k --retriever bm25-symbols --oracle": {
+            "ls_grouping": 1, "bm25_symbols": 1, "bm25_scores": 10
+        },
     }
     assert tfidf_rows == [60]  # dpp's rows, one per pool example
 
@@ -727,17 +746,32 @@ def test_eval_csv_bytes_are_pinned(workspace, tmp_path):
     argv = ["--index", str(workspace["index"]), "--strategy", "cover-ls"]
     run = ["run", *argv, "--oracle", "--k", "3", "--mock", "--workdir", str(workdir)]
     assert main(run) == 1
-    stage_files = [workdir / "prompts.jsonl", workdir / "predictions.jsonl"]
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    for name, (prompts, predictions) in (("all", stage_files), ("none", [empty, empty])):
-        files = ["--prompts", str(prompts), "--predictions", str(predictions)]
-        report = ["--out", str(tmp_path / f"{name}.json"), "--csv", str(tmp_path / f"{name}.csv")]
-        assert main(["eval", *argv, *files, *report]) == 1
+    files = ["--prompts", str(workdir / "prompts.jsonl")]
+    files += ["--predictions", str(workdir / "predictions.jsonl")]
+    report = ["--out", str(tmp_path / "all.json"), "--csv", str(tmp_path / "all.csv")]
+    assert main(["eval", *argv, *files, *report]) == 1
     assert _sha256(tmp_path / "all.csv") == CSV_DIGEST
     assert (tmp_path / "all.csv").read_bytes().startswith(CSV_HEADER)
-    # an eval with no records writes the header line alone
-    assert (tmp_path / "none.csv").read_bytes() == CSV_HEADER
+
+
+@pytest.mark.parametrize(
+    "predictions",
+    ["", '{"id": "no-such-test", "prediction": "f (a)"}\n'],
+    ids=["empty", "no-test-id"],
+)
+def test_eval_that_scores_no_prediction_exits_2_writing_nothing(
+    workspace, tmp_path, capsys, predictions
+):
+    # a report of no record would read accuracy 0 and exit 1, "wrong predictions"
+    empty, bad = tmp_path / "empty.jsonl", tmp_path / "bad.jsonl"
+    empty.write_text("")
+    bad.write_text(predictions)
+    outputs = {flag: tmp_path / f"out{flag}" for flag in ("--out", "--csv", "--per-record")}
+    argv = ["eval", "--index", str(workspace["index"]), "--prompts", str(empty)]
+    argv += ["--predictions", str(bad), *(str(a) for pair in outputs.items() for a in pair)]
+    assert main(argv) == 2
+    assert f"error: {bad}: no prediction of a test example to score" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs.values())
 
 
 def test_a_lone_surrogate_id_runs_every_seeded_strategy(workspace, tmp_path):
@@ -1361,8 +1395,9 @@ ROBUSTNESS_CASES = {
         "no-such-dir/sel.jsonl",
     ),
     "eval-out-unwritable": (
-        None,
-        "eval --index {index} --prompts {empty} --predictions {empty} --out {nodir}/r.json",
+        # one file holds the prompt row and the prediction row of a test example
+        b'{"id": "test-0000", "demo_ids": [], "prediction": "f (a)"}\n',
+        "eval --index {index} --prompts {bad} --predictions {bad} --out {nodir}/r.json",
         "no-such-dir/r.json",
     ),
     "corpus-row-not-an-object": (
@@ -1404,6 +1439,11 @@ ROBUSTNESS_CASES = {
         b'{"utterance": "u", "program": "f (a)"}\n',
         "index --corpus {bad} --corpus {bad} --out {out}",
         "example id 'ex00001' occurs twice in the indexed corpus",
+    ),
+    "index-ids-repeated-across-corpora-lines": (
+        b'\n{"id": "x", "utterance": "u", "program": "f (a)"}\n',
+        "index --corpus {empty} --corpus {bad} --corpus {bad} --out {out}",
+        "bad.jsonl:2 and at ",
     ),
     "run-temperature-nan": (
         None,

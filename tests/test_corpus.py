@@ -956,6 +956,19 @@ def test_index_edge_cases_round_trip(tmp_path, corpus):
     assert loaded.stats()["train"] == len(built.pool)
 
 
+def test_a_vocabulary_wider_than_16_bits_groups_its_structures():
+    # past 1 << 16 structures the counting sort's keys do not fit in 16 bits;
+    # each program holds 300 arguments of its own and "zz", which every
+    # program holds and which sorts after them
+    def program(j):
+        return f"f ({', '.join(f'x{j}_{i}' for i in range(300))}, zz)"
+
+    bundle = build_indexes(Corpus([make_example(f"p{j:02d}", "u", program(j)) for j in range(40)]))
+    assert len(bundle.vocab) > 1 << 16 and bundle.vocab.index("zz") >= 1 << 16
+    assert len(bundle.ls_postings["zz"]) == 40
+    _assert_index_matches_its_maps(bundle)
+
+
 def test_index_load_builds_no_structure_dict(tmp_path, monkeypatch):
     path = tmp_path / "index.json"
     build_indexes(_geo_corpus(tmp_path)).save(path)
