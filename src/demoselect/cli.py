@@ -377,11 +377,11 @@ def _add_infer_args(parser):
     parser.add_argument("--mock-threshold", type=int)
     parser.add_argument("--base-url")
     parser.add_argument("--model")
-    parser.add_argument("--max-tokens", type=int, default=256)
-    parser.add_argument("--temperature", type=float, default=0.0)
+    parser.add_argument("--max-tokens", type=int, default=CompletionRequest.max_tokens)
+    parser.add_argument("--temperature", type=float, default=CompletionRequest.temperature)
     parser.add_argument("--stop", action="append")
-    parser.add_argument("--max-retries", type=int, default=5)
-    parser.add_argument("--timeout", type=float, default=30.0)
+    parser.add_argument("--max-retries", type=int, default=EndpointConfig.max_retries)
+    parser.add_argument("--timeout", type=float, default=EndpointConfig.timeout)
     parser.add_argument("--jobs", type=int)
 
 

@@ -18,29 +18,29 @@ and kept from then on. The pool's ids, ``Corpus.by_id`` (an id → row map) and
 
 :func:`build_indexes` orders the corpus pool first, its training examples in
 id order, so that example ``r`` of the pool is pool row ``r`` (see
-:class:`~demoselect.selection.Pool`) in every array. It computes, once, the
-arrays of :data:`ARRAY_DTYPES`: the record columns (each text column as UTF-8
-bytes plus offsets, the templates and splits as codes), every example's
-structure counts as CSR rows over the sorted structure vocabulary, and the
-pool's utterance BM25 impacts and tf-idf weights, one per ``ls`` entry of the
-pool's rows, whose offsets and columns the tf-idf rows share. An index file
-stores these arrays after a short JSON header line. Loading reads the file's
-data with one read into one aligned buffer, takes each array as a view of it
-and checks it against its CRC-32. It decodes the example ids and no other
-text, parses no program, tokenizes no utterance, decodes no structure-count
-map and builds no example: a loaded corpus's other columns decode a row's text
-when it is read.
+:class:`~demoselect.selection.Pool`) in every array; the header count
+``pool`` ends it. It computes, once, the arrays of :data:`ARRAY_DTYPES`: the
+record columns (each text column as UTF-8 bytes plus offsets, the templates as
+codes), every example's structure counts as CSR rows over the sorted structure
+vocabulary, and the pool's utterance BM25 impacts and tf-idf weights, one per
+``ls`` entry of the pool's rows, whose offsets and columns the tf-idf rows
+share. An index file stores these arrays after a short JSON header line.
+Loading reads the file's data with one read into one aligned buffer, takes
+each array as a view of it and checks it against its CRC-32. It decodes the
+example ids and no other text, parses no program, tokenizes no utterance,
+decodes no structure-count map and builds no example.
 
-A bundle, built or loaded, serves its retrieval state from the arrays: the
+Both end in the one :class:`IndexBundle` constructor, so a built and a loaded
+bundle serve the same state by construction, all of it from the arrays: the
 pool's template codes and the statistics read the code arrays, the utterance
 BM25 and the tf-idf rows (``dpp`` only) are views of the arrays, and the
 structure postings (``cover-ls``), the symbol BM25 and the training structure
 union derive on first use from one grouping of the pool's ``ls`` entries by
 structure: each structure's document frequency, and the entries sorted by
 structure, which only the postings and the symbol BM25 read. The token
-postings are the BM25 impact rows. A loaded example is built when a command
-first reads it, with its texts decoded and its structure-count dict decoded
-from its slice of the ``ls`` arrays; its utterance tokens wait until they are
+postings are the BM25 impact rows. An example is built when a command first
+reads it, with its texts decoded and its structure-count dict decoded from
+its slice of the ``ls`` arrays; its utterance tokens wait until they are
 first read, so a command pays only for the examples it reads. The pipeline's
 mock model, training mode and evaluation read the stored structure counts,
 and evaluation's error labels (:func:`~demoselect.evaluation.evaluate_example`)
@@ -57,7 +57,7 @@ import os
 import zlib
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress
 from operator import attrgetter, lt
@@ -82,20 +82,20 @@ logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "test")
 INDEX_MAGIC = "demoselect-index"
-INDEX_VERSION = 8
+INDEX_VERSION = 9
 RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
-# An index file lists its examples pool first: the training examples in id
-# order, then the others in the order they were indexed. Record r and every
-# group's row r then all mean pool row r. The arrays, each 1-D and of its
-# dtype here, little-endian on any machine (a file stores no dtype or shape),
-# in groups of rows stored back to back (see retrieval.row_slices), each group
-# with its offsets:
+# An index file lists its examples pool first: its header count "pool" of
+# training examples in id order, then the test examples in the order they were
+# indexed. Record r and every group's row r then all mean pool row r. Built or
+# read, the arrays go to the one IndexBundle constructor. Each is 1-D and of its
+# dtype here, little-endian on any machine (a file stores no dtype or shape);
+# they form groups of rows stored back to back (see retrieval.row_slices), each
+# group with its offsets:
 # - id, utterance, program: one UTF-8 text per record, its bytes in
 #   <name>_bytes (Apache Arrow's string layout); a lone surrogate, which JSON
 #   can hold, is stored as its three bytes (see _UTF8_ERRORS);
 # - template: the distinct templates, one UTF-8 text each, in the order the
 #   records first hold them; template_codes gives each record's row of them;
-# - split_codes: each record's split, its index in SPLITS;
 # - ls: every example's structure counts, by record; the columns index the
 #   sorted structure vocabulary;
 # - bm25: the pool's utterance BM25 postings, term by term (see Bm25Index);
@@ -112,7 +112,6 @@ ARRAY_DTYPES = {
     "template_offsets": np.dtype("<i8"),
     "template_bytes": np.dtype("u1"),
     "template_codes": np.dtype("<i4"),
-    "split_codes": np.dtype("u1"),
     "ls_offsets": np.dtype("<i8"),
     "ls_columns": np.dtype("<i4"),
     "ls_counts": np.dtype("<i4"),
@@ -121,7 +120,6 @@ ARRAY_DTYPES = {
     "bm25_contrib": np.dtype("<f8"),
     "tfidf_weights": np.dtype("<f8"),
 }
-_TRAIN = SPLITS.index("train")  # the split code of a training record
 # encode and decode a text column's lone surrogates (JSON's "\ud800") as
 # three bytes each, so that every corpus string round-trips through an index
 _UTF8_ERRORS = "surrogatepass"
@@ -160,11 +158,19 @@ def write_text(path: str | Path, text: str, what: str) -> None:
 # --- JSON values and JSONL rows ----------------------------------------------
 
 
+def _no_number(name: str) -> None:  # NaN, Infinity or -Infinity
+    raise ValueError(f"{name} is not a JSON number (RFC 8259 §6)")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_no_number)  # the one JSON decoder
+
+
 def decode_json(text: str | bytes) -> object:
-    """The JSON value ``text`` holds, else ValueError ``not valid JSON: …`` caused by the
-    parser's ValueError or RecursionError (RFC 8259 §9 lets a parser limit nesting)."""
+    """The JSON value ``text`` (bytes as UTF-8) holds, else ValueError ``not valid JSON: …``
+    caused by the parser's ValueError or RecursionError (RFC 8259 §9 lets a parser limit
+    nesting); NaN, Infinity and -Infinity are not JSON."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text if isinstance(text, str) else str(text, "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
 
@@ -292,12 +298,13 @@ def make_example(
 
 
 class _TextColumn(Sequence):
-    """UTF-8 texts stored back to back: text ``r`` is the bytes
-    ``data[offsets[r]:offsets[r + 1]]``, decoded each time it is read."""
+    """The text column ``name`` of an index's ``arrays``: UTF-8 texts stored
+    back to back, text ``r`` the bytes ``data[offsets[r]:offsets[r + 1]]`` of
+    ``<name>_bytes`` and ``<name>_offsets``, decoded each time it is read."""
 
-    def __init__(self, data: np.ndarray, offsets: np.ndarray):
-        self._data = memoryview(data)
-        self._offsets = offsets
+    def __init__(self, arrays: dict[str, np.ndarray], name: str):
+        self._data = memoryview(arrays[f"{name}_bytes"])
+        self._offsets = arrays[f"{name}_offsets"]
 
     def __getitem__(self, r) -> str:
         r = range(len(self))[r]
@@ -317,9 +324,6 @@ class _CodedColumn(Sequence):
     def __getitem__(self, r) -> str:
         return self._names[self._codes[r]]
 
-    def __iter__(self):
-        return map(self._names.__getitem__, self._codes.tolist())
-
     def __len__(self) -> int:
         return len(self._codes)
 
@@ -329,7 +333,7 @@ class ExampleTable(Sequence):
     (``records[name][r]`` is field ``name`` of example ``r``), and the
     examples, each built the first time it is read and kept, so that every
     read of row ``r`` returns the same object. :meth:`of` makes the table of
-    examples already built; a loaded index's table builds example ``r`` from
+    examples already built; an index's table builds example ``r`` from
     its records, which decode a row's texts when it is read, and
     ``structures(r)``, its structure counts."""
 
@@ -510,33 +514,47 @@ def load_predictions(
 
 
 class IndexBundle:
-    """All retrieval state for a corpus, served from the arrays of
-    :data:`ARRAY_DTYPES` that :func:`build_indexes` computes or
-    :meth:`load` reads: a built and a loaded bundle of one corpus hold the
-    same arrays and serve the same state.
+    """All retrieval state for a corpus, its examples included, served from
+    what an index file holds: the dialect, the sorted structure ``vocab``, the
+    utterance BM25's terms, the count ``pool``, the arrays of
+    :data:`ARRAY_DTYPES` and the example ids they hold. :func:`build_indexes`
+    and :meth:`load` both end in this one constructor, so a built and a loaded
+    bundle of one corpus serve the same state by construction.
 
     Only the training split is indexed as the selection pool, a
-    :class:`~demoselect.selection.Pool` in id order: the corpus's first
-    examples, as :func:`build_indexes` orders them. Queries come from test
-    utterances or predicted symbols. Scores, posting lists and tf-idf rows
-    are aligned with the pool's rows. ``vocab`` is the sorted structure
-    vocabulary and ``bm25_terms`` the utterance BM25's terms.
+    :class:`~demoselect.selection.Pool` in id order: the first ``pool``
+    records; the rest are test examples. Queries come from test utterances or
+    predicted symbols. Scores, posting lists and tf-idf rows are aligned with
+    the pool's rows.
     """
 
     def __init__(
         self,
-        corpus: Corpus,
+        dialect: DialectConfig,
         vocab: list[str],
         bm25_terms: list[str],
+        pool: int,
         arrays: dict[str, np.ndarray],
+        ids: list[str],
     ):
-        self.corpus = corpus
         self.vocab = vocab
         self.arrays = arrays
-        # the pool: the first examples, the training ones in id order
-        size = int(np.count_nonzero(arrays["split_codes"] == _TRAIN))
-        ids = corpus.examples.records["id"][:size]
-        self.pool = Pool(ids, corpus.examples, arrays["template_codes"][:size])
+        offsets, columns, counts = arrays["ls_offsets"], arrays["ls_columns"], arrays["ls_counts"]
+
+        def structures(r: int) -> dict[str, int]:
+            start, end = int(offsets[r]), int(offsets[r + 1])
+            names = map(vocab.__getitem__, columns[start:end].tolist())
+            return dict(zip(names, counts[start:end].tolist()))
+
+        records = {
+            "id": ids,
+            "utterance": _TextColumn(arrays, "utterance"),
+            "program": _TextColumn(arrays, "program"),
+            "template": _CodedColumn(_TextColumn(arrays, "template"), arrays["template_codes"]),
+            "split": ["train"] * pool + ["test"] * (len(ids) - pool),
+        }
+        self.corpus = Corpus(examples=ExampleTable(records, structures), dialect=dialect)
+        self.pool = Pool(ids[:pool], self.corpus.examples, arrays["template_codes"][:pool])
         self.bm25_utterance = Bm25Index.from_arrays(
             self.pool.ids,
             bm25_terms,
@@ -618,6 +636,7 @@ class IndexBundle:
             "dialect": self.corpus.dialect.to_dict(),
             "vocab": self.vocab,
             "bm25_terms": self.bm25_utterance.terms,
+            "pool": len(self.pool),
         }
         write_file(path, lambda handle: _write_index(handle, header, self.arrays), "index file")
 
@@ -630,31 +649,12 @@ class IndexBundle:
         its texts decoded, when it is first read."""
         header, arrays = _read_index(path)
         try:
-            vocab, terms = header["vocab"], header["bm25_terms"]
+            vocab, terms, pool = header["vocab"], header["bm25_terms"], header["pool"]
             dialect = DialectConfig.from_dict(header["dialect"])
         except (KeyError, TypeError, AttributeError) as exc:
             raise IoError(f"index file {path} has a malformed header: {exc!r}") from exc
-        ids = _check_layout(path, vocab, terms, arrays)
-        offsets = arrays["ls_offsets"]
-        columns, counts = arrays["ls_columns"], arrays["ls_counts"]
-
-        def structures(r: int) -> dict[str, int]:
-            start, end = int(offsets[r]), int(offsets[r + 1])
-            names = map(vocab.__getitem__, columns[start:end].tolist())
-            return dict(zip(names, counts[start:end].tolist()))
-
-        def texts(name: str) -> _TextColumn:
-            return _TextColumn(arrays[f"{name}_bytes"], arrays[f"{name}_offsets"])
-
-        records = {
-            "id": ids,
-            "utterance": texts("utterance"),
-            "program": texts("program"),
-            "template": _CodedColumn(texts("template"), arrays["template_codes"]),
-            "split": _CodedColumn(SPLITS, arrays["split_codes"]),
-        }
-        examples = ExampleTable(records, structures)
-        return cls(Corpus(examples=examples, dialect=dialect), vocab, terms, arrays)
+        ids = _check_layout(path, vocab, terms, pool, arrays)
+        return cls(dialect, vocab, terms, pool, arrays, ids)
 
 
 def _check_version(path: str | Path, header: object) -> None:
@@ -770,7 +770,7 @@ def _is_text(data: np.ndarray, offsets: np.ndarray) -> bool:
     return not np.any(data[starts[starts < len(data)]] >> 6 == 2)
 
 
-def _check_layout(path, vocab, terms, arrays) -> list[str]:
+def _check_layout(path, vocab, terms, pool, arrays) -> list[str]:
     """Raise IoError unless a loaded header and its arrays fit together;
     return the example ids."""
     if not all(isinstance(s, list) and set(map(type, s)) <= {str} for s in (vocab, terms)):
@@ -784,18 +784,16 @@ def _check_layout(path, vocab, terms, arrays) -> list[str]:
             raise IoError(f"index file {path}: the {name} arrays do not fit {n_rows} texts")
         if not _is_text(data, offsets):
             raise IoError(f"index file {path} has a malformed {name} column: not UTF-8 texts")
-    for name, size in (("template_codes", n_templates), ("split_codes", len(SPLITS))):
-        if not (len(arrays[name]) == n_records and _indexes(arrays[name], size)):
-            raise IoError(f"index file {path}: {name} does not hold {n_records} codes below {size}")
+    codes, held = arrays["template_codes"], f"{n_records} codes below {n_templates}"
+    if not (len(codes) == n_records and _indexes(codes, n_templates)):
+        raise IoError(f"index file {path}: template_codes does not hold {held}")
+    if not (type(pool) is int and 0 <= pool <= n_records):
+        raise IoError(f"index file {path}: pool {pool!r} is not an integer from 0 to {n_records}")
     raw, cuts = arrays["id_bytes"].tobytes(), arrays["id_offsets"].tolist()
     ids = [raw[s:e].decode("utf-8", _UTF8_ERRORS) for s, e in zip(cuts, cuts[1:])]
-    splits = arrays["split_codes"]
-    pool_size = int(np.count_nonzero(splits == _TRAIN))
-    pool_ids = ids[:pool_size]
     for bad, what in (
         (len(set(ids)) != len(ids), "holds an example id twice"),
-        (np.any(splits[:pool_size] != _TRAIN), "does not list its training examples first"),
-        (not _ascending(pool_ids), "does not list its training examples in id order"),
+        (not _ascending(ids[:pool]), "does not list its training examples in id order"),
         (not _ascending(vocab), "has a structure vocabulary out of order"),
         (len(set(terms)) != len(terms), "lists a BM25 term twice"),
     ):
@@ -804,7 +802,7 @@ def _check_layout(path, vocab, terms, arrays) -> list[str]:
     layout = (
         # group, its index and value arrays, its rows, the size its indexes address
         ("ls", "columns", "counts", n_records, len(vocab)),
-        ("bm25", "rows", "contrib", len(terms), pool_size),
+        ("bm25", "rows", "contrib", len(terms), pool),
     )
     for group, index, value, n_rows, size in layout:
         index, value = arrays[f"{group}_{index}"], arrays[f"{group}_{value}"]
@@ -813,7 +811,7 @@ def _check_layout(path, vocab, terms, arrays) -> list[str]:
                 f"index file {path}: the {group} arrays do not fit "
                 f"{n_rows} rows over {size} columns"
             )
-    if len(arrays["tfidf_weights"]) != arrays["ls_offsets"][pool_size]:  # ls fits, checked above
+    if len(arrays["tfidf_weights"]) != arrays["ls_offsets"][pool]:  # ls fits, checked above
         raise IoError(f"index file {path}: tfidf_weights does not hold a weight per pool ls entry")
     return ids
 
@@ -839,8 +837,8 @@ def build_indexes(corpus: Corpus) -> IndexBundle:
     if other:
         raise CorpusError(f"split {other[0]!r} is not one of {', '.join(SPLITS)}")
     pool = sorted((ex for ex in corpus.examples if ex.split == "train"), key=attrgetter("id"))
-    corpus = replace(corpus, examples=pool + [ex for ex in corpus.examples if ex.split != "train"])
-    records = corpus.examples.records
+    examples = pool + [ex for ex in corpus.examples if ex.split != "train"]
+    records = ExampleTable.of(examples).records
     # the distinct templates, in the order the records first hold them
     template_code = {t: j for j, t in enumerate(dict.fromkeys(records["template"]))}
     texts = {
@@ -849,10 +847,10 @@ def build_indexes(corpus: Corpus) -> IndexBundle:
         **_text_arrays("program", records["program"]),
         **_text_arrays("template", template_code),
     }
-    maps = [ex.ls_counts for ex in corpus.examples]
+    maps = [ex.ls_counts for ex in examples]
     counts = np.fromiter(chain.from_iterable(m.values() for m in maps), np.int32)
     if np.any(counts < 1):  # its tf-idf row would hold fewer weights than entries
-        ex, name = next((ex, c) for ex in corpus.examples for c, n in ex.ls_counts.items() if n < 1)
+        ex, name = next((ex, c) for ex in examples for c, n in ex.ls_counts.items() if n < 1)
         count = ex.ls_counts[name]
         raise CorpusError(f"example {ex.id!r} counts structure {name!r} {count!r} times, not >= 1")
     vocab = sorted(set().union(*maps))
@@ -861,7 +859,6 @@ def build_indexes(corpus: Corpus) -> IndexBundle:
     arrays = {
         **texts,
         "template_codes": np.fromiter(map(template_code.__getitem__, records["template"]), np.int32),
-        "split_codes": np.fromiter(map(SPLITS.index, records["split"]), np.uint8),
         "ls_offsets": np.cumsum([0, *map(len, maps)]),
         "ls_columns": np.fromiter(map(column.__getitem__, chain.from_iterable(maps)), np.int32),
         "ls_counts": counts,
@@ -871,4 +868,4 @@ def build_indexes(corpus: Corpus) -> IndexBundle:
         "tfidf_weights": ls_tfidf_arrays({ex.id: ex.ls_counts for ex in pool})[2],
     }
     arrays = {name: np.ascontiguousarray(a, ARRAY_DTYPES[name]) for name, a in arrays.items()}
-    return IndexBundle(corpus, vocab, bm25.terms, arrays)
+    return IndexBundle(corpus.dialect, vocab, bm25.terms, len(pool), arrays, records["id"])

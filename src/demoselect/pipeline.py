@@ -26,6 +26,7 @@ from .gateway import MockOracleConfig, complete, mock_from_structures
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
 from .retrieval import RETRIEVER_VARIANTS, random_scores
 from .selection import (
+    CANDIDATE_POOL_SIZE,
     cover_ls,
     cover_utt,
     dpp_select,
@@ -50,7 +51,7 @@ class RunConfig:
     beam_limit: int | None = None
     max_ls_size: int | None = None
     seed: int = 0
-    candidate_pool_size: int = 200
+    candidate_pool_size: int = CANDIDATE_POOL_SIZE
     oracle: bool = False
     train_mode: bool = False
     fallback: str = "cover-utt"
@@ -58,7 +59,7 @@ class RunConfig:
     programs_only: bool = False
     budget: int | None = None
     mock: bool = False
-    mock_threshold: int = 2
+    mock_threshold: int = MockOracleConfig.compose_threshold_size
     jobs: int = 1
 
     def __post_init__(self):
@@ -100,9 +101,9 @@ def _example_seed(seed: int, example_id: str) -> int:
 
 
 def _demo(bundle, demo_id: str):
-    demo = bundle.corpus.by_id.get(demo_id)
+    demo = bundle.pool.get(demo_id)
     if demo is None:
-        raise UnknownIdError(f"unknown demonstration id {demo_id}")
+        raise UnknownIdError(f"unknown demonstration id {demo_id}: not in the training pool")
     return demo
 
 

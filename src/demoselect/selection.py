@@ -47,6 +47,7 @@ from .structures import ls_size, program_structures
 Q_FLOOR = 1e-6
 GAIN_EPS = 1e-12
 RANK_TOL = 1e-9
+CANDIDATE_POOL_SIZE = 200  # the DPP candidates: the top-scoring rows
 _NO_ROWS = np.empty(0, np.intp)
 
 
@@ -274,7 +275,7 @@ def dpp_select(
     scores: Scores,
     vectors: SparseRows,
     k: int,
-    candidate_pool_size: int = 200,
+    candidate_pool_size: int = CANDIDATE_POOL_SIZE,
 ) -> DemonstrationSet:
     """Greedy log-det maximization of the quality/similarity kernel.
 

@@ -7,13 +7,17 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from functools import cached_property
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
-from demoselect.cli import build_parser, main
+from demoselect.cli import _load_config, build_parser, main
 from demoselect.corpus import IndexBundle
+from demoselect.gateway import CompletionRequest, EndpointConfig, MockOracleConfig
+from demoselect.selection import dpp_select
 from demoselect.programs import MAX_DEPTH
 
 from helpers import count_parses
@@ -90,7 +94,7 @@ FIXTURE_DIGESTS = {
         "meta.json": "9d59d6c64f847069228c2083f5a963426085d944221f0df5224dd5932397fa91",
     },
 }
-INDEX_DIGEST = "823b8d22a70a2c310b09baa8a9e4629f3b4134155f71d02d438befc6d1753994"
+INDEX_DIGEST = "e948aeb88f844d9818ea39f7ebacf8910d4de6aac294b52b7197d848401ed590"
 
 
 def _sha256(path):
@@ -1249,6 +1253,27 @@ ROBUSTNESS_CASES = {
         "prompt --index {index} --selections {bad} --out {out}",
         f"bad.jsonl:1: {DEEP_JSON_ERROR}",
     ),
+    # RFC 8259 §6: NaN and the infinities are no JSON numbers, in any input
+    "selection-score-nan": (
+        b'{"id": "test-0000", "items": [["x", 1.0]]}\n{"id": "test-0001", "items": [["x", NaN]]}\n',
+        "prompt --index {index} --selections {bad} --out {out}",
+        "bad.jsonl:2: not valid JSON: NaN is not a JSON number (RFC 8259 §6)",
+    ),
+    "config-value-infinity": (
+        b'{"k": Infinity}',
+        "--config {bad} select --strategy top-k --index {index} --out {out}",
+        "bad.jsonl: not valid JSON: Infinity is not a JSON number (RFC 8259 §6)",
+    ),
+    "corpus-line-negative-infinity": (
+        b'{"utterance": "a", "program": "f (a)", "weight": -Infinity}\n',
+        "index --corpus {bad} --out {out}",
+        "bad.jsonl:1: not valid JSON: -Infinity is not a JSON number (RFC 8259 §6)",
+    ),
+    "selection-demo-a-test-example": (
+        b'{"id": "test-0000", "items": [["test-0000", 9.0]]}\n',
+        "prompt --index {index} --selections {bad} --out {out}",
+        "bad.jsonl: unknown demonstration id test-0000: not in the training pool",
+    ),
     "run-budget-below-the-test-block": (
         None,
         "run --strategy top-k --k 2 --mock --budget 3 --index {index} --workdir {out}",
@@ -1537,6 +1562,19 @@ def test_parser_adds_arguments_to_the_named_command_only(capsys):
         assert "unrecognized arguments: --corpus c.jsonl --out i.json" in capsys.readouterr().err
 
 
+def test_parsed_defaults_are_the_library_defaults():
+    argv = ["run", "--index", "i.json", "--workdir", "w"]
+    args = build_parser(argv).parse_args(argv)
+    request = CompletionRequest(prompt="")
+    endpoint = {f.name: f.default for f in fields(EndpointConfig)}
+    assert (args.max_tokens, args.temperature) == (request.max_tokens, request.temperature)
+    assert (args.max_retries, args.timeout) == (endpoint["max_retries"], endpoint["timeout"])
+    cfg = _load_config(args)
+    dpp_default = signature(dpp_select).parameters["candidate_pool_size"].default
+    assert cfg.candidate_pool_size == dpp_default
+    assert cfg.mock_threshold == MockOracleConfig().compose_threshold_size
+
+
 @pytest.mark.parametrize("argv", [["bogus"], ["--config=c.json", "ru"]])
 def test_unknown_command_lists_every_command(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
@@ -1631,6 +1669,25 @@ def test_unknown_demo_id_exits_2(workspace, tmp_path, capsys, command):
         argv = ["eval", *argv, "--predictions", str(predictions), "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
     assert "no-such-demo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_a_test_example_is_no_demonstration_even_its_own(workspace, tmp_path, capsys, command):
+    test_id = _read_jsonl(workspace["fixture"] / "test.jsonl")[0]["id"]
+    prompts = tmp_path / "prompts.jsonl"
+    prompts.write_text(json.dumps({"id": test_id, "prompt": "p", "demo_ids": [test_id]}) + "\n")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps({"id": test_id, "prediction": "f (a)"}) + "\n")
+    out = tmp_path / "out"
+    argv = ["--index", str(workspace["index"]), "--prompts", str(prompts), "--out", str(out)]
+    if command == "infer":
+        argv = ["infer", *argv, "--mock"]
+    else:
+        argv = ["eval", *argv, "--predictions", str(predictions)]
+    assert main(argv) == 2
+    message = f"error: {prompts}: unknown demonstration id {test_id}: not in the training pool"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 UNRESOLVED_ID_CASES = {

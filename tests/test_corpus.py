@@ -463,9 +463,9 @@ def test_index_version_mismatch_rejected(tmp_path):
     path = tmp_path / "index.json"
     bundle.save(path)
     header, arrays, _ = _index_parts(path)
-    assert header["version"] == INDEX_VERSION == 8
+    assert header["version"] == INDEX_VERSION == 9
     assert "examples" not in header
-    for version in (1, 2, 3, 4, 5, 6, 7, 99):
+    for version in (1, 2, 3, 4, 5, 6, 7, 8, 99):
         _write_index(path, {**header, "version": version}, arrays)
         with pytest.raises(IndexVersionError, match="demoselect index"):
             IndexBundle.load(path)
@@ -577,8 +577,7 @@ def _in_header(key, change):
 def _drop_one_record(header, arrays):
     for name in ("id", "utterance", "program"):
         _in_texts(name, list.pop)(header, arrays)
-    for name in ("template_codes", "split_codes"):
-        arrays[name] = arrays[name][:-1]
+    arrays["template_codes"] = arrays["template_codes"][:-1]
 
 
 def _cut_inside_a_character(header, arrays):
@@ -645,6 +644,12 @@ BAD_INDEX_CASES = {
     ),
     "header-line-not-json": (_not_json, IndexVersionError, "not an index"),
     "header-line-nested-too-deep": (_too_deep, IndexVersionError, "is not an index file"),
+    "header-holds-nan": (
+        # json.dumps writes NaN, which RFC 8259 §6 has no number for
+        _rewrite(lambda header, _: header.update(pool=float("nan"))),
+        IndexVersionError,
+        "is not an index file",
+    ),
     "version-4-npz": (
         _version_4_npz,
         IndexVersionError,
@@ -707,11 +712,30 @@ BAD_INDEX_CASES = {
         "the ls arrays do not fit 69 rows over",
     ),
     "id-twice": (_rewrite(_in_texts("id", _repeat_first)), IoError, "holds an example id twice"),
-    "pool-not-first": (
-        # the first training record and the last test record trade splits
-        _rewrite(lambda header, arrays: _swap(0, -1)(arrays["split_codes"])),
+    "pool-missing": (
+        _rewrite(lambda header, _: header.pop("pool")),
         IoError,
-        "does not list its training examples first",
+        "has a malformed header: KeyError\\('pool'\\)",
+    ),
+    "pool-true": (
+        _rewrite(lambda header, _: header.update(pool=True)),
+        IoError,
+        "pool True is not an integer from 0 to 70",
+    ),
+    "pool-not-an-integer": (
+        _rewrite(lambda header, _: header.update(pool=1.5)),
+        IoError,
+        "pool 1.5 is not an integer from 0 to 70",
+    ),
+    "pool-negative": (
+        _rewrite(lambda header, _: header.update(pool=-1)),
+        IoError,
+        "pool -1 is not an integer from 0 to 70",
+    ),
+    "pool-past-the-records": (
+        _rewrite(lambda header, _: header.update(pool=71)),
+        IoError,
+        "pool 71 is not an integer from 0 to 70",
     ),
     "pool-ids-out-of-order": (
         _rewrite(_in_texts("id", _swap(0, 1))),
@@ -758,11 +782,6 @@ BAD_INDEX_CASES = {
         _rewrite(_set("template_codes", lambda a: a + 1)),
         IoError,
         "template_codes does not hold 70 codes below",
-    ),
-    "split-code-out-of-range": (
-        _rewrite(_set("split_codes", lambda a: [*a[:-1], 2])),
-        IoError,
-        "split_codes does not hold 70 codes below 2",
     ),
     "dialect-parents-a-string": (
         _rewrite(lambda header, _: header["dialect"].update(value_parents="LIKE")),
