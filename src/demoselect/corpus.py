@@ -25,10 +25,10 @@ codes), every example's structure counts as CSR rows over the sorted structure
 vocabulary, and the pool's utterance BM25 impacts and tf-idf weights, one per
 ``ls`` entry of the pool's rows, whose offsets and columns the tf-idf rows
 share. An index file stores these arrays after a short JSON header line.
-Loading reads the file's data with one read into one aligned buffer, takes
-each array as a view of it and checks it against its CRC-32. It decodes the
-example ids and no other text, parses no program, tokenizes no utterance,
-decodes no structure-count map and builds no example.
+Loading maps the file read-only, takes each array as a view of the mapping,
+copying nothing, and checks it against its CRC-32. It decodes the example ids
+and no other text, parses no program, tokenizes no utterance, decodes no
+structure-count map and builds no example.
 
 Both end in the one :class:`IndexBundle` constructor, so a built and a loaded
 bundle serve the same state by construction, all of it from the arrays: the
@@ -53,7 +53,9 @@ from __future__ import annotations
 
 import json
 import logging
+import mmap
 import os
+import re
 import zlib
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
@@ -158,11 +160,17 @@ def write_text(path: str | Path, text: str, what: str) -> None:
 # --- JSON values and JSONL rows ----------------------------------------------
 
 
-def _no_number(name: str) -> None:  # NaN, Infinity or -Infinity
-    raise ValueError(f"{name} is not a JSON number (RFC 8259 §6)")
+class _NotANumber(ValueError):
+    """NaN, Infinity or -Infinity: RFC 8259 §6 has no number for them."""
+
+
+def _no_number(name: str) -> None:
+    raise _NotANumber(f"{name} is not a JSON number (RFC 8259 §6)")
 
 
 _DECODER = json.JSONDecoder(parse_constant=_no_number)  # the one JSON decoder
+# a JSON string, or a bare NaN, Infinity or -Infinity (group 1)
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
 
 
 def decode_json(text: str | bytes) -> object:
@@ -177,11 +185,17 @@ def decode_json(text: str | bytes) -> object:
 
 def read_json(path: str | Path, what: str) -> dict:
     """The JSON object a UTF-8 file holds, else an IoError naming the file (and line)."""
+    text = read_text(path, what)
     try:
-        value = decode_json(read_text(path, what))
+        value = decode_json(text)
         check_row(value, {})
     except ValueError as exc:
         cause = exc.__cause__
+        if isinstance(cause, _NotANumber):
+            # parse_constant is given no place; the decoder reads in order, so
+            # the constant it met is the first outside a string
+            at = next(m for m in _STRING_OR_CONSTANT.finditer(text) if m[1]).start()
+            cause = json.JSONDecodeError(str(cause), text, at)
         line = f":{cause.lineno}" if isinstance(cause, json.JSONDecodeError) else ""
         raise IoError(f"{path}{line}: {exc}") from exc
     return value
@@ -642,11 +656,13 @@ class IndexBundle:
 
     @classmethod
     def load(cls, path: str | Path) -> "IndexBundle":
-        """Read an index file in one pass, checking every array's place and
-        CRC-32; nothing in it is unpickled. An older or a foreign file raises
-        :class:`IndexVersionError`, any other bad file :class:`IoError`. Only
-        the example ids are decoded, and no example is built: each is built,
-        its texts decoded, when it is first read."""
+        """Map an index file read-only, checking every array's place and
+        CRC-32; nothing in it is copied or unpickled. An older or a foreign
+        file raises :class:`IndexVersionError`, any other bad file
+        :class:`IoError`. Only the example ids are decoded, and no example is
+        built: each is built, its texts decoded, when it is first read. Renaming
+        a new file over it, as :meth:`save` does, is safe; rewriting or
+        truncating it in place (``cp new old``) can kill the process with SIGBUS."""
         header, arrays = _read_index(path)
         try:
             vocab, terms, pool = header["vocab"], header["bm25_terms"], header["pool"]
@@ -691,11 +707,11 @@ def _write_index(handle: BinaryIO, header: dict, arrays: dict[str, np.ndarray]) 
 
 def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """An index file's header, with its magic and version checked, and its
-    arrays (see :func:`_write_index`): the data is read at once into one
-    aligned, read-only buffer, and each array is a view of it, checked
-    against its CRC-32. An index of version 1 or 2 was one JSON object, one
-    of version 3 or 4 a ``.npz`` archive, and one of version 5 held its
-    records in its header."""
+    arrays (see :func:`_write_index`): the file is mapped read-only, as Apache
+    Arrow maps its IPC files, and each array is a view of the mapping (which
+    starts on a page, so aligned), checked against its CRC-32. An index of
+    version 1 or 2 was one JSON object, one of version 3 or 4 a ``.npz``
+    archive, and one of version 5 held its records in its header."""
     try:
         with open(path, "rb") as handle:
             try:
@@ -703,13 +719,11 @@ def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             except ValueError:
                 header = None  # not an index file
             _check_version(path, header)
-            start, size = _aligned(handle.tell()), handle.seek(0, os.SEEK_END)
-            handle.seek(start)
-            data = _aligned_buffer(max(size - start, 0))
-            data = data[: handle.readinto(data)]
+            start = _aligned(handle.tell())
+            data = np.frombuffer(mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ), np.uint8)
     except OSError as exc:
         raise IoError(f"cannot read index file {path}: {exc}") from exc
-    data.flags.writeable = False
+    data = data[start:]
     places = header.get("arrays")
     arrays = {}
     for name, dtype in ARRAY_DTYPES.items():
@@ -730,14 +744,6 @@ def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _aligned_buffer(size: int) -> np.ndarray:
-    """An uninitialized byte array of ``size`` whose data starts at a
-    multiple of :data:`_ALIGN`."""
-    raw = np.empty(size + _ALIGN, np.uint8)
-    skip = -raw.ctypes.data % _ALIGN
-    return raw[skip : skip + size]
-
-
 def _fits(offsets: np.ndarray, n_rows: int, *entries: np.ndarray) -> bool:
     """Whether ``offsets`` cut ``n_rows`` rows out of the ``entries`` arrays."""
     return (
@@ -753,21 +759,16 @@ def _indexes(values: np.ndarray, size: int) -> bool:
     return not len(values) or (values.min() >= 0 and values.max() < size)
 
 
-def _ascending(values: list) -> bool:
-    """Whether ``values`` ascend strictly."""
-    return all(map(lt, values, values[1:]))
-
-
-def _is_text(data: np.ndarray, offsets: np.ndarray) -> bool:
-    """Whether ``data`` is UTF-8 (its lone surrogates passing, see
+def _decoded(data: np.ndarray, offsets: np.ndarray) -> str | None:
+    """``data`` decoded, if it is UTF-8 (its lone surrogates passing, see
     ``_UTF8_ERRORS``) and ``offsets``, which fit it, cut it between
     characters: no row starts at a continuation byte (``0b10xxxxxx``)."""
     try:
-        str(data, "utf-8", _UTF8_ERRORS)
+        text = str(data, "utf-8", _UTF8_ERRORS)
     except UnicodeDecodeError:
-        return False
+        return None
     starts = offsets[:-1]
-    return not np.any(data[starts[starts < len(data)]] >> 6 == 2)
+    return None if np.any(data[starts[starts < len(data)]] >> 6 == 2) else text
 
 
 def _check_layout(path, vocab, terms, pool, arrays) -> list[str]:
@@ -782,19 +783,26 @@ def _check_layout(path, vocab, terms, pool, arrays) -> list[str]:
         n_rows = n_templates if name == "template" else n_records
         if not _fits(offsets, n_rows, data):
             raise IoError(f"index file {path}: the {name} arrays do not fit {n_rows} texts")
-        if not _is_text(data, offsets):
+        text = _decoded(data, offsets)
+        if text is None:
             raise IoError(f"index file {path} has a malformed {name} column: not UTF-8 texts")
+        if name == "id":
+            # an id's character offset is its byte offset less the continuation
+            # bytes before it: each character, lone surrogates too, has one lead byte
+            continuations = np.flatnonzero(data >> 6 == 2)
+            cuts = (offsets - np.searchsorted(continuations, offsets)).tolist()
+            ids = [text[s:e] for s, e in zip(cuts, cuts[1:])]
     codes, held = arrays["template_codes"], f"{n_records} codes below {n_templates}"
     if not (len(codes) == n_records and _indexes(codes, n_templates)):
         raise IoError(f"index file {path}: template_codes does not hold {held}")
     if not (type(pool) is int and 0 <= pool <= n_records):
         raise IoError(f"index file {path}: pool {pool!r} is not an integer from 0 to {n_records}")
-    raw, cuts = arrays["id_bytes"].tobytes(), arrays["id_offsets"].tolist()
-    ids = [raw[s:e].decode("utf-8", _UTF8_ERRORS) for s, e in zip(cuts, cuts[1:])]
+    train = ids[:pool]
     for bad, what in (
         (len(set(ids)) != len(ids), "holds an example id twice"),
-        (not _ascending(ids[:pool]), "does not list its training examples in id order"),
-        (not _ascending(vocab), "has a structure vocabulary out of order"),
+        # distinct ids, so in order when sorted (one timsort pass)
+        (sorted(train) != train, "does not list its training examples in id order"),
+        (not all(map(lt, vocab, vocab[1:])), "has a structure vocabulary out of order"),
         (len(set(terms)) != len(terms), "lists a BM25 term twice"),
     ):
         if bad:

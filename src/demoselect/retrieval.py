@@ -121,6 +121,7 @@ class SparseRows(Mapping):
         self.offsets = offsets
         self.columns = columns
         self.weights = weights
+        self.nonempty = np.flatnonzero(np.diff(offsets))  # the rows holding an entry
 
     def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The lengths of ``rows``, and their columns and weights back to back."""

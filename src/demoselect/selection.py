@@ -271,6 +271,19 @@ def select_random(pool: Pool, k: int, seed: int | None = None) -> DemonstrationS
     )
 
 
+def _best_gain(row_gains: np.ndarray) -> tuple[float, int | None]:
+    """The best gain and its row: in row order, a gain replaces the best only
+    if it exceeds it by more than ``GAIN_EPS``. The best is never ``GAIN_EPS``
+    below the prefix maximum, so only row 0 and strict prefix maxima are scanned."""
+    prefix = np.maximum.accumulate(row_gains)
+    rows = [0, *(np.flatnonzero(row_gains[1:] > prefix[:-1]) + 1).tolist()]
+    best_gain, best_row = -np.inf, None
+    for row, gain in zip(rows, row_gains[rows].tolist()):
+        if gain > best_gain + GAIN_EPS:
+            best_gain, best_row = gain, row
+    return best_gain, best_row
+
+
 def dpp_select(
     scores: Scores,
     vectors: SparseRows,
@@ -301,8 +314,7 @@ def dpp_select(
         raise InvalidKError(f"k must be positive, got {k}")
     _check_aligned(scores.ids, vectors)
     values = scores.array
-    nonempty = np.flatnonzero(np.diff(vectors.offsets))
-    candidates = _best_rows(values, candidate_pool_size, nonempty)
+    candidates = _best_rows(values, candidate_pool_size, vectors.nonempty)
     n = len(candidates)
     if n == 0:
         return DemonstrationSet(items=[], k=k, strategy="dpp", underfilled=True)
@@ -318,8 +330,10 @@ def dpp_select(
     used = np.zeros(columns.max() + 1, bool)
     used[columns] = True
     coord = np.cumsum(used) - 1
-    phi = np.zeros((n, coord[-1] + 1))
-    phi[np.repeat(np.arange(n), lengths), coord[columns]] = weights
+    width = coord[-1] + 1
+    phi = np.zeros(n * width)  # filled through flat indexes
+    phi[np.repeat(np.arange(n) * width, lengths) + coord[columns]] = weights
+    phi = phi.reshape(n, width)
     kernel = (q[:, None] * q[None, :]) * (phi @ phi.T)
 
     selected: list[int] = []
@@ -331,10 +345,7 @@ def dpp_select(
         eligible = d2 > floor
         row_gains = np.full(n, -np.inf)
         row_gains[eligible] = np.log(d2[eligible])
-        best_gain, best_row = -np.inf, None
-        for row, gain in enumerate(row_gains.tolist()):
-            if gain > best_gain + GAIN_EPS:
-                best_gain, best_row = gain, row
+        best_gain, best_row = _best_gain(row_gains)
         if best_row is None or not np.isfinite(best_gain):
             break
         t = len(selected)

@@ -1262,7 +1262,13 @@ ROBUSTNESS_CASES = {
     "config-value-infinity": (
         b'{"k": Infinity}',
         "--config {bad} select --strategy top-k --index {index} --out {out}",
-        "bad.jsonl: not valid JSON: Infinity is not a JSON number (RFC 8259 §6)",
+        "bad.jsonl:1: not valid JSON: Infinity is not a JSON number (RFC 8259 §6)",
+    ),
+    "grammar-value-negative-infinity": (
+        # the constant outside a string names its line, not the ones inside
+        b'{"entities": ["NaN \\" Infinity"],\n "max_filters": -Infinity}',
+        "gen-fixture --out-dir {out} --grammar {bad}",
+        "bad.jsonl:2: not valid JSON: -Infinity is not a JSON number (RFC 8259 §6)",
     ),
     "corpus-line-negative-infinity": (
         b'{"utterance": "a", "program": "f (a)", "weight": -Infinity}\n',

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import pickle
 import random
@@ -34,6 +35,7 @@ from demoselect.corpus import (
     ARRAY_DTYPES,
     INDEX_VERSION,
     RECORD_FIELDS,
+    SPLITS,
     IndexBundle,
     make_example,
     write_text,
@@ -973,6 +975,67 @@ def test_index_edge_cases_round_trip(tmp_path, corpus):
         assert [len(part) for part in loaded.tfidf["e1"]] == [0, 0]
         assert loaded.stats()["unique_ls"] == 3
     assert loaded.stats()["train"] == len(built.pool)
+
+
+# an id's characters: multi-byte and 4-byte ones, lone surrogates (JSON can
+# hold them, and a text column stores each as its three bytes) and NUL
+ID_CHARACTERS = st.one_of(
+    st.sampled_from(["a", "z", "\0", "é", "日", "🎉", "\U0010ffff", "\ud800", "\udfff", "\n"]),
+    st.characters(exclude_categories=()),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ids=st.lists(st.text(ID_CHARACTERS, max_size=6), max_size=8, unique=True),
+    data=st.data(),
+)
+def test_any_ids_round_trip_save_and_load(ids, data):
+    splits = data.draw(st.lists(st.sampled_from(SPLITS), min_size=len(ids), max_size=len(ids)))
+    examples = [Example(i, "u", "f (a)", "f (a)", {"a": 1, "f": 1}, s) for i, s in zip(ids, splits)]
+    built = build_indexes(Corpus(examples))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "index.json")
+        built.save(path)
+        loaded = IndexBundle.load(path)
+    assert loaded.corpus.examples.records["id"] == built.corpus.examples.records["id"]
+    assert loaded.pool.ids == built.pool.ids
+    assert [ex.id for ex in loaded.corpus.examples] == [ex.id for ex in built.corpus.examples]
+
+
+def test_a_loaded_index_is_read_only_views_of_its_mapped_file(tmp_path):
+    path = tmp_path / "index.json"
+    build_indexes(_geo_corpus(tmp_path)).save(path)
+    loaded = IndexBundle.load(path)
+    line = path.read_bytes().split(b"\n", 1)[0]
+    header, data_start = json.loads(line), -(-(len(line) + 1) // 64) * 64
+    for name, array in loaded.arrays.items():
+        base = array
+        while isinstance(base, np.ndarray):
+            base = base.base
+        mapping = getattr(base, "obj", base)  # a memoryview's object
+        assert isinstance(mapping, mmap.mmap) and len(mapping) == path.stat().st_size
+        # the array lies in the mapping, at its place in the file: nothing was copied
+        start = np.frombuffer(mapping, np.uint8).ctypes.data
+        assert array.ctypes.data == start + data_start + header["arrays"][name][0]
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+
+
+def test_a_loaded_index_serves_the_same_after_index_replaces_its_file(tmp_path):
+    corpus = gen_fixture(n_train=40, n_test=8, seed=5).corpus
+    path = tmp_path / "index.json"
+    build_indexes(corpus).save(path)
+    loaded = IndexBundle.load(path)
+    other = write_fixture(gen_fixture(n_train=30, n_test=6, seed=6), tmp_path / "other")
+    before = path.read_bytes()
+    argv = ["index", "--corpus", str(other["train"]), "--corpus", str(other["test"])]
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() != before
+    # read only now, from the replaced file's mapping
+    words = sorted({t for ex in corpus.examples for t in ex.utt_tokens})
+    _assert_same_index(loaded, build_indexes(corpus), [[], words[:5], words[-3:]])
 
 
 def test_a_vocabulary_wider_than_16_bits_groups_its_structures():

@@ -141,13 +141,13 @@ def test_module_never_unpickles_or_reads_archives(module):
     assert archive_io((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def json_imports(source: str) -> list[str]:
-    """The modules of the ``json`` package that a module's source imports."""
+def imports_of(package: str, source: str) -> list[str]:
+    """The modules of ``package`` that a module's source imports."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name.split(".")[0] == "json"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found += [a.name for a in node.names if a.name.split(".")[0] == package]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
             found.append(node.module)
     return found
 
@@ -160,14 +160,21 @@ def test_json_imports_finds_every_spelling():
         "from . import corpus\n"
         "from .jsonl import rows\n"
     )
-    assert json_imports(source) == ["json", "json.decoder", "json"]
+    assert imports_of("json", source) == ["json", "json.decoder", "json"]
 
 
 @pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
 def test_only_corpus_imports_json(module):
     # one decoder, so a JSON input nested too deep fails the same way wherever it arrives
     expected = ["json"] if module == "corpus.py" else []
-    assert json_imports((PACKAGE / module).read_text(encoding="utf-8")) == expected
+    assert imports_of("json", (PACKAGE / module).read_text(encoding="utf-8")) == expected
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_only_corpus_maps_files(module):
+    # one reader maps an index file, so one place owns the SIGBUS trade-off
+    expected = ["mmap"] if module == "corpus.py" else []
+    assert imports_of("mmap", (PACKAGE / module).read_text(encoding="utf-8")) == expected
 
 
 ROOT = PACKAGE.parents[1]

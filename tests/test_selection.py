@@ -26,6 +26,7 @@ from demoselect import (
     training_mode_select,
 )
 from demoselect.retrieval import term_postings
+from demoselect.selection import GAIN_EPS, _best_gain
 from demoselect.structures import program_structures
 
 from helpers import (
@@ -245,6 +246,33 @@ def test_dpp_equals_dict_reference(scores, unscored, k, candidate_pool_size, dat
     expected = reference_dpp(scores, normalized_rows(weights), k, candidate_pool_size)
     result = dpp_select(*dpp_rows(scores, weights), k, candidate_pool_size)
     assert (*_as_tuple(result), result.gains) == (repr(expected[0]), *expected[1:])
+
+
+def _sequential_best_gain(gains):
+    """DPP's pick rule, every row scanned in order."""
+    best_gain, best_row = -math.inf, None
+    for row, gain in enumerate(gains):
+        if gain > best_gain + GAIN_EPS:
+            best_gain, best_row = gain, row
+    return best_gain, best_row
+
+
+# gains a few GAIN_EPS apart around a few levels, ties within GAIN_EPS
+# included, and ineligible (-inf) rows
+TIED_GAINS = st.one_of(
+    st.just(-math.inf),
+    st.builds(
+        lambda level, steps: level + steps * GAIN_EPS / 4,
+        st.sampled_from([-27.5, -1.0, 0.0, 0.3, 2.0]),
+        st.integers(-12, 12),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gains=st.lists(TIED_GAINS, min_size=1, max_size=40))
+def test_dpp_scans_only_prefix_maxima_yet_picks_as_the_sequential_scan(gains):
+    assert _best_gain(np.array(gains)) == _sequential_best_gain(gains)
 
 
 def test_top_k_rejects_nonpositive_k():
