@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import logging
 import sys
@@ -140,6 +141,9 @@ def _load_config(args) -> RunConfig:
     for key in config_file:
         if key not in known:
             raise ConfigError(f"{args.config}: unknown key {key!r}")
+        dashed = key.replace("_", "-")
+        if dashed != key and dashed in config_file:
+            raise ConfigError(f"{args.config}: key given in both spellings, {key!r} and {dashed!r}")
 
     def pick(name, default):
         """A flag, else the file's value, typed like the default (int if None)."""
@@ -155,11 +159,13 @@ def _load_config(args) -> RunConfig:
     return RunConfig(**{name: pick(name, default) for name, default in defaults.items()})
 
 
-def _load_inputs(args, cfg: RunConfig):
-    """The index, the targets and the beams of the command's stages. The
-    targets are the pool in training mode, else the test examples, which
-    ``infer`` reads only for the mock. The beams are ``--predictions`` of a
-    command that selects, when its configuration reads beams."""
+def _load_inputs(args):
+    """The configuration, the index, the targets and the beams of the
+    command's stages. The targets are the pool in training mode, else the
+    test examples, which ``infer`` reads only for the mock. The beams are
+    ``--predictions`` of a command that selects, when its configuration
+    reads beams."""
+    cfg = _load_config(args)
     needs_beams = args.command in ("select", "run") and cfg.reads_beams
     if needs_beams and not args.predictions:
         raise ConfigError(
@@ -178,7 +184,7 @@ def _load_inputs(args, cfg: RunConfig):
         beams = load_predictions(args.predictions, bundle.corpus.dialect)
         for example_id in sorted(set(beams) - set(targets)):
             logger.warning("prediction id %s is not a test example; kept", example_id)
-    return bundle, targets, beams
+    return cfg, bundle, targets, beams
 
 
 def _endpoint_from_args(args, cfg: RunConfig):
@@ -216,8 +222,7 @@ def _naming(path):
 
 
 def cmd_select(args) -> int:
-    cfg = _load_config(args)
-    bundle, targets, beams = _load_inputs(args, cfg)
+    cfg, bundle, targets, beams = _load_inputs(args)
     selections = stage_select(bundle, targets, cfg, beams)
     write_rows(args.out, selections, "stage file")
     print(f"selected demonstrations for {len(selections)} examples -> {args.out}")
@@ -225,8 +230,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_prompt(args) -> int:
-    cfg = _load_config(args)
-    bundle, targets, _ = _load_inputs(args, cfg)
+    cfg, bundle, targets, _ = _load_inputs(args)
     selections = read_rows(args.selections, SELECTION_ROW, "stage file")
     with _naming(args.selections):
         prompts = stage_prompt(bundle, targets, selections, cfg)
@@ -236,8 +240,7 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = _load_config(args)
-    bundle, targets, _ = _load_inputs(args, cfg)
+    cfg, bundle, targets, _ = _load_inputs(args)
     prompts = read_rows(args.prompts, PROMPT_ROW, "stage file")
     endpoint, request_defaults = _endpoint_from_args(args, cfg)
     with _naming(args.prompts):
@@ -248,8 +251,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    bundle, targets, _ = _load_inputs(args, cfg)
+    cfg, bundle, targets, _ = _load_inputs(args)
     prompts = read_rows(args.prompts, PROMPT_DEMOS_ROW, "stage file")
     predictions = read_rows(args.predictions, PREDICTION_ROW, "stage file")
     with _naming(args.prompts):
@@ -263,8 +265,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    bundle, targets, beams = _load_inputs(args, cfg)
+    cfg, bundle, targets, beams = _load_inputs(args)
     # bad request flags fail here, before any stage file is written
     endpoint, request_defaults = _endpoint_from_args(args, cfg)
     workdir = Path(args.workdir)
@@ -404,43 +405,32 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of ``argv`` (default ``sys.argv[1:]``). Only the command it
-    names, after an optional ``--config X`` or ``--config=X``, gets its
-    arguments; every command does when it names none (for help, no command
-    or an unknown one)."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; parsing leaves
+    it unchanged, so each call of :func:`main` reads its argv afresh."""
     parser = argparse.ArgumentParser(
         prog="demoselect",
         description="Select diverse demonstrations for in-context semantic parsing.",
     )
     parser.add_argument("--config", help="JSON config file of defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    rest = sys.argv[1:] if argv is None else argv
-    if rest[:1] == ["--config"]:
-        rest = rest[2:]
-    elif rest and rest[0].startswith("--config="):
-        rest = rest[1:]
-    named = rest[0] if rest and rest[0] in COMMANDS else None
     for name, (help_text, command, adders) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if named in (None, name):
-            for add in adders:
-                add(p)
-            p.set_defaults(func=command)
+        for add in adders:
+            add(p)
+        p.set_defaults(func=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TransportError, ApiError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
     except DemoselectError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_TRANSPORT if isinstance(exc, (TransportError, ApiError)) else EXIT_USAGE
     except Exception:  # noqa: BLE001 - never exit 1, the wrong-predictions code
         print("internal error:", file=sys.stderr)
         traceback.print_exc()

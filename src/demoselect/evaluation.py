@@ -23,6 +23,7 @@ from .programs import (
     repair_parentheses,
     scan_symbols,
 )
+from .retrieval import sequential_sum
 from .structures import analyze, is_symbol, ls_size
 
 if TYPE_CHECKING:
@@ -246,8 +247,8 @@ def _summarize(records: Sequence[EvalRecord]) -> dict:
     return {
         "count": n,
         "accuracy": sum(r.exact_match for r in records) / n,
-        "symbol_coverage": sum(r.symbol_coverage for r in records) / n,
-        "ls_coverage": sum(r.ls_coverage for r in records) / n,
+        "symbol_coverage": sequential_sum(r.symbol_coverage for r in records) / n,
+        "ls_coverage": sequential_sum(r.ls_coverage for r in records) / n,
         "unique_ls_count": sum(r.unique_ls_count for r in records) / n,
         "unobserved_ls_rate": sum(r.unobserved_ls for r in records) / n,
         "error_rates": {

@@ -83,7 +83,7 @@ def _gen_np(rng: random.Random, g: GrammarConfig) -> tuple[str, str]:
     entity = rng.choice(g.entities)
     program = f"find ({entity})"
     utterance = entity
-    n_filters = rng.choice([0, 1, 1, min(2, g.max_filters)])
+    n_filters = min(rng.choice((0, 1, 1, 2)), g.max_filters)
     for attr in rng.sample(g.attributes, min(n_filters, len(g.attributes))):
         program = f"filter ({attr}, {program})"
         utterance = f"{attr} {utterance}"
@@ -234,7 +234,7 @@ def _split_iid(
     chosen = rng.sample(pool, n_train + n_test)
     train, test = chosen[:n_train], chosen[n_train:]
     train_templates = {e.example.template for e in train}
-    if not any(e.example.template in train_templates for e in test):
+    if test and not any(e.example.template in train_templates for e in test):
         pairs = [members for members in _by_template(pool).values() if len(members) >= 2]
         if not pairs:
             raise GenerationError("grammar yields no repeated templates for iid split")

@@ -25,7 +25,9 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from functools import reduce
 from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -252,6 +254,12 @@ def row_slices(
     return {key: tuple(a[s:e] for a in arrays) for key, s, e in zip(keys, bounds, bounds[1:])}
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from ``0.0``: the same bits on every Python,
+    unlike the compensated ``sum`` of 3.12+ or numpy's pairwise sum."""
+    return reduce(add, values, 0.0)
+
+
 def normalized_arrays(
     weights_by_id: Mapping[str, Mapping[str, float]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,11 +269,10 @@ def normalized_arrays(
     vocabulary of all names, and their weights, both in the map's order. A
     map whose weights are all zero (or empty) gets an empty row. The norm
     sums the squares one by one in map order, so every weight equals
-    ``w / math.sqrt(sum(w * w for w in map))``."""
+    ``w / math.sqrt(sequential_sum(w * w for w in map))``."""
     maps = list(weights_by_id.values())
     column = {name: j for j, name in enumerate(sorted(set().union(*maps)))}
-    # Python's sequential sum, not numpy's pairwise one, keeps the last bit.
-    norms = [math.sqrt(sum(w * w for w in weights.values())) for weights in maps]
+    norms = [math.sqrt(sequential_sum(w * w for w in weights.values())) for weights in maps]
     kept = [weights if norm else {} for weights, norm in zip(maps, norms)]
     lengths = [len(weights) for weights in kept]
     columns = np.fromiter(map(column.__getitem__, chain.from_iterable(kept)), np.intp)

@@ -161,7 +161,10 @@ def reference_tfidf(ls_counts_by_id) -> dict[str, dict[str, float]]:
     out = {}
     for doc_id, counts in ls_counts_by_id.items():
         weights = {c: tf * lucene_idf(n_docs, df[c]) for c, tf in counts.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
+        norm = 0.0
+        for w in weights.values():  # left to right, as sum does up to Python 3.11
+            norm += w * w
+        norm = math.sqrt(norm)
         out[doc_id] = {c: w / norm for c, w in weights.items()} if norm else {}
     return out
 

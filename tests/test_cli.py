@@ -1295,6 +1295,11 @@ ROBUSTNESS_CASES = {
         "--config {bad} run --mock --index {index} --workdir {out}",
         "max_ls_size must be an integer",
     ),
+    "config-key-in-both-spellings": (
+        b'{"max_ls_size": 1, "max-ls-size": 3}',
+        "--config {bad} select --strategy top-k --index {index} --out {out}",
+        "bad.jsonl: key given in both spellings, 'max_ls_size' and 'max-ls-size'",
+    ),
     "config-k-null": (
         b'{"strategy": "top-k", "k": null}',
         "--config {bad} select --index {index} --out {out}",
@@ -1559,18 +1564,26 @@ def test_help_text_is_pinned(capsys, monkeypatch, argv):
     assert out == (GOLDEN_DIR / f"help_{name}.txt").read_text(encoding="utf-8")
 
 
-def test_parser_adds_arguments_to_the_named_command_only(capsys):
-    argv = ["index", "--corpus", "c.jsonl", "--out", "i.json"]
-    assert build_parser(argv).parse_args(argv).corpus == ["c.jsonl"]
-    for named in (["--config", "x", "eval"], ["--config=x", "eval"]):
-        with pytest.raises(SystemExit):
-            build_parser(named).parse_args(argv)
-        assert "unrecognized arguments: --corpus c.jsonl --out i.json" in capsys.readouterr().err
+def test_successive_parses_share_no_state():
+    """The parser is built once per process: a switch, a value or an appended
+    flag of one parse is absent from the next, whose defaults are a fresh
+    parser's."""
+    assert build_parser() is build_parser()
+    base = ["run", "--index", "i.json", "--workdir", "w"]
+    first = build_parser().parse_args(
+        [*base, "--mock", "--k", "3", "--stop", "x", "--temperature", "0.5"]
+    )
+    assert (first.mock, first.k, first.stop, first.temperature) == (True, 3, ["x"], 0.5)
+    second = build_parser().parse_args(base)
+    assert (second.mock, second.k, second.stop) == (None, None, None)
+    fresh = build_parser.__wrapped__().parse_args(base)
+    assert vars(second) == vars(fresh)
+    index = build_parser().parse_args(["index", "--corpus", "c.jsonl", "--out", "o"])
+    assert not hasattr(index, "mock") and index.corpus == ["c.jsonl"]
 
 
 def test_parsed_defaults_are_the_library_defaults():
-    argv = ["run", "--index", "i.json", "--workdir", "w"]
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(["run", "--index", "i.json", "--workdir", "w"])
     request = CompletionRequest(prompt="")
     endpoint = {f.name: f.default for f in fields(EndpointConfig)}
     assert (args.max_tokens, args.temperature) == (request.max_tokens, request.temperature)

@@ -1187,6 +1187,23 @@ def test_fixture_iid_split_overlaps():
     assert train_templates & test_templates
 
 
+@pytest.mark.parametrize("n_train", [50, 200, 400])
+def test_fixture_iid_split_without_tests(n_train):
+    # with no test example there is no train/test template overlap to repair
+    fixture = gen_fixture(n_train=n_train, n_test=0, split="iid", seed=1)
+    assert len(fixture.corpus.split("train")) == n_train
+    assert not fixture.corpus.split("test")
+
+
+def test_fixture_max_filters_zero_draws_no_filter():
+    from demoselect import GrammarConfig
+
+    fixture = gen_fixture(grammar=GrammarConfig(max_filters=0), n_train=30, n_test=10, seed=0)
+    programs = [ex.program for ex in fixture.corpus.examples]
+    assert len(programs) == 40
+    assert not any("filter" in program for program in programs)
+
+
 def test_fixture_rejects_oversized_requests():
     from demoselect import GrammarConfig
 

@@ -355,6 +355,13 @@ def test_aggregate_matches_hand_averages():
     assert report["error_rates"][LABEL_OOV] == pytest.approx(0.5)
 
 
+def test_aggregate_means_add_left_to_right():
+    # Python 3.12's compensated sum keeps the two 1e-16 and gives …334
+    records = [_record(i, True, sym=c, ls=c) for i, c in enumerate((1.0, 1e-16, 1e-16))]
+    report = aggregate(records)
+    assert report["symbol_coverage"] == report["ls_coverage"] == 0.3333333333333333
+
+
 def test_aggregate_empty_is_empty():
     assert aggregate([]) == {"count": 0}
 

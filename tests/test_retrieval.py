@@ -16,7 +16,7 @@ from demoselect import (
     random_scores,
     tokenize_utterance,
 )
-from demoselect.retrieval import lucene_idf
+from demoselect.retrieval import lucene_idf, normalized_arrays
 
 from geo_pool import POOL_ROWS, TEST_UTTERANCE
 from helpers import pool_rows, reference_tfidf
@@ -300,6 +300,16 @@ def test_tfidf_weights_equal_dict_arithmetic(counts_by_id):
         # exact equality, entry for entry and in map order
         assert list(_named(counts_by_id, row).items()) == list(expected[doc_id].items())
         assert (len(row[0]) == 0) == (not counts_by_id[doc_id])
+
+
+def test_norm_sums_squares_left_to_right():
+    # squares 1, 1e-16, 1e-16, 1e-16, 1e-16: each small one is lost added to
+    # 1.0 alone, so the norm is 1.0; a compensated sum (Python 3.12's sum,
+    # math.fsum) keeps them and gets 1.0000000000000002
+    weights = {"a": 1.0, "b": 1e-8, "c": 1e-8, "d": 1e-8, "e": 1e-8}
+    assert math.sqrt(math.fsum(w * w for w in weights.values())) == 1.0000000000000002
+    _, _, values = normalized_arrays({"x": weights})
+    assert values.tolist() == list(weights.values())
 
 
 def test_random_scores_deterministic():
