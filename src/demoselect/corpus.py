@@ -22,23 +22,29 @@ id order, so that example ``r`` of the pool is pool row ``r`` (see
 ``pool`` ends it. It computes, once, the arrays of :data:`ARRAY_DTYPES`: the
 record columns (each text column as UTF-8 bytes plus offsets, the templates as
 codes), every example's structure counts as CSR rows over the sorted structure
-vocabulary, and the pool's utterance BM25 impacts and tf-idf weights, one per
+vocabulary, the pool's entries of those rows again by structure (their CSC
+form), and the pool's utterance BM25 impacts and tf-idf weights, one per
 ``ls`` entry of the pool's rows, whose offsets and columns the tf-idf rows
 share. An index file stores these arrays after a short JSON header line.
-Loading maps the file read-only, takes each array as a view of the mapping,
-copying nothing, and checks it against its CRC-32. It decodes the example ids
-and no other text, parses no program, tokenizes no utterance, decodes no
-structure-count map and builds no example.
+Loading maps the file read-only and takes each array as a view of the
+mapping, copying nothing. An array is checked against its CRC-32 and its
+layout rule when first read: loading's layout checks read all but
+``ls_counts``, ``lsc_rows``, ``lsc_counts``, ``bm25_contrib`` and
+``tfidf_weights``, which are checked when a command first reads them (see
+:data:`ARRAY_DTYPES`). Loading decodes the example ids and no other text,
+parses no program, tokenizes no utterance, decodes no structure-count map and
+builds no example.
 
 Both end in the one :class:`IndexBundle` constructor, so a built and a loaded
-bundle serve the same state by construction, all of it from the arrays: the
-pool's template codes and the statistics read the code arrays, the utterance
-BM25 and the tf-idf rows (``dpp`` only) are views of the arrays, and the
-structure postings (``cover-ls``), the symbol BM25 and the training structure
-union derive on first use from one grouping of the pool's ``ls`` entries by
-structure: each structure's document frequency, and the entries sorted by
-structure, which only the postings and the symbol BM25 read. The token
-postings are the BM25 impact rows. An example is built when a command first
+bundle serve the same state by construction, all of it from the arrays and
+each part on first use: the pool's template codes and the statistics read the
+code arrays, the utterance BM25 and the tf-idf rows (``dpp`` only) are views
+of the arrays, and the structure postings (``cover-ls``), the symbol BM25 and
+the training structure union read the stored CSC form: each structure's
+document frequency is the difference of its offsets, and a structure's
+posting list is its slice of the stored rows, cut when it is looked up. No
+command sorts the pool's entries. The token postings are the BM25 impact
+rows. An example is built when a command first
 reads it, with its texts decoded and its structure-count dict decoded from
 its slice of the ``ls`` arrays; its utterance tokens wait until they are
 first read, so a command pays only for the examples it reads. The pipeline's
@@ -56,12 +62,13 @@ import logging
 import mmap
 import os
 import re
+import threading
 import zlib
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 from operator import attrgetter, lt
 from pathlib import Path
 from typing import BinaryIO, Callable
@@ -72,6 +79,7 @@ from .errors import CorpusError, IndexVersionError, IoError, ParseError
 from .programs import DEFAULT_DIALECT, DialectConfig, parse_program, repair_parentheses
 from .retrieval import (
     Bm25Index,
+    ColumnPostings,
     RowPostings,
     SparseRows,
     ls_tfidf_arrays,
@@ -84,7 +92,7 @@ logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "test")
 INDEX_MAGIC = "demoselect-index"
-INDEX_VERSION = 9
+INDEX_VERSION = 10
 RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
 # An index file lists its examples pool first: its header count "pool" of
 # training examples in id order, then the test examples in the order they were
@@ -100,9 +108,18 @@ RECORD_FIELDS = ("id", "utterance", "program", "template", "split")
 #   records first hold them; template_codes gives each record's row of them;
 # - ls: every example's structure counts, by record; the columns index the
 #   sorted structure vocabulary;
+# - lsc: the pool's ls entries (the first ones) by column, their CSC form, as
+#   a postings list groups documents by term: lsc_offsets holds one offset per
+#   vocabulary code, plus one, and column c's entries hold the pool rows
+#   holding structure c, ascending (lsc_rows), and their counts (lsc_counts);
 # - bm25: the pool's utterance BM25 postings, term by term (see Bm25Index);
 # - tfidf_weights: the pool's tf-idf rows, one weight per ls entry of the
-#   pool's records (which come first), read with their ls offsets and columns.
+#   pool's records, read with their ls offsets and columns.
+# A loaded array is checked, its CRC-32 and then its layout rule, the first
+# time it is read (see _CheckedArrays). _check_layout reads every array at
+# load but ls_counts, lsc_rows, lsc_counts, bm25_contrib and tfidf_weights,
+# whose lengths it checks from the header; those are checked at their first
+# read, so a command pays only for the arrays it reads.
 TEXT_FIELDS = ("id", "utterance", "program", "template")
 ARRAY_DTYPES = {
     "id_offsets": np.dtype("<i8"),
@@ -117,6 +134,9 @@ ARRAY_DTYPES = {
     "ls_offsets": np.dtype("<i8"),
     "ls_columns": np.dtype("<i4"),
     "ls_counts": np.dtype("<i4"),
+    "lsc_offsets": np.dtype("<i8"),
+    "lsc_rows": np.dtype("<i4"),
+    "lsc_counts": np.dtype("<i4"),
     "bm25_offsets": np.dtype("<i8"),
     "bm25_rows": np.dtype("<i8"),
     "bm25_contrib": np.dtype("<f8"),
@@ -548,17 +568,18 @@ class IndexBundle:
         vocab: list[str],
         bm25_terms: list[str],
         pool: int,
-        arrays: dict[str, np.ndarray],
+        arrays: Mapping[str, np.ndarray],
         ids: list[str],
     ):
         self.vocab = vocab
+        self.bm25_terms = bm25_terms
         self.arrays = arrays
-        offsets, columns, counts = arrays["ls_offsets"], arrays["ls_columns"], arrays["ls_counts"]
+        offsets, columns = arrays["ls_offsets"], arrays["ls_columns"]
 
         def structures(r: int) -> dict[str, int]:
             start, end = int(offsets[r]), int(offsets[r + 1])
             names = map(vocab.__getitem__, columns[start:end].tolist())
-            return dict(zip(names, counts[start:end].tolist()))
+            return dict(zip(names, arrays["ls_counts"][start:end].tolist()))
 
         records = {
             "id": ids,
@@ -569,35 +590,23 @@ class IndexBundle:
         }
         self.corpus = Corpus(examples=ExampleTable(records, structures), dialect=dialect)
         self.pool = Pool(ids[:pool], self.corpus.examples, arrays["template_codes"][:pool])
-        self.bm25_utterance = Bm25Index.from_arrays(
-            self.pool.ids,
-            bm25_terms,
-            *(arrays[name] for name in ("bm25_offsets", "bm25_rows", "bm25_contrib")),
-        )
+
+    @cached_property
+    def bm25_utterance(self) -> Bm25Index:
+        """BM25 over the pool's utterance tokens: its stored impacts."""
+        arrays = (self.arrays[name] for name in ("bm25_offsets", "bm25_rows", "bm25_contrib"))
+        return Bm25Index.from_arrays(self.pool.ids, self.bm25_terms, *arrays)
 
     @cached_property
     def _ls_df(self) -> np.ndarray:
-        """How many pool examples hold each structure: its group's size."""
-        end = self.arrays["ls_offsets"][len(self.pool)]
-        return np.bincount(self.arrays["ls_columns"][:end], minlength=len(self.vocab))
+        """How many pool examples hold each structure: its column's length."""
+        return np.diff(self.arrays["lsc_offsets"])
 
     @cached_property
-    def _ls_grouped(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pool's ``ls`` entries (the first ones) grouped by structure,
-        as postings by term: their indexes and pool rows, by column, then row,
-        from one stable counting sort (a radix sort on 16-bit keys if they fit)."""
-        offsets = self.arrays["ls_offsets"][: len(self.pool) + 1]
-        columns = self.arrays["ls_columns"][: offsets[-1]]
-        keys = columns.astype(np.uint16) if len(self.vocab) <= 1 << 16 else columns
-        order = np.argsort(keys, kind="stable")
-        return order, np.repeat(np.arange(len(self.pool)), np.diff(offsets))[order]
-
-    @cached_property
-    def ls_postings(self) -> RowPostings:
-        """The pool rows holding each structure, ascending."""
-        rows, df = self._ls_grouped[1], self._ls_df.tolist()
-        groups = zip(self.vocab, accumulate(df), df)
-        return RowPostings(self.pool.ids, {name: rows[end - n:end] for name, end, n in groups if n})
+    def ls_postings(self) -> ColumnPostings:
+        """The pool rows holding each structure, ascending: its stored column."""
+        arrays = self.arrays
+        return ColumnPostings(self.pool.ids, self.vocab, arrays["lsc_offsets"], arrays["lsc_rows"])
 
     @cached_property
     def token_postings(self) -> RowPostings:
@@ -607,17 +616,18 @@ class IndexBundle:
 
     @cached_property
     def bm25_symbols(self) -> Bm25Index:
-        """BM25 over the pool's symbols, each as often as the example holds it."""
-        (order, rows), df = self._ls_grouped, self._ls_df
+        """BM25 over the pool's symbols, each as often as the example holds it:
+        the stored columns of the size-1 structures."""
+        df = self._ls_df
         symbol = np.fromiter(map(is_symbol, self.vocab), bool, len(self.vocab))
         present = np.flatnonzero(symbol & (df > 0))
-        keep = np.repeat(symbol, df)  # the symbols' groups
+        keep = np.repeat(symbol, df)  # the symbols' entries
         return Bm25Index.from_postings(
             self.pool.ids,
             [self.vocab[c] for c in present.tolist()],
             np.repeat(np.arange(len(present)), df[present]),
-            rows[keep],
-            self.arrays["ls_counts"][order[keep]],
+            self.arrays["lsc_rows"][keep],
+            self.arrays["lsc_counts"][keep],
         )
 
     @cached_property
@@ -649,20 +659,24 @@ class IndexBundle:
             "version": INDEX_VERSION,
             "dialect": self.corpus.dialect.to_dict(),
             "vocab": self.vocab,
-            "bm25_terms": self.bm25_utterance.terms,
+            "bm25_terms": self.bm25_terms,
             "pool": len(self.pool),
         }
         write_file(path, lambda handle: _write_index(handle, header, self.arrays), "index file")
 
     @classmethod
     def load(cls, path: str | Path) -> "IndexBundle":
-        """Map an index file read-only, checking every array's place and
-        CRC-32; nothing in it is copied or unpickled. An older or a foreign
-        file raises :class:`IndexVersionError`, any other bad file
-        :class:`IoError`. Only the example ids are decoded, and no example is
-        built: each is built, its texts decoded, when it is first read. Renaming
-        a new file over it, as :meth:`save` does, is safe; rewriting or
-        truncating it in place (``cp new old``) can kill the process with SIGBUS."""
+        """Map an index file read-only, checking every array's place; nothing
+        in it is copied or unpickled. The arrays that :func:`_check_layout`
+        reads are checked against their CRC-32 here; ``ls_counts``,
+        ``lsc_rows``, ``lsc_counts``, ``bm25_contrib`` and ``tfidf_weights``
+        only when first read (see :class:`_CheckedArrays`), so a damaged one
+        raises its :class:`IoError` there. An older or a foreign file raises
+        :class:`IndexVersionError`, any other bad file :class:`IoError`. Only
+        the example ids are decoded, and no example is built: each is built,
+        its texts decoded, when it is first read. Renaming a new file over it,
+        as :meth:`save` does, is safe; rewriting or truncating it in place
+        (``cp new old``) can kill the process with SIGBUS."""
         header, arrays = _read_index(path)
         try:
             vocab, terms, pool = header["vocab"], header["bm25_terms"], header["pool"]
@@ -688,7 +702,7 @@ def _aligned(size: int) -> int:
     return -(-size // _ALIGN) * _ALIGN
 
 
-def _write_index(handle: BinaryIO, header: dict, arrays: dict[str, np.ndarray]) -> None:
+def _write_index(handle: BinaryIO, header: dict, arrays: Mapping[str, np.ndarray]) -> None:
     """Write an index file: ``header`` as one JSON line, with each array's
     place ``[offset, count, crc32]`` under ``"arrays"``; zero padding up to
     the data start; then the arrays of :data:`ARRAY_DTYPES`, each at its
@@ -705,11 +719,55 @@ def _write_index(handle: BinaryIO, header: dict, arrays: dict[str, np.ndarray]) 
         handle.write(bytes(_aligned(arrays[name].nbytes) - arrays[name].nbytes))
 
 
-def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+class _CheckedArrays(Mapping):
+    """A mapped index file's arrays by name, each checked the first time it
+    is read: its CRC-32, then the value rule in ``rules`` (a check and what it
+    requires) if :func:`_check_layout` gave it one. A failed check raises an
+    IoError naming the file and the array, at that read and every later one.
+    ``lengths`` gives each array's length from its place, reading nothing.
+    Threads that first read an array together (``infer --jobs``) take turns:
+    the first checks it, and the others get the checked array or check again
+    and raise the same error."""
+
+    def __init__(self, path: str | Path, views: dict[str, np.ndarray], crcs: dict[str, int]):
+        self.path = path
+        self.lengths = {name: len(view) for name, view in views.items()}
+        self.rules: dict[str, tuple[Callable[[np.ndarray], bool], str]] = {}
+        self._views = views
+        self._crcs = crcs
+        self._checked: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        array = self._checked.get(name)
+        return self._check(name) if array is None else array
+
+    def _check(self, name: str) -> np.ndarray:
+        array = self._views[name]
+        with self._lock:
+            if name in self._checked:
+                return array
+            if zlib.crc32(array) != self._crcs[name]:
+                raise IoError(f"cannot read index file {self.path}: array {name} fails its CRC-32")
+            check, required = self.rules.get(name, (None, ""))
+            if check is not None and not check(array):
+                raise IoError(f"index file {self.path}: {required}")
+            self._checked[name] = array
+        return array
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
+def _read_index(path: str | Path) -> tuple[dict, _CheckedArrays]:
     """An index file's header, with its magic and version checked, and its
     arrays (see :func:`_write_index`): the file is mapped read-only, as Apache
     Arrow maps its IPC files, and each array is a view of the mapping (which
-    starts on a page, so aligned), checked against its CRC-32. An index of
+    starts on a page, so aligned), checked against its CRC-32 when first read
+    (see :class:`_CheckedArrays`). An index of
     version 1 or 2 was one JSON object, one of version 3 or 4 a ``.npz``
     archive, and one of version 5 held its records in its header."""
     try:
@@ -725,7 +783,7 @@ def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise IoError(f"cannot read index file {path}: {exc}") from exc
     data = data[start:]
     places = header.get("arrays")
-    arrays = {}
+    views, crcs = {}, {}
     for name, dtype in ARRAY_DTYPES.items():
         place = places.get(name) if isinstance(places, dict) else None
         if not (
@@ -738,18 +796,16 @@ def _read_index(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         end = offset + count * dtype.itemsize
         if end > len(data):
             raise IoError(f"cannot read index file {path}: array {name} runs past the end")
-        arrays[name] = array = data[offset:end].view(dtype)
-        if zlib.crc32(array) != crc:
-            raise IoError(f"cannot read index file {path}: array {name} fails its CRC-32")
-    return header, arrays
+        views[name], crcs[name] = data[offset:end].view(dtype), crc
+    return header, _CheckedArrays(path, views, crcs)
 
 
-def _fits(offsets: np.ndarray, n_rows: int, *entries: np.ndarray) -> bool:
-    """Whether ``offsets`` cut ``n_rows`` rows out of the ``entries`` arrays."""
+def _fits(offsets: np.ndarray, n_rows: int, *lengths: int) -> bool:
+    """Whether ``offsets`` cut ``n_rows`` rows out of arrays of ``lengths``."""
     return (
         len(offsets) == n_rows + 1
         and offsets[0] == 0
-        and all(len(a) == offsets[-1] for a in entries)
+        and all(n == offsets[-1] for n in lengths)
         and not np.any(offsets[1:] < offsets[:-1])
     )
 
@@ -771,9 +827,10 @@ def _decoded(data: np.ndarray, offsets: np.ndarray) -> str | None:
     return None if np.any(data[starts[starts < len(data)]] >> 6 == 2) else text
 
 
-def _check_layout(path, vocab, terms, pool, arrays) -> list[str]:
+def _check_layout(path, vocab, terms, pool, arrays: _CheckedArrays) -> list[str]:
     """Raise IoError unless a loaded header and its arrays fit together;
-    return the example ids."""
+    return the example ids. The arrays it reads are checked as it reads them;
+    of the others it checks the lengths, and gives ``lsc_rows`` its value rule."""
     if not all(isinstance(s, list) and set(map(type, s)) <= {str} for s in (vocab, terms)):
         raise IoError(f"index file {path} has a malformed header")
     n_records = max(len(arrays["id_offsets"]) - 1, 0)
@@ -781,7 +838,7 @@ def _check_layout(path, vocab, terms, pool, arrays) -> list[str]:
     for name in TEXT_FIELDS:
         offsets, data = arrays[f"{name}_offsets"], arrays[f"{name}_bytes"]
         n_rows = n_templates if name == "template" else n_records
-        if not _fits(offsets, n_rows, data):
+        if not _fits(offsets, n_rows, len(data)):
             raise IoError(f"index file {path}: the {name} arrays do not fit {n_rows} texts")
         text = _decoded(data, offsets)
         if text is None:
@@ -812,15 +869,27 @@ def _check_layout(path, vocab, terms, pool, arrays) -> list[str]:
         ("ls", "columns", "counts", n_records, len(vocab)),
         ("bm25", "rows", "contrib", len(terms), pool),
     )
+    lengths = arrays.lengths
     for group, index, value, n_rows, size in layout:
-        index, value = arrays[f"{group}_{index}"], arrays[f"{group}_{value}"]
-        if not (_fits(arrays[f"{group}_offsets"], n_rows, index, value) and _indexes(index, size)):
+        index, n_values = arrays[f"{group}_{index}"], lengths[f"{group}_{value}"]
+        offsets = arrays[f"{group}_offsets"]
+        if not (_fits(offsets, n_rows, len(index), n_values) and _indexes(index, size)):
             raise IoError(
                 f"index file {path}: the {group} arrays do not fit "
                 f"{n_rows} rows over {size} columns"
             )
-    if len(arrays["tfidf_weights"]) != arrays["ls_offsets"][pool]:  # ls fits, checked above
+    entries = int(arrays["ls_offsets"][pool])  # the pool's ls entries; ls fits, checked above
+    if lengths["tfidf_weights"] != entries:
         raise IoError(f"index file {path}: tfidf_weights does not hold a weight per pool ls entry")
+    lsc = lengths["lsc_rows"], lengths["lsc_counts"]
+    if not (_fits(arrays["lsc_offsets"], len(vocab), *lsc) and lsc[0] == entries):
+        raise IoError(
+            f"index file {path}: the lsc arrays do not fit {len(vocab)} columns "
+            f"over the pool's {entries} ls entries"
+        )
+    arrays.rules["lsc_rows"] = (
+        lambda rows: _indexes(rows, pool), f"lsc_rows holds a row outside the pool of {pool}"
+    )
     return ids
 
 
@@ -837,7 +906,9 @@ def _text_arrays(name: str, texts: Iterable[str]) -> dict[str, np.ndarray]:
 def build_indexes(corpus: Corpus) -> IndexBundle:
     """Index ``corpus``, pool first: its training examples in id order, then
     the others in their order. Compute, once, the arrays that the bundle
-    serves from and that a saved index stores (see :data:`ARRAY_DTYPES`)."""
+    serves from and that a saved index stores (see :data:`ARRAY_DTYPES`); the
+    pool's ``lsc`` columns are its ``ls`` entries by one stable sort, so the
+    two forms agree by construction."""
     twice = [i for i, n in Counter(ex.id for ex in corpus.examples).items() if n > 1]
     if twice:
         raise CorpusError(f"example id {twice[0]!r} occurs twice in the indexed corpus")
@@ -864,12 +935,20 @@ def build_indexes(corpus: Corpus) -> IndexBundle:
     vocab = sorted(set().union(*maps))
     column = {name: j for j, name in enumerate(vocab)}
     bm25 = Bm25Index({ex.id: ex.utt_tokens for ex in pool})
+    offsets = np.cumsum([0, *map(len, maps)])
+    columns = np.fromiter(map(column.__getitem__, chain.from_iterable(maps)), np.int32)
+    # the pool's entries (the first ones) by column, each column's rows ascending
+    entries = offsets[len(pool)]
+    order = np.argsort(columns[:entries], kind="stable")
     arrays = {
         **texts,
         "template_codes": np.fromiter(map(template_code.__getitem__, records["template"]), np.int32),
-        "ls_offsets": np.cumsum([0, *map(len, maps)]),
-        "ls_columns": np.fromiter(map(column.__getitem__, chain.from_iterable(maps)), np.int32),
+        "ls_offsets": offsets,
+        "ls_columns": columns,
         "ls_counts": counts,
+        "lsc_offsets": np.cumsum([0, *np.bincount(columns[:entries], minlength=len(vocab))]),
+        "lsc_rows": np.repeat(np.arange(len(pool)), np.diff(offsets[: len(pool) + 1]))[order],
+        "lsc_counts": counts[order],
         "bm25_offsets": bm25.offsets,
         "bm25_rows": bm25.rows,
         "bm25_contrib": bm25.contrib,

@@ -8,11 +8,12 @@ into a dense score vector, in query order. The idf used throughout is the
 positive Lucene-style variant ``ln((N - n + 0.5) / (n + 0.5) + 1)``.
 
 Documents are rows: row ``r`` is the ``r``-th of the sorted document ids.
-Scores (:class:`Scores`), posting lists (:class:`RowPostings`) and sparse
-rows (:class:`SparseRows`) are arrays aligned with those rows, each served
-as a read-only mapping by id that builds no per-document dict. Sparse rows,
+Scores (:class:`Scores`), posting lists (:class:`RowPostings`, or
+:class:`ColumnPostings` as an index stores them) and sparse rows
+(:class:`SparseRows`) are arrays aligned with those rows, each served as a
+read-only mapping that builds no per-document dict. Sparse rows,
 like every group of rows in an index file, are stored back to back with
-their offsets (see :func:`row_slices`). These three are the only form the
+their offsets (see :func:`row_slices`). These are the only form the
 selectors of :mod:`demoselect.selection` take: their ``ids`` must be the
 selection pool's ids, or the selector raises ``ValueError``.
 """
@@ -26,7 +27,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import add
 
 import numpy as np
@@ -110,6 +111,33 @@ class RowPostings(dict):
     def __init__(self, ids: list[str], lists: Mapping[str, np.ndarray]):
         super().__init__(lists)
         self.ids = ids
+
+
+class ColumnPostings(Mapping):
+    """Posting lists stored term by term, as a CSC matrix stores its columns:
+    the sorted ``terms[t]`` maps to the rows ``rows[offsets[t]:offsets[t + 1]]``
+    of the documents holding it, ascending, and row ``r`` is the document
+    ``ids[r]``. A term holding no row is absent. A lookup bisects ``terms``
+    and slices that term's rows, so nothing is built for a term never looked up."""
+
+    def __init__(self, ids: list[str], terms: list[str], offsets: np.ndarray, rows: np.ndarray):
+        self.ids = ids
+        self.terms = terms
+        self.offsets = offsets
+        self.rows = rows
+
+    def __getitem__(self, term: str) -> np.ndarray:
+        t = row_of(self.terms, term)
+        start, end = self.offsets[t : t + 2].tolist()
+        if start == end:
+            raise KeyError(term)
+        return self.rows[start:end]
+
+    def __iter__(self):
+        return compress(self.terms, np.diff(self.offsets).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(np.diff(self.offsets)))
 
 
 class SparseRows(Mapping):

@@ -10,12 +10,11 @@ strategies pick, among an element's candidate rows (ascending), the first
 of the highest score. An ``(id, score)`` pair is built only for a pick.
 
 Selectors take only this row form: the bundle's ``pool``, the
-:class:`~demoselect.retrieval.Scores` of its retrievers, its
-:class:`~demoselect.retrieval.RowPostings` and its tf-idf
-:class:`~demoselect.retrieval.SparseRows`. A hand-made pool is
-``Pool(sorted_ids, examples)``, with scores and postings over the same
-ids; the coverage strategies require ``postings``. Rows over other ids
-raise ``ValueError``.
+:class:`~demoselect.retrieval.Scores` of its retrievers, its posting lists
+(:data:`Postings`) and its tf-idf :class:`~demoselect.retrieval.SparseRows`.
+A hand-made pool is ``Pool(sorted_ids, examples)``, with scores and postings
+over the same ids; the coverage strategies require ``postings``. Rows over
+other ids raise ``ValueError``.
 
 The coverage strategies walk a sorted element list (largest structure
 first, or rarest token first), greedily picking the retriever-best pool
@@ -36,6 +35,7 @@ import numpy as np
 from .errors import InvalidKError
 from .programs import DEFAULT_DIALECT, DialectConfig
 from .retrieval import (
+    ColumnPostings,
     RowPostings,
     Scores,
     SparseRows,
@@ -49,6 +49,9 @@ GAIN_EPS = 1e-12
 RANK_TOL = 1e-9
 CANDIDATE_POOL_SIZE = 200  # the DPP candidates: the top-scoring rows
 _NO_ROWS = np.empty(0, np.intp)
+# the posting lists of pool rows a selector takes: an index's stored structure
+# columns, or any term -> rows dict
+Postings = ColumnPostings | RowPostings
 
 
 @dataclass
@@ -131,7 +134,7 @@ def _cover(
     k: int,
     terms: Callable[[object], Iterable[str]],
     strategy: str,
-    postings: RowPostings,
+    postings: Postings,
     rng: random.Random | None = None,
     exclude: str | None = None,
 ) -> DemonstrationSet:
@@ -202,7 +205,7 @@ def cover_ls(
     pick: str = "retriever-top",
     seed: int | None = None,
     *,
-    postings: RowPostings,
+    postings: Postings,
 ) -> DemonstrationSet:
     """Greedy structure-coverage selection over predicted local structures;
     ``postings`` lists the pool rows holding each structure."""
@@ -227,7 +230,7 @@ def cover_utt(
     k: int,
     idf: Callable[[str], float] | None = None,
     *,
-    postings: RowPostings,
+    postings: Postings,
 ) -> DemonstrationSet:
     """Same coverage loop over the test utterance's words (rarest first);
     ``postings`` lists the pool rows holding each word."""
@@ -372,7 +375,7 @@ def training_mode_select(
     k: int,
     seed: int | None = None,
     *,
-    postings: RowPostings,
+    postings: Postings,
     exclude: str | None = None,
 ) -> DemonstrationSet:
     """Training-time picks: cover the gold program's symbols (its size-1

@@ -83,9 +83,10 @@ def build_structure_graph(ast: ProgramAst) -> StructureGraph:
 
 
 def ls_size(canonical: str) -> int:
-    """Node count of a structure given only its canonical form (symbols
-    contain no spaces, so every separator joins two nodes)."""
-    return 1 + canonical.count(PARENT_SEP) + canonical.count(SIBLING_SEP)
+    """Node count of a structure given only its canonical form: symbols hold
+    no space, and each separator, ``PARENT_SEP`` or ``SIBLING_SEP``, holds
+    exactly two and joins two nodes, so the spaces count the separators twice."""
+    return 1 + canonical.count(" ") // 2
 
 
 def is_symbol(canonical: str) -> bool:

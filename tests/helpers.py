@@ -52,8 +52,14 @@ def brute_force_local_structures(graph: StructureGraph, max_size: int | None = N
 def brute_force_local_structure_counts(
     graph: StructureGraph, max_size: int | None = None
 ) -> Counter:
+    """The valid node subsets of :func:`brute_force_fragments`, counted per
+    canonical form."""
+    return Counter(canonical for canonical, _ in brute_force_fragments(graph, max_size))
+
+
+def brute_force_fragments(graph: StructureGraph, max_size: int | None = None):
     """Reference enumeration: test every node subset against the raw rule,
-    and count the valid subsets per canonical form.
+    and yield each valid subset's canonical form and node count.
 
     A subset is a structure when it is connected in the augmented graph and,
     for every pair of its nodes, a sibling edge joins them iff both are
@@ -70,7 +76,6 @@ def brute_force_local_structure_counts(
         neighbors[a].add(b)
         neighbors[b].add(a)
         sib_pairs.add(frozenset((a, b)))
-    found: Counter = Counter()
     for size in range(1, limit + 1):
         for subset in itertools.combinations(range(n), size):
             nodes = set(subset)
@@ -97,8 +102,7 @@ def brute_force_local_structure_counts(
                     valid = False
                     break
             if valid:
-                found[_serialize_fragment(graph, nodes)] += 1
-    return found
+                yield _serialize_fragment(graph, nodes), size
 
 
 def _serialize_fragment(graph: StructureGraph, nodes: set[int]) -> str:

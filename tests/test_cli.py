@@ -94,7 +94,7 @@ FIXTURE_DIGESTS = {
         "meta.json": "9d59d6c64f847069228c2083f5a963426085d944221f0df5224dd5932397fa91",
     },
 }
-INDEX_DIGEST = "e948aeb88f844d9818ea39f7ebacf8910d4de6aac294b52b7197d848401ed590"
+INDEX_DIGEST = "a6411afe6373e18cd393d8d31ed7ab7294c008d90fb6fdea027e971a01c14191"
 
 
 def _sha256(path):
@@ -554,6 +554,7 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
     from demoselect.retrieval import Bm25Index
 
     calls = Counter()
+    checked = set()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("built a structure the strategy does not read")
@@ -568,11 +569,9 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
     # a loaded index serves its tf-idf rows as stored: none is computed
     monkeypatch.setattr("demoselect.corpus.ls_tfidf_arrays", forbidden)
     monkeypatch.setattr("demoselect.corpus.Example.symbol_seq", property(forbidden))
-    # the grouping of the pool's structure entries, and the views built from it
-    for name, attribute in (("ls_grouping", "_ls_grouped"), ("ls_postings", "ls_postings")):
-        view = cached_property(counted(name, getattr(IndexBundle, attribute).func))
-        view.__set_name__(IndexBundle, attribute)
-        monkeypatch.setattr(IndexBundle, attribute, view)
+    view = cached_property(counted("ls_postings", IndexBundle.ls_postings.func))
+    view.__set_name__(IndexBundle, "ls_postings")
+    monkeypatch.setattr(IndexBundle, "ls_postings", view)
     monkeypatch.setattr(
         Bm25Index, "from_postings", counted("bm25_symbols", Bm25Index.from_postings)
     )
@@ -583,8 +582,16 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
         lambda ids, *args: tfidf_rows.append(len(ids)) or sparse_rows(ids, *args),
     )
     monkeypatch.setattr(Bm25Index, "scores", counted("bm25_scores", Bm25Index.scores))
+    # the arrays a command checks after loading's
+    loaded = set(IndexBundle.load(workspace["index"]).arrays._checked)
+    check = demoselect.corpus._CheckedArrays._check
+    monkeypatch.setattr(
+        demoselect.corpus._CheckedArrays,
+        "_check",
+        lambda arrays, name: checked.add(name) or check(arrays, name),
+    )
     common = ["run", "--index", str(workspace["index"]), "--k", "4", "--mock"]
-    built = {}
+    built, read = {}, {}
     for flags in (
         ["top-k"],
         ["random"],
@@ -595,21 +602,31 @@ def test_run_builds_only_the_structures_its_strategy_reads(workspace, tmp_path, 
         ["top-k", "--retriever", "bm25-symbols", "--oracle"],
     ):
         calls.clear()
+        checked.clear()
         workdir = tmp_path / "-".join(flags)
         assert main([*common, "--strategy", *flags, "--workdir", str(workdir)]) in (0, 1)
         built[" ".join(flags)] = dict(calls)
+        read[" ".join(flags)] = checked - loaded
     assert built == {
         "top-k": {"bm25_scores": 10},
         "random": {},
-        "cover-ls --oracle": {"bm25_scores": 10, "ls_grouping": 1, "ls_postings": 1},
+        "cover-ls --oracle": {"bm25_scores": 10, "ls_postings": 1},
         "cover-utt": {"bm25_scores": 10},
-        "cover-ls --train-mode": {"ls_grouping": 1, "ls_postings": 1},
+        "cover-ls --train-mode": {"ls_postings": 1},
         "dpp": {"bm25_scores": 10},
-        "top-k --retriever bm25-symbols --oracle": {
-            "ls_grouping": 1, "bm25_symbols": 1, "bm25_scores": 10
-        },
+        "top-k --retriever bm25-symbols --oracle": {"bm25_symbols": 1, "bm25_scores": 10},
     }
     assert tfidf_rows == [60]  # dpp's rows, one per pool example
+    # every command builds examples, reading their structure counts
+    assert read == {
+        "top-k": {"ls_counts", "bm25_contrib"},
+        "random": {"ls_counts"},
+        "cover-ls --oracle": {"ls_counts", "bm25_contrib", "lsc_rows"},
+        "cover-utt": {"ls_counts", "bm25_contrib"},
+        "cover-ls --train-mode": {"ls_counts", "lsc_rows"},
+        "dpp": {"ls_counts", "bm25_contrib", "tfidf_weights"},
+        "top-k --retriever bm25-symbols --oracle": {"ls_counts", "lsc_rows", "lsc_counts"},
+    }
 
 
 def test_commands_build_only_the_examples_they_read(workspace, tmp_path, monkeypatch):

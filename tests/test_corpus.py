@@ -5,9 +5,13 @@ import mmap
 import os
 import pickle
 import random
+import sys
 import tempfile
+import threading
 import zlib
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -465,9 +469,9 @@ def test_index_version_mismatch_rejected(tmp_path):
     path = tmp_path / "index.json"
     bundle.save(path)
     header, arrays, _ = _index_parts(path)
-    assert header["version"] == INDEX_VERSION == 9
+    assert header["version"] == INDEX_VERSION == 10
     assert "examples" not in header
-    for version in (1, 2, 3, 4, 5, 6, 7, 8, 99):
+    for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 99):
         _write_index(path, {**header, "version": version}, arrays)
         with pytest.raises(IndexVersionError, match="demoselect index"):
             IndexBundle.load(path)
@@ -495,12 +499,16 @@ def _version_4_npz(path):
     _savez(path, header=np.frombuffer(text, np.uint8), **arrays)
 
 
-def _flip_a_data_byte(path):
-    """Flip the last byte of the ``ls_counts`` array."""
-    header, arrays, start = _index_parts(path)
-    data = bytearray(path.read_bytes())
-    data[start + header["arrays"]["ls_counts"][0] + arrays["ls_counts"].nbytes - 1] ^= 0xFF
-    path.write_bytes(bytes(data))
+def _flip_a_byte_of(name):
+    """A damage that flips the last byte of array ``name``."""
+
+    def damage(path):
+        header, arrays, start = _index_parts(path)
+        data = bytearray(path.read_bytes())
+        data[start + header["arrays"][name][0] + arrays[name].nbytes - 1] ^= 0xFF
+        path.write_bytes(bytes(data))
+
+    return damage
 
 
 def _not_json(path):
@@ -588,6 +596,12 @@ def _cut_inside_a_character(header, arrays):
     texts[1] = "é" + texts[1]
     _set_texts(arrays, "utterance", texts)
     arrays["utterance_offsets"][1] += 1
+
+
+def _grow_the_last_column(header, arrays):
+    for name, value in (("lsc_rows", 0), ("lsc_counts", 1)):
+        arrays[name] = np.append(arrays[name], np.asarray(value, ARRAY_DTYPES[name]))
+    arrays["lsc_offsets"] = _bump_last(arrays["lsc_offsets"])
 
 
 def _repeat_first(values):
@@ -693,6 +707,22 @@ BAD_INDEX_CASES = {
         IoError,
         "the ls arrays do not fit 70 rows",
     ),
+    "lsc-offsets-not-one-per-structure": (
+        _rewrite(_set("lsc_offsets", lambda a: a[:-1])),
+        IoError,
+        r"the lsc arrays do not fit \d+ columns over the pool's \d+ ls entries",
+    ),
+    "lsc-offsets-past-the-pool-entries": (
+        # the lsc arrays fit each other, with one entry more than the pool holds
+        _rewrite(_grow_the_last_column),
+        IoError,
+        r"the lsc arrays do not fit \d+ columns over the pool's \d+ ls entries",
+    ),
+    "lsc-row-outside-the-pool": (
+        _rewrite(_set("lsc_rows", lambda a: np.where(a == a.max(), 60, a))),
+        IoError,
+        "lsc_rows holds a row outside the pool of 60",
+    ),
     "tfidf-weights-not-one-per-pool-entry": (
         _rewrite(_set("tfidf_weights", lambda a: a[:-1])),
         IoError,
@@ -755,7 +785,7 @@ BAD_INDEX_CASES = {
         "lists a BM25 term twice",
     ),
     "member-crc-mismatch": (
-        _flip_a_data_byte,
+        _flip_a_byte_of("ls_counts"),
         IoError,
         "cannot read index file .*: array ls_counts fails its CRC-32",
     ),
@@ -798,6 +828,15 @@ BAD_INDEX_CASES = {
 }
 
 
+# The cases whose damage is found when the damaged array is first read, not
+# at load: the array, and the select flags of a command that reads it.
+FIRST_READ_CASES = {
+    "array-crc-mismatch": ("bm25_contrib", ["--strategy", "top-k"]),
+    "member-crc-mismatch": ("ls_counts", ["--strategy", "top-k"]),
+    "lsc-row-outside-the-pool": ("lsc_rows", ["--strategy", "cover-ls", "--oracle"]),
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INDEX_CASES))
 def test_bad_index_file_exits_2_naming_it(tmp_path, capsys, monkeypatch, case):
     damage, error, message = BAD_INDEX_CASES[case]
@@ -810,12 +849,75 @@ def test_bad_index_file_exits_2_naming_it(tmp_path, capsys, monkeypatch, case):
 
     monkeypatch.setattr(pickle, "load", forbidden)
     monkeypatch.setattr(pickle, "loads", forbidden)
+    name, flags = FIRST_READ_CASES.get(case, (None, ["--strategy", "top-k"]))
     with pytest.raises(error, match=message) as raised:
-        IndexBundle.load(path)
+        bundle = IndexBundle.load(path)
+        assert name is not None, "loading did not find the damage"
+        bundle.arrays[name]
     assert str(path) in str(raised.value)
-    argv = ["select", "--strategy", "top-k", "--index", str(path), "--out", str(tmp_path / "o")]
+    argv = ["select", *flags, "--index", str(path), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert f"error: {raised.value}" in capsys.readouterr().err
+
+
+# The select flags of a command that reads each array loading does not check.
+READ_AFTER_LOAD = {
+    "ls_counts": ["--strategy", "top-k"],
+    "bm25_contrib": ["--strategy", "top-k"],
+    "tfidf_weights": ["--strategy", "dpp"],
+    "lsc_rows": ["--strategy", "cover-ls", "--oracle"],
+    "lsc_counts": ["--strategy", "top-k", "--retriever", "bm25-symbols", "--oracle"],
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_DTYPES))
+def test_a_damaged_array_exits_2_naming_the_file_and_the_array(tmp_path, capsys, name):
+    path = tmp_path / "index.json"
+    build_indexes(gen_fixture(n_train=60, n_test=10, seed=5).corpus).save(path)
+    _flip_a_byte_of(name)(path)
+    if name in READ_AFTER_LOAD:
+        IndexBundle.load(path)
+    else:
+        with pytest.raises(IoError, match=f"array {name} fails its CRC-32"):
+            IndexBundle.load(path)
+    flags = READ_AFTER_LOAD.get(name, ["--strategy", "top-k"])
+    assert main(["select", *flags, "--index", str(path), "--out", str(tmp_path / "o")]) == 2
+    error = f"error: cannot read index file {path}: array {name} fails its CRC-32"
+    assert error in capsys.readouterr().err
+
+
+def test_threads_that_first_read_an_array_together_check_it_alike(tmp_path):
+    # as infer --jobs threads may, more threads than cores and switching often:
+    # every read returns the checked array, or every read raises the damaged
+    # array's error
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    build_indexes(gen_fixture(n_train=60, n_test=10, seed=5).corpus).save(good)
+    bad.write_bytes(good.read_bytes())
+    _flip_a_byte_of("tfidf_weights")(bad)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for path in (good, bad):
+            arrays = IndexBundle.load(path).arrays
+            barrier = threading.Barrier(8)
+
+            def read():
+                barrier.wait(timeout=10)
+                try:
+                    return arrays["tfidf_weights"]
+                except IoError as exc:
+                    return str(exc)
+
+            with ThreadPoolExecutor(8) as threads:
+                futures = [threads.submit(read) for _ in range(8)]
+                got = [future.result(timeout=10) for future in futures]
+            if path == good:
+                assert all(array is arrays["tfidf_weights"] for array in got)
+            else:
+                error = f"cannot read index file {bad}: array tfidf_weights fails its CRC-32"
+                assert got == [error] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_index_load_parses_no_program(tmp_path, monkeypatch):
@@ -875,6 +977,17 @@ def _assert_index_matches_its_maps(bundle):
     )
     union = set().union(*(ex.ls_counts for ex in pool.values()))
     assert bundle.training_ls_union() == union
+    # the stored columns are the pool's ls entries grouped by structure, each
+    # structure's rows ascending, with their counts
+    column = {name: c for c, name in enumerate(bundle.vocab)}
+    by_column = [[] for _ in bundle.vocab]
+    for row, ex in enumerate(pool.values()):
+        for name, count in ex.ls_counts.items():
+            by_column[column[name]].append((row, count))
+    arrays = bundle.arrays
+    assert arrays["lsc_offsets"].tolist() == list(accumulate(map(len, by_column), initial=0))
+    stored = zip(arrays["lsc_rows"].tolist(), arrays["lsc_counts"].tolist())
+    assert list(stored) == [entry for entries in by_column for entry in entries]
     # the tf-idf rows, over the whole structure vocabulary, name the same
     # structures with the same weights bit for bit as the rows over the
     # pool's own vocabulary
@@ -1038,17 +1151,21 @@ def test_a_loaded_index_serves_the_same_after_index_replaces_its_file(tmp_path):
     _assert_same_index(loaded, build_indexes(corpus), [[], words[:5], words[-3:]])
 
 
-def test_a_vocabulary_wider_than_16_bits_groups_its_structures():
-    # past 1 << 16 structures the counting sort's keys do not fit in 16 bits;
-    # each program holds 300 arguments of its own and "zz", which every
-    # program holds and which sorts after them
+def test_a_vocabulary_wider_than_16_bits_groups_its_structures(tmp_path):
+    # past 1 << 16 structures a column code does not fit in 16 bits; each
+    # program holds 300 arguments of its own and "zz", which every program
+    # holds and which sorts after them
     def program(j):
         return f"f ({', '.join(f'x{j}_{i}' for i in range(300))}, zz)"
 
-    bundle = build_indexes(Corpus([make_example(f"p{j:02d}", "u", program(j)) for j in range(40)]))
-    assert len(bundle.vocab) > 1 << 16 and bundle.vocab.index("zz") >= 1 << 16
-    assert len(bundle.ls_postings["zz"]) == 40
-    _assert_index_matches_its_maps(bundle)
+    built = build_indexes(Corpus([make_example(f"p{j:02d}", "u", program(j)) for j in range(40)]))
+    assert len(built.vocab) > 1 << 16 and built.vocab.index("zz") >= 1 << 16
+    path = tmp_path / "index.json"
+    built.save(path)
+    for bundle in (built, IndexBundle.load(path)):
+        assert bundle.ls_postings["zz"].tolist() == list(range(40))
+        assert len(bundle.arrays["lsc_offsets"]) == len(bundle.vocab) + 1
+        _assert_index_matches_its_maps(bundle)
 
 
 def test_index_load_builds_no_structure_dict(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoselect import (
+    DialectConfig,
     anonymize,
     build_structure_graph,
     count_local_structures,
@@ -13,9 +14,11 @@ from demoselect import (
     ls_size,
     parse_program,
 )
+from demoselect.programs import DEFAULT_DIALECT
 from demoselect.structures import program_structures
 
 from helpers import (
+    brute_force_fragments,
     brute_force_local_structure_counts,
     brute_force_local_structures,
     node_count,
@@ -174,6 +177,21 @@ def test_ls_size_helper():
     assert ls_size("a -> b") == 2
     assert ls_size("a -> b <-> c") == 3
     assert ls_size("<root> -> CreateEvent -> AND -> starts_at -> NextDOW -> string") == 6
+
+
+VALUE_PARENTS = DialectConfig(value_parents=frozenset({"g", "scan"}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dialect=st.sampled_from([DEFAULT_DIALECT, VALUE_PARENTS]),
+)
+def test_ls_size_is_the_node_count_of_the_brute_force_subset(seed, dialect):
+    program = random_program(random.Random(seed), max_nodes=9)
+    graph = build_structure_graph(anonymize(parse_program(program, dialect)))
+    for canonical, size in brute_force_fragments(graph):
+        assert ls_size(canonical) == size, canonical
 
 
 @settings(max_examples=200, deadline=None)
