@@ -44,15 +44,24 @@ the training structure union read the stored CSC form: each structure's
 document frequency is the difference of its offsets, and a structure's
 posting list is its slice of the stored rows, cut when it is looked up. No
 command sorts the pool's entries. The token postings are the BM25 impact
-rows. An example is built when a command first
-reads it, with its texts decoded and its structure-count dict decoded from
-its slice of the ``ls`` arrays; its utterance tokens wait until they are
-first read, so a command pays only for the examples it reads. The pipeline's
-mock model, training mode and evaluation read the stored structure counts,
-and evaluation's error labels (:func:`~demoselect.evaluation.evaluate_example`)
-read the gold's and the demonstrations' symbols and templates from the
-examples, so that ``run`` parses only its ``--test`` rows, its beams and its
-wrong predictions.
+rows.
+
+A pool row is read where it is stored, and no command builds a pool
+:class:`Example` to serve a demonstration: the bundle's row readers give a
+record's texts (``IndexBundle.records``), its structures as vocabulary codes
+or names (``IndexBundle.ls``, a :class:`StructureRows`), and a pool row's
+utterance tokens. They refer to no bundle, so that no reference cycle keeps
+a dropped bundle, and the file it maps, alive. The prompt reads a
+demonstration's texts, the coverage loop a pick's structures or tokens, and
+the mock and evaluation its codes, against each target's structures coded
+once over the vocabulary (:meth:`IndexBundle.coded`); a wrong prediction's
+error labels read the demonstrations' symbol names and templates. So ``run``
+parses only its ``--test`` rows, its beams and its wrong predictions. An
+example is built only for a caller that reads one: a test example of the
+index, a training target (``--train-mode``), or a library caller's
+``pool[id]``. It is built the first time it is read, with its texts decoded
+and its structure-count dict decoded from its slice of the ``ls`` arrays;
+its utterance tokens wait until they are first read.
 """
 
 from __future__ import annotations
@@ -86,7 +95,7 @@ from .retrieval import (
     tokenize_utterance,
 )
 from .selection import Pool
-from .structures import analyze, is_symbol
+from .structures import CodedStructures, analyze, is_symbol
 
 logger = logging.getLogger(__name__)
 
@@ -547,6 +556,34 @@ def load_predictions(
     return bundles
 
 
+class StructureRows:
+    """The ``ls`` rows of an index's records, read where they are stored:
+    record ``r``'s structures as vocabulary codes (its slice of
+    ``ls_columns``), as names, or as a name → count map."""
+
+    def __init__(self, vocab: list[str], arrays: Mapping[str, np.ndarray]):
+        self.vocab = vocab
+        self.arrays = arrays
+
+    @cached_property
+    def _offsets(self) -> list[int]:
+        return self.arrays["ls_offsets"].tolist()
+
+    def _slice(self, r: int) -> slice:
+        return slice(self._offsets[r], self._offsets[r + 1])
+
+    def codes(self, r: int) -> np.ndarray:
+        """Record ``r``'s structures as vocabulary codes."""
+        return self.arrays["ls_columns"][self._slice(r)]
+
+    def names(self, r: int) -> list[str]:
+        """Record ``r``'s structures."""
+        return list(map(self.vocab.__getitem__, self.codes(r).tolist()))
+
+    def counts(self, r: int) -> dict[str, int]:
+        return dict(zip(self.names(r), self.arrays["ls_counts"][self._slice(r)].tolist()))
+
+
 class IndexBundle:
     """All retrieval state for a corpus, its examples included, served from
     what an index file holds: the dialect, the sorted structure ``vocab``, the
@@ -574,22 +611,40 @@ class IndexBundle:
         self.vocab = vocab
         self.bm25_terms = bm25_terms
         self.arrays = arrays
-        offsets, columns = arrays["ls_offsets"], arrays["ls_columns"]
-
-        def structures(r: int) -> dict[str, int]:
-            start, end = int(offsets[r]), int(offsets[r + 1])
-            names = map(vocab.__getitem__, columns[start:end].tolist())
-            return dict(zip(names, arrays["ls_counts"][start:end].tolist()))
-
-        records = {
+        self.records = {
             "id": ids,
             "utterance": _TextColumn(arrays, "utterance"),
             "program": _TextColumn(arrays, "program"),
             "template": _CodedColumn(_TextColumn(arrays, "template"), arrays["template_codes"]),
             "split": ["train"] * pool + ["test"] * (len(ids) - pool),
         }
-        self.corpus = Corpus(examples=ExampleTable(records, structures), dialect=dialect)
-        self.pool = Pool(ids[:pool], self.corpus.examples, arrays["template_codes"][:pool])
+        self.ls = StructureRows(vocab, arrays)
+        utterances = self.records["utterance"]
+        examples = ExampleTable(self.records, self.ls.counts)
+        self.corpus = Corpus(examples=examples, dialect=dialect)
+        self.pool = Pool(
+            ids[:pool],
+            examples,
+            arrays["template_codes"][:pool],
+            structures=self.ls.names,
+            tokens=lambda r: tokenize_utterance(utterances[r]),
+        )
+        self._coded: dict[str, tuple[Example, CodedStructures]] = {}
+
+    @cached_property
+    def _codes(self) -> dict[str, int]:
+        """Each structure's vocabulary code."""
+        return dict(zip(self.vocab, range(len(self.vocab))))
+
+    def coded(self, example: Example) -> CodedStructures:
+        """An example's structures as codes over the vocabulary (see
+        :class:`~demoselect.structures.CodedStructures`), coded the first time
+        it is asked for, and kept for that example object."""
+        held = self._coded.get(example.id)
+        if held is None or held[0] is not example:
+            coded = CodedStructures.of(example.ls_counts, self._codes)
+            held = self._coded[example.id] = (example, coded)
+        return held[1]
 
     @cached_property
     def bm25_utterance(self) -> Bm25Index:
@@ -641,6 +696,13 @@ class IndexBundle:
     def training_ls_union(self) -> set[str]:
         """The structures held by some pool example."""
         return set(compress(self.vocab, self._ls_df.tolist()))
+
+    @cached_property
+    def training_ls_mask(self) -> np.ndarray:
+        """The mask of the codes of :meth:`training_ls_union`, over the codes
+        of :meth:`coded`: the code of the names missing from the vocabulary
+        is not among them."""
+        return np.append(self._ls_df > 0, False)
 
     def stats(self) -> dict:
         return {

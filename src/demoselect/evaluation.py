@@ -1,20 +1,34 @@
 """Prediction scoring: exact match, coverage, error labels, aggregation.
 
-The error-label rule (:func:`error_labels`) takes the gold's and the
-demonstrations' symbols and templates, and parses only the prediction, once,
-through :func:`~demoselect.programs.repair_parentheses`, reading its template
-and symbols from :func:`~demoselect.structures.analyze`. A caller holding
-examples scores a prediction with :func:`evaluate_example`, which reads them
-from each example's template and cached structure counts, so no gold or
-demonstration program is parsed; :func:`evaluate_record` and
-:func:`classify_errors` are the same rule over program text.
+One rule scores a prediction (:func:`evaluate_coded`): exact match; the
+symbol and structure coverage of the gold program by the demonstrations'
+structures, and the count of their distinct structures; and whether the gold
+holds a small structure that no pool example holds. It reads structures as
+codes (see :class:`~demoselect.structures.CodedStructures`): the pipeline
+passes each demonstration's row of the index's structure codes and builds no
+demonstration example. :func:`evaluate_example` (over examples) and
+:func:`evaluate_record` (over program text and structure sets) code their
+sets over the names they hold and apply the same rule, as
+:func:`coverage_metrics` and :func:`unobserved_ls` do for theirs.
+
+The error-label rule (:func:`error_labels`), for a wrong prediction only,
+takes the gold's and the demonstrations' symbols and templates, and parses
+only the prediction, once, through
+:func:`~demoselect.programs.repair_parentheses`, reading its template and
+symbols from :func:`~demoselect.structures.analyze`. The pipeline and
+:func:`evaluate_example` read the gold's and the demonstrations' symbols and
+templates from what the index or the examples hold, so no gold or
+demonstration program is parsed; :func:`classify_errors` derives them from
+program text.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .programs import (
     DEFAULT_DIALECT,
@@ -24,7 +38,7 @@ from .programs import (
     scan_symbols,
 )
 from .retrieval import sequential_sum
-from .structures import analyze, is_symbol, ls_size
+from .structures import CodedStructures, analyze, coded_sets, is_symbol
 
 if TYPE_CHECKING:
     from .corpus import Example
@@ -46,22 +60,28 @@ def exact_match(pred: str, gold: str) -> bool:
     return normalize_whitespace(pred) == normalize_whitespace(gold)
 
 
-def coverage_metrics(
-    demo_ls_sets: Sequence[Iterable[str]], gold_ls_set: Iterable[str]
-) -> tuple[float, float, int]:
-    """(symbol coverage, structure coverage, unique structures in demos).
+def _coverage(held: np.ndarray, gold: CodedStructures) -> tuple[float, float, int]:
+    """(symbol coverage, structure coverage, unique structures in demos) from
+    ``held``, the mask of the codes the demonstrations hold.
 
     Symbols are the single-node structures of the gold program; structure
     coverage spans the gold program's full structure set.
     """
-    union: set[str] = set()
-    for ls_set in demo_ls_sets:
-        union.update(ls_set)
-    gold = set(gold_ls_set)
-    gold_symbols = set(filter(is_symbol, gold))
-    symbol_cov = len(gold_symbols & union) / len(gold_symbols) if gold_symbols else 0.0
-    ls_cov = len(gold & union) / len(gold) if gold else 0.0
-    return symbol_cov, ls_cov, len(union)
+    covered = held[gold.codes]
+    n_symbols = int(np.count_nonzero(gold.symbols))
+    n_covered_symbols = int(np.count_nonzero(covered & gold.symbols))
+    symbol_cov = n_covered_symbols / n_symbols if n_symbols else 0.0
+    ls_cov = int(np.count_nonzero(covered)) / len(covered) if len(covered) else 0.0
+    return symbol_cov, ls_cov, int(np.count_nonzero(held))
+
+
+def coverage_metrics(
+    demo_ls_sets: Sequence[Iterable[str]], gold_ls_set: Iterable[str]
+) -> tuple[float, float, int]:
+    """(symbol coverage, structure coverage, unique structures in demos) of
+    structure sets, coded over the names they hold."""
+    _, rows, gold = coded_sets(demo_ls_sets, gold_ls_set)
+    return _coverage(gold.union(rows), gold)
 
 
 def program_symbols(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> set[str]:
@@ -134,12 +154,25 @@ def classify_errors(
     )
 
 
-def unobserved_ls(gold_ls_set: Iterable[str], training_ls_union: set[str]) -> bool:
+def _unobserved(gold: CodedStructures, observed: np.ndarray) -> bool:
+    """Whether the gold program has a small structure (of at most
+    :data:`UNOBSERVED_MAX_SIZE` nodes) whose code ``observed``, the mask of
+    the training structures' codes, does not hold."""
+    return not observed[gold.codes[gold.sizes <= UNOBSERVED_MAX_SIZE]].all()
+
+
+def _observed(codes: Mapping[str, int], training_ls_union: AbstractSet[str]) -> np.ndarray:
+    """The mask of the ``codes`` (see
+    :func:`~demoselect.structures.structure_codes`), in their order, that name
+    a training structure; the code of the names they lack names none."""
+    return np.array([name in training_ls_union for name in codes] + [False])
+
+
+def unobserved_ls(gold_ls_set: Iterable[str], training_ls_union: AbstractSet[str]) -> bool:
     """True when the gold program has a small structure (of at most
     :data:`UNOBSERVED_MAX_SIZE` nodes) never seen in training."""
-    return any(
-        c not in training_ls_union for c in gold_ls_set if ls_size(c) <= UNOBSERVED_MAX_SIZE
-    )
+    codes, _, gold = coded_sets([], gold_ls_set)
+    return _unobserved(gold, _observed(codes, training_ls_union))
 
 
 @dataclass
@@ -166,24 +199,30 @@ class EvalRecord:
         }
 
 
-def _record(
+def evaluate_coded(
     example_id: str,
-    matched: bool,
-    labels: set[str],
-    demo_ls_sets: Sequence[Iterable[str]],
-    gold_ls_set: Iterable[str],
-    training_ls_union: set[str],
-    strategy: str,
+    pred: str,
+    gold_program: str,
+    demo_rows: Sequence[np.ndarray],
+    gold: CodedStructures,
+    observed: np.ndarray,
+    labels: Callable[[], set[str]],
+    strategy: str = "",
 ) -> EvalRecord:
-    symbol_cov, ls_cov, unique = coverage_metrics(demo_ls_sets, gold_ls_set)
+    """Score one prediction from structure codes: the demonstrations' rows
+    and the gold's codes, over one vocabulary, and ``observed``, the mask of
+    the training structures' codes. ``labels()`` gives the error labels of a
+    wrong prediction, and is not called for a right one."""
+    matched = exact_match(pred, gold_program)
+    symbol_cov, ls_cov, unique = _coverage(gold.union(demo_rows), gold)
     return EvalRecord(
         example_id=example_id,
         exact_match=matched,
         symbol_coverage=symbol_cov,
         ls_coverage=ls_cov,
         unique_ls_count=unique,
-        error_labels=labels,
-        unobserved_ls=unobserved_ls(gold_ls_set, training_ls_union),
+        error_labels=set() if matched else labels(),
+        unobserved_ls=_unobserved(gold, observed),
         strategy=strategy,
     )
 
@@ -195,46 +234,42 @@ def evaluate_record(
     demo_programs: Sequence[str],
     demo_ls_sets: Sequence[Iterable[str]],
     gold_ls_set: Iterable[str],
-    training_ls_union: set[str],
+    training_ls_union: AbstractSet[str],
     dialect: DialectConfig = DEFAULT_DIALECT,
     strategy: str = "",
 ) -> EvalRecord:
-    """Score one prediction; error labels only exist for wrong predictions."""
-    matched = exact_match(pred, gold)
-    labels = set() if matched else classify_errors(pred, gold, demo_programs, dialect)
-    return _record(
-        example_id, matched, labels, demo_ls_sets, gold_ls_set, training_ls_union, strategy
-    )
+    """:func:`evaluate_coded` over structure sets, coded over the names they
+    hold, with the labels of :func:`classify_errors`."""
+    codes, rows, coded = coded_sets(demo_ls_sets, gold_ls_set)
+    observed = _observed(codes, training_ls_union)
+
+    def labels() -> set[str]:
+        return classify_errors(pred, gold, demo_programs, dialect)
+
+    return evaluate_coded(example_id, pred, gold, rows, coded, observed, labels, strategy)
 
 
 def evaluate_example(
     example: Example,
     pred: str,
     demos: Sequence[Example],
-    training_ls_union: set[str],
+    training_ls_union: AbstractSet[str],
     dialect: DialectConfig = DEFAULT_DIALECT,
     strategy: str = "",
 ) -> EvalRecord:
     """:func:`evaluate_record` for a gold example and its demonstration
     examples: symbols, templates and structure sets come from the examples,
     and only a wrong prediction is parsed."""
-    matched = exact_match(pred, example.program)
-    labels = set()
-    if not matched:
+
+    def labels() -> set[str]:
         demo_symbols = set().union(*(filter(is_symbol, demo.ls_counts) for demo in demos))
-        demo_templates = {demo.template for demo in demos}
-        labels = error_labels(
-            pred, set(filter(is_symbol, example.ls_counts)), demo_symbols, demo_templates, dialect
-        )
-    return _record(
-        example.id,
-        matched,
-        labels,
-        [demo.ls_counts.keys() for demo in demos],
-        example.ls_counts.keys(),
-        training_ls_union,
-        strategy,
-    )
+        gold_symbols = set(filter(is_symbol, example.ls_counts))
+        return error_labels(pred, gold_symbols, demo_symbols, {d.template for d in demos}, dialect)
+
+    codes, rows, coded = coded_sets([demo.ls_counts for demo in demos], example.ls_counts)
+    observed = _observed(codes, training_ls_union)
+    program = example.program
+    return evaluate_coded(example.id, pred, program, rows, coded, observed, labels, strategy)
 
 
 ALL_LABELS = (LABEL_SYNTAX, LABEL_OVER_COPY, LABEL_OOV, LABEL_MISSING)

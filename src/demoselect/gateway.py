@@ -8,10 +8,12 @@ Only :func:`complete` imports ``requests``, so a command that sends no
 request (any but ``infer`` or ``run`` without ``--mock``) never loads an
 HTTP stack.
 
-The mock decides on structure sets alone
-(:func:`mock_from_structures`), so a caller holding an index passes the
-examples' cached local-structure counts and no program is parsed;
-:func:`mock_complete` is the same rule over program text.
+The mock decides on structures alone, as codes (:func:`mock_from_codes`,
+see :class:`~demoselect.structures.CodedStructures`): the pipeline passes
+each demonstration's row of the index's structure codes and no program is
+parsed or demonstration example built. :func:`mock_from_structures` (over
+structure sets) and :func:`mock_complete` (over program text) code their
+sets over the names they hold and apply the same rule.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from dataclasses import dataclass
 from typing import AbstractSet, Callable, Sequence
 from urllib.parse import urlsplit
 
+import numpy as np
+
 from .errors import ApiError, ConfigError, ParseError, TransportError
 from .programs import DEFAULT_DIALECT, DialectConfig
-from .structures import ls_size, program_structures
+from .structures import CodedStructures, coded_sets, program_structures
 
 ENV_API_KEY = "DEMOSELECT_API_KEY"
 ENV_BASE_URL = "DEMOSELECT_BASE_URL"
@@ -198,6 +202,30 @@ class MockOracleConfig:
             raise ConfigError("compose_threshold_size must be >= 1")
 
 
+def mock_from_codes(
+    demo_rows: Sequence[np.ndarray],
+    gold: CodedStructures,
+    demo_programs: Sequence[str],
+    gold_program: str,
+    config: MockOracleConfig | None = None,
+) -> str:
+    """The mock's answer from structure codes: the gold program when the
+    demonstrations' rows of codes jointly hold every gold structure of at
+    most ``compose_threshold_size`` nodes, else the program of the
+    demonstration holding the most gold structures (first in prompt order on
+    ties); "" without demonstrations."""
+    config = config or MockOracleConfig()
+    if not demo_programs:
+        return ""
+    held = gold.union(demo_rows)
+    if held[gold.codes[gold.sizes <= config.compose_threshold_size]].all():
+        return gold_program
+    in_gold = np.zeros(gold.width, bool)
+    in_gold[gold.codes] = True
+    overlaps = [int(np.count_nonzero(in_gold[row])) for row in demo_rows]
+    return demo_programs[overlaps.index(max(overlaps))]
+
+
 def mock_from_structures(
     demo_structures: Sequence[AbstractSet[str]],
     gold_structures: AbstractSet[str],
@@ -205,20 +233,10 @@ def mock_from_structures(
     gold_program: str,
     config: MockOracleConfig | None = None,
 ) -> str:
-    """The mock's answer from structure sets (sets or dict key views): the
-    gold program when the demonstrations jointly hold every gold structure
-    of at most ``compose_threshold_size`` nodes, else the demonstration
-    program with the largest overlap with the gold set (first in prompt
-    order on ties); "" without demonstrations."""
-    config = config or MockOracleConfig()
-    if not demo_programs:
-        return ""
-    union: set[str] = set().union(*demo_structures)
-    threshold = config.compose_threshold_size
-    if all(c in union for c in gold_structures if ls_size(c) <= threshold):
-        return gold_program
-    overlaps = [len(structures & gold_structures) for structures in demo_structures]
-    return demo_programs[overlaps.index(max(overlaps))]
+    """:func:`mock_from_codes` over structure sets (sets or dict key views),
+    coded over the names they hold."""
+    _, rows, gold = coded_sets(demo_structures, gold_structures)
+    return mock_from_codes(rows, gold, demo_programs, gold_program, config)
 
 
 def _ls_canonicals(program: str, dialect: DialectConfig) -> set[str]:

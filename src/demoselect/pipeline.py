@@ -10,6 +10,14 @@ returns the rows of its stage file. The row formats are defined here,
 beside the code that builds them, as the keys and value kinds a row read
 back from a file must hold (``SELECTION_ROW`` and the others below), which
 :func:`~demoselect.corpus.read_rows` checks as it checks every JSONL file.
+
+A demonstration is a pool row, never built into an
+:class:`~demoselect.corpus.Example`: its id resolves to its row, the prompt
+reads its utterance and program from the index's record columns, and the
+mock and eval read its structures as its row of vocabulary codes, against
+each target's structures coded once over the same vocabulary
+(:meth:`~demoselect.corpus.IndexBundle.coded`). Only a wrong prediction's
+error labels read the demonstrations' symbol names and templates.
 """
 
 from __future__ import annotations
@@ -18,13 +26,14 @@ import logging
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .corpus import ID, STRING, STRINGS
 from .errors import BudgetTooSmallError, ConfigError, UnknownIdError
-from .evaluation import EvalRecord, aggregate, evaluate_example
-from .gateway import MockOracleConfig, complete, mock_from_structures
+from .evaluation import EvalRecord, aggregate, error_labels, evaluate_coded
+from .gateway import MockOracleConfig, complete, mock_from_codes
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
-from .retrieval import RETRIEVER_VARIANTS, random_scores
+from .retrieval import RETRIEVER_VARIANTS, random_scores, row_of
 from .selection import (
     CANDIDATE_POOL_SIZE,
     cover_ls,
@@ -100,11 +109,17 @@ def _example_seed(seed: int, example_id: str) -> int:
     return zlib.crc32(f"{seed}:{example_id}".encode("utf-8", "surrogatepass"))
 
 
-def _demo(bundle, demo_id: str):
-    demo = bundle.pool.get(demo_id)
-    if demo is None:
-        raise UnknownIdError(f"unknown demonstration id {demo_id}: not in the training pool")
-    return demo
+def _demo_rows(bundle, demo_ids: list[str]) -> list[int]:
+    """The pool rows of demonstration ids."""
+    rows = []
+    for demo_id in demo_ids:
+        try:
+            rows.append(row_of(bundle.pool.ids, demo_id))
+        except KeyError:
+            raise UnknownIdError(
+                f"unknown demonstration id {demo_id}: not in the training pool"
+            ) from None
+    return rows
 
 
 def _is_scored_ids(value) -> bool:
@@ -204,10 +219,9 @@ def _prompt_one(bundle, example, items, cfg: RunConfig) -> dict:
         mode="shuffled" if cfg.train_mode else cfg.order,
         seed=_example_seed(cfg.seed, example.id),
     )
-    demos = []
-    for demo_id, _ in ordered:
-        demo = _demo(bundle, demo_id)
-        demos.append((demo.id, demo.utterance, demo.program))
+    ids = [demo_id for demo_id, _ in ordered]
+    utterances, programs = bundle.records["utterance"], bundle.records["program"]
+    demos = [(i, utterances[r], programs[r]) for i, r in zip(ids, _demo_rows(bundle, ids))]
     prompt = format_prompt(demos, example.utterance, include_utterances=not cfg.programs_only)
     if cfg.budget is not None:
         try:
@@ -250,11 +264,11 @@ def stage_infer(
         example = targets.get(row["id"])
         if example is None:
             raise UnknownIdError(f"prompt id {row['id']} has no test example")
-        demos = [_demo(bundle, d) for d in row["demo_ids"]]
-        text = mock_from_structures(
-            [demo.ls_counts.keys() for demo in demos],
-            example.ls_counts.keys(),
-            [demo.program for demo in demos],
+        rows = _demo_rows(bundle, row["demo_ids"])
+        text = mock_from_codes(
+            [bundle.ls.codes(r) for r in rows],
+            bundle.coded(example),
+            [bundle.records["program"][r] for r in rows],
             example.program,
             mock_config,
         )
@@ -275,13 +289,35 @@ def stage_infer(
 # --- eval stage ------------------------------------------------------------
 
 
+def _eval_one(bundle, example, pred: str, rows: list[int], cfg: RunConfig) -> EvalRecord:
+    def labels() -> set[str]:
+        demo_names = chain.from_iterable(map(bundle.ls.names, rows))
+        return error_labels(
+            pred,
+            set(filter(is_symbol, example.ls_counts)),
+            set(filter(is_symbol, demo_names)),
+            {bundle.records["template"][r] for r in rows},
+            bundle.corpus.dialect,
+        )
+
+    return evaluate_coded(
+        example.id,
+        pred,
+        example.program,
+        [bundle.ls.codes(r) for r in rows],
+        bundle.coded(example),
+        bundle.training_ls_mask,
+        labels,
+        cfg.strategy,
+    )
+
+
 def stage_eval(
     bundle, targets, prompts: list[dict], predictions: list[dict], cfg: RunConfig
 ) -> tuple[dict, list]:
     """The report and the per-prediction records; each prediction is scored
     against the demonstrations of its prompt row."""
     demo_ids = {row["id"]: row["demo_ids"] for row in prompts}
-    training_union = bundle.training_ls_union()
     records = []
     for row in predictions:
         example = targets.get(row["id"])
@@ -290,15 +326,6 @@ def stage_eval(
             continue
         if row["id"] not in demo_ids:
             raise UnknownIdError(f"prediction id {row['id']} has no prompt row")
-        demos = [_demo(bundle, d) for d in demo_ids[row["id"]]]
-        records.append(
-            evaluate_example(
-                example,
-                row["prediction"],
-                demos,
-                training_union,
-                bundle.corpus.dialect,
-                cfg.strategy,
-            )
-        )
+        rows = _demo_rows(bundle, demo_ids[row["id"]])
+        records.append(_eval_one(bundle, example, row["prediction"], rows, cfg))
     return aggregate(records, by_strategy=False), records

@@ -212,12 +212,14 @@ class Bm25Index:
 
     def _index(self, doc_ids, terms, term_of, rows, tf) -> None:
         n = len(doc_ids)
-        lengths = np.bincount(rows, weights=tf, minlength=n).astype(np.int64).tolist()
-        total = sum(lengths)
+        lengths = np.bincount(rows, weights=tf, minlength=n).astype(np.int64)
+        total = int(lengths.sum())
         avgdl = total / n if total else 1.0
         df = np.bincount(term_of, minlength=len(terms))
+        # math.log per term: np.log may differ from it in the last bit
         idf = np.array([lucene_idf(n, d) for d in df.tolist()])
-        norm = np.array([K1 * (1 - B + B * length / avgdl) for length in lengths])
+        # the IEEE operations of K1 * (1 - B + B * length / avgdl), in its order
+        norm = K1 * ((1 - B) + B * lengths / avgdl)
         # Elementwise IEEE operations in the order of the per-document formula,
         # so every float equals ``idf * tf * (K1 + 1) / (tf + norm)`` in Python.
         contrib = idf[term_of] * tf * (K1 + 1) / (tf + norm[rows])

@@ -73,16 +73,27 @@ class Pool(Mapping):
     in id order, ``examples[r]`` being the example of ``ids[r]``; the caller
     sorts the ids. ``examples`` may run on past the pool's rows, as an
     index's corpus does, and is read only at the rows a caller reads. Given
-    ``template_codes``, as an index stores them, :attr:`template_codes`
-    reads no example."""
+    ``template_codes``, ``structures`` and ``tokens``, as an index serves
+    them, :attr:`template_codes`, :meth:`structures` and :meth:`tokens` read
+    no example, and the selectors build none."""
 
     def __init__(
-        self, ids: list[str], examples: Sequence, template_codes: np.ndarray | None = None
+        self,
+        ids: list[str],
+        examples: Sequence,
+        template_codes: np.ndarray | None = None,
+        structures: Callable[[int], Iterable[str]] | None = None,
+        tokens: Callable[[int], Iterable[str]] | None = None,
     ):
         self.ids = ids
         self.examples = examples
-        if template_codes is not None:  # the cached property's value
+        # each one given stands in for the cached property or method of its name
+        if template_codes is not None:
             self.template_codes = template_codes
+        if structures is not None:
+            self.structures = structures
+        if tokens is not None:
+            self.tokens = tokens
 
     @cached_property
     def template_codes(self) -> np.ndarray:
@@ -92,8 +103,23 @@ class Pool(Mapping):
         rows = (codes.setdefault(template, len(codes)) for template in templates)
         return np.fromiter(rows, np.intp, len(self.ids))
 
+    def structures(self, r: int) -> Iterable[str]:
+        """The structures of pool row ``r``."""
+        return self.examples[r].ls_counts
+
+    def tokens(self, r: int) -> Iterable[str]:
+        """The utterance tokens of pool row ``r``."""
+        return self.examples[r].utt_tokens
+
     def __getitem__(self, key: str):
         return self.examples[row_of(self.ids, key)]
+
+    def __contains__(self, key: object) -> bool:
+        try:
+            row_of(self.ids, key)
+        except KeyError:
+            return False
+        return True
 
     def __iter__(self):
         return iter(self.ids)
@@ -132,7 +158,7 @@ def _cover(
     pool: Pool,
     values: np.ndarray,
     k: int,
-    terms: Callable[[object], Iterable[str]],
+    terms: Callable[[int], Iterable[str]],
     strategy: str,
     postings: Postings,
     rng: random.Random | None = None,
@@ -140,7 +166,7 @@ def _cover(
 ) -> DemonstrationSet:
     """Cover the payloads of ``walk``, in its order: ``values[r]`` scores
     row ``r``, ``postings`` lists the rows holding each payload and
-    ``terms(example)`` the payloads an example covers. The pool id
+    ``terms(r)`` the payloads row ``r`` covers. The pool id
     ``exclude`` is never picked. With ``rng`` the pick among an element's
     candidates is uniform, else the retriever-best."""
     if k <= 0:
@@ -173,7 +199,7 @@ def _cover(
                 best = rng.choice(rows.tolist())
             chosen.append(best)
             trace.append((payload, pool.ids[best]))
-            uncovered.difference_update(terms(pool.examples[best]))
+            uncovered.difference_update(terms(best))
             blocked |= templates == templates[best]
             progress = True
             if len(chosen) == k:
@@ -216,7 +242,7 @@ def cover_ls(
         pool,
         scores.array,
         k,
-        terms=lambda ex: ex.ls_counts,
+        terms=pool.structures,
         strategy="cover-ls",
         postings=postings,
         rng=rng,
@@ -243,7 +269,7 @@ def cover_utt(
         pool,
         scores.array,
         k,
-        terms=lambda ex: ex.utt_tokens,
+        terms=pool.tokens,
         strategy="cover-utt",
         postings=postings,
     )
@@ -387,7 +413,7 @@ def training_mode_select(
         pool,
         np.zeros(len(pool.ids)),
         k,
-        terms=lambda ex: ex.ls_counts,
+        terms=pool.structures,
         strategy="cover-ls-train",
         postings=postings,
         rng=random.Random(seed),

@@ -21,12 +21,21 @@ every index, posting list and coverage element keys on that string.
 :class:`LocalStructure` pairs a string with its node count; it is only the
 view that :func:`enumerate_local_structures` returns to the acceptance
 criteria and the structure tests.
+
+The mock model and evaluation compare structure sets as codes: a structure's
+code is its number in a vocabulary, an index's or one made of the sets at
+hand (:func:`coded_sets`). A demonstration is a row of codes, and a
+gold program a :class:`CodedStructures`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from .programs import (
     DEFAULT_DIALECT,
@@ -165,3 +174,55 @@ def program_structures(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> C
     """Local-structure counts of a program's anonymized tree, keyed by
     canonical form. Raises :class:`ParseError` on unparseable text."""
     return analyze(parse_program(text, dialect))[1]
+
+
+# --- structures as codes -----------------------------------------------------
+
+
+def structure_codes(names: Iterable[str], codes: Mapping[str, int]) -> np.ndarray:
+    """Each of ``names`` as its code in ``codes``, which numbers a vocabulary
+    from 0; as ``len(codes)``, a code that no row of codes over that
+    vocabulary holds, if the vocabulary lacks it."""
+    return np.array(list(map(codes.get, names, repeat(len(codes)))), np.intp)
+
+
+@dataclass(frozen=True)
+class CodedStructures:
+    """A program's structures as codes over a vocabulary (see
+    :func:`structure_codes`): ``codes[j]`` is its j-th structure's code,
+    ``sizes[j]`` that structure's node count and ``symbols[j]`` whether it is
+    a symbol. Codes run below ``width``: the vocabulary's, and the one code
+    that the names it lacks share."""
+
+    codes: np.ndarray
+    sizes: np.ndarray
+    symbols: np.ndarray
+    width: int
+
+    @classmethod
+    def of(cls, names: Iterable[str], codes: Mapping[str, int]) -> "CodedStructures":
+        names = list(names)
+        return cls(
+            structure_codes(names, codes),
+            np.fromiter(map(ls_size, names), np.intp, len(names)),
+            np.fromiter(map(is_symbol, names), bool, len(names)),
+            len(codes) + 1,
+        )
+
+    def union(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """A mask of the codes below ``width`` that some of ``rows`` holds."""
+        mask = np.zeros(self.width, bool)
+        if len(rows):
+            mask[np.concatenate(rows)] = True
+        return mask
+
+
+def coded_sets(
+    demo_sets: Sequence[Iterable[str]], gold: Iterable[str]
+) -> tuple[dict[str, int], list[np.ndarray], CodedStructures]:
+    """The codes of the vocabulary of all the names in ``demo_sets`` and
+    ``gold``, the sets as rows of those codes, and ``gold`` coded."""
+    demo_sets, gold = [set(names) for names in demo_sets], set(gold)
+    vocab = gold.union(*demo_sets)
+    codes = dict(zip(vocab, range(len(vocab))))
+    return codes, [structure_codes(s, codes) for s in demo_sets], CodedStructures.of(gold, codes)

@@ -661,10 +661,13 @@ def test_commands_build_only_the_examples_they_read(workspace, tmp_path, monkeyp
         workdir = tmp_path / "-".join(flags)
         argv = ["run", *common, "--strategy", *flags, "--mock", "--workdir", str(workdir)]
         assert main(argv) in (0, 1)
-        selections = _read_jsonl(workdir / "selections.jsonl")
-        demos = {demo_id for row in selections for demo_id, _ in row["items"]}
-        # each test example and each demonstration written, once
-        assert sorted(built) == sorted([*tests, *demos])
+        # each test example, once: a demonstration is read from its pool row
+        assert sorted(built) == sorted(tests)
+
+    # looking an id up in the pool builds no example
+    bundle = IndexBundle.load(index)
+    assert first in bundle.pool and "no-such-id" not in bundle.pool and 7 not in bundle.pool
+    assert bundle.corpus.examples._built == {}
 
     # a loaded index saves its own bytes, whatever examples it has built
     for read in (0, 5):
@@ -673,6 +676,43 @@ def test_commands_build_only_the_examples_they_read(workspace, tmp_path, monkeyp
         again = tmp_path / f"again-{read}.json"
         reloaded.save(again)
         assert again.read_bytes() == Path(index).read_bytes()
+
+
+def test_run_mock_builds_no_pool_example(workspace, tmp_path, monkeypatch):
+    loaded = []
+    load = IndexBundle.load.__func__
+
+    def load_and_keep(cls, path):
+        loaded.append(load(cls, path))
+        return loaded[-1]
+
+    monkeypatch.setattr(IndexBundle, "load", classmethod(load_and_keep))
+    beams = tmp_path / "beams.jsonl"
+    _write_beams(workspace, beams)
+    common = ["run", "--index", str(workspace["index"]), "--k", "4", "--mock"]
+    tests = ["--test", str(workspace["fixture"] / "test.jsonl")]
+    for flags in (
+        ["top-k"],
+        ["random"],
+        ["dpp"],
+        ["cover-utt"],
+        ["cover-ls", "--oracle"],
+        ["cover-ls", "--predictions", str(beams)],
+    ):
+        loaded.clear()
+        workdir = tmp_path / flags[0] / flags[-1].rsplit("/", 1)[-1]
+        # exit 1: some predictions are wrong, so their error labels are read too
+        assert main([*common, *tests, "--strategy", *flags, "--workdir", str(workdir)]) == 1
+        (bundle,) = loaded
+        # no example of the index is built: not one demonstration, nor a pick
+        assert bundle.corpus.examples._built == {}, flags
+    # training mode's targets are the pool's examples: it builds each of them
+    loaded.clear()
+    workdir = tmp_path / "train-mode"
+    flags = ["--strategy", "cover-ls", "--train-mode", "--workdir", str(workdir)]
+    assert main([*common, *flags]) in (0, 1)
+    (bundle,) = loaded
+    assert sorted(bundle.corpus.examples._built) == list(range(len(bundle.pool)))
 
 
 def test_run_parses_only_test_programs_and_wrong_predictions(workspace, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import mmap
 import os
@@ -8,6 +9,7 @@ import random
 import sys
 import tempfile
 import threading
+import weakref
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -884,6 +886,27 @@ def test_a_damaged_array_exits_2_naming_the_file_and_the_array(tmp_path, capsys,
     assert main(["select", *flags, "--index", str(path), "--out", str(tmp_path / "o")]) == 2
     error = f"error: cannot read index file {path}: array {name} fails its CRC-32"
     assert error in capsys.readouterr().err
+
+
+def test_a_dropped_bundle_is_freed_without_the_cycle_collector(tmp_path):
+    # no reference cycle may keep a bundle, and the file it maps, alive after
+    # its last user drops it: a process that runs command after command would
+    # grow by a mapped index per command until the collector ran
+    corpus = gen_fixture(n_train=60, n_test=10, seed=5).corpus
+    path = tmp_path / "index.json"
+    build_indexes(corpus).save(path)
+    gc.disable()
+    try:
+        for make in (lambda: IndexBundle.load(path), lambda: build_indexes(corpus)):
+            bundle = make()
+            pool = bundle.pool
+            pool.structures(0), pool.tokens(0), pool[pool.ids[1]], bundle.ls.codes(2)
+            bundle.coded(bundle.corpus.examples[-1]), bundle.training_ls_mask
+            freed = weakref.ref(bundle)
+            del bundle, pool
+            assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_threads_that_first_read_an_array_together_check_it_alike(tmp_path):

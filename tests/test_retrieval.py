@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from demoselect import (
     Bm25Index,
+    build_indexes,
+    gen_fixture,
     ls_tfidf_vectors,
     make_example,
     random_scores,
@@ -158,6 +160,20 @@ def test_bm25_scores_equal_per_document_formula():
         for term in set(query) | {"zz-unknown"}:
             document_frequency = sum(term in doc for doc in docs.values())
             assert index.idf(term) == lucene_idf(len(docs), document_frequency)
+
+
+def test_bm25_symbols_scores_equal_the_per_document_formula_bit_for_bit():
+    # the symbol BM25 of a built index: its length norms are one numpy
+    # expression, its idfs one math.log per term, and every score holds the
+    # bits of the per-document formula in Python floats
+    bundle = build_indexes(gen_fixture(n_train=80, n_test=4, seed=9).corpus)
+    docs = {i: ex.symbol_seq for i, ex in bundle.pool.items()}
+    names = sorted({c for seq in docs.values() for c in seq})
+    rng = random.Random(4)
+    for query in ([], names, [rng.choice(names) for _ in range(7)], [names[0], "zz-unknown"]):
+        scores = bundle.bm25_symbols.scores(query)
+        expected = _per_document_scores(docs, query)
+        assert [v.hex() for v in scores.values()] == [expected[i].hex() for i in scores.ids]
 
 
 # "" is an empty term; "zz-unknown" occurs in no document.

@@ -1,10 +1,13 @@
 """`run --mock` over small random corpora and configurations: its outputs
 keep the benchmark's invariants (see ``helpers.run_failures``), and they are
-byte for byte those of the chained select, prompt, infer and eval commands."""
+byte for byte those of the chained select, prompt, infer and eval commands.
+The mock and eval stages, which read demonstrations as pool rows of structure
+codes, equal the mock and the scoring over program text."""
 
 from __future__ import annotations
 
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -12,11 +15,24 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from demoselect import GenerationError, gen_fixture, write_fixture
+from demoselect import (
+    Corpus,
+    GenerationError,
+    MockOracleConfig,
+    ParseError,
+    build_indexes,
+    evaluate_record,
+    gen_fixture,
+    make_example,
+    mock_complete,
+    write_fixture,
+)
 from demoselect.cli import ORDERS, STRATEGIES, main
+from demoselect.pipeline import RunConfig, stage_eval, stage_infer
 from demoselect.retrieval import RETRIEVER_VARIANTS
+from demoselect.structures import program_structures
 
-from helpers import run_failures
+from helpers import random_program, run_failures
 
 RUN_FILES = ("selections.jsonl", "prompts.jsonl", "predictions.jsonl", "report.json")
 
@@ -123,3 +139,71 @@ def test_run_keeps_the_bench_invariants_and_equals_the_stages(
     assert all(code in (0, 1) for code in codes), codes
     for name in names:
         assert (run_dir / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+def _examples(rng: random.Random, prefix: str, n: int, split: str, head: str = "") -> list:
+    """``n`` examples of random programs that parse, each under ``head`` if given."""
+    examples = []
+    while len(examples) < n:
+        program = random_program(rng)
+        program = f"{head} ({program})" if head else program
+        try:
+            examples.append(make_example(f"{prefix}{len(examples):02d}", "u", program, split))
+        except ParseError:
+            continue
+    return examples
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    n_pool=st.integers(1, 12),
+    n_test=st.integers(1, 6),
+    threshold=st.integers(1, 4),
+    data=st.data(),
+)
+def test_mock_and_eval_stages_equal_the_text_forms(seed, n_pool, n_test, threshold, data):
+    rng = random.Random(seed)
+    pool = _examples(rng, "p", n_pool, "train")
+    # the first test program's head symbol, and so its structures through it,
+    # are held by no pool example
+    tests = _examples(rng, "t", 1, "test", head="novel") + _examples(rng, "u", n_test, "test")
+    bundle = build_indexes(Corpus(examples=pool))
+    assert "novel" not in bundle.vocab
+    programs = {ex.id: ex.program for ex in pool}
+    targets = {ex.id: ex for ex in tests}
+    demo_ids = st.lists(st.sampled_from(bundle.pool.ids), max_size=5)
+    prompts = [{"id": ex.id, "prompt": "", "demo_ids": data.draw(demo_ids)} for ex in tests]
+    cfg = RunConfig(mock=True, mock_threshold=threshold)
+
+    predictions = stage_infer(bundle, targets, prompts, cfg)
+    mock = MockOracleConfig(compose_threshold_size=threshold)
+    for row, prompt in zip(predictions, prompts):
+        demos = [programs[i] for i in prompt["demo_ids"]]
+        gold = targets[prompt["id"]].program
+        assert row == {"id": prompt["id"], "prediction": mock_complete(demos, gold, mock)}
+
+    # right and wrong predictions: the mock's, the gold's, other programs,
+    # and text that does not parse
+    for row in predictions:
+        gold = targets[row["id"]].program
+        others = [gold, " ".join(gold.split(" ")[::-1]), random_program(rng), gold + " )", "f (g"]
+        row["prediction"] = data.draw(st.sampled_from([row["prediction"], *others]))
+    predictions[0]["prediction"] = "novel (f)"  # always one wrong prediction
+    report, records = stage_eval(bundle, targets, prompts, predictions, cfg)
+    union = bundle.training_ls_union()
+    assert report["count"] == len(records) == len(tests)
+    for record, row, prompt in zip(records, predictions, prompts):
+        demos = [programs[i] for i in prompt["demo_ids"]]
+        gold = targets[row["id"]].program
+        expected = evaluate_record(
+            row["id"],
+            row["prediction"],
+            gold,
+            demos,
+            [set(program_structures(p)) for p in demos],
+            set(program_structures(gold)),
+            union,
+            strategy=cfg.strategy,
+        )
+        assert record.to_dict() == expected.to_dict()
