@@ -5,11 +5,12 @@ Every JSON value is decoded by :func:`decode_json`. :func:`read_json` and
 lenient :func:`load_examples` (each row checked by :func:`check_row`) and
 :func:`write_rows` the JSONL files. Corpora are JSONL files with
 ``{"id"?, "utterance", "program", "split"?}`` lines (:data:`CORPUS_ROW`).
-A program is parsed once, when its example is made:
-:func:`~demoselect.structures.analyze` gives its template and local-structure
-counts. Every loaded beam is parsed once, by
-:func:`~demoselect.programs.repair_parentheses`, and keeps its
-local-structure set.
+A program is read once, when its example is made, in one walk over its
+tokens (:func:`~demoselect.structures.read_structures`): its template, its
+local-structure counts and each structure's node count, with no tree built.
+Every loaded beam is read once, in the walk that
+:func:`~demoselect.programs.repair_parentheses` returns, and keeps its
+local-structure set and their node counts.
 
 A corpus holds its examples as an :class:`ExampleTable`: the record columns
 of :data:`RECORD_FIELDS`, and each example built the first time it is read
@@ -54,9 +55,14 @@ utterance tokens. They refer to no bundle, so that no reference cycle keeps
 a dropped bundle, and the file it maps, alive. The prompt reads a
 demonstration's texts, the coverage loop a pick's structures or tokens, and
 the mock and evaluation its codes, against each target's structures coded
-once over the vocabulary (:meth:`IndexBundle.coded`); a wrong prediction's
-error labels read the demonstrations' symbol names and templates. So ``run``
-parses only its ``--test`` rows, its beams and its wrong predictions. An
+once over the vocabulary from the node counts its example holds
+(:meth:`IndexBundle.coded`). The coverage loop reads each walked
+structure's candidate rows by its code. A wrong prediction that is a
+demonstration's program takes its error labels from that pool row; any
+other reads the demonstrations' symbols (their codes under
+:attr:`IndexBundle.symbol_mask`) and templates. So ``run`` reads only its
+``--test`` rows, its beams and the wrong predictions that copy no
+demonstration. An
 example is built only for a caller that reads one: a test example of the
 index, a training target (``--train-mode``), or a library caller's
 ``pool[id]``. It is built the first time it is read, with its texts decoded
@@ -85,7 +91,7 @@ from typing import BinaryIO, Callable
 import numpy as np
 
 from .errors import CorpusError, IndexVersionError, IoError, ParseError
-from .programs import DEFAULT_DIALECT, DialectConfig, parse_program, repair_parentheses
+from .programs import DEFAULT_DIALECT, DialectConfig, repair_parentheses
 from .retrieval import (
     Bm25Index,
     ColumnPostings,
@@ -95,7 +101,7 @@ from .retrieval import (
     tokenize_utterance,
 )
 from .selection import Pool
-from .structures import CodedStructures, analyze, is_symbol
+from .structures import CodedStructures, is_symbol, local_structures, ls_size, read_structures
 
 logger = logging.getLogger(__name__)
 
@@ -304,6 +310,13 @@ class Example:
     template: str
     ls_counts: dict[str, int]
     split: str = "train"
+    # each structure of ls_counts mapped to its node count, in its order: the
+    # sizes the program's walk gave, else counted from the names
+    ls_sizes: dict[str, int] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.ls_sizes is None:
+            self.ls_sizes = {name: ls_size(name) for name in self.ls_counts}
 
     @cached_property
     def utt_tokens(self) -> list[str]:
@@ -315,9 +328,9 @@ class Example:
 
     @cached_property
     def symbol_seq(self) -> list[str]:
-        """The program's symbols, each once per occurrence."""
+        """The program's symbols (its one-node structures), each once per occurrence."""
         counts = self.ls_counts
-        return [c for c in counts if is_symbol(c) for _ in range(counts[c])]
+        return [c for c, size in self.ls_sizes.items() if size == 1 for _ in range(counts[c])]
 
 
 def make_example(
@@ -327,34 +340,43 @@ def make_example(
     split: str = "train",
     dialect: DialectConfig = DEFAULT_DIALECT,
 ) -> Example:
-    template, counts = analyze(parse_program(program, dialect))
+    """An example whose program is read in one walk
+    (:func:`~demoselect.structures.read_structures`), no tree built. Its
+    structures are key-sorted, as a saved index stores them, so that a built
+    and a reloaded example hold the same map (tf-idf norms sum in its order)."""
+    structures = read_structures(program, dialect)
     return Example(
         id=example_id,
         utterance=utterance,
         program=program,
-        template=template,
-        # key-sorted, as a saved index stores them, so that a built and a
-        # reloaded example hold the same map (tf-idf norms sum in its order)
-        ls_counts=dict(sorted(counts.items())),
+        template=structures.template,
+        ls_counts=structures.counts,
         split=split,
+        ls_sizes=structures.sizes,
     )
 
 
 class _TextColumn(Sequence):
     """The text column ``name`` of an index's ``arrays``: UTF-8 texts stored
     back to back, text ``r`` the bytes ``data[offsets[r]:offsets[r + 1]]`` of
-    ``<name>_bytes`` and ``<name>_offsets``, decoded each time it is read."""
+    ``<name>_bytes`` and ``<name>_offsets``, decoded each time it is read.
+    The offsets are read as a list the first time a text is."""
 
     def __init__(self, arrays: dict[str, np.ndarray], name: str):
         self._data = memoryview(arrays[f"{name}_bytes"])
-        self._offsets = arrays[f"{name}_offsets"]
+        self._offset_array = arrays[f"{name}_offsets"]
+
+    @cached_property
+    def _offsets(self) -> list[int]:
+        return self._offset_array.tolist()
 
     def __getitem__(self, r) -> str:
-        r = range(len(self))[r]
-        return str(self._data[self._offsets[r] : self._offsets[r + 1]], "utf-8", _UTF8_ERRORS)
+        offsets = self._offsets
+        r = range(len(offsets) - 1)[r]
+        return str(self._data[offsets[r] : offsets[r + 1]], "utf-8", _UTF8_ERRORS)
 
     def __len__(self) -> int:
-        return len(self._offsets) - 1
+        return len(self._offset_array) - 1
 
 
 class _CodedColumn(Sequence):
@@ -520,12 +542,15 @@ def load_examples(
 
 @dataclass
 class PredictionBundle:
-    """Beam candidates for one test example, repaired and structure-cached."""
+    """Beam candidates for one test example, repaired and structure-cached:
+    each beam's structure set, and each structure of a beam mapped to its
+    node count (``ls_sizes``)."""
 
     example_id: str
     beams: list[str]
     repaired: list[bool]
     beam_ls_sets: list[set[str]] = field(default_factory=list)
+    ls_sizes: dict[str, int] = field(default_factory=dict)
 
     @property
     def ls_union(self) -> set[str]:
@@ -537,9 +562,10 @@ def load_predictions(
 ) -> dict[str, PredictionBundle]:
     """Load beam-candidate JSONL, its rows read with :data:`BEAMS_ROW`.
 
-    Each beam is parsed once; one that does not parse gets its trailing
-    parentheses repaired. Unrepairable beams are dropped, possibly leaving an
-    empty bundle (empty structure set).
+    Each beam is read once, in one walk of the text that
+    :func:`~demoselect.programs.repair_parentheses` settles on: itself, or
+    itself with its trailing parentheses repaired. Unrepairable beams are
+    dropped, possibly leaving an empty bundle (empty structure set).
     """
     bundles: dict[str, PredictionBundle] = {}
     for row in read_rows(path, BEAMS_ROW, "predictions file"):
@@ -547,12 +573,15 @@ def load_predictions(
         bundle = bundles[example_id] = PredictionBundle(example_id, beams=[], repaired=[])
         for beam in row["beams"]:
             result = repair_parentheses(beam, dialect)
-            if result.ast is None:
+            walk = result.walk
+            if walk is None:
                 logger.warning("dropping unrepairable beam for %s in %s", example_id, path)
                 continue
+            counts, sizes = local_structures(walk.symbols, walk.parents, walk.children)
             bundle.beams.append(result.text)
             bundle.repaired.append(result.repaired)
-            bundle.beam_ls_sets.append(set(analyze(result.ast)[1]))
+            bundle.beam_ls_sets.append(set(counts))
+            bundle.ls_sizes.update(sizes)
     return bundles
 
 
@@ -636,15 +665,24 @@ class IndexBundle:
         """Each structure's vocabulary code."""
         return dict(zip(self.vocab, range(len(self.vocab))))
 
+    def code(self, sizes: Mapping[str, int]) -> CodedStructures:
+        """Structures, each mapped to its node count, as codes over the
+        vocabulary (see :class:`~demoselect.structures.CodedStructures`)."""
+        return CodedStructures.of(sizes, self._codes)
+
     def coded(self, example: Example) -> CodedStructures:
-        """An example's structures as codes over the vocabulary (see
-        :class:`~demoselect.structures.CodedStructures`), coded the first time
-        it is asked for, and kept for that example object."""
+        """An example's structures as codes over the vocabulary, from the
+        sizes it holds (see :meth:`code`), coded the first time it is asked
+        for, and kept for that example object."""
         held = self._coded.get(example.id)
         if held is None or held[0] is not example:
-            coded = CodedStructures.of(example.ls_counts, self._codes)
-            held = self._coded[example.id] = (example, coded)
+            held = self._coded[example.id] = (example, self.code(example.ls_sizes))
         return held[1]
+
+    @cached_property
+    def symbol_mask(self) -> np.ndarray:
+        """The mask of the vocabulary codes of symbols (one-node structures)."""
+        return np.fromiter(map(is_symbol, self.vocab), bool, len(self.vocab))
 
     @cached_property
     def bm25_utterance(self) -> Bm25Index:
@@ -673,8 +711,7 @@ class IndexBundle:
     def bm25_symbols(self) -> Bm25Index:
         """BM25 over the pool's symbols, each as often as the example holds it:
         the stored columns of the size-1 structures."""
-        df = self._ls_df
-        symbol = np.fromiter(map(is_symbol, self.vocab), bool, len(self.vocab))
+        df, symbol = self._ls_df, self.symbol_mask
         present = np.flatnonzero(symbol & (df > 0))
         keep = np.repeat(symbol, df)  # the symbols' entries
         return Bm25Index.from_postings(

@@ -12,14 +12,16 @@ sets over the names they hold and apply the same rule, as
 :func:`coverage_metrics` and :func:`unobserved_ls` do for theirs.
 
 The error-label rule (:func:`error_labels`), for a wrong prediction only,
-takes the gold's and the demonstrations' symbols and templates, and parses
-only the prediction, once, through
-:func:`~demoselect.programs.repair_parentheses`, reading its template and
-symbols from :func:`~demoselect.structures.analyze`. The pipeline and
-:func:`evaluate_example` read the gold's and the demonstrations' symbols and
-templates from what the index or the examples hold, so no gold or
-demonstration program is parsed; :func:`classify_errors` derives them from
-program text.
+takes the gold's and the demonstrations' symbols and templates, and reads
+only the prediction, once, in the walk that
+:func:`~demoselect.programs.repair_parentheses` returns: its template and
+anonymized symbols, with no tree built and no structure enumerated. The
+pipeline and :func:`evaluate_example` read the gold's and the
+demonstrations' symbols and templates from what the index or the examples
+hold, so no gold or demonstration program is parsed; :func:`classify_errors`
+derives them from program text. A wrong prediction that is the program of
+one of its demonstrations needs no parse at all: the pipeline takes its
+labels from that pool row's codes (:func:`copy_labels`).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .programs import (
     scan_symbols,
 )
 from .retrieval import sequential_sum
-from .structures import CodedStructures, analyze, coded_sets, is_symbol
+from .structures import CodedStructures, coded_sets
 
 if TYPE_CHECKING:
     from .corpus import Example
@@ -91,13 +93,12 @@ def program_symbols(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> set[
 
 
 def _symbols_and_template(text, dialect) -> tuple[set[str], str | None]:
-    """A program's anonymized symbols and template from one parse, after
+    """A program's anonymized symbols and template from one walk, after
     repair; unrepairable text has token-scan symbols and no template."""
-    ast = repair_parentheses(text, dialect).ast
-    if ast is None:
+    walk = repair_parentheses(text, dialect).walk
+    if walk is None:
         return scan_symbols(text), None
-    template, symbols = analyze(ast, max_size=1)
-    return set(symbols), template
+    return set(walk.symbols[1:]), walk.template
 
 
 def error_labels(
@@ -130,6 +131,19 @@ def error_labels(
     if not pred_symbols <= gold_symbols | demo_symbols:
         labels.add(LABEL_OOV)
     if not gold_symbols <= pred_symbols:
+        labels.add(LABEL_MISSING)
+    return labels
+
+
+def copy_labels(gold: CodedStructures, copied: np.ndarray) -> set[str]:
+    """The labels :func:`error_labels` gives a wrong prediction that is the
+    program of one of its demonstrations, read from that demonstration's
+    structure codes ``copied`` and the gold's codes, with no parse. The index
+    parsed that text under the same dialect: its parentheses balance, its
+    template is that demonstration's and its symbols are among theirs. So it
+    is an over-copy, and misses symbols if the gold holds one it lacks."""
+    labels = {LABEL_OVER_COPY}
+    if not gold.union([copied])[gold.codes[gold.symbols]].all():
         labels.add(LABEL_MISSING)
     return labels
 
@@ -262,8 +276,8 @@ def evaluate_example(
     and only a wrong prediction is parsed."""
 
     def labels() -> set[str]:
-        demo_symbols = set().union(*(filter(is_symbol, demo.ls_counts) for demo in demos))
-        gold_symbols = set(filter(is_symbol, example.ls_counts))
+        demo_symbols = set().union(*(demo.symbol_seq for demo in demos))
+        gold_symbols = set(example.symbol_seq)
         return error_labels(pred, gold_symbols, demo_symbols, {d.template for d in demos}, dialect)
 
     codes, rows, coded = coded_sets([demo.ls_counts for demo in demos], example.ls_counts)

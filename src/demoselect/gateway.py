@@ -11,7 +11,8 @@ HTTP stack.
 The mock decides on structures alone, as codes (:func:`mock_from_codes`,
 see :class:`~demoselect.structures.CodedStructures`): the pipeline passes
 each demonstration's row of the index's structure codes and no program is
-parsed or demonstration example built. :func:`mock_from_structures` (over
+parsed or demonstration example built; the one demonstration program it
+returns is the only one it reads. :func:`mock_from_structures` (over
 structure sets) and :func:`mock_complete` (over program text) code their
 sets over the names they hold and apply the same rule.
 """
@@ -205,17 +206,18 @@ class MockOracleConfig:
 def mock_from_codes(
     demo_rows: Sequence[np.ndarray],
     gold: CodedStructures,
-    demo_programs: Sequence[str],
+    demo_program: Callable[[int], str],
     gold_program: str,
     config: MockOracleConfig | None = None,
 ) -> str:
     """The mock's answer from structure codes: the gold program when the
     demonstrations' rows of codes jointly hold every gold structure of at
-    most ``compose_threshold_size`` nodes, else the program of the
-    demonstration holding the most gold structures (first in prompt order on
-    ties); "" without demonstrations."""
+    most ``compose_threshold_size`` nodes, else ``demo_program(i)``, the
+    program of the demonstration ``i`` holding the most gold structures
+    (first in prompt order on ties); "" without demonstrations. Only the
+    program it returns is read."""
     config = config or MockOracleConfig()
-    if not demo_programs:
+    if not len(demo_rows):
         return ""
     held = gold.union(demo_rows)
     if held[gold.codes[gold.sizes <= config.compose_threshold_size]].all():
@@ -223,7 +225,7 @@ def mock_from_codes(
     in_gold = np.zeros(gold.width, bool)
     in_gold[gold.codes] = True
     overlaps = [int(np.count_nonzero(in_gold[row])) for row in demo_rows]
-    return demo_programs[overlaps.index(max(overlaps))]
+    return demo_program(overlaps.index(max(overlaps)))
 
 
 def mock_from_structures(
@@ -236,7 +238,7 @@ def mock_from_structures(
     """:func:`mock_from_codes` over structure sets (sets or dict key views),
     coded over the names they hold."""
     _, rows, gold = coded_sets(demo_structures, gold_structures)
-    return mock_from_codes(rows, gold, demo_programs, gold_program, config)
+    return mock_from_codes(rows, gold, demo_programs.__getitem__, gold_program, config)
 
 
 def _ls_canonicals(program: str, dialect: DialectConfig) -> set[str]:

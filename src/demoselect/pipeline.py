@@ -16,8 +16,11 @@ A demonstration is a pool row, never built into an
 reads its utterance and program from the index's record columns, and the
 mock and eval read its structures as its row of vocabulary codes, against
 each target's structures coded once over the same vocabulary
-(:meth:`~demoselect.corpus.IndexBundle.coded`). Only a wrong prediction's
-error labels read the demonstrations' symbol names and templates.
+(:meth:`~demoselect.corpus.IndexBundle.coded`). The mock decodes only the
+demonstration program it returns. A wrong prediction that copies a
+demonstration's program takes its error labels from that pool row; only any
+other wrong prediction reads the demonstrations' symbols and templates, and
+is parsed.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ import logging
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import compress
+
+import numpy as np
 
 from .corpus import ID, STRING, STRINGS
 from .errors import BudgetTooSmallError, ConfigError, UnknownIdError
-from .evaluation import EvalRecord, aggregate, error_labels, evaluate_coded
+from .evaluation import EvalRecord, aggregate, copy_labels, error_labels, evaluate_coded
 from .gateway import MockOracleConfig, complete, mock_from_codes
 from .prompting import format_prompt, order_demonstrations, truncate_prompt
 from .retrieval import RETRIEVER_VARIANTS, random_scores, row_of
@@ -43,7 +48,6 @@ from .selection import (
     select_top_k,
     training_mode_select,
 )
-from .structures import is_symbol
 
 logger = logging.getLogger(__name__)
 
@@ -149,22 +153,32 @@ RECORD_COLUMNS = tuple(EvalRecord("", False, 0.0, 0.0, 0).to_dict())
 # --- selection stage -------------------------------------------------------
 
 
+def _symbols(structures) -> list[str]:
+    """The symbols of coded structures, in name order."""
+    return list(compress(structures.names, structures.symbols.tolist()))
+
+
+def _to_cover(bundle, example, cfg: RunConfig, beams):
+    """The structures to cover, coded: the gold ones with oracle, else those
+    of the example's first beam_limit beams."""
+    if cfg.oracle:
+        return bundle.coded(example)
+    pred = beams.get(example.id)
+    names = set().union(*pred.beam_ls_sets[: cfg.beam_limit]) if pred else ()
+    return bundle.code({name: pred.ls_sizes[name] for name in names})
+
+
 def _choose(bundle, example, cfg: RunConfig, beams):
     pool, seed = bundle.pool, _example_seed(cfg.seed, example.id)
     if cfg.train_mode:
         return training_mode_select(
-            example.ls_counts, pool, cfg.k, seed=seed, postings=bundle.ls_postings,
+            bundle.coded(example), pool, cfg.k, seed=seed, postings=bundle.ls_postings,
             exclude=example.id,
         )
-    # the structures to cover: the gold ones with oracle, else those of the
-    # example's first beam_limit beams
-    if cfg.oracle:
-        structures = example.ls_counts
-    else:
-        pred = beams.get(example.id)
-        structures = set().union(*pred.beam_ls_sets[: cfg.beam_limit]) if pred else set()
     strategy = cfg.strategy
-    if strategy == "cover-ls" and not structures and cfg.fallback == "cover-utt":
+    if strategy == "cover-ls" or cfg.retriever == "bm25-symbols":
+        structures = _to_cover(bundle, example, cfg, beams)
+    if strategy == "cover-ls" and not structures.names and cfg.fallback == "cover-utt":
         strategy = "cover-utt"
     if strategy == "random":  # writes 0.0 for every pick: reads no retriever score
         return select_random(pool, cfg.k, seed=seed)
@@ -174,8 +188,7 @@ def _choose(bundle, example, cfg: RunConfig, beams):
         scores = random_scores(pool.ids, seed)
     else:  # the symbol retrievers, over the gold symbols or the beams'
         gold = cfg.retriever == "oracle-bm25-gold-symbols"
-        symbols = (c for c in (example.ls_counts if gold else structures) if is_symbol(c))
-        scores = bundle.bm25_symbols.scores(sorted(symbols))
+        scores = bundle.bm25_symbols.scores(_symbols(bundle.coded(example) if gold else structures))
     if strategy == "top-k":
         return select_top_k(pool, scores, cfg.k)
     if strategy == "dpp":
@@ -265,10 +278,11 @@ def stage_infer(
         if example is None:
             raise UnknownIdError(f"prompt id {row['id']} has no test example")
         rows = _demo_rows(bundle, row["demo_ids"])
+        programs = bundle.records["program"]
         text = mock_from_codes(
             [bundle.ls.codes(r) for r in rows],
             bundle.coded(example),
-            [bundle.records["program"][r] for r in rows],
+            lambda i: programs[rows[i]],
             example.program,
             mock_config,
         )
@@ -290,12 +304,21 @@ def stage_infer(
 
 
 def _eval_one(bundle, example, pred: str, rows: list[int], cfg: RunConfig) -> EvalRecord:
+    demo_rows = [bundle.ls.codes(r) for r in rows]
+    gold = bundle.coded(example)
+
     def labels() -> set[str]:
-        demo_names = chain.from_iterable(map(bundle.ls.names, rows))
+        # a copy of a demonstration's program: the labels of its row
+        programs = bundle.records["program"]
+        for r, codes in zip(rows, demo_rows):
+            if programs[r] == pred:
+                return copy_labels(gold, codes)
+        held = np.concatenate(demo_rows) if demo_rows else np.empty(0, np.intp)
+        demo_symbols = np.unique(held[bundle.symbol_mask[held]])
         return error_labels(
             pred,
-            set(filter(is_symbol, example.ls_counts)),
-            set(filter(is_symbol, demo_names)),
+            set(_symbols(gold)),
+            set(map(bundle.vocab.__getitem__, demo_symbols.tolist())),
             {bundle.records["template"][r] for r in rows},
             bundle.corpus.dialect,
         )
@@ -304,8 +327,8 @@ def _eval_one(bundle, example, pred: str, rows: list[int], cfg: RunConfig) -> Ev
         example.id,
         pred,
         example.program,
-        [bundle.ls.codes(r) for r in rows],
-        bundle.coded(example),
+        demo_rows,
+        gold,
         bundle.training_ls_mask,
         labels,
         cfg.strategy,

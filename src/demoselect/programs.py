@@ -1,4 +1,4 @@
-"""Parsing, anonymization, templating and repair of functional programs.
+"""Reading, anonymization, templating and repair of functional programs.
 
 Programs use a compact call notation: a symbol optionally followed by a
 parenthesized, comma-separated argument list, e.g.::
@@ -10,18 +10,28 @@ numeric values; every other token is a function/operator symbol. Two adjacent
 terms without a comma ("juxtaposition", as in ``recipient= refer (...)``)
 nest the right term as the single argument of the left one.
 
-The parsed tree always has a synthetic ``<root>`` node above the program's
-top symbol so that the top symbol participates in edges like any other.
+A program always has a synthetic ``<root>`` node above its top symbol so
+that the top symbol participates in edges like any other.
+
+Program text is read by one tokenizer (one regular expression) and one
+grammar, in one walk over the tokens (:func:`read_program`): it emits the
+nodes in pre-order as arrays, the anonymized symbols, each node's parent and
+children, and the template, and builds no tree. The local structures are
+enumerated from those arrays (:mod:`demoselect.structures`). Only a caller
+that needs a tree builds one from the walk: :func:`parse_program`, and so
+:func:`render`, :func:`anonymize` and :func:`to_template` over its result.
 
 Possibly malformed text enters through :func:`repair_parentheses`, which
-returns the tree it parsed; text beyond repair still has the symbols of
-:func:`scan_symbols`, which reads the parser's own tokenizer.
+returns the walk of the text it settled on; text beyond repair still has the
+symbols of :func:`scan_symbols`, which reads the same tokenizer.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NoReturn
 
 from .errors import ParseError
 
@@ -106,68 +116,56 @@ class Template:
 
 # --- tokenizing ---------------------------------------------------------
 
+# One token a match, in text order: a delimiter, a quoted string, an atom (a
+# run of characters that are neither whitespace, delimiters nor quotes), or a
+# quote that no later quote of its kind closes. Whitespace matches nothing.
+_TOKEN_RE = re.compile(r"""[(),]|"[^"]*"|'[^']*'|[^\s(),"']+|["']""")
+_DELIMITERS = frozenset("(),")
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()," :
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch in _QUOTES:
-            j = text.find(ch, i + 1)
-            if j < 0:
-                raise ParseError("unterminated quote", position=i)
-            tokens.append(("string", text[i + 1 : j], i))
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "(),\"'":
-                j += 1
-            tokens.append(("atom", text[i:j], i))
-            i = j
-    return tokens
+
+def _is_open_quote(token: str) -> bool:
+    """Whether ``token`` is a quote that nothing closes."""
+    return len(token) == 1 and token in _QUOTES
+
+
+def _token_text(token: str) -> str:
+    """A token as the grammar reads it: a quoted string without its quotes."""
+    return token[1:-1] if token[0] in _QUOTES else token
 
 
 def scan_symbols(text: str) -> set[str]:
     """Anonymized symbols of text that need not parse: every atom
     (``number`` for a numeral) and ``string`` for every quoted segment; an
     unterminated quote reads as one string to the end of the text."""
-    try:
-        tokens, symbols = _tokenize(text), set()
-    except ParseError as exc:
-        tokens, symbols = _tokenize(text[: exc.position]), {STRING_CONST}
-    for kind, token, _ in tokens:
-        if kind == "string":
+    symbols = set()
+    for token in _TOKEN_RE.findall(text):
+        if token[0] in _QUOTES:
             symbols.add(STRING_CONST)
-        elif kind == "atom":
+            if _is_open_quote(token):
+                break
+        elif token not in _DELIMITERS:
             symbols.add(NUMBER_CONST if _NUMBER_RE.match(token) else token)
     return symbols
 
 
 def paren_balance(text: str) -> tuple[int, int, int | None]:
-    """Quote-aware paren counts.
+    """Quote-aware paren counts: the parenthesis tokens before an
+    unterminated quote, which quotes the rest of the text.
 
     Returns (opens, closes, position of first excess close or None).
     """
     opens = closes = 0
     violation = None
-    quote = None
-    for i, ch in enumerate(text):
-        if quote is not None:
-            if ch == quote:
-                quote = None
-        elif ch in _QUOTES:
-            quote = ch
-        elif ch == "(":
+    for match in _TOKEN_RE.finditer(text):
+        token = match[0]
+        if token == "(":
             opens += 1
-        elif ch == ")":
+        elif token == ")":
             closes += 1
             if closes > opens and violation is None:
-                violation = i
+                violation = match.start()
+        elif _is_open_quote(token):
+            break
     return opens, closes, violation
 
 
@@ -176,111 +174,205 @@ def parens_balanced(text: str) -> bool:
     return opens == closes and violation is None
 
 
-# --- parsing ------------------------------------------------------------
+# --- reading -------------------------------------------------------------
 
 
-def parse_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramAst:
-    """Parse program text into a tree rooted at the synthetic root marker; a
-    tree deeper than :data:`MAX_DEPTH` is a :class:`ParseError`."""
-    if not text or not text.strip():
+@dataclass(frozen=True)
+class ProgramWalk:
+    """A program read in one walk over its tokens: its nodes in pre-order,
+    node 0 the synthetic root. Node ``i`` has the kind ``kinds[i]``, the
+    symbol ``values[i]`` as written (a string's text, a numeral), the
+    anonymized symbol ``symbols[i]``, the parent ``parents[i]`` (None for the
+    root) and the children ``children[i]``, in order. ``template`` is the
+    anonymized program's text, as :func:`render` writes it."""
+
+    text: str
+    kinds: list[str]
+    values: list[str]
+    symbols: list[str]
+    parents: list[int | None]
+    children: list[list[int]]
+    template: str
+
+    def tree(self) -> ProgramAst:
+        """The program as a tree of :class:`AstNode`."""
+        nodes = [AstNode(value, kind) for value, kind in zip(self.values, self.kinds)]
+        for node, parent in zip(nodes[1:], self.parents[1:]):
+            nodes[parent].children.append(node)
+        return ProgramAst(root=nodes[0], source_text=self.text)
+
+
+class _Fault(Exception):
+    """The grammar's first fault: ``message`` at token ``index``, or at the
+    end of the text if ``index`` is the token count."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.message = message
+        self.index = index
+
+
+def read_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramWalk:
+    """Read program text in one walk over its tokens (see :class:`ProgramWalk`).
+
+    Text that is no program raises :class:`ParseError` for the first of:
+    empty text, an excess closing parenthesis, missing closing parentheses,
+    an unterminated quote, the grammar's first fault. A tree deeper than
+    :data:`MAX_DEPTH` is a fault. The walk runs first; the checks before it
+    run only when it fails or meets a quote that nothing closes.
+    """
+    if not text or text.isspace():
         raise ParseError("empty program text", position=0)
+    tokens = _TOKEN_RE.findall(text)
+    try:
+        walk = _walk(tokens, dialect.value_parents)
+    except _Fault as fault:
+        _raise_first_fault(text, tokens, fault)
+    if '"' in tokens or "'" in tokens:
+        _raise_first_fault(text, tokens, None)
+    return ProgramWalk(text, *walk)
+
+
+def _raise_first_fault(text: str, tokens: list[str], fault: _Fault | None) -> NoReturn:
+    """Raise the ParseError of the first fault of ``text``: a parenthesis
+    out of balance, an unterminated quote, then ``fault``."""
     opens, closes, violation = paren_balance(text)
     if violation is not None:
         raise ParseError("unbalanced closing parenthesis", position=violation)
     if opens > closes:
-        raise ParseError(
-            f"missing {opens - closes} closing parenthesis(es)", position=len(text)
-        )
-    tokens = _tokenize(text)
-    node, pos = _parse_expr(tokens, 0, dialect, text, 1)
-    if pos != len(tokens):
-        raise ParseError(
-            f"unexpected trailing token {tokens[pos][1]!r}", position=tokens[pos][2]
-        )
-    root = AstNode(ROOT_SYMBOL, FUNCTION, [node])
-    return ProgramAst(root=root, source_text=text)
+        raise ParseError(f"missing {opens - closes} closing parenthesis(es)", position=len(text))
+    starts = [match.start() for match in _TOKEN_RE.finditer(text)] + [len(text)]
+    quote = next((i for i, token in enumerate(tokens) if _is_open_quote(token)), None)
+    if quote is not None:
+        raise ParseError("unterminated quote", position=starts[quote])
+    raise ParseError(fault.message, position=starts[fault.index])
 
 
-def _parse_expr(tokens, pos, dialect, text, depth):
-    node, pos = _parse_term(tokens, pos, dialect, text, depth)
-    # Juxtaposition: a bare symbol directly followed by another term takes it
-    # as its single argument (`name= LIKE (...)` nests LIKE under name=).
-    if (
-        pos < len(tokens)
-        and tokens[pos][0] in ("atom", "string")
-        and node.kind == FUNCTION
-        and not node.children
-    ):
-        child, pos = _parse_expr(tokens, pos, dialect, text, depth + 1)
-        node.children.append(child)
-    return node, pos
+def _walk(tokens: list[str], value_parents: frozenset[str]) -> tuple:
+    """The grammar, in one pass over ``tokens``: the fields of a
+    :class:`ProgramWalk` after its text, or a :class:`_Fault`.
 
+    A term is a quoted string, a numeral, or a symbol; a symbol followed by
+    ``(`` takes the comma-separated terms up to its ``)`` as arguments, or,
+    if it is one of ``value_parents``, that whole span as one string value.
+    A bare symbol followed by another term takes that term as its single
+    argument (juxtaposition: ``name= LIKE (...)`` nests LIKE under name=).
+    """
+    kinds, values, symbols = [FUNCTION], [ROOT_SYMBOL], [ROOT_SYMBOL]
+    parents: list[int | None] = [None]
+    children: list[list[int]] = [[]]
+    template: list[str] = []
 
-def _parse_term(tokens, pos, dialect, text, depth):
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of input", position=len(text))
-    ttype, tok, tpos = tokens[pos]
-    if depth > MAX_DEPTH:  # the top symbol is at depth 1
-        raise ParseError(_TOO_DEEP, position=tpos)
-    if ttype == "string":
-        return AstNode(tok, VALUE_STRING), pos + 1
-    if ttype != "atom":
-        raise ParseError(f"unexpected token {tok!r}", position=tpos)
-    pos += 1
-    if _NUMBER_RE.match(tok):
-        return AstNode(tok, VALUE_NUMBER), pos
-    node = AstNode(tok)
-    if pos < len(tokens) and tokens[pos][0] == "(":
-        if tok in dialect.value_parents:
-            if depth == MAX_DEPTH:  # its value would be one level deeper
-                raise ParseError(_TOO_DEEP, position=tokens[pos][2])
-            child, pos = _parse_value_span(tokens, pos)
-            node.children.append(child)
-        else:
-            pos = _parse_args(tokens, pos, dialect, text, node, depth + 1)
-    return node, pos
+    def add(parent: int, kind: str, value: str, symbol: str) -> int:
+        node = len(symbols)
+        children[parent].append(node)
+        children.append([])
+        parents.append(parent)
+        kinds.append(kind)
+        values.append(value)
+        symbols.append(symbol)
+        template.append(symbol)
+        return node
 
-
-def _parse_args(tokens, pos, dialect, text, node, depth):
-    pos += 1  # consume "("
+    # the nodes whose terms are open: (node, the depth of its arguments), or
+    # (node, None) for a symbol taking a juxtaposed term
+    frames: list[tuple[int, int | None]] = []
+    end = len(tokens)
+    pos, parent, depth = 0, 0, 1  # the top symbol is at depth 1
     while True:
-        if pos >= len(tokens):
-            raise ParseError("missing closing parenthesis", position=len(text))
-        ttype, tok, tpos = tokens[pos]
-        if ttype in (",", ")"):
-            raise ParseError("empty argument slot", position=tpos)
-        child, pos = _parse_expr(tokens, pos, dialect, text, depth)
-        node.children.append(child)
-        if pos >= len(tokens):
-            raise ParseError("missing closing parenthesis", position=len(text))
-        ttype, tok, tpos = tokens[pos]
-        if ttype == ",":
-            pos += 1
-            continue
-        if ttype == ")":
-            return pos + 1
-        raise ParseError(f"expected ',' or ')', found {tok!r}", position=tpos)
-
-
-def _parse_value_span(tokens, pos):
-    """Read a whole parenthesized span as one string value."""
-    start = tokens[pos][2]
-    pos += 1  # consume outer "("
-    depth = 1
-    parts = []
-    while pos < len(tokens):
-        ttype, tok, tpos = tokens[pos]
-        if ttype == "(":
-            depth += 1
-        elif ttype == ")":
-            depth -= 1
-            if depth == 0:
-                if not parts:
-                    raise ParseError("empty argument list", position=tpos)
-                return AstNode(" ".join(parts), VALUE_STRING), pos + 1
-        parts.append(tok)
+        # a term: the next child of parent, depth levels below the root
+        if pos == end:
+            raise _Fault("unexpected end of input", end)
+        token = tokens[pos]
+        if depth > MAX_DEPTH:
+            raise _Fault(_TOO_DEEP, pos)
+        first = token[0]
+        if first in _DELIMITERS:
+            raise _Fault(f"unexpected token {token!r}", pos)
         pos += 1
-    raise ParseError("missing closing parenthesis", position=start)
+        if first in _QUOTES:
+            add(parent, VALUE_STRING, token[1:-1], STRING_CONST)
+        elif _NUMBER_RE.match(token):
+            add(parent, VALUE_NUMBER, token, NUMBER_CONST)
+        else:
+            node = add(parent, FUNCTION, token, token)
+            following = tokens[pos] if pos < end else ""
+            if following == "(" and token in value_parents:
+                if depth == MAX_DEPTH:  # its value would be one level deeper
+                    raise _Fault(_TOO_DEEP, pos)
+                value, pos = _value_span(tokens, pos)
+                template.append(" (")
+                add(node, VALUE_STRING, value, STRING_CONST)
+                template.append(")")
+            elif following == "(":
+                pos = _argument_start(tokens, pos + 1)
+                frames.append((node, depth + 1))
+                parent, depth = node, depth + 1
+                template.append(" (")
+                continue
+            elif following and following not in _DELIMITERS:
+                frames.append((node, None))
+                parent, depth = node, depth + 1
+                template.append(" (")
+                continue
+        # the term is complete: close what it completes, up to the next argument
+        while True:
+            if not frames:
+                if pos != end:
+                    raise _Fault(f"unexpected trailing token {_token_text(tokens[pos])!r}", pos)
+                return kinds, values, symbols, parents, children, "".join(template)
+            owner, argument_depth = frames[-1]
+            if argument_depth is None:  # a juxtaposed term: its only argument
+                frames.pop()
+                template.append(")")
+                continue
+            if pos == end:
+                raise _Fault("missing closing parenthesis", end)
+            token = tokens[pos]
+            if token == ",":
+                pos = _argument_start(tokens, pos + 1)
+                parent, depth = owner, argument_depth
+                template.append(", ")
+                break
+            if token != ")":
+                raise _Fault(f"expected ',' or ')', found {_token_text(token)!r}", pos)
+            pos += 1
+            frames.pop()
+            template.append(")")
+
+
+def _argument_start(tokens: list[str], pos: int) -> int:
+    """``pos``, where an argument must start."""
+    if pos == len(tokens):
+        raise _Fault("missing closing parenthesis", pos)
+    if tokens[pos] in (",", ")"):
+        raise _Fault("empty argument slot", pos)
+    return pos
+
+
+def _value_span(tokens: list[str], pos: int) -> tuple[str, int]:
+    """Read the parenthesized span that opens at ``pos`` as one string
+    value: the value and the position after the span."""
+    start, level, parts = pos, 1, []
+    for pos in range(pos + 1, len(tokens)):
+        token = tokens[pos]
+        if token == "(":
+            level += 1
+        elif token == ")":
+            level -= 1
+            if level == 0:
+                if not parts:
+                    raise _Fault("empty argument list", pos)
+                return " ".join(parts), pos + 1
+        parts.append(_token_text(token))
+    raise _Fault("missing closing parenthesis", start)
+
+
+def parse_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramAst:
+    """Parse program text into a tree rooted at the synthetic root marker
+    (:func:`read_program`, as a tree); a tree deeper than :data:`MAX_DEPTH`
+    is a :class:`ParseError`."""
+    return read_program(text, dialect).tree()
 
 
 # --- rendering and anonymization ----------------------------------------
@@ -327,7 +419,7 @@ def to_template(ast: ProgramAst) -> Template:
 class RepairResult:
     text: str
     status: str  # "balanced" | "repaired" | "unrepairable"
-    ast: ProgramAst | None = field(compare=False, repr=False)  # None if unrepairable
+    walk: ProgramWalk | None = field(compare=False, repr=False)  # None if unrepairable
 
     @property
     def ok(self) -> bool:
@@ -337,27 +429,33 @@ class RepairResult:
     def repaired(self) -> bool:
         return self.status == "repaired"
 
+    @cached_property
+    def ast(self) -> ProgramAst | None:
+        """The tree of :attr:`text`, built when first read; None if unrepairable."""
+        return None if self.walk is None else self.walk.tree()
+
 
 def repair_parentheses(
     text: str, dialect: DialectConfig = DEFAULT_DIALECT
 ) -> RepairResult:
-    """Parse text, fixing close-paren imbalance at its end first.
+    """Read text (:func:`read_program`), fixing close-paren imbalance at its
+    end first.
 
     Missing closers are appended; surplus trailing closers are stripped;
-    well-formed text is "balanced". The result holds the tree of the text it
+    well-formed text is "balanced". The result holds the walk of the text it
     returns; text that still does not parse comes back unchanged,
-    "unrepairable", with no tree.
+    "unrepairable", with no walk.
     """
     opens, closes, _ = paren_balance(text)
     candidate = text + ")" * (opens - closes)
     for _ in range(closes - opens):
         candidate = candidate.rstrip()
         if not candidate.endswith(")"):
-            return RepairResult(text=text, status="unrepairable", ast=None)
+            return RepairResult(text=text, status="unrepairable", walk=None)
         candidate = candidate[:-1]
     try:
-        ast = parse_program(candidate, dialect)
+        walk = read_program(candidate, dialect)
     except ParseError:
-        return RepairResult(text=text, status="unrepairable", ast=None)
+        return RepairResult(text=text, status="unrepairable", walk=None)
     status = "balanced" if candidate == text else "repaired"
-    return RepairResult(text=candidate, status=status, ast=ast)
+    return RepairResult(text=candidate, status=status, walk=walk)

@@ -3,8 +3,8 @@ rows over local structures, and a seeded random scorer.
 
 A BM25 posting's whole contribution, ``idf * tf * (K1 + 1) / (tf + norm)``,
 depends only on the indexed documents, so the index computes it once per
-posting when it is built. A query then adds each of its terms' impact arrays
-into a dense score vector, in query order. The idf used throughout is the
+posting when it is built. A query then adds its terms' impact arrays into a
+dense score vector, in query order. The idf used throughout is the
 positive Lucene-style variant ``ln((N - n + 0.5) / (n + 0.5) + 1)``.
 
 Documents are rows: row ``r`` is the ``r``-th of the sorted document ids.
@@ -133,6 +133,15 @@ class ColumnPostings(Mapping):
             raise KeyError(term)
         return self.rows[start:end]
 
+    def take(self, codes: np.ndarray) -> list[np.ndarray]:
+        """The rows of each term of ``codes``, their places in ``terms``, read
+        in one pass; the code ``len(terms)`` stands for a term that ``terms``
+        lacks, and has no rows."""
+        starts = self.offsets[codes].tolist()
+        ends = self.offsets[np.minimum(codes + 1, len(self.terms))].tolist()
+        rows = self.rows
+        return [rows[start:end] for start, end in zip(starts, ends)]
+
     def __iter__(self):
         return compress(self.terms, np.diff(self.offsets).tolist())
 
@@ -259,14 +268,15 @@ class Bm25Index:
     def scores(self, query: Iterable[str]) -> Scores:
         """BM25 score of every document for the query (empty query scores 0),
         aligned with ``doc_ids``; a repeated query term counts once per
-        occurrence. Each document sums its contributions in query order, so
-        the floats equal those of a per-document loop over the query."""
-        out = np.zeros(self.n_docs)
-        for term in query:
-            impact = self.impacts.get(term)
-            if impact is not None:
-                rows, contrib = impact
-                out[rows] += contrib
+        occurrence. One ``bincount`` sums the query terms' postings, laid end
+        to end in query order; it adds in input order, so each document sums
+        its contributions in query order, and the floats equal those of a
+        per-document loop over the query."""
+        hits = [impact for impact in map(self.impacts.get, query) if impact is not None]
+        if not hits:
+            return Scores(self.doc_ids, np.zeros(self.n_docs))
+        rows, contrib = zip(*hits)
+        out = np.bincount(np.concatenate(rows), np.concatenate(contrib), self.n_docs)
         return Scores(self.doc_ids, out)
 
     def rank(self, query: Iterable[str]) -> list[tuple[str, float]]:

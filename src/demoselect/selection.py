@@ -42,7 +42,7 @@ from .retrieval import (
     row_of,
     tokenize_utterance,
 )
-from .structures import ls_size, program_structures
+from .structures import CodedStructures, ls_size, program_structures
 
 Q_FLOOR = 1e-6
 GAIN_EPS = 1e-12
@@ -155,23 +155,22 @@ def _best_rows(values: np.ndarray, k: int, rows: np.ndarray | None = None) -> np
 
 def _cover(
     walk: list[str],
+    candidates: list[np.ndarray],
     pool: Pool,
     values: np.ndarray,
     k: int,
     terms: Callable[[int], Iterable[str]],
     strategy: str,
-    postings: Postings,
     rng: random.Random | None = None,
     exclude: str | None = None,
 ) -> DemonstrationSet:
     """Cover the payloads of ``walk``, in its order: ``values[r]`` scores
-    row ``r``, ``postings`` lists the rows holding each payload and
-    ``terms(r)`` the payloads row ``r`` covers. The pool id
+    row ``r``, ``candidates[i]`` lists the rows holding ``walk[i]``
+    (ascending) and ``terms(r)`` the payloads row ``r`` covers. The pool id
     ``exclude`` is never picked. With ``rng`` the pick among an element's
     candidates is uniform, else the retriever-best."""
     if k <= 0:
         raise InvalidKError(f"k must be positive, got {k}")
-    candidates = {payload: postings.get(payload, _NO_ROWS) for payload in walk}
     templates = pool.template_codes
     # a row is blocked once its template is used, and the excluded row always
     blocked = np.zeros(len(templates), bool)
@@ -182,13 +181,13 @@ def _cover(
     while len(chosen) < k:
         uncovered = set(walk)
         progress = False
-        for payload in walk:
+        for i, payload in enumerate(walk):
             if payload not in uncovered:
                 continue
             # blocked rows stay blocked: keep only the open candidates
-            rows = candidates[payload]
+            rows = candidates[i]
             if len(rows):
-                rows = candidates[payload] = rows[~blocked[rows]]
+                rows = candidates[i] = rows[~blocked[rows]]
             if not len(rows):
                 trace.append((payload, None))
                 continue
@@ -215,15 +214,28 @@ def _cover(
     )
 
 
-def _structure_walk(elements: Iterable[str], max_ls_size: int | None) -> list[str]:
+def _structure_walk(
+    elements: Iterable[str] | CodedStructures, max_ls_size: int | None, postings: Postings
+) -> tuple[list[str], list[np.ndarray]]:
     """The structures of at most ``max_ls_size`` nodes, largest first, ties
-    in string order."""
-    sized = [(-ls_size(c), c) for c in elements]
-    return [c for size, c in sorted(sized) if max_ls_size is None or -size <= max_ls_size]
+    in name order, and the pool rows holding each. ``elements`` are
+    structure names, or a target's structures coded over the vocabulary of
+    ``postings``, then an index's :class:`~demoselect.retrieval.ColumnPostings`:
+    their sizes are known, and their rows are read by code in one pass."""
+    if isinstance(elements, CodedStructures):
+        sizes = elements.sizes
+        order = np.argsort(-sizes, kind="stable")  # the names ascend: ties keep their order
+        if max_ls_size is not None:
+            order = order[sizes[order] <= max_ls_size]
+        walk = list(map(elements.names.__getitem__, order.tolist()))
+        return walk, postings.take(elements.codes[order])
+    sized = sorted((-ls_size(c), c) for c in elements)
+    walk = [c for size, c in sized if max_ls_size is None or -size <= max_ls_size]
+    return walk, [postings.get(c, _NO_ROWS) for c in walk]
 
 
 def cover_ls(
-    elements: Iterable[str],
+    elements: Iterable[str] | CodedStructures,
     pool: Pool,
     scores: Scores,
     k: int,
@@ -233,18 +245,20 @@ def cover_ls(
     *,
     postings: Postings,
 ) -> DemonstrationSet:
-    """Greedy structure-coverage selection over predicted local structures;
-    ``postings`` lists the pool rows holding each structure."""
+    """Greedy structure-coverage selection over predicted local structures
+    (names, or coded as :func:`_structure_walk` reads them); ``postings``
+    lists the pool rows holding each structure."""
     _check_aligned(pool.ids, scores, postings)
     rng = random.Random(seed) if pick == "uniform-random" else None
+    walk, candidates = _structure_walk(elements, max_ls_size, postings)
     return _cover(
-        _structure_walk(elements, max_ls_size),
+        walk,
+        candidates,
         pool,
         scores.array,
         k,
         terms=pool.structures,
         strategy="cover-ls",
-        postings=postings,
         rng=rng,
     )
 
@@ -266,12 +280,12 @@ def cover_utt(
         words.sort(key=lambda t: -idf(t))  # stable: equal weights keep utterance order
     return _cover(
         words,
+        [postings.get(word, _NO_ROWS) for word in words],
         pool,
         scores.array,
         k,
         terms=pool.tokens,
         strategy="cover-utt",
-        postings=postings,
     )
 
 
@@ -396,7 +410,7 @@ def dpp_select(
 
 
 def training_mode_select(
-    structures: Iterable[str],
+    structures: Iterable[str] | CodedStructures,
     pool: Pool,
     k: int,
     seed: int | None = None,
@@ -405,17 +419,19 @@ def training_mode_select(
     exclude: str | None = None,
 ) -> DemonstrationSet:
     """Training-time picks: cover the gold program's symbols (its size-1
-    ``structures``) with uniformly random containing examples, avoiding
-    retriever-driven near-copies. ``exclude`` is the target's own pool id."""
+    ``structures``, names or coded as for :func:`cover_ls`) with uniformly
+    random containing examples, avoiding retriever-driven near-copies.
+    ``exclude`` is the target's own pool id."""
     _check_aligned(pool.ids, postings)
+    walk, candidates = _structure_walk(structures, 1, postings)
     return _cover(
-        _structure_walk(structures, max_ls_size=1),
+        walk,
+        candidates,
         pool,
         np.zeros(len(pool.ids)),
         k,
         terms=pool.structures,
         strategy="cover-ls-train",
-        postings=postings,
         rng=random.Random(seed),
         exclude=exclude,
     )

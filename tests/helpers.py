@@ -187,18 +187,164 @@ def random_texts():
 
 
 def count_parses(monkeypatch) -> Counter:
-    """Count ``parse_program`` calls per text, wherever the package calls it."""
+    """Count ``read_program`` calls, the one walk from program text that
+    every parse takes, per text, wherever the package calls it."""
     parsed: Counter = Counter()
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "demoselect" and hasattr(module, "parse_program"):
-            original = module.parse_program
+        if name.split(".")[0] == "demoselect" and hasattr(module, "read_program"):
+            original = module.read_program
 
             def counted(text, *args, _original=original, **kwargs):
                 parsed[text] += 1
                 return _original(text, *args, **kwargs)
 
-            monkeypatch.setattr(module, "parse_program", counted)
+            monkeypatch.setattr(module, "read_program", counted)
     return parsed
+
+
+# --- a reference copy of the first parser ---------------------------------------
+#
+# The package reads a program in one walk over its tokens. It once checked
+# the parentheses, tokenized character by character and parsed the tokens by
+# recursive descent into a tree. The copy below keeps that parser, so the
+# walk can be checked against it: the same trees, and the same ParseError
+# message and position for text that is no program.
+
+_REFERENCE_DEPTH = 256  # MAX_DEPTH
+_REFERENCE_TOO_DEEP = f"program nests deeper than {_REFERENCE_DEPTH} levels"
+
+
+def _reference_tokens(text):
+    tokens, i, n = [], 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "(),":
+            tokens.append((ch, ch, i))
+            i += 1
+        elif ch in "\"'":
+            j = text.find(ch, i + 1)
+            if j < 0:
+                raise ParseError("unterminated quote", position=i)
+            tokens.append(("string", text[i + 1 : j], i))
+            i = j + 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "(),\"'":
+                j += 1
+            tokens.append(("atom", text[i:j], i))
+            i = j
+    return tokens
+
+
+def _reference_balance(text):
+    opens = closes = 0
+    violation = quote = None
+    for i, ch in enumerate(text):
+        if quote is not None:
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        elif ch == "(":
+            opens += 1
+        elif ch == ")":
+            closes += 1
+            if closes > opens and violation is None:
+                violation = i
+    return opens, closes, violation
+
+
+def reference_parse(text: str, value_parents=frozenset()):
+    """The first parser's tree, as nested ``(symbol, kind, children)``."""
+    if not text or not text.strip():
+        raise ParseError("empty program text", position=0)
+    opens, closes, violation = _reference_balance(text)
+    if violation is not None:
+        raise ParseError("unbalanced closing parenthesis", position=violation)
+    if opens > closes:
+        raise ParseError(f"missing {opens - closes} closing parenthesis(es)", position=len(text))
+    tokens = _reference_tokens(text)
+
+    def expr(pos, depth):
+        node, pos = term(pos, depth)
+        if pos < len(tokens) and tokens[pos][0] in ("atom", "string") and (
+            node[1] == "function" and not node[2]
+        ):
+            child, pos = expr(pos, depth + 1)
+            node[2].append(child)
+        return node, pos
+
+    def term(pos, depth):
+        if pos >= len(tokens):
+            raise ParseError("unexpected end of input", position=len(text))
+        ttype, tok, tpos = tokens[pos]
+        if depth > _REFERENCE_DEPTH:
+            raise ParseError(_REFERENCE_TOO_DEEP, position=tpos)
+        if ttype == "string":
+            return (tok, "value-string", []), pos + 1
+        if ttype != "atom":
+            raise ParseError(f"unexpected token {tok!r}", position=tpos)
+        pos += 1
+        if re.match(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?\Z", tok):
+            return (tok, "value-number", []), pos
+        node = (tok, "function", [])
+        if pos < len(tokens) and tokens[pos][0] == "(":
+            if tok in value_parents:
+                if depth == _REFERENCE_DEPTH:
+                    raise ParseError(_REFERENCE_TOO_DEEP, position=tokens[pos][2])
+                child, pos = value_span(pos)
+                node[2].append(child)
+            else:
+                pos = args(pos, node, depth + 1)
+        return node, pos
+
+    def args(pos, node, depth):
+        pos += 1
+        while True:
+            if pos >= len(tokens):
+                raise ParseError("missing closing parenthesis", position=len(text))
+            ttype, tok, tpos = tokens[pos]
+            if ttype in (",", ")"):
+                raise ParseError("empty argument slot", position=tpos)
+            child, pos = expr(pos, depth)
+            node[2].append(child)
+            if pos >= len(tokens):
+                raise ParseError("missing closing parenthesis", position=len(text))
+            ttype, tok, tpos = tokens[pos]
+            if ttype == ",":
+                pos += 1
+                continue
+            if ttype == ")":
+                return pos + 1
+            raise ParseError(f"expected ',' or ')', found {tok!r}", position=tpos)
+
+    def value_span(pos):
+        start, pos, depth, parts = tokens[pos][2], pos + 1, 1, []
+        while pos < len(tokens):
+            ttype, tok, tpos = tokens[pos]
+            if ttype == "(":
+                depth += 1
+            elif ttype == ")":
+                depth -= 1
+                if depth == 0:
+                    if not parts:
+                        raise ParseError("empty argument list", position=tpos)
+                    return (" ".join(parts), "value-string", []), pos + 1
+            parts.append(tok)
+            pos += 1
+        raise ParseError("missing closing parenthesis", position=start)
+
+    node, pos = expr(0, 1)
+    if pos != len(tokens):
+        raise ParseError(f"unexpected trailing token {tokens[pos][1]!r}", position=tokens[pos][2])
+    return ("<root>", "function", [node])
+
+
+def tree_tuple(node) -> tuple:
+    """An :class:`~demoselect.programs.AstNode` tree as nested ``(symbol, kind, children)``."""
+    return (node.symbol, node.kind, [tree_tuple(child) for child in node.children])
 
 
 # --- reference copies of the first evaluation front end ------------------------

@@ -726,11 +726,17 @@ def test_run_parses_only_test_programs_and_wrong_predictions(workspace, tmp_path
             "--strategy", "top-k", "--k", "2", "--mock", "--workdir", str(workdir)]
     assert main(argv) == 1
     predictions = _read_jsonl(workdir / "predictions.jsonl")
-    wrong = [r["prediction"] for r in predictions if not exact_match(r["prediction"], golds[r["id"]])]
+    wrong = [r for r in predictions if not exact_match(r["prediction"], golds[r["id"]])]
     assert wrong
+    pool = {row["id"]: row["program"] for row in _read_jsonl(workspace["fixture"] / "train.jsonl")}
+    demos = {row["id"]: row["demo_ids"] for row in _read_jsonl(workdir / "prompts.jsonl")}
+    copies = [r for r in wrong if r["prediction"] in {pool[i] for i in demos[r["id"]]}]
+    assert copies
     # each --test program when its row is loaded, each wrong prediction when
-    # it is labelled, and no demonstration or pool program
-    assert parsed == Counter(golds.values()) + Counter(wrong)
+    # it is labelled unless it copies a demonstration's program (it takes that
+    # pool row's labels), and no demonstration or pool program
+    unparsed = [r for r in wrong if r not in copies]
+    assert parsed == Counter(golds.values()) + Counter(r["prediction"] for r in unparsed)
 
 
 def test_eval_exit_codes_reflect_failures(workspace, tmp_path):

@@ -274,7 +274,7 @@ def test_load_predictions_parses_a_well_formed_beam_once(tmp_path, monkeypatch):
         return wrapper
 
     for module in (demoselect.programs, demoselect.structures):
-        monkeypatch.setattr(module, "parse_program", counted(module.parse_program))
+        monkeypatch.setattr(module, "read_program", counted(module.read_program))
     path = tmp_path / "preds.jsonl"
     beams = ["f (g)", "f (g (a)", "f (h))", ")("]
     path.write_text(json.dumps({"id": "t1", "beams": beams}), encoding="utf-8")
@@ -285,6 +285,34 @@ def test_load_predictions_parses_a_well_formed_beam_once(tmp_path, monkeypatch):
     assert bundle.beam_ls_sets == [
         set(program_structures(text)) for text in ("f (g)", "f (g (a))", "f (h)")
     ]
+
+
+def test_make_example_and_load_predictions_build_no_tree(tmp_path, monkeypatch):
+    # a program is read in one walk: no AstNode tree, anonymized copy or
+    # StructureGraph is built for an example or a beam
+    import demoselect.programs
+    import demoselect.structures
+
+    program = TABLE_ROWS[0]["program"]
+    dialect = DialectConfig(value_parents=frozenset({"LIKE"}))
+    expected = make_example("cal-1", "u", program, dialect=dialect)
+    graph = build_structure_graph(anonymize(parse_program(program, dialect)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(demoselect.programs, "AstNode", forbidden)
+    monkeypatch.setattr(demoselect.programs, "ProgramAst", forbidden)
+    monkeypatch.setattr(demoselect.structures, "StructureGraph", forbidden)
+    example = make_example("cal-1", "u", program, dialect=dialect)
+    assert example == expected
+    assert example.ls_counts == dict(sorted(count_local_structures(graph).items()))
+    assert example.ls_sizes == {name: ls_size(name) for name in example.ls_counts}
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps({"id": "t1", "beams": [program, program + ")"]}), encoding="utf-8")
+    bundle = load_predictions(path, dialect)["t1"]
+    assert bundle.beam_ls_sets == [set(example.ls_counts)] * 2
+    assert bundle.ls_sizes == example.ls_sizes
 
 
 def test_load_predictions_parses_a_repaired_beam_once(tmp_path, monkeypatch):
@@ -943,6 +971,11 @@ def test_threads_that_first_read_an_array_together_check_it_alike(tmp_path):
         sys.setswitchinterval(interval)
 
 
+def test_symbol_mask_marks_the_one_node_structures(tmp_path):
+    bundle = build_indexes(_geo_corpus(tmp_path))
+    assert bundle.symbol_mask.tolist() == [ls_size(name) == 1 for name in bundle.vocab]
+
+
 def test_index_load_parses_no_program(tmp_path, monkeypatch):
     bundle = build_indexes(_geo_corpus(tmp_path))
     path = tmp_path / "index.json"
@@ -951,8 +984,8 @@ def test_index_load_parses_no_program(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("IndexBundle.load must not parse programs")
 
-    monkeypatch.setattr("demoselect.corpus.parse_program", forbidden)
-    monkeypatch.setattr("demoselect.corpus.analyze", forbidden)
+    monkeypatch.setattr("demoselect.corpus.read_structures", forbidden)
+    monkeypatch.setattr("demoselect.corpus.local_structures", forbidden)
     reloaded = IndexBundle.load(path)
     for built, loaded in zip(bundle.corpus.examples, reloaded.corpus.examples, strict=True):
         assert loaded.template == built.template

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoselect import (
+    Corpus,
     DialectConfig,
     EvalRecord,
     aggregate,
+    build_indexes,
     anonymize,
     classify_errors,
     coverage_metrics,
@@ -27,6 +29,7 @@ from demoselect.evaluation import (
     LABEL_OVER_COPY,
     LABEL_SYNTAX,
     _symbols_and_template,
+    copy_labels,
     program_symbols,
 )
 from demoselect.programs import DEFAULT_DIALECT
@@ -251,6 +254,29 @@ def test_structure_form_equals_text_form(gold, demo_programs, dialect, data):
         dialect,
         "s",
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gold=PROGRAMS,
+    pool_programs=st.lists(PROGRAMS, min_size=1, max_size=4),
+    dialect=st.sampled_from([DEFAULT_DIALECT, VALUE_PARENTS]),
+    data=st.data(),
+)
+def test_a_copied_demonstration_takes_the_labels_of_its_text(gold, pool_programs, dialect, data):
+    # a prediction that is a demonstration's program is labelled from that
+    # pool row's codes, with no parse, as error_labels labels the text; the
+    # gold is coded over a vocabulary that may lack its symbols
+    pool = [make_example(f"p{i}", "u", p, dialect=dialect) for i, p in enumerate(pool_programs)]
+    bundle = build_indexes(Corpus(examples=pool, dialect=dialect))
+    example = make_example("gold", "u", gold, "test", dialect)
+    rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+    copied = data.draw(st.sampled_from(rows))
+    pred = bundle.records["program"][copied]
+    demo_symbols = {c for r in rows for c in bundle.ls.names(r) if " " not in c}
+    templates = {bundle.records["template"][r] for r in rows}
+    expected = error_labels(pred, _symbols(example), demo_symbols, templates, dialect)
+    assert copy_labels(bundle.coded(example), bundle.ls.codes(copied)) == expected
 
 
 def test_evaluate_example_parses_only_a_wrong_prediction(monkeypatch):

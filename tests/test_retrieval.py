@@ -180,6 +180,58 @@ def test_bm25_symbols_scores_equal_the_per_document_formula_bit_for_bit():
 VOCAB = ["a", "b", "c", "d", "e", ""]
 
 
+def _per_term_scores(index: Bm25Index, query) -> np.ndarray:
+    """Scores summed by one fancy ``+=`` per query term, in query order."""
+    out = np.zeros(index.n_docs)
+    for term in query:
+        impact = index.impacts.get(term)
+        if impact is not None:
+            rows, contrib = impact
+            out[rows] += contrib
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.dictionaries(
+        st.text("pqrs", min_size=1, max_size=3),
+        st.lists(st.sampled_from(VOCAB), max_size=8),
+        max_size=12,
+    ),
+    query=st.lists(st.sampled_from([*VOCAB, "zz-unknown"]), max_size=10),
+)
+def test_bm25_scores_equal_the_per_term_loop_bit_for_bit(docs, query):
+    # one bincount over the query terms' postings adds as the per-term loop
+    # does, repeated and unknown terms included
+    index = Bm25Index(docs)
+    got = index.scores(query).array
+    assert got.dtype == np.float64 and got.shape == (len(docs),)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in _per_term_scores(index, query).tolist()]
+
+
+def test_bm25_utterance_scores_equal_the_per_term_loop_bit_for_bit():
+    fixture = gen_fixture(n_train=200, n_test=20, seed=5)
+    bundle = build_indexes(fixture.corpus)
+    index = bundle.bm25_utterance
+    for example in fixture.corpus.split("test"):
+        tokens = example.utt_tokens
+        for query in (tokens, tokens + tokens[:3], [*tokens, "zz-unknown"], ["zz-unknown"]):
+            expected = _per_term_scores(index, query).tolist()
+            assert [v.hex() for v in index.scores(query).values()] == [v.hex() for v in expected]
+
+
+def test_column_postings_take_reads_each_code_as_a_lookup():
+    bundle = build_indexes(gen_fixture(n_train=60, n_test=10, seed=2).corpus)
+    postings, vocab = bundle.ls_postings, bundle.vocab
+    # every code, the code of the absent names, and codes in any order
+    codes = np.array([*range(len(vocab) + 1), len(vocab), 0, len(vocab) - 1])
+    empty = np.empty(0, np.intp)
+    expected = [postings.get(vocab[c], empty) if c < len(vocab) else empty for c in codes]
+    got = postings.take(codes)
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     docs=st.dictionaries(

@@ -207,3 +207,28 @@ def test_mock_and_eval_stages_equal_the_text_forms(seed, n_pool, n_test, thresho
             strategy=cfg.strategy,
         )
         assert record.to_dict() == expected.to_dict()
+
+
+def test_the_mock_decodes_only_the_program_it_returns(monkeypatch):
+    fixture = gen_fixture(n_train=60, n_test=12, split="held-out-ls", seed=7)
+    bundle = build_indexes(fixture.corpus)
+    programs = bundle.records["program"]
+    column = type(programs)
+    decode, decoded = column.__getitem__, []
+
+    def counted(self, r):
+        if self is programs:
+            decoded.append(r)
+        return decode(self, r)
+
+    monkeypatch.setattr(column, "__getitem__", counted)
+    targets = {ex.id: ex for ex in fixture.corpus.split("test")}
+    rng = random.Random(3)
+    prompts = [
+        {"id": i, "prompt": "", "demo_ids": rng.sample(bundle.pool.ids, 6)} for i in targets
+    ]
+    predictions = stage_infer(bundle, targets, prompts, RunConfig(mock=True))
+    # one program decoded for each prediction that copies a demonstration
+    copies = [row for row in predictions if row["prediction"] != targets[row["id"]].program]
+    assert copies
+    assert [decode(programs, r) for r in decoded] == [row["prediction"] for row in copies]

@@ -12,11 +12,13 @@ from demoselect import (
     Example,
     InvalidKError,
     anonymize,
+    build_indexes,
     build_structure_graph,
     cover_ls,
     cover_utt,
     dpp_select,
     enumerate_local_structures,
+    gen_fixture,
     make_example,
     normalized_rows,
     oracle_elements,
@@ -430,6 +432,32 @@ def test_cover_ls_with_postings_matches_scan():
         )
         assert direct.items == indexed.items
         assert direct.coverage_trace == indexed.coverage_trace
+
+
+@pytest.mark.parametrize("max_ls_size", [None, 1, 2, 3])
+def test_cover_ls_over_codes_equals_cover_ls_over_names(max_ls_size):
+    # a target's structures coded over the index's vocabulary walk in the
+    # order of their names, and read the same rows by code: test targets
+    # hold structures that no pool example holds, and one holds names that
+    # the vocabulary lacks
+    fixture = gen_fixture(n_train=80, n_test=12, split="held-out-ls", seed=4)
+    bundle = build_indexes(fixture.corpus)
+    pool, postings = bundle.pool, bundle.ls_postings
+    tests = fixture.corpus.split("test")
+    novel = make_example("novel", tests[0].utterance, f"novel ({tests[0].program})")
+    for example in [*tests, novel]:
+        scores = bundle.bm25_utterance.scores(example.utt_tokens)
+        coded, names = bundle.coded(example), set(example.ls_counts)
+        for k in (1, 4, 9):
+            options = dict(max_ls_size=max_ls_size, postings=postings)
+            assert cover_ls(coded, pool, scores, k, **options) == cover_ls(
+                names, pool, scores, k, **options
+            )
+    for seed, target in enumerate(pool.values()[:12]):
+        options = dict(postings=postings, exclude=target.id)
+        assert training_mode_select(bundle.coded(target), pool, 5, seed=seed, **options) == (
+            training_mode_select(target.ls_counts, pool, 5, seed=seed, **options)
+        )
 
 
 def test_cover_utt_hand_walk():

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoselect import (
     DialectConfig,
+    ParseError,
     anonymize,
     build_structure_graph,
     count_local_structures,
@@ -14,8 +16,8 @@ from demoselect import (
     ls_size,
     parse_program,
 )
-from demoselect.programs import DEFAULT_DIALECT
-from demoselect.structures import program_structures
+from demoselect.programs import DEFAULT_DIALECT, read_program
+from demoselect.structures import analyze, program_structures, read_structures
 
 from helpers import (
     brute_force_fragments,
@@ -23,6 +25,9 @@ from helpers import (
     brute_force_local_structures,
     node_count,
     random_program,
+    random_texts,
+    reference_parse,
+    tree_tuple,
 )
 
 CALENDAR_PROGRAM = (
@@ -179,7 +184,7 @@ def test_ls_size_helper():
     assert ls_size("<root> -> CreateEvent -> AND -> starts_at -> NextDOW -> string") == 6
 
 
-VALUE_PARENTS = DialectConfig(value_parents=frozenset({"g", "scan"}))
+VALUE_PARENTS = DialectConfig(value_parents=frozenset({"g", "scan", "LIKE"}))
 
 
 @settings(max_examples=200, deadline=None)
@@ -226,3 +231,49 @@ def test_program_structures_of_distinct_beams_combine():
     union = set(program_structures("f (g)")) | set(program_structures("f (h)"))
     assert "f -> g" in union
     assert "f -> h" in union
+
+
+VALUE_PARENTS = DialectConfig(value_parents=frozenset({"g", "scan", "LIKE"}))
+
+
+def _assert_walk_equals_the_tree_path(text, dialect):
+    # one walk from text gives the template, the counts and the sizes that
+    # graphing the tree gives; the tree and the errors are the first parser's
+    try:
+        expected = reference_parse(text, dialect.value_parents)
+    except ParseError as exc:
+        for read in (read_program, read_structures, parse_program, program_structures):
+            with pytest.raises(ParseError) as caught:
+                read(text, dialect)
+            assert (str(caught.value), caught.value.position) == (str(exc), exc.position)
+        return
+    walk = read_program(text, dialect)
+    ast = parse_program(text, dialect)
+    assert tree_tuple(ast.root) == tree_tuple(walk.tree().root) == expected
+    template, counts = analyze(ast)
+    structures = read_structures(text, dialect)
+    assert structures.template == walk.template == template
+    assert structures.counts == counts == program_structures(text, dialect)
+    assert list(structures.counts) == list(structures.sizes) == sorted(counts)
+    assert structures.sizes == {name: ls_size(name) for name in counts}
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=random_texts(), dialect=st.sampled_from([DEFAULT_DIALECT, VALUE_PARENTS]))
+def test_the_walk_equals_the_tree_path_and_the_first_parser(text, dialect):
+    _assert_walk_equals_the_tree_path(text, dialect)
+
+
+# text at each of the grammar's faults, quoted tokens among them, and the
+# value spans and juxtapositions it reads
+FAULTS = [
+    'f (3 "x")', '"a" "b"', "f ('a' b)", "3 x", "'it''s'", "f (,)", "f ()", "f (a,)", ",",
+    ")", "f (a) )", "f (a", 'f "x', "f (g h, 'k' (l))", 'name= LIKE ("a b", c)',
+    'g (a "b" (c), d)', "g ()", "g (a", "scan (x) y",
+]
+
+
+@pytest.mark.parametrize("text", FAULTS)
+@pytest.mark.parametrize("dialect", [DEFAULT_DIALECT, VALUE_PARENTS])
+def test_the_walk_meets_each_fault_as_the_first_parser(text, dialect):
+    _assert_walk_equals_the_tree_path(text, dialect)
