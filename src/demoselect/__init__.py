@@ -1,10 +1,10 @@
 """Diverse demonstration selection for in-context semantic parsing.
 
-The package parses functional programs into sibling-augmented trees,
-enumerates their local structures, and selects demonstration sets that
-cover the structures a test program is predicted to need. Selected sets
-are rendered into prompts, completed by an endpoint or a deterministic
-mock, and scored with coverage, diversity and error metrics.
+The package reads functional programs into sibling-augmented trees (as
+arrays, in one walk), enumerates their local structures, and selects
+demonstration sets that cover the structures a test program is predicted to
+need. Selected sets are rendered into prompts, completed by an endpoint or a
+deterministic mock, and scored with coverage, diversity and error metrics.
 """
 
 from .corpus import (
@@ -36,7 +36,6 @@ from .evaluation import (
     classify_errors,
     coverage_metrics,
     error_labels,
-    evaluate_example,
     evaluate_record,
     exact_match,
     unobserved_ls,
@@ -51,9 +50,8 @@ from .gateway import (
     mock_complete,
 )
 from .programs import (
-    AstNode,
     DialectConfig,
-    ProgramAst,
+    ProgramWalk,
     RepairResult,
     Template,
     anonymize,

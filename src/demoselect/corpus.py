@@ -7,7 +7,7 @@ lenient :func:`load_examples` (each row checked by :func:`check_row`) and
 ``{"id"?, "utterance", "program", "split"?}`` lines (:data:`CORPUS_ROW`).
 A program is read once, when its example is made, in one walk over its
 tokens (:func:`~demoselect.structures.read_structures`): its template, its
-local-structure counts and each structure's node count, with no tree built.
+local-structure counts and each structure's node count, with no graph built.
 Every loaded beam is read once, in the walk that
 :func:`~demoselect.programs.repair_parentheses` returns, and keeps its
 local-structure set and their node counts.
@@ -341,7 +341,7 @@ def make_example(
     dialect: DialectConfig = DEFAULT_DIALECT,
 ) -> Example:
     """An example whose program is read in one walk
-    (:func:`~demoselect.structures.read_structures`), no tree built. Its
+    (:func:`~demoselect.structures.read_structures`), no graph built. Its
     structures are key-sorted, as a saved index stores them, so that a built
     and a reloaded example hold the same map (tf-idf norms sum in its order)."""
     structures = read_structures(program, dialect)

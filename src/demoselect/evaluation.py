@@ -6,19 +6,17 @@ structures, and the count of their distinct structures; and whether the gold
 holds a small structure that no pool example holds. It reads structures as
 codes (see :class:`~demoselect.structures.CodedStructures`): the pipeline
 passes each demonstration's row of the index's structure codes and builds no
-demonstration example. :func:`evaluate_example` (over examples) and
-:func:`evaluate_record` (over program text and structure sets) code their
-sets over the names they hold and apply the same rule, as
-:func:`coverage_metrics` and :func:`unobserved_ls` do for theirs.
+demonstration example. :func:`evaluate_record` (over program text and
+structure sets) codes its sets over the names they hold and applies the same
+rule, as :func:`coverage_metrics` and :func:`unobserved_ls` do for theirs.
 
 The error-label rule (:func:`error_labels`), for a wrong prediction only,
 takes the gold's and the demonstrations' symbols and templates, and reads
 only the prediction, once, in the walk that
 :func:`~demoselect.programs.repair_parentheses` returns: its template and
-anonymized symbols, with no tree built and no structure enumerated. The
-pipeline and :func:`evaluate_example` read the gold's and the
-demonstrations' symbols and templates from what the index or the examples
-hold, so no gold or demonstration program is parsed; :func:`classify_errors`
+anonymized symbols, with no structure enumerated. The pipeline reads the
+gold's and the demonstrations' symbols and templates from what the index
+holds, so no gold or demonstration program is parsed; :func:`classify_errors`
 derives them from program text. A wrong prediction that is the program of
 one of its demonstrations needs no parse at all: the pipeline takes its
 labels from that pool row's codes (:func:`copy_labels`).
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,9 +39,6 @@ from .programs import (
 )
 from .retrieval import sequential_sum
 from .structures import CodedStructures, coded_sets
-
-if TYPE_CHECKING:
-    from .corpus import Example
 
 LABEL_SYNTAX = "syntax"
 LABEL_OVER_COPY = "over-copy"
@@ -84,12 +79,6 @@ def coverage_metrics(
     structure sets, coded over the names they hold."""
     _, rows, gold = coded_sets(demo_ls_sets, gold_ls_set)
     return _coverage(gold.union(rows), gold)
-
-
-def program_symbols(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> set[str]:
-    """Anonymized symbol set of a program; falls back to a token scan when
-    the text cannot be parsed even after parenthesis repair."""
-    return _symbols_and_template(text, dialect)[0]
 
 
 def _symbols_and_template(text, dialect) -> tuple[set[str], str | None]:
@@ -155,8 +144,8 @@ def classify_errors(
     dialect: DialectConfig = DEFAULT_DIALECT,
 ) -> set[str]:
     """:func:`error_labels` over program text: the gold's and each
-    demonstration's symbols and template come from parsing it, after repair
-    (see :func:`program_symbols`)."""
+    demonstration's symbols and template come from parsing it, after repair;
+    text beyond repair has the symbols of a token scan and no template."""
     demo_symbols: set[str] = set()
     demo_templates: set[str | None] = set()
     for program in demo_programs:
@@ -164,7 +153,7 @@ def classify_errors(
         demo_symbols |= symbols
         demo_templates.add(template)
     return error_labels(
-        pred, program_symbols(gold, dialect), demo_symbols, demo_templates, dialect
+        pred, _symbols_and_template(gold, dialect)[0], demo_symbols, demo_templates, dialect
     )
 
 
@@ -261,29 +250,6 @@ def evaluate_record(
         return classify_errors(pred, gold, demo_programs, dialect)
 
     return evaluate_coded(example_id, pred, gold, rows, coded, observed, labels, strategy)
-
-
-def evaluate_example(
-    example: Example,
-    pred: str,
-    demos: Sequence[Example],
-    training_ls_union: AbstractSet[str],
-    dialect: DialectConfig = DEFAULT_DIALECT,
-    strategy: str = "",
-) -> EvalRecord:
-    """:func:`evaluate_record` for a gold example and its demonstration
-    examples: symbols, templates and structure sets come from the examples,
-    and only a wrong prediction is parsed."""
-
-    def labels() -> set[str]:
-        demo_symbols = set().union(*(demo.symbol_seq for demo in demos))
-        gold_symbols = set(example.symbol_seq)
-        return error_labels(pred, gold_symbols, demo_symbols, {d.template for d in demos}, dialect)
-
-    codes, rows, coded = coded_sets([demo.ls_counts for demo in demos], example.ls_counts)
-    observed = _observed(codes, training_ls_union)
-    program = example.program
-    return evaluate_coded(example.id, pred, program, rows, coded, observed, labels, strategy)
 
 
 ALL_LABELS = (LABEL_SYNTAX, LABEL_OVER_COPY, LABEL_OOV, LABEL_MISSING)

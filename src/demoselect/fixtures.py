@@ -26,10 +26,9 @@ _PLANT_COUNT = 3  # how many structures a held-out-ls split plants in its test p
 def _is_atom(word: str) -> bool:
     """True when ``word`` parses as one program symbol with no arguments."""
     try:
-        top = parse_program(word).top
+        return parse_program(word).values[1:] == [word]
     except ParseError:
         return False
-    return top.symbol == word and not top.children
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ The mock decides on structures alone, as codes (:func:`mock_from_codes`,
 see :class:`~demoselect.structures.CodedStructures`): the pipeline passes
 each demonstration's row of the index's structure codes and no program is
 parsed or demonstration example built; the one demonstration program it
-returns is the only one it reads. :func:`mock_from_structures` (over
-structure sets) and :func:`mock_complete` (over program text) code their
-sets over the names they hold and apply the same rule.
+returns is the only one it reads. :func:`mock_complete` applies the same
+rule to program text, coding its programs' structure sets over the names
+they hold.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Sequence
+from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -228,19 +228,6 @@ def mock_from_codes(
     return demo_program(overlaps.index(max(overlaps)))
 
 
-def mock_from_structures(
-    demo_structures: Sequence[AbstractSet[str]],
-    gold_structures: AbstractSet[str],
-    demo_programs: Sequence[str],
-    gold_program: str,
-    config: MockOracleConfig | None = None,
-) -> str:
-    """:func:`mock_from_codes` over structure sets (sets or dict key views),
-    coded over the names they hold."""
-    _, rows, gold = coded_sets(demo_structures, gold_structures)
-    return mock_from_codes(rows, gold, demo_programs.__getitem__, gold_program, config)
-
-
 def _ls_canonicals(program: str, dialect: DialectConfig) -> set[str]:
     try:
         return set(program_structures(program, dialect))
@@ -254,12 +241,10 @@ def mock_complete(
     config: MockOracleConfig | None = None,
     dialect: DialectConfig = DEFAULT_DIALECT,
 ) -> str:
-    """:func:`mock_from_structures` over program text; a program that does
-    not parse has no structures."""
-    return mock_from_structures(
-        [_ls_canonicals(p, dialect) for p in demo_programs],
-        _ls_canonicals(gold_program, dialect),
-        demo_programs,
-        gold_program,
-        config,
+    """:func:`mock_from_codes` over program text, its structure sets coded
+    over the names they hold; a program that does not parse has no
+    structures."""
+    _, rows, gold = coded_sets(
+        [_ls_canonicals(p, dialect) for p in demo_programs], _ls_canonicals(gold_program, dialect)
     )
+    return mock_from_codes(rows, gold, demo_programs.__getitem__, gold_program, config)

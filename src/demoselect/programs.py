@@ -14,12 +14,12 @@ A program always has a synthetic ``<root>`` node above its top symbol so
 that the top symbol participates in edges like any other.
 
 Program text is read by one tokenizer (one regular expression) and one
-grammar, in one walk over the tokens (:func:`read_program`): it emits the
-nodes in pre-order as arrays, the anonymized symbols, each node's parent and
-children, and the template, and builds no tree. The local structures are
-enumerated from those arrays (:mod:`demoselect.structures`). Only a caller
-that needs a tree builds one from the walk: :func:`parse_program`, and so
-:func:`render`, :func:`anonymize` and :func:`to_template` over its result.
+grammar, in one walk over the tokens (:func:`read_program`, and
+:func:`parse_program`, its public name): it emits the nodes in pre-order as
+arrays, the anonymized symbols, each node's parent and children, and the
+template. That walk is the one program form: :func:`render`,
+:func:`anonymize` and :func:`to_template` read its arrays, and the local
+structures are enumerated from them (:mod:`demoselect.structures`).
 
 Possibly malformed text enters through :func:`repair_parentheses`, which
 returns the walk of the text it settled on; text beyond repair still has the
@@ -29,8 +29,7 @@ symbols of :func:`scan_symbols`, which reads the same tokenizer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import NoReturn
 
 from .errors import ParseError
@@ -43,8 +42,8 @@ FUNCTION = "function"
 VALUE_STRING = "value-string"
 VALUE_NUMBER = "value-number"
 
-# The most levels below its synthetic root that a program tree may have, by
-# parentheses or juxtaposition: recursive tree walks stay inside Python's stack.
+# The most levels below its synthetic root that a program may have, by
+# parentheses or juxtaposition: a recursive render stays inside Python's stack.
 MAX_DEPTH = 256
 _TOO_DEEP = f"program nests deeper than {MAX_DEPTH} levels"
 
@@ -76,35 +75,6 @@ class DialectConfig:
 
 
 DEFAULT_DIALECT = DialectConfig()
-
-
-@dataclass
-class AstNode:
-    symbol: str
-    kind: str = FUNCTION
-    children: list["AstNode"] = field(default_factory=list)
-
-
-@dataclass
-class ProgramAst:
-    root: AstNode
-    source_text: str
-
-    @property
-    def top(self) -> AstNode:
-        return self.root.children[0]
-
-    def iter_nodes(self, include_root: bool = False):
-        """Pre-order walk of the tree."""
-        stack = [self.root] if include_root else [self.top]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def symbol_sequence(self) -> list[str]:
-        """Pre-order program symbols, excluding the synthetic root."""
-        return [n.symbol for n in self.iter_nodes()]
 
 
 @dataclass(frozen=True)
@@ -184,7 +154,8 @@ class ProgramWalk:
     symbol ``values[i]`` as written (a string's text, a numeral), the
     anonymized symbol ``symbols[i]``, the parent ``parents[i]`` (None for the
     root) and the children ``children[i]``, in order. ``template`` is the
-    anonymized program's text, as :func:`render` writes it."""
+    anonymized program's text, as :func:`render` writes it. It is the one
+    form a program takes: its tree, as arrays."""
 
     text: str
     kinds: list[str]
@@ -193,13 +164,6 @@ class ProgramWalk:
     parents: list[int | None]
     children: list[list[int]]
     template: str
-
-    def tree(self) -> ProgramAst:
-        """The program as a tree of :class:`AstNode`."""
-        nodes = [AstNode(value, kind) for value, kind in zip(self.values, self.kinds)]
-        for node, parent in zip(nodes[1:], self.parents[1:]):
-            nodes[parent].children.append(node)
-        return ProgramAst(root=nodes[0], source_text=self.text)
 
 
 class _Fault(Exception):
@@ -368,48 +332,42 @@ def _value_span(tokens: list[str], pos: int) -> tuple[str, int]:
     raise _Fault("missing closing parenthesis", start)
 
 
-def parse_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramAst:
-    """Parse program text into a tree rooted at the synthetic root marker
-    (:func:`read_program`, as a tree); a tree deeper than :data:`MAX_DEPTH`
-    is a :class:`ParseError`."""
-    return read_program(text, dialect).tree()
+def parse_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramWalk:
+    """Parse program text into its walk (:func:`read_program`); a program
+    deeper than :data:`MAX_DEPTH` is a :class:`ParseError`."""
+    return read_program(text, dialect)
 
 
 # --- rendering and anonymization ----------------------------------------
 
 
-def _render_node(node: AstNode) -> str:
-    if node.kind == VALUE_STRING:
-        core = f'"{node.symbol}"'
-    else:
-        core = node.symbol
-    if not node.children:
+def _render_node(walk: ProgramWalk, node: int) -> str:
+    core = walk.values[node]
+    if walk.kinds[node] == VALUE_STRING:
+        core = f"'{core}'" if '"' in core else f'"{core}"'
+    args = walk.children[node]
+    if not args:
         return core
-    args = ", ".join(_render_node(c) for c in node.children)
-    return f"{core} ({args})"
+    return f"{core} ({', '.join(_render_node(walk, arg) for arg in args)})"
 
 
-def render(ast: ProgramAst) -> str:
-    """Canonical text: one space before '(', ', ' between siblings."""
-    return _render_node(ast.top)
+def render(walk: ProgramWalk) -> str:
+    """Canonical text: one space before '(', ', ' between siblings, a string
+    value in double quotes, or in single quotes if it holds a double quote.
+    A value-parent span whose value holds both kinds of quote has no such
+    text, and what it renders does not read back."""
+    return _render_node(walk, walk.children[0][0])
 
 
-def anonymize(ast: ProgramAst) -> ProgramAst:
-    """Replace every string value with ``string`` and numeric value with ``number``."""
-
-    def walk(node: AstNode) -> AstNode:
-        if node.kind == VALUE_STRING:
-            return AstNode(STRING_CONST)
-        if node.kind == VALUE_NUMBER:
-            return AstNode(NUMBER_CONST)
-        return AstNode(node.symbol, node.kind, [walk(c) for c in node.children])
-
-    top = walk(ast.top)
-    return ProgramAst(AstNode(ROOT_SYMBOL, FUNCTION, [top]), _render_node(top))
+def anonymize(walk: ProgramWalk) -> ProgramWalk:
+    """Replace every string value with ``string`` and numeric value with
+    ``number``, every node then a symbol; the result's text is the template."""
+    kinds = [FUNCTION] * len(walk.symbols)
+    return replace(walk, text=walk.template, kinds=kinds, values=walk.symbols)
 
 
-def to_template(ast: ProgramAst) -> Template:
-    return Template(anonymize(ast).source_text)
+def to_template(walk: ProgramWalk) -> Template:
+    return Template(walk.template)
 
 
 # --- repair --------------------------------------------------------------
@@ -428,11 +386,6 @@ class RepairResult:
     @property
     def repaired(self) -> bool:
         return self.status == "repaired"
-
-    @cached_property
-    def ast(self) -> ProgramAst | None:
-        """The tree of :attr:`text`, built when first read; None if unrepairable."""
-        return None if self.walk is None else self.walk.tree()
 
 
 def repair_parentheses(

@@ -1,22 +1,21 @@
 """Sibling-augmented program graphs and their local structures.
 
-A program tree is augmented with "sibling" edges between consecutive
-arguments of the same function. A local structure (LS) is a connected
-induced fragment of that graph in which a sibling edge joins a node pair
-iff both nodes are leaves of the fragment. Under that rule every valid
-fragment is one of:
+A program's tree (its walk, :class:`~demoselect.programs.ProgramWalk`) is
+augmented with "sibling" edges between consecutive arguments of the same
+function. A local structure (LS) is a connected induced fragment of that
+graph in which a sibling edge joins a node pair iff both nodes are leaves of
+the fragment. Under that rule every valid fragment is one of:
 
 * a downward path of tree nodes,
 * a downward path whose last node forks into two consecutive child leaves,
 * a bare pair of consecutive sibling leaves.
 
 The enumerator below (:func:`local_structures`) exploits that shape, over a
-graph given as arrays: a program's walk
-(:func:`~demoselect.programs.read_program`) or a tree's
-:class:`StructureGraph`. It gives each structure's node count beside its
-occurrence count, so no caller counts the nodes of a name. The test suite
-checks it against a subset-by-subset brute force that only applies the raw
-rule.
+graph given as arrays: a program's walk, or the :class:`StructureGraph` that
+:func:`build_structure_graph` makes of it. It gives each structure's node
+count beside its occurrence count, so no caller counts the nodes of a name.
+The test suite checks it against a subset-by-subset brute force that only
+applies the raw rule.
 
 A structure is its canonical string: the symbols down a path joined by
 ``PARENT_SEP``, with a fork's two leaves joined by ``SIBLING_SEP``. The
@@ -28,8 +27,7 @@ view that :func:`enumerate_local_structures` returns to the acceptance
 criteria and the structure tests.
 
 Program text goes to its template and structures in one walk and one
-enumeration (:func:`read_structures`), building no tree; :func:`analyze`
-gives the same for a tree, through its graph.
+enumeration (:func:`read_structures`).
 
 The mock model and evaluation compare structure sets as codes: a structure's
 code is its number in a vocabulary, an index's or one made of the sets at
@@ -48,13 +46,7 @@ from operator import add
 
 import numpy as np
 
-from .programs import (
-    DEFAULT_DIALECT,
-    DialectConfig,
-    ProgramAst,
-    anonymize,
-    read_program,
-)
+from .programs import DEFAULT_DIALECT, DialectConfig, ProgramWalk, read_program
 
 PARENT_SEP = " -> "
 SIBLING_SEP = " <-> "
@@ -62,7 +54,8 @@ SIBLING_SEP = " <-> "
 
 @dataclass
 class StructureGraph:
-    """Indexed tree plus sibling edges; node 0 is the synthetic root."""
+    """A program's nodes in pre-order, with their parents, children and
+    sibling edges; node 0 is the synthetic root."""
 
     symbols: list[str]
     parents: list[int | None]
@@ -78,28 +71,11 @@ class StructureGraph:
         return [(p, c) for c, p in enumerate(self.parents) if p is not None]
 
 
-def build_structure_graph(ast: ProgramAst) -> StructureGraph:
-    """Index the tree in pre-order and add consecutive-sibling edges."""
-    symbols: list[str] = []
-    parents: list[int | None] = []
-    children: list[list[int]] = []
-
-    def add(node, parent_idx):
-        idx = len(symbols)
-        symbols.append(node.symbol)
-        parents.append(parent_idx)
-        children.append([])
-        if parent_idx is not None:
-            children[parent_idx].append(idx)
-        for child in node.children:
-            add(child, idx)
-
-    add(ast.root, None)
-    sibling_edges = []
-    for kids in children:
-        for a, b in zip(kids, kids[1:]):
-            sibling_edges.append((a, b))
-    return StructureGraph(symbols, parents, children, sibling_edges)
+def build_structure_graph(walk: ProgramWalk) -> StructureGraph:
+    """A walk's graph, its symbols as written (anonymize the walk first for
+    the anonymized graph), with consecutive-sibling edges."""
+    sibling_edges = [pair for kids in walk.children for pair in zip(kids, kids[1:])]
+    return StructureGraph(walk.values, walk.parents, walk.children, sibling_edges)
 
 
 def ls_size(canonical: str) -> int:
@@ -176,16 +152,6 @@ def enumerate_local_structures(
     return set(map(LocalStructure, sizes, sizes.values()))
 
 
-def analyze(ast: ProgramAst, max_size: int | None = None) -> tuple[str, Counter]:
-    """A tree's template (its anonymized text) and the local-structure
-    counts of its anonymized tree up to ``max_size`` nodes, keyed by
-    canonical form; the size-1 structures are the anonymized symbols. It
-    graphs the tree (:func:`build_structure_graph`); program text goes
-    through :func:`read_structures`, which builds no tree."""
-    anon = anonymize(ast)
-    return anon.source_text, count_local_structures(build_structure_graph(anon), max_size)
-
-
 @dataclass(frozen=True)
 class ProgramStructures:
     """A program's template and its local structures in name order: the
@@ -211,7 +177,7 @@ def read_structures(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> Prog
 
 
 def program_structures(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> Counter:
-    """Local-structure counts of a program's anonymized tree, keyed by
+    """Local-structure counts of a program's anonymized walk, keyed by
     canonical form. Raises :class:`ParseError` on unparseable text."""
     walk = read_program(text, dialect)
     return local_structures(walk.symbols, walk.parents, walk.children)[0]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from demoselect import (
     ParseError,
-    ProgramAst,
+    ProgramWalk,
     StructureGraph,
     anonymize,
     parse_program,
@@ -152,8 +152,13 @@ def random_program(rng: random.Random, max_nodes: int = 11) -> str:
     return text
 
 
-def node_count(ast: ProgramAst) -> int:
-    return sum(1 for _ in ast.iter_nodes())
+def node_count(walk: ProgramWalk) -> int:
+    """The program nodes of a walk, below its root, counted down its children."""
+
+    def count(node) -> int:
+        return 1 + sum(map(count, node[2]))
+
+    return count(walk_tuple(walk)) - 1
 
 
 def reference_tfidf(ls_counts_by_id) -> dict[str, dict[str, float]]:
@@ -206,9 +211,11 @@ def count_parses(monkeypatch) -> Counter:
 #
 # The package reads a program in one walk over its tokens. It once checked
 # the parentheses, tokenized character by character and parsed the tokens by
-# recursive descent into a tree. The copy below keeps that parser, so the
-# walk can be checked against it: the same trees, and the same ParseError
-# message and position for text that is no program.
+# recursive descent into a tree, which it rendered, anonymized and graphed
+# recursively. The copies below keep that parser and those tree walks, so the
+# walk can be checked against them: the same trees, text, templates and
+# graphs, and the same ParseError message and position for text that is no
+# program.
 
 _REFERENCE_DEPTH = 256  # MAX_DEPTH
 _REFERENCE_TOO_DEEP = f"program nests deeper than {_REFERENCE_DEPTH} levels"
@@ -342,9 +349,57 @@ def reference_parse(text: str, value_parents=frozenset()):
     return ("<root>", "function", [node])
 
 
-def tree_tuple(node) -> tuple:
-    """An :class:`~demoselect.programs.AstNode` tree as nested ``(symbol, kind, children)``."""
-    return (node.symbol, node.kind, [tree_tuple(child) for child in node.children])
+def walk_tuple(walk: ProgramWalk, node: int = 0) -> tuple:
+    """A walk's tree below ``node`` (its root by default) as nested
+    ``(symbol, kind, children)``, the form :func:`reference_parse` gives."""
+    children = [walk_tuple(walk, child) for child in walk.children[node]]
+    return (walk.values[node], walk.kinds[node], children)
+
+
+def reference_render(tree) -> str:
+    """The first renderer's text of a :func:`reference_parse` tree, a string
+    value in single quotes when it holds a double quote."""
+
+    def text(node) -> str:
+        symbol, kind, children = node
+        if kind == "value-string":
+            symbol = f"'{symbol}'" if '"' in symbol else f'"{symbol}"'
+        if not children:
+            return symbol
+        return f"{symbol} ({', '.join(map(text, children))})"
+
+    return text(tree[2][0])
+
+
+def reference_anonymize(tree) -> tuple:
+    """A :func:`reference_parse` tree with each string value ``string`` and
+    each numeric value ``number``, every node a function."""
+    symbol, kind, children = tree
+    if kind == "value-string":
+        return ("string", "function", [])
+    if kind == "value-number":
+        return ("number", "function", [])
+    return (symbol, kind, [reference_anonymize(child) for child in children])
+
+
+def reference_graph(tree) -> StructureGraph:
+    """A :func:`reference_parse` tree indexed in pre-order, recursively, with
+    its consecutive-sibling edges."""
+    symbols, parents, children = [], [], []
+
+    def add(node, parent):
+        index = len(symbols)
+        symbols.append(node[0])
+        parents.append(parent)
+        children.append([])
+        if parent is not None:
+            children[parent].append(index)
+        for child in node[2]:
+            add(child, index)
+
+    add(tree, None)
+    edges = [(a, b) for kids in children for a, b in zip(kids, kids[1:])]
+    return StructureGraph(symbols, parents, children, edges)
 
 
 # --- reference copies of the first evaluation front end ------------------------
@@ -392,7 +447,7 @@ def reference_symbols_and_template(text, dialect) -> tuple[set[str], str | None]
     if parsed is None:
         return reference_token_scan_symbols(text), None
     anon = anonymize(parsed)
-    return set(anon.symbol_sequence()), render(anon)
+    return set(anon.values[1:]), render(anon)
 
 
 # --- dict pools, scores and postings as pool rows --------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -340,3 +341,48 @@ def test_every_row_table_has_an_id(module):
     tables = row_tables((PACKAGE / module).read_text(encoding="utf-8"))
     assert tables
     assert [name for name, keys in tables.items() if "id" not in keys] == []
+
+
+def package_names_imported(source: str) -> list[tuple[str, str]]:
+    """Each ``from demoselect[.module] import name`` of a source, at any
+    depth (a function's own imports too), as (module, name)."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module or "").split(".")[0] == "demoselect"
+        for alias in node.names
+    ]
+
+
+def test_package_names_imported_finds_imports_in_functions():
+    source = (
+        "from demoselect import cover_ls\n"
+        "import demoselect\n"
+        "def f():\n"
+        "    from demoselect.programs import render, anonymize as anon\n"
+        "    from os import sep\n"
+        "    from .corpus import load_examples\n"
+    )
+    assert sorted(package_names_imported(source)) == [
+        ("demoselect", "cover_ls"),
+        ("demoselect.programs", "anonymize"),
+        ("demoselect.programs", "render"),
+    ]
+
+
+BENCH_SCRIPTS = sorted(path.name for path in (ROOT / "perfbench").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", BENCH_SCRIPTS)
+def test_bench_imports_only_names_the_package_has(script):
+    # the bench harness imports much of the package inside functions, so a
+    # removed name would otherwise fail only in the run that reaches it
+    source = (ROOT / "perfbench" / script).read_text(encoding="utf-8")
+    missing = [
+        f"{module}.{name}"
+        for module, name in package_names_imported(source)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

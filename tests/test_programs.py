@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import copy
+import dataclasses
 import random
 
 import pytest
@@ -17,15 +17,16 @@ from demoselect import (
     to_template,
 )
 from demoselect.programs import (
+    FUNCTION,
     MAX_DEPTH,
     ROOT_SYMBOL,
     VALUE_NUMBER,
     VALUE_STRING,
     scan_symbols,
 )
-from demoselect.structures import analyze
+from demoselect.structures import build_structure_graph, count_local_structures
 
-from helpers import random_program, random_texts, reference_token_scan_symbols
+from helpers import random_program, random_texts, reference_token_scan_symbols, walk_tuple
 
 CALENDAR_PROGRAM = (
     'CreateEvent (AND (has_subject ("Work on Project"), '
@@ -34,32 +35,25 @@ CALENDAR_PROGRAM = (
 
 
 def test_parse_nested_program_structure():
-    ast = parse_program(CALENDAR_PROGRAM)
-    assert ast.root.symbol == ROOT_SYMBOL
-    assert len(ast.root.children) == 1
-    top = ast.top
-    assert top.symbol == "CreateEvent"
-    (and_node,) = top.children
-    assert and_node.symbol == "AND"
-    has_subject, starts_at = and_node.children
-    assert has_subject.symbol == "has_subject"
-    assert has_subject.children[0].symbol == "Work on Project"
-    assert has_subject.children[0].kind == VALUE_STRING
-    assert starts_at.symbol == "starts_at"
-    assert starts_at.children[0].symbol == "NextDOW"
-    assert starts_at.children[0].children[0].symbol == "Friday"
+    walk = parse_program(CALENDAR_PROGRAM)
+    assert walk_tuple(walk) == (ROOT_SYMBOL, FUNCTION, [
+        ("CreateEvent", FUNCTION, [
+            ("AND", FUNCTION, [
+                ("has_subject", FUNCTION, [("Work on Project", VALUE_STRING, [])]),
+                ("starts_at", FUNCTION, [("NextDOW", FUNCTION, [("Friday", VALUE_STRING, [])])]),
+            ]),
+        ]),
+    ])
 
 
 def test_parse_single_symbol():
-    ast = parse_program("foo")
-    assert ast.root.symbol == ROOT_SYMBOL
-    assert ast.top.symbol == "foo"
-    assert ast.top.children == []
+    walk = parse_program("foo")
+    assert walk_tuple(walk) == (ROOT_SYMBOL, FUNCTION, [("foo", FUNCTION, [])])
 
 
 def test_parse_chain_program_symbol_count():
-    ast = parse_program('answer (state (traverse_1 (riverid ("mississippi"))))')
-    assert ast.symbol_sequence() == [
+    walk = parse_program('answer (state (traverse_1 (riverid ("mississippi"))))')
+    assert walk.values[1:] == [
         "answer",
         "state",
         "traverse_1",
@@ -69,33 +63,33 @@ def test_parse_chain_program_symbol_count():
 
 
 def test_preorder_matches_token_order():
-    ast = parse_program('f (a, g (3, "b"), c)')
-    assert ast.symbol_sequence() == ["f", "a", "g", "3", "b", "c"]
+    walk = parse_program('f (a, g (3, "b"), c)')
+    assert walk.values[1:] == ["f", "a", "g", "3", "b", "c"]
 
 
 def test_number_literals_are_values():
-    ast = parse_program("f (3, -2.5, 1e3, x2)")
-    kinds = [c.kind for c in ast.top.children]
+    walk = parse_program("f (3, -2.5, 1e3, x2)")
+    kinds = [kind for _, kind, _ in walk_tuple(walk)[2][0][2]]
     assert kinds == [VALUE_NUMBER, VALUE_NUMBER, VALUE_NUMBER, "function"]
 
 
 def test_juxtaposition_nests_right_term():
-    ast = parse_program("recipient= refer (Recipient? (name= David))")
-    assert ast.symbol_sequence() == ["recipient=", "refer", "Recipient?", "name=", "David"]
-    top = ast.top
-    assert top.symbol == "recipient="
-    assert top.children[0].symbol == "refer"
+    walk = parse_program("recipient= refer (Recipient? (name= David))")
+    assert walk.values[1:] == ["recipient=", "refer", "Recipient?", "name=", "David"]
+    (top,) = walk_tuple(walk)[2]
+    assert top[0] == "recipient="
+    assert top[2][0][0] == "refer"
 
 
 def test_value_parent_dialect_reads_whole_span():
     dialect = DialectConfig(value_parents=frozenset({"LIKE"}))
-    ast = parse_program(
+    walk = parse_program(
         "CreateEvent (with_attendee (name= LIKE (David Lax)))", dialect
     )
-    like = ast.top.children[0].children[0].children[0]
-    assert like.symbol == "LIKE"
-    assert like.children[0].symbol == "David Lax"
-    assert like.children[0].kind == VALUE_STRING
+    like = ("LIKE", FUNCTION, [("David Lax", VALUE_STRING, [])])
+    name = ("name=", FUNCTION, [like])
+    top = ("CreateEvent", FUNCTION, [("with_attendee", FUNCTION, [name])])
+    assert walk_tuple(walk) == (ROOT_SYMBOL, FUNCTION, [top])
 
 
 @pytest.mark.parametrize(
@@ -122,29 +116,29 @@ def test_trailing_tokens_rejected():
 
 
 def test_anonymize_calendar_program():
-    ast = parse_program(CALENDAR_PROGRAM)
+    walk = parse_program(CALENDAR_PROGRAM)
     assert (
-        render(anonymize(ast))
+        render(anonymize(walk))
         == "CreateEvent (AND (has_subject (string), starts_at (NextDOW (string))))"
     )
 
 
 def test_anonymize_without_values_is_identity():
-    ast = parse_program("f (g (h), i)")
-    assert render(anonymize(ast)) == "f (g (h), i)"
+    walk = parse_program("f (g (h), i)")
+    assert render(anonymize(walk)) == "f (g (h), i)"
 
 
 def test_anonymize_mixed_values():
-    ast = parse_program('f (3, "a", g ("b"))')
-    assert render(anonymize(ast)) == "f (number, string, g (string))"
+    walk = parse_program('f (3, "a", g ("b"))')
+    assert render(anonymize(walk)) == "f (number, string, g (string))"
 
 
 def test_anonymize_idempotent():
     rng = random.Random(11)
     for _ in range(100):
-        ast = parse_program(random_program(rng))
-        once = anonymize(ast)
+        once = anonymize(parse_program(random_program(rng)))
         twice = anonymize(once)
+        assert walk_tuple(once) == walk_tuple(twice)
         assert render(once) == render(twice)
 
 
@@ -159,18 +153,20 @@ def test_template_distinguishes_symbols():
 
 
 def test_template_stable_under_literal_replacement():
+    # replace the string values, write the program out and read it again
     rng = random.Random(23)
     checked = 0
     while checked < 50:
-        ast = parse_program(random_program(rng))
-        values = [n for n in ast.iter_nodes() if n.kind == VALUE_STRING]
-        if not values:
+        walk = parse_program(random_program(rng))
+        if VALUE_STRING not in walk.kinds:
             continue
-        mutated = copy.deepcopy(ast)
-        for node in mutated.iter_nodes():
-            if node.kind == VALUE_STRING:
-                node.symbol = "swapped literal"
-        assert to_template(ast) == to_template(mutated)
+        values = [
+            "swapped literal" if kind == VALUE_STRING else value
+            for kind, value in zip(walk.kinds, walk.values)
+        ]
+        mutated = parse_program(render(dataclasses.replace(walk, values=values)))
+        assert mutated.values == values
+        assert to_template(walk) == to_template(mutated)
         checked += 1
 
 
@@ -182,11 +178,22 @@ SEEDS = st.integers(0, 2**32 - 1)
 def test_round_trip_parse_render_parse(seed):
     # random_program writes canonical text, so rendering its tree gives it back
     text = random_program(random.Random(seed))
-    ast = parse_program(text)
-    assert render(ast) == text
-    assert parse_program(render(ast)).root == ast.root
-    template = to_template(ast).text
+    walk = parse_program(text)
+    assert render(walk) == text
+    assert walk_tuple(parse_program(render(walk))) == walk_tuple(walk)
+    template = to_template(walk).text
     assert to_template(parse_program(template)).text == template
+
+
+# A string value is written in the quotes it does not hold.
+QUOTED = ["f ('a\"b')", 'f ("it\'s", \'say "hi"\')', "name= LIKE ('a\"b' c)"]
+
+
+@pytest.mark.parametrize("text", QUOTED)
+def test_render_quotes_a_string_by_the_quote_it_lacks(text):
+    dialect = DialectConfig(value_parents=frozenset({"LIKE"}))
+    walk = parse_program(text, dialect)
+    assert walk_tuple(parse_program(render(walk), dialect)) == walk_tuple(walk)
 
 
 def test_repair_appends_missing_close():
@@ -238,17 +245,17 @@ def test_repair_restores_trailing_closers(seed, change):
     result = repair_parentheses(broken)
     assert result.text == text
     assert result.status == ("balanced" if change == 0 else "repaired")
-    assert render(result.ast) == text
+    assert render(result.walk) == text
 
 
 @settings(max_examples=500, deadline=None)
 @given(text=random_texts())
 def test_repair_has_a_tree_exactly_when_repairable(text):
     result = repair_parentheses(text)
-    assert (result.ast is None) == (result.status == "unrepairable")
-    if result.ast is not None:
-        assert result.ast.source_text == result.text
-        assert result.ast.root == parse_program(result.text).root
+    assert (result.walk is None) == (result.status == "unrepairable")
+    if result.walk is not None:
+        assert result.walk.text == result.text
+        assert walk_tuple(result.walk) == walk_tuple(parse_program(result.text))
 
 
 @settings(max_examples=500, deadline=None)
@@ -258,14 +265,12 @@ def test_scan_symbols_equals_the_reference_scan(text):
 
 
 
-def _depth(node) -> int:
-    """The levels of a tree below ``node``, counting ``node``."""
-    levels, stack = 0, [(node, 1)]
-    while stack:
-        node, level = stack.pop()
-        levels = max(levels, level)
-        stack.extend((child, level + 1) for child in node.children)
-    return levels
+def _depth(walk) -> int:
+    """The levels of a walk below its root."""
+    depths = [0]
+    for parent in walk.parents[1:]:
+        depths.append(depths[parent] + 1)
+    return max(depths)
 
 
 # A program n levels deep: by parentheses, by juxtaposition, and with its
@@ -281,10 +286,11 @@ LIKE = DialectConfig(value_parents=frozenset({"LIKE"}))
 @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
 def test_parse_refuses_a_tree_past_the_depth_bound(shape):
     assert MAX_DEPTH >= 256
-    ast = parse_program(DEEP_SHAPES[shape](MAX_DEPTH), LIKE)
-    assert _depth(ast.top) == MAX_DEPTH
-    # anonymizing and graphing walk the tree recursively, and stay inside the stack
-    assert analyze(ast, max_size=2)[1]
+    walk = parse_program(DEEP_SHAPES[shape](MAX_DEPTH), LIKE)
+    assert _depth(walk) == MAX_DEPTH
+    # rendering recurses, and stays inside the stack
+    assert walk_tuple(parse_program(render(walk), LIKE)) == walk_tuple(walk)
+    assert count_local_structures(build_structure_graph(anonymize(walk)), max_size=2)
     for depth in (MAX_DEPTH + 1, 4 * MAX_DEPTH):
         text = DEEP_SHAPES[shape](depth)
         with pytest.raises(ParseError, match=f"program nests deeper than {MAX_DEPTH} levels"):

@@ -15,9 +15,11 @@ from demoselect import (
     enumerate_local_structures,
     ls_size,
     parse_program,
+    render,
+    to_template,
 )
 from demoselect.programs import DEFAULT_DIALECT, read_program
-from demoselect.structures import analyze, program_structures, read_structures
+from demoselect.structures import program_structures, read_structures
 
 from helpers import (
     brute_force_fragments,
@@ -26,8 +28,11 @@ from helpers import (
     node_count,
     random_program,
     random_texts,
+    reference_anonymize,
+    reference_graph,
     reference_parse,
-    tree_tuple,
+    reference_render,
+    walk_tuple,
 )
 
 CALENDAR_PROGRAM = (
@@ -237,8 +242,10 @@ VALUE_PARENTS = DialectConfig(value_parents=frozenset({"g", "scan", "LIKE"}))
 
 
 def _assert_walk_equals_the_tree_path(text, dialect):
-    # one walk from text gives the template, the counts and the sizes that
-    # graphing the tree gives; the tree and the errors are the first parser's
+    # the walk of text is the first parser's tree, and renders, anonymizes and
+    # graphs as the first parser's tree walks did; one walk from text gives
+    # the template, counts and sizes of that graph; the errors are the first
+    # parser's
     try:
         expected = reference_parse(text, dialect.value_parents)
     except ParseError as exc:
@@ -247,10 +254,17 @@ def _assert_walk_equals_the_tree_path(text, dialect):
                 read(text, dialect)
             assert (str(caught.value), caught.value.position) == (str(exc), exc.position)
         return
-    walk = read_program(text, dialect)
-    ast = parse_program(text, dialect)
-    assert tree_tuple(ast.root) == tree_tuple(walk.tree().root) == expected
-    template, counts = analyze(ast)
+    walk = parse_program(text, dialect)
+    assert walk_tuple(walk) == walk_tuple(read_program(text, dialect)) == expected
+    assert render(walk) == reference_render(expected)
+    anon = anonymize(walk)
+    expected_anon = reference_anonymize(expected)
+    assert walk_tuple(anon) == expected_anon
+    template = reference_render(expected_anon)
+    assert render(anon) == anon.text == to_template(walk).text == template
+    graph = build_structure_graph(anon)
+    assert graph == reference_graph(expected_anon)
+    counts = count_local_structures(graph)
     structures = read_structures(text, dialect)
     assert structures.template == walk.template == template
     assert structures.counts == counts == program_structures(text, dialect)
