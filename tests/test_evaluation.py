@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import example as hypothesis_example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoselect import (
@@ -184,12 +184,19 @@ def test_over_copy_and_oov_cannot_cooccur():
     assert LABEL_OOV not in labels
 
 
+def test_program_symbols_token_scan_handles_values():
+    # an unbalanced program is read by a token scan, which still names values
+    assert _symbols_and_template('f (3, "a town", g', DEFAULT_DIALECT) == (
+        {"f", "number", "string", "g"},
+        "f (number, string, g)",
+    )
+
+
 VALUE_PARENTS = DialectConfig(value_parents=frozenset({"g", "scan"}))
 
 
 @settings(max_examples=500, deadline=None)
 @given(text=random_texts(), dialect=st.sampled_from([DEFAULT_DIALECT, VALUE_PARENTS]))
-@hypothesis_example(text='f (3, "a town", g', dialect=DEFAULT_DIALECT)  # a token scan reads the values
 def test_symbols_and_template_equal_the_reference(text, dialect):
     assert _symbols_and_template(text, dialect) == reference_symbols_and_template(
         text, dialect
