@@ -38,7 +38,6 @@ from .evaluation import (
     error_labels,
     evaluate_record,
     exact_match,
-    unobserved_ls,
 )
 from .fixtures import FixtureCorpus, GrammarConfig, gen_fixture, write_fixture
 from .gateway import (
@@ -70,7 +69,6 @@ from .prompting import (
 from .retrieval import (
     Bm25Index,
     ls_tfidf_vectors,
-    normalized_rows,
     random_scores,
     tokenize_utterance,
 )

@@ -8,7 +8,7 @@ codes (see :class:`~demoselect.structures.CodedStructures`): the pipeline
 passes each demonstration's row of the index's structure codes and builds no
 demonstration example. :func:`evaluate_record` (over program text and
 structure sets) codes its sets over the names they hold and applies the same
-rule, as :func:`coverage_metrics` and :func:`unobserved_ls` do for theirs.
+rule, as :func:`coverage_metrics` does for its coverage.
 
 The error-label rule (:func:`error_labels`), for a wrong prediction only,
 takes the gold's and the demonstrations' symbols and templates, and reads
@@ -44,7 +44,7 @@ LABEL_SYNTAX = "syntax"
 LABEL_OVER_COPY = "over-copy"
 LABEL_OOV = "oov-hallucination"
 LABEL_MISSING = "missing-symbols"
-# the largest structures (in nodes) whose absence from training unobserved_ls counts
+# the largest structures (in nodes) whose absence from training sets unobserved_ls
 UNOBSERVED_MAX_SIZE = 4
 
 
@@ -169,13 +169,6 @@ def _observed(codes: Mapping[str, int], training_ls_union: AbstractSet[str]) -> 
     :func:`~demoselect.structures.structure_codes`), in their order, that name
     a training structure; the code of the names they lack names none."""
     return np.array([name in training_ls_union for name in codes] + [False])
-
-
-def unobserved_ls(gold_ls_set: Iterable[str], training_ls_union: AbstractSet[str]) -> bool:
-    """True when the gold program has a small structure (of at most
-    :data:`UNOBSERVED_MAX_SIZE` nodes) never seen in training."""
-    codes, _, gold = coded_sets([], gold_ls_set)
-    return _unobserved(gold, _observed(codes, training_ls_union))
 
 
 @dataclass

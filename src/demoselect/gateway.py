@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ApiError, ConfigError, ParseError, TransportError
 from .programs import DEFAULT_DIALECT, DialectConfig
-from .structures import CodedStructures, coded_sets, program_structures
+from .structures import CodedStructures, coded_sets, read_structures
 
 ENV_API_KEY = "DEMOSELECT_API_KEY"
 ENV_BASE_URL = "DEMOSELECT_BASE_URL"
@@ -230,7 +230,7 @@ def mock_from_codes(
 
 def _ls_canonicals(program: str, dialect: DialectConfig) -> set[str]:
     try:
-        return set(program_structures(program, dialect))
+        return set(read_structures(program, dialect).counts)
     except ParseError:
         return set()
 

@@ -14,12 +14,12 @@ A program always has a synthetic ``<root>`` node above its top symbol so
 that the top symbol participates in edges like any other.
 
 Program text is read by one tokenizer (one regular expression) and one
-grammar, in one walk over the tokens (:func:`read_program`, and
-:func:`parse_program`, its public name): it emits the nodes in pre-order as
-arrays, the anonymized symbols, each node's parent and children, and the
-template. That walk is the one program form: :func:`render`,
-:func:`anonymize` and :func:`to_template` read its arrays, and the local
-structures are enumerated from them (:mod:`demoselect.structures`).
+grammar, in one walk over the tokens (:func:`parse_program`): it emits the
+nodes in pre-order as arrays, the anonymized symbols, each node's parent
+and children, and the template. That walk is the one program form:
+:func:`render`, :func:`anonymize` and :func:`to_template` read its arrays,
+and :func:`~demoselect.structures.read_structures` enumerates the local
+structures from them.
 
 Possibly malformed text enters through :func:`repair_parentheses`, which
 returns the walk of the text it settled on; text beyond repair still has the
@@ -176,7 +176,7 @@ class _Fault(Exception):
         self.index = index
 
 
-def read_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramWalk:
+def parse_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramWalk:
     """Read program text in one walk over its tokens (see :class:`ProgramWalk`).
 
     Text that is no program raises :class:`ParseError` for the first of:
@@ -332,12 +332,6 @@ def _value_span(tokens: list[str], pos: int) -> tuple[str, int]:
     raise _Fault("missing closing parenthesis", start)
 
 
-def parse_program(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramWalk:
-    """Parse program text into its walk (:func:`read_program`); a program
-    deeper than :data:`MAX_DEPTH` is a :class:`ParseError`."""
-    return read_program(text, dialect)
-
-
 # --- rendering and anonymization ----------------------------------------
 
 
@@ -391,7 +385,7 @@ class RepairResult:
 def repair_parentheses(
     text: str, dialect: DialectConfig = DEFAULT_DIALECT
 ) -> RepairResult:
-    """Read text (:func:`read_program`), fixing close-paren imbalance at its
+    """Read text (:func:`parse_program`), fixing close-paren imbalance at its
     end first.
 
     Missing closers are appended; surplus trailing closers are stripped;
@@ -407,7 +401,7 @@ def repair_parentheses(
             return RepairResult(text=text, status="unrepairable", walk=None)
         candidate = candidate[:-1]
     try:
-        walk = read_program(candidate, dialect)
+        walk = parse_program(candidate, dialect)
     except ParseError:
         return RepairResult(text=text, status="unrepairable", walk=None)
     status = "balanced" if candidate == text else "repaired"

@@ -10,12 +10,13 @@ positive Lucene-style variant ``ln((N - n + 0.5) / (n + 0.5) + 1)``.
 Documents are rows: row ``r`` is the ``r``-th of the sorted document ids.
 Scores (:class:`Scores`), posting lists (:class:`RowPostings`, or
 :class:`ColumnPostings` as an index stores them) and sparse rows
-(:class:`SparseRows`) are arrays aligned with those rows, each served as a
-read-only mapping that builds no per-document dict. Sparse rows,
-like every group of rows in an index file, are stored back to back with
-their offsets (see :func:`row_slices`). These are the only form the
-selectors of :mod:`demoselect.selection` take: their ``ids`` must be the
-selection pool's ids, or the selector raises ``ValueError``.
+(:class:`SparseRows`) are arrays aligned with those rows. Scores and
+posting lists are served as read-only mappings that build no per-document
+dict; sparse rows are read many rows at once. Sparse rows, like every
+group of rows in an index file, are stored back to back with their offsets
+(see :func:`row_slices`). These are the only form the selectors of
+:mod:`demoselect.selection` take: their ``ids`` must be the selection
+pool's ids, or the selector raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -49,21 +50,14 @@ _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 
 def tokenize_utterance(text: str) -> list[str]:
-    """Lower-cased tokens split on any non-alphanumeric character."""
+    """Lower-cased tokens split on every character outside ASCII
+    ``[0-9a-z]``: an accented letter splits a word (``"Café Zürich"`` gives
+    ``caf``, ``z``, ``rich``)."""
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
 
 
 def lucene_idf(n_docs: int, doc_freq: int) -> float:
     return math.log((n_docs - doc_freq + 0.5) / (doc_freq + 0.5) + 1.0)
-
-
-def term_postings(docs: Mapping[str, Iterable[str]]) -> dict[str, list[str]]:
-    """The ids of the documents holding each term, in id order."""
-    postings: dict[str, list[str]] = {}
-    for doc_id in sorted(docs):
-        for term in dict.fromkeys(docs[doc_id]):
-            postings.setdefault(term, []).append(doc_id)
-    return postings
 
 
 def row_of(ids: list[str], key: object) -> int:
@@ -149,11 +143,11 @@ class ColumnPostings(Mapping):
         return int(np.count_nonzero(np.diff(self.offsets)))
 
 
-class SparseRows(Mapping):
+class SparseRows:
     """Sparse rows of sorted ids, stored back to back (see
     :func:`row_slices`): the row of ``ids[r]`` is the slice
-    ``[offsets[r]:offsets[r + 1]]`` of ``columns`` and ``weights``. A
-    read-only mapping from id to its ``(columns, weights)`` row."""
+    ``[offsets[r]:offsets[r + 1]]`` of ``columns`` and ``weights``, read
+    for many rows at once by :meth:`take`."""
 
     def __init__(self, ids, offsets, columns, weights):
         self.ids = ids
@@ -170,17 +164,6 @@ class SparseRows(Mapping):
         shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
         index = np.arange(len(shift)) + shift
         return lengths, self.columns[index], self.weights[index]
-
-    def __getitem__(self, key: str) -> tuple[np.ndarray, np.ndarray]:
-        row = row_of(self.ids, key)
-        start, end = self.offsets[row:row + 2].tolist()
-        return self.columns[start:end], self.weights[start:end]
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 class Bm25Index:
@@ -319,13 +302,6 @@ def normalized_arrays(
     values = np.fromiter(chain.from_iterable(w.values() for w in kept), np.float64)
     values /= np.repeat(norms, lengths)
     return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))), columns, values
-
-
-def normalized_rows(
-    weights_by_id: Mapping[str, Mapping[str, float]]
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """:func:`normalized_arrays` as one ``(columns, weights)`` row per id."""
-    return row_slices(weights_by_id, *normalized_arrays(weights_by_id))
 
 
 def ls_tfidf_arrays(

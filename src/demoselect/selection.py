@@ -11,10 +11,10 @@ of the highest score. An ``(id, score)`` pair is built only for a pick.
 
 Selectors take only this row form: the bundle's ``pool``, the
 :class:`~demoselect.retrieval.Scores` of its retrievers, its posting lists
-(:data:`Postings`) and its tf-idf :class:`~demoselect.retrieval.SparseRows`.
-A hand-made pool is ``Pool(sorted_ids, examples)``, with scores and postings
-over the same ids; the coverage strategies require ``postings``. Rows over
-other ids raise ``ValueError``.
+(:data:`Postings`) and its tf-idf :class:`~demoselect.retrieval.SparseRows`;
+the coverage strategies require ``postings``. A pool is made by indexing
+its examples (:func:`~demoselect.corpus.build_indexes`). Rows over other
+ids raise ``ValueError``.
 
 The coverage strategies walk a sorted element list (largest structure
 first, or rarest token first), greedily picking the retriever-best pool
@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .retrieval import (
     row_of,
     tokenize_utterance,
 )
-from .structures import CodedStructures, ls_size, program_structures
+from .structures import CodedStructures, ls_size, read_structures
 
 Q_FLOOR = 1e-6
 GAIN_EPS = 1e-12
@@ -72,44 +71,25 @@ class Pool(Mapping):
     """The selection pool: a read-only mapping from id to example over rows
     in id order, ``examples[r]`` being the example of ``ids[r]``; the caller
     sorts the ids. ``examples`` may run on past the pool's rows, as an
-    index's corpus does, and is read only at the rows a caller reads. Given
-    ``template_codes``, ``structures`` and ``tokens``, as an index serves
-    them, :attr:`template_codes`, :meth:`structures` and :meth:`tokens` read
-    no example, and the selectors build none."""
+    index's corpus does, and is read only at the rows a caller reads. The
+    rows' readers are given, as an index serves them: ``template_codes``
+    holds one code per row, equal for rows of equal template, and
+    ``structures(r)`` and ``tokens(r)`` give the structures and utterance
+    tokens of row ``r``. The selectors read only these, and build no example."""
 
     def __init__(
         self,
         ids: list[str],
         examples: Sequence,
-        template_codes: np.ndarray | None = None,
-        structures: Callable[[int], Iterable[str]] | None = None,
-        tokens: Callable[[int], Iterable[str]] | None = None,
+        template_codes: np.ndarray,
+        structures: Callable[[int], Iterable[str]],
+        tokens: Callable[[int], Iterable[str]],
     ):
         self.ids = ids
         self.examples = examples
-        # each one given stands in for the cached property or method of its name
-        if template_codes is not None:
-            self.template_codes = template_codes
-        if structures is not None:
-            self.structures = structures
-        if tokens is not None:
-            self.tokens = tokens
-
-    @cached_property
-    def template_codes(self) -> np.ndarray:
-        """One code per row, equal for rows of equal template."""
-        templates = [ex.template for ex in self.values()]
-        codes: dict[str, int] = {}
-        rows = (codes.setdefault(template, len(codes)) for template in templates)
-        return np.fromiter(rows, np.intp, len(self.ids))
-
-    def structures(self, r: int) -> Iterable[str]:
-        """The structures of pool row ``r``."""
-        return self.examples[r].ls_counts
-
-    def tokens(self, r: int) -> Iterable[str]:
-        """The utterance tokens of pool row ``r``."""
-        return self.examples[r].utt_tokens
+        self.template_codes = template_codes
+        self.structures = structures
+        self.tokens = tokens
 
     def __getitem__(self, key: str):
         return self.examples[row_of(self.ids, key)]
@@ -441,4 +421,4 @@ def oracle_elements(
     gold_program: str, dialect: DialectConfig = DEFAULT_DIALECT
 ) -> set[str]:
     """Local structures of the anonymized gold program (any size)."""
-    return set(program_structures(gold_program, dialect))
+    return set(read_structures(gold_program, dialect).counts)

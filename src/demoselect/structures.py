@@ -27,7 +27,8 @@ view that :func:`enumerate_local_structures` returns to the acceptance
 criteria and the structure tests.
 
 Program text goes to its template and structures in one walk and one
-enumeration (:func:`read_structures`).
+enumeration (:func:`read_structures`), the one call from text to
+structures: a text's structure set is ``read_structures(text).counts``.
 
 The mock model and evaluation compare structure sets as codes: a structure's
 code is its number in a vocabulary, an index's or one made of the sets at
@@ -46,7 +47,7 @@ from operator import add
 
 import numpy as np
 
-from .programs import DEFAULT_DIALECT, DialectConfig, ProgramWalk, read_program
+from .programs import DEFAULT_DIALECT, DialectConfig, ProgramWalk, parse_program
 
 PARENT_SEP = " -> "
 SIBLING_SEP = " <-> "
@@ -65,10 +66,6 @@ class StructureGraph:
     @property
     def node_count(self) -> int:
         return len(self.symbols)
-
-    @property
-    def tree_edges(self) -> list[tuple[int, int]]:
-        return [(p, c) for c, p in enumerate(self.parents) if p is not None]
 
 
 def build_structure_graph(walk: ProgramWalk) -> StructureGraph:
@@ -164,9 +161,9 @@ class ProgramStructures:
 
 def read_structures(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> ProgramStructures:
     """The template and local structures of program text, read in one walk
-    (:func:`~demoselect.programs.read_program`). Raises :class:`ParseError`
+    (:func:`~demoselect.programs.parse_program`). Raises :class:`ParseError`
     on unparseable text."""
-    walk = read_program(text, dialect)
+    walk = parse_program(text, dialect)
     counts, sizes = local_structures(walk.symbols, walk.parents, walk.children)
     names = sorted(counts)
     return ProgramStructures(
@@ -174,13 +171,6 @@ def read_structures(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> Prog
         dict(zip(names, map(counts.__getitem__, names))),
         dict(zip(names, map(sizes.__getitem__, names))),
     )
-
-
-def program_structures(text: str, dialect: DialectConfig = DEFAULT_DIALECT) -> Counter:
-    """Local-structure counts of a program's anonymized walk, keyed by
-    canonical form. Raises :class:`ParseError` on unparseable text."""
-    walk = read_program(text, dialect)
-    return local_structures(walk.symbols, walk.parents, walk.children)[0]
 
 
 # --- structures as codes -----------------------------------------------------

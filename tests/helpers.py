@@ -9,7 +9,7 @@ import random
 import re
 import sys
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from demoselect import (
     ProgramWalk,
     StructureGraph,
     anonymize,
+    evaluate_record,
     parse_program,
     render,
     repair_parentheses,
@@ -33,7 +34,7 @@ from demoselect.retrieval import (
     lucene_idf,
     normalized_arrays,
     row_of,
-    term_postings,
+    row_slices,
     tokenize_utterance,
 )
 from demoselect.selection import Pool
@@ -68,7 +69,7 @@ def brute_force_fragments(graph: StructureGraph, max_size: int | None = None):
     n = graph.node_count
     limit = n if max_size is None else min(max_size, n)
     neighbors = [set() for _ in range(n)]
-    for p, c in graph.tree_edges:
+    for p, c in tree_edges(graph):
         neighbors[p].add(c)
         neighbors[c].add(p)
     sib_pairs = set()
@@ -103,6 +104,11 @@ def brute_force_fragments(graph: StructureGraph, max_size: int | None = None):
                     break
             if valid:
                 yield _serialize_fragment(graph, nodes), size
+
+
+def tree_edges(graph: StructureGraph) -> list[tuple[int, int]]:
+    """A graph's (parent, child) edges, in child order."""
+    return [(p, c) for c, p in enumerate(graph.parents) if p is not None]
 
 
 def _serialize_fragment(graph: StructureGraph, nodes: set[int]) -> str:
@@ -192,18 +198,18 @@ def random_texts():
 
 
 def count_parses(monkeypatch) -> Counter:
-    """Count ``read_program`` calls, the one walk from program text that
+    """Count ``parse_program`` calls, the one walk from program text that
     every parse takes, per text, wherever the package calls it."""
     parsed: Counter = Counter()
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "demoselect" and hasattr(module, "read_program"):
-            original = module.read_program
+        if name.split(".")[0] == "demoselect" and hasattr(module, "parse_program"):
+            original = module.parse_program
 
             def counted(text, *args, _original=original, **kwargs):
                 parsed[text] += 1
                 return _original(text, *args, **kwargs)
 
-            monkeypatch.setattr(module, "read_program", counted)
+            monkeypatch.setattr(module, "parse_program", counted)
     return parsed
 
 
@@ -450,6 +456,12 @@ def reference_symbols_and_template(text, dialect) -> tuple[set[str], str | None]
     return set(anon.values[1:]), render(anon)
 
 
+def unobserved(gold_ls_set, training_ls_union) -> bool:
+    """The ``unobserved_ls`` flag that :func:`evaluate_record` gives a right
+    prediction of a gold program with the structures ``gold_ls_set``."""
+    return evaluate_record("t", "", "", [], [], gold_ls_set, training_ls_union).unobserved_ls
+
+
 # --- dict pools, scores and postings as pool rows --------------------------------
 #
 # The selectors take only pool rows. Tests that state a case as a dict pool,
@@ -459,11 +471,21 @@ def reference_symbols_and_template(text, dialect) -> tuple[set[str], str | None]
 
 def pool_rows(pool) -> Pool:
     """A dict pool, or a list of ids (their examples ``None``), as a
-    :class:`Pool` sorted by id."""
+    :class:`Pool` sorted by id, whose readers read its examples: their
+    templates coded in row order, their ``ls_counts`` and ``utt_tokens``."""
     if not isinstance(pool, Mapping):
         pool = dict.fromkeys(pool)
     ids = sorted(pool)
-    return Pool(ids, [pool[i] for i in ids])
+    examples = [pool[i] for i in ids]
+    codes: dict = {}
+    templates = [codes.setdefault(getattr(ex, "template", None), len(codes)) for ex in examples]
+    return Pool(
+        ids,
+        examples,
+        np.array(templates, np.intp),
+        structures=lambda r: examples[r].ls_counts,
+        tokens=lambda r: examples[r].utt_tokens,
+    )
 
 
 def score_rows(rows: Pool, scores) -> Scores:
@@ -482,10 +504,33 @@ def row_postings(rows: Pool, postings) -> RowPostings:
     )
 
 
+def term_postings(docs: Mapping[str, Iterable[str]]) -> dict[str, list[str]]:
+    """The ids of the documents holding each term, in id order."""
+    postings: dict[str, list[str]] = {}
+    for doc_id in sorted(docs):
+        for term in dict.fromkeys(docs[doc_id]):
+            postings.setdefault(term, []).append(doc_id)
+    return postings
+
+
+def normalized_rows(weights_by_id) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """:func:`~demoselect.retrieval.normalized_arrays` as one ``(columns,
+    weights)`` row per id."""
+    return row_slices(weights_by_id, *normalized_arrays(weights_by_id))
+
+
 def pool_postings(rows: Pool, field: str) -> RowPostings:
     """The pool's posting lists of the payloads ``getattr(example, field)``
     (``ls_counts`` or ``utt_tokens``), as :func:`term_postings` lists them."""
     return row_postings(rows, term_postings({i: getattr(ex, field) for i, ex in rows.items()}))
+
+
+def sparse_row(rows: SparseRows, key: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(columns, weights)`` row of the id ``key``, read through the
+    rows' ``ids`` and ``offsets``."""
+    r = row_of(rows.ids, key)
+    start, end = rows.offsets[r : r + 2].tolist()
+    return rows.columns[start:end], rows.weights[start:end]
 
 
 def dpp_rows(scores, weights) -> tuple[Scores, SparseRows]:

@@ -348,7 +348,7 @@ def test_mock_infer_parses_no_program(workspace, tmp_path, monkeypatch):
 
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "demoselect"]
     for module in modules:
-        for name in ("parse_program", "program_structures"):
+        for name in ("parse_program", "read_structures"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     stage_infer = demoselect.cli.stage_infer
@@ -665,9 +665,10 @@ def test_commands_build_only_the_examples_they_read(workspace, tmp_path, monkeyp
         assert sorted(built) == sorted(tests)
 
     # looking an id up in the pool builds no example
+    built.clear()
     bundle = IndexBundle.load(index)
     assert first in bundle.pool and "no-such-id" not in bundle.pool and 7 not in bundle.pool
-    assert bundle.corpus.examples._built == {}
+    assert built == []
 
     # a loaded index saves its own bytes, whatever examples it has built
     for read in (0, 5):
@@ -679,14 +680,17 @@ def test_commands_build_only_the_examples_they_read(workspace, tmp_path, monkeyp
 
 
 def test_run_mock_builds_no_pool_example(workspace, tmp_path, monkeypatch):
-    loaded = []
-    load = IndexBundle.load.__func__
+    from demoselect.corpus import Example
 
-    def load_and_keep(cls, path):
-        loaded.append(load(cls, path))
-        return loaded[-1]
+    built = []
+    init = Example.__init__
 
-    monkeypatch.setattr(IndexBundle, "load", classmethod(load_and_keep))
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.id)
+
+    monkeypatch.setattr(Example, "__init__", counted)
+    test_ids = sorted(row["id"] for row in _read_jsonl(workspace["fixture"] / "test.jsonl"))
     beams = tmp_path / "beams.jsonl"
     _write_beams(workspace, beams)
     common = ["run", "--index", str(workspace["index"]), "--k", "4", "--mock"]
@@ -699,20 +703,19 @@ def test_run_mock_builds_no_pool_example(workspace, tmp_path, monkeypatch):
         ["cover-ls", "--oracle"],
         ["cover-ls", "--predictions", str(beams)],
     ):
-        loaded.clear()
+        built.clear()
         workdir = tmp_path / flags[0] / flags[-1].rsplit("/", 1)[-1]
         # exit 1: some predictions are wrong, so their error labels are read too
         assert main([*common, *tests, "--strategy", *flags, "--workdir", str(workdir)]) == 1
-        (bundle,) = loaded
-        # no example of the index is built: not one demonstration, nor a pick
-        assert bundle.corpus.examples._built == {}, flags
+        # the --test file's examples, once each; no example of the index is
+        # built: not one demonstration, nor a pick, nor an indexed test example
+        assert sorted(built) == test_ids, flags
     # training mode's targets are the pool's examples: it builds each of them
-    loaded.clear()
+    built.clear()
     workdir = tmp_path / "train-mode"
     flags = ["--strategy", "cover-ls", "--train-mode", "--workdir", str(workdir)]
     assert main([*common, *flags]) in (0, 1)
-    (bundle,) = loaded
-    assert sorted(bundle.corpus.examples._built) == list(range(len(bundle.pool)))
+    assert sorted(built) == IndexBundle.load(workspace["index"]).pool.ids
 
 
 def test_run_parses_only_test_programs_and_wrong_predictions(workspace, tmp_path, monkeypatch):

@@ -33,7 +33,6 @@ from demoselect import (
     gen_fixture,
     load_examples,
     load_predictions,
-    unobserved_ls,
     write_fixture,
 )
 from demoselect.cli import main
@@ -46,18 +45,18 @@ from demoselect.corpus import (
     make_example,
     write_text,
 )
-from demoselect.retrieval import Bm25Index, SparseRows, ls_tfidf_vectors, term_postings
+from demoselect.retrieval import Bm25Index, SparseRows, ls_tfidf_vectors
 from demoselect.selection import dpp_select
 from demoselect.structures import (
     build_structure_graph,
     count_local_structures,
     ls_size,
-    program_structures,
+    read_structures,
 )
 from demoselect.programs import MAX_DEPTH, anonymize, parse_program
 
 from geo_pool import POOL_ROWS
-from helpers import count_parses, random_program
+from helpers import count_parses, random_program, sparse_row, term_postings, unobserved
 
 TABLE_ROWS = [
     {
@@ -274,7 +273,7 @@ def test_load_predictions_parses_a_well_formed_beam_once(tmp_path, monkeypatch):
         return wrapper
 
     for module in (demoselect.programs, demoselect.structures):
-        monkeypatch.setattr(module, "read_program", counted(module.read_program))
+        monkeypatch.setattr(module, "parse_program", counted(module.parse_program))
     path = tmp_path / "preds.jsonl"
     beams = ["f (g)", "f (g (a)", "f (h))", ")("]
     path.write_text(json.dumps({"id": "t1", "beams": beams}), encoding="utf-8")
@@ -283,7 +282,7 @@ def test_load_predictions_parses_a_well_formed_beam_once(tmp_path, monkeypatch):
     assert bundle.beams == ["f (g)", "f (g (a))", "f (h)"]
     assert bundle.repaired == [False, True, True]
     assert bundle.beam_ls_sets == [
-        set(program_structures(text)) for text in ("f (g)", "f (g (a))", "f (h)")
+        set(read_structures(text).counts) for text in ("f (g)", "f (g (a))", "f (h)")
     ]
 
 
@@ -390,10 +389,11 @@ def test_index_round_trip_preserves_rankings(tmp_path):
 
 
 def _assert_rows_equal(rows, expected):
-    assert list(rows) == list(expected)
-    for ex_id, (columns, weights) in expected.items():
-        assert np.array_equal(rows[ex_id][0], columns)
-        assert np.array_equal(rows[ex_id][1], weights)
+    assert rows.ids == expected.ids
+    for ex_id in expected.ids:
+        columns, weights = sparse_row(expected, ex_id)
+        assert np.array_equal(sparse_row(rows, ex_id)[0], columns)
+        assert np.array_equal(sparse_row(rows, ex_id)[1], weights)
 
 
 def test_built_and_reloaded_tfidf_rows_are_equal(tmp_path):
@@ -1048,9 +1048,9 @@ def _assert_index_matches_its_maps(bundle):
     # pool's own vocabulary
     expected = ls_tfidf_vectors({i: ex.ls_counts for i, ex in pool.items()})
     pool_vocab = sorted(union)
-    assert list(bundle.tfidf) == list(expected)
+    assert bundle.tfidf.ids == list(expected)
     for ex_id, (columns, weights) in expected.items():
-        got_columns, got_weights = bundle.tfidf[ex_id]
+        got_columns, got_weights = sparse_row(bundle.tfidf, ex_id)
         names = [bundle.vocab[c] for c in got_columns.tolist()]
         assert names == [pool_vocab[c] for c in columns.tolist()]
         assert got_weights.tobytes() == weights.tobytes()
@@ -1140,7 +1140,7 @@ def test_index_edge_cases_round_trip(tmp_path, corpus):
         ]
     if "e1" in built.pool:
         assert dict(loaded.pool["e1"].ls_counts) == {}
-        assert [len(part) for part in loaded.tfidf["e1"]] == [0, 0]
+        assert [len(part) for part in sparse_row(loaded.tfidf, "e1")] == [0, 0]
         assert loaded.stats()["unique_ls"] == 3
     assert loaded.stats()["train"] == len(built.pool)
 
@@ -1327,7 +1327,7 @@ def test_fixture_held_out_structures_absent_from_training():
     for target in fixture.planted_targets:
         assert target not in train_union
     for ex in fixture.corpus.split("test"):
-        assert unobserved_ls(ex.ls_set, train_union)
+        assert unobserved(ex.ls_set, train_union)
         assert fixture.planted[ex.id]
         for target in fixture.planted[ex.id]:
             assert target in ex.ls_set
@@ -1338,7 +1338,7 @@ def test_fixture_bookkeeping_matches_unobserved_metric():
     bundle = build_indexes(fixture.corpus)
     union = bundle.training_ls_union()
     flagged = [
-        unobserved_ls(ex.ls_set, union) for ex in fixture.corpus.split("test")
+        unobserved(ex.ls_set, union) for ex in fixture.corpus.split("test")
     ]
     assert all(flagged)
 

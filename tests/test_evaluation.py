@@ -20,7 +20,6 @@ from demoselect import (
     exact_match,
     make_example,
     parse_program,
-    unobserved_ls,
 )
 from demoselect.evaluation import (
     LABEL_MISSING,
@@ -34,7 +33,13 @@ from demoselect.programs import DEFAULT_DIALECT
 from demoselect.structures import build_structure_graph, enumerate_local_structures
 
 from geo_pool import POOL_ROWS
-from helpers import count_parses, random_program, random_texts, reference_symbols_and_template
+from helpers import (
+    count_parses,
+    random_program,
+    random_texts,
+    reference_symbols_and_template,
+    unobserved,
+)
 
 
 def ls_set_of(program: str) -> set[str]:
@@ -273,28 +278,28 @@ def test_a_copied_demonstration_takes_the_labels_of_its_text(gold, pool_programs
 
 def test_unobserved_false_when_seen_in_training():
     gold_set = ls_set_of("f (a)")
-    assert not unobserved_ls(gold_set, training_ls_union=set(gold_set))
+    assert not unobserved(gold_set, training_ls_union=set(gold_set))
 
 
 def test_unobserved_true_for_novel_edge():
     gold_set = ls_set_of("f (a)")
     training = ls_set_of("f (b)")
-    assert unobserved_ls(gold_set, training)
+    assert unobserved(gold_set, training)
 
 
 def test_unobserved_ignores_large_structures():
     gold = "f (g (h (i (j))))"
     gold_set = ls_set_of(gold)
     small = {c for c in gold_set if len(c.split(" -> ")) <= 4}
-    assert not unobserved_ls(gold_set, training_ls_union=small)
+    assert not unobserved(gold_set, training_ls_union=small)
 
 
 def test_unobserved_monotone_in_training_growth():
     gold_set = ls_set_of("f (a, g (b))")
     smaller = ls_set_of("f (a)")
     bigger = smaller | ls_set_of("f (a, g (b))")
-    assert unobserved_ls(gold_set, smaller)
-    assert not unobserved_ls(gold_set, bigger)
+    assert unobserved(gold_set, smaller)
+    assert not unobserved(gold_set, bigger)
 
 
 # --- records and aggregation ----------------------------------------------------

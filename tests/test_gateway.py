@@ -17,7 +17,7 @@ from demoselect import (
     complete,
     mock_complete,
 )
-from demoselect.structures import ls_size, program_structures
+from demoselect.structures import ls_size, read_structures
 
 from helpers import random_program
 
@@ -46,7 +46,8 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.script = []
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown waits for serve_forever's next poll to end
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield server
     server.shutdown()
@@ -263,9 +264,9 @@ def test_mock_composes_across_two_partial_demos():
     demos = ["f (a (b), c (x))", "g (c (d))"]
     # Verified cover: the union of the demos' structures contains every
     # gold structure of one or two nodes, while neither demo alone does.
-    singles = [set(program_structures(p)) for p in demos]
+    singles = [set(read_structures(p).counts) for p in demos]
     union = set().union(*singles)
-    needed = {c for c in program_structures(GOLD) if ls_size(c) <= 2}
+    needed = {c for c in read_structures(GOLD).counts if ls_size(c) <= 2}
     assert needed <= union
     assert all(not needed <= s for s in singles)
     assert mock_complete(demos, GOLD) == GOLD
@@ -301,8 +302,8 @@ def test_mock_is_monotone_in_demonstrations():
 def test_mock_threshold_one_only_needs_symbols():
     config = MockOracleConfig(compose_threshold_size=1)
     demos = ["f (a, b, c, d)"]  # all gold symbols, none of its edges
-    gold_syms = {c for c in program_structures(GOLD) if ls_size(c) == 1}
-    demo_syms = {c for c in program_structures(demos[0]) if ls_size(c) == 1}
+    gold_syms = {c for c in read_structures(GOLD).counts if ls_size(c) == 1}
+    demo_syms = {c for c in read_structures(demos[0]).counts if ls_size(c) == 1}
     assert gold_syms <= demo_syms
     assert mock_complete(demos, GOLD, config) == GOLD
     assert mock_complete(demos, GOLD) == demos[0]

@@ -82,6 +82,16 @@ def test_readme_library_snippet_runs_on_the_geo_pool(geo_index, monkeypatch):
     assert "which rivers run through ohio" in prompt.text
 
 
+def test_readme_pool_snippet_indexes_its_examples():
+    namespace = {}
+    exec(_readme_snippet(1), namespace)  # noqa: S102 - the README's own code
+    bundle, chosen = namespace["bundle"], namespace["chosen"]
+    assert bundle.pool.ids == ["e1", "e2"]
+    # "count" is held by e1 alone and "dogs" by e2 alone: one pick each
+    assert chosen.ids == ["e1", "e2"] and not chosen.underfilled
+    assert chosen.coverage_trace == [("count", "e1"), ("dogs", "e2")]
+
+
 def _replay_select(strategy, beams_driven, bundle, example, scores, beams):
     """The selector calls of the benchmark's traced replay of ``run``."""
     pool = bundle.pool

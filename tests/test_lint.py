@@ -235,11 +235,41 @@ def test_unread_public_names_finds_only_dead_ones():
     assert unread_public_names(module, read) == ["dead", "unread", "Dead", "unread"]
 
 
+def python_blocks(markdown: str) -> list[str]:
+    """The code of a Markdown text's ``python`` blocks."""
+    return [block.split("```", 1)[0] for block in markdown.split("```python\n")[1:]]
+
+
+def test_python_blocks_reads_only_python_blocks():
+    text = (
+        "# Use\n"
+        "```python\nfrom demoselect import cover_ls\n```\n"
+        "```bash\ndemoselect run --mock\n```\n"
+        "```python\nx = 1\n```\n"
+    )
+    assert python_blocks(text) == ["from demoselect import cover_ls\n", "x = 1\n"]
+
+
+# The library surface: what the package itself, the benchmark scripts, the
+# README's snippets and these tests read. A name only other tests read is
+# outside it, and goes.
+SURFACE_TESTS = ("test_acceptance.py", "test_library.py")
+
+
 @pytest.fixture(scope="module")
 def read_anywhere() -> set[str]:
-    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
-    paths += (ROOT / "perfbench").glob("*.py")
-    return set().union(*(read_names(path.read_text(encoding="utf-8")) for path in paths))
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    paths += [ROOT / "tests" / name for name in SURFACE_TESTS]
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    sources += python_blocks((ROOT / "README.md").read_text(encoding="utf-8"))
+    return set().union(*map(read_names, sources))
+
+
+def test_the_surface_is_read_from_its_readers_only(read_anywhere):
+    # the README's snippets and the surface tests count; the other tests do not
+    assert len(python_blocks((ROOT / "README.md").read_text(encoding="utf-8"))) == 3
+    assert {"token_postings", "CALENDAR_PROGRAM", "_replay_select"} <= read_anywhere
+    assert {"reference_parse", "walk_tuple", "pool_rows"} & read_anywhere == set()
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -30,7 +30,7 @@ from demoselect import (
 from demoselect.cli import ORDERS, STRATEGIES, main
 from demoselect.pipeline import RunConfig, stage_eval, stage_infer
 from demoselect.retrieval import RETRIEVER_VARIANTS
-from demoselect.structures import program_structures
+from demoselect.structures import read_structures
 
 from helpers import random_program, run_failures
 
@@ -201,8 +201,8 @@ def test_mock_and_eval_stages_equal_the_text_forms(seed, n_pool, n_test, thresho
             row["prediction"],
             gold,
             demos,
-            [set(program_structures(p)) for p in demos],
-            set(program_structures(gold)),
+            [set(read_structures(p).counts) for p in demos],
+            set(read_structures(gold).counts),
             union,
             strategy=cfg.strategy,
         )

@@ -20,19 +20,18 @@ from demoselect import (
     enumerate_local_structures,
     gen_fixture,
     make_example,
-    normalized_rows,
     oracle_elements,
     parse_program,
     select_random,
     select_top_k,
     training_mode_select,
 )
-from demoselect.retrieval import term_postings
 from demoselect.selection import GAIN_EPS, _best_gain
-from demoselect.structures import program_structures
+from demoselect.structures import read_structures
 
 from helpers import (
     dpp_rows,
+    normalized_rows,
     pool_postings,
     pool_rows,
     reference_cover_ls,
@@ -42,6 +41,7 @@ from helpers import (
     reference_training_mode,
     row_postings,
     score_rows,
+    term_postings,
 )
 from trace_cases import TRACE_CASES, assert_case
 
@@ -646,7 +646,7 @@ def test_training_mode_forced_symbol_cover():
         ("e2", "two", "g (b)"),
         ("e3", "three", "h (c)"),
     )
-    result = _training_mode(program_structures("a (b)"), pool, k=2, seed=3)
+    result = _training_mode(read_structures("a (b)").counts, pool, k=2, seed=3)
     assert set(result.ids) == {"e1", "e2"}
     assert all(score == 0.0 for _, score in result.items)
 
@@ -657,8 +657,8 @@ def test_training_mode_seed_reproducible():
         ("e2", "two", "g (a)"),
         ("e3", "three", "h (a)"),
     )
-    first = _training_mode(program_structures("top (a)"), pool, k=2, seed=11)
-    second = _training_mode(program_structures("top (a)"), pool, k=2, seed=11)
+    first = _training_mode(read_structures("top (a)").counts, pool, k=2, seed=11)
+    second = _training_mode(read_structures("top (a)").counts, pool, k=2, seed=11)
     assert first.items == second.items
     assert first.ids[0] in {"e1", "e2", "e3"}
 
@@ -688,7 +688,7 @@ def test_oracle_elements_matches_enumeration():
     ast = anonymize(parse_program(CALENDAR_PROGRAM))
     direct = enumerate_local_structures(build_structure_graph(ast))
     assert elements == {ls.canonical for ls in direct}
-    assert elements == set(program_structures(CALENDAR_PROGRAM))
+    assert elements == set(read_structures(CALENDAR_PROGRAM).counts)
 
 
 def test_oracle_elements_single_symbol():
